@@ -11,10 +11,7 @@ from .core import (
     TorusValue,
     UnityCounter,
     char_eval,
-    counter_expectation,
     enumerate_space,
-    torus_add,
-    torus_scale,
 )
 from .forms import (
     CSMForm,
@@ -38,7 +35,6 @@ from .norms import (
     gowers_power,
     gowers_power_exact,
     inverse_explore,
-    mult_derivative,
     rank_witness_check,
     verify_gowers_properties,
     walsh_fourier,
@@ -67,11 +63,8 @@ from .weighted import (
     PeriodicMap,
     WeightedPoly,
     binomial_expand,
-    factor_depth_extend,
-    factor_retract,
     periodicity_check,
     weighted_degree,
-    weighted_pth_root,
 )
 from .suites import SUITE_NAMES, SuiteReport, run_suite
 

@@ -144,14 +144,6 @@ class TorusValue:
         return cls(p, int(obj["num"]), int(obj["exp"]))
 
 
-def torus_add(a: TorusValue, b: TorusValue) -> TorusValue:
-    return a + b
-
-
-def torus_scale(n: int, a: TorusValue) -> TorusValue:
-    return a.scale(n)
-
-
 @lru_cache(maxsize=4096)
 def _root_of_unity(num: int, den: int) -> complex:
     # quarter-turn values are pinned exactly so algebraic identities hold
@@ -472,7 +464,3 @@ class UnityCounter:
         return ExactExpectation(
             CycloSum.from_counts(self.p, self.K, self.counts.tolist()), self.total
         )
-
-
-def counter_expectation(c: UnityCounter) -> ExactExpectation:
-    return c.expectation()

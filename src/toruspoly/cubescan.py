@@ -4,13 +4,16 @@ Elements of a product of cyclic groups are packed into mixed-radix integer
 codes; whole populations of 2^k-tuples are then checked against both cube
 criteria (face alternating sums vs Taylor coefficients) with numpy
 arithmetic.  When the ambient tuple count is too large to scan, the face
-solution set is counted exactly instead: it is the kernel of an explicit
-homomorphism into a product of quotients, so its size is the ambient size
-divided by the size of the image subgroup, which a breadth-first span
-computes exactly.
+solution set is counted exactly instead: it is the kernel of the face-sum
+homomorphism into a product of quotients G/G_i, so its size is the ambient
+size divided by the order of the image, and that order is an integer
+lattice index read off the pivots of an echelon basis.  The count has no
+cap; the scan stays as the exhaustive oracle for small groups.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -45,16 +48,27 @@ def _member_tables(G: FilteredAbelianGroup, k: int) -> list[np.ndarray]:
     return tables
 
 
-def _signed_sum_codes(tuples: np.ndarray, masks, signs, G: FilteredAbelianGroup
-                      ) -> np.ndarray:
-    """Codes of sum_j signs[j] * tuples[:, masks[j]] in the product group."""
-    total = np.zeros(len(tuples), dtype=np.int64)
-    radix = 1
+def _digits(tuples: np.ndarray, G: FilteredAbelianGroup) -> list[np.ndarray]:
+    """Per cyclic factor, the (M, 2^k) array of that coordinate of each entry,
+    decoded a column at a time into the narrowest dtype that holds it."""
+    out = []
     for t, o in enumerate(G.orders):
-        comp = np.zeros(len(tuples), dtype=np.int64)
+        dig = np.empty(tuples.shape, dtype=np.min_scalar_type(o))
+        for m in range(tuples.shape[1]):
+            dig[:, m] = tuples[:, m] // prod(G.orders[:t]) % o
+        out.append(dig)
+    return out
+
+
+def _signed_sum_codes(digits: list[np.ndarray], masks, signs,
+                      G: FilteredAbelianGroup) -> np.ndarray:
+    """Codes of sum_j signs[j] * tuples[:, masks[j]] in the product group."""
+    total = 0
+    radix = 1
+    for dig, o in zip(digits, G.orders):
+        comp = np.zeros(len(dig), dtype=np.int64)
         for m, s in zip(masks, signs):
-            dig = tuples[:, m] // radix % o
-            comp = comp + (dig if s > 0 else -dig)
+            comp = comp + dig[:, m] if s > 0 else comp - dig[:, m]
         total = total + comp % o * radix
         radix *= o
     return total
@@ -64,10 +78,11 @@ def face_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup, k: int,
                      member=None) -> np.ndarray:
     """Which rows satisfy the face criterion (all alternating sums in G_i)."""
     member = member or _member_tables(G, k)
+    digits = _digits(tuples, G)
     mask = np.ones(len(tuples), dtype=bool)
     for dim, masks in _faces(k):
         signs = [1 if bin(m).count("1") % 2 == 0 else -1 for m in masks]
-        codes = _signed_sum_codes(tuples, masks, signs, G)
+        codes = _signed_sum_codes(digits, masks, signs, G)
         mask &= member[dim][codes]
         if not mask.any():
             break
@@ -78,12 +93,13 @@ def taylor_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup, k: int,
                        member=None) -> np.ndarray:
     """Which rows have every Taylor coefficient g_J inside G_|J|."""
     member = member or _member_tables(G, k)
+    digits = _digits(tuples, G)
     mask = np.ones(len(tuples), dtype=bool)
     for J in range(1 << k):
         subs = [I for I in range(J + 1) if I & J == I]
         signs = [1 if (bin(J).count("1") - bin(I).count("1")) % 2 == 0 else -1
                  for I in subs]
-        codes = _signed_sum_codes(tuples, subs, signs, G)
+        codes = _signed_sum_codes(digits, subs, signs, G)
         mask &= member[bin(J).count("1")][codes]
     return mask
 
@@ -114,92 +130,86 @@ def equivalence_scan(G: FilteredAbelianGroup, k: int, chunk: int = 1 << 18,
     return {"tuples": total, "disagreements": disagreements, "members": members}
 
 
-def counted_equivalence(G: FilteredAbelianGroup, k: int,
-                        span_cap: int = 1 << 21) -> dict:
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _echelon_insert(basis: list[list[int]], rows, mods: list[int]) -> None:
+    """Add rows to the lattice spanned by an upper-triangular basis.
+
+    basis[c] has its pivot at column c and the lattice contains mods[c] * e_c,
+    so every entry is kept reduced modulo its column's mod (Hermite normal
+    form modulo D, Cohen section 2.4).  Each row is cleared column by column
+    with one extended gcd against the pivot row.
+    """
+    for v in rows:
+        v = [x % m for x, m in zip(v, mods)]
+        for c in range(len(mods)):
+            if v[c] == 0:
+                continue
+            b = basis[c]
+            g, s, t = _xgcd(b[c], v[c])
+            u, w = b[c] // g, v[c] // g
+            basis[c] = [(s * x + t * y) % m for x, y, m in zip(b, v, mods)]
+            basis[c][c] = g
+            v = [(u * y - w * x) % m for x, y, m in zip(b, v, mods)]
+
+
+def counted_equivalence(G: FilteredAbelianGroup, k: int) -> dict:
     """Exact equivalence check without scanning every tuple.
 
     Both criteria cut out subgroups of G^(2^k).  The Taylor set has exactly
     prod_J |G_|J|| elements (the parameterisation is injective), and every
     HK generator satisfies the face criterion, so Taylor subset-of face
-    holds; the face set is the kernel of the homomorphism sending a tuple
-    to its face sums in the quotients G/G_i, whose image a breadth-first
-    span counts.  Equal cardinalities then force equality of the two sets.
+    holds.  The face set is the kernel of the face-sum map phi from G^(2^k)
+    to Q = prod_faces G/G_dim.  Writing G = Z^r/diag(orders), Q is Z^(rF)/L
+    for the block lattice L spanned by the orders and each face's level
+    generators, so |im phi| = |Q| / [Z^(rF) : L + phi(Z^(r 2^k))], and both
+    factors are products of echelon pivots.  Equal cardinalities then force
+    equality of the two sets.
     """
     taylor_count = hk_size(G, k)
-    member = _member_tables(G, k)
-
-    # HK generators satisfy the face criterion
     width = 1 << k
-    for dim, masks in _faces(k):
-        codim_level = G.level(k - dim)
-        for g in codim_level:
-            entries = [g if m in masks else G.zero for m in range(width)]
-            cube = np.array([[element_code(G, e) for e in entries]])
-            if not face_member_mask(cube, G, k, member)[0]:
-                return {"equal": False, "reason": "generator fails face test"}
-
-    # label maps: canonical coset representative codes per level
-    label_maps = []
-    add_table_needed = max(G.orders) ** 0  # keep lints quiet
-    for i in range(k + 1):
-        lab = np.full(G.size, -1, dtype=np.int64)
-        level_codes = [element_code(G, g) for g in G.level(i)]
-        for x in range(G.size):
-            xe = code_element(G, x)
-            reps = [element_code(G, G.add(xe, code_element(G, c)))
-                    for c in level_codes]
-            lab[x] = min(reps)
-        label_maps.append(lab)
-
+    r = len(G.orders)
     faces = _faces(k)
 
-    def phi(tuple_codes: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for dim, masks in faces:
-            total = G.zero
-            for m in masks:
-                e = code_element(G, tuple_codes[m])
-                total = G.add(total, e if bin(m).count("1") % 2 == 0 else G.neg(e))
-            out.append(int(label_maps[dim][element_code(G, total)]))
-        return tuple(out)
+    # HK generators g^[face], g in G_codim, satisfy the face criterion
+    gens = np.array([[element_code(G, g) if m in masks else 0 for m in range(width)]
+                     for dim, masks in faces for g in G.level_generators(k - dim)],
+                    dtype=np.int64).reshape(-1, width)
+    if not face_member_mask(gens, G, k).all():
+        return {"equal": False, "reason": "generator fails face test"}
 
-    # generators of the ambient tuple group: unit digits at each vertex
-    gens = []
-    for e in range(width):
-        radix = 1
-        for o in G.orders:
-            if o > 1:
-                tup = [0] * width
-                tup[e] = radix
-                gens.append(tuple(tup))
-            radix *= o
+    # L: per face, the echelon basis of G_dim + diag(orders) in Z^r
+    orders = list(G.orders)
+    blocks = []
+    for dim in range(k + 1):
+        block = [[o if j == t else 0 for j in range(r)] for t, o in enumerate(orders)]
+        _echelon_insert(block, G.level_generators(dim), orders)
+        blocks.append(block)
+    basis = [[0] * (f * r) + row + [0] * ((len(faces) - f - 1) * r)
+             for f, (dim, _) in enumerate(faces) for row in blocks[dim]]
+    quotient_size = prod(row[c] for c, row in enumerate(basis))
 
-    def add_tuples(a, b):
-        out = []
-        for x, y in zip(a, b):
-            xe, ye = code_element(G, x), code_element(G, y)
-            out.append(element_code(G, G.add(xe, ye)))
-        return tuple(out)
+    # phi(Z^(r 2^k)): the face sums of each unit vector at each vertex.  The
+    # alternating signs are left out: negating the odd vertices is an
+    # automorphism of G^(2^k), so it does not change the image.
+    units = [[int(e in masks and j == t) for _, masks in faces for j in range(r)]
+             for e in range(width) for t in range(r)]
+    _echelon_insert(basis, units, orders * len(faces))
 
-    zero_tuple = tuple([0] * width)
-    image = {phi(zero_tuple): zero_tuple}
-    frontier = [zero_tuple]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = add_tuples(cur, g)
-            key = phi(nxt)
-            if key not in image:
-                if len(image) >= span_cap:
-                    raise BudgetExceeded("image span exceeds cap")
-                image[key] = nxt
-                frontier.append(nxt)
-    face_count = G.size**width // len(image)
+    image_size = quotient_size // prod(row[c] for c, row in enumerate(basis))
+    face_count = G.size**width // image_size
     return {
         "equal": face_count == taylor_count,
         "taylor_count": taylor_count,
         "face_count": face_count,
-        "image_size": len(image),
+        "image_size": image_size,
     }
 
 

@@ -112,10 +112,6 @@ class BoundedFunction:
         return complex(self.values.mean())
 
 
-def mult_derivative(f: BoundedFunction, h: FVec) -> BoundedFunction:
-    return f.mult_derivative(h)
-
-
 # ---------------------------------------------------------------------------
 # norms
 

@@ -42,6 +42,12 @@ class NotPolynomialError(ValueError):
 # table kernels (batched over leading dimensions)
 
 
+def _check_table_exponent(p: int, K: int) -> None:
+    """Value tables hold numerators over p^K in int64."""
+    if p**K >= 1 << 63:
+        raise ValueError(f"table denominator {p}^{K} exceeds 2^63 - 1")
+
+
 def normalize_tables(nums: np.ndarray, K: int, p: int) -> tuple[np.ndarray, int]:
     nums = np.asarray(nums, dtype=np.int64) % (p**K if K else 1)
     while K > 0 and not (nums % p).any():
@@ -155,8 +161,7 @@ def interpolate_tables(
     resid = (nums - alpha[:, None]) % mod
     C = np.zeros((nums.shape[0], K, N), dtype=np.int64)
     for j in range(K - 1, -1, -1):
-        top = resid * p**j % mod
-        f = top // p ** (K - 1) % p
+        f = resid // p ** (K - 1 - j) % p
         cj = classical_coeffs(p, n, f)
         C[:, j, :] = cj
         resid = (resid - eval_layer_tables(p, n, cj, j, K)) % mod
@@ -228,6 +233,7 @@ class CanonicalForm:
 
     def eval_table(self) -> tuple[np.ndarray, int]:
         K = self.table_exponent()
+        _check_table_exponent(self.p, K)
         N = space(self.p, self.n).size
         nums = np.full(N, self.alpha.num * self.p ** (K - self.alpha.exp) if K else 0,
                        dtype=np.int64)
@@ -368,6 +374,7 @@ class NCPoly:
 
     def __init__(self, p: int, n: int, nums: np.ndarray, K: int,
                  canon: CanonicalForm | None = None):
+        _check_table_exponent(p, K)
         self.p = p
         self.n = n
         self.nums, self.K = normalize_tables(nums, K, p)
@@ -391,6 +398,7 @@ class NCPoly:
         if len(values) != sp.size:
             raise ValueError(f"need {sp.size} values, got {len(values)}")
         K = max((v.exp for v in values), default=0)
+        _check_table_exponent(p, K)
         nums = np.array([v.num * p ** (K - v.exp) for v in values], dtype=np.int64)
         return cls(p, n, nums, K)
 

@@ -278,16 +278,10 @@ def _classical_tables(n: int, d: int) -> np.ndarray:
     """All classical polynomials of degree <= d on F_2^n (with constants),
     as F_2 value tables of shape (count, 2^n)."""
     slots = [(e, j) for (e, j) in canonical_slots(2, n, d) if j == 0]
-    N = space(2, n).size
-    basis = np.zeros((len(slots) + 1, N), dtype=np.int64)
-    basis[0] = 1  # the constant iota(1)
-    for s, (e, _) in enumerate(slots):
-        basis[s + 1] = (space(2, n).digits.astype(np.int64)
-                        ** np.array(e)[None, :]).prod(axis=1) % 2
-    count = 1 << len(basis)
-    codes = np.arange(count, dtype=np.int64)
-    coeffs = np.stack([codes >> s & 1 for s in range(len(basis))], axis=1)
-    return coeffs @ basis % 2
+    codes = np.arange(1 << (len(slots) + 1), dtype=np.int64)
+    coeffs = np.stack([codes >> s & 1 for s in range(len(slots) + 1)], axis=1)
+    # column 0 is the constant iota(1)
+    return (coeffs[:, :1] + eval_slot_batches(2, n, slots, coeffs[:, 1:], 1)) % 2
 
 
 def _extract_columns(tables: np.ndarray, n: int, k: int,
@@ -423,7 +417,7 @@ def _suite_dkp(rec: _Recorder, params: dict, rng, threads, budget):
 # exhaustive root / canonical-form suite
 
 
-def _exhaustive_poly_scan(p: int, n: int, d: int, threads: int) -> dict:
+def _exhaustive_poly_scan(p: int, n: int, d: int) -> dict:
     """Root round-trips, canonical round-trips, and the value-count bound
     over every degree <= d canonical form (modulo constants), batched."""
     sp = space(p, n)
@@ -471,7 +465,7 @@ def _suite_roots(rec: _Recorder, params: dict, rng, threads, budget):
         + [(3, n, d) for n in range(1, 3) for d in range(0, 4)],
     )
     for p, n, d in grids:
-        res = _exhaustive_poly_scan(p, n, d, threads)
+        res = _exhaustive_poly_scan(p, n, d)
         rec.add("root-roundtrip-exhaustive", {"p": p, "n": n, "d": d},
                 res["root_fail"] == 0 and res["bound_fail"] == 0,
                 polynomials=res["count"])

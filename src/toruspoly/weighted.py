@@ -262,10 +262,6 @@ def binomial_expand(f: PeriodicMap, d_bound: int) -> WeightedPoly:
     return out
 
 
-def weighted_pth_root(f: WeightedPoly) -> WeightedPoly:
-    return f.pth_root()
-
-
 def periodicity_check(f: WeightedPoly, d: int) -> dict:
     """Confirm the forced periods and extract the top linear part:
     for every i with some j_i solving D_i + j_i(p-1) = d, the difference
@@ -436,11 +432,3 @@ class Factor:
             [(int(ch["D"]), [NCPoly.from_json(pj) for pj in ch["polys"]])
              for ch in obj["chains"]],
         )
-
-
-def factor_depth_extend(F: Factor, new_depths: Sequence[int]) -> Factor:
-    return F.depth_extend(new_depths)
-
-
-def factor_retract(F: Factor, d: int) -> Factor:
-    return F.retract(d)

@@ -127,6 +127,12 @@ class TestCli:
             main(["no-such-command"])
         assert exc.value.code == 2
 
+    def test_table_exponent_past_int64_exit_2(self):
+        text = json.dumps({"p": 2, "n": 2,
+                           "text": f"1/{2**62}*x1 + 1/2*x2"})
+        code, _ = run_cli("--input", "-", "root", stdin_text=text)
+        assert code == 2
+
     def test_budget_exit_3(self, tmp_path):
         path = tmp_path / "S4.json"
         path.write_text(json.dumps(S_k(7, 4).to_json()))

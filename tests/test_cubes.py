@@ -28,6 +28,7 @@ from toruspoly.cubescan import (
 )
 from toruspoly.poly import NCPoly
 from toruspoly.rng import SplitMix64
+from toruspoly.suites import _group_zoo
 from toruspoly.weighted import Factor
 
 
@@ -93,6 +94,12 @@ class TestMembership:
                 assert s in members
 
 
+# every suite group and k whose full tuple set equivalence_scan can enumerate
+SCANNABLE = [pytest.param(G, k, id=f"zoo{i}-Z{'x'.join(map(str, G.orders))}-k{k}")
+             for i, G in enumerate(_group_zoo()) for k in (1, 2, 3)
+             if G.size ** (1 << k) <= 1 << 24]
+
+
 class TestVectorisedScan:
     def test_scan_matches_object_logic(self):
         G = FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2, 1])
@@ -100,12 +107,19 @@ class TestVectorisedScan:
         assert res["disagreements"] == 0
         assert res["members"] == hk_size(G, 2)
 
-    def test_counted_equivalence_matches_scan(self):
-        G = FilteredAbelianGroup.cyclic_chain(8, [8, 8, 4, 2])
-        scanned = equivalence_scan(G, 2)
-        counted = counted_equivalence(G, 2)
+    @pytest.mark.parametrize("G,k", SCANNABLE)
+    def test_counted_equivalence_matches_scan(self, G, k):
+        scanned = equivalence_scan(G, k)
+        counted = counted_equivalence(G, k)
+        assert scanned["disagreements"] == 0
         assert counted["equal"]
-        assert counted["face_count"] == scanned["members"]
+        assert counted["face_count"] == scanned["members"] == hk_size(G, k)
+
+    def test_counted_equivalence_beyond_scan_cap(self):
+        G = FilteredAbelianGroup.cyclic_chain(81, [81, 27, 9, 3, 1])
+        counted = counted_equivalence(G, 4)
+        assert counted["equal"]
+        assert counted["face_count"] == hk_size(G, 4)
 
     def test_face_mask_agrees_with_predicate(self):
         G = FilteredAbelianGroup.cyclic_chain(9, [9, 3, 1])

@@ -229,6 +229,21 @@ class TestInterpolate:
         with pytest.raises(NotPolynomialError):
             NCPoly(2, 2, mother_q_table_2d(), 2).canonical(d_max=1)
 
+    @pytest.mark.parametrize("p,K", [(3, 25), (3, 38), (5, 20), (2, 62)])
+    def test_bare_table_round_trip_deep(self, p, K):
+        # p^(2K-1) exceeds 2^63 here, so the digits must be read without
+        # scaling the residue up
+        P = NCPoly.from_text(p, 2, f"1/{p**K}*x1 + 1/{p}*x2")
+        assert P.K == K
+        assert NCPoly(p, 2, P.nums, P.K).canonical() == P.canonical()
+
+    def test_table_exponent_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="exceeds 2\\^63"):
+            NCPoly(3, 1, [1, 2, 0], 40)
+        with pytest.raises(ValueError, match="exceeds 2\\^63"):
+            NCPoly.from_text(2, 2, f"1/{2**62}*x1 + 1/2*x2").pth_root()
+        assert NCPoly(3, 1, [1, 2, 0], 39).K == 39
+
 
 def mother_q_table_2d():
     # |x1|/4 on F_2^2

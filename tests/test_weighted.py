@@ -13,12 +13,9 @@ from toruspoly.weighted import (
     PeriodicMap,
     WeightedPoly,
     binomial_expand,
-    factor_depth_extend,
-    factor_retract,
     gen_binom,
     periodicity_check,
     weighted_degree,
-    weighted_pth_root,
 )
 
 ZERO2 = TorusValue.zero(2)
@@ -108,11 +105,11 @@ class TestBinomialExpand:
 class TestWeightedRoot:
     def test_zero(self):
         w = WeightedPoly(2, 1, (1,), ZERO2, {})
-        assert weighted_pth_root(w).eval((3,)).is_zero()
+        assert w.pth_root().eval((3,)).is_zero()
 
     def test_a_over_two(self):
         w = wpoly(2, (1,), {((1,), 0): 1})
-        g = weighted_pth_root(w)
+        g = w.pth_root()
         assert g == wpoly(2, (1,), {((1,), 1): 1})
         assert w.degree() == 1 and g.degree() == 2
         for a in range(8):
@@ -236,7 +233,7 @@ class TestFactor:
 
     def test_depth_extension(self):
         F = chain_factor()
-        F2 = factor_depth_extend(F, [2, 1])
+        F2 = F.depth_extend([2, 1])
         assert F2.depths == (2, 1)
         # original layers untouched, new layers chained
         for (D, old), (_, new) in zip(F.chains, F2.chains):
@@ -244,10 +241,10 @@ class TestFactor:
             for j in range(1, len(new)):
                 assert new[j].mul_by_p() == new[j - 1]
         # identity extension
-        assert factor_depth_extend(F, [1, 0]) == F
+        assert F.depth_extend([1, 0]) == F
 
     def test_telescoping_annihilation(self):
-        F = factor_depth_extend(chain_factor(), [2, 1])
+        F = chain_factor().depth_extend([2, 1])
         for D, polys in F.chains:
             top = polys[-1]
             J = len(polys) - 1
@@ -257,12 +254,12 @@ class TestFactor:
             assert cur.is_zero()
 
     def test_retraction(self):
-        F = factor_depth_extend(chain_factor(), [2, 1])
+        F = chain_factor().depth_extend([2, 1])
         # degree <= D_2 = initial degree drops the deep layers
-        R = factor_retract(F, 2)
+        R = F.retract(2)
         assert R.depths == (0, 0)
-        assert factor_retract(F, 10) == F
-        assert factor_retract(F, 1).dimension == 0
+        assert F.retract(10) == F
+        assert F.retract(1).dimension == 0
 
     def test_json_round_trip(self):
         F = chain_factor()
