@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands operate on the JSON schemas of the owning modules; reports go
-to stdout or --out.  Exit codes: 0 pass, 1 check failure, 2 usage error,
-3 budget exceeded.
+to stdout or --out.  Exit codes: 0 pass, 1 check failure, 2 usage error
+(including input JSON of the wrong shape), 3 budget exceeded, 4 internal
+error.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .norms import (
     RankWitness,
     analytic_rank,
     conditional_expectation,
-    gowers_norm,
     gowers_power,
     gowers_power_exact,
     inverse_explore,
@@ -44,6 +44,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _read_input(args) -> dict:
@@ -164,10 +165,13 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (NotPolynomialError, ValueError, KeyError, OSError,
+    except (NotPolynomialError, ValueError, KeyError, TypeError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args) -> int:
@@ -215,7 +219,7 @@ def _dispatch(args) -> int:
         obj = _read_input(args)
         f = BoundedFunction.from_json(obj)
         power = gowers_power(f, args.d, budget=args.budget)
-        payload = {"d": args.d, "norm": gowers_norm(f, args.d),
+        payload = {"d": args.d, "norm": abs(power) ** (1.0 / (1 << args.d)),
                    "power": {"re": power.real, "im": power.imag}}
         if f.phase_nums is not None:
             exact = gowers_power_exact(

@@ -305,14 +305,6 @@ def enumerate_space(p: int, n: int, cap: int = SPACE_CAP) -> Iterator[FVec]:
         yield FVec(p, n, idx)
 
 
-def space_chunks(p: int, n: int, workers: int) -> list[range]:
-    """Partition index space into <= workers contiguous chunks."""
-    size = space(p, n).size
-    workers = max(1, min(workers, size))
-    bounds = [size * w // workers for w in range(workers + 1)]
-    return [range(bounds[w], bounds[w + 1]) for w in range(workers) if bounds[w] < bounds[w + 1]]
-
-
 class CycloSum:
     """Exact integer combination of p^K-th roots of unity.
 

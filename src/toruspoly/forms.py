@@ -151,6 +151,32 @@ class CSMForm(MultilinearForm):
 # extraction and antiderivative
 
 
+def dk_values(p: int, n: int, nums: np.ndarray, K: int,
+              dirs: np.ndarray) -> np.ndarray:
+    """Batched k-fold derivatives at the origin.
+
+    For tables (..., N) of numerators in [0, p^K) and direction tuples
+    dirs (T, k) of space indices, the numerators over p^K of
+    sum_S (-1)^(k-|S|) P(sum_{t in S} h_t), shape (..., T).
+    """
+    sp = space(p, n)
+    mod = p**K
+    T, k = dirs.shape
+    points = [np.zeros(T, dtype=np.int64)]  # points[S] = sum_{t in S} h_t
+    out = np.zeros(np.shape(nums)[:-1] + (T,), dtype=np.int64)
+    for mask in range(1 << k):
+        if mask:
+            low = (mask & -mask).bit_length() - 1
+            points.append(sp.add_indices(points[mask & (mask - 1)], dirs[:, low]))
+        vals = nums[..., points[mask]]
+        # both branches keep every intermediate inside (-p^K, p^K)
+        if (k - bin(mask).count("1")) % 2:
+            out = (out - vals) % mod
+        else:
+            out = (out - (mod - vals)) % mod
+    return out
+
+
 def dk_extract(P: NCPoly, k: int) -> MultilinearForm:
     """The k-fold derivative d^k P as a symmetric multilinear form.
 
@@ -159,20 +185,11 @@ def dk_extract(P: NCPoly, k: int) -> MultilinearForm:
     """
     if P.degree() > k:
         raise ValueError(f"degree {P.degree()} exceeds arity {k}: d^k depends on x")
-    sp = space(P.p, P.n)
+    keys = list(itertools.combinations_with_replacement(range(P.n), k))
+    units = P.p ** np.array(keys, dtype=np.int64).reshape(len(keys), k)
     coeffs: dict[Multiset, int] = {}
-    for key in itertools.combinations_with_replacement(range(P.n), k):
-        units = [sp.unit_index(i) for i in key]
-        total = 0
-        modK = P.p**P.K if P.K else 1
-        for mask in range(1 << k):
-            idx = 0
-            for t in range(k):
-                if mask >> t & 1:
-                    idx = sp.add_indices(idx, units[t])
-            sign = 1 if (k - bin(mask).count("1")) % 2 == 0 else -1
-            total += sign * int(P.nums[idx])
-        val = TorusValue(P.p, total, P.K)
+    for key, num in zip(keys, dk_values(P.p, P.n, P.nums, P.K, units).tolist()):
+        val = TorusValue(P.p, num, P.K)
         if val.is_zero():
             continue
         if val.exp != 1:
@@ -442,36 +459,25 @@ def check_dkp(P: NCPoly, k: int, trials: int = 64, rng=None,
         raise ValueError("identity needs k > p")
     if P.degree() > k:
         raise ValueError("degree exceeds k")
-    sp = space(p, n)
     r = k - p + 1  # argument count
     pP = P.mul_by_p()
-    N = sp.size
-
-    def lhs_rhs(tup: tuple[int, ...]):
-        cur = P
-        for _ in range(p):
-            cur = cur.derivative(FVec(p, n, tup[0]))
-        for idx in tup[1:]:
-            cur = cur.derivative(FVec(p, n, idx))
-        lhs = cur.value_at_index(0)
-        cur = pP
-        for idx in tup:
-            cur = cur.derivative(FVec(p, n, idx))
-        rhs = cur.value_at_index(0)
-        return lhs, rhs
+    N = space(p, n).size
 
     if N**r <= exhaustive_cap:
-        tuples = itertools.product(range(N), repeat=r)
+        tuples = list(itertools.product(range(N), repeat=r))
     else:
         if rng is None:
             raise ValueError("need an rng for sampled checking")
-        tuples = (tuple(rng.below(N) for _ in range(r)) for _ in range(trials))
-
-    checked = 0
-    failures = []
-    for tup in tuples:
-        lhs, rhs = lhs_rhs(tuple(tup))
-        checked += 1
-        if lhs != -rhs:
-            failures.append({"tuple": list(tup), "lhs": str(lhs), "rhs": str(rhs)})
-    return checked, failures
+        tuples = [tuple(rng.below(N) for _ in range(r)) for _ in range(trials)]
+    h = np.array(tuples, dtype=np.int64).reshape(len(tuples), r)
+    lhs = dk_values(p, n, P.nums, P.K,
+                    np.concatenate([np.repeat(h[:, :1], p, axis=1), h[:, 1:]], axis=1))
+    rhs = dk_values(p, n, pP.nums, pP.K, h)
+    # -rhs over p^K; mul_by_p never raises the depth, so pP.K <= P.K
+    neg_rhs = -rhs * p ** (P.K - pP.K) % p**P.K
+    failures = [
+        {"tuple": list(tuples[i]),
+         "lhs": str(TorusValue(p, int(lhs[i]), P.K)),
+         "rhs": str(TorusValue(p, int(rhs[i]), pP.K))}
+        for i in np.flatnonzero(lhs != neg_rhs)]
+    return len(tuples), failures

@@ -123,27 +123,37 @@ def _add_table(p: int, n: int) -> np.ndarray:
     return sp.add_indices(idx[:, None], idx[None, :])
 
 
-def gowers_power(f: BoundedFunction, d: int, method: str = "recursive",
-                 budget: int | None = None) -> complex:
-    """E_{h_1..h_d, x} of the d-fold multiplicative derivative of f."""
-    N = space(f.p, f.n).size
-    check_budget(N ** (d + 1), budget)
-    if method == "recursive":
-        A = _add_table(f.p, f.n)
-        cur = f.values.reshape(1, N)
-        for _ in range(d):
-            cur = (cur[:, A] * np.conj(cur)[:, None, :]).reshape(-1, N)
-        return complex(cur.mean())
-    if method == "direct":
-        return _gowers_power_direct(f, d)
-    raise ValueError(f"unknown method {method!r}")
+def _derivative_expansion(table: np.ndarray, p: int, n: int, d: int,
+                          step, emit) -> None:
+    """Pass the d-fold derivative table of one function to emit in
+    (rows, N) blocks.  step(cur, shifts) maps rows (R, N) to the
+    (R, len(shifts), N) derivatives along each shift index array.
+
+    Split over the outermost shift h_1 once N^(d+1) > 2^22, so memory
+    stays at N^d entries: each block is dropped before the next is built.
+    """
+    N = space(p, n).size
+    A = _add_table(p, n)
+
+    def expand(cur: np.ndarray, shifts: list[np.ndarray]) -> np.ndarray:
+        for s in shifts:
+            cur = step(cur, s).reshape(-1, N)
+        return cur
+
+    base = table.reshape(1, N)
+    if d >= 1 and N ** (d + 1) > (1 << 22):
+        for h in range(N):
+            emit(expand(base, [A[h:h + 1]] + [A] * (d - 1)))
+    else:
+        emit(expand(base, [A] * d))
 
 
-def _gowers_power_direct(f: BoundedFunction, d: int) -> complex:
-    """The definition verbatim: average over (h_1, ..., h_d, x) of the
-    product over all vertices of the d-cube."""
-    sp = space(f.p, f.n)
+def _cube_product(tables: Sequence[np.ndarray], p: int, n: int) -> complex:
+    """E_{h_1..h_d, x} of prod_omega tables[omega](x + omega . h) over the
+    2^d vertices of the d-cube, by the definition verbatim."""
+    sp = space(p, n)
     N = sp.size
+    d = len(tables).bit_length() - 1
     axes_idx = []
     for t in range(d + 1):
         shape = [1] * (d + 1)
@@ -155,11 +165,30 @@ def _gowers_power_direct(f: BoundedFunction, d: int) -> complex:
         for t in range(d):
             if omega >> t & 1:
                 idx = sp.add_indices(idx, axes_idx[t])
-        vals = f.values[idx]
-        if bin(omega).count("1") % 2:
-            vals = np.conj(vals)
-        total = total * vals
+        total *= tables[omega][idx]
     return complex(total.mean())
+
+
+def gowers_power(f: BoundedFunction, d: int, method: str = "recursive",
+                 budget: int | None = None) -> complex:
+    """E_{h_1..h_d, x} of the d-fold multiplicative derivative of f."""
+    N = space(f.p, f.n).size
+    check_budget(N ** (d + 1), budget)
+    if method == "recursive":
+        # the steps gather inline so that numpy writes the result into the
+        # gathered temporary instead of allocating a second array
+        sums: list[complex] = []
+        _derivative_expansion(
+            f.values, f.p, f.n, d,
+            lambda cur, s: cur[:, s] * np.conj(cur)[:, None, :],
+            lambda block: sums.append(block.sum()))
+        return complex(np.sum(sums) / N ** (d + 1))
+    if method == "direct":
+        conj = np.conj(f.values)
+        return _cube_product(
+            [conj if bin(omega).count("1") % 2 else f.values
+             for omega in range(1 << d)], f.p, f.n)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def gowers_norm(f: BoundedFunction, d: int, method: str = "recursive",
@@ -169,30 +198,15 @@ def gowers_norm(f: BoundedFunction, d: int, method: str = "recursive",
 
 
 def gowers_power_exact(P: NCPoly, d: int, budget: int | None = None) -> ExactExpectation:
-    """Exact 2^d-th power of ||e(P)||_{U^d}, by integer residue counting.
-
-    The derivative expansion is chunked over the outermost shift so memory
-    stays at |V|^d entries.
-    """
+    """Exact 2^d-th power of ||e(P)||_{U^d}, by integer residue counting."""
     N = space(P.p, P.n).size
     check_budget(N ** (d + 1), budget)
-    A = _add_table(P.p, P.n)
-    K = P.K
-    mod = P.p**K if K else 1
-    counter = UnityCounter(P.p, K)
-
-    def expand(start: np.ndarray, depth: int) -> None:
-        cur = start
-        for _ in range(depth):
-            cur = ((cur[:, A] - cur[:, None, :]) % mod).reshape(-1, N)
-        counter.add_residues(cur)
-
-    base = (P.nums % mod).reshape(1, N)
-    if d >= 1 and N ** (d + 1) > (1 << 22):
-        for h in range(N):
-            expand(((base[:, A[h]] - base) % mod), d - 1)
-    else:
-        expand(base, d)
+    mod = P.p**P.K
+    counter = UnityCounter(P.p, P.K)
+    _derivative_expansion(
+        P.nums % mod, P.p, P.n, d,
+        lambda cur, s: (cur[:, s] - cur[:, None, :]) % mod,
+        counter.add_residues)
     return counter.expectation()
 
 
@@ -418,7 +432,7 @@ def verify_gowers_properties(p: int, n: int, seed: int, count: int = 100,
 
         # (iv) first Cauchy-Schwarz: product over the 2^d cube vertices
         fs = [_random_bounded(p, n, rng) for _ in range(1 << d)]
-        lhs = _cube_correlation(fs, d)
+        lhs = abs(_cube_product([fo.values for fo in fs], p, n))
         rhs = 1.0
         for fo in fs:
             rhs *= gowers_norm(fo, d, budget=budget)
@@ -434,25 +448,6 @@ def verify_gowers_properties(p: int, n: int, seed: int, count: int = 100,
             abs(gowers_norm(f.modulate(P), d) - gowers_norm(f, d)), 0.0, 1e-10)
 
     return records
-
-
-def _cube_correlation(fs: Sequence[BoundedFunction], d: int) -> float:
-    p, n = fs[0].p, fs[0].n
-    sp = space(p, n)
-    N = sp.size
-    axes_idx = []
-    for t in range(d + 1):
-        shape = [1] * (d + 1)
-        shape[t] = N
-        axes_idx.append(np.arange(N, dtype=np.int64).reshape(shape))
-    total = np.ones((N,) * (d + 1), dtype=np.complex128)
-    for omega in range(1 << d):
-        idx = axes_idx[d]
-        for t in range(d):
-            if omega >> t & 1:
-                idx = sp.add_indices(idx, axes_idx[t])
-        total = total * fs[omega].values[idx]
-    return abs(complex(total.mean()))
 
 
 def _csg2_lhs(f: BoundedFunction, d: int, rng: SplitMix64) -> float:

@@ -63,7 +63,8 @@ def derivative_tables(nums: np.ndarray, K: int, p: int, n: int, h_idx: int) -> n
 
 
 def mulp_tables(nums: np.ndarray, K: int, p: int) -> tuple[np.ndarray, int]:
-    return normalize_tables(nums * p, K, p)
+    # reduce mod p^(K-1) first so that the product stays below p^K
+    return normalize_tables(nums % p ** max(K - 1, 0) * p, K, p)
 
 
 @lru_cache(maxsize=64)
@@ -527,11 +528,11 @@ class NCPoly:
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._check(other)
         K = max(self.K, other.K)
-        p = self.p
-        nums = (self.nums * p ** (K - self.K) + other.nums * p ** (K - other.K)) % (
-            p**K if K else 1
-        )
-        return NCPoly(p, self.n, nums, K)
+        p, mod = self.p, self.p**K
+        a = self.nums * p ** (K - self.K)
+        b = other.nums * p ** (K - other.K)
+        # a - (mod - b) stays inside (-p^K, p^K) where a + b could wrap
+        return NCPoly(p, self.n, (a - (mod - b)) % mod, K)
 
     def __neg__(self) -> "NCPoly":
         return NCPoly(self.p, self.n, -self.nums, self.K)

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .forms import (
     check_dkp,
     concat,
     dk_extract,
+    dk_values,
     sym_power,
 )
 from .norms import (
@@ -149,19 +149,18 @@ class SuiteReport:
 
 
 class _Recorder:
+    """Appends check records; each one's runtime is the time since the
+    previous record (or since the suite started)."""
+
     def __init__(self, report: SuiteReport):
         self.report = report
+        self.last = time.perf_counter()
 
     def add(self, name: str, params: dict, passed: bool, **details):
-        self.report.checks.append(
-            CheckRecord(name, params, bool(passed), details))
-
-    def timed(self, name: str, params: dict, fn: Callable[[], tuple[bool, dict]]):
-        t0 = time.perf_counter()
-        passed, details = fn()
+        now = time.perf_counter()
         self.report.checks.append(CheckRecord(
-            name, params, bool(passed), details,
-            (time.perf_counter() - t0) * 1e3))
+            name, params, bool(passed), details, (now - self.last) * 1e3))
+        self.last = now
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +283,6 @@ def _classical_tables(n: int, d: int) -> np.ndarray:
     return (coeffs[:, :1] + eval_slot_batches(2, n, slots, coeffs[:, 1:], 1)) % 2
 
 
-def _extract_columns(tables: np.ndarray, n: int, k: int,
-                     keys: list[tuple[int, ...]]) -> np.ndarray:
-    """Batched d^k values on basis multisets: alternating subset sums of
-    F_2-valued tables (mod-2 XOR of value columns)."""
-    sp = space(2, n)
-    out = np.zeros((tables.shape[0], len(keys)), dtype=np.int64)
-    for col, key in enumerate(keys):
-        acc = np.zeros(tables.shape[0], dtype=np.int64)
-        for mask in range(1 << k):
-            idx = 0
-            for t in range(k):
-                if mask >> t & 1:
-                    idx ^= sp.unit_index(key[t])
-            acc ^= tables[:, idx]
-        out[:, col] = acc
-    return out
-
-
 def _product_rule_exhaustive(n: int, k: int, l: int) -> tuple[int, int]:
     """Check d^(k+l)(PQ) = (d^k P) * (d^l Q) for every classical P of degree
     <= k and Q of degree <= l on F_2^n; returns (pairs, failures)."""
@@ -310,31 +291,26 @@ def _product_rule_exhaustive(n: int, k: int, l: int) -> tuple[int, int]:
     keys_k = list(itertools.combinations_with_replacement(range(n), k))
     keys_l = list(itertools.combinations_with_replacement(range(n), l))
     keys_kl = list(itertools.combinations_with_replacement(range(n), k + l))
-    dP = _extract_columns(tabsP, n, k, keys_k)
+
+    def dk(tables: np.ndarray, keys: list[tuple[int, ...]]) -> np.ndarray:
+        units = 2 ** np.array(keys, dtype=np.int64).reshape(len(keys), -1)
+        return dk_values(2, n, tables, 1, units)
+
+    dP = dk(tabsP, keys_k)
+    dQ = dk(tabsQ, keys_l)
+    # all products at once: shape (len(tabsQ), len(tabsP), len(keys_kl))
+    lhs = dk(tabsQ[:, None, :] * tabsP[None, :, :] % 2, keys_kl)
     colP = {key: i for i, key in enumerate(keys_k)}
     colQ = {key: i for i, key in enumerate(keys_l)}
-    # position partitions of each size-(k+l) multiset, fixed once
-    partitions = [
-        [(tuple(sorted(key[i] for i in A)),
-          tuple(sorted(key[i] for i in range(k + l) if i not in set(A))))
-         for A in itertools.combinations(range(k + l), k)]
-        for key in keys_kl
-    ]
-    fails = 0
-    pairs = 0
-    for q in range(len(tabsQ)):
-        prod = tabsP * tabsQ[q][None, :] % 2
-        lhs = _extract_columns(prod, n, k + l, keys_kl)
-        dQ = _extract_columns(tabsQ[q: q + 1], n, l, keys_l)[0]
-        rhs = np.zeros_like(lhs)
-        for col, parts in enumerate(partitions):
-            acc = np.zeros(len(tabsP), dtype=np.int64)
-            for left, right in parts:
-                acc += dP[:, colP[left]] * dQ[colQ[right]]
-            rhs[:, col] = acc % 2
-        fails += int((lhs != rhs).any(axis=1).sum())
-        pairs += len(tabsP)
-    return pairs, fails
+    rhs = np.zeros_like(lhs)
+    for col, key in enumerate(keys_kl):
+        # sum over the position partitions of the size-(k+l) multiset
+        for A in itertools.combinations(range(k + l), k):
+            left = tuple(sorted(key[i] for i in A))
+            right = tuple(sorted(key[i] for i in range(k + l) if i not in A))
+            rhs[:, :, col] += dQ[:, None, colQ[right]] * dP[None, :, colP[left]]
+    fails = int((lhs != rhs % 2).any(axis=-1).sum())
+    return lhs.shape[0] * lhs.shape[1], fails
 
 
 def _suite_gowers(rec: _Recorder, params: dict, rng, threads, budget):

@@ -111,7 +111,10 @@ class TestCli:
         path.write_text(json.dumps(f.to_json()))
         code, out = run_cli("--input", str(path), "norm", "--d", "2")
         assert code == 0
-        assert json.loads(out)["exact_power"] == "1/4"
+        payload = json.loads(out)
+        assert payload["exact_power"] == "1/4"
+        power = complex(payload["power"]["re"], payload["power"]["im"])
+        assert payload["norm"] == abs(power) ** (1 / 4)
 
     def test_witness_check(self, tmp_path):
         payload = {"P": S_k(5, 4).to_json(),
@@ -132,6 +135,22 @@ class TestCli:
                            "text": f"1/{2**62}*x1 + 1/2*x2"})
         code, _ = run_cli("--input", "-", "root", stdin_text=text)
         assert code == 2
+
+    def test_wrong_json_shape_exit_2(self):
+        text = json.dumps({"p": 2, "n": 2, "values": 5})
+        code, _ = run_cli("--input", "-", "eval", "--x", "1,0",
+                          stdin_text=text)
+        assert code == 2
+
+    def test_internal_error_exit_4(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("kernel bug")
+
+        monkeypatch.setattr("toruspoly.cli._dispatch", broken)
+        code, _ = run_cli("--input", "-", "eval", "--x", "1", stdin_text="{}")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: kernel bug\n"
 
     def test_budget_exit_3(self, tmp_path):
         path = tmp_path / "S4.json"
@@ -264,3 +283,11 @@ class TestSuiteReports:
         base = rep.to_json(include_timing=False)
         timed = rep.to_json(include_timing=True)
         assert "threads" in timed and "threads" not in base
+
+    def test_timing_reports_real_runtimes(self):
+        rep = run_suite("lam", params={"n": 10})
+        timed = rep.to_json(include_timing=True)
+        assert any(c["runtime_ms"] > 0 for c in timed["checks"])
+        untimed = rep.to_bytes()
+        assert b"runtime_ms" not in untimed
+        assert untimed == run_suite("lam", params={"n": 10}).to_bytes()

@@ -17,8 +17,8 @@ from toruspoly.core import (
     char_eval,
     enumerate_space,
     space,
-    space_chunks,
 )
+from toruspoly.parallel import chunk_ranges
 from toruspoly.rng import SplitMix64
 
 
@@ -108,7 +108,7 @@ class TestSpace:
             list(enumerate_space(2, 25))
 
     def test_chunks_partition(self):
-        chunks = space_chunks(3, 3, 4)
+        chunks = chunk_ranges(range(space(3, 3).size), 4)
         flat = [i for c in chunks for i in c]
         assert flat == list(range(27))
 

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from toruspoly.catalog import S_k, bilinear_b, quartic_form
@@ -16,6 +17,7 @@ from toruspoly.forms import (
     check_dkp,
     concat,
     dk_extract,
+    dk_values,
     naive_bias,
     sym_power,
 )
@@ -282,6 +284,44 @@ class TestBias:
         for _ in range(30):
             h1, h2 = rand_vec(2, 3, rng), rand_vec(2, 3, rng)
             assert T.evaluate([h1, h1, h2, h2]) == T.evaluate([h2, h2, h1, h1])
+
+
+class TestDkValues:
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 1)])
+    def test_matches_chained_derivatives(self, p, n):
+        rng = SplitMix64(41 + p)
+        N = space(p, n).size
+        for _ in range(6):
+            k = 1 + rng.below(4)
+            P = NCPoly.from_canonical(CanonicalForm(
+                p, n, TorusValue(p, rng.below(p**2), 2),
+                {s: rng.below(p) for s in canonical_slots(p, n, k)}))
+            assert P.degree() <= k
+            # small index range, so that tuples repeat directions
+            dirs = np.array([[rng.below(min(N, 3)) for _ in range(k)]
+                             for _ in range(12)])
+            got = dk_values(p, n, P.nums, P.K, dirs)
+            for row, h in zip(got, dirs):
+                cur = P
+                for idx in h:
+                    cur = cur.derivative(FVec(p, n, int(idx)))
+                assert TorusValue(p, int(row), P.K) == cur.value_at_index(0)
+
+    def test_leading_dimensions(self):
+        rng = SplitMix64(43)
+        polys = [NCPoly.from_canonical(CanonicalForm(
+            3, 2, TorusValue.zero(3),
+            {s: rng.below(3) for s in canonical_slots(3, 2, 3)}))
+            for _ in range(4)]
+        K = max(P.K for P in polys)
+        tables = np.stack([P.nums * 3 ** (K - P.K) for P in polys])
+        dirs = np.array([[rng.below(9) for _ in range(3)] for _ in range(5)])
+        batched = dk_values(3, 2, tables.reshape(2, 2, 9), K, dirs)
+        assert batched.shape == (2, 2, 5)
+        for i, P in enumerate(polys):
+            row = dk_values(3, 2, P.nums, P.K, dirs)
+            assert [TorusValue(3, int(v), K) for v in batched.reshape(4, 5)[i]] \
+                == [TorusValue(3, int(v), P.K) for v in row]
 
 
 class TestDkpIdentity:

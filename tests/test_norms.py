@@ -85,6 +85,17 @@ class TestGowersNorm:
             fl = gowers_power(BoundedFunction.from_phase(P), 3)
             assert abs(exact.as_complex() - fl) < 1e-9
 
+    def test_chunked_float_path_matches_exact(self):
+        # N^(d+1) = 2^24 > 2^22, so both paths split over h_1
+        rng = SplitMix64(13)
+        for _ in range(2):
+            P = NCPoly.from_canonical(CanonicalForm(
+                2, 6, TorusValue(2, rng.below(4), 2),
+                {s: rng.below(2) for s in canonical_slots(2, 6, 3)}))
+            exact = gowers_power_exact(P, 3)
+            fl = gowers_power(BoundedFunction.from_phase(P), 3)
+            assert abs(exact.as_complex() - fl) < 1e-9
+
     def test_phase_power_collapses_to_bias(self):
         # ||e(P)||^(2^(s+1)) equals the bias of d^(s+1)P, exactly
         for P in enumerate_polys(2, 2, 2):

@@ -169,6 +169,17 @@ class TestMulByP:
                 CanonicalForm(p, 2, TorusValue.zero(p), terms))
             assert P.mul_by_p().degree() <= max(P.degree() - p + 1, 0)
 
+    def test_no_int64_wrap_near_the_table_bound(self):
+        # 5^28 > 2^63 > 5^27: P * 5 and P + P must not pass through 5^28
+        P = NCPoly.from_text(5, 1, f"{5**27 - 1}/{5**27}")
+        Q = P.mul_by_p()
+        assert Q.value_at_index(0) == TorusValue(5, 5**26 - 1, 26)
+        S = P + P
+        assert S.value_at_index(0) == TorusValue(5, 5**27 - 2, 27)
+        for R, text in ((Q, f"{5**26 - 1}/{5**26}"), (S, f"{5**27 - 2}/{5**27}")):
+            bare = NCPoly(5, 1, R.nums, R.K)
+            assert bare.canonical() == CanonicalForm.from_text(5, 1, text)
+
 
 class TestPthRoot:
     def test_root_of_zero(self):
