@@ -97,7 +97,9 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--json", action="store_true", default=d(False),
                         help="compact output")
     parser.add_argument("--seed", type=int, default=d(0))
-    parser.add_argument("--threads", type=int, default=d(1))
+    parser.add_argument("--threads", type=int, default=d(1),
+                        help="threads for the p=2 bias count only (bias, "
+                             "arank, and the bias checks of gowers-props)")
     parser.add_argument("--budget", type=int, default=d(None),
                         help="hard wall in estimated elementary operations")
     parser.add_argument("--out", default=d(None))

@@ -27,9 +27,10 @@ class BudgetExceeded(Exception):
     """Raised when an operation would exceed the configured work budget."""
 
 
-def check_budget(cost: int, budget: int | None) -> None:
+def check_budget(cost: int, budget: int | None, kernel: str) -> None:
     if budget is not None and cost > budget:
-        raise BudgetExceeded(f"estimated cost {cost} exceeds budget {budget}")
+        raise BudgetExceeded(
+            f"{kernel}: estimated cost {cost} exceeds budget {budget}")
 
 
 def validate_prime(p: int) -> int:

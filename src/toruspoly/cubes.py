@@ -272,7 +272,7 @@ def hk_size(G: FilteredAbelianGroup, k: int) -> int:
 def hk_enumerate(G: FilteredAbelianGroup, k: int,
                  cap: int = 1 << 22) -> Iterator[CubePoint]:
     """Every k-cube exactly once, through the Taylor parameterisation."""
-    check_budget(hk_size(G, k), cap)
+    check_budget(hk_size(G, k), cap, "hk_enumerate")
     masks = list(range(1 << k))
     level_lists = [sorted(G.level(bin(J).count("1"))) for J in masks]
     for combo in itertools.product(*level_lists):
@@ -442,7 +442,8 @@ def joint_equidistribution_report(forms_with_slots, d: int, n: int,
     p = forms_with_slots[0][0].p
     sp = space(p, n)
     N = sp.size
-    check_budget(N**d * len(forms_with_slots), budget)
+    check_budget(N**d * len(forms_with_slots), budget,
+                 "joint_equidistribution_report")
     grids = np.meshgrid(*([np.arange(N, dtype=np.int64)] * d), indexing="ij")
     flat = [g.reshape(-1) for g in grids]
     comps = []

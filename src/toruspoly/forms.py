@@ -336,7 +336,7 @@ def bias(form: MultilinearForm, budget: int | None = None, threads: int = 1) -> 
     """
     p, n, k = form.p, form.n, form.k
     N = space(p, n).size
-    check_budget(N ** max(k - 1, 0) * max(n, 1), budget)
+    check_budget(N ** max(k - 1, 0) * max(n, 1), budget, "bias")
     if k == 1:
         zero = all(form.value((i,)) == 0 for i in range(n))
         return Fraction(1 if zero else 0, 1)
@@ -431,7 +431,7 @@ def naive_bias(form: MultilinearForm, budget: int | None = None) -> Fraction:
     p, n, k = form.p, form.n, form.k
     sp = space(p, n)
     N = sp.size
-    check_budget(N**k, budget)
+    check_budget(N**k, budget, "naive_bias")
     dig = sp.digits.astype(np.int64)
     cur = form.dense_tensor().astype(np.int64)
     for t in range(k):

@@ -171,19 +171,25 @@ def _cube_product(tables: Sequence[np.ndarray], p: int, n: int) -> complex:
 
 def gowers_power(f: BoundedFunction, d: int, method: str = "recursive",
                  budget: int | None = None) -> complex:
-    """E_{h_1..h_d, x} of the d-fold multiplicative derivative of f."""
+    """E_{h_1..h_d, x} of the d-fold multiplicative derivative of f, for N^d
+    work: the last derivative folds into |E_x g|^2 (direct: N^(d+1))."""
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got d = {d}")
     N = space(f.p, f.n).size
-    check_budget(N ** (d + 1), budget)
     if method == "recursive":
+        check_budget(N ** max(d, 1), budget, "gowers_power")
+        if d == 0:
+            return f.mean()
         # the steps gather inline so that numpy writes the result into the
         # gathered temporary instead of allocating a second array
-        sums: list[complex] = []
+        sums: list[float] = []
         _derivative_expansion(
-            f.values, f.p, f.n, d,
+            f.values, f.p, f.n, d - 1,
             lambda cur, s: cur[:, s] * np.conj(cur)[:, None, :],
-            lambda block: sums.append(block.sum()))
+            lambda block: sums.append((np.abs(block.sum(axis=1)) ** 2).sum()))
         return complex(np.sum(sums) / N ** (d + 1))
     if method == "direct":
+        check_budget(N ** (d + 1), budget, "gowers_power")
         conj = np.conj(f.values)
         return _cube_product(
             [conj if bin(omega).count("1") % 2 else f.values
@@ -198,15 +204,34 @@ def gowers_norm(f: BoundedFunction, d: int, method: str = "recursive",
 
 
 def gowers_power_exact(P: NCPoly, d: int, budget: int | None = None) -> ExactExpectation:
-    """Exact 2^d-th power of ||e(P)||_{U^d}, by integer residue counting."""
+    """Exact 2^d-th power of ||e(P)||_{U^d}, by integer residue counting.
+
+    With M = p^K <= N and d >= 1 the last derivative is folded: the residues
+    r(x+h) - r(x) are counted as the differences r(y) - r(x) over pairs in
+    each row r of the (d-1)-fold derivative table, from row histograms, for
+    N^(d-1) max(N, M^2) work.  Otherwise all d shifts are expanded: N^(d+1).
+    """
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got d = {d}")
     N = space(P.p, P.n).size
-    check_budget(N ** (d + 1), budget)
     mod = P.p**P.K
+    fold = d >= 1 and mod <= N
+    check_budget(N ** (d - 1) * max(N, mod**2) if fold else N ** (d + 1),
+                 budget, "gowers_power_exact")
     counter = UnityCounter(P.p, P.K)
+
+    def histograms(rows: np.ndarray) -> None:
+        H = np.bincount((rows + mod * np.arange(len(rows))[:, None]).ravel(),
+                        minlength=len(rows) * mod).reshape(-1, mod)
+        # C[s, u] counts the pairs with r(x) = s and r(y) = u
+        C = H.T @ H
+        res = np.arange(mod)
+        counter.counts += C[res[:, None], (res[:, None] - res) % mod].sum(0)
+
     _derivative_expansion(
-        P.nums % mod, P.p, P.n, d,
+        P.nums % mod, P.p, P.n, d - 1 if fold else d,
         lambda cur, s: (cur[:, s] - cur[:, None, :]) % mod,
-        counter.add_residues)
+        histograms if fold else counter.add_residues)
     return counter.expectation()
 
 
@@ -327,7 +352,7 @@ def inverse_explore(f: BoundedFunction, s: int, budget: int | None = None,
     count = 0
     for P in enumerate_polys(f.p, f.n, s, modulo_constants=True, cap=cap):
         count += 1
-        check_budget(count * N, budget)
+        check_budget(count * N, budget, "inverse_explore")
         corr = abs(np.vdot(BoundedFunction.from_phase(P).values, f.values)) / N
         if corr > best_val + 1e-12:
             best_val = corr

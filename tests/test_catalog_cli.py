@@ -136,6 +136,15 @@ class TestCli:
         code, _ = run_cli("--input", "-", "root", stdin_text=text)
         assert code == 2
 
+    def test_norm_negative_d_exit_2(self, tmp_path, capsys):
+        from toruspoly.norms import BoundedFunction
+        f = BoundedFunction.constant_one(2, 2)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(f.to_json()))
+        code, _ = run_cli("--input", str(path), "norm", "--d", "-1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: d must be >= 0, got d = -1\n"
+
     def test_wrong_json_shape_exit_2(self):
         text = json.dumps({"p": 2, "n": 2, "values": 5})
         code, _ = run_cli("--input", "-", "eval", "--x", "1,0",

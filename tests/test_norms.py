@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toruspoly.catalog import L_over_power, S_k
-from toruspoly.core import FVec, TorusValue
+from toruspoly.core import BudgetExceeded, FVec, TorusValue, UnityCounter, space
 from toruspoly.forms import bias, dk_extract
 from toruspoly.norms import (
     BoundedFunction,
@@ -86,15 +86,30 @@ class TestGowersNorm:
             assert abs(exact.as_complex() - fl) < 1e-9
 
     def test_chunked_float_path_matches_exact(self):
-        # N^(d+1) = 2^24 > 2^22, so both paths split over h_1
+        # both paths expand d - 1 = 2 shifts, and N^d = 2^24 > 2^22, so
+        # they split over h_1
         rng = SplitMix64(13)
         for _ in range(2):
             P = NCPoly.from_canonical(CanonicalForm(
-                2, 6, TorusValue(2, rng.below(4), 2),
-                {s: rng.below(2) for s in canonical_slots(2, 6, 3)}))
+                2, 8, TorusValue(2, rng.below(4), 2),
+                {s: rng.below(2) for s in canonical_slots(2, 8, 3)}))
             exact = gowers_power_exact(P, 3)
             fl = gowers_power(BoundedFunction.from_phase(P), 3)
             assert abs(exact.as_complex() - fl) < 1e-9
+
+    def test_negative_d_rejected(self):
+        P = NCPoly.from_text(2, 2, "1/2*x1*x2")
+        with pytest.raises(ValueError, match="d = -1"):
+            gowers_power(BoundedFunction.from_phase(P), -1)
+        with pytest.raises(ValueError, match="d = -1"):
+            gowers_power_exact(P, -1)
+
+    def test_budget_message_names_kernel(self):
+        # N = 8, p^K = 4, d = 3: N^(d-1) * max(N, (p^K)^2) = 64 * 16
+        P = NCPoly.from_text(2, 3, "1/4*x1*x2*x3")
+        with pytest.raises(BudgetExceeded, match=r"^gowers_power_exact: "
+                           r"estimated cost 1024 exceeds budget 1023$"):
+            gowers_power_exact(P, 3, budget=1023)
 
     def test_phase_power_collapses_to_bias(self):
         # ||e(P)||^(2^(s+1)) equals the bias of d^(s+1)P, exactly
@@ -109,6 +124,54 @@ class TestGowersNorm:
                 {sl: rng.below(p) for sl in canonical_slots(p, n, s + 1)}))
             assert gowers_power_exact(P, s + 1).as_fraction() == \
                 bias(dk_extract(P, s + 1))
+
+
+def _brute_cube_residues(P: NCPoly, d: int) -> np.ndarray:
+    """Counts of sum_omega (-1)^|omega| P(x + omega.h) over all N^(d+1)
+    tuples (h_1..h_d, x), read off the cube definition."""
+    sp = space(P.p, P.n)
+    N = sp.size
+    axes = [np.arange(N).reshape([N if a == t else 1 for a in range(d + 1)])
+            for t in range(d + 1)]
+    total = np.zeros((N,) * (d + 1), dtype=np.int64)
+    for omega in range(1 << d):
+        idx = axes[d]
+        for t in range(d):
+            if omega >> t & 1:
+                idx = sp.add_indices(idx, axes[t])
+        sign = -1 if bin(omega).count("1") % 2 else 1
+        total += sign * P.nums[idx]
+    mod = P.p**P.K
+    return np.bincount((total % mod).ravel(), minlength=mod)
+
+
+class TestFoldedLastDerivative:
+    """The last derivative is folded into |E_x g|^2; the counts must be
+    those of the full N^(d+1) expansion."""
+
+    # (p, n, K): p^K <= N takes the row histograms, p^K > N the full
+    # expansion; (2, 3, 6) is a bare table with p^K = 64 > N = 8
+    @pytest.mark.parametrize("d", range(5))
+    @pytest.mark.parametrize("p,n,K", [(2, 3, 2), (2, 2, 3), (2, 3, 6),
+                                       (3, 2, 2), (3, 1, 3), (5, 1, 1),
+                                       (5, 1, 2)])
+    def test_matches_brute_force(self, monkeypatch, p, n, K, d):
+        rng = SplitMix64(1000 * p + 100 * n + 10 * K + d)
+        N = p**n
+        P = NCPoly(p, n, np.array([rng.below(p**K) for _ in range(N)],
+                                  dtype=np.int64), K)
+        seen = []
+        expectation = UnityCounter.expectation
+        monkeypatch.setattr(UnityCounter, "expectation",
+                            lambda self: seen.append(self.counts.copy())
+                            or expectation(self))
+        # the folded estimate never exceeds the unfolded N^(d+1)
+        exact = gowers_power_exact(P, d, budget=N ** (d + 1))
+        assert np.array_equal(seen[0], _brute_cube_residues(P, d))
+        assert exact.total == N ** (d + 1)
+        for f in (BoundedFunction.from_phase(P), _random_bounded(p, n, rng)):
+            folded = gowers_power(f, d, budget=N ** (d + 1))
+            assert abs(folded - gowers_power(f, d, method="direct")) < 1e-12
 
 
 class TestAnalyticRank:
