@@ -98,7 +98,7 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="compact output")
     parser.add_argument("--seed", type=int, default=d(0))
     parser.add_argument("--threads", type=int, default=d(1),
-                        help="threads for the p=2 bias count only (bias, "
+                        help="threads for the bias rank fold only (bias, "
                              "arank, and the bias checks of gowers-props)")
     parser.add_argument("--budget", type=int, default=d(None),
                         help="hard wall in estimated elementary operations")

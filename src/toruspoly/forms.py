@@ -6,15 +6,20 @@ classical ones (CSMForm) vanish whenever p or more arguments coincide;
 their coefficients live on multisets with every multiplicity below p, and
 they are exactly the k-th derivatives of classical polynomials.
 
-The bias of a form is computed exactly by counting, over the first k-1
-arguments, how often the remaining slot yields the zero character; the
-last-slot test only needs the n basis directions.
+The bias of a form is computed exactly from ranks.  With its first k-2
+arguments fixed, T is a bilinear form with an n x n matrix M over F_p,
+and E e(T) = N^-(k-2) sum p^-rank M over those N^(k-2) prefixes (N = p^n):
+N^(k-2) batched ranks instead of N^(k-1) last-slot tests.  At p = 2 (n up
+to 64) each matrix is n bit-packed rows in the narrowest unsigned dtype;
+otherwise a batched F_p elimination runs on uint8 matrices.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -327,49 +332,103 @@ def _comb(v: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # exact bias
 
+# Matrices per chunk of the rank fold.  The F_p step holds n x n bytes per
+# matrix, so wide forms get proportionally fewer.
+_CHUNK = 1 << 14
+
 
 def bias(form: MultilinearForm, budget: int | None = None, threads: int = 1) -> Fraction:
     """E e(iota(T)) over V^k, exactly.
 
     Equals the density of (k-1)-tuples whose last-slot restriction vanishes
-    identically; the restriction is tested on the n basis directions.
+    identically.  With the first k-2 arguments fixed, T is a bilinear form
+    with an n x n matrix M over F_p, and exactly p^(n - rank M) choices of
+    the (k-1)-th argument leave the last slot zero; so the count is
+    sum p^(n - rank M) over the N^(k-2) prefixes.
     """
     p, n, k = form.p, form.n, form.k
-    N = space(p, n).size
-    check_budget(N ** max(k - 1, 0) * max(n, 1), budget, "bias")
     if k == 1:
+        check_budget(max(n, 1), budget, "bias")
         zero = all(form.value((i,)) == 0 for i in range(n))
         return Fraction(1 if zero else 0, 1)
-    if p == 2:
-        count = _count_vanishing_p2(form, threads)
+    packed = p == 2 and n <= 64
+    N = p**n
+    check_budget(N ** (k - 2) * max(n, 1) ** (2 if packed else 3), budget, "bias")
+    return Fraction(_count_vanishing(form, threads, packed), N ** (k - 1))
+
+
+def _count_vanishing(form: MultilinearForm, threads: int, packed: bool) -> int:
+    """Number of (k-1)-tuples on which T(x_1, ..., x_(k-1), .) vanishes.
+
+    The prefixes x_1..x_(k-2) are cut into chunks of about _CHUNK: the
+    leading slots are folded one vector at a time, the trailing ones are
+    expanded over a range of the split slot and all of the slots after it.
+    packed selects the GF(2) step on bit-packed rows (p = 2, n <= 64) over
+    the F_p elimination.
+    """
+    p, n, k = form.p, form.n, form.k
+    N = p**n
+    if packed:
+        tensor = _packed_tensor(form)
+        combos, ranks = _xor_combos, _packed_ranks
     else:
-        count = _count_vanishing_generic(form, threads)
-    return Fraction(count, N ** (k - 1))
+        tensor = form.dense_tensor().astype(np.uint8)
+        combos, ranks = partial(_digit_combos, p), partial(_fp_ranks, p)
+    m = k - 2
+    if m == 0:
+        hist = np.bincount(ranks(tensor[None]), minlength=n + 1)
+    else:
+        size = _CHUNK if packed else max(1, min(_CHUNK, (_CHUNK << 6) // max(n, 1) ** 2))
+        expanded = 0  # trailing slots expanded whole in every chunk
+        while expanded < m - 1 and N ** (expanded + 1) <= size:
+            expanded += 1
+        folded = m - 1 - expanded  # leading slots fixed per chunk
+        # step is N or a power of two below it when packed
+        step = max(1, min(N, size // N**expanded))
+        per_prefix = -(-N // step)
+
+        def chunk_hist(units: range) -> np.ndarray:
+            hist = np.zeros(n + 1, dtype=np.int64)
+            for u in units:
+                prefix, start = divmod(u, per_prefix)
+                t = tensor
+                for _ in range(folded):
+                    prefix, x = divmod(prefix, N)
+                    t = combos(t, x, 1)[0]
+                start *= step
+                mats = combos(t, start, min(step, N - start))
+                for _ in range(expanded):
+                    mats = combos(mats.swapaxes(0, 1), 0, N).reshape(
+                        (N * len(mats),) + mats.shape[2:])
+                hist += np.bincount(ranks(mats), minlength=n + 1)
+            return hist
+
+        units = range(N**folded * per_prefix)
+        hist = sum(ordered_map(chunk_hist, chunk_ranges(units, threads), threads))
+    return sum(int(c) * p ** (n - r) for r, c in enumerate(hist.tolist()))
 
 
 def _packed_tensor(form: MultilinearForm) -> np.ndarray:
-    """uint32 tensor of shape (n,)*(k-1): bit i holds T(e_..., e_i)."""
-    n, k = form.n, form.k
-    W = np.zeros((n,) * (k - 1), dtype=np.uint32)
-    dense = form.dense_tensor()
-    flat = dense.reshape((-1, n)) if k > 1 else dense.reshape(1, n)
-    packed = np.zeros(flat.shape[0], dtype=np.uint32)
-    for i in range(n):
-        packed |= (flat[:, i].astype(np.uint32) & 1) << np.uint32(i)
-    return packed.reshape(W.shape)
+    """Tensor of shape (n,)*(k-1) in the narrowest unsigned dtype of n bits:
+    bit j of W[..., i] holds T(e_..., e_i, e_j)."""
+    n = form.n
+    dtype = next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if np.iinfo(d).bits >= n)
+    bits = form.dense_tensor().astype(dtype) << np.arange(n, dtype=dtype)
+    return np.bitwise_or.reduce(bits, axis=-1)
 
 
 def _subset_xor_expand(words: np.ndarray) -> np.ndarray:
     """From per-bit words w_j, the xor-fold over every subset h: arr[h]."""
     n = words.shape[0]
-    arr = np.zeros((1 << n,) + words.shape[1:], dtype=np.uint32)
+    arr = np.zeros((1 << n,) + words.shape[1:], dtype=words.dtype)
     for j in range(n):
         arr[1 << j: 2 << j] = arr[: 1 << j] ^ words[j]
     return arr
 
 
 def _xor_fold(W: np.ndarray, h: int) -> np.ndarray:
-    out = np.zeros(W.shape[1:], dtype=np.uint32)
+    out = np.zeros(W.shape[1:], dtype=W.dtype)
     m = 0
     while h:
         if h & 1:
@@ -379,51 +438,58 @@ def _xor_fold(W: np.ndarray, h: int) -> np.ndarray:
     return out
 
 
-def _count_vanishing_p2(form: MultilinearForm, threads: int) -> int:
-    n, k = form.n, form.k
-    W = _packed_tensor(form)
-
-    def count_from(tensor: np.ndarray, arity_left: int) -> int:
-        # tensor has shape (n,)*arity_left, one packed word per basis tuple
-        if arity_left == 1:
-            arr = _subset_xor_expand(tensor)
-            return int(np.count_nonzero(arr == 0))
-        if arity_left == 2:
-            rows = _subset_xor_expand(tensor)           # (N, n)
-            arr = np.zeros((rows.shape[0], 1 << n), dtype=np.uint32)
-            for j in range(n):
-                arr[:, 1 << j: 2 << j] = arr[:, : 1 << j] ^ rows[:, j: j + 1]
-            return int(np.count_nonzero(arr == 0))
-
-        def chunk_count(rng: range) -> int:
-            sub = 0
-            for h in rng:
-                sub += count_from(_xor_fold(tensor, h), arity_left - 1)
-            return sub
-
-        chunks = chunk_ranges(range(1 << n), threads if arity_left == k - 1 else 1)
-        return sum(ordered_map(chunk_count, chunks, threads))
-
-    return count_from(W, k - 1)
+def _xor_combos(words: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Xor-folds of words over the subsets h in [start, start + count);
+    count is a power of two dividing start."""
+    j = count.bit_length() - 1
+    return _subset_xor_expand(words[:j]) ^ _xor_fold(words[j:], start >> j)
 
 
-def _count_vanishing_generic(form: MultilinearForm, threads: int) -> int:
-    p, n, k = form.p, form.n, form.k
-    sp = space(p, n)
-    dig = sp.digits.astype(np.int64)
-    D = form.dense_tensor().astype(np.int64)
+def _digit_combos(p: int, words: np.ndarray, start: int, count: int) -> np.ndarray:
+    """sum_i x_i words[i] mod p for the vectors x of index in [start, start + count)."""
+    n = words.shape[0]
+    idx = np.arange(start, start + count, dtype=np.int64)
+    digits = (idx[:, None] // p ** np.arange(n, dtype=np.int64) % p).astype(np.int32)
+    out = digits @ words.reshape(n, math.prod(words.shape[1:])) % p
+    return out.astype(np.uint8).reshape((count,) + words.shape[1:])
 
-    def rec(tensor: np.ndarray, arity_left: int) -> int:
-        if arity_left == 1:
-            vals = dig @ tensor % p  # (N, n) basis values per h
-            return int(np.count_nonzero(~vals.any(axis=1)))
-        total = 0
-        for h in range(sp.size):
-            folded = np.tensordot(dig[h], tensor, axes=(0, 0)) % p
-            total += rec(folded, arity_left - 1)
-        return total
 
-    return rec(D, k - 1)
+def _packed_ranks(words: np.ndarray) -> np.ndarray:
+    """GF(2) ranks of a batch (B, n) of matrices with bit-packed rows.
+
+    The largest row is the pivot: xoring it into every row lowers exactly
+    the rows that share its leading bit, so taking the minimum clears that
+    bit everywhere and zeroes the pivot row itself.
+    """
+    rows = np.ascontiguousarray(words.T)
+    rank = np.zeros(rows.shape[1], dtype=np.intp)
+    for _ in range(rows.shape[0]):
+        piv = rows.max(axis=0)
+        rank += piv != 0
+        np.minimum(rows, rows ^ piv, out=rows)
+    return rank
+
+
+def _fp_ranks(p: int, mats: np.ndarray) -> np.ndarray:
+    """F_p ranks of a batch (B, n, n) of uint8 matrices, column by column.
+
+    A row with a nonzero entry in the column is scaled to a leading 1 and
+    subtracted from every row, itself included, so it drops out and the
+    column clears; the rank counts the columns that had such a row.  Every
+    intermediate stays below p^2 + p <= 182, so uint8 never wraps.
+    """
+    inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.uint8)
+    A = mats.copy()
+    batch = np.arange(len(A))
+    rank = np.zeros(len(A), dtype=np.intp)
+    for col in range(A.shape[2]):
+        c = A[:, :, col]
+        piv = (c != 0).argmax(axis=1)
+        lead = c[batch, piv]
+        rank += lead != 0
+        prow = A[batch, piv, col:] * inv[lead][:, None] % p
+        A[:, :, col:] = (A[:, :, col:] + (p * p - c[:, :, None] * prow[:, None, :])) % p
+    return rank
 
 
 def naive_bias(form: MultilinearForm, budget: int | None = None) -> Fraction:

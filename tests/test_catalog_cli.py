@@ -161,6 +161,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: kernel bug\n"
 
+    def test_bias_wide_form(self, tmp_path):
+        # a k = 2 form on F_2^40 is one 40 x 40 rank (here 38)
+        coeffs = [{"multiset": [i + 1, i + 1], "c": 1} for i in range(37)]
+        coeffs.append({"multiset": [1, 40], "c": 1})
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"p": 2, "n": 40, "k": 2, "coeffs": coeffs}))
+        code, out = run_cli("--input", str(path), "bias")
+        assert code == 0
+        assert json.loads(out)["bias"] == f"1/{2**38}"
+
     def test_budget_exit_3(self, tmp_path):
         path = tmp_path / "S4.json"
         path.write_text(json.dumps(S_k(7, 4).to_json()))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from toruspoly.catalog import S_k, bilinear_b, quartic_form
-from toruspoly.core import FVec, TorusValue, space
+from toruspoly.core import BudgetExceeded, FVec, TorusValue, space
 from toruspoly.forms import (
     CSMForm,
     MultilinearForm,
@@ -23,6 +23,18 @@ from toruspoly.forms import (
 )
 from toruspoly.poly import CanonicalForm, NCPoly, canonical_slots
 from toruspoly.rng import SplitMix64
+
+
+def _gf2_rank(rows, n):
+    # textbook elimination, bit by bit, on rows held as Python ints
+    rows, rank = list(rows), 0
+    for bit in range(n):
+        i = next((i for i, r in enumerate(rows) if r >> bit & 1), None)
+        if i is not None:
+            pivot = rows.pop(i)
+            rows = [r ^ pivot if r >> bit & 1 else r for r in rows]
+            rank += 1
+    return rank
 
 
 def rand_vec(p, n, rng):
@@ -207,6 +219,8 @@ class TestBinomialLift:
 class TestBias:
     def test_zero_form(self):
         assert bias(CSMForm(2, 3, 2, {})) == 1
+        for p, k in itertools.product((2, 3), (1, 2, 3, 4)):
+            assert bias(MultilinearForm(p, 0, k)) == 1
 
     def test_nondegenerate_dot_product(self):
         # sum h_i h'_i has diagonal multisets of multiplicity 2 = p, so it
@@ -264,15 +278,72 @@ class TestBias:
         assert Fraction(total, N**4) == bias(quartic_form(n)) == Fraction(197, 512)
 
     def test_packed_and_generic_kernels_agree(self):
-        from toruspoly.forms import _count_vanishing_generic, _count_vanishing_p2
+        # the packed GF(2) rank step against the F_p elimination at p = 2
+        from toruspoly.forms import _count_vanishing
         rng = SplitMix64(43)
-        for k in (2, 3):
+        for k in (2, 3, 4):
             T = rand_csm(2, 4, k, rng)
-            assert _count_vanishing_p2(T, 1) == _count_vanishing_generic(T, 1)
+            assert _count_vanishing(T, 1, True) == _count_vanishing(T, 1, False)
+
+    @pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5) for k in (2, 3, 4)])
+    def test_rank_fold_equals_naive_on_raw_forms(self, p, k):
+        # random non-classical forms, diagonal multisets of multiplicity
+        # >= p included, against the direct |V|^k character sum
+        rng = SplitMix64(1000 * p + k)
+        dims = {2: (1, 2, 3, 4), 3: (1, 2, 3) if k < 4 else (1, 2),
+                5: (1, 2)}[p]
+        for n in dims:
+            for _ in range(4):
+                coeffs = {key: rng.below(p) for key in
+                          itertools.combinations_with_replacement(range(n), k)}
+                T = MultilinearForm(p, n, k, coeffs)
+                assert bias(T) == naive_bias(T)
+
+    def test_quartic_chunked_and_high_bit_fold(self):
+        # n = 10, 11 split the first prefix slot into several chunks, so
+        # each chunk folds the high bits of its range; uint16 rows
+        expected = Fraction(271097, 2**21)
+        assert bias(quartic_form(10)) == bias(quartic_form(11)) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 2, 8])
+    def test_chunk_size_does_not_change_count(self, monkeypatch, chunk):
+        # tiny chunks fold leading slots one vector at a time and, at odd
+        # p, cut the split slot into ranges that do not divide p^n
+        rng = SplitMix64(chunk)
+        cases = [(2, 2, 5), (2, 3, 4), (3, 2, 4), (3, 2, 5), (5, 1, 4), (5, 2, 3)]
+        forms = [rand_csm(p, n, k, rng) for p, n, k in cases]
+        expected = [bias(T) for T in forms]
+        monkeypatch.setattr("toruspoly.forms._CHUNK", chunk)
+        assert [bias(T, threads=2) for T in forms] == expected
 
     def test_threads_deterministic(self):
         T = quartic_form(5)
         assert bias(T, threads=1) == bias(T, threads=4)
+        # p = 3, n = 5, k = 4: the prefixes split into four chunks
+        T = rand_csm(3, 5, 4, SplitMix64(47))
+        assert bias(T, threads=1) == bias(T, threads=2)
+
+    @pytest.mark.parametrize("n", [40, 70])
+    def test_wide_bilinear_form_is_one_rank(self, n):
+        # k = 2 is a single n x n rank; n = 40 needs 64-bit rows and
+        # n = 70 takes the F_p elimination at p = 2
+        rng = SplitMix64(n)
+        coeffs = {key: rng.below(2) for key in
+                  itertools.combinations_with_replacement(range(n), 2)}
+        T = MultilinearForm(2, n, 2, coeffs)
+        rows = [sum(T.value((i, j)) << j for j in range(n)) for i in range(n)]
+        assert bias(T) == Fraction(1, 2 ** _gf2_rank(rows, n))
+
+    @pytest.mark.parametrize("p,n,k,cost", [
+        (2, 5, 4, 2**10 * 5**2),   # packed step: N^(k-2) n^2
+        (3, 2, 3, 9 * 2**3),       # F_p step: N^(k-2) n^3
+        (5, 3, 1, 3),              # k = 1: n
+    ])
+    def test_budget_estimate(self, p, n, k, cost):
+        T = MultilinearForm(p, n, k, {(0,) * k: 1})
+        assert bias(T, budget=cost) == bias(T)
+        with pytest.raises(BudgetExceeded, match=r"^bias: "):
+            bias(T, budget=cost - 1)
 
     def test_repeated_argument_constraint(self):
         # d^k P(h1 x p, h2, ...) = d^k P(h1, h2 x p, ...) for degree <= k
