@@ -29,6 +29,7 @@ from .core import (
     UnityCounter,
     check_budget,
     space,
+    validate_prime,
 )
 from .parallel import chunk_ranges, ordered_map
 from .poly import CanonicalForm, NCPoly, TorusValue
@@ -347,6 +348,7 @@ def bias(form: MultilinearForm, budget: int | None = None, threads: int = 1) -> 
     sum p^(n - rank M) over the N^(k-2) prefixes.
     """
     p, n, k = form.p, form.n, form.k
+    validate_prime(p)
     if k == 1:
         check_budget(max(n, 1), budget, "bias")
         zero = all(form.value((i,)) == 0 for i in range(n))

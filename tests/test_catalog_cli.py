@@ -171,6 +171,13 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["bias"] == f"1/{2**38}"
 
+    def test_bias_composite_modulus_exit_2(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"p": 4, "n": 2, "k": 2, "coeffs": [
+            {"multiset": [1, 2], "c": 2}]}))
+        code, _ = run_cli("--input", str(path), "bias")
+        assert code == 2
+
     def test_budget_exit_3(self, tmp_path):
         path = tmp_path / "S4.json"
         path.write_text(json.dumps(S_k(7, 4).to_json()))

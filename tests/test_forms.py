@@ -22,6 +22,7 @@ from toruspoly.forms import (
     sym_power,
 )
 from toruspoly.poly import CanonicalForm, NCPoly, canonical_slots
+from toruspoly.parallel import ordered_map
 from toruspoly.rng import SplitMix64
 
 
@@ -316,9 +317,20 @@ class TestBias:
         monkeypatch.setattr("toruspoly.forms._CHUNK", chunk)
         assert [bias(T, threads=2) for T in forms] == expected
 
-    def test_threads_deterministic(self):
-        T = quartic_form(5)
+    def test_threads_deterministic(self, monkeypatch):
+        # quartic n = 10 cuts the first prefix slot into 64 chunks, so
+        # four threads really split the work
+        from toruspoly import forms
+        splits = []
+
+        def spy(fn, chunks, threads):
+            splits.append(len(chunks))
+            return ordered_map(fn, chunks, threads)
+
+        monkeypatch.setattr(forms, "ordered_map", spy)
+        T = quartic_form(10)
         assert bias(T, threads=1) == bias(T, threads=4)
+        assert splits == [1, 4]
         # p = 3, n = 5, k = 4: the prefixes split into four chunks
         T = rand_csm(3, 5, 4, SplitMix64(47))
         assert bias(T, threads=1) == bias(T, threads=2)
@@ -344,6 +356,12 @@ class TestBias:
         assert bias(T, budget=cost) == bias(T)
         with pytest.raises(BudgetExceeded, match=r"^bias: "):
             bias(T, budget=cost - 1)
+
+    @pytest.mark.parametrize("p", [1, 4, 9, 17])
+    def test_unsupported_modulus(self, p):
+        T = MultilinearForm(p, 2, 3, {(0, 0, 1): 1})
+        with pytest.raises(ValueError, match="modulus must be a prime"):
+            bias(T)
 
     def test_repeated_argument_constraint(self):
         # d^k P(h1 x p, h2, ...) = d^k P(h1, h2 x p, ...) for degree <= k
