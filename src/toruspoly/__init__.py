@@ -50,14 +50,12 @@ from .poly import (
 from .cubes import (
     CubePoint,
     FilteredAbelianGroup,
-    cube_preservation_check,
     equidistribution_report,
-    hk_enumerate,
-    hk_membership,
     hk_taylor,
     is_polynomial_map,
     joint_equidistribution_report,
 )
+from .cubescan import hk_membership
 from .weighted import (
     Factor,
     PeriodicMap,

@@ -19,11 +19,15 @@ from .core import BudgetExceeded, FVec, TorusValue
 from .cubes import (
     CubePoint,
     FilteredAbelianGroup,
-    cube_preservation_check,
     equidistribution_report,
-    hk_membership,
     hk_taylor,
     is_polynomial_map,
+)
+from .cubescan import (
+    code_element,
+    element_code,
+    hk_membership,
+    preserves_cubes_fast,
 )
 from .forms import MultilinearForm, bias
 from .norms import (
@@ -305,7 +309,7 @@ def _dispatch(args) -> int:
         obj = _read_input(args)
         G = FilteredAbelianGroup.from_json(obj["group"])
         k = int(obj["k"])
-        cube = CubePoint.from_json(k, obj["cube"])
+        cube = CubePoint(k, [G.reduce(e) for e in obj["cube"]])
         member = hk_membership(cube, G)
         coeffs, offending = hk_taylor(cube, G)
         payload = {"member": member,
@@ -322,12 +326,13 @@ def _dispatch(args) -> int:
         obj = _read_input(args)
         H = FilteredAbelianGroup.from_json(obj["H"])
         G = FilteredAbelianGroup.from_json(obj["G"])
-        table = {tuple(k): tuple(v) for k, v in
+        table = {H.reduce(k): G.reduce(v) for k, v in
                  (tuple(pair) for pair in obj["map"])}
-        phi = lambda x: table[tuple(x)]
-        poly = is_polynomial_map(phi, H, G)
-        preserved, cex = cube_preservation_check(
-            phi, H, G, int(obj.get("k_max", 2)),
+        poly = is_polynomial_map(lambda x: table[x], H, G)
+        phi_codes = np.array([element_code(G, table[code_element(H, c)])
+                              for c in range(H.size)], dtype=np.int64)
+        preserved, _ = preserves_cubes_fast(
+            phi_codes, H, G, int(obj.get("k_max", 2)),
             cap=args.budget or (1 << 22))
         _emit(args, {"polynomial_map": poly, "preserves_cubes": preserved,
                      "equivalent": poly == preserved})

@@ -175,10 +175,6 @@ class Space:
         self.size = p**n
         self._digits: np.ndarray | None = None
 
-    def check_cap(self, cap: int = SPACE_CAP) -> None:
-        if self.size > cap:
-            raise BudgetExceeded(f"|V| = {self.p}^{self.n} exceeds cap {cap}")
-
     @property
     def digits(self) -> np.ndarray:
         """(size, n) uint8 matrix of digit expansions."""
@@ -298,10 +294,11 @@ class FVec:
         return cls.from_digits(int(obj["p"]), [int(d) for d in obj["digits"]])
 
 
-def enumerate_space(p: int, n: int, cap: int = SPACE_CAP) -> Iterator[FVec]:
-    """All p^n vectors exactly once, lexicographic digit order."""
+def enumerate_space(p: int, n: int) -> Iterator[FVec]:
+    """All p^n vectors exactly once (at most SPACE_CAP), lexicographic digit
+    order."""
     sp = space(p, n)
-    sp.check_cap(cap)
+    check_budget(sp.size, SPACE_CAP, "enumerate_space")
     for idx in range(sp.size):
         yield FVec(p, n, idx)
 

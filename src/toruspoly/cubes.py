@@ -5,8 +5,11 @@ Groups are finite products of cyclic groups; filtrations are nested chains
 of subgroups (the commutator condition is automatic in the abelian case).
 A k-cube is a 2^k-tuple indexed by omega in {0,1}^k; membership in HK^k is
 characterised either by Taylor coefficients g_J in G_|J| or by alternating
-sums over faces landing in the filtration, and the two characterisations
-are cross-checked exhaustively in the test suites.
+sums over faces landing in the filtration.  This module solves one cube for
+its Taylor coefficients (`hk_taylor`, `taylor_expand`) and checks the
+derivative criterion for maps (`is_polynomial_map`); the face criterion,
+cube enumeration and cube preservation live in `cubescan`, vectorised over
+many cubes at once, and the two criteria are cross-checked there.
 """
 
 from __future__ import annotations
@@ -175,9 +178,6 @@ class CubePoint:
     def __hash__(self) -> int:
         return hash((self.k, self.entries))
 
-    def map(self, fn: Callable[[Element], Element]) -> "CubePoint":
-        return CubePoint(self.k, [fn(e) for e in self.entries])
-
     def to_json(self) -> list:
         return [list(e) for e in self.entries]
 
@@ -208,18 +208,6 @@ def _faces(k: int) -> list[tuple[int, tuple[int, ...]]]:
                 masks.append(m)
             out.append((dim, tuple(masks)))
     return out
-
-
-def hk_membership(g: CubePoint, G: FilteredAbelianGroup) -> bool:
-    """Face criterion: every dimension-i face has alternating vertex sum in G_i."""
-    for dim, masks in _faces(g.k):
-        total = G.zero
-        for m in masks:
-            term = g[m] if bin(m).count("1") % 2 == 0 else G.neg(g[m])
-            total = G.add(total, term)
-        if total not in G.level(dim):
-            return False
-    return True
 
 
 def hk_taylor(g: CubePoint, G: FilteredAbelianGroup):
@@ -269,16 +257,6 @@ def hk_size(G: FilteredAbelianGroup, k: int) -> int:
     return out
 
 
-def hk_enumerate(G: FilteredAbelianGroup, k: int,
-                 cap: int = 1 << 22) -> Iterator[CubePoint]:
-    """Every k-cube exactly once, through the Taylor parameterisation."""
-    check_budget(hk_size(G, k), cap, "hk_enumerate")
-    masks = list(range(1 << k))
-    level_lists = [sorted(G.level(bin(J).count("1"))) for J in masks]
-    for combo in itertools.product(*level_lists):
-        yield taylor_expand(k, dict(zip(masks, combo)), G)
-
-
 # ---------------------------------------------------------------------------
 # polynomial maps
 
@@ -318,19 +296,6 @@ def is_polynomial_map(phi: Callable[[Element], Element],
         return True
 
     return rec(table, 0, 0)
-
-
-def cube_preservation_check(phi: Callable[[Element], Element],
-                            H: FilteredAbelianGroup, G: FilteredAbelianGroup,
-                            k_max: int, cap: int = 1 << 22):
-    """Check that the entrywise image of every k-cube of H is a k-cube of G
-    for k <= k_max.  Returns (preserved, counterexample or None)."""
-    for k in range(k_max + 1):
-        for cube in hk_enumerate(H, k, cap=cap):
-            image = cube.map(phi)
-            if not hk_membership(image, G):
-                return False, (k, cube)
-    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Vectorised exhaustive scans over cube groups.
+"""Vectorised cube criteria: the one implementation of the face criterion,
+the Taylor criterion, cube enumeration and cube preservation.
 
 Elements of a product of cyclic groups are packed into mixed-radix integer
 codes; whole populations of 2^k-tuples are then checked against both cube
 criteria (face alternating sums vs Taylor coefficients) with numpy
-arithmetic.  When the ambient tuple count is too large to scan, the face
-solution set is counted exactly instead: it is the kernel of the face-sum
-homomorphism into a product of quotients G/G_i, so its size is the ambient
-size divided by the order of the image, and that order is an integer
-lattice index read off the pivots of an echelon basis.  The count has no
-cap; the scan stays as the exhaustive oracle for small groups.
+arithmetic, and a single cube (`hk_membership`) is a one-row call.  When
+the ambient tuple count is too large to scan, the face solution set is
+counted exactly instead: it is the kernel of the face-sum homomorphism into
+a product of quotients G/G_i, so its size is the ambient size divided by
+the order of the image, and that order is an integer lattice index read
+off the pivots of an echelon basis.  The count has no cap; the scan stays
+as the exhaustive oracle for small groups.
 """
 
 from __future__ import annotations
@@ -17,8 +19,12 @@ from math import prod
 
 import numpy as np
 
-from .core import BudgetExceeded
+from .core import check_budget
 from .cubes import CubePoint, FilteredAbelianGroup, _faces, hk_size
+
+# equivalence_scan enumerates at most SCAN_CAP tuples, _SCAN_CHUNK at a time
+SCAN_CAP = 1 << 24
+_SCAN_CHUNK = 1 << 18
 
 
 def element_code(G: FilteredAbelianGroup, g) -> int:
@@ -89,6 +95,13 @@ def face_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup, k: int,
     return mask
 
 
+def hk_membership(g: CubePoint, G: FilteredAbelianGroup) -> bool:
+    """Face criterion for one cube: every dimension-i face has alternating
+    vertex sum in G_i."""
+    row = np.array([[element_code(G, e) for e in g.entries]], dtype=np.int64)
+    return bool(face_member_mask(row, G, g.k)[0])
+
+
 def taylor_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup, k: int,
                        member=None) -> np.ndarray:
     """Which rows have every Taylor coefficient g_J inside G_|J|."""
@@ -104,22 +117,20 @@ def taylor_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup, k: int,
     return mask
 
 
-def equivalence_scan(G: FilteredAbelianGroup, k: int, chunk: int = 1 << 18,
-                     full_cap: int = 1 << 24) -> dict:
+def equivalence_scan(G: FilteredAbelianGroup, k: int) -> dict:
     """Face criterion vs Taylor criterion over every tuple in G^(2^k).
 
     Returns {"tuples", "disagreements", "members"}; the scan is chunked and
-    deterministic.  Raises BudgetExceeded past full_cap.
+    deterministic.  Raises BudgetExceeded past SCAN_CAP tuples.
     """
     total = G.size ** (1 << k)
-    if total > full_cap:
-        raise BudgetExceeded(f"{total} tuples exceeds scan cap {full_cap}")
+    check_budget(total, SCAN_CAP, "equivalence_scan")
     member = _member_tables(G, k)
     disagreements = 0
     members = 0
     width = 1 << k
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _SCAN_CHUNK):
+        codes = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
         tuples = np.empty((len(codes), width), dtype=np.int64)
         for e in range(width):
             tuples[:, e] = codes // G.size**e % G.size
@@ -217,8 +228,7 @@ def enumerate_cube_codes(G: FilteredAbelianGroup, k: int,
                          cap: int = 1 << 20) -> np.ndarray:
     """All k-cubes as an (M, 2^k) array of element codes (Taylor parameterised)."""
     M = hk_size(G, k)
-    if M > cap:
-        raise BudgetExceeded(f"{M} cubes exceeds cap {cap}")
+    check_budget(M, cap, "enumerate_cube_codes")
     width = 1 << k
     level_codes = [
         np.array(sorted(element_code(G, g) for g in G.level(bin(J).count("1"))),

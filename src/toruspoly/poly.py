@@ -23,9 +23,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    BudgetExceeded,
     FVec,
     TorusValue,
+    check_budget,
     space,
     validate_prime,
 )
@@ -592,13 +592,13 @@ def count_polys(p: int, n: int, d: int, modulo_constants: bool = True) -> int:
 
 
 def enumerate_polys(
-    p: int, n: int, d: int, modulo_constants: bool = True, cap: int = ENUM_CAP
+    p: int, n: int, d: int, modulo_constants: bool = True
 ) -> Iterator[NCPoly]:
-    """Stream every canonical form of degree <= d exactly once."""
+    """Stream every canonical form of degree <= d exactly once (at most
+    ENUM_CAP of them)."""
     slots = canonical_slots(p, n, d)
-    total = count_polys(p, n, d, modulo_constants)
-    if total > cap:
-        raise BudgetExceeded(f"{total} polynomials exceeds cap {cap}")
+    check_budget(count_polys(p, n, d, modulo_constants), ENUM_CAP,
+                 "enumerate_polys")
     alpha_exp = 0 if modulo_constants else (max(d, 1) - 1) // (p - 1) + 1
     for a_num in range(p**alpha_exp):
         alpha = TorusValue(p, a_num, alpha_exp)

@@ -49,6 +49,7 @@ from .forms import (
 )
 from .norms import (
     BoundedFunction,
+    _gowers_power_direct,
     _random_bounded,
     _random_poly,
     conditional_expectation,
@@ -338,13 +339,12 @@ def _suite_gowers(rec: _Recorder, params: dict, rng, threads, budget):
             f = _random_bounded(p, n, sub)
             d = 2 + i % 2
             worst = max(worst, abs(
-                gowers_power(f, d, method="recursive")
-                - gowers_power(f, d, method="direct")))
+                gowers_power(f, d) - _gowers_power_direct(f, d)))
         for _ in range(10):
             f = _random_bounded(p, n, sub)
             worst = max(worst, abs(
-                gowers_power(f, 4 if p == 2 else 3, method="recursive")
-                - gowers_power(f, 4 if p == 2 else 3, method="direct")))
+                gowers_power(f, 4 if p == 2 else 3)
+                - _gowers_power_direct(f, 4 if p == 2 else 3)))
         rec.add("direct-vs-recursive", {"p": p, "n": n, "count": count},
                 worst <= 1e-9, worst=worst)
         # exact pure-phase path vs floats, and the collapse onto bias

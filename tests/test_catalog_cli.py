@@ -210,6 +210,18 @@ class TestCli:
         rep = json.loads(out)
         assert rep["member"] is False and rep["agree"] is True
 
+    def test_cube_check_wrong_coordinate_count_exit_2(self, capsys):
+        payload = {
+            "group": {"cyclic_orders": [2],
+                      "filtration": [[[0], [1]], [[0], [1]]]},
+            "k": 1,
+            "cube": [[0], [0, 5]],
+        }
+        code, out = run_cli("--input", "-", "cube-check",
+                            stdin_text=json.dumps(payload))
+        assert code == 2 and out == ""
+        assert "wrong coordinate count" in capsys.readouterr().err
+
     def test_equidist(self):
         payload = json.dumps({"orders": [3], "values": [[0], [1], [2]]})
         code, out = run_cli("--input", "-", "equidist", stdin_text=payload)
@@ -290,6 +302,23 @@ class TestCli:
         assert code == 0
         rep = json.loads(out)
         assert rep["polynomial_map"] and rep["preserves_cubes"]
+
+
+    @pytest.mark.parametrize("pairs", [
+        [[[0], [0, 3]], [[1], [1, 7]]],     # values with two coordinates
+        [[[0, 0], [0]], [[1, 0], [1]]],     # keys with two coordinates
+    ])
+    def test_polymap_check_wrong_coordinate_count_exit_2(self, pairs, capsys):
+        payload = {
+            "H": {"cyclic_orders": [2], "filtration": [[[0], [1]], [[0], [1]]]},
+            "G": {"cyclic_orders": [4],
+                  "filtration": [[[0], [1], [2], [3]], [[0], [1], [2], [3]]]},
+            "map": pairs,
+        }
+        code, out = run_cli("--input", "-", "polymap-check",
+                            stdin_text=json.dumps(payload))
+        assert code == 2 and out == ""
+        assert "wrong coordinate count" in capsys.readouterr().err
 
 
 class TestSuiteReports:

@@ -18,7 +18,10 @@ from toruspoly.core import (
     enumerate_space,
     space,
 )
+from toruspoly.cubes import FilteredAbelianGroup
+from toruspoly.cubescan import enumerate_cube_codes, equivalence_scan
 from toruspoly.parallel import chunk_ranges
+from toruspoly.poly import count_polys, enumerate_polys
 from toruspoly.rng import SplitMix64
 
 
@@ -106,6 +109,28 @@ class TestSpace:
     def test_cap(self):
         with pytest.raises(BudgetExceeded):
             list(enumerate_space(2, 25))
+
+    # each fixed cap reports the kernel, the estimated cost and the cap
+    CAPS = {
+        "enumerate_space": (lambda: list(enumerate_space(2, 25)),
+                            1 << 25, 1 << 24),
+        "enumerate_polys": (lambda: next(enumerate_polys(2, 6, 2)),
+                            count_polys(2, 6, 2), 1 << 20),
+        "equivalence_scan": (
+            lambda: equivalence_scan(FilteredAbelianGroup.maximal([81], 1), 2),
+            81**4, 1 << 24),
+        "enumerate_cube_codes": (
+            lambda: enumerate_cube_codes(FilteredAbelianGroup.maximal([4], 1),
+                                         2, cap=63),
+            64, 63),
+    }
+
+    @pytest.mark.parametrize("kernel", CAPS)
+    def test_cap_message_names_kernel(self, kernel):
+        call, cost, cap = self.CAPS[kernel]
+        with pytest.raises(BudgetExceeded, match=rf"^{kernel}: estimated cost "
+                           rf"{cost} exceeds budget {cap}$"):
+            call()
 
     def test_chunks_partition(self):
         chunks = chunk_ranges(range(space(3, 3).size), 4)

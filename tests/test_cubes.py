@@ -10,10 +10,7 @@ from toruspoly.catalog import bilinear_b, mother_q
 from toruspoly.cubes import (
     CubePoint,
     FilteredAbelianGroup,
-    cube_preservation_check,
     equidistribution_report,
-    hk_enumerate,
-    hk_membership,
     hk_size,
     hk_taylor,
     is_polynomial_map,
@@ -21,15 +18,24 @@ from toruspoly.cubes import (
     taylor_expand,
 )
 from toruspoly.cubescan import (
+    code_element,
     counted_equivalence,
+    enumerate_cube_codes,
     equivalence_scan,
     face_member_mask,
+    hk_membership,
     preserves_cubes_fast,
 )
 from toruspoly.poly import NCPoly
 from toruspoly.rng import SplitMix64
 from toruspoly.suites import _group_zoo
 from toruspoly.weighted import Factor
+
+
+def _cube_entries(G, k):
+    """Every k-cube of G as a tuple of elements."""
+    return {tuple(code_element(G, int(c)) for c in row)
+            for row in enumerate_cube_codes(G, k)}
 
 
 class TestMembership:
@@ -71,7 +77,7 @@ class TestMembership:
             if m1:
                 members.add(cube.entries)
         assert len(members) == hk_size(G, 2)
-        assert {c.entries for c in hk_enumerate(G, 2)} == members
+        assert _cube_entries(G, 2) == members
 
     def test_taylor_uniqueness_exhaustive(self):
         # distinct coefficient tuples give distinct cubes, |G| <= 8, k <= 2
@@ -87,7 +93,7 @@ class TestMembership:
 
     def test_cube_group_closed_under_addition(self):
         G = FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2, 1])
-        members = {c.entries for c in hk_enumerate(G, 2)}
+        members = _cube_entries(G, 2)
         for a in list(members)[:40]:
             for b in list(members)[:40]:
                 s = tuple(G.add(x, y) for x, y in zip(a, b))
@@ -128,7 +134,7 @@ class TestVectorisedScan:
         mask = face_member_mask(tuples, G, 2)
         for row, ok in zip(tuples, mask):
             cube = CubePoint(2, [(int(x),) for x in row])
-            assert hk_membership(cube, G) == bool(ok)
+            assert (hk_taylor(cube, G)[0] is not None) == bool(ok)
 
 
 class TestPolynomialMaps:
@@ -152,20 +158,22 @@ class TestPolynomialMaps:
 
     def test_cube_preservation_matches(self):
         H = FilteredAbelianGroup.maximal([2], 1)
-        Q = mother_q()
-        phi = lambda x: (int(Q.nums[x[0]]),)
+        codes = mother_q().nums % 4   # degree 2 into (1/4)Z/Z
         G2 = FilteredAbelianGroup.maximal([4], 2)
-        assert cube_preservation_check(phi, H, G2, 3)[0]
+        assert preserves_cubes_fast(codes, H, G2, 3)[0]
         G1 = FilteredAbelianGroup.maximal([4], 1)
-        preserved, cex = cube_preservation_check(phi, H, G1, 3)
-        assert not preserved and cex is not None
+        preserved, cex = preserves_cubes_fast(codes, H, G1, 3)
+        assert not preserved
+        image = CubePoint(cex.k, [(int(codes[x[0]]),) for x in cex.entries])
+        assert hk_taylor(cex, H)[0] is not None
+        assert hk_taylor(image, G1)[0] is None
 
     def test_nonconstant_into_degree_zero(self):
         H = FilteredAbelianGroup.maximal([2], 1)
         G0 = FilteredAbelianGroup.maximal([2], 0)
         phi = lambda x: (x[0],)
         assert not is_polynomial_map(phi, H, G0)
-        assert not cube_preservation_check(phi, H, G0, 2)[0]
+        assert not preserves_cubes_fast(np.array([0, 1]), H, G0, 2)[0]
 
     def test_generator_reduction_agrees(self):
         rng = SplitMix64(7)
@@ -179,15 +187,17 @@ class TestPolynomialMaps:
                 is_polynomial_map(phi, H, G, use_generators=False)
 
     def test_fast_preservation_agrees_with_slow(self):
-        rng = SplitMix64(11)
+        # every map Z/4 -> Z/4: cube preservation up to k = deg G + 1
+        # against the derivative criterion
         H = FilteredAbelianGroup.maximal([4], 1)
         G = FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2])
-        for _ in range(15):
-            codes = np.array([rng.below(4) for _ in range(4)])
-            phi = lambda x: (int(codes[x[0]]),)
-            slow = cube_preservation_check(phi, H, G, 2)[0]
-            fast = preserves_cubes_fast(codes, H, G, 2)[0]
-            assert slow == fast
+        outcomes = set()
+        for values in itertools.product(range(4), repeat=4):
+            codes = np.array(values)
+            poly = is_polynomial_map(lambda x: (values[x[0]],), H, G)
+            assert preserves_cubes_fast(codes, H, G, G.degree + 1)[0] == poly
+            outcomes.add(poly)
+        assert outcomes == {True, False}
 
 
 class TestEquidistribution:

@@ -1,5 +1,6 @@
 """Uniformity norms, analytic rank, Fourier analysis, decomposition."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from toruspoly.norms import (
     rank_witness_check,
     verify_gowers_properties,
     walsh_fourier,
+    _gowers_power_direct,
     _random_bounded,
 )
 from toruspoly.poly import CanonicalForm, NCPoly, canonical_slots, enumerate_polys
@@ -71,8 +73,8 @@ class TestGowersNorm:
             for _ in range(20):
                 f = _random_bounded(p, n, rng)
                 for d in (1, 2, 3):
-                    a = gowers_power(f, d, method="recursive")
-                    b = gowers_power(f, d, method="direct")
+                    a = gowers_power(f, d)
+                    b = _gowers_power_direct(f, d)
                     assert abs(a - b) < 1e-9
 
     def test_exact_power_matches_float(self):
@@ -110,6 +112,24 @@ class TestGowersNorm:
         with pytest.raises(BudgetExceeded, match=r"^gowers_power_exact: "
                            r"estimated cost 1024 exceeds budget 1023$"):
             gowers_power_exact(P, 3, budget=1023)
+
+    def test_no_shift_table_without_shifts(self):
+        # gowers_power(f, 1) and the folded gowers_power_exact(P, 1) expand
+        # no shift, so neither may build the N x N table of x + h, which
+        # takes 128 MB at p=2, n=12
+        rng = SplitMix64(23)
+        P = NCPoly(2, 12, np.array([rng.below(4) for _ in range(1 << 12)],
+                                   dtype=np.int64), 2)
+        f = BoundedFunction.from_phase(P)
+        tracemalloc.start()
+        try:
+            power = gowers_power(f, 1)
+            exact = gowers_power_exact(P, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert abs(exact.as_complex() - power) < 1e-9
 
     def test_phase_power_collapses_to_bias(self):
         # ||e(P)||^(2^(s+1)) equals the bias of d^(s+1)P, exactly
@@ -171,7 +191,7 @@ class TestFoldedLastDerivative:
         assert exact.total == N ** (d + 1)
         for f in (BoundedFunction.from_phase(P), _random_bounded(p, n, rng)):
             folded = gowers_power(f, d, budget=N ** (d + 1))
-            assert abs(folded - gowers_power(f, d, method="direct")) < 1e-12
+            assert abs(folded - _gowers_power_direct(f, d)) < 1e-12
 
 
 class TestAnalyticRank:
