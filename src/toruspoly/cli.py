@@ -326,8 +326,15 @@ def _dispatch(args) -> int:
         obj = _read_input(args)
         H = FilteredAbelianGroup.from_json(obj["H"])
         G = FilteredAbelianGroup.from_json(obj["G"])
-        table = {H.reduce(k): G.reduce(v) for k, v in
-                 (tuple(pair) for pair in obj["map"])}
+        table = {}
+        for k, v in (tuple(pair) for pair in obj["map"]):
+            x = H.reduce(k)
+            if x in table:
+                raise ValueError(f"map gives H element {x} two values")
+            table[x] = G.reduce(v)
+        missing = [x for x in H.elements() if x not in table]
+        if missing:
+            raise ValueError(f"map gives H element {missing[0]} no value")
         poly = is_polynomial_map(lambda x: table[x], H, G)
         phi_codes = np.array([element_code(G, table[code_element(H, c)])
                               for c in range(H.size)], dtype=np.int64)

@@ -104,7 +104,7 @@ def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
     Minv = _inverse_vandermonde(p)
     for ax in range(n):
         view = arr.reshape(arr.shape[0], N // p ** (ax + 1), p, p**ax)
-        arr = (np.einsum("ij,bkjl->bkil", Minv, view) % p).reshape(arr.shape[0], N)
+        arr = (np.matmul(Minv, view) % p).reshape(arr.shape[0], N)
     return arr.reshape(*lead, N)
 
 

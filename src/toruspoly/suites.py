@@ -14,6 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -71,6 +72,7 @@ from .weighted import (
     WeightedPoly,
     binomial_expand,
     periodicity_check,
+    same_values,
     weighted_degree,
 )
 
@@ -469,12 +471,11 @@ def _suite_roots(rec: _Recorder, params: dict, rng, threads, budget):
         d = max(D) + rng.below(4)
         wp = _random_weighted(p, m, D, d, rng)
         g = wp.pth_root()
-        box = g.periods()
-        ok = weighted_degree(g) <= max(wp.degree(), 0) + p - 1
-        for x in itertools.product(*(range(min(s, 9)) for s in box)):
-            if g.eval(x).scale(p) != wp.eval(x):
-                ok = False
-                break
+        pts = np.indices([min(s, 9) for s in g.periods()]).reshape(m, -1).T
+        # p*g over p^(K-1) against wp, as two tables on the same box
+        gk = max(g.exponent() - 1, 0)
+        ok = weighted_degree(g) <= max(wp.degree(), 0) + p - 1 and same_values(
+            p, g.eval_nums(pts) % p**gk, gk, wp.eval_nums(pts), wp.exponent())
         fails += not ok
     rec.add("weighted-root-roundtrip", {"trials": wtrials}, fails == 0)
 
@@ -692,10 +693,10 @@ def _taylor_roundtrip(G, k, rng, count) -> bool:
     return True
 
 
-def _sample_map(rng, max_order: int = 8):
-    """A random filtered-group pair and map table, mixing structured
-    (polynomial) and unstructured choices."""
-    h_choices = [
+@lru_cache(maxsize=4)
+def _map_choices(max_order: int) -> tuple[tuple, tuple]:
+    """The candidate (H, G) groups of _sample_map, built once per order."""
+    h_choices = (
         FilteredAbelianGroup.maximal([2], 1),
         FilteredAbelianGroup.maximal([2, 2], 1),
         FilteredAbelianGroup.maximal([4], 1),
@@ -704,15 +705,22 @@ def _sample_map(rng, max_order: int = 8):
         FilteredAbelianGroup.maximal([8], 1),
         FilteredAbelianGroup.maximal([9], 1) if max_order >= 9 else
         FilteredAbelianGroup.maximal([4], 1),
-    ]
-    g_choices = [
+    )
+    g_choices = (
         FilteredAbelianGroup.maximal([4], 2),
         FilteredAbelianGroup.maximal([2], 2),
         FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2]),
         FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1]),
         FilteredAbelianGroup.maximal([2, 2], 1),
         FilteredAbelianGroup.cyclic_chain(8, [8, 2, 1]),
-    ]
+    )
+    return h_choices, g_choices
+
+
+def _sample_map(rng, max_order: int = 8):
+    """A random filtered-group pair and map table, mixing structured
+    (polynomial) and unstructured choices."""
+    h_choices, g_choices = _map_choices(max_order)
     H = h_choices[rng.below(len(h_choices))]
     G = g_choices[rng.below(len(g_choices))]
     kind = rng.below(4)

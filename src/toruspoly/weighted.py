@@ -8,6 +8,11 @@ alpha + sum c/p^(r+1) binom(x_1, i_1) ... binom(x_m, i_m) over terms with
 soon as D_i + j(p-1) > d, and they admit p-th roots by the denominator
 shift r -> r+1 at the cost of p-1 degrees.
 
+Every evaluation goes through one batched kernel, WeightedPoly.eval_nums:
+the numerators over p^K at an (M, m) array of points.  eval, tabulate,
+the residual check of binomial_expand, periodicity_check and
+Factor.pullback are calls of it.
+
 The module also holds Factor: families of torus polynomials on F_p^n
 chained by p * P_(i,j) = P_(i,j-1), with depth extension via canonical
 p-th roots and degree retraction.
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -68,14 +72,46 @@ class WeightedPoly:
             return max(self.term_degree(i, r) for (i, r) in self.terms)
         return 0 if not self.alpha.is_zero() else float("-inf")
 
+    def exponent(self) -> int:
+        """Least K with every value in (1/p^K)Z/Z: the table denominator."""
+        return max([self.alpha.exp] + [r + 1 for (_, r) in self.terms],
+                   default=0)
+
+    def eval_nums(self, points) -> np.ndarray:
+        """Numerators over p^K (K = exponent()) at each row of an (M, m)
+        integer array of points, which may be negative or off the period.
+
+        binom(x_t, i) mod p^K is built once per distinct coordinate; every
+        product is reduced, so int64 holds it when p^(2K) < 2^63 and Python
+        integers (dtype object) carry the same code beyond that.
+        """
+        p, K = self.p, self.exponent()
+        mod = p**K
+        pts = np.asarray(points)  # dtype object past 64-bit coordinates
+        if pts.ndim != 2 or pts.shape[1] != self.m:
+            raise ValueError(f"need an (M, {self.m}) array of points")
+        terms = list(self.terms.items())
+        exps = np.array([i for (i, _), _ in terms],
+                        dtype=np.int64).reshape(len(terms), self.m)
+        dtype = np.int64 if mod * max(mod, len(terms) + 1) < 1 << 63 \
+            else object
+        mono = np.ones((len(pts), len(terms)), dtype=dtype)
+        for t in range(self.m):
+            top = int(exps[:, t].max(initial=0))
+            if top == 0:
+                continue
+            coords, inv = np.unique(pts[:, t], return_inverse=True)
+            cols = np.array([[gen_binom(u, i) % mod for i in range(top + 1)]
+                             for u in coords.tolist()],
+                            dtype=dtype).reshape(len(coords), top + 1)
+            mono = mono * cols[inv.reshape(-1)][:, exps[:, t]] % mod
+        coefs = np.array([c * p ** (K - 1 - r) % mod for (_, r), c in terms],
+                         dtype=dtype)
+        const = self.alpha.num * p ** (K - self.alpha.exp) % mod
+        return ((mono * coefs % mod).sum(axis=1, dtype=dtype) + const) % mod
+
     def eval(self, x: Sequence[int]) -> TorusValue:
-        total = self.alpha.as_fraction()
-        for (i_vec, r), c in self.terms.items():
-            mono = 1
-            for xt, it in zip(x, i_vec):
-                mono *= gen_binom(xt, it)
-            total += Fraction(c * mono, self.p ** (r + 1))
-        return TorusValue.from_fraction(self.p, total)
+        return TorusValue(self.p, int(self.eval_nums([x])[0]), self.exponent())
 
     def pth_root(self) -> "WeightedPoly":
         """p*root = self; per-term denominator shift, degree cost p-1."""
@@ -108,13 +144,10 @@ class WeightedPoly:
         return tuple(out)
 
     def tabulate(self, shape: Sequence[int]) -> "PeriodicMap":
-        K = max([self.alpha.exp] + [r + 1 for (_, r) in self.terms], default=0)
-        nums = np.zeros(tuple(shape), dtype=np.int64)
-        mod = self.p**K if K else 1
-        for x in itertools.product(*(range(s) for s in shape)):
-            v = self.eval(x)
-            nums[x] = v.num * self.p ** (K - v.exp)
-        return PeriodicMap(self.p, self.m, self.D, tuple(shape), nums, K)
+        shape = tuple(shape)
+        nums = self.eval_nums(_box_points(shape)).reshape(shape)
+        return PeriodicMap(self.p, self.m, self.D, shape, nums,
+                           self.exponent())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedPoly):
@@ -142,6 +175,12 @@ class WeightedPoly:
 
     def __repr__(self) -> str:
         return f"WeightedPoly(p={self.p}, D={self.D}, {len(self.terms)} terms)"
+
+
+def _box_points(shape: Sequence[int]) -> np.ndarray:
+    """Every point of the box prod range(s_t), in C order, as (M, m)."""
+    return np.indices(shape, dtype=np.int64).reshape(
+        len(shape), math.prod(shape)).T
 
 
 class PeriodicMap:
@@ -256,10 +295,20 @@ def binomial_expand(f: PeriodicMap, d_bound: int) -> WeightedPoly:
     out = WeightedPoly(p, m, f.D, alpha, terms)
     # residual check on the common-period box
     check_box = tuple(max(sf, so) for sf, so in zip(f.box, out.periods(d_bound)))
-    for x in itertools.product(*(range(s) for s in check_box)):
-        if out.eval(x) != f.value(x):
-            raise NotPolynomialError("reconstruction residual: exceeds degree bound")
+    pts = _box_points(check_box)
+    given = f.nums[tuple((pts % f.box).T)]
+    if not same_values(p, out.eval_nums(pts), out.exponent(), given, f.K):
+        raise NotPolynomialError("reconstruction residual: exceeds degree bound")
     return out
+
+
+def same_values(p: int, a: np.ndarray, ka: int, b: np.ndarray, kb: int) -> bool:
+    """Whether a/p^ka == b/p^kb in R/Z entrywise, for numerators reduced
+    mod p^ka and p^kb."""
+    if ka < kb:
+        a, ka, b, kb = b, kb, a, ka
+    step = p ** (ka - kb)
+    return not (a % step).any() and np.array_equal(a // step, b)
 
 
 def periodicity_check(f: WeightedPoly, d: int) -> dict:
@@ -269,13 +318,13 @@ def periodicity_check(f: WeightedPoly, d: int) -> dict:
     p = f.p
     periods = f.periods(d)
     table = f.tabulate(periods)
+    pts = _box_points(periods)
+    base = table.nums.reshape(-1)
     report: dict = {"periods": {}, "top_coefficients": {}, "pass": True}
     for i, per in enumerate(periods):
-        ok = all(
-            f.eval(tuple(x + (per if t == i else 0) for t, x in enumerate(pt)))
-            == f.eval(pt)
-            for pt in itertools.product(*(range(s) for s in periods))
-        )
+        shifted = pts.copy()
+        shifted[:, i] += per
+        ok = bool(np.array_equal(f.eval_nums(shifted), base))
         report["periods"][f"p^{round(math.log(per, p))}e_{i+1}"] = ok
         report["pass"] &= ok
     for i, Di in enumerate(f.D):
@@ -288,13 +337,12 @@ def periodicity_check(f: WeightedPoly, d: int) -> dict:
             report["top_coefficients"][i + 1] = 0
             continue
         diffed = table.diff(i, step)
-        vals = {diffed.value(pt) for pt in
-                itertools.product(*(range(s) for s in periods))}
+        vals = np.unique(diffed.nums)
         if len(vals) != 1:
             report["pass"] = False
             report["top_coefficients"][i + 1] = None
             continue
-        v = vals.pop()
+        v = TorusValue(p, int(vals[0]), diffed.K)
         if v.is_zero():
             report["top_coefficients"][i + 1] = 0
         elif v.exp == 1:
@@ -405,10 +453,11 @@ class Factor:
         """Q(x) = f(a_1, ..., a_m) through the top coordinates."""
         if wp.m != self.dimension:
             raise ValueError("dimension mismatch")
-        from .core import space
-        sp = space(self.p, self.n)
-        values = [wp.eval(self.top_values(idx)) for idx in range(sp.size)]
-        return NCPoly.from_values(self.p, self.n, values)
+        pts = np.empty((self.p**self.n, wp.m), dtype=np.int64)
+        for t, (_, polys) in enumerate(self.chains):
+            top, mod = polys[-1], self.p ** len(polys)
+            pts[:, t] = top.nums * (mod // self.p**top.K) % mod
+        return NCPoly(self.p, self.n, wp.eval_nums(pts), wp.exponent())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Factor):

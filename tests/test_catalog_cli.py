@@ -320,6 +320,24 @@ class TestCli:
         assert code == 2 and out == ""
         assert "wrong coordinate count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pairs, message", [
+        # keys [0] and [2] are the same element of Z/2
+        ([[[0], [0]], [[2], [3]], [[1], [1]]], "(0,) two values"),
+        ([[[0], [0]]], "(1,) no value"),
+    ])
+    def test_polymap_check_map_not_a_function_exit_2(self, pairs, message,
+                                                     capsys):
+        payload = {
+            "H": {"cyclic_orders": [2], "filtration": [[[0], [1]], [[0], [1]]]},
+            "G": {"cyclic_orders": [4],
+                  "filtration": [[[0], [1], [2], [3]], [[0], [1], [2], [3]]]},
+            "map": pairs,
+        }
+        code, out = run_cli("--input", "-", "polymap-check",
+                            stdin_text=json.dumps(payload))
+        assert code == 2 and out == ""
+        assert message in capsys.readouterr().err
+
 
 class TestSuiteReports:
     def test_unknown_suite(self):

@@ -1,13 +1,16 @@
 """Weighted-degree maps on Z^m and chained polynomial factors."""
 
 import itertools
+from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from toruspoly.core import TorusValue
 from toruspoly.poly import NCPoly, NotPolynomialError
 from toruspoly.rng import SplitMix64
+from toruspoly.suites import run_suite
 from toruspoly.weighted import (
     Factor,
     PeriodicMap,
@@ -23,6 +26,91 @@ ZERO2 = TorusValue.zero(2)
 
 def wpoly(p, D, terms, alpha=None):
     return WeightedPoly(p, len(D), D, alpha or TorusValue.zero(p), terms)
+
+
+def eval_oracle(w, x):
+    """The per-point definition: alpha + sum c/p^(r+1) prod binom(x_t, i_t),
+    summed as exact rationals."""
+    total = w.alpha.as_fraction()
+    for (i_vec, r), c in w.terms.items():
+        mono = 1
+        for xt, it in zip(x, i_vec):
+            mono *= gen_binom(xt, it)
+        total += Fraction(c * mono, w.p ** (r + 1))
+    return TorusValue.from_fraction(w.p, total)
+
+
+def random_wpoly(rng, p, m, r_max, i_max=3):
+    terms = {}
+    for _ in range(rng.below(6)):
+        i_vec = tuple(rng.below(i_max + 1) for _ in range(m))
+        r = rng.below(r_max + 1)
+        c = rng.below(p ** (r + 1))
+        if sum(i_vec) and c % p:
+            terms[(i_vec, r)] = c
+    alpha = TorusValue(p, rng.below(p**3), rng.below(4))
+    return WeightedPoly(p, m, (1 + rng.below(2),) * m, alpha, terms)
+
+
+def assert_matches_oracle(w, points):
+    nums = w.eval_nums(np.array(points, dtype=np.int64).reshape(-1, w.m))
+    K = w.exponent()
+    for x, num in zip(points, nums):
+        assert TorusValue(w.p, int(num), K) == eval_oracle(w, x)
+        assert w.eval(x) == eval_oracle(w, x)
+
+
+class TestEvalKernel:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_negative_and_off_period_points(self, p, m):
+        rng = SplitMix64(100 * p + m)
+        for _ in range(40):
+            w = random_wpoly(rng, p, m, r_max=3)
+            periods = w.periods()
+            points = [tuple(rng.below(4 * s + 7) - 2 * s - 3 for s in periods)
+                      for _ in range(25)]
+            # one point exactly a period past the box corner
+            points.append(tuple(periods))
+            assert_matches_oracle(w, points)
+
+    def test_zero_map_and_K_zero(self):
+        for p, m in ((2, 1), (3, 2), (5, 3)):
+            w = WeightedPoly(p, m, (1,) * m, TorusValue.zero(p), {})
+            assert w.exponent() == 0
+            pts = np.array(list(itertools.product(range(-2, 3), repeat=m)))
+            assert not w.eval_nums(pts).any()
+            assert w.eval((7,) * m).is_zero()
+            assert w.tabulate((p,) * m).is_zero()
+
+    @pytest.mark.parametrize("p, K_int64", [(2, 31), (3, 19), (5, 13)])
+    def test_object_dtype_beyond_int64_products(self, p, K_int64):
+        # p^(2K) < 2^63 stays int64; one more depth needs Python integers
+        for K in (K_int64, K_int64 + 1, 3 * K_int64):
+            assert (p ** (2 * K) < 1 << 63) == (K == K_int64)
+            rng = SplitMix64(K)
+            for _ in range(10):
+                w = random_wpoly(rng, p, 2, r_max=K - 1)
+                w.terms[((1, 2), K - 1)] = 1 + p * rng.below(p ** (K - 1))
+                assert w.exponent() == K
+                points = [(rng.below(41) - 20, rng.below(41) - 20)
+                          for _ in range(15)]
+                nums = w.eval_nums(np.array(points))
+                assert nums.dtype == (np.int64 if K == K_int64 else object)
+                assert_matches_oracle(w, points)
+
+    def test_big_python_int_coordinates(self):
+        w = wpoly(3, (1,), {((2,), 1): 4, ((1,), 0): 1})
+        x = 3**50 + 5
+        assert w.eval((x,)) == eval_oracle(w, (x,))
+
+    def test_tabulate_is_the_kernel_on_the_box(self):
+        rng = SplitMix64(5)
+        for p in (2, 3, 5):
+            w = random_wpoly(rng, p, 2, r_max=2)
+            tab = w.tabulate((p, p**2))
+            for x in itertools.product(range(p), range(p**2)):
+                assert tab.value(x) == eval_oracle(w, x)
 
 
 class TestWeightedDegree:
@@ -94,6 +182,15 @@ class TestBinomialExpand:
         with pytest.raises(NotPolynomialError):
             binomial_expand(tab, 2)
 
+    def test_residual_rejects_terms_past_the_exponent_range(self):
+        # binom(a, 2)/2 has degree 2; at bound 1 every kept Newton
+        # coefficient is zero, so only the residual check can see it
+        for p, w in ((2, wpoly(2, (1,), {((2,), 0): 1})),
+                     (3, wpoly(3, (1, 1), {((0, 3), 0): 2}))):
+            tab = w.tabulate(w.periods())
+            with pytest.raises(NotPolynomialError, match="residual"):
+                binomial_expand(tab, 1)
+
     def test_specialises_to_unit_degrees(self):
         # with all D_i = 1 and periods p, the expansion is the classical
         # monomial-coefficient story in binomial dress
@@ -103,6 +200,25 @@ class TestBinomialExpand:
 
 
 class TestWeightedRoot:
+    def test_roots_suite_catches_a_dropped_term(self, monkeypatch):
+        params = {"grids": [], "random_trials": 0, "weighted_trials": 30}
+
+        def verdict():
+            rep = run_suite("roots", params, seed=1111)
+            return next(c.passed for c in rep.checks
+                        if c.name == "weighted-root-roundtrip")
+
+        assert verdict()
+        true_root = WeightedPoly.pth_root
+
+        def dropping_root(self):
+            g = true_root(self)
+            g.terms.pop(next(iter(g.terms), None), None)
+            return g
+
+        monkeypatch.setattr(WeightedPoly, "pth_root", dropping_root)
+        assert not verdict()
+
     def test_zero(self):
         w = WeightedPoly(2, 1, (1,), ZERO2, {})
         assert w.pth_root().eval((3,)).is_zero()
@@ -276,3 +392,13 @@ class TestFactor:
         g = WeightedPoly(2, 2, (2, 2), ZERO2, {((1, 1), 0): 1})
         Q2 = F.pullback(g)
         assert Q2.degree() <= g.degree()
+
+    def test_pullback_matches_pointwise_table(self):
+        F = chain_factor(4).depth_extend([2, 1])
+        rng = SplitMix64(17)
+        for _ in range(10):
+            w = random_wpoly(rng, 2, 2, r_max=3)
+            w = WeightedPoly(2, 2, (2, 2), w.alpha, w.terms)
+            pointwise = NCPoly.from_values(
+                2, 4, [eval_oracle(w, F.top_values(idx)) for idx in range(16)])
+            assert F.pullback(w) == pointwise
