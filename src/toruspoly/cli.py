@@ -19,16 +19,13 @@ from .core import BudgetExceeded, FVec, TorusValue
 from .cubes import (
     CubePoint,
     FilteredAbelianGroup,
+    code_element,
+    element_code,
     equidistribution_report,
     hk_taylor,
     is_polynomial_map,
 )
-from .cubescan import (
-    code_element,
-    element_code,
-    hk_membership,
-    preserves_cubes_fast,
-)
+from .cubescan import hk_membership, preserves_cubes_fast
 from .forms import MultilinearForm, bias
 from .norms import (
     BoundedFunction,
@@ -335,9 +332,9 @@ def _dispatch(args) -> int:
         missing = [x for x in H.elements() if x not in table]
         if missing:
             raise ValueError(f"map gives H element {missing[0]} no value")
-        poly = is_polynomial_map(lambda x: table[x], H, G)
         phi_codes = np.array([element_code(G, table[code_element(H, c)])
                               for c in range(H.size)], dtype=np.int64)
+        poly = is_polynomial_map(phi_codes, H, G)
         preserved, _ = preserves_cubes_fast(
             phi_codes, H, G, int(obj.get("k_max", 2)),
             cap=args.budget or (1 << 22))

@@ -6,10 +6,12 @@ of subgroups (the commutator condition is automatic in the abelian case).
 A k-cube is a 2^k-tuple indexed by omega in {0,1}^k; membership in HK^k is
 characterised either by Taylor coefficients g_J in G_|J| or by alternating
 sums over faces landing in the filtration.  This module solves one cube for
-its Taylor coefficients (`hk_taylor`, `taylor_expand`) and checks the
-derivative criterion for maps (`is_polynomial_map`); the face criterion,
-cube enumeration and cube preservation live in `cubescan`, vectorised over
-many cubes at once, and the two criteria are cross-checked there.
+its Taylor coefficients (`hk_taylor`, `taylor_expand`), packs elements into
+integer codes, and checks the derivative criterion for a map given as a
+code table (`is_polynomial_map(phi_codes, H, G)`) level by level in numpy;
+the face criterion, cube enumeration and cube preservation live in
+`cubescan`, vectorised over many cubes at once, and the two criteria are
+cross-checked there.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -257,45 +259,96 @@ def hk_size(G: FilteredAbelianGroup, k: int) -> int:
     return out
 
 
+def element_code(G: FilteredAbelianGroup, g) -> int:
+    """g as the mixed-radix integer sum_t g_t * (o_1 ... o_(t-1))."""
+    code = 0
+    radix = 1
+    for x, o in zip(g, G.orders):
+        code += (x % o) * radix
+        radix *= o
+    return code
+
+
+def code_element(G: FilteredAbelianGroup, code: int):
+    out = []
+    for o in G.orders:
+        out.append(code % o)
+        code //= o
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _member_tables(G: FilteredAbelianGroup, k: int) -> np.ndarray:
+    """Read-only (k+1, |G|) booleans, row i marking G_i; cached per G, k."""
+    tab = np.zeros((k + 1, G.size), dtype=bool)
+    for i in range(k + 1):
+        tab[i, [element_code(G, g) for g in G.level(i)]] = True
+    tab.flags.writeable = False
+    return tab
+
+
+def _sub_codes(G: FilteredAbelianGroup, a, b) -> np.ndarray:
+    """Codes of a - b for broadcast arrays of codes, digit by digit."""
+    out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), np.int64)
+    radix = 1
+    for o in G.orders:
+        out = out + (a // radix - b // radix) % o * radix
+        radix *= o
+    return out
+
+
 # ---------------------------------------------------------------------------
 # polynomial maps
 
+_BLOCK = 1 << 20  # table entries is_polynomial_map materialises at once
 
-def is_polynomial_map(phi: Callable[[Element], Element],
-                      H: FilteredAbelianGroup, G: FilteredAbelianGroup,
+
+def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
+                      G: FilteredAbelianGroup,
                       use_generators: bool = True) -> bool:
-    """Derivative criterion: every iterated difference along directions from
+    """Derivative criterion for the map with code table phi_codes (H code
+    -> G code): every iterated difference along directions from
     H_(i_1), ..., H_(i_m) lands in G_(i_1+...+i_m), checked up to total
-    degree deg(G)+1 (beyond which containment in {0} forces vanishing)."""
-    table = {x: phi(x) for x in H.elements()}
+    degree deg(G)+1 (beyond which containment in {0} forces vanishing).
+
+    Derivatives commute, so a node is a derivative table, its first allowed
+    direction and its total degree.  The frontier goes level by level in
+    blocks of at most _BLOCK entries: one lookup tests a block, one gather
+    derives all its allowed children.  Blocks are taken last in, first out,
+    so only the parents on one path are held at once.
+    """
+    phi_codes = np.asarray(phi_codes, dtype=np.int64)
+    if phi_codes.shape != (H.size,) or not (
+            (phi_codes >= 0) & (phi_codes < G.size)).all():
+        raise ValueError("phi_codes must map every H code to a G code")
     max_total = G.degree + 1
-    dirs: list[tuple[int, Element]] = []
-    for i in range(1, max_total + 1):
-        source = H.level_generators(i) if use_generators else tuple(H.level(i))
-        for h in source:
-            if h != H.zero:
-                dirs.append((i, h))
-
-    def derive(tab: dict, h: Element) -> dict:
-        return {x: G.sub(tab[H.add(x, h)], tab[x]) for x in tab}
-
-    def ok(tab: dict, total: int) -> bool:
-        lv = G.level(total)
-        return all(v in lv for v in tab.values())
-
-    def rec(tab: dict, start: int, total: int) -> bool:
-        if not ok(tab, total):
+    dirs = [(i, h) for i in range(1, max_total + 1)
+            for h in (H.level_generators(i) if use_generators
+                      else tuple(H.level(i)))
+            if h != H.zero]
+    degs = np.array([i for i, _ in dirs], dtype=np.int64)
+    # shift[t, x] is the code of x + h_t = x - (-h_t)
+    neg = np.array([element_code(H, H.neg(h)) for _, h in dirs], np.int64)
+    shift = _sub_codes(H, np.arange(H.size), neg[:, None])
+    member = _member_tables(G, max_total)
+    step = max(1, _BLOCK // H.size)
+    tabs = phi_codes[None]
+    start = total = np.zeros(1, dtype=np.int64)
+    pending = []
+    while True:
+        if not member[total[:, None], tabs].all():
             return False
-        if total >= max_total:
+        rows, ts = np.nonzero((np.arange(len(dirs)) >= start[:, None])
+                              & (total[:, None] + degs <= max_total))
+        pending += [(tabs, total, rows[lo:lo + step], ts[lo:lo + step])
+                    for lo in range(0, len(rows), step)]
+        if not pending:
             return True
-        for t in range(start, len(dirs)):
-            i, h = dirs[t]
-            if total + i <= max_total:
-                if not rec(derive(tab, h), t, total + i):
-                    return False
-        return True
-
-    return rec(table, 0, 0)
+        parent, ptotal, rows, start = pending.pop()
+        parent = parent[rows]
+        tabs = _sub_codes(G, np.take_along_axis(parent, shift[start], axis=1),
+                          parent)
+        total = ptotal[rows] + degs[start]
 
 
 # ---------------------------------------------------------------------------

@@ -15,43 +15,20 @@ as the exhaustive oracle for small groups.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 
 import numpy as np
 
 from .core import check_budget
-from .cubes import CubePoint, FilteredAbelianGroup, _faces, hk_size
+from .cubes import (CubePoint, FilteredAbelianGroup, _faces, _member_tables,
+                    code_element, element_code, hk_size)
 
-# equivalence_scan enumerates at most SCAN_CAP tuples, _SCAN_CHUNK at a time
+# equivalence_scan enumerates at most SCAN_CAP tuples, _SCAN_CHUNK at a time;
+# enumerate_cube_codes caches arrays of at most _CACHED_CODES entries
 SCAN_CAP = 1 << 24
 _SCAN_CHUNK = 1 << 18
-
-
-def element_code(G: FilteredAbelianGroup, g) -> int:
-    code = 0
-    radix = 1
-    for x, o in zip(g, G.orders):
-        code += (x % o) * radix
-        radix *= o
-    return code
-
-
-def code_element(G: FilteredAbelianGroup, code: int):
-    out = []
-    for o in G.orders:
-        out.append(code % o)
-        code //= o
-    return tuple(out)
-
-
-def _member_tables(G: FilteredAbelianGroup, k: int) -> list[np.ndarray]:
-    tables = []
-    for i in range(k + 1):
-        tab = np.zeros(G.size, dtype=bool)
-        for g in G.level(i):
-            tab[element_code(G, g)] = True
-        tables.append(tab)
-    return tables
+_CACHED_CODES = 1 << 16
 
 
 def _digits(tuples: np.ndarray, G: FilteredAbelianGroup) -> list[np.ndarray]:
@@ -80,16 +57,15 @@ def _signed_sum_codes(digits: list[np.ndarray], masks, signs,
     return total
 
 
-def face_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup, k: int,
-                     member=None) -> np.ndarray:
+def face_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup,
+                     k: int) -> np.ndarray:
     """Which rows satisfy the face criterion (all alternating sums in G_i)."""
-    member = member or _member_tables(G, k)
     digits = _digits(tuples, G)
     mask = np.ones(len(tuples), dtype=bool)
     for dim, masks in _faces(k):
         signs = [1 if bin(m).count("1") % 2 == 0 else -1 for m in masks]
         codes = _signed_sum_codes(digits, masks, signs, G)
-        mask &= member[dim][codes]
+        mask &= _member_tables(G, k)[dim][codes]
         if not mask.any():
             break
     return mask
@@ -102,10 +78,9 @@ def hk_membership(g: CubePoint, G: FilteredAbelianGroup) -> bool:
     return bool(face_member_mask(row, G, g.k)[0])
 
 
-def taylor_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup, k: int,
-                       member=None) -> np.ndarray:
+def taylor_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup,
+                       k: int) -> np.ndarray:
     """Which rows have every Taylor coefficient g_J inside G_|J|."""
-    member = member or _member_tables(G, k)
     digits = _digits(tuples, G)
     mask = np.ones(len(tuples), dtype=bool)
     for J in range(1 << k):
@@ -113,7 +88,7 @@ def taylor_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup, k: int,
         signs = [1 if (bin(J).count("1") - bin(I).count("1")) % 2 == 0 else -1
                  for I in subs]
         codes = _signed_sum_codes(digits, subs, signs, G)
-        mask &= member[bin(J).count("1")][codes]
+        mask &= _member_tables(G, k)[bin(J).count("1")][codes]
     return mask
 
 
@@ -125,7 +100,6 @@ def equivalence_scan(G: FilteredAbelianGroup, k: int) -> dict:
     """
     total = G.size ** (1 << k)
     check_budget(total, SCAN_CAP, "equivalence_scan")
-    member = _member_tables(G, k)
     disagreements = 0
     members = 0
     width = 1 << k
@@ -134,8 +108,8 @@ def equivalence_scan(G: FilteredAbelianGroup, k: int) -> dict:
         tuples = np.empty((len(codes), width), dtype=np.int64)
         for e in range(width):
             tuples[:, e] = codes // G.size**e % G.size
-        m_face = face_member_mask(tuples, G, k, member)
-        m_taylor = taylor_member_mask(tuples, G, k, member)
+        m_face = face_member_mask(tuples, G, k)
+        m_taylor = taylor_member_mask(tuples, G, k)
         disagreements += int((m_face != m_taylor).sum())
         members += int(m_face.sum())
     return {"tuples": total, "disagreements": disagreements, "members": members}
@@ -226,9 +200,16 @@ def counted_equivalence(G: FilteredAbelianGroup, k: int) -> dict:
 
 def enumerate_cube_codes(G: FilteredAbelianGroup, k: int,
                          cap: int = 1 << 20) -> np.ndarray:
-    """All k-cubes as an (M, 2^k) array of element codes (Taylor parameterised)."""
+    """All k-cubes as a read-only (M, 2^k) array of element codes (Taylor
+    parameterised), cached per group and k when small."""
     M = hk_size(G, k)
     check_budget(M, cap, "enumerate_cube_codes")
+    small = M << k <= _CACHED_CODES
+    return (_cube_codes if small else _cube_codes.__wrapped__)(G, k)
+
+
+@lru_cache(maxsize=32)
+def _cube_codes(G: FilteredAbelianGroup, k: int) -> np.ndarray:
     width = 1 << k
     level_codes = [
         np.array(sorted(element_code(G, g) for g in G.level(bin(J).count("1"))),
@@ -253,6 +234,7 @@ def enumerate_cube_codes(G: FilteredAbelianGroup, k: int,
             acc += comp % o * radix
             radix *= o
         out[:, omega] = acc
+    out.flags.writeable = False
     return out
 
 
@@ -267,7 +249,7 @@ def preserves_cubes_fast(phi_codes: np.ndarray, H: FilteredAbelianGroup,
     for k in range(k_max + 1):
         cubes = enumerate_cube_codes(H, k, cap=cap)
         images = phi_codes[cubes]
-        mask = face_member_mask(images, G, k, _member_tables(G, k))
+        mask = face_member_mask(images, G, k)
         if not mask.all():
             bad = cubes[int(np.argmin(mask))]
             cube = CubePoint(k, [code_element(H, int(c)) for c in bad])

@@ -23,6 +23,8 @@ from . import catalog
 from .core import TorusValue, space
 from .cubes import (
     FilteredAbelianGroup,
+    code_element,
+    element_code,
     equidistribution_report,
     hk_size,
     is_polynomial_map,
@@ -30,9 +32,7 @@ from .cubes import (
     hk_taylor,
 )
 from .cubescan import (
-    code_element,
     counted_equivalence,
-    element_code,
     enumerate_cube_codes,
     equivalence_scan,
     face_member_mask,
@@ -620,9 +620,7 @@ def _suite_cubes(rec: _Recorder, params: dict, rng, threads, budget):
     poly_count = 0
     for t in range(maps_target):
         H, G2, phi_codes = _sample_map(rng)
-        poly = is_polynomial_map(
-            lambda x: code_element(G2, int(phi_codes[element_code(H, x)])),
-            H, G2)
+        poly = is_polynomial_map(phi_codes, H, G2)
         pres, _ = preserves_cubes_fast(phi_codes, H, G2, k_max=3, cap=1 << 16)
         agree += poly == pres
         poly_count += poly
@@ -634,9 +632,8 @@ def _suite_cubes(rec: _Recorder, params: dict, rng, threads, budget):
     ok = True
     for t in range(60):
         H, G2, phi_codes = _sample_map(rng, max_order=9)
-        phi = lambda x: code_element(G2, int(phi_codes[element_code(H, x)]))
-        if is_polynomial_map(phi, H, G2, use_generators=True) != \
-           is_polynomial_map(phi, H, G2, use_generators=False):
+        if is_polynomial_map(phi_codes, H, G2, use_generators=True) != \
+           is_polynomial_map(phi_codes, H, G2, use_generators=False):
             ok = False
     rec.add("generator-reduction", {"maps": 60}, ok)
 

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import TorusValue, validate_prime
-from .poly import NCPoly, NotPolynomialError
+from .poly import NCPoly, NotPolynomialError, _check_table_exponent
 
 
 def gen_binom(x: int, i: int) -> int:
@@ -194,6 +194,7 @@ class PeriodicMap:
         self.m = m
         self.D = tuple(D)
         self.box = tuple(box)
+        _check_table_exponent(p, K)
         self.nums = np.asarray(nums, dtype=np.int64) % (p**K if K else 1)
         self.K = K
         for side in self.box:

@@ -136,6 +136,14 @@ class TestCli:
         code, _ = run_cli("--input", "-", "root", stdin_text=text)
         assert code == 2
 
+    def test_wdegree_table_exponent_past_int64_exit_2(self, capsys):
+        text = json.dumps({"p": 2, "m": 1, "D": [1], "box": [2],
+                           "nums": [0, 1], "K": 70})
+        code, _ = run_cli("--input", "-", "wdegree", stdin_text=text)
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: table denominator 2^70 exceeds 2^63 - 1\n"
+
     def test_norm_negative_d_exit_2(self, tmp_path, capsys):
         from toruspoly.norms import BoundedFunction
         f = BoundedFunction.constant_one(2, 2)

@@ -6,10 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from toruspoly import cubes, cubescan
 from toruspoly.catalog import bilinear_b, mother_q
+from toruspoly.core import BudgetExceeded
 from toruspoly.cubes import (
     CubePoint,
     FilteredAbelianGroup,
+    _member_tables,
+    code_element,
+    element_code,
     equidistribution_report,
     hk_size,
     hk_taylor,
@@ -18,7 +23,6 @@ from toruspoly.cubes import (
     taylor_expand,
 )
 from toruspoly.cubescan import (
-    code_element,
     counted_equivalence,
     enumerate_cube_codes,
     equivalence_scan,
@@ -137,24 +141,76 @@ class TestVectorisedScan:
             assert (hk_taylor(cube, G)[0] is not None) == bool(ok)
 
 
+def _is_polynomial_map_oracle(phi_codes, H, G, use_generators=True):
+    """The derivative criterion as a recursion over dicts of elements, one
+    direction at a time: the reference for the vectorised kernel."""
+    table = {x: code_element(G, int(phi_codes[element_code(H, x)]))
+             for x in H.elements()}
+    max_total = G.degree + 1
+    dirs = []
+    for i in range(1, max_total + 1):
+        source = H.level_generators(i) if use_generators else tuple(H.level(i))
+        for h in source:
+            if h != H.zero:
+                dirs.append((i, h))
+
+    def derive(tab, h):
+        return {x: G.sub(tab[H.add(x, h)], tab[x]) for x in tab}
+
+    def rec(tab, start, total):
+        if not all(v in G.level(total) for v in tab.values()):
+            return False
+        if total >= max_total:
+            return True
+        for t in range(start, len(dirs)):
+            i, h = dirs[t]
+            if total + i <= max_total:
+                if not rec(derive(tab, h), t, total + i):
+                    return False
+        return True
+
+    return rec(table, 0, 0)
+
+
+Z4_TARGETS = (FilteredAbelianGroup.maximal([4], 1),
+              FilteredAbelianGroup.maximal([4], 2),
+              FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2]))
+# H_1 = Z/4 generated by 1 alone and H_2 = {0, 2}: the generator directions
+# are a strict subset of the element directions
+Z4_BY_GENERATORS = FilteredAbelianGroup([4], generators=[[(1,)], [(1,)], [(2,)]])
+
+
+def _agrees_with_oracle_on_every_map(H, targets):
+    verdicts = set()
+    for G in targets:
+        for values in itertools.product(range(G.size), repeat=H.size):
+            codes = np.array(values, dtype=np.int64)
+            for gens in (True, False):
+                poly = is_polynomial_map(codes, H, G, use_generators=gens)
+                assert poly == _is_polynomial_map_oracle(codes, H, G, gens), \
+                    (H, G, values, gens)
+                verdicts.add(poly)
+    assert verdicts == {True, False}
+
+
 class TestPolynomialMaps:
     def test_filtered_homomorphism(self):
         H = FilteredAbelianGroup.maximal([4], 1)
         G = FilteredAbelianGroup.maximal([4], 1)
-        assert is_polynomial_map(lambda x: ((3 * x[0]) % 4,), H, G)
+        assert is_polynomial_map(np.arange(4) * 3 % 4, H, G)
 
     def test_torus_polynomial_degree_boundary(self):
         # a degree <= k polynomial is a polynomial map into the maximal
         # degree <= k filtration, and fails into degree <= deg-1
-        Q = mother_q()  # degree 2 into (1/4)Z/Z
+        codes = mother_q().nums % 4  # degree 2 into (1/4)Z/Z
         H = FilteredAbelianGroup.maximal([2], 1)
-        phi = lambda x: (int(Q.nums[x[0]]),)
-        assert is_polynomial_map(phi, H, FilteredAbelianGroup.maximal([4], 2))
-        assert not is_polynomial_map(phi, H, FilteredAbelianGroup.maximal([4], 1))
+        assert is_polynomial_map(codes, H, FilteredAbelianGroup.maximal([4], 2))
+        assert not is_polynomial_map(codes, H,
+                                     FilteredAbelianGroup.maximal([4], 1))
 
     def test_translation(self):
         G = FilteredAbelianGroup.maximal([8], 1)
-        assert is_polynomial_map(lambda x: ((x[0] + 5) % 8,), G, G)
+        assert is_polynomial_map((np.arange(8) + 5) % 8, G, G)
 
     def test_cube_preservation_matches(self):
         H = FilteredAbelianGroup.maximal([2], 1)
@@ -171,8 +227,7 @@ class TestPolynomialMaps:
     def test_nonconstant_into_degree_zero(self):
         H = FilteredAbelianGroup.maximal([2], 1)
         G0 = FilteredAbelianGroup.maximal([2], 0)
-        phi = lambda x: (x[0],)
-        assert not is_polynomial_map(phi, H, G0)
+        assert not is_polynomial_map(np.array([0, 1]), H, G0)
         assert not preserves_cubes_fast(np.array([0, 1]), H, G0, 2)[0]
 
     def test_generator_reduction_agrees(self):
@@ -180,11 +235,10 @@ class TestPolynomialMaps:
         H = FilteredAbelianGroup.maximal([9], 1)
         G = FilteredAbelianGroup.cyclic_chain(9, [9, 9, 3])
         for _ in range(20):
-            table = {x: ((rng.below(3) * x[0] + rng.below(9)) % 9,)
-                     for x in H.elements()}
-            phi = lambda x: table[x]
-            assert is_polynomial_map(phi, H, G, use_generators=True) == \
-                is_polynomial_map(phi, H, G, use_generators=False)
+            a, b = rng.below(3), rng.below(9)
+            codes = (a * np.arange(9) + b) % 9
+            assert is_polynomial_map(codes, H, G, use_generators=True) == \
+                is_polynomial_map(codes, H, G, use_generators=False)
 
     def test_fast_preservation_agrees_with_slow(self):
         # every map Z/4 -> Z/4: cube preservation up to k = deg G + 1
@@ -194,10 +248,67 @@ class TestPolynomialMaps:
         outcomes = set()
         for values in itertools.product(range(4), repeat=4):
             codes = np.array(values)
-            poly = is_polynomial_map(lambda x: (values[x[0]],), H, G)
+            poly = is_polynomial_map(codes, H, G)
             assert preserves_cubes_fast(codes, H, G, G.degree + 1)[0] == poly
             outcomes.add(poly)
         assert outcomes == {True, False}
+
+    def test_code_table_checked(self):
+        H = FilteredAbelianGroup.maximal([2], 1)
+        G = FilteredAbelianGroup.maximal([4], 1)
+        for codes in ([0, 1, 2], [0, 4], [-1, 0]):
+            with pytest.raises(ValueError):
+                is_polynomial_map(np.array(codes), H, G)
+
+
+class TestDerivativeKernelOracle:
+    def test_every_map_z4_to_z4(self):
+        _agrees_with_oracle_on_every_map(FilteredAbelianGroup.maximal([4], 1),
+                                         Z4_TARGETS)
+
+    def test_every_map_z2xz2_to_z4(self):
+        _agrees_with_oracle_on_every_map(
+            FilteredAbelianGroup.maximal([2, 2], 1), Z4_TARGETS)
+
+    def test_generator_filtration(self):
+        H = Z4_BY_GENERATORS
+        assert H.level_generators(1) == ((1,),)
+        assert len(H.level(1)) == 4
+        _agrees_with_oracle_on_every_map(H, Z4_TARGETS)
+
+    def test_frontier_split_into_blocks(self, monkeypatch):
+        # one table row per block, so every level spans many blocks
+        monkeypatch.setattr(cubes, "_BLOCK", 4)
+        for H in (FilteredAbelianGroup.maximal([4], 1),
+                  FilteredAbelianGroup.maximal([2, 2], 1), Z4_BY_GENERATORS):
+            _agrees_with_oracle_on_every_map(H, Z4_TARGETS[1:])
+
+
+class TestCachedTables:
+    def test_cached_arrays_read_only(self):
+        G = FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2, 1])
+        cube_codes = enumerate_cube_codes(G, 2)
+        with pytest.raises(ValueError):
+            cube_codes[0, 0] = 1
+        with pytest.raises(ValueError):
+            _member_tables(G, 2)[0, 0] = False
+        assert enumerate_cube_codes(G, 2) is cube_codes
+
+    def test_large_arrays_rebuilt(self):
+        G = FilteredAbelianGroup.maximal([16], 3)
+        assert hk_size(G, 2) << 2 > cubescan._CACHED_CODES
+        first = enumerate_cube_codes(G, 2)
+        assert first is not enumerate_cube_codes(G, 2)
+        assert not first.flags.writeable
+
+    def test_budget_checked_on_cache_hit(self):
+        H = FilteredAbelianGroup.maximal([4], 1)
+        identity = np.arange(4)
+        assert preserves_cubes_fast(identity, H, H, 2, cap=1 << 20)[0]
+        assert hk_size(H, 2) == 64
+        with pytest.raises(BudgetExceeded, match=r"^enumerate_cube_codes: "
+                           r"estimated cost 64 exceeds budget 63$"):
+            preserves_cubes_fast(identity, H, H, 2, cap=63)
 
 
 class TestEquidistribution:

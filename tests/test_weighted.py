@@ -144,6 +144,13 @@ class TestWeightedDegree:
         with pytest.raises(ValueError):
             PeriodicMap(2, 1, (1,), (3,), [0, 1, 2], 1)
 
+    def test_tabulate_exponent_past_int64_rejected(self):
+        # a/2^63 has exponent 63: its table would not fit int64
+        w = wpoly(2, (1,), {((1,), 62): 1})
+        assert w.exponent() == 63
+        with pytest.raises(ValueError, match=r"2\^63 exceeds 2\^63 - 1"):
+            w.tabulate((2,))
+
 
 class TestBinomialExpand:
     def test_constant(self):
