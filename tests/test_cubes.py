@@ -234,11 +234,20 @@ class TestPolynomialMaps:
         rng = SplitMix64(7)
         H = FilteredAbelianGroup.maximal([9], 1)
         G = FilteredAbelianGroup.cyclic_chain(9, [9, 9, 3])
-        for _ in range(20):
-            a, b = rng.below(3), rng.below(9)
-            codes = (a * np.arange(9) + b) % 9
-            assert is_polynomial_map(codes, H, G, use_generators=True) == \
-                is_polynomial_map(codes, H, G, use_generators=False)
+        # 20 arbitrary tables, fresh draws at every point of H in code order
+        maps = [np.array([(rng.below(3) * x + rng.below(9)) % 9
+                          for x in range(9)]) for _ in range(20)]
+        # and a*x + c*binom(x, 2) + b: polynomial exactly when 3 | c
+        x = np.arange(9)
+        maps += [(a * x + c * (x * (x - 1) // 2) + b) % 9
+                 for a, b, c in [(1, 0, 1), (2, 5, 3), (0, 4, 6), (1, 1, 2)]]
+        outcomes = set()
+        for codes in maps:
+            verdict = is_polynomial_map(codes, H, G, use_generators=True)
+            assert verdict == is_polynomial_map(codes, H, G,
+                                                use_generators=False)
+            outcomes.add(verdict)
+        assert outcomes == {True, False}
 
     def test_fast_preservation_agrees_with_slow(self):
         # every map Z/4 -> Z/4: cube preservation up to k = deg G + 1
