@@ -303,6 +303,16 @@ def _sub_codes(G: FilteredAbelianGroup, a, b) -> np.ndarray:
 _BLOCK = 1 << 20  # table entries is_polynomial_map materialises at once
 
 
+def _check_code_table(phi_codes, H: FilteredAbelianGroup,
+                      G: FilteredAbelianGroup) -> np.ndarray:
+    """phi_codes as an int64 table of one G code per H code, or ValueError."""
+    phi_codes = np.asarray(phi_codes, dtype=np.int64)
+    if phi_codes.shape != (H.size,) or not (
+            (phi_codes >= 0) & (phi_codes < G.size)).all():
+        raise ValueError("phi_codes must map every H code to a G code")
+    return phi_codes
+
+
 def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
                       G: FilteredAbelianGroup,
                       use_generators: bool = True) -> bool:
@@ -317,10 +327,7 @@ def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
     derives all its allowed children.  Blocks are taken last in, first out,
     so only the parents on one path are held at once.
     """
-    phi_codes = np.asarray(phi_codes, dtype=np.int64)
-    if phi_codes.shape != (H.size,) or not (
-            (phi_codes >= 0) & (phi_codes < G.size)).all():
-        raise ValueError("phi_codes must map every H code to a G code")
+    phi_codes = _check_code_table(phi_codes, H, G)
     max_total = G.degree + 1
     dirs = [(i, h) for i in range(1, max_total + 1)
             for h in (H.level_generators(i) if use_generators

@@ -2,16 +2,18 @@
 the Taylor criterion, cube enumeration and cube preservation.
 
 Elements of a product of cyclic groups are packed into mixed-radix integer
-codes; whole populations of 2^k-tuples are then checked against both cube
-criteria (face alternating sums vs Taylor coefficients) with numpy
-arithmetic, and a single cube (`hk_membership`) is a one-row call.  When
-the ambient tuple count is too large to scan, the face solution set is
+codes, and whole populations of 2^k-tuples are checked with numpy; a single
+cube (`hk_membership`) is a one-row call.  All three array kernels are k
+per-axis passes over the subset lattice of {0,1}^k, as in Yates' algorithm:
+(a0, a1) -> (a0, a1, a1 - a0) gives every face sum, (a0, a1 - a0) the
+Taylor coefficients g_J, which are the sums over the lower faces
+{omega subset J}, and (a0, a0 + a1) expands coefficients into vertices.
+When the ambient tuple count is too large to scan, the face solution set is
 counted exactly instead: it is the kernel of the face-sum homomorphism into
 a product of quotients G/G_i, so its size is the ambient size divided by
 the order of the image, and that order is an integer lattice index read
 off the pivots of an echelon basis.  The count has no cap; the scan stays
-as the exhaustive oracle for small groups.
-"""
+as the exhaustive oracle for small groups."""
 
 from __future__ import annotations
 
@@ -21,75 +23,91 @@ from math import prod
 import numpy as np
 
 from .core import check_budget
-from .cubes import (CubePoint, FilteredAbelianGroup, _faces, _member_tables,
-                    code_element, element_code, hk_size)
+from .cubes import (CubePoint, FilteredAbelianGroup, _check_code_table, _faces,
+                    _member_tables, code_element, element_code, hk_size)
 
 # equivalence_scan enumerates at most SCAN_CAP tuples, _SCAN_CHUNK at a time;
-# enumerate_cube_codes caches arrays of at most _CACHED_CODES entries
+# enumerate_cube_codes caches arrays of at most _CACHED_CODES entries;
+# _subset_codes materialises at most _BLOCK face sums (or vertices) at once
 SCAN_CAP = 1 << 24
 _SCAN_CHUNK = 1 << 18
 _CACHED_CODES = 1 << 16
+_BLOCK = 1 << 16
 
 
-def _digits(tuples: np.ndarray, G: FilteredAbelianGroup) -> list[np.ndarray]:
-    """Per cyclic factor, the (M, 2^k) array of that coordinate of each entry,
-    decoded a column at a time into the narrowest dtype that holds it."""
-    out = []
-    for t, o in enumerate(G.orders):
-        dig = np.empty(tuples.shape, dtype=np.min_scalar_type(o))
-        for m in range(tuples.shape[1]):
-            dig[:, m] = tuples[:, m] // prod(G.orders[:t]) % o
-        out.append(dig)
-    return out
+@lru_cache(maxsize=64)
+def _pass_tables(G: FilteredAbelianGroup, k: int, kind: str):
+    """Read-only lookups for _subset_codes: digit[t, c] is digit t of code c,
+    residue[t, s] is (s mod o_t) * radix_t for -|G| 2^k <= s < |G| 2^k (s < 0
+    indexes from the end), level[f] is the free-axis count of output f."""
+    factors = G.orders or (1,)  # the trivial group as one factor of order 1
+    orders = np.array(factors, dtype=np.int64).reshape(-1, 1)
+    radix = np.cumprod((1,) + factors)[:-1].reshape(-1, 1)
+    base = 3 if kind == "faces" else 2
+    tables = (np.arange(G.size) // radix % orders,
+              np.arange(G.size << k) % orders * radix,
+              (np.indices((base,) * k) == base - 1).sum(axis=0).reshape(-1))
+    for tab in tables:
+        tab.flags.writeable = False
+    return tables
 
 
-def _signed_sum_codes(digits: list[np.ndarray], masks, signs,
-                      G: FilteredAbelianGroup) -> np.ndarray:
-    """Codes of sum_j signs[j] * tuples[:, masks[j]] in the product group."""
-    total = 0
-    radix = 1
-    for dig, o in zip(digits, G.orders):
-        comp = np.zeros(len(dig), dtype=np.int64)
-        for m, s in zip(masks, signs):
-            comp = comp + dig[:, m] if s > 0 else comp - dig[:, m]
-        total = total + comp % o * radix
-        radix *= o
-    return total
+def _subset_codes(tuples: np.ndarray, G: FilteredAbelianGroup, kind: str):
+    """k per-axis passes (Yates) over vertex-major digit planes, one per
+    cyclic factor, of the rows of an (M, 2^k) code array.  Each pass maps
+    (a0, a1) on one axis to (a0, a1, a1 - a0) for "faces" (all 3^k face
+    sums), (a0, a1 - a0) for "moebius" (the Taylor coefficients) or
+    (a0, a0 + a1) for "zeta" (the Taylor expansion).  Sums are reduced mod
+    the orders once, at the end, by a lookup, which is faster than %.
+    Yields (rows, (F, len(rows)) codes), at most _BLOCK codes at a time."""
+    k = tuples.shape[1].bit_length() - 1
+    digit, residue, level = _pass_tables(G, k, kind)
+    r, size = len(digit), len(level)
+    step = max(1, _BLOCK // size)
+    for lo in range(0, len(tuples), step):
+        rows = slice(lo, lo + step)
+        block = np.ascontiguousarray(tuples[rows].T)
+        planes = np.take(digit, block, axis=1).reshape(r, *(2,) * k, -1)
+        for ax in range(1, k + 1):
+            cut = (slice(None),) * ax
+            a0, a1 = planes[cut + (slice(0, 1),)], planes[cut + (slice(1, 2),)]
+            if kind == "faces":
+                planes = np.concatenate((planes, a1 - a0), axis=ax)
+            else:
+                (np.subtract if kind == "moebius" else np.add)(a1, a0, out=a1)
+        yield rows, sum(residue[t][planes[t].reshape(size, -1)] for t in range(r))
+
+
+def _level_mask(tuples: np.ndarray, G: FilteredAbelianGroup, k: int,
+                kind: str) -> np.ndarray:
+    """Rows whose every output of _subset_codes lies in G_(free axes)."""
+    offsets = _pass_tables(G, k, kind)[2][:, None] * G.size
+    member = _member_tables(G, k).reshape(-1)
+    mask = np.empty(len(tuples), dtype=bool)
+    for rows, codes in _subset_codes(tuples, G, kind):
+        mask[rows] = member[offsets + codes].all(axis=0)
+    return mask
 
 
 def face_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup,
                      k: int) -> np.ndarray:
-    """Which rows satisfy the face criterion (all alternating sums in G_i)."""
-    digits = _digits(tuples, G)
-    mask = np.ones(len(tuples), dtype=bool)
-    for dim, masks in _faces(k):
-        signs = [1 if bin(m).count("1") % 2 == 0 else -1 for m in masks]
-        codes = _signed_sum_codes(digits, masks, signs, G)
-        mask &= _member_tables(G, k)[dim][codes]
-        if not mask.any():
-            break
-    return mask
+    """Which rows satisfy the face criterion: each dimension-i face has its
+    alternating vertex sum in G_i.  The passes give each face sum up to a
+    sign, which does not change membership of a subgroup."""
+    return _level_mask(tuples, G, k, "faces")
 
 
 def hk_membership(g: CubePoint, G: FilteredAbelianGroup) -> bool:
-    """Face criterion for one cube: every dimension-i face has alternating
-    vertex sum in G_i."""
+    """Face criterion for one cube (a one-row face_member_mask)."""
     row = np.array([[element_code(G, e) for e in g.entries]], dtype=np.int64)
     return bool(face_member_mask(row, G, g.k)[0])
 
 
 def taylor_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup,
                        k: int) -> np.ndarray:
-    """Which rows have every Taylor coefficient g_J inside G_|J|."""
-    digits = _digits(tuples, G)
-    mask = np.ones(len(tuples), dtype=bool)
-    for J in range(1 << k):
-        subs = [I for I in range(J + 1) if I & J == I]
-        signs = [1 if (bin(J).count("1") - bin(I).count("1")) % 2 == 0 else -1
-                 for I in subs]
-        codes = _signed_sum_codes(digits, subs, signs, G)
-        mask &= _member_tables(G, k)[bin(J).count("1")][codes]
-    return mask
+    """Which rows have every Taylor coefficient g_J inside G_|J|; g_J is the
+    face sum over the lower face {omega : omega subset J}."""
+    return _level_mask(tuples, G, k, "moebius")
 
 
 def equivalence_scan(G: FilteredAbelianGroup, k: int) -> dict:
@@ -105,9 +123,8 @@ def equivalence_scan(G: FilteredAbelianGroup, k: int) -> dict:
     width = 1 << k
     for start in range(0, total, _SCAN_CHUNK):
         codes = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
-        tuples = np.empty((len(codes), width), dtype=np.int64)
-        for e in range(width):
-            tuples[:, e] = codes // G.size**e % G.size
+        tuples = codes[:, None] // G.size ** np.arange(width)
+        tuples %= G.size
         m_face = face_member_mask(tuples, G, k)
         m_taylor = taylor_member_mask(tuples, G, k)
         disagreements += int((m_face != m_taylor).sum())
@@ -210,30 +227,13 @@ def enumerate_cube_codes(G: FilteredAbelianGroup, k: int,
 
 @lru_cache(maxsize=32)
 def _cube_codes(G: FilteredAbelianGroup, k: int) -> np.ndarray:
-    width = 1 << k
-    level_codes = [
-        np.array(sorted(element_code(G, g) for g in G.level(bin(J).count("1"))),
-                 dtype=np.int64)
-        for J in range(width)
-    ]
+    member = _member_tables(G, k)
+    level_codes = [np.flatnonzero(member[i]) for i in _pass_tables(G, k, "zeta")[2]]
     combos = np.stack(
-        [g.reshape(-1) for g in np.meshgrid(*level_codes, indexing="ij")], axis=1
-    ) if width else np.zeros((1, 0), dtype=np.int64)
-    out = np.zeros((len(combos), width), dtype=np.int64)
-    for omega in range(width):
-        acc = np.zeros(len(combos), dtype=np.int64)
-        radix = 1
-        for o in G.orders:
-            comp = np.zeros(len(combos), dtype=np.int64)
-            sub = omega
-            while True:
-                comp += combos[:, sub] // radix % o
-                if sub == 0:
-                    break
-                sub = (sub - 1) & omega
-            acc += comp % o * radix
-            radix *= o
-        out[:, omega] = acc
+        [g.reshape(-1) for g in np.meshgrid(*level_codes, indexing="ij")], axis=1)
+    out = np.empty(combos.shape, dtype=np.int64)
+    for rows, codes in _subset_codes(combos, G, "zeta"):
+        out[rows] = codes.T
     out.flags.writeable = False
     return out
 
@@ -244,14 +244,14 @@ def preserves_cubes_fast(phi_codes: np.ndarray, H: FilteredAbelianGroup,
     """Entrywise image of every H-cube is a G-cube, vectorised.
 
     phi_codes maps H element codes to G element codes.  Returns
-    (preserved, counterexample CubePoint or None).
+    (preserved, counterexample CubePoint or None); a table that is not one
+    G code per H code raises ValueError.
     """
+    phi_codes = _check_code_table(phi_codes, H, G)
     for k in range(k_max + 1):
         cubes = enumerate_cube_codes(H, k, cap=cap)
-        images = phi_codes[cubes]
-        mask = face_member_mask(images, G, k)
+        mask = face_member_mask(phi_codes[cubes], G, k)
         if not mask.all():
             bad = cubes[int(np.argmin(mask))]
-            cube = CubePoint(k, [code_element(H, int(c)) for c in bad])
-            return False, cube
+            return False, CubePoint(k, [code_element(H, int(c)) for c in bad])
     return True, None

@@ -110,13 +110,20 @@ def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _monomial_matrix(p: int, n: int, modulus: int) -> np.ndarray:
-    """M[e, x] = prod_t |x_t|^(digit_t(e)) mod modulus, shape (N, N)."""
+    """M[e, x] = prod_t |x_t|^(digit_t(e)) mod modulus, shape (N, N).
+
+    int64 while every product and every row of a product with F_p
+    coefficients stays below 2^63; past that, Python integers (dtype
+    object) run the same code.
+    """
     sp = space(p, n)
     dig = sp.digits.astype(np.int64)
-    powtab = np.array(
-        [[pow(d, e, modulus) for e in range(p)] for d in range(p)], dtype=np.int64
-    )
-    M = np.ones((sp.size, sp.size), dtype=np.int64)
+    pows = [[pow(d, e, modulus) for e in range(p)] for d in range(p)]
+    top = max(map(max, pows))  # 1 at p = 2, so no entry of M exceeds 1
+    wide = modulus * top >= 1 << 63 or \
+        sp.size * (p - 1) * min(modulus - 1, top**n) >= 1 << 63
+    powtab = np.array(pows, dtype=object if wide else np.int64)
+    M = np.ones((sp.size, sp.size), dtype=powtab.dtype)
     for t in range(n):
         M = M * powtab[np.ix_(dig[:, t], dig[:, t])].T % modulus
     return M
@@ -125,11 +132,12 @@ def _monomial_matrix(p: int, n: int, modulus: int) -> np.ndarray:
 def eval_layer_tables(
     p: int, n: int, coeffs: np.ndarray, depth: int, K: int
 ) -> np.ndarray:
-    """Numerators over p^K of sum_e coeffs[..., e]/p^(depth+1) * monomial_e."""
+    """Numerators over p^K of sum_e coeffs[..., e]/p^(depth+1) * monomial_e,
+    for coefficients in [0, p)."""
     mod_layer = p ** (depth + 1)
     M = _monomial_matrix(p, n, mod_layer)
     vals = coeffs.astype(np.int64) @ M % mod_layer
-    return vals * p ** (K - 1 - depth) % p**K
+    return np.asarray(vals * p ** (K - 1 - depth) % p**K, dtype=np.int64)
 
 
 def slot_degrees(p: int, n: int, K: int) -> np.ndarray:

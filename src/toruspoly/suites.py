@@ -678,10 +678,11 @@ def _sampled_agreement(G, k, rng, count) -> int:
 
 
 def _taylor_roundtrip(G, k, rng, count) -> bool:
+    levels = [sorted(G.level(i)) for i in range(k + 1)]
     for _ in range(count):
         coeffs = {}
         for J in range(1 << k):
-            lv = sorted(G.level(bin(J).count("1")))
+            lv = levels[bin(J).count("1")]
             coeffs[J] = lv[rng.below(len(lv))]
         cube = taylor_expand(k, coeffs, G)
         solved, _ = hk_taylor(cube, G)

@@ -12,6 +12,7 @@ from toruspoly.core import BudgetExceeded
 from toruspoly.cubes import (
     CubePoint,
     FilteredAbelianGroup,
+    _faces,
     _member_tables,
     code_element,
     element_code,
@@ -29,6 +30,7 @@ from toruspoly.cubescan import (
     face_member_mask,
     hk_membership,
     preserves_cubes_fast,
+    taylor_member_mask,
 )
 from toruspoly.poly import NCPoly
 from toruspoly.rng import SplitMix64
@@ -139,6 +141,121 @@ class TestVectorisedScan:
         for row, ok in zip(tuples, mask):
             cube = CubePoint(2, [(int(x),) for x in row])
             assert (hk_taylor(cube, G)[0] is not None) == bool(ok)
+
+
+def _signed_sum_oracle(tuples, masks, signs, G):
+    """Codes of sum_j signs[j] * tuples[:, masks[j]], digit by digit."""
+    total = np.zeros(len(tuples), dtype=np.int64)
+    radix = 1
+    for o in G.orders:
+        comp = np.zeros(len(tuples), dtype=np.int64)
+        for m, s in zip(masks, signs):
+            comp += s * (tuples[:, m] // radix % o)
+        total += comp % o * radix
+        radix *= o
+    return total
+
+
+def _face_mask_oracle(tuples, G, k):
+    """The face criterion one face at a time, with the alternating signs
+    (-1)^|omega|: the reference for the subset passes."""
+    mask = np.ones(len(tuples), dtype=bool)
+    for dim, masks in _faces(k):
+        signs = [(-1) ** bin(m).count("1") for m in masks]
+        mask &= _member_tables(G, k)[dim][_signed_sum_oracle(tuples, masks,
+                                                             signs, G)]
+    return mask
+
+
+def _taylor_mask_oracle(tuples, G, k):
+    """g_J = sum_{I subset J} (-1)^(|J|-|I|) g_I in G_|J|, one J at a time."""
+    mask = np.ones(len(tuples), dtype=bool)
+    for J in range(1 << k):
+        subs = [I for I in range(J + 1) if I & J == I]
+        signs = [(-1) ** (bin(J).count("1") - bin(I).count("1")) for I in subs]
+        mask &= _member_tables(G, k)[bin(J).count("1")][
+            _signed_sum_oracle(tuples, subs, signs, G)]
+    return mask
+
+
+def _cube_codes_oracle(G, k):
+    """Every k-cube from its Taylor coefficients, one vertex omega and one
+    subset of omega at a time."""
+    width = 1 << k
+    levels = [sorted(element_code(G, g) for g in G.level(bin(J).count("1")))
+              for J in range(width)]
+    combos = np.array(list(itertools.product(*levels)),
+                      dtype=np.int64).reshape(-1, width)
+    out = np.zeros_like(combos)
+    for omega in range(width):
+        radix = 1
+        for o in G.orders:
+            comp = sum(combos[:, J] // radix % o for J in range(width)
+                       if J & omega == J)
+            out[:, omega] += comp % o * radix
+            radix *= o
+    return out
+
+
+def _mask_rows(G, k, rng):
+    """97 code rows: 49 random tuples, then 24 random cubes (from random
+    Taylor coefficients), each followed by a copy with one entry moved."""
+    levels = [sorted(G.level(bin(J).count("1"))) for J in range(1 << k)]
+    rows = [[rng.below(G.size) for _ in range(1 << k)] for _ in range(49)]
+    for _ in range(24):
+        coeffs = {J: lv[rng.below(len(lv))] for J, lv in enumerate(levels)}
+        cube = [element_code(G, g) for g in taylor_expand(k, coeffs, G).entries]
+        moved = list(cube)
+        e = rng.below(1 << k)
+        moved[e] = (moved[e] + 1 + rng.below(G.size - 1)) % G.size
+        rows += [cube, moved]
+    return np.array(rows, dtype=np.int64)
+
+
+# every suite group at k = 0..3, and the block sizes the passes run at: the
+# default, one row per block, and a row count that does not divide 97
+ZOO_K = [pytest.param(i, G, k, id=f"zoo{i}-Z{'x'.join(map(str, G.orders))}-k{k}")
+         for i, G in enumerate(_group_zoo()) for k in range(4)]
+BLOCKS = (cubescan._BLOCK, 1, 100)
+
+
+class TestSubsetPasses:
+    @pytest.mark.parametrize("i,G,k", ZOO_K)
+    def test_masks_match_oracles(self, i, G, k, monkeypatch):
+        rows = _mask_rows(G, k, SplitMix64(1000 + 10 * i + k))
+        face = _face_mask_oracle(rows, G, k)
+        assert face.tolist() == _taylor_mask_oracle(rows, G, k).tolist()
+        assert face.tolist() == [
+            hk_taylor(CubePoint(k, [code_element(G, int(c)) for c in row]),
+                      G)[0] is not None for row in rows]
+        assert face[49::2].all()
+        for block in BLOCKS:
+            monkeypatch.setattr(cubescan, "_BLOCK", block)
+            assert face_member_mask(rows, G, k).tolist() == face.tolist()
+            assert taylor_member_mask(rows, G, k).tolist() == face.tolist()
+
+    @pytest.mark.parametrize("i,G,k", [p for p in ZOO_K
+                                       if hk_size(*p.values[1:]) <= 1 << 12])
+    def test_cube_codes_match_subset_loop(self, i, G, k, monkeypatch):
+        expected = _cube_codes_oracle(G, k)
+        assert np.array_equal(enumerate_cube_codes(G, k), expected)
+        for block in BLOCKS:
+            monkeypatch.setattr(cubescan, "_BLOCK", block)
+            assert np.array_equal(cubescan._cube_codes.__wrapped__(G, k),
+                                  expected)
+
+    def test_trivial_group(self):
+        G = FilteredAbelianGroup([], levels=[[()]])
+        for k in range(3):
+            rows = np.zeros((3, 1 << k), dtype=np.int64)
+            assert face_member_mask(rows, G, k).all()
+            assert taylor_member_mask(rows, G, k).all()
+            assert enumerate_cube_codes(G, k).tolist() == [[0] * (1 << k)]
+
+    def test_both_verdicts_covered(self):
+        G = FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1])
+        rows = _mask_rows(G, 3, SplitMix64(5))
+        assert set(face_member_mask(rows, G, 3).tolist()) == {True, False}
 
 
 def _is_polynomial_map_oracle(phi_codes, H, G, use_generators=True):
@@ -263,11 +380,14 @@ class TestPolynomialMaps:
         assert outcomes == {True, False}
 
     def test_code_table_checked(self):
+        # a code outside G must not be reduced mod |G| into a verdict
         H = FilteredAbelianGroup.maximal([2], 1)
         G = FilteredAbelianGroup.maximal([4], 1)
-        for codes in ([0, 1, 2], [0, 4], [-1, 0]):
-            with pytest.raises(ValueError):
+        for codes in ([0, 1, 2], [0, 4], [-1, 0], [0, 5], [0, -3]):
+            with pytest.raises(ValueError, match="every H code to a G code"):
                 is_polynomial_map(np.array(codes), H, G)
+            with pytest.raises(ValueError, match="every H code to a G code"):
+                preserves_cubes_fast(np.array(codes), H, G, 2)
 
 
 class TestDerivativeKernelOracle:

@@ -248,6 +248,17 @@ class TestInterpolate:
         assert P.K == K
         assert NCPoly(p, 2, P.nums, P.K).canonical() == P.canonical()
 
+    @pytest.mark.parametrize("K", [8, 9, 14, 15])
+    def test_monomial_products_past_int64(self, K):
+        # from K = 9 on, 13^(2K) passes 2^63: the monomial matrix must not wrap
+        text = f"1/{13**K}*x1^12*x2^12"
+        cf = CanonicalForm.from_text(13, 2, text)
+        P = NCPoly.from_canonical(cf)
+        assert P.K == K and P.nums.dtype == np.int64
+        assert [P.eval(x) for x in enumerate_space(13, 2)] == \
+            [cf.eval(x) for x in enumerate_space(13, 2)]
+        assert NCPoly(13, 2, P.nums, P.K).canonical() == cf
+
     def test_table_exponent_past_int64_rejected(self):
         with pytest.raises(ValueError, match="exceeds 2\\^63"):
             NCPoly(3, 1, [1, 2, 0], 40)
