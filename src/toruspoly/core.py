@@ -416,41 +416,71 @@ class ExactExpectation:
         return ExactExpectation(self.numerator * self.numerator.conj(), self.total**2)
 
 
+# UnityCounter keeps a dense array of counters up to this many residues and
+# a dict of the residues it has seen above it
+_DENSE_COUNTERS = 1 << 20
+
+
 class UnityCounter:
     """Integer counters over the residues of (1/p^K)Z/Z.
 
     Insertion order never matters and merging is associative and
     commutative, so any parallel accumulation schedule gives bit-identical
-    expectations.
+    expectations.  ``counts`` is an array indexed by residue while p^K is
+    at most _DENSE_COUNTERS, and a {residue: count} dict past it.
     """
 
     def __init__(self, p: int, K: int):
         validate_prime(p)
         self.p = p
         self.K = K
-        self.counts = np.zeros(p**K, dtype=np.int64)
+        self.counts: np.ndarray | dict[int, int] = \
+            np.zeros(p**K, dtype=np.int64) if p**K <= _DENSE_COUNTERS else {}
 
     def add_value(self, v: TorusValue, count: int = 1) -> None:
         if v.exp > self.K:
             raise ValueError(f"value denominator exceeds p^{self.K}")
-        self.counts[v.num * self.p ** (self.K - v.exp)] += count
+        self.add_counts([v.num * self.p ** (self.K - v.exp)], [count])
+
+    def add_counts(self, residues, counts) -> None:
+        """Add counts[i] to the counter of residues[i] (reduced numerators
+        over p^K; a residue may repeat)."""
+        if isinstance(self.counts, dict):
+            for r, c in zip(np.asarray(residues).tolist(), np.asarray(counts).tolist()):
+                if c:
+                    self.counts[r] = self.counts.get(r, 0) + c
+        else:
+            np.add.at(self.counts, residues, counts)
 
     def add_residues(self, residues: np.ndarray) -> None:
         """Bulk insert residue indices (numerators over p^K)."""
-        self.counts += np.bincount(residues.ravel() % self.p**self.K, minlength=self.p**self.K)
+        mod = self.p**self.K
+        if isinstance(self.counts, dict):
+            self.add_counts(*np.unique(residues.ravel() % mod, return_counts=True))
+        else:
+            self.counts += np.bincount(residues.ravel() % mod, minlength=mod)
 
     def merge(self, other: "UnityCounter") -> "UnityCounter":
         if (self.p, self.K) != (other.p, other.K):
             raise ValueError("mismatched counters")
         out = UnityCounter(self.p, self.K)
-        out.counts = self.counts + other.counts
+        for c in (self, other):
+            out.add_counts(*c._nonzero())
         return out
+
+    def _nonzero(self) -> tuple[list[int], list[int]]:
+        """(residues, counts) of the nonzero counters, residues ascending."""
+        if isinstance(self.counts, dict):
+            items = sorted(self.counts.items())
+            return [r for r, _ in items], [c for _, c in items]
+        nz = np.flatnonzero(self.counts)
+        return nz.tolist(), self.counts[nz].tolist()
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        return sum(self._nonzero()[1])
 
     def expectation(self) -> ExactExpectation:
+        residues, counts = self._nonzero()
         return ExactExpectation(
-            CycloSum.from_counts(self.p, self.K, self.counts.tolist()), self.total
-        )
+            CycloSum(self.p, self.K, dict(zip(residues, counts))), sum(counts))

@@ -26,7 +26,8 @@ from .core import check_budget
 from .cubes import (CubePoint, FilteredAbelianGroup, _check_code_table, _faces,
                     _member_tables, code_element, element_code, hk_size)
 
-# equivalence_scan enumerates at most SCAN_CAP tuples, _SCAN_CHUNK at a time;
+# equivalence_scan enumerates at most SCAN_CAP tuples, at most _SCAN_CHUNK
+# at a time (a power of |G|);
 # enumerate_cube_codes caches arrays of at most _CACHED_CODES entries;
 # _subset_codes materialises at most _BLOCK face sums (or vertices) at once
 SCAN_CAP = 1 << 24
@@ -121,10 +122,17 @@ def equivalence_scan(G: FilteredAbelianGroup, k: int) -> dict:
     disagreements = 0
     members = 0
     width = 1 << k
-    for start in range(0, total, _SCAN_CHUNK):
-        codes = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
-        tuples = codes[:, None] // G.size ** np.arange(width)
-        tuples %= G.size
+    # a chunk is |G|^m tuples, m >= 1 (more than _SCAN_CHUNK only at k = 0):
+    # its low m vertices are decoded once per scan, its high ones are constant
+    m = 1
+    while m < width and G.size ** (m + 1) <= _SCAN_CHUNK:
+        m += 1
+    tuples = np.empty((G.size**m, width), dtype=np.int64)
+    low = tuples[:, :m]
+    np.floor_divide(np.arange(G.size**m)[:, None], G.size ** np.arange(m), out=low)
+    low %= G.size
+    for q in range(total // G.size**m):
+        tuples[:, m:] = q // G.size ** np.arange(width - m) % G.size
         m_face = face_member_mask(tuples, G, k)
         m_taylor = taylor_member_mask(tuples, G, k)
         disagreements += int((m_face != m_taylor).sum())

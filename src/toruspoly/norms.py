@@ -225,7 +225,7 @@ def gowers_power_exact(P: NCPoly, d: int, budget: int | None = None) -> ExactExp
         # C[s, u] counts the pairs with r(x) = s and r(y) = u
         C = H.T @ H
         res = np.arange(mod)
-        counter.counts += C[res[:, None], (res[:, None] - res) % mod].sum(0)
+        counter.add_counts(res, C[res[:, None], (res[:, None] - res) % mod].sum(0))
 
     _derivative_expansion(
         P.nums % mod, P.p, P.n, d - 1 if fold else d,

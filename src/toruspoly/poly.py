@@ -32,6 +32,9 @@ from .core import (
 
 NEG_INF = float("-inf")
 ENUM_CAP = 1 << 20
+# coefficient_batches yields about this many table entries per block: small
+# enough that a block's tables and interpolation layers stay in cache
+_BLOCK_ENTRIES = 1 << 15
 
 
 class NotPolynomialError(ValueError):
@@ -40,6 +43,12 @@ class NotPolynomialError(ValueError):
 
 # ---------------------------------------------------------------------------
 # table kernels (batched over leading dimensions)
+
+
+def _reduce(x: np.ndarray, p: int, K: int) -> np.ndarray:
+    """x mod p^K for int64 (or Python-integer) arrays, negatives included;
+    a mask at p = 2, which costs a fraction of an integer %."""
+    return x & ((1 << K) - 1) if p == 2 else x % p**K
 
 
 def _check_table_exponent(p: int, K: int) -> None:
@@ -92,7 +101,7 @@ def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
     Returns an array of the same shape; entry at index e is the coefficient
     of prod |x_t|^(digit_t(e)).
     """
-    arr = np.asarray(table, dtype=np.int64) % p
+    arr = _reduce(np.asarray(table, dtype=np.int64), p, 1)
     N = p**n
     lead = arr.shape[:-1]
     arr = arr.reshape(-1, N)
@@ -104,7 +113,7 @@ def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
     Minv = _inverse_vandermonde(p)
     for ax in range(n):
         view = arr.reshape(arr.shape[0], N // p ** (ax + 1), p, p**ax)
-        arr = (np.matmul(Minv, view) % p).reshape(arr.shape[0], N)
+        arr = _reduce(np.matmul(Minv, view), p, 1).reshape(arr.shape[0], N)
     return arr.reshape(*lead, N)
 
 
@@ -134,10 +143,9 @@ def eval_layer_tables(
 ) -> np.ndarray:
     """Numerators over p^K of sum_e coeffs[..., e]/p^(depth+1) * monomial_e,
     for coefficients in [0, p)."""
-    mod_layer = p ** (depth + 1)
-    M = _monomial_matrix(p, n, mod_layer)
-    vals = coeffs.astype(np.int64) @ M % mod_layer
-    return np.asarray(vals * p ** (K - 1 - depth) % p**K, dtype=np.int64)
+    M = _monomial_matrix(p, n, p ** (depth + 1))
+    vals = _reduce(coeffs.astype(np.int64) @ M, p, depth + 1)
+    return np.asarray(_reduce(vals * p ** (K - 1 - depth), p, K), dtype=np.int64)
 
 
 def slot_degrees(p: int, n: int, K: int) -> np.ndarray:
@@ -165,15 +173,13 @@ def interpolate_tables(
     nums = np.asarray(nums, dtype=np.int64)
     lead = nums.shape[:-1]
     nums = nums.reshape(-1, N)
-    mod = p**K if K else 1
-    alpha = nums[:, 0] % mod
-    resid = (nums - alpha[:, None]) % mod
+    alpha = _reduce(nums[:, 0], p, K)
+    resid = _reduce(nums - alpha[:, None], p, K)
     C = np.zeros((nums.shape[0], K, N), dtype=np.int64)
     for j in range(K - 1, -1, -1):
-        f = resid // p ** (K - 1 - j) % p
-        cj = classical_coeffs(p, n, f)
+        cj = classical_coeffs(p, n, resid // p ** (K - 1 - j))
         C[:, j, :] = cj
-        resid = (resid - eval_layer_tables(p, n, cj, j, K)) % mod
+        resid = _reduce(resid - eval_layer_tables(p, n, cj, j, K), p, K)
     if resid.any():
         raise NotPolynomialError("table does not reduce to a canonical form")
     if d_max is not None:
@@ -621,14 +627,16 @@ def enumerate_polys(
 
 
 def coefficient_batches(
-    p: int, n: int, d: int, chunk: int = 1 << 16
+    p: int, n: int, d: int
 ) -> Iterator[tuple[list[tuple[tuple[int, ...], int]], np.ndarray, np.ndarray]]:
-    """Yield (slots, codes, coefficient matrix) chunks covering every
-    degree <= d canonical form modulo constants; used by exhaustive suites."""
+    """Yield (slots, codes, coefficient matrix) blocks covering every
+    degree <= d canonical form modulo constants, in code order, each of
+    about _BLOCK_ENTRIES table entries; used by exhaustive suites."""
     slots = canonical_slots(p, n, d)
     total = p ** len(slots)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    rows = max(1, _BLOCK_ENTRIES // p**n)
+    for start in range(0, total, rows):
+        codes = np.arange(start, min(start + rows, total), dtype=np.int64)
         coeffs = np.empty((len(codes), len(slots)), dtype=np.int64)
         rest = codes.copy()
         for s in range(len(slots)):
@@ -637,15 +645,22 @@ def coefficient_batches(
         yield slots, codes, coeffs
 
 
-def eval_slot_batches(
-    p: int, n: int, slots: list[tuple[tuple[int, ...], int]], coeffs: np.ndarray, K: int
-) -> np.ndarray:
-    """Value tables (numerators over p^K) for a batch of coefficient rows."""
+@lru_cache(maxsize=64)
+def _slot_basis(p: int, n: int, slots: tuple[tuple[tuple[int, ...], int], ...],
+                K: int) -> np.ndarray:
+    """Read-only (slots, N) value tables over p^K of each slot's monomial."""
     sp = space(p, n)
-    mod = p**K if K else 1
     basis = np.zeros((len(slots), sp.size), dtype=np.int64)
     for s, (exps, j) in enumerate(slots):
         row = np.zeros(sp.size, dtype=np.int64)
         row[sp.index_of(exps)] = 1
         basis[s] = eval_layer_tables(p, n, row, j, K)
-    return coeffs @ basis % mod
+    basis.flags.writeable = False
+    return basis
+
+
+def eval_slot_batches(
+    p: int, n: int, slots: list[tuple[tuple[int, ...], int]], coeffs: np.ndarray, K: int
+) -> np.ndarray:
+    """Value tables (numerators over p^K) for a batch of coefficient rows."""
+    return _reduce(coeffs @ _slot_basis(p, n, tuple(slots), K), p, K)

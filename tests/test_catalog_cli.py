@@ -116,6 +116,17 @@ class TestCli:
         power = complex(payload["power"]["re"], payload["power"]["im"])
         assert payload["norm"] == abs(power) ** (1 / 4)
 
+    def test_norm_past_dense_counter_exit_0(self, tmp_path):
+        # 2^40 residues are counted sparsely instead of failing to allocate
+        from toruspoly.norms import BoundedFunction
+        from toruspoly.poly import NCPoly
+        f = BoundedFunction.from_phase(NCPoly(2, 1, np.array([0, 1]), 40))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(f.to_json()))
+        code, out = run_cli("--input", str(path), "norm", "--d", "1")
+        assert code == 0
+        assert json.loads(out)["norm"] == pytest.approx(1.0)
+
     def test_witness_check(self, tmp_path):
         payload = {"P": S_k(5, 4).to_json(),
                    "witness": [L_over_power(5, 3).to_json()]}

@@ -119,6 +119,17 @@ class TestVectorisedScan:
         assert res["disagreements"] == 0
         assert res["members"] == hk_size(G, 2)
 
+    # chunks of |G|^m tuples with constant high vertices: 4 and 16 tuples,
+    # and at 1 a group larger than the chunk, which still takes m = 1
+    @pytest.mark.parametrize("chunk", [1, 4, 16])
+    def test_small_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr("toruspoly.cubescan._SCAN_CHUNK", chunk)
+        G = FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2, 1])
+        for k in (0, 1, 2):
+            res = equivalence_scan(G, k)
+            assert res == {"tuples": 4 ** (1 << k), "disagreements": 0,
+                           "members": hk_size(G, k)}
+
     @pytest.mark.parametrize("G,k", SCANNABLE)
     def test_counted_equivalence_matches_scan(self, G, k):
         scanned = equivalence_scan(G, k)

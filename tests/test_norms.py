@@ -194,6 +194,24 @@ class TestFoldedLastDerivative:
             assert abs(folded - _gowers_power_direct(f, d)) < 1e-12
 
 
+    # p^K past the dense bound: (2, 1, 40) would need an 8 TiB array
+    @pytest.mark.parametrize("p,n,K,d", [(2, 1, 40, 1), (2, 1, 40, 2),
+                                         (3, 2, 30, 2), (2, 3, 2, 2)])
+    def test_sparse_counter_matches(self, monkeypatch, p, n, K, d):
+        rng = SplitMix64(7 * K + d)
+        P = NCPoly(p, n, np.array([rng.below(p**K) for _ in range(p**n)],
+                                  dtype=np.int64), K)
+        exact = gowers_power_exact(P, d)
+        assert exact.total == p ** (n * (d + 1))
+        assert abs(exact.as_complex()
+                   - gowers_power(BoundedFunction.from_phase(P), d)) < 1e-12
+        # a dense counter and a dict of the same counts give the same sum
+        monkeypatch.setattr("toruspoly.core._DENSE_COUNTERS", 0)
+        sparse = gowers_power_exact(P, d)
+        assert sparse.total == exact.total
+        assert sparse.numerator.coeffs == exact.numerator.coeffs
+
+
 class TestAnalyticRank:
     def test_vanishes_below_degree(self):
         P = NCPoly.from_text(2, 3, "1/2*x1*x2")  # degree 2

@@ -5,15 +5,19 @@ import pytest
 
 from toruspoly.catalog import L_over_power, mother_p, mother_q
 from toruspoly.core import FVec, TorusValue, enumerate_space, space
+from toruspoly import poly
 from toruspoly.poly import (
     CanonicalForm,
     NCPoly,
     NotPolynomialError,
     canonical_slots,
+    coefficient_batches,
     count_polys,
     enumerate_polys,
+    eval_slot_batches,
 )
 from toruspoly.rng import SplitMix64
+from toruspoly.suites import _exhaustive_poly_scan
 
 NEG_INF = float("-inf")
 
@@ -334,6 +338,60 @@ class TestEnumeration:
             key = (P.K, P.nums.tobytes())
             assert key not in seen
             seen.add(key)
+
+
+class TestScanBlocks:
+    """The exhaustive roots scan: blocks, the cached slot basis, the mask."""
+
+    # 1 entry gives one row per block; 1000 entries give 125, 111 and 40
+    # rows at N = 8, 9 and 25, none of which divides a power of p
+    @pytest.mark.parametrize("entries", [None, 1, 1000])
+    @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 2), (5, 1, 3)])
+    def test_batches_cover_every_code_once_in_order(self, monkeypatch,
+                                                    entries, p, n, d):
+        if entries is not None:
+            monkeypatch.setattr(poly, "_BLOCK_ENTRIES", entries)
+        limit = max(poly._BLOCK_ENTRIES, p**n)
+        seen = []
+        for slots, codes, coeffs in coefficient_batches(p, n, d):
+            assert slots == canonical_slots(p, n, d)
+            assert 0 < codes.size * p**n <= limit
+            assert np.array_equal(coeffs @ p ** np.arange(len(slots)), codes)
+            seen.append(codes)
+        assert np.array_equal(np.concatenate(seen),
+                              np.arange(count_polys(p, n, d)))
+
+    @pytest.mark.parametrize("p,K", [(2, 0), (2, 1), (2, 5), (2, 62),
+                                     (3, 0), (3, 2), (3, 39), (5, 7)])
+    def test_reduce_equals_mod(self, p, K):
+        x = np.array([-(2**63), -(2**62) - 1, -(p**K), -5,
+                      -1, 0, 1, 7, 2**62, 2**63 - 1], dtype=np.int64)
+        assert np.array_equal(poly._reduce(x, p, K), x % p**K)
+
+    def test_slot_basis_is_cached_and_read_only(self):
+        slots = canonical_slots(3, 2, 3)
+        coeffs = np.eye(len(slots), dtype=np.int64)
+        tables = eval_slot_batches(3, 2, slots, coeffs, 2)
+        basis = poly._slot_basis(3, 2, tuple(slots), 2)
+        assert basis is poly._slot_basis(3, 2, tuple(slots), 2)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1
+        for row, slot in zip(tables, slots):
+            cf = CanonicalForm(3, 2, TorusValue.zero(3), {slot: 1})
+            nums, K = cf.eval_table()
+            assert np.array_equal(row, nums * 3 ** (2 - K))
+
+    # one row per block only on the smallest cell: 3,125 blocks take 0.8 s
+    @pytest.mark.parametrize("p,n,d,entries", [
+        (2, 3, 3, None), (2, 3, 3, 1000), (3, 2, 3, None), (3, 2, 3, 1000),
+        (5, 2, 2, None), (5, 2, 2, 1), (5, 2, 2, 1000)])
+    def test_scan_counters_zero(self, monkeypatch, p, n, d, entries):
+        if entries is not None:
+            monkeypatch.setattr(poly, "_BLOCK_ENTRIES", entries)
+        res = _exhaustive_poly_scan(p, n, d)
+        assert res == {"count": count_polys(p, n, d), "root_fail": 0,
+                       "canon_fail": 0, "bound_fail": 0}
 
 
 class TestSerialization:
