@@ -53,7 +53,6 @@ from .cubes import (
     equidistribution_report,
     hk_taylor,
     is_polynomial_map,
-    joint_equidistribution_report,
 )
 from .cubescan import hk_membership
 from .weighted import (

@@ -274,10 +274,8 @@ def _dispatch(args) -> int:
 
     if cmd == "decompose":
         obj = _read_input(args)
-        values = [Fraction(v) if isinstance(v, str) else Fraction(v)
-                  for v in obj["values"]]
-        factors = obj["factors"]
-        projected, energy = conditional_expectation(values, factors)
+        values = [Fraction(v) for v in obj["values"]]
+        projected, energy = conditional_expectation(values, obj["factors"])
         _emit(args, {"projected": [str(v) for v in projected],
                      "energy": energy})
         return EXIT_PASS
@@ -344,9 +342,7 @@ def _dispatch(args) -> int:
 
     if cmd == "equidist":
         obj = _read_input(args)
-        rep = equidistribution_report(
-            [tuple(v) for v in obj["values"]], obj["orders"])
-        _emit(args, rep)
+        _emit(args, equidistribution_report(obj["values"], obj["orders"]))
         return EXIT_PASS
 
     if cmd == "verify":

@@ -231,9 +231,6 @@ class Space:
         """Permutation array perm[x] = index(x + h)."""
         return self.add_indices(np.arange(self.size, dtype=np.int64), h_idx)
 
-    def unit_index(self, i: int) -> int:
-        return self.p**i
-
 
 @lru_cache(maxsize=256)
 def space(p: int, n: int) -> Space:

@@ -11,19 +11,22 @@ integer codes, and checks the derivative criterion for a map given as a
 code table (`is_polynomial_map(phi_codes, H, G)`) level by level in numpy;
 the face criterion, cube enumeration and cube preservation live in
 `cubescan`, vectorised over many cubes at once, and the two criteria are
-cross-checked there.
+cross-checked there.  `equidistribution_report` histograms a map into a
+product of cyclic p-groups with one bincount and counts each character's
+exact sum from that histogram.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import CycloSum, check_budget
+from .core import UnityCounter
 
 Element = tuple[int, ...]
 
@@ -362,119 +365,77 @@ def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
 # equidistribution
 
 
-def _character_bias(values: Sequence[Element], orders: tuple[int, ...],
-                    xi: Element) -> tuple[Fraction | None, float, bool]:
-    """(|E e(xi . f)|^2 exact when rational, float, exactly-zero flag)."""
-    p = None
+def _prime_power(orders: tuple[int, ...]) -> tuple[int, int]:
+    """(p, K) with every order a power of the one prime p and p^K the
+    largest; (1, 0) when every order is 1."""
+    top = max(orders, default=1)
+    p = next((q for q in range(2, math.isqrt(top) + 1) if top % q == 0), top)
     K = 0
-    for o in orders:
-        if o == 1:
-            continue
-        q = o
-        base = 2
-        while base * base <= q:
-            if q % base == 0:
-                break
-            base += 1
-        else:
-            base = q
-        e = 0
-        while q % base == 0:
-            q //= base
-            e += 1
-        if q != 1:
-            raise ValueError("orders must be prime powers")
-        if p is None:
-            p = base
-        elif p != base:
-            raise ValueError("orders must be powers of a single prime")
-        K = max(K, e)
-    if p is None:
-        return Fraction(1), 1.0, False
-    denom = p**K
-    z = CycloSum(p, K)
-    counts: dict[int, int] = {}
-    for v in values:
-        t = sum(c * vx * (denom // o) for c, vx, o in zip(xi, v, orders)) % denom
-        counts[t] = counts.get(t, 0) + 1
-    for t, c in counts.items():
-        z._add_term(t, c)
-    sq = z * z.conj()
-    total_sq = len(values) ** 2
-    r = sq.rational_part()
-    exact = Fraction(r, total_sq) if r is not None else None
-    return exact, abs(z.as_complex()) ** 2 / total_sq, z.is_zero()
+    while p**K < top:
+        K += 1
+    if p**K != top or any(top % o for o in orders):
+        raise ValueError("orders must be powers of a single prime")
+    return p, K
 
 
-def equidistribution_report(values: Sequence[Element],
+def equidistribution_report(values: np.ndarray | Sequence[Element],
                             orders: Sequence[int]) -> dict:
     """Histogram deviations and character biases of a finite map into a
     product of cyclic p-groups, all exact where the algebra allows.
 
-    Reports max_b | |{f=b}|/|A| - 1/|B| | (exact rational) and the largest
-    nontrivial squared character bias; bias exactly zero forces an exactly
-    uniform histogram and the deviation never exceeds the largest bias.
+    values is an (A, r) integer array or a list of A r-tuples, reduced mod
+    the orders.  Reports max_b | |{f=b}|/|A| - 1/|B| | (exact rational) and
+    the largest nontrivial squared character bias; bias exactly zero forces
+    an exactly uniform histogram and the deviation never exceeds the
+    largest bias.
     """
     orders = tuple(int(o) for o in orders)
-    size_B = 1
-    for o in orders:
-        size_B *= o
-    total = len(values)
+    if any(o < 1 for o in orders):
+        raise ValueError("cyclic orders must be positive")
+    p, K = _prime_power(orders)
+    try:
+        vals = np.asarray(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError("values must fit in int64") from exc
+    if vals.ndim != 2 or vals.shape[1] != len(orders):
+        raise ValueError("wrong coordinate count")
+    total = len(vals)
     if total == 0:
         raise ValueError("empty domain")
-    hist: dict[Element, int] = {}
-    for v in values:
-        hist[v] = hist.get(v, 0) + 1
-    max_dev = Fraction(0)
-    for b in itertools.product(*(range(o) for o in orders)):
-        dev = abs(Fraction(hist.get(b, 0), total) - Fraction(1, size_B))
-        max_dev = max(max_dev, dev)
-    max_sq_exact: Fraction | None = Fraction(0)
-    max_sq_float = 0.0
-    all_zero = True
-    for xi in itertools.product(*(range(o) for o in orders)):
-        if all(c == 0 for c in xi):
-            continue
-        exact, approx, is_zero = _character_bias(values, orders, xi)
-        all_zero &= is_zero
-        if approx > max_sq_float:
-            max_sq_float = approx
-        if exact is None:
-            max_sq_exact = None
-        elif max_sq_exact is not None and exact > max_sq_exact:
-            max_sq_exact = exact
+    size_B = math.prod(orders)
+    # codes with the first coordinate most significant, so that code order
+    # is the lexicographic order of the elements
+    strides = np.array([math.prod(orders[t + 1:]) for t in range(len(orders))],
+                       dtype=np.int64)
+    hist = np.bincount(vals % orders @ strides, minlength=size_B)
+    support = np.flatnonzero(hist)
+    weights = hist[support]
+    digits = support[:, None] // strides % orders
     report = {
         "domain_size": total,
-        "histogram": {"/".join(map(str, k)): v for k, v in sorted(hist.items())},
-        "max_deviation": max_dev,
-        "max_bias_sq": max_sq_exact,
-        "max_bias": max_sq_float**0.5,
-        "bias_zero": all_zero,
+        "histogram": {"/".join(map(str, b)): c for b, c in
+                      zip(digits.tolist(), weights.tolist())},
+        "max_deviation": Fraction(int(np.abs(hist * size_B - total).max()),
+                                  total * size_B),
     }
+    # xi . b over p^K for every character xi, weighted by the histogram
+    scaled = digits * (p**K // np.array(orders, dtype=np.int64))
+    max_sq: Fraction | None = Fraction(0)
+    max_sq_float = 0.0
+    all_zero = True
+    for xi in range(1, size_B):
+        counter = UnityCounter(p, K)
+        counter.add_counts(scaled @ (xi // strides % orders) % p**K, weights)
+        z = counter.expectation()
+        sq = z.abs_sq().as_fraction()
+        all_zero &= z.is_zero()
+        max_sq_float = max(max_sq_float,
+                           abs(z.numerator.as_complex()) ** 2 / total**2)
+        max_sq = None if sq is None or max_sq is None else max(max_sq, sq)
+    report.update(max_bias_sq=max_sq, max_bias=max_sq_float**0.5,
+                  bias_zero=all_zero)
     report["weyl_consistent"] = (
-        (not all_zero or max_dev == 0)
-        and float(max_dev) <= report["max_bias"] + 1e-9
+        (not all_zero or report["max_deviation"] == 0)
+        and float(report["max_deviation"]) <= report["max_bias"] + 1e-9
     )
     return report
-
-
-def joint_equidistribution_report(forms_with_slots, d: int, n: int,
-                                  budget: int | None = None) -> dict:
-    """Equidistribution of the tuple map (h_1..h_d) -> (T(h_(j_1..j_k)))
-    over V^d, for a list of (form, slot index tuple) pairs."""
-    from .core import space
-
-    p = forms_with_slots[0][0].p
-    sp = space(p, n)
-    N = sp.size
-    check_budget(N**d * len(forms_with_slots), budget,
-                 "joint_equidistribution_report")
-    grids = np.meshgrid(*([np.arange(N, dtype=np.int64)] * d), indexing="ij")
-    flat = [g.reshape(-1) for g in grids]
-    comps = []
-    for form, slots in forms_with_slots:
-        if len(slots) != form.k:
-            raise ValueError("slot pattern must match the form arity")
-        comps.append(form.eval_batch([flat[j - 1] for j in slots]))
-    tuples = list(zip(*(c.tolist() for c in comps)))
-    return equidistribution_report(tuples, (p,) * len(comps))

@@ -369,6 +369,10 @@ def conditional_expectation(values: Sequence, factors: Sequence[Sequence]):
     when the values are Fractions; complex tables use floats.
     """
     N = len(values)
+    if N == 0:
+        raise ValueError("no values to project")
+    if any(len(factor) != N for factor in factors):
+        raise ValueError("each factor needs one label per value")
     atoms: dict[tuple, list[int]] = {}
     for x in range(N):
         key = tuple(factor[x] for factor in factors)

@@ -406,10 +406,6 @@ class Factor:
     def depths(self) -> tuple[int, ...]:
         return tuple(len(polys) - 1 for _, polys in self.chains)
 
-    @property
-    def initial_degrees(self) -> tuple[int, ...]:
-        return tuple(D for D, _ in self.chains)
-
     def degree(self) -> int:
         return max(
             (D + (len(polys) - 1) * (self.p - 1) for D, polys in self.chains),
@@ -440,25 +436,21 @@ class Factor:
                 chains.append((D, kept))
         return Factor(self.p, self.n, chains, regular=self.regular)
 
-    def top_values(self, idx: int) -> tuple[int, ...]:
-        """Integer coordinates a_i with P_(i,J_i)(x) = a_i / p^(J_i+1)."""
-        out = []
-        for _, polys in self.chains:
-            top = polys[-1]
-            J = len(polys) - 1
-            out.append(int(top.nums[idx]) * self.p ** (J + 1 - top.K)
-                       % self.p ** (J + 1))
-        return tuple(out)
+    def top_values(self) -> np.ndarray:
+        """(p^n, m) integer table whose row x holds the coordinates a_i with
+        P_(i,J_i)(x) = a_i / p^(J_i+1)."""
+        out = np.empty((self.p**self.n, self.dimension), dtype=np.int64)
+        for t, (_, polys) in enumerate(self.chains):
+            top, mod = polys[-1], self.p ** len(polys)
+            out[:, t] = top.nums * (mod // self.p**top.K) % mod
+        return out
 
     def pullback(self, wp: WeightedPoly) -> NCPoly:
         """Q(x) = f(a_1, ..., a_m) through the top coordinates."""
         if wp.m != self.dimension:
             raise ValueError("dimension mismatch")
-        pts = np.empty((self.p**self.n, wp.m), dtype=np.int64)
-        for t, (_, polys) in enumerate(self.chains):
-            top, mod = polys[-1], self.p ** len(polys)
-            pts[:, t] = top.nums * (mod // self.p**top.K) % mod
-        return NCPoly(self.p, self.n, wp.eval_nums(pts), wp.exponent())
+        return NCPoly(self.p, self.n, wp.eval_nums(self.top_values()),
+                      wp.exponent())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Factor):

@@ -172,6 +172,8 @@ def test_criterion_10_decomposition():
 
 
 def test_criterion_11_determinism():
+    # --threads splits work only in gowers-props (its bias checks run the
+    # bias rank fold); every other suite runs on one thread at any value
     quick = {
         "lucas": {"n": 6, "k": 6},
         "lam": {"n": 8},
@@ -195,5 +197,6 @@ def test_criterion_11_determinism():
         if not all(r.passed for r in runs):
             mismatches.append(name + ":failed")
     _line(11, "byte-identical suite reports across thread counts 1 and 8",
-          not mismatches, f"all {len(quick)} suites"
+          not mismatches, f"all {len(quick)} suites; threads split only "
+          "gowers-props"
           + (f"; mismatches {mismatches}" if mismatches else ""))

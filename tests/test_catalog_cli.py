@@ -247,6 +247,23 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["max_deviation"] == "0/1"
 
+    @pytest.mark.parametrize("payload", [
+        {"values": [[1], [0]], "orders": [2, 4]},  # wrong coordinate count
+        {"values": [[1], [0]], "orders": [0]},  # order below 1
+    ])
+    def test_equidist_malformed_exit_2(self, payload, capsys):
+        code, out = run_cli("--input", "-", "equidist",
+                            stdin_text=json.dumps(payload))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_equidist_reduces_values(self):
+        payload = json.dumps({"values": [[5], [1]], "orders": [4]})
+        code, out = run_cli("--input", "-", "equidist", stdin_text=payload)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["histogram"] == {"1": 2} and rep["max_deviation"] == "3/4"
+
     def test_verify_exit_code_and_determinism(self):
         code1, out1 = run_cli("verify", "lam", "--seed", "5", "--threads", "1")
         code8, out8 = run_cli("verify", "lam", "--seed", "5", "--threads", "8")
@@ -295,6 +312,17 @@ class TestCli:
         rep = json.loads(out)
         assert rep["projected"] == ["1", "1", "3", "3"]
         assert rep["energy"] == "5/1"
+
+    @pytest.mark.parametrize("payload", [
+        {"values": [1, 2, 3, 4], "factors": [[0, 1]]},  # factor too short
+        {"values": [1, 2], "factors": [[0, 1, 1]]},  # factor too long
+        {"values": [], "factors": []},  # no values
+    ])
+    def test_decompose_malformed_exit_2(self, payload, capsys):
+        code, out = run_cli("--input", "-", "decompose",
+                            stdin_text=json.dumps(payload))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_weighted_commands(self):
         wp = {"p": 2, "m": 1, "D": [1], "alpha": {"num": 0, "exp": 0},

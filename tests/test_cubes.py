@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from toruspoly import cubes, cubescan
-from toruspoly.catalog import bilinear_b, mother_q
-from toruspoly.core import BudgetExceeded
+from toruspoly.catalog import L_table, S_k, bilinear_b, mother_q
+from toruspoly.core import BudgetExceeded, space
 from toruspoly.cubes import (
     CubePoint,
     FilteredAbelianGroup,
@@ -20,7 +20,6 @@ from toruspoly.cubes import (
     hk_size,
     hk_taylor,
     is_polynomial_map,
-    joint_equidistribution_report,
     taylor_expand,
 )
 from toruspoly.cubescan import (
@@ -32,6 +31,7 @@ from toruspoly.cubescan import (
     preserves_cubes_fast,
     taylor_member_mask,
 )
+from toruspoly.forms import CSMForm
 from toruspoly.poly import NCPoly
 from toruspoly.rng import SplitMix64
 from toruspoly.suites import _group_zoo
@@ -451,6 +451,25 @@ class TestCachedTables:
             preserves_cubes_fast(identity, H, H, 2, cap=63)
 
 
+def _form_tuples(forms_with_slots, d: int, n: int) -> np.ndarray:
+    """The tuple map (h_1..h_d) -> (T(h_(j_1..j_k)))_T over V^d, one row
+    per point of V^d, for a list of (form, slot index tuple) pairs."""
+    N = space(forms_with_slots[0][0].p, n).size
+    h = np.indices((N,) * d).reshape(d, -1)
+    return np.stack([form.eval_batch([h[j - 1] for j in slots])
+                     for form, slots in forms_with_slots], axis=1)
+
+
+def _max_bias_oracle(values, orders) -> float:
+    """max over nonzero xi of |mean e(xi . v)|, in floats."""
+    v = np.asarray(values) / np.asarray(orders)
+    out = 0.0
+    for xi in itertools.product(*(range(o) for o in orders)):
+        if any(xi):
+            out = max(out, abs(np.exp(2j * np.pi * (v @ np.array(xi))).mean()))
+    return out
+
+
 class TestEquidistribution:
     def test_identity_uniform(self):
         rep = equidistribution_report([(x,) for x in range(5)], (5,))
@@ -466,10 +485,10 @@ class TestEquidistribution:
         # the top coordinates of an explicit chain factor on F_2^6
         P10 = NCPoly.from_text(2, 6, "1/2*x1*x2 + 1/2*x3*x4")
         F = Factor(2, 6, [(2, [P10, P10.pth_root()])])
-        values = [F.top_values(idx) for idx in range(64)]
-        rep = equidistribution_report(values, (4,))
+        rep = equidistribution_report(F.top_values(), (4,))
         # frozen regression values from direct counting: histogram is
         # {0: 36, 1: 24, 2: 4, 3: 0} over the 64 points
+        assert rep["histogram"] == {"0": 36, "1": 24, "2": 4}
         assert rep["max_deviation"] == Fraction(5, 16)
         assert rep["max_bias_sq"] == Fraction(25, 64)
 
@@ -481,28 +500,83 @@ class TestEquidistribution:
             assert rep["bias_zero"] == (rep["max_deviation"] == 0)
 
     def test_joint_full_rank_linear(self):
-        from toruspoly.forms import CSMForm
         L = CSMForm(2, 3, 1, {(0,): 1})
-        rep = joint_equidistribution_report([(L, (1,))], 1, 3)
+        rep = equidistribution_report(_form_tuples([(L, (1,))], 1, 3), (2,))
         assert rep["max_deviation"] == 0
 
     def test_joint_duplicated_form_diagonal(self):
-        from toruspoly.forms import CSMForm
         L = CSMForm(2, 3, 1, {(0,): 1})
-        rep = joint_equidistribution_report([(L, (1,)), (L, (1,))], 1, 3)
+        rep = equidistribution_report(
+            _form_tuples([(L, (1,)), (L, (1,))], 1, 3), (2, 2))
         assert rep["max_bias"] == pytest.approx(1.0)
 
     def test_joint_bilinear_pairs_pinned(self):
         B = bilinear_b(5)
-        rep = joint_equidistribution_report(
-            [(B, (1, 2)), (B, (1, 3)), (B, (2, 3))], 3, 5)
+        rep = equidistribution_report(
+            _form_tuples([(B, (1, 2)), (B, (1, 3)), (B, (2, 3))], 3, 5),
+            (2, 2, 2))
         # frozen from direct counting over |V|^3 = 2^15 triples
+        assert rep["domain_size"] == 1 << 15
         assert rep["max_deviation"] == Fraction(7, 128)
         assert rep["max_bias_sq"] == Fraction(1, 256)
+
+    @pytest.mark.parametrize("n, deviation, bias", [
+        (6, Fraction(1, 4), 0.6248159900902646),
+        (8, Fraction(27, 128), 0.6376776092858815),
+    ])
+    def test_witness_factor_pinned(self, n, deviation, bias):
+        # the factor (S_4/2, L/8) on F_2^n, valued in Z/2 x Z/8; frozen
+        # from the per-value counting this report replaced
+        vals = np.stack([S_k(n, 4).classical_table(), L_table(n) % 8], axis=1)
+        rep = equidistribution_report(vals, (2, 8))
+        assert rep["max_deviation"] == deviation
+        assert rep["max_bias"] == pytest.approx(bias, abs=1e-12)
+        assert rep["weyl_consistent"] and not rep["bias_zero"]
+
+    def test_max_bias_matches_float_oracle(self):
+        rng = SplitMix64(41)
+        for orders in ((2, 8), (9, 3)):
+            for _ in range(20):
+                vals = [tuple(rng.below(o) for o in orders)
+                        for _ in range(1 + rng.below(50))]
+                rep = equidistribution_report(vals, orders)
+                assert abs(rep["max_bias"] - _max_bias_oracle(vals, orders)) \
+                    <= 1e-12
+                if rep["max_bias_sq"] is not None:
+                    assert float(rep["max_bias_sq"]) == pytest.approx(
+                        rep["max_bias"] ** 2, abs=1e-12)
+
+    def test_array_and_tuples_agree(self):
+        vals = [(1, 7), (0, 3), (1, 3), (0, 0)]
+        assert equidistribution_report(np.array(vals), (2, 8)) == \
+            equidistribution_report(vals, (2, 8))
+
+    def test_unreduced_values_reduced(self):
+        rep = equidistribution_report([(5,), (1,)], (4,))
+        assert rep["histogram"] == {"1": 2}
+        assert rep["max_deviation"] == Fraction(3, 4)
+        assert rep == equidistribution_report([(1,), (-3,)], (4,))
+
+    def test_wrong_coordinate_count_rejected(self):
+        with pytest.raises(ValueError, match="wrong coordinate count"):
+            equidistribution_report([(1,), (0,)], (2, 4))
+        with pytest.raises(ValueError):
+            equidistribution_report([(1, 0), (0,)], (2, 4))
+
+    def test_values_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="int64"):
+            equidistribution_report([(1 << 70,), (0,)], (2,))
+
+    def test_order_below_one_rejected(self):
+        for orders in ((0,), (4, -2)):
+            with pytest.raises(ValueError, match="orders must be positive"):
+                equidistribution_report([(1,) * len(orders)] * 2, orders)
 
     def test_mixed_prime_orders_rejected(self):
         with pytest.raises(ValueError):
             equidistribution_report([(0, 0)], (2, 3))
+        with pytest.raises(ValueError):
+            equidistribution_report([(0,)], (6,))
 
 
 class TestSerialization:

@@ -389,6 +389,15 @@ class TestConditionalExpectation:
         _, fine = conditional_expectation(f, [s1, s2])
         assert coarse <= fine
 
+    def test_malformed_rejected(self):
+        vals = [Fraction(v) for v in (1, 2, 3, 4)]
+        with pytest.raises(ValueError, match="one label per value"):
+            conditional_expectation(vals, [[0, 1]])
+        with pytest.raises(ValueError, match="one label per value"):
+            conditional_expectation(vals, [[0, 0, 1, 1], [0, 1, 0, 1, 0]])
+        with pytest.raises(ValueError, match="no values"):
+            conditional_expectation([], [])
+
 
 class TestPowerRecording:
     def test_quartic_power_equals_bias_n4_n5(self):

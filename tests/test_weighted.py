@@ -402,10 +402,14 @@ class TestFactor:
 
     def test_pullback_matches_pointwise_table(self):
         F = chain_factor(4).depth_extend([2, 1])
+        # a_i = p^(J_i+1) P_(i,J_i)(x), read off the values one point at a time
+        tops = [[int(polys[-1].value_at_index(idx).as_fraction() * 2 ** len(polys))
+                 for _, polys in F.chains] for idx in range(16)]
+        assert F.top_values().tolist() == tops
         rng = SplitMix64(17)
         for _ in range(10):
             w = random_wpoly(rng, 2, 2, r_max=3)
             w = WeightedPoly(2, 2, (2, 2), w.alpha, w.terms)
             pointwise = NCPoly.from_values(
-                2, 4, [eval_oracle(w, F.top_values(idx)) for idx in range(16)])
+                2, 4, [eval_oracle(w, x) for x in tops])
             assert F.pullback(w) == pointwise
