@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import UnityCounter
+from .core import CycloSum, ExactExpectation
 
 Element = tuple[int, ...]
 
@@ -393,21 +393,25 @@ def equidistribution_report(values: np.ndarray | Sequence[Element],
     if any(o < 1 for o in orders):
         raise ValueError("cyclic orders must be positive")
     p, K = _prime_power(orders)
-    try:
-        vals = np.asarray(values, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError("values must fit in int64") from exc
-    if vals.ndim != 2 or vals.shape[1] != len(orders):
-        raise ValueError("wrong coordinate count")
-    total = len(vals)
+    total = len(values)
     if total == 0:
         raise ValueError("empty domain")
+    raw = np.asarray(values)
+    if raw.ndim != 2 or raw.shape[1] != len(orders):
+        raise ValueError("wrong coordinate count")
+    # floats would truncate and integers past 64 bits come as objects; an
+    # unsigned array is reduced as unsigned so that no value wraps
+    if raw.size and raw.dtype.kind not in "iu":
+        raise ValueError("values must be integers within int64 or uint64")
+    wide = np.uint64 if raw.dtype.kind == "u" else np.int64
+    vals = (raw.astype(wide) % np.array(orders, dtype=wide)).astype(np.int64)
     size_B = math.prod(orders)
     # codes with the first coordinate most significant, so that code order
     # is the lexicographic order of the elements
     strides = np.array([math.prod(orders[t + 1:]) for t in range(len(orders))],
                        dtype=np.int64)
-    hist = np.bincount(vals % orders @ strides, minlength=size_B)
+    codes = vals @ strides
+    hist = np.bincount(codes, minlength=size_B)
     support = np.flatnonzero(hist)
     weights = hist[support]
     digits = support[:, None] // strides % orders
@@ -418,15 +422,25 @@ def equidistribution_report(values: np.ndarray | Sequence[Element],
         "max_deviation": Fraction(int(np.abs(hist * size_B - total).max()),
                                   total * size_B),
     }
-    # xi . b over p^K for every character xi, weighted by the histogram
-    scaled = digits * (p**K // np.array(orders, dtype=np.int64))
+    # xi . b over p^K for every character xi, weighted by the histogram.
+    # Each sum takes its residues in the order the values first show them,
+    # which fixes the summation order, and so the last bit, of max_bias
+    # (dict.fromkeys keeps first appearances without a sort).
+    seen = np.fromiter(dict.fromkeys(codes.tolist()), dtype=np.int64,
+                       count=len(support))
+    weights = hist[seen]
+    scaled = seen[:, None] // strides % orders \
+        * (p**K // np.array(orders, dtype=np.int64))
     max_sq: Fraction | None = Fraction(0)
     max_sq_float = 0.0
     all_zero = True
     for xi in range(1, size_B):
-        counter = UnityCounter(p, K)
-        counter.add_counts(scaled @ (xi // strides % orders) % p**K, weights)
-        z = counter.expectation()
+        res = scaled @ (xi // strides % orders) % p**K
+        counts = np.zeros(p**K, dtype=np.int64)
+        np.add.at(counts, res, weights)
+        ts = list(dict.fromkeys(res.tolist()))
+        z = ExactExpectation(
+            CycloSum(p, K, dict(zip(ts, counts[ts].tolist()))), total)
         sq = z.abs_sq().as_fraction()
         all_zero &= z.is_zero()
         max_sq_float = max(max_sq_float,

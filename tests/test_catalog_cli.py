@@ -250,12 +250,21 @@ class TestCli:
     @pytest.mark.parametrize("payload", [
         {"values": [[1], [0]], "orders": [2, 4]},  # wrong coordinate count
         {"values": [[1], [0]], "orders": [0]},  # order below 1
+        {"values": [[1.5], [0]], "orders": [2]},  # not an integer
     ])
     def test_equidist_malformed_exit_2(self, payload, capsys):
         code, out = run_cli("--input", "-", "equidist",
                             stdin_text=json.dumps(payload))
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_equidist_prime_past_supported_moduli(self):
+        payload = json.dumps({"values": [[0], [1]], "orders": [17]})
+        code, out = run_cli("--input", "-", "equidist", stdin_text=payload)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["histogram"] == {"0": 1, "1": 1}
+        assert rep["max_deviation"] == "15/34" and not rep["bias_zero"]
 
     def test_equidist_reduces_values(self):
         payload = json.dumps({"values": [[5], [1]], "orders": [4]})

@@ -535,8 +535,9 @@ class TestEquidistribution:
 
     def test_max_bias_matches_float_oracle(self):
         rng = SplitMix64(41)
-        for orders in ((2, 8), (9, 3)):
-            for _ in range(20):
+        for orders, maps in (((2, 8), 20), ((9, 3), 20), ((17,), 10),
+                             ((19, 19), 4)):
+            for _ in range(maps):
                 vals = [tuple(rng.below(o) for o in orders)
                         for _ in range(1 + rng.below(50))]
                 rep = equidistribution_report(vals, orders)
@@ -566,6 +567,16 @@ class TestEquidistribution:
     def test_values_past_int64_rejected(self):
         with pytest.raises(ValueError, match="int64"):
             equidistribution_report([(1 << 70,), (0,)], (2,))
+
+    def test_non_integer_values_rejected(self):
+        for vals in ([(1.5,), (0,)], [(1e30,), (0,)], np.ones((2, 1))):
+            with pytest.raises(ValueError, match="integers"):
+                equidistribution_report(vals, (2,))
+
+    def test_unsigned_values_reduced_without_wrapping(self):
+        vals = np.array([[1 << 63], [1]], dtype=np.uint64)
+        rep = equidistribution_report(vals, (3,))
+        assert rep == equidistribution_report([((1 << 63) % 3,), (1,)], (3,))
 
     def test_order_below_one_rejected(self):
         for orders in ((0,), (4, -2)):
