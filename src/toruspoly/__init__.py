@@ -4,7 +4,6 @@ Z^m, and Host-Kra cube groups."""
 
 from .core import (
     BudgetExceeded,
-    CycloSum,
     ExactExpectation,
     FVec,
     PrimeField,

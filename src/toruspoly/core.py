@@ -2,8 +2,11 @@
 
 Provides the prime field, torus values with p-power denominators (elements
 of (1/p^K)Z/Z), digit vectors over F_p^n with fast index arithmetic,
-deterministic root-of-unity accumulators, and exact sums of roots of unity
-in Z[zeta_{p^K}].
+deterministic root-of-unity accumulators (`UnityCounter`), and exact
+expectations of roots of unity (`ExactExpectation`): integer counts on the
+residues of Z/p^K, batched over leading axes and reduced once to their
+coordinates in Z[zeta_{p^K}], from which zero tests, rational values and
+|.|^2 are read exactly.
 
 All arithmetic here is integer-exact; floats appear only when a character
 sum is finally converted to a complex number.
@@ -300,117 +303,87 @@ def enumerate_space(p: int, n: int) -> Iterator[FVec]:
         yield FVec(p, n, idx)
 
 
-class CycloSum:
-    """Exact integer combination of p^K-th roots of unity.
+class ExactExpectation:
+    """Expectations (1/total) * sum_j counts[..., j] zeta^(residues[j]) in
+    Q(zeta) for zeta = zeta_(p^K), held exactly and batched over the
+    leading axes of counts.
 
-    Elements are reduced to the canonical Z-basis zeta^0, ..., zeta^(phi-1)
-    of Z[zeta_{p^K}] where phi = (p-1) p^(K-1), using the cyclotomic
-    relation sum_{i<p} zeta^(i p^(K-1)) = 0.  Equality with 0 and extraction
-    of rational values are exact.
+    The counts are reduced once, at construction, to integer coordinates on
+    the basis zeta^0, ..., zeta^(phi-1) of Z[zeta], phi = (p-1) p^(K-1):
+    with t = a p^(K-1) + b the relation sum_a zeta^t = 0 makes the
+    coordinate of zeta^t, for a < p-1, equal to c[a, b] - c[p-1, b].  Only
+    basis elements with a nonzero coordinate somewhere in the batch are
+    kept, so equal sums have equal (basis, coords).  Any prime p works, and
+    K = 0 (a sum of ones) too.
     """
 
-    __slots__ = ("p", "K", "coeffs")
+    __slots__ = ("p", "K", "basis", "coords", "total")
 
-    def __init__(self, p: int, K: int, coeffs: dict[int, int] | None = None):
-        self.p = p
-        self.K = K
-        self.coeffs: dict[int, int] = {}
-        if coeffs:
-            for t, c in coeffs.items():
-                self._add_term(t, c)
-
-    @property
-    def order(self) -> int:
-        return self.p**self.K
-
-    @property
-    def phi(self) -> int:
-        return (self.p - 1) * self.p ** (self.K - 1) if self.K > 0 else 1
-
-    def _add_term(self, t: int, c: int) -> None:
-        if c == 0:
-            return
-        t %= self.order
-        if t < self.phi:
-            new = self.coeffs.get(t, 0) + c
-            if new:
-                self.coeffs[t] = new
-            else:
-                self.coeffs.pop(t, None)
-            return
-        # zeta^((p-1)p^(K-1) + b) = -sum_{i<p-1} zeta^(i p^(K-1) + b)
-        b = t - self.phi
-        step = self.p ** (self.K - 1)
-        for i in range(self.p - 1):
-            self._add_term(i * step + b, -c)
-
-    @classmethod
-    def from_counts(cls, p: int, K: int, counts: Sequence[int]) -> "CycloSum":
-        return cls(p, K, {t: int(c) for t, c in enumerate(counts) if c})
-
-    def __add__(self, other: "CycloSum") -> "CycloSum":
-        out = CycloSum(self.p, self.K, dict(self.coeffs))
-        for t, c in other.coeffs.items():
-            out._add_term(t, c)
-        return out
-
-    def __mul__(self, other: "CycloSum") -> "CycloSum":
-        out = CycloSum(self.p, self.K)
-        for t1, c1 in self.coeffs.items():
-            for t2, c2 in other.coeffs.items():
-                out._add_term(t1 + t2, c1 * c2)
-        return out
-
-    def conj(self) -> "CycloSum":
-        out = CycloSum(self.p, self.K)
-        for t, c in self.coeffs.items():
-            out._add_term(-t % self.order if t else 0, c)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_rational(self) -> bool:
-        return all(t == 0 for t in self.coeffs)
-
-    def rational_part(self) -> int | None:
-        if not self.is_rational():
-            return None
-        return self.coeffs.get(0, 0)
-
-    def as_complex(self) -> complex:
-        return sum(
-            (c * _root_of_unity(t, self.order) for t, c in self.coeffs.items()),
-            0j,
-        )
-
-
-class ExactExpectation:
-    """An expectation (1/total) * sum of roots of unity, held exactly."""
-
-    __slots__ = ("numerator", "total")
-
-    def __init__(self, numerator: CycloSum, total: int):
+    def __init__(self, p: int, K: int, counts, total: int, residues=None):
+        """counts is (..., R) over the R distinct residues mod p^K that the
+        batch shares; residues=None means all p^K of them, in order."""
         if total <= 0:
             raise ValueError("empty counter")
-        self.numerator = numerator
-        self.total = total
+        self.p, self.K, self.total = p, K, total
+        counts = np.asarray(counts)
+        batch = counts.shape[:-1]
+        if K == 0:
+            basis = np.zeros(1, dtype=np.int64)
+            coords = counts.sum(axis=-1, keepdims=True)
+        else:
+            m = p ** (K - 1)
+            if residues is None:
+                cols = np.arange(m, dtype=np.int64)
+                table = counts.reshape(batch + (p, m))
+            else:
+                residues = np.asarray(residues, dtype=np.int64)
+                cols, col = np.unique(residues % m, return_inverse=True)
+                table = np.zeros(batch + (p, len(cols)), dtype=counts.dtype)
+                table[..., residues // m, col] = counts
+            coords = (table[..., :-1, :] - table[..., -1:, :]) \
+                .reshape(batch + (-1,))
+            basis = (np.arange(p - 1)[:, None] * m + cols).ravel()
+        keep = (coords != 0).any(axis=tuple(range(len(batch))))
+        self.basis = basis[keep]
+        self.coords = coords[..., keep]
 
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
+    def is_zero(self):
+        return ~(self.coords != 0).any(axis=-1)
+
+    def is_rational(self):
+        return ~(self.coords[..., self.basis != 0] != 0).any(axis=-1)
+
+    def rational_part(self):
+        """The coordinate of zeta^0: the numerator wherever is_rational()."""
+        return np.where(self.basis == 0, self.coords, 0).sum(axis=-1)
 
     def as_fraction(self) -> Fraction | None:
         """Exact rational value, or None when the sum is irrational."""
-        r = self.numerator.rational_part()
-        if r is None:
+        if not self.is_rational():
             return None
-        return Fraction(r, self.total)
+        return Fraction(int(self.rational_part()), self.total)
 
-    def as_complex(self) -> complex:
-        return self.numerator.as_complex() / self.total
+    def as_complex(self):
+        roots = np.exp(2j * np.pi * (self.basis / self.p**self.K))
+        return self.coords.astype(float) @ roots / self.total
 
     def abs_sq(self) -> "ExactExpectation":
-        return ExactExpectation(self.numerator * self.numerator.conj(), self.total**2)
+        """|E|^2, exactly: the cyclic autocorrelation of the coordinates,
+        in Python integers once a sum could pass 2^62."""
+        bound = np.abs(self.coords.astype(float)).sum(axis=-1).max(initial=0.0)
+        x = self.coords.astype(object if bound**2 >= 2.0**62 else np.int64)
+        # row j holds the residues t_i - t_j of the products x_i x_j; as in
+        # UnityCounter they index all p^K residues up to _DENSE_COUNTERS
+        # and the differences that occur past it
+        M = self.p**self.K
+        diffs = (self.basis - self.basis[:, None]) % M
+        residues = np.unique(diffs) if M > _DENSE_COUNTERS else None
+        if residues is not None:
+            M, diffs = len(residues), np.searchsorted(residues, diffs)
+        acc = np.zeros(x.shape[:-1] + (M,), dtype=x.dtype)
+        for j in range(len(self.basis)):
+            acc[..., diffs[j]] += x[..., j, None] * x
+        return ExactExpectation(self.p, self.K, acc, self.total**2, residues)
 
 
 # UnityCounter keeps a dense array of counters up to this many residues and
@@ -435,6 +408,8 @@ class UnityCounter:
             np.zeros(p**K, dtype=np.int64) if p**K <= _DENSE_COUNTERS else {}
 
     def add_value(self, v: TorusValue, count: int = 1) -> None:
+        if v.p != self.p:
+            raise ValueError(f"value of modulus {v.p} in a counter of {self.p}")
         if v.exp > self.K:
             raise ValueError(f"value denominator exceeds p^{self.K}")
         self.add_counts([v.num * self.p ** (self.K - v.exp)], [count])
@@ -473,11 +448,10 @@ class UnityCounter:
         nz = np.flatnonzero(self.counts)
         return nz.tolist(), self.counts[nz].tolist()
 
-    @property
-    def total(self) -> int:
-        return sum(self._nonzero()[1])
-
     def expectation(self) -> ExactExpectation:
-        residues, counts = self._nonzero()
-        return ExactExpectation(
-            CycloSum(self.p, self.K, dict(zip(residues, counts))), sum(counts))
+        if isinstance(self.counts, dict):
+            residues, counts = self._nonzero()
+            return ExactExpectation(self.p, self.K, np.array(counts, np.int64),
+                                    sum(counts), residues)
+        return ExactExpectation(self.p, self.K, self.counts,
+                                int(self.counts.sum()))

@@ -12,8 +12,8 @@ code table (`is_polynomial_map(phi_codes, H, G)`) level by level in numpy;
 the face criterion, cube enumeration and cube preservation live in
 `cubescan`, vectorised over many cubes at once, and the two criteria are
 cross-checked there.  `equidistribution_report` histograms a map into a
-product of cyclic p-groups with one bincount and counts each character's
-exact sum from that histogram.
+product of cyclic p-groups with one bincount and reads every character's
+exact sum from one (characters, p^K) count array built from that histogram.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import CycloSum, ExactExpectation
+from .core import ExactExpectation, check_budget
 
 Element = tuple[int, ...]
 
@@ -365,6 +365,11 @@ def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
 # equidistribution
 
 
+# equidistribution_report allocates a (|B|, p^K) character count array and
+# a (|B|, |support|) residue array; it refuses either past this many entries
+_EQUIDIST_CAP = 1 << 22
+
+
 def _prime_power(orders: tuple[int, ...]) -> tuple[int, int]:
     """(p, K) with every order a power of the one prime p and p^K the
     largest; (1, 0) when every order is 1."""
@@ -396,6 +401,9 @@ def equidistribution_report(values: np.ndarray | Sequence[Element],
     total = len(values)
     if total == 0:
         raise ValueError("empty domain")
+    size_B = math.prod(orders)
+    check_budget(size_B * max(p**K, min(total, size_B)), _EQUIDIST_CAP,
+                 "equidistribution_report")
     raw = np.asarray(values)
     if raw.ndim != 2 or raw.shape[1] != len(orders):
         raise ValueError("wrong coordinate count")
@@ -405,51 +413,36 @@ def equidistribution_report(values: np.ndarray | Sequence[Element],
         raise ValueError("values must be integers within int64 or uint64")
     wide = np.uint64 if raw.dtype.kind == "u" else np.int64
     vals = (raw.astype(wide) % np.array(orders, dtype=wide)).astype(np.int64)
-    size_B = math.prod(orders)
     # codes with the first coordinate most significant, so that code order
     # is the lexicographic order of the elements
     strides = np.array([math.prod(orders[t + 1:]) for t in range(len(orders))],
                        dtype=np.int64)
-    codes = vals @ strides
-    hist = np.bincount(codes, minlength=size_B)
+    hist = np.bincount(vals @ strides, minlength=size_B)
     support = np.flatnonzero(hist)
-    weights = hist[support]
     digits = support[:, None] // strides % orders
     report = {
         "domain_size": total,
         "histogram": {"/".join(map(str, b)): c for b, c in
-                      zip(digits.tolist(), weights.tolist())},
+                      zip(digits.tolist(), hist[support].tolist())},
         "max_deviation": Fraction(int(np.abs(hist * size_B - total).max()),
                                   total * size_B),
     }
-    # xi . b over p^K for every character xi, weighted by the histogram.
-    # Each sum takes its residues in the order the values first show them,
-    # which fixes the summation order, and so the last bit, of max_bias
-    # (dict.fromkeys keeps first appearances without a sort).
-    seen = np.fromiter(dict.fromkeys(codes.tolist()), dtype=np.int64,
-                       count=len(support))
-    weights = hist[seen]
-    scaled = seen[:, None] // strides % orders \
-        * (p**K // np.array(orders, dtype=np.int64))
-    max_sq: Fraction | None = Fraction(0)
-    max_sq_float = 0.0
-    all_zero = True
-    for xi in range(1, size_B):
-        res = scaled @ (xi // strides % orders) % p**K
-        counts = np.zeros(p**K, dtype=np.int64)
-        np.add.at(counts, res, weights)
-        ts = list(dict.fromkeys(res.tolist()))
-        z = ExactExpectation(
-            CycloSum(p, K, dict(zip(ts, counts[ts].tolist()))), total)
-        sq = z.abs_sq().as_fraction()
-        all_zero &= z.is_zero()
-        max_sq_float = max(max_sq_float,
-                           abs(z.numerator.as_complex()) ** 2 / total**2)
-        max_sq = None if sq is None or max_sq is None else max(max_sq, sq)
-    report.update(max_bias_sq=max_sq, max_bias=max_sq_float**0.5,
-                  bias_zero=all_zero)
+    # counts[xi - 1, r] = |{a : xi . f(a) = r / p^K}| for every character
+    # xi != 0, from the residues xi . b of the histogram's support
+    M = p**K
+    chars = np.arange(1, size_B)[:, None] // strides % orders
+    res = chars @ (digits * (M // np.array(orders, dtype=np.int64))).T % M
+    counts = np.zeros((size_B - 1, M), dtype=np.int64)
+    np.add.at(counts, (np.arange(size_B - 1)[:, None], res), hist[support])
+    z = ExactExpectation(p, K, counts, total)
+    sq = z.abs_sq()
+    report.update(
+        max_bias_sq=Fraction(int(sq.rational_part().max(initial=0)), sq.total)
+        if sq.is_rational().all() else None,
+        max_bias=float(np.abs(z.as_complex()).max(initial=0.0)),
+        bias_zero=bool(z.is_zero().all()))
     report["weyl_consistent"] = (
-        (not all_zero or report["max_deviation"] == 0)
+        (not report["bias_zero"] or report["max_deviation"] == 0)
         and float(report["max_deviation"]) <= report["max_bias"] + 1e-9
     )
     return report

@@ -146,17 +146,15 @@ def _derivative_expansion(table: np.ndarray, p: int, n: int, d: int,
         emit(expand(base, [A] * whole))
 
 
-def _cube_product(tables: Sequence[np.ndarray], p: int, n: int) -> complex:
+def _cube_product(tables: Sequence[np.ndarray], p: int, n: int,
+                  budget: int | None = None) -> complex:
     """E_{h_1..h_d, x} of prod_omega tables[omega](x + omega . h) over the
     2^d vertices of the d-cube, by the definition verbatim."""
     sp = space(p, n)
     N = sp.size
     d = len(tables).bit_length() - 1
-    axes_idx = []
-    for t in range(d + 1):
-        shape = [1] * (d + 1)
-        shape[t] = N
-        axes_idx.append(np.arange(N, dtype=np.int64).reshape(shape))
+    check_budget(N ** (d + 1), budget, "_cube_product")
+    axes_idx = np.ix_(*[np.arange(N, dtype=np.int64)] * (d + 1))
     total = np.ones((N,) * (d + 1), dtype=np.complex128)
     for omega in range(1 << d):
         idx = axes_idx[d]  # x runs on the last axis
@@ -167,13 +165,14 @@ def _cube_product(tables: Sequence[np.ndarray], p: int, n: int) -> complex:
     return complex(total.mean())
 
 
-def _gowers_power_direct(f: BoundedFunction, d: int) -> complex:
+def _gowers_power_direct(f: BoundedFunction, d: int,
+                         budget: int | None = None) -> complex:
     """The cube definition verbatim, N^(d+1) work: the oracle that tests
     and the gowers-props suite compare `gowers_power` with."""
     conj = np.conj(f.values)
     return _cube_product(
         [conj if bin(omega).count("1") % 2 else f.values
-         for omega in range(1 << d)], f.p, f.n)
+         for omega in range(1 << d)], f.p, f.n, budget)
 
 
 def gowers_power(f: BoundedFunction, d: int,
@@ -420,8 +419,6 @@ def verify_gowers_properties(p: int, n: int, seed: int, count: int = 100,
     two Cauchy-Schwarz inequalities, (vi) invariance under modulation by
     lower-degree phases.  Returns one record per check."""
     rng = SplitMix64(seed)
-    sp = space(p, n)
-    N = sp.size
     records: list[dict] = []
 
     def rec(check: str, case: int, lhs: float, rhs: float, tolerance: float):
@@ -437,17 +434,19 @@ def verify_gowers_properties(p: int, n: int, seed: int, count: int = 100,
         f = _random_bounded(p, n, rng)
         g = _random_bounded(p, n, rng)
 
+        # (ii) monotonicity along d = 1..d_max; norms[d - 1] is ||f||_{U^d}
+        norms = [gowers_norm(f, dd, budget=budget) for dd in range(1, d_max + 1)]
+
         # (i) triangle
         rec("triangle", case,
             gowers_norm(f + g, d, budget=budget),
-            gowers_norm(f, d, budget=budget) + gowers_norm(g, d, budget=budget), tol)
+            norms[d - 1] + gowers_norm(g, d, budget=budget), tol)
         # homogeneity edge: ||2g|| = 2||g||
         two_g = g.scale(2.0)
         rec("triangle-homogeneity", case,
-            abs(gowers_norm(two_g, d) - 2 * gowers_norm(g, d)), 0.0, 1e-10)
+            abs(gowers_norm(two_g, d, budget=budget)
+                - 2 * gowers_norm(g, d, budget=budget)), 0.0, 1e-10)
 
-        # (ii) monotonicity along d = 1..d_max
-        norms = [gowers_norm(f, dd, budget=budget) for dd in range(1, d_max + 1)]
         for dd in range(d_max - 1):
             rec("monotonicity", case * d_max + dd, norms[dd], norms[dd + 1], tol)
 
@@ -458,48 +457,41 @@ def verify_gowers_properties(p: int, n: int, seed: int, count: int = 100,
 
         # (iv) first Cauchy-Schwarz: product over the 2^d cube vertices
         fs = [_random_bounded(p, n, rng) for _ in range(1 << d)]
-        lhs = abs(_cube_product([fo.values for fo in fs], p, n))
-        rhs = 1.0
-        for fo in fs:
-            rhs *= gowers_norm(fo, d, budget=budget)
+        lhs = abs(_cube_product([fo.values for fo in fs], p, n, budget))
+        rhs = math.prod(gowers_norm(fo, d, budget=budget) for fo in fs)
         rec("cauchy-schwarz-1", case, lhs, rhs, tol)
 
         # (v) second Cauchy-Schwarz: weights independent of one variable each
-        lhs = _csg2_lhs(f, d, rng)
-        rec("cauchy-schwarz-2", case, lhs, gowers_norm(f, d, budget=budget), tol)
+        lhs = _csg2_lhs(f, d, rng, budget)
+        rec("cauchy-schwarz-2", case, lhs, norms[d - 1], tol)
 
         # (vi) modulation invariance by a degree <= d-1 phase
         P = _random_poly(p, n, d - 1, rng)
         rec("modulation", case,
-            abs(gowers_norm(f.modulate(P), d) - gowers_norm(f, d)), 0.0, 1e-10)
+            abs(gowers_norm(f.modulate(P), d, budget=budget) - norms[d - 1]),
+            0.0, 1e-10)
 
     return records
 
 
-def _csg2_lhs(f: BoundedFunction, d: int, rng: SplitMix64) -> float:
+def _csg2_lhs(f: BoundedFunction, d: int, rng: SplitMix64,
+              budget: int | None = None) -> float:
     """|E_{x_1..x_d} f(x_1+...+x_d) prod_j F_j| with each F_j a random
     1-bounded weight not reading x_j."""
     p, n = f.p, f.n
     sp = space(p, n)
     N = sp.size
+    check_budget(N**d, budget, "_csg2_lhs")
     weights = []
     for _ in range(d):
         w = np.array([rng.unit() * cmath.exp(2j * cmath.pi * rng.unit())
                       for _ in range(N ** (d - 1))])
         weights.append(w.reshape((N,) * (d - 1)))
-    axes_idx = []
-    for t in range(d):
-        shape = [1] * d
-        shape[t] = N
-        axes_idx.append(np.arange(N, dtype=np.int64).reshape(shape))
+    axes_idx = np.ix_(*[np.arange(N, dtype=np.int64)] * d)
     total_idx = axes_idx[0]
     for t in range(1, d):
         total_idx = sp.add_indices(total_idx, axes_idx[t])
     total = f.values[total_idx].astype(np.complex128)
     for j in range(d):
-        shape = [N] * d
-        shape[j] = 1
-        other = [ax for ax in range(d) if ax != j]
-        w = weights[j].reshape([N if ax in other else 1 for ax in range(d)])
-        total = total * w
+        total = total * np.expand_dims(weights[j], j)
     return abs(complex(total.mean()))

@@ -337,16 +337,10 @@ def _suite_gowers(rec: _Recorder, params: dict, rng, threads, budget):
         # direct vs recursive agreement
         sub = SplitMix64(rng.next_u64())
         worst = 0.0
-        for i in range(count):
+        for d in [2 + i % 2 for i in range(count)] + [4 if p == 2 else 3] * 10:
             f = _random_bounded(p, n, sub)
-            d = 2 + i % 2
-            worst = max(worst, abs(
-                gowers_power(f, d) - _gowers_power_direct(f, d)))
-        for _ in range(10):
-            f = _random_bounded(p, n, sub)
-            worst = max(worst, abs(
-                gowers_power(f, 4 if p == 2 else 3)
-                - _gowers_power_direct(f, 4 if p == 2 else 3)))
+            worst = max(worst, abs(gowers_power(f, d, budget=budget)
+                                   - _gowers_power_direct(f, d, budget)))
         rec.add("direct-vs-recursive", {"p": p, "n": n, "count": count},
                 worst <= 1e-9, worst=worst)
         # exact pure-phase path vs floats, and the collapse onto bias
@@ -356,12 +350,13 @@ def _suite_gowers(rec: _Recorder, params: dict, rng, threads, budget):
         for _ in range(20):
             d = 2 + sub.below(2)
             P = _random_poly(p, n, d, sub)
-            exact = gowers_power_exact(P, d)
-            fl = gowers_power(BoundedFunction.from_phase(P), d)
+            exact = gowers_power_exact(P, d, budget=budget)
+            fl = gowers_power(BoundedFunction.from_phase(P), d, budget=budget)
             ok_exact &= abs(exact.as_complex() - fl) <= 1e-9
             frac = exact.as_fraction()
             if frac is not None:
-                ok_bias &= frac == bias(dk_extract(P, d), threads=threads)
+                ok_bias &= frac == bias(dk_extract(P, d), budget=budget,
+                                        threads=threads)
         rec.add("exact-phase-path", {"p": p, "n": n, "cases": 20},
                 ok_exact and ok_bias)
 

@@ -266,6 +266,13 @@ class TestCli:
         assert rep["histogram"] == {"0": 1, "1": 1}
         assert rep["max_deviation"] == "15/34" and not rep["bias_zero"]
 
+    def test_equidist_budget_exit_3(self, capsys):
+        # a 2^40-entry histogram is refused before it is allocated
+        payload = json.dumps({"values": [[1], [0]], "orders": [1 << 40]})
+        code, out = run_cli("--input", "-", "equidist", stdin_text=payload)
+        assert code == 3 and out == ""
+        assert "equidistribution_report" in capsys.readouterr().err
+
     def test_equidist_reduces_values(self):
         payload = json.dumps({"values": [[5], [1]], "orders": [4]})
         code, out = run_cli("--input", "-", "equidist", stdin_text=payload)

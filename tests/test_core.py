@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from toruspoly.core import (
     BudgetExceeded,
-    CycloSum,
+    ExactExpectation,
     FVec,
     PrimeField,
     TorusValue,
@@ -177,6 +177,11 @@ class TestCounters:
         with pytest.raises(ValueError):
             UnityCounter(2, 1).expectation()
 
+    def test_value_of_another_prime_rejected(self):
+        # 1/3 would otherwise count as the residue 2 of Z/4
+        with pytest.raises(ValueError, match="modulus 3"):
+            UnityCounter(2, 2).add_value(TorusValue(3, 1, 1))
+
     def test_merge_order_independent(self):
         rng = SplitMix64(9)
         parts = [UnityCounter(3, 2) for _ in range(4)]
@@ -189,25 +194,164 @@ class TestCounters:
             backward.expectation().as_complex()
 
 
-class TestCycloSum:
+class CycloSum:
+    """Test oracle: an exact integer combination of p^K-th roots of unity as
+    a {exponent: coefficient} dict, reduced term by term to the basis
+    zeta^0, ..., zeta^(phi-1) with sum_{i<p} zeta^(i p^(K-1)) = 0."""
+
+    def __init__(self, p: int, K: int, coeffs: dict[int, int] | None = None):
+        self.p = p
+        self.K = K
+        self.coeffs: dict[int, int] = {}
+        for t, c in (coeffs or {}).items():
+            self._add_term(t, c)
+
+    @property
+    def order(self) -> int:
+        return self.p**self.K
+
+    @property
+    def phi(self) -> int:
+        return (self.p - 1) * self.p ** (self.K - 1) if self.K > 0 else 1
+
+    def _add_term(self, t: int, c: int) -> None:
+        if c == 0:
+            return
+        t %= self.order
+        if t < self.phi:
+            new = self.coeffs.get(t, 0) + c
+            if new:
+                self.coeffs[t] = new
+            else:
+                self.coeffs.pop(t, None)
+            return
+        # zeta^((p-1)p^(K-1) + b) = -sum_{i<p-1} zeta^(i p^(K-1) + b)
+        b = t - self.phi
+        step = self.p ** (self.K - 1)
+        for i in range(self.p - 1):
+            self._add_term(i * step + b, -c)
+
+    def __mul__(self, other: "CycloSum") -> "CycloSum":
+        out = CycloSum(self.p, self.K)
+        for t1, c1 in self.coeffs.items():
+            for t2, c2 in other.coeffs.items():
+                out._add_term(t1 + t2, c1 * c2)
+        return out
+
+    def conj(self) -> "CycloSum":
+        return CycloSum(self.p, self.K,
+                        {-t % self.order: c for t, c in self.coeffs.items()})
+
+    def rational_part(self) -> int | None:
+        if any(t != 0 for t in self.coeffs):
+            return None
+        return self.coeffs.get(0, 0)
+
+    def as_complex(self) -> complex:
+        return sum((c * np.exp(2j * np.pi * t / self.order)
+                    for t, c in self.coeffs.items()), 0j)
+
+
+def _coeffs(e: ExactExpectation, row=()) -> dict[int, int]:
+    """The nonzero coordinates of one expectation of a batch, by exponent."""
+    return {t: c for t, c in zip(e.basis.tolist(), e.coords[row].tolist())
+            if c}
+
+
+class TestExactExpectation:
     def test_full_orbit_vanishes(self):
-        z = CycloSum.from_counts(3, 2, [1] * 9)
+        z = ExactExpectation(3, 2, [1] * 9, 9)
         assert z.is_zero()
 
     def test_reduction_consistent_with_floats(self):
         rng = SplitMix64(11)
         for _ in range(50):
             counts = [rng.below(5) for _ in range(8)]
-            z = CycloSum.from_counts(2, 3, counts)
+            z = ExactExpectation(2, 3, counts, 1)
             direct = sum(c * np.exp(2j * np.pi * t / 8)
                          for t, c in enumerate(counts))
             assert abs(z.as_complex() - direct) < 1e-9
 
     def test_modulus_squared_rational_detection(self):
         # 1 + zeta_8 has irrational |.|^2 = 2 + sqrt(2)
-        z = CycloSum(2, 3, {0: 1, 1: 1})
-        sq = z * z.conj()
-        assert sq.rational_part() is None
+        z = ExactExpectation(2, 3, [1, 1], 1, residues=[0, 1])
+        assert not z.abs_sq().is_rational()
+        assert z.abs_sq().as_fraction() is None
         # 1 + i has |.|^2 = 2
-        w = CycloSum(2, 2, {0: 1, 1: 1})
-        assert (w * w.conj()).rational_part() == 2
+        w = ExactExpectation(2, 2, [1, 1], 1, residues=[0, 1])
+        assert w.abs_sq().as_fraction() == 2
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 17, 19])
+    def test_matches_dict_oracle(self, p):
+        rng = SplitMix64(p)
+        for K in range(4):
+            M = p**K
+            for dense in (True, False):
+                if dense and M > 125:
+                    continue
+                residues = list(range(M)) if dense else \
+                    sorted({rng.below(M) for _ in range(1 + rng.below(6))})
+                # a batch of 3, with a full orbit and an empty row among them
+                counts = [[rng.below(4) for _ in residues] for _ in range(3)]
+                counts[rng.below(3)] = [0] * len(residues)
+                if dense:
+                    counts[rng.below(3)] = [1] * M
+                total = 1 + rng.below(100)
+                z = ExactExpectation(p, K, counts, total,
+                                     residues=None if dense else residues)
+                sq = z.abs_sq()
+                assert sq.total == total**2
+                for row, c in enumerate(counts):
+                    o = CycloSum(p, K, dict(zip(residues, c)))
+                    assert _coeffs(z, row) == o.coeffs
+                    assert z.is_zero()[row] == (not o.coeffs)
+                    assert abs(z.as_complex()[row] - o.as_complex() / total) \
+                        < 1e-9
+                    o_sq = o * o.conj()
+                    assert _coeffs(sq, row) == o_sq.coeffs
+                    r = o_sq.rational_part()
+                    assert sq.is_rational()[row] == (r is not None)
+                    if r is not None:
+                        assert sq.rational_part()[row] == r
+
+    def test_exact_past_int64(self):
+        # coordinates near 2^33 make |.|^2 near 2^67
+        residues = [0, 1, 4]
+        counts = [(1 << 33) + 1, (1 << 33) + 5, 1 << 33]
+        z = ExactExpectation(3, 2, counts, sum(counts), residues=residues)
+        o = CycloSum(3, 2, dict(zip(residues, counts)))
+        assert _coeffs(z) == o.coeffs
+        sq = z.abs_sq()
+        assert _coeffs(sq) == (o * o.conj()).coeffs
+        assert max(abs(c) for c in _coeffs(sq).values()) >= 1 << 63
+
+    def test_order_one(self):
+        # K = 0, and the trivial group of a product of order-1 factors
+        for p in (1, 2, 5):
+            z = ExactExpectation(p, 0, [[3], [0]], 4)
+            assert z.is_zero().tolist() == [False, True]
+            assert z.abs_sq().rational_part().tolist() == [9, 0]
+            assert ExactExpectation(p, 0, [3], 4).as_fraction() == \
+                Fraction(3, 4)
+
+    def test_dense_and_sparse_residues_agree(self):
+        # three residues leave most columns b = t mod 5 empty
+        counts = [0] * 25
+        for t, c in ((3, 2), (8, 1), (21, 4)):
+            counts[t] = c
+        dense = ExactExpectation(5, 2, counts, 7)
+        sparse = ExactExpectation(5, 2, [2, 1, 4], 7, residues=[3, 8, 21])
+        assert np.array_equal(dense.basis, sparse.basis)
+        assert np.array_equal(dense.coords, sparse.coords)
+        assert _coeffs(dense) == CycloSum(5, 2, {3: 2, 8: 1, 21: 4}).coeffs
+
+    @pytest.mark.parametrize("p,K", [(2, 40), (3, 30)])
+    def test_abs_sq_past_dense_counters(self, p, K):
+        # |.|^2 lands on the differences that occur, not on all p^K residues
+        rng = SplitMix64(K)
+        residues = sorted({rng.below(p**K) for _ in range(6)})
+        counts = [[1 + rng.below(5) for _ in residues] for _ in range(2)]
+        sq = ExactExpectation(p, K, counts, 9, residues=residues).abs_sq()
+        for row, c in enumerate(counts):
+            o = CycloSum(p, K, dict(zip(residues, c)))
+            assert _coeffs(sq, row) == (o * o.conj()).coeffs

@@ -535,17 +535,19 @@ class TestEquidistribution:
 
     def test_max_bias_matches_float_oracle(self):
         rng = SplitMix64(41)
-        for orders, maps in (((2, 8), 20), ((9, 3), 20), ((17,), 10),
-                             ((19, 19), 4)):
-            for _ in range(maps):
-                vals = [tuple(rng.below(o) for o in orders)
-                        for _ in range(1 + rng.below(50))]
-                rep = equidistribution_report(vals, orders)
-                assert abs(rep["max_bias"] - _max_bias_oracle(vals, orders)) \
-                    <= 1e-12
-                if rep["max_bias_sq"] is not None:
-                    assert float(rep["max_bias_sq"]) == pytest.approx(
-                        rep["max_bias"] ** 2, abs=1e-12)
+        cases = [(orders, [tuple(rng.below(o) for o in orders)
+                           for _ in range(1 + rng.below(50))])
+                 for orders, maps in (((2, 8), 20), ((9, 3), 20), ((17,), 10),
+                                      ((19, 19), 4))
+                 for _ in range(maps)]
+        cases.append(((256,), [(rng.below(256),) for _ in range(1000)]))
+        for orders, vals in cases:
+            rep = equidistribution_report(vals, orders)
+            assert abs(rep["max_bias"] - _max_bias_oracle(vals, orders)) \
+                <= 1e-12
+            if rep["max_bias_sq"] is not None:
+                assert float(rep["max_bias_sq"]) == pytest.approx(
+                    rep["max_bias"] ** 2, abs=1e-12)
 
     def test_array_and_tuples_agree(self):
         vals = [(1, 7), (0, 3), (1, 3), (0, 0)]

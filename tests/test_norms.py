@@ -209,7 +209,8 @@ class TestFoldedLastDerivative:
         monkeypatch.setattr("toruspoly.core._DENSE_COUNTERS", 0)
         sparse = gowers_power_exact(P, d)
         assert sparse.total == exact.total
-        assert sparse.numerator.coeffs == exact.numerator.coeffs
+        assert np.array_equal(sparse.basis, exact.basis)
+        assert np.array_equal(sparse.coords, exact.coords)
 
 
 class TestAnalyticRank:
@@ -440,6 +441,39 @@ class TestPropertySuite:
         names = {r["check"] for r in recs}
         assert {"triangle", "monotonicity", "lq-bound", "cauchy-schwarz-1",
                 "cauchy-schwarz-2", "modulation"} <= names
+
+    def test_budget_covers_cube_products(self):
+        # every norm fits in 16^3 = 4096, the d = 3 cube products need 16^4
+        with pytest.raises(BudgetExceeded, match="_cube_product"):
+            verify_gowers_properties(2, 4, seed=1, count=3, budget=5000)
+
+    def test_every_call_gets_the_budget(self, monkeypatch):
+        import inspect
+
+        import toruspoly.norms as norms_mod
+        import toruspoly.suites as suites_mod
+        from toruspoly.suites import run_suite
+
+        seen = []
+        for mod in (norms_mod, suites_mod):
+            for name in ("gowers_norm", "gowers_power", "gowers_power_exact",
+                         "_gowers_power_direct", "_cube_product", "_csg2_lhs",
+                         "bias"):
+                if hasattr(mod, name):
+                    fn = getattr(mod, name)
+
+                    def wrapped(*a, _fn=fn, _name=name, **kw):
+                        args = inspect.signature(_fn).bind(*a, **kw).arguments
+                        seen.append((_name, args.get("budget")))
+                        return _fn(*a, **kw)
+                    monkeypatch.setattr(mod, name, wrapped)
+        report = run_suite("gowers-props", seed=5, budget=10**6,
+                           params={"count": 2, "configs": [[2, 2]]})
+        assert report.passed
+        assert {name for name, _ in seen} == {
+            "gowers_norm", "gowers_power", "gowers_power_exact",
+            "_gowers_power_direct", "_cube_product", "_csg2_lhs", "bias"}
+        assert {budget for _, budget in seen} == {10**6}
 
     def test_modulation_exact_for_phases(self):
         rng = SplitMix64(37)
