@@ -15,6 +15,7 @@ sum is finally converted to a complex number.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -343,7 +344,7 @@ class ExactExpectation:
             coords = (table[..., :-1, :] - table[..., -1:, :]) \
                 .reshape(batch + (-1,))
             basis = (np.arange(p - 1)[:, None] * m + cols).ravel()
-        keep = (coords != 0).any(axis=tuple(range(len(batch))))
+        keep = coords.any(axis=tuple(range(len(batch))))
         self.basis = basis[keep]
         self.coords = coords[..., keep]
 
@@ -370,20 +371,32 @@ class ExactExpectation:
     def abs_sq(self) -> "ExactExpectation":
         """|E|^2, exactly: the cyclic autocorrelation of the coordinates,
         in Python integers once a sum could pass 2^62."""
+        batch, n = self.coords.shape[:-1], len(self.basis)
         bound = np.abs(self.coords.astype(float)).sum(axis=-1).max(initial=0.0)
-        x = self.coords.astype(object if bound**2 >= 2.0**62 else np.int64)
+        x = self.coords.astype(object if bound**2 >= 2.0**62 else np.int64) \
+            .reshape(math.prod(batch), n)
         # row j holds the residues t_i - t_j of the products x_i x_j; as in
-        # UnityCounter they index all p^K residues up to _DENSE_COUNTERS
-        # and the differences that occur past it
+        # UnityCounter they index all p^K residues up to _DENSE_COUNTERS,
+        # which reduce by a reshape, and the differences that occur past it
         M = self.p**self.K
         diffs = (self.basis - self.basis[:, None]) % M
         residues = np.unique(diffs) if M > _DENSE_COUNTERS else None
         if residues is not None:
             M, diffs = len(residues), np.searchsorted(residues, diffs)
-        acc = np.zeros(x.shape[:-1] + (M,), dtype=x.dtype)
-        for j in range(len(self.basis)):
-            acc[..., diffs[j]] += x[..., j, None] * x
-        return ExactExpectation(self.p, self.K, acc, self.total**2, residues)
+        acc = np.zeros((len(x), M), dtype=x.dtype)
+        # each sum's nonzero coordinates come first in cols, padded to the
+        # longest sum's k by zeros; the i-th pairs with all k at once, so the
+        # cost follows the sums' terms, not the basis the batch shares
+        k = int((x != 0).sum(axis=1).max(initial=0))
+        cols = np.argsort(x == 0, axis=1, kind="stable")[:, :k]
+        vals = np.take_along_axis(x, cols, axis=1)
+        at = np.arange(len(x))[:, None] * M
+        for i in range(k):
+            # distinct within each row, so += adds every product
+            acc.reshape(-1)[at + diffs.ravel()[cols[:, i, None] * n + cols]] \
+                += vals[:, i, None] * vals
+        return ExactExpectation(self.p, self.K, acc.reshape(batch + (M,)),
+                                self.total**2, residues)
 
 
 # UnityCounter keeps a dense array of counters up to this many residues and

@@ -365,8 +365,9 @@ def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
 # equidistribution
 
 
-# equidistribution_report allocates a (|B|, p^K) character count array and
-# a (|B|, |support|) residue array; it refuses either past this many entries
+# equidistribution_report refuses a (|B|, p^K) histogram and character
+# count array past this many entries, and fills the count array in blocks
+# of characters whose residue arrays stay under it
 _EQUIDIST_CAP = 1 << 22
 
 
@@ -402,8 +403,7 @@ def equidistribution_report(values: np.ndarray | Sequence[Element],
     if total == 0:
         raise ValueError("empty domain")
     size_B = math.prod(orders)
-    check_budget(size_B * max(p**K, min(total, size_B)), _EQUIDIST_CAP,
-                 "equidistribution_report")
+    check_budget(size_B * p**K, _EQUIDIST_CAP, "equidistribution_report")
     raw = np.asarray(values)
     if raw.ndim != 2 or raw.shape[1] != len(orders):
         raise ValueError("wrong coordinate count")
@@ -430,10 +430,14 @@ def equidistribution_report(values: np.ndarray | Sequence[Element],
     # counts[xi - 1, r] = |{a : xi . f(a) = r / p^K}| for every character
     # xi != 0, from the residues xi . b of the histogram's support
     M = p**K
-    chars = np.arange(1, size_B)[:, None] // strides % orders
-    res = chars @ (digits * (M // np.array(orders, dtype=np.int64))).T % M
+    scaled = (digits * (M // np.array(orders, dtype=np.int64))).T
     counts = np.zeros((size_B - 1, M), dtype=np.int64)
-    np.add.at(counts, (np.arange(size_B - 1)[:, None], res), hist[support])
+    step = _EQUIDIST_CAP // (len(support) + len(orders))
+    for lo in range(1, size_B, step):
+        chars = np.arange(lo, min(lo + step, size_B))[:, None] // strides % orders
+        np.add.at(counts[lo - 1:lo - 1 + len(chars)],
+                  (np.arange(len(chars))[:, None], chars @ scaled % M),
+                  hist[support])
     z = ExactExpectation(p, K, counts, total)
     sq = z.abs_sq()
     report.update(

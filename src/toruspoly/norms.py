@@ -154,7 +154,11 @@ def _cube_product(tables: Sequence[np.ndarray], p: int, n: int,
     N = sp.size
     d = len(tables).bit_length() - 1
     check_budget(N ** (d + 1), budget, "_cube_product")
-    axes_idx = np.ix_(*[np.arange(N, dtype=np.int64)] * (d + 1))
+    axes_idx = []
+    for t in range(d + 1):
+        shape = [1] * (d + 1)
+        shape[t] = N
+        axes_idx.append(np.arange(N, dtype=np.int64).reshape(shape))
     total = np.ones((N,) * (d + 1), dtype=np.complex128)
     for omega in range(1 << d):
         idx = axes_idx[d]  # x runs on the last axis
@@ -458,7 +462,9 @@ def verify_gowers_properties(p: int, n: int, seed: int, count: int = 100,
         # (iv) first Cauchy-Schwarz: product over the 2^d cube vertices
         fs = [_random_bounded(p, n, rng) for _ in range(1 << d)]
         lhs = abs(_cube_product([fo.values for fo in fs], p, n, budget))
-        rhs = math.prod(gowers_norm(fo, d, budget=budget) for fo in fs)
+        rhs = 1.0
+        for fo in fs:
+            rhs *= gowers_norm(fo, d, budget=budget)
         rec("cauchy-schwarz-1", case, lhs, rhs, tol)
 
         # (v) second Cauchy-Schwarz: weights independent of one variable each
@@ -487,11 +493,19 @@ def _csg2_lhs(f: BoundedFunction, d: int, rng: SplitMix64,
         w = np.array([rng.unit() * cmath.exp(2j * cmath.pi * rng.unit())
                       for _ in range(N ** (d - 1))])
         weights.append(w.reshape((N,) * (d - 1)))
-    axes_idx = np.ix_(*[np.arange(N, dtype=np.int64)] * d)
+    axes_idx = []
+    for t in range(d):
+        shape = [1] * d
+        shape[t] = N
+        axes_idx.append(np.arange(N, dtype=np.int64).reshape(shape))
     total_idx = axes_idx[0]
     for t in range(1, d):
         total_idx = sp.add_indices(total_idx, axes_idx[t])
     total = f.values[total_idx].astype(np.complex128)
     for j in range(d):
-        total = total * np.expand_dims(weights[j], j)
+        shape = [N] * d
+        shape[j] = 1
+        other = [ax for ax in range(d) if ax != j]
+        w = weights[j].reshape([N if ax in other else 1 for ax in range(d)])
+        total = total * w
     return abs(complex(total.mean()))

@@ -541,6 +541,11 @@ class TestEquidistribution:
                                       ((19, 19), 4))
                  for _ in range(maps)]
         cases.append(((256,), [(rng.below(256),) for _ in range(1000)]))
+        # more values than the count array has residues, filled in blocks
+        cases.append(((2,) * 12, [tuple(rng.below(2) for _ in range(12))
+                                  for _ in range(2048)]))
+        # a few values into a large cyclic group
+        cases.append(((2048,), [(rng.below(2048),) for _ in range(3)]))
         for orders, vals in cases:
             rep = equidistribution_report(vals, orders)
             assert abs(rep["max_bias"] - _max_bias_oracle(vals, orders)) \
@@ -548,6 +553,18 @@ class TestEquidistribution:
             if rep["max_bias_sq"] is not None:
                 assert float(rep["max_bias_sq"]) == pytest.approx(
                     rep["max_bias"] ** 2, abs=1e-12)
+
+    def test_character_blocks_agree(self, monkeypatch):
+        rng = SplitMix64(43)
+        maps = [(orders, [tuple(rng.below(o) for o in orders)
+                          for _ in range(1 + rng.below(80))])
+                for orders in ((2, 8), (2,) * 6, (3, 3, 3), (4, 4))
+                for _ in range(5)]
+        whole = [equidistribution_report(vals, orders) for orders, vals in maps]
+        # the largest |B|·p^K here, so that most blocks hold a few characters
+        monkeypatch.setattr(cubes, "_EQUIDIST_CAP", 128)
+        assert [equidistribution_report(vals, orders)
+                for orders, vals in maps] == whole
 
     def test_array_and_tuples_agree(self):
         vals = [(1, 7), (0, 3), (1, 3), (0, 0)]
