@@ -5,15 +5,15 @@ Groups are finite products of cyclic groups; filtrations are nested chains
 of subgroups (the commutator condition is automatic in the abelian case).
 A k-cube is a 2^k-tuple indexed by omega in {0,1}^k; membership in HK^k is
 characterised either by Taylor coefficients g_J in G_|J| or by alternating
-sums over faces landing in the filtration.  This module solves one cube for
-its Taylor coefficients (`hk_taylor`, `taylor_expand`), packs elements into
-integer codes, and checks the derivative criterion for a map given as a
-code table (`is_polynomial_map(phi_codes, H, G)`) level by level in numpy;
-the face criterion, cube enumeration and cube preservation live in
-`cubescan`, vectorised over many cubes at once, and the two criteria are
-cross-checked there.  `equidistribution_report` histograms a map into a
-product of cyclic p-groups with one bincount and reads every character's
-exact sum from one (characters, p^K) count array built from that histogram.
+sums over faces landing in the filtration.  Elements are packed into
+integer codes, and the one Yates kernel over the subset lattice of {0,1}^k
+(`_subset_codes`) lives here: `hk_taylor` and `taylor_expand` are one-row
+Moebius and zeta passes of it, and `cubescan` runs it over many cubes.
+`is_polynomial_map(phi_codes, H, G)` checks the derivative criterion for a
+code table level by level in numpy, subtracting codes by the kernel's
+digit and residue lookups.  `equidistribution_report` histograms a map
+into a product of cyclic p-groups with one bincount and reads every
+character's exact sum from one (characters, p^K) count array.
 """
 
 from __future__ import annotations
@@ -215,44 +215,31 @@ def _faces(k: int) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
+def _cube_row(G: FilteredAbelianGroup, entries) -> np.ndarray:
+    """One row of codes; G.reduce rejects a wrong coordinate count."""
+    return np.array([[element_code(G, G.reduce(e)) for e in entries]])
+
+
 def hk_taylor(g: CubePoint, G: FilteredAbelianGroup):
-    """Taylor coefficients g_J with g_omega = sum_{J subset omega} g_J.
+    """Taylor coefficients g_J with g_omega = sum_{J subset omega} g_J (a
+    one-row Moebius pass of _subset_codes); unique by Moebius inversion.
 
     Returns (coefficients dict J-mask -> element, None) on success, else
-    (None, offending J-mask).  Coefficients are unique (Moebius inversion).
-    """
-    k = g.k
-    coeffs: dict[int, Element] = {}
-    for J in range(1 << k):
-        total = G.zero
-        sub = J
-        while True:
-            sign = (bin(J).count("1") - bin(sub).count("1")) % 2
-            term = g[sub] if sign == 0 else G.neg(g[sub])
-            total = G.add(total, term)
-            if sub == 0:
-                break
-            sub = (sub - 1) & J
-        coeffs[J] = total
-    for J, val in coeffs.items():
-        if val not in G.level(bin(J).count("1")):
-            return None, J
-    return coeffs, None
+    (None, the first J-mask whose g_J is outside G_|J|)."""
+    coeffs = _subset_table(_cube_row(G, g.entries), G, "moebius")[0]
+    inside = _member_tables(G, g.k)[_pass_tables(G, g.k, "moebius")[2], coeffs]
+    if not inside.all():
+        return None, int(np.argmin(inside))
+    return {J: code_element(G, int(c)) for J, c in enumerate(coeffs)}, None
 
 
 def taylor_expand(k: int, coeffs: dict[int, Element],
                   G: FilteredAbelianGroup) -> CubePoint:
-    entries = []
-    for omega in range(1 << k):
-        total = G.zero
-        sub = omega
-        while True:
-            total = G.add(total, coeffs.get(sub, G.zero))
-            if sub == 0:
-                break
-            sub = (sub - 1) & omega
-        entries.append(total)
-    return CubePoint(k, entries)
+    """The cube sum_{J subset omega} g_J (a one-row zeta pass of
+    _subset_codes); g_J = 0 where coeffs has no J."""
+    row = _cube_row(G, [coeffs.get(J, G.zero) for J in range(1 << k)])
+    return CubePoint(k, [code_element(G, int(c))
+                         for c in _subset_table(row, G, "zeta")[0]])
 
 
 def hk_size(G: FilteredAbelianGroup, k: int) -> int:
@@ -291,19 +278,74 @@ def _member_tables(G: FilteredAbelianGroup, k: int) -> np.ndarray:
 
 
 def _sub_codes(G: FilteredAbelianGroup, a, b) -> np.ndarray:
-    """Codes of a - b for broadcast arrays of codes, digit by digit."""
-    out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), np.int64)
-    radix = 1
-    for o in G.orders:
-        out = out + (a // radix - b // radix) % o * radix
-        radix *= o
+    """Codes of a - b for broadcast arrays of codes: the digit lookup of
+    _pass_tables(G, 0, ...) splits both, and its residue lookup reduces each
+    digit difference (a negative one indexes from the end)."""
+    digit, residue, _ = _pass_tables(G, 0, "moebius")
+    return sum(residue[t][digit[t][a] - digit[t][b]] for t in range(len(digit)))
+
+
+_PASS_BLOCK = 1 << 16  # face sums or vertices _subset_codes holds at once
+
+
+@lru_cache(maxsize=64)
+def _pass_tables(G: FilteredAbelianGroup, k: int, kind: str):
+    """Read-only lookups for _subset_codes: digit[t, c] is digit t of code c,
+    residue[t, s] is (s mod o_t) * radix_t for -|G| 2^k <= s < |G| 2^k (s < 0
+    indexes from the end), level[f] is the free-axis count of output f."""
+    factors = G.orders or (1,)  # the trivial group as one factor of order 1
+    orders = np.array(factors, dtype=np.int64).reshape(-1, 1)
+    radix = np.cumprod((1,) + factors)[:-1].reshape(-1, 1)
+    base = 3 if kind == "faces" else 2
+    tables = (np.arange(G.size) // radix % orders,
+              np.arange(G.size << k) % orders * radix,
+              (np.indices((base,) * k) == base - 1).sum(axis=0).reshape(-1))
+    for tab in tables:
+        tab.flags.writeable = False
+    return tables
+
+
+def _subset_codes(tuples: np.ndarray, G: FilteredAbelianGroup, kind: str):
+    """k per-axis passes (Yates) over vertex-major digit planes, one per
+    cyclic factor, of the rows of an (M, 2^k) code array.  Each pass maps
+    (a0, a1) on one axis to (a0, a1, a1 - a0) for "faces" (all 3^k face
+    sums), (a0, a1 - a0) for "moebius" (the Taylor coefficients) or
+    (a0, a0 + a1) for "zeta" (the Taylor expansion).  Sums are reduced mod
+    the orders once, at the end, by a lookup, which is faster than %.
+    Yields (rows, (F, len(rows)) codes), at most _PASS_BLOCK at a time."""
+    k = tuples.shape[1].bit_length() - 1
+    digit, residue, level = _pass_tables(G, k, kind)
+    r, size = len(digit), len(level)
+    step = max(1, _PASS_BLOCK // size)
+    for lo in range(0, len(tuples), step):
+        rows = slice(lo, lo + step)
+        block = np.ascontiguousarray(tuples[rows].T)
+        planes = np.take(digit, block, axis=1).reshape(r, *(2,) * k, -1)
+        for ax in range(1, k + 1):
+            cut = (slice(None),) * ax
+            a0, a1 = planes[cut + (slice(0, 1),)], planes[cut + (slice(1, 2),)]
+            if kind == "faces":
+                planes = np.concatenate((planes, a1 - a0), axis=ax)
+            else:
+                (np.subtract if kind == "moebius" else np.add)(a1, a0, out=a1)
+        yield rows, sum(residue[t][planes[t].reshape(size, -1)] for t in range(r))
+
+
+def _subset_table(tuples: np.ndarray, G: FilteredAbelianGroup,
+                  kind: str) -> np.ndarray:
+    """Every output of _subset_codes as one (M, F) code array; for "zeta"
+    and "moebius" column J is vertex or coefficient J of row m's cube."""
+    k = tuples.shape[1].bit_length() - 1
+    out = np.empty((len(tuples), len(_pass_tables(G, k, kind)[2])), np.int64)
+    for rows, codes in _subset_codes(tuples, G, kind):
+        out[rows] = codes.T
     return out
 
 
 # ---------------------------------------------------------------------------
 # polynomial maps
 
-_BLOCK = 1 << 20  # table entries is_polynomial_map materialises at once
+_FRONTIER_BLOCK = 1 << 20  # table entries is_polynomial_map holds at once
 
 
 def _check_code_table(phi_codes, H: FilteredAbelianGroup,
@@ -326,9 +368,9 @@ def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
 
     Derivatives commute, so a node is a derivative table, its first allowed
     direction and its total degree.  The frontier goes level by level in
-    blocks of at most _BLOCK entries: one lookup tests a block, one gather
-    derives all its allowed children.  Blocks are taken last in, first out,
-    so only the parents on one path are held at once.
+    blocks of at most _FRONTIER_BLOCK entries: one lookup tests a block, a
+    gather and a lookup subtraction derive its children.  Blocks are taken
+    last in, first out, so only the parents on one path are held at once.
     """
     phi_codes = _check_code_table(phi_codes, H, G)
     max_total = G.degree + 1
@@ -341,7 +383,7 @@ def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
     neg = np.array([element_code(H, H.neg(h)) for _, h in dirs], np.int64)
     shift = _sub_codes(H, np.arange(H.size), neg[:, None])
     member = _member_tables(G, max_total)
-    step = max(1, _BLOCK // H.size)
+    step = max(1, _FRONTIER_BLOCK // H.size)
     tabs = phi_codes[None]
     start = total = np.zeros(1, dtype=np.int64)
     pending = []

@@ -1,10 +1,10 @@
-"""Vectorised cube criteria: the one implementation of the face criterion,
-the Taylor criterion, cube enumeration and cube preservation.
+"""Vectorised cube criteria: the face criterion, the Taylor criterion,
+cube enumeration and cube preservation, each over many cubes at once.
 
 Elements of a product of cyclic groups are packed into mixed-radix integer
 codes, and whole populations of 2^k-tuples are checked with numpy; a single
-cube (`hk_membership`) is a one-row call.  All three array kernels are k
-per-axis passes over the subset lattice of {0,1}^k, as in Yates' algorithm:
+cube (`hk_membership`) is a one-row call.  Every array kernel here runs the
+subset-lattice passes of `cubes._subset_codes`, as in Yates' algorithm:
 (a0, a1) -> (a0, a1, a1 - a0) gives every face sum, (a0, a1 - a0) the
 Taylor coefficients g_J, which are the sums over the lower faces
 {omega subset J}, and (a0, a0 + a1) expands coefficients into vertices.
@@ -23,60 +23,17 @@ from math import prod
 import numpy as np
 
 from .core import check_budget
-from .cubes import (CubePoint, FilteredAbelianGroup, _check_code_table, _faces,
-                    _member_tables, code_element, element_code, hk_size)
+from .cubes import (CubePoint, FilteredAbelianGroup, _check_code_table,
+                    _cube_row, _faces, _member_tables, _pass_tables,
+                    _subset_codes, _subset_table, code_element, element_code,
+                    hk_size)
 
 # equivalence_scan enumerates at most SCAN_CAP tuples, at most _SCAN_CHUNK
 # at a time (a power of |G|);
-# enumerate_cube_codes caches arrays of at most _CACHED_CODES entries;
-# _subset_codes materialises at most _BLOCK face sums (or vertices) at once
+# enumerate_cube_codes caches arrays of at most _CACHED_CODES entries
 SCAN_CAP = 1 << 24
 _SCAN_CHUNK = 1 << 18
 _CACHED_CODES = 1 << 16
-_BLOCK = 1 << 16
-
-
-@lru_cache(maxsize=64)
-def _pass_tables(G: FilteredAbelianGroup, k: int, kind: str):
-    """Read-only lookups for _subset_codes: digit[t, c] is digit t of code c,
-    residue[t, s] is (s mod o_t) * radix_t for -|G| 2^k <= s < |G| 2^k (s < 0
-    indexes from the end), level[f] is the free-axis count of output f."""
-    factors = G.orders or (1,)  # the trivial group as one factor of order 1
-    orders = np.array(factors, dtype=np.int64).reshape(-1, 1)
-    radix = np.cumprod((1,) + factors)[:-1].reshape(-1, 1)
-    base = 3 if kind == "faces" else 2
-    tables = (np.arange(G.size) // radix % orders,
-              np.arange(G.size << k) % orders * radix,
-              (np.indices((base,) * k) == base - 1).sum(axis=0).reshape(-1))
-    for tab in tables:
-        tab.flags.writeable = False
-    return tables
-
-
-def _subset_codes(tuples: np.ndarray, G: FilteredAbelianGroup, kind: str):
-    """k per-axis passes (Yates) over vertex-major digit planes, one per
-    cyclic factor, of the rows of an (M, 2^k) code array.  Each pass maps
-    (a0, a1) on one axis to (a0, a1, a1 - a0) for "faces" (all 3^k face
-    sums), (a0, a1 - a0) for "moebius" (the Taylor coefficients) or
-    (a0, a0 + a1) for "zeta" (the Taylor expansion).  Sums are reduced mod
-    the orders once, at the end, by a lookup, which is faster than %.
-    Yields (rows, (F, len(rows)) codes), at most _BLOCK codes at a time."""
-    k = tuples.shape[1].bit_length() - 1
-    digit, residue, level = _pass_tables(G, k, kind)
-    r, size = len(digit), len(level)
-    step = max(1, _BLOCK // size)
-    for lo in range(0, len(tuples), step):
-        rows = slice(lo, lo + step)
-        block = np.ascontiguousarray(tuples[rows].T)
-        planes = np.take(digit, block, axis=1).reshape(r, *(2,) * k, -1)
-        for ax in range(1, k + 1):
-            cut = (slice(None),) * ax
-            a0, a1 = planes[cut + (slice(0, 1),)], planes[cut + (slice(1, 2),)]
-            if kind == "faces":
-                planes = np.concatenate((planes, a1 - a0), axis=ax)
-            else:
-                (np.subtract if kind == "moebius" else np.add)(a1, a0, out=a1)
-        yield rows, sum(residue[t][planes[t].reshape(size, -1)] for t in range(r))
 
 
 def _level_mask(tuples: np.ndarray, G: FilteredAbelianGroup, k: int,
@@ -100,8 +57,7 @@ def face_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup,
 
 def hk_membership(g: CubePoint, G: FilteredAbelianGroup) -> bool:
     """Face criterion for one cube (a one-row face_member_mask)."""
-    row = np.array([[element_code(G, e) for e in g.entries]], dtype=np.int64)
-    return bool(face_member_mask(row, G, g.k)[0])
+    return bool(face_member_mask(_cube_row(G, g.entries), G, g.k)[0])
 
 
 def taylor_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup,
@@ -239,9 +195,7 @@ def _cube_codes(G: FilteredAbelianGroup, k: int) -> np.ndarray:
     level_codes = [np.flatnonzero(member[i]) for i in _pass_tables(G, k, "zeta")[2]]
     combos = np.stack(
         [g.reshape(-1) for g in np.meshgrid(*level_codes, indexing="ij")], axis=1)
-    out = np.empty(combos.shape, dtype=np.int64)
-    for rows, codes in _subset_codes(combos, G, "zeta"):
-        out[rows] = codes.T
+    out = _subset_table(combos, G, "zeta")
     out.flags.writeable = False
     return out
 

@@ -422,6 +422,8 @@ def verify_gowers_properties(p: int, n: int, seed: int, count: int = 100,
     (ii) monotonicity in d, (iii) the L^(2^d/(d+1)) bound, (iv) and (v) the
     two Cauchy-Schwarz inequalities, (vi) invariance under modulation by
     lower-degree phases.  Returns one record per check."""
+    if d_max < 2:
+        raise ValueError("d_max must be at least 2")
     rng = SplitMix64(seed)
     records: list[dict] = []
 

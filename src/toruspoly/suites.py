@@ -23,6 +23,7 @@ from . import catalog
 from .core import TorusValue, space
 from .cubes import (
     FilteredAbelianGroup,
+    _subset_table,
     code_element,
     element_code,
     equidistribution_report,
@@ -673,17 +674,18 @@ def _sampled_agreement(G, k, rng, count) -> int:
 
 
 def _taylor_roundtrip(G, k, rng, count) -> bool:
-    levels = [sorted(G.level(i)) for i in range(k + 1)]
-    for _ in range(count):
-        coeffs = {}
-        for J in range(1 << k):
-            lv = levels[bin(J).count("1")]
-            coeffs[J] = lv[rng.below(len(lv))]
-        cube = taylor_expand(k, coeffs, G)
-        solved, _ = hk_taylor(cube, G)
-        if solved != coeffs:
-            return False
-    return True
+    """Taylor injectivity on count sampled coefficient tuples, by one zeta
+    and one Moebius pass; the first also goes through the single-cube calls."""
+    levels = [sorted(G.level(bin(J).count("1"))) for J in range(1 << k)]
+    draws = [[lv[rng.below(len(lv))] for lv in levels] for _ in range(count)]
+    codes = {g: element_code(G, g) for g in G.level(0)}
+    coeffs = np.array([[codes[g] for g in row] for row in draws])
+    cubes = _subset_table(coeffs, G, "zeta")
+    first = dict(enumerate(draws[0]))
+    cube = taylor_expand(k, first, G)
+    return (np.array_equal(_subset_table(cubes, G, "moebius"), coeffs)
+            and hk_taylor(cube, G)[0] == first
+            and [element_code(G, e) for e in cube.entries] == cubes[0].tolist())
 
 
 @lru_cache(maxsize=4)

@@ -14,6 +14,7 @@ from toruspoly.cubes import (
     FilteredAbelianGroup,
     _faces,
     _member_tables,
+    _sub_codes,
     code_element,
     element_code,
     equidistribution_report,
@@ -34,8 +35,46 @@ from toruspoly.cubescan import (
 from toruspoly.forms import CSMForm
 from toruspoly.poly import NCPoly
 from toruspoly.rng import SplitMix64
-from toruspoly.suites import _group_zoo
+from toruspoly.suites import _group_zoo, _taylor_roundtrip
 from toruspoly.weighted import Factor
+
+
+def _hk_taylor_oracle(g, G):
+    """hk_taylor one J and one subset of J at a time: the reference for the
+    Moebius pass."""
+    k = g.k
+    coeffs = {}
+    for J in range(1 << k):
+        total = G.zero
+        sub = J
+        while True:
+            sign = (bin(J).count("1") - bin(sub).count("1")) % 2
+            term = g[sub] if sign == 0 else G.neg(g[sub])
+            total = G.add(total, term)
+            if sub == 0:
+                break
+            sub = (sub - 1) & J
+        coeffs[J] = total
+    for J, val in coeffs.items():
+        if val not in G.level(bin(J).count("1")):
+            return None, J
+    return coeffs, None
+
+
+def _taylor_expand_oracle(k, coeffs, G):
+    """taylor_expand one vertex omega and one subset of omega at a time:
+    the reference for the zeta pass."""
+    entries = []
+    for omega in range(1 << k):
+        total = G.zero
+        sub = omega
+        while True:
+            total = G.add(total, coeffs.get(sub, G.zero))
+            if sub == 0:
+                break
+            sub = (sub - 1) & omega
+        entries.append(total)
+    return CubePoint(k, entries)
 
 
 def _cube_entries(G, k):
@@ -78,8 +117,9 @@ class TestMembership:
         for entries in itertools.product(G.elements(), repeat=4):
             cube = CubePoint(2, list(entries))
             m1 = hk_membership(cube, G)
-            m2 = hk_taylor(cube, G)[0] is not None
+            m2 = _hk_taylor_oracle(cube, G)[0] is not None
             assert m1 == m2
+            assert hk_taylor(cube, G) == _hk_taylor_oracle(cube, G)
             if m1:
                 members.add(cube.entries)
         assert len(members) == hk_size(G, 2)
@@ -151,7 +191,7 @@ class TestVectorisedScan:
         mask = face_member_mask(tuples, G, 2)
         for row, ok in zip(tuples, mask):
             cube = CubePoint(2, [(int(x),) for x in row])
-            assert (hk_taylor(cube, G)[0] is not None) == bool(ok)
+            assert (_hk_taylor_oracle(cube, G)[0] is not None) == bool(ok)
 
 
 def _signed_sum_oracle(tuples, masks, signs, G):
@@ -208,6 +248,10 @@ def _cube_codes_oracle(G, k):
     return out
 
 
+def _row_cube(G, k, row):
+    return CubePoint(k, [code_element(G, int(c)) for c in row])
+
+
 def _mask_rows(G, k, rng):
     """97 code rows: 49 random tuples, then 24 random cubes (from random
     Taylor coefficients), each followed by a copy with one entry moved."""
@@ -215,7 +259,8 @@ def _mask_rows(G, k, rng):
     rows = [[rng.below(G.size) for _ in range(1 << k)] for _ in range(49)]
     for _ in range(24):
         coeffs = {J: lv[rng.below(len(lv))] for J, lv in enumerate(levels)}
-        cube = [element_code(G, g) for g in taylor_expand(k, coeffs, G).entries]
+        cube = [element_code(G, g)
+                for g in _taylor_expand_oracle(k, coeffs, G).entries]
         moved = list(cube)
         e = rng.below(1 << k)
         moved[e] = (moved[e] + 1 + rng.below(G.size - 1)) % G.size
@@ -227,7 +272,7 @@ def _mask_rows(G, k, rng):
 # default, one row per block, and a row count that does not divide 97
 ZOO_K = [pytest.param(i, G, k, id=f"zoo{i}-Z{'x'.join(map(str, G.orders))}-k{k}")
          for i, G in enumerate(_group_zoo()) for k in range(4)]
-BLOCKS = (cubescan._BLOCK, 1, 100)
+BLOCKS = (cubes._PASS_BLOCK, 1, 100)
 
 
 class TestSubsetPasses:
@@ -237,11 +282,11 @@ class TestSubsetPasses:
         face = _face_mask_oracle(rows, G, k)
         assert face.tolist() == _taylor_mask_oracle(rows, G, k).tolist()
         assert face.tolist() == [
-            hk_taylor(CubePoint(k, [code_element(G, int(c)) for c in row]),
-                      G)[0] is not None for row in rows]
+            _hk_taylor_oracle(_row_cube(G, k, row), G)[0] is not None
+            for row in rows]
         assert face[49::2].all()
         for block in BLOCKS:
-            monkeypatch.setattr(cubescan, "_BLOCK", block)
+            monkeypatch.setattr(cubes, "_PASS_BLOCK", block)
             assert face_member_mask(rows, G, k).tolist() == face.tolist()
             assert taylor_member_mask(rows, G, k).tolist() == face.tolist()
 
@@ -251,9 +296,28 @@ class TestSubsetPasses:
         expected = _cube_codes_oracle(G, k)
         assert np.array_equal(enumerate_cube_codes(G, k), expected)
         for block in BLOCKS:
-            monkeypatch.setattr(cubescan, "_BLOCK", block)
+            monkeypatch.setattr(cubes, "_PASS_BLOCK", block)
             assert np.array_equal(cubescan._cube_codes.__wrapped__(G, k),
                                   expected)
+
+    @pytest.mark.parametrize("i,G,k", ZOO_K)
+    def test_single_cube_calls_match_oracles(self, i, G, k):
+        # hk_taylor and taylor_expand are one-row passes; on non-members
+        # hk_taylor names the oracle's first failing J
+        rng = SplitMix64(2000 + 10 * i + k)
+        rows = _mask_rows(G, k, rng)
+        results = [hk_taylor(_row_cube(G, k, row), G) for row in rows]
+        assert results == [_hk_taylor_oracle(_row_cube(G, k, row), G)
+                           for row in rows]
+        elements = list(G.elements())
+        for _ in range(20):
+            # unreduced coefficients, with some J left out
+            coeffs = {J: tuple(x + o * rng.below(3) for x, o in
+                               zip(elements[rng.below(len(elements))],
+                                   G.orders))
+                      for J in range(1 << k) if rng.below(4)}
+            assert taylor_expand(k, coeffs, G) == \
+                _taylor_expand_oracle(k, coeffs, G)
 
     def test_trivial_group(self):
         G = FilteredAbelianGroup([], levels=[[()]])
@@ -267,6 +331,8 @@ class TestSubsetPasses:
         G = FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1])
         rows = _mask_rows(G, 3, SplitMix64(5))
         assert set(face_member_mask(rows, G, 3).tolist()) == {True, False}
+        offending = {hk_taylor(_row_cube(G, 3, row), G)[1] for row in rows}
+        assert None in offending and len(offending) > 2
 
 
 def _is_polynomial_map_oracle(phi_codes, H, G, use_generators=True):
@@ -349,8 +415,8 @@ class TestPolynomialMaps:
         preserved, cex = preserves_cubes_fast(codes, H, G1, 3)
         assert not preserved
         image = CubePoint(cex.k, [(int(codes[x[0]]),) for x in cex.entries])
-        assert hk_taylor(cex, H)[0] is not None
-        assert hk_taylor(image, G1)[0] is None
+        assert _hk_taylor_oracle(cex, H)[0] is not None
+        assert _hk_taylor_oracle(image, G1)[0] is None
 
     def test_nonconstant_into_degree_zero(self):
         H = FilteredAbelianGroup.maximal([2], 1)
@@ -416,12 +482,104 @@ class TestDerivativeKernelOracle:
         assert len(H.level(1)) == 4
         _agrees_with_oracle_on_every_map(H, Z4_TARGETS)
 
+    @pytest.mark.parametrize("G", _group_zoo(),
+                             ids=lambda G: "Z" + "x".join(map(str, G.orders)))
+    def test_sub_codes_lookup_matches_formula(self, G):
+        # every pair of codes, so every negative digit difference occurs
+        a, b = np.arange(G.size)[:, None], np.arange(G.size)[None, :]
+        expected = np.zeros((G.size, G.size), dtype=np.int64)
+        radix = 1
+        for o in G.orders:
+            expected += (a // radix - b // radix) % o * radix
+            radix *= o
+        assert np.array_equal(_sub_codes(G, a, b), expected)
+        assert np.array_equal(_sub_codes(G, a[:, 0], b[0, :, None]),
+                              expected.T)
+
     def test_frontier_split_into_blocks(self, monkeypatch):
         # one table row per block, so every level spans many blocks
-        monkeypatch.setattr(cubes, "_BLOCK", 4)
+        monkeypatch.setattr(cubes, "_FRONTIER_BLOCK", 4)
         for H in (FilteredAbelianGroup.maximal([4], 1),
                   FilteredAbelianGroup.maximal([2, 2], 1), Z4_BY_GENERATORS):
             _agrees_with_oracle_on_every_map(H, Z4_TARGETS[1:])
+
+
+class TestSingleCubeInput:
+    G = FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1])
+
+    @pytest.mark.parametrize("entries", [
+        [(1, 5), (3, 7)],      # one coordinate too many
+        [(1,), ()],            # one too few
+    ])
+    def test_wrong_coordinate_count_rejected(self, entries):
+        cube = CubePoint(1, entries)
+        with pytest.raises(ValueError, match="wrong coordinate count"):
+            hk_membership(cube, self.G)
+        with pytest.raises(ValueError, match="wrong coordinate count"):
+            hk_taylor(cube, self.G)
+        with pytest.raises(ValueError, match="wrong coordinate count"):
+            taylor_expand(1, dict(enumerate(entries)), self.G)
+
+    def test_unreduced_entries_reduced(self):
+        cube = CubePoint(1, [(9,), (-5,)])
+        assert hk_membership(cube, self.G)
+        assert hk_taylor(cube, self.G) == ({0: (1,), 1: (2,)}, None)
+        assert taylor_expand(1, {0: (9,), 1: (-6,)}, self.G) == \
+            CubePoint(1, [(1,), (3,)])
+
+
+def _taylor_roundtrip_oracle(G, k, rng, count) -> bool:
+    """The round trip one sample at a time, through the scalar oracles."""
+    levels = [sorted(G.level(i)) for i in range(k + 1)]
+    for _ in range(count):
+        coeffs = {}
+        for J in range(1 << k):
+            lv = levels[bin(J).count("1")]
+            coeffs[J] = lv[rng.below(len(lv))]
+        solved, _ = _hk_taylor_oracle(_taylor_expand_oracle(k, coeffs, G), G)
+        if solved != coeffs:
+            return False
+    return True
+
+
+class TestTaylorRoundtrip:
+    @pytest.mark.parametrize("i,G,k", [p for p in ZOO_K if p.values[2] >= 1])
+    def test_draws_match_scalar_loop(self, i, G, k, monkeypatch):
+        from toruspoly import suites
+
+        drawn = []
+
+        def recording(tuples, G, kind):
+            if kind == "zeta":
+                drawn.append(tuples.copy())
+            return cubes._subset_table(tuples, G, kind)
+
+        monkeypatch.setattr(suites, "_subset_table", recording)
+        batched, scalar = SplitMix64(3000 + i), SplitMix64(3000 + i)
+        assert _taylor_roundtrip(G, k, batched, 100)
+        assert _taylor_roundtrip_oracle(G, k, scalar, 100)
+        assert batched.next_u64() == scalar.next_u64()
+        # the same coefficients, sample by sample
+        replay = SplitMix64(3000 + i)
+        levels = [sorted(G.level(bin(J).count("1"))) for J in range(1 << k)]
+        expected = [[element_code(G, lv[replay.below(len(lv))])
+                     for lv in levels] for _ in range(100)]
+        assert len(drawn) == 1 and drawn[0].tolist() == expected
+
+    def test_corrupted_solution_detected(self, monkeypatch):
+        from toruspoly import suites
+
+        G = FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1])
+
+        def corrupted(tuples, G, kind):
+            out = cubes._subset_table(tuples, G, kind)
+            if kind == "moebius":
+                out[5, 1] = (out[5, 1] + 2) % G.size
+            return out
+
+        assert _taylor_roundtrip(G, 2, SplitMix64(1), 100)
+        monkeypatch.setattr(suites, "_subset_table", corrupted)
+        assert not _taylor_roundtrip(G, 2, SplitMix64(1), 100)
 
 
 class TestCachedTables:

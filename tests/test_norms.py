@@ -442,6 +442,14 @@ class TestPropertySuite:
         assert {"triangle", "monotonicity", "lq-bound", "cauchy-schwarz-1",
                 "cauchy-schwarz-2", "modulation"} <= names
 
+    def test_d_max_below_two_rejected(self):
+        # the checks run at d >= 2; d_max = 1 used to end in an IndexError
+        for d_max in (1, 0, -1):
+            with pytest.raises(ValueError, match="d_max must be at least 2"):
+                verify_gowers_properties(2, 2, seed=1, count=1, d_max=d_max)
+        recs = verify_gowers_properties(2, 2, seed=1, count=1, d_max=2)
+        assert recs and all(r["pass"] for r in recs)
+
     def test_budget_covers_cube_products(self):
         # every norm fits in 16^3 = 4096, the d = 3 cube products need 16^4
         with pytest.raises(BudgetExceeded, match="_cube_product"):
