@@ -60,6 +60,7 @@ class FilteredAbelianGroup:
             if self.zero not in lv:
                 raise ValueError(f"level {i} is not a subgroup (missing 0)")
             prev = lv
+        self._hash = hash((self.orders, tuple(self.levels)))
 
     # -- group structure
 
@@ -84,12 +85,6 @@ class FilteredAbelianGroup:
 
     def neg(self, a: Element) -> Element:
         return tuple((-x) % o for x, o in zip(a, self.orders))
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
-
-    def scale(self, n: int, a: Element) -> Element:
-        return tuple((n * x) % o for x, o in zip(a, self.orders))
 
     def elements(self) -> Iterator[Element]:
         return itertools.product(*(range(o) for o in self.orders))
@@ -156,6 +151,14 @@ class FilteredAbelianGroup:
         return cls(obj["cyclic_orders"],
                    levels=[[tuple(g) for g in lv] for lv in obj["filtration"]])
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FilteredAbelianGroup):
+            return NotImplemented
+        return (self.orders, self.levels) == (other.orders, other.levels)
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __repr__(self) -> str:
         return f"FilteredAbelianGroup(orders={self.orders}, degree<={self.degree})"
 
@@ -171,9 +174,6 @@ class CubePoint:
             raise ValueError(f"need 2^{k} entries")
         self.k = k
         self.entries = tuple(tuple(e) for e in entries)
-
-    def __getitem__(self, mask: int) -> Element:
-        return self.entries[mask]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CubePoint):
@@ -269,7 +269,8 @@ def code_element(G: FilteredAbelianGroup, code: int):
 
 @lru_cache(maxsize=64)
 def _member_tables(G: FilteredAbelianGroup, k: int) -> np.ndarray:
-    """Read-only (k+1, |G|) booleans, row i marking G_i; cached per G, k."""
+    """Read-only (k+1, |G|) booleans, row i marking G_i; cached per G, k.
+    G hashes by (orders, levels), all it reads, so equal groups share it."""
     tab = np.zeros((k + 1, G.size), dtype=bool)
     for i in range(k + 1):
         tab[i, [element_code(G, g) for g in G.level(i)]] = True
@@ -292,7 +293,8 @@ _PASS_BLOCK = 1 << 16  # face sums or vertices _subset_codes holds at once
 def _pass_tables(G: FilteredAbelianGroup, k: int, kind: str):
     """Read-only lookups for _subset_codes: digit[t, c] is digit t of code c,
     residue[t, s] is (s mod o_t) * radix_t for -|G| 2^k <= s < |G| 2^k (s < 0
-    indexes from the end), level[f] is the free-axis count of output f."""
+    indexes from the end), level[f] is the free-axis count of output f;
+    cached per G by value, like _member_tables and cubescan._cube_codes."""
     factors = G.orders or (1,)  # the trivial group as one factor of order 1
     orders = np.array(factors, dtype=np.int64).reshape(-1, 1)
     radix = np.cumprod((1,) + factors)[:-1].reshape(-1, 1)

@@ -191,6 +191,7 @@ def enumerate_cube_codes(G: FilteredAbelianGroup, k: int,
 
 @lru_cache(maxsize=32)
 def _cube_codes(G: FilteredAbelianGroup, k: int) -> np.ndarray:
+    """Cached per G by value, like cubes._member_tables."""
     member = _member_tables(G, k)
     level_codes = [np.flatnonzero(member[i]) for i in _pass_tables(G, k, "zeta")[2]]
     combos = np.stack(

@@ -23,7 +23,7 @@ from .core import (
     space,
 )
 from .forms import bias, dk_extract
-from .poly import NCPoly, count_polys, enumerate_polys
+from .poly import NCPoly, _form_poly, _form_tables, count_polys
 from .rng import SplitMix64
 
 
@@ -348,17 +348,19 @@ def inverse_explore(f: BoundedFunction, s: int, budget: int | None = None
                     ) -> tuple[NCPoly, float]:
     """Exhaustively maximise |E f e(-P)| over degree <= s polynomials modulo
     constants; ties broken by enumeration order."""
-    N = space(f.p, f.n).size
-    check_budget(count_polys(f.p, f.n, s) * N, budget, "inverse_explore")
-    best_val = -1.0
-    best_poly = None
-    for P in enumerate_polys(f.p, f.n, s, modulo_constants=True):
-        corr = abs(np.vdot(BoundedFunction.from_phase(P).values, f.values)) / N
-        if corr > best_val + 1e-12:
-            best_val = corr
-            best_poly = P
+    p, n = f.p, f.n
+    N = space(p, n).size
+    check_budget(count_polys(p, n, s) * N, budget, "inverse_explore")
+    best_val, best_poly = -1.0, None
+    for slots, coeffs, T, K in _form_tables(p, n, s):
+        corr = np.abs(np.conj(np.exp(2j * np.pi * T / p**K)) @ f.values) / N
+        # a later candidate replaces the best only by more than 1e-12
+        for i in np.flatnonzero(corr > best_val + 1e-12):
+            if corr[i] > best_val + 1e-12:
+                best_val = float(corr[i])
+                best_poly = _form_poly(p, n, slots, coeffs[i], T[i], K)
     assert best_poly is not None
-    return best_poly, float(best_val)
+    return best_poly, best_val
 
 
 # ---------------------------------------------------------------------------

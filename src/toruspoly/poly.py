@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -78,21 +79,10 @@ def mulp_tables(nums: np.ndarray, K: int, p: int) -> tuple[np.ndarray, int]:
 
 @lru_cache(maxsize=64)
 def _inverse_vandermonde(p: int) -> np.ndarray:
-    """Inverse of the p x p matrix V[x, i] = x^i over F_p."""
-    V = np.array([[pow(x, i, p) for i in range(p)] for x in range(p)], dtype=np.int64)
-    A = V % p
-    I = np.eye(p, dtype=np.int64)
-    for col in range(p):
-        piv = next(r for r in range(col, p) if A[r, col] % p)
-        A[[col, piv]], I[[col, piv]] = A[[piv, col]].copy(), I[[piv, col]].copy()
-        inv = pow(int(A[col, col]), p - 2, p)
-        A[col], I[col] = (A[col] * inv) % p, (I[col] * inv) % p
-        for r in range(p):
-            if r != col and A[r, col]:
-                f = A[r, col]
-                A[r] = (A[r] - f * A[col]) % p
-                I[r] = (I[r] - f * I[col]) % p
-    return I % p
+    """Inverse of the p x p matrix V[x, i] = x^i over F_p: column a holds the
+    coefficients of 1 - (x - a)^(p-1), the indicator of a."""
+    return np.array([[(i == 0) - comb(p - 1, i) * pow(-a, p - 1 - i, p)
+                      for a in range(p)] for i in range(p)], dtype=np.int64) % p
 
 
 def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
@@ -156,7 +146,7 @@ def slot_degrees(p: int, n: int, K: int) -> np.ndarray:
 
 
 def interpolate_tables(
-    p: int, n: int, nums: np.ndarray, K: int, d_max: int | None = None
+    p: int, n: int, nums: np.ndarray, K: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peel canonical coefficients out of value tables.
 
@@ -165,8 +155,8 @@ def interpolate_tables(
     digit-wise finite-difference interpolation and subtracted.
 
     Returns (alpha numerators over p^K, coefficient array of shape
-    (..., K, N)).  Raises NotPolynomialError when a coefficient violates the
-    degree bound d_max.
+    (..., K, N)).  Raises NotPolynomialError when a table has no canonical
+    form.
     """
     sp = space(p, n)
     N = sp.size
@@ -182,10 +172,6 @@ def interpolate_tables(
         resid = _reduce(resid - eval_layer_tables(p, n, cj, j, K), p, K)
     if resid.any():
         raise NotPolynomialError("table does not reduce to a canonical form")
-    if d_max is not None:
-        degs = slot_degrees(p, n, K)
-        if (C[:, degs > d_max] if K else C[:, :0]).any():
-            raise NotPolynomialError(f"not a polynomial of degree <= {d_max}")
     return alpha.reshape(lead), C.reshape(*lead, K, N)
 
 
@@ -442,7 +428,7 @@ class NCPoly:
 
     def canonical(self, d_max: int | None = None) -> CanonicalForm:
         if self._canon is None:
-            alpha, C = interpolate_tables(self.p, self.n, self.nums, self.K, d_max)
+            alpha, C = interpolate_tables(self.p, self.n, self.nums, self.K)
             sp = space(self.p, self.n)
             terms = {}
             for j, e in zip(*np.nonzero(C)):
@@ -583,47 +569,51 @@ class NCPoly:
 # enumeration
 
 
+def _depth_count(p: int, d):
+    """Depths K of degree <= d forms, whose tables live over p^K; elementwise
+    on an array, a Python int for an int d (NCPoly memos call K.to_bytes)."""
+    top = np.maximum(d, 1) if isinstance(d, np.ndarray) else max(d, 1)
+    return (top - 1) // (p - 1) + 1
+
+
 def canonical_slots(p: int, n: int, d: int) -> list[tuple[tuple[int, ...], int]]:
-    """All (exponent vector, depth) slots allowed at degree <= d."""
+    """All (exponent vector, depth) slots allowed at degree <= d, depth-major."""
+    allowed = slot_degrees(p, n, _depth_count(p, d)) <= d
+    allowed[:, 0] = False  # the constant monomial belongs to alpha
     sp = space(p, n)
-    out = []
-    j = 0
-    while d - j * (p - 1) >= 1:
-        for e_idx in range(sp.size):
-            exps = sp.digits_of(e_idx)
-            if 0 < sum(exps) <= d - j * (p - 1):
-                out.append((exps, j))
-        j += 1
-    return out
+    return [(sp.digits_of(int(e)), int(j)) for j, e in zip(*np.nonzero(allowed))]
 
 
-def count_polys(p: int, n: int, d: int, modulo_constants: bool = True) -> int:
-    s = len(canonical_slots(p, n, d))
-    if modulo_constants:
-        return p**s
-    alpha_exp = (max(d, 1) - 1) // (p - 1) + 1
-    return p**s * p**alpha_exp
+def count_polys(p: int, n: int, d: int) -> int:
+    """Number of degree <= d canonical forms modulo constants."""
+    return p ** len(canonical_slots(p, n, d))
 
 
-def enumerate_polys(
-    p: int, n: int, d: int, modulo_constants: bool = True
-) -> Iterator[NCPoly]:
-    """Stream every canonical form of degree <= d exactly once (at most
-    ENUM_CAP of them)."""
-    slots = canonical_slots(p, n, d)
-    check_budget(count_polys(p, n, d, modulo_constants), ENUM_CAP,
-                 "enumerate_polys")
-    alpha_exp = 0 if modulo_constants else (max(d, 1) - 1) // (p - 1) + 1
-    for a_num in range(p**alpha_exp):
-        alpha = TorusValue(p, a_num, alpha_exp)
-        for code in range(p ** len(slots)):
-            terms = {}
-            rest = code
-            for slot in slots:
-                rest, c = divmod(rest, p)
-                if c:
-                    terms[slot] = c
-            yield NCPoly.from_canonical(CanonicalForm(p, n, alpha, terms))
+def _form_poly(p: int, n: int, slots: list[tuple[tuple[int, ...], int]],
+               row: np.ndarray, table: np.ndarray, K: int) -> NCPoly:
+    """The polynomial of one coefficient row of a block, with its table."""
+    terms = {s: int(c) for s, c in zip(slots, row) if c}
+    return NCPoly(p, n, table, K,
+                  canon=CanonicalForm(p, n, TorusValue.zero(p), terms))
+
+
+def _form_tables(p: int, n: int, d: int
+                 ) -> Iterator[tuple[list, np.ndarray, np.ndarray, int]]:
+    """(slots, coefficient rows, value tables over p^K, K) for each block of
+    coefficient_batches: every degree <= d form modulo constants, in code
+    order, at most ENUM_CAP of them."""
+    check_budget(count_polys(p, n, d), ENUM_CAP, "enumerate_polys")
+    K = _depth_count(p, d) if n else 0  # F_p^0 has no slots at any degree
+    for slots, _, coeffs in coefficient_batches(p, n, d):
+        yield slots, coeffs, eval_slot_batches(p, n, slots, coeffs, K), K
+
+
+def enumerate_polys(p: int, n: int, d: int) -> Iterator[NCPoly]:
+    """Stream every canonical form of degree <= d modulo constants exactly
+    once (at most ENUM_CAP of them), in code order."""
+    for slots, coeffs, tables, K in _form_tables(p, n, d):
+        for row, table in zip(coeffs, tables):
+            yield _form_poly(p, n, slots, row, table, K)
 
 
 def coefficient_batches(
@@ -631,7 +621,8 @@ def coefficient_batches(
 ) -> Iterator[tuple[list[tuple[tuple[int, ...], int]], np.ndarray, np.ndarray]]:
     """Yield (slots, codes, coefficient matrix) blocks covering every
     degree <= d canonical form modulo constants, in code order, each of
-    about _BLOCK_ENTRIES table entries; used by exhaustive suites."""
+    about _BLOCK_ENTRIES table entries: the one enumeration of canonical
+    forms, which eval_slot_batches turns into value tables."""
     slots = canonical_slots(p, n, d)
     total = p ** len(slots)
     rows = max(1, _BLOCK_ENTRIES // p**n)

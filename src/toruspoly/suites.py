@@ -62,6 +62,7 @@ from .norms import (
 from .poly import (
     CanonicalForm,
     NCPoly,
+    _depth_count,
     canonical_slots,
     coefficient_batches,
     degrees_from_coeffs,
@@ -395,7 +396,7 @@ def _exhaustive_poly_scan(p: int, n: int, d: int) -> dict:
     """Root round-trips, canonical round-trips, and the value-count bound
     over every degree <= d canonical form (modulo constants), batched."""
     sp = space(p, n)
-    K = (max(d, 1) - 1) // (p - 1) + 1
+    K = _depth_count(p, d)
     out = {"count": 0, "root_fail": 0, "canon_fail": 0, "bound_fail": 0}
     for slots, codes, coeffs in coefficient_batches(p, n, d):
         tables = eval_slot_batches(p, n, slots, coeffs, K)
@@ -422,8 +423,7 @@ def _exhaustive_poly_scan(p: int, n: int, d: int) -> dict:
         # value-count bound: p^(floor((d-1)/(p-1)) + 1) distinct values
         sorted_tables = np.sort(tables, axis=1)
         distinct = 1 + (np.diff(sorted_tables, axis=1) != 0).sum(axis=1)
-        cap = np.where(degs >= 1,
-                       p ** ((np.maximum(degs, 1) - 1) // (p - 1) + 1), 1)
+        cap = np.where(degs >= 1, p ** _depth_count(p, degs), 1)
         ok_values = distinct <= np.maximum(cap, 1)
         out["count"] += len(codes)
         out["root_fail"] += int((~ok_root).sum())

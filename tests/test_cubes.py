@@ -49,7 +49,7 @@ def _hk_taylor_oracle(g, G):
         sub = J
         while True:
             sign = (bin(J).count("1") - bin(sub).count("1")) % 2
-            term = g[sub] if sign == 0 else G.neg(g[sub])
+            term = g.entries[sub] if sign == 0 else G.neg(g.entries[sub])
             total = G.add(total, term)
             if sub == 0:
                 break
@@ -349,7 +349,7 @@ def _is_polynomial_map_oracle(phi_codes, H, G, use_generators=True):
                 dirs.append((i, h))
 
     def derive(tab, h):
-        return {x: G.sub(tab[H.add(x, h)], tab[x]) for x in tab}
+        return {x: G.add(tab[H.add(x, h)], G.neg(tab[x])) for x in tab}
 
     def rec(tab, start, total):
         if not all(v in G.level(total) for v in tab.values()):
@@ -607,6 +607,23 @@ class TestCachedTables:
         with pytest.raises(BudgetExceeded, match=r"^enumerate_cube_codes: "
                            r"estimated cost 64 exceeds budget 63$"):
             preserves_cubes_fast(identity, H, H, 2, cap=63)
+
+    def test_equal_groups_share_tables(self):
+        # built apart, once from levels and once from generators
+        G = FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2, 1])
+        H = FilteredAbelianGroup((4,), generators=[[(1,)], [(1,)], [(2,)], []])
+        assert G is not H and G == H and hash(G) == hash(H)
+        assert _member_tables(G, 2) is _member_tables(H, 2)
+        assert cubes._pass_tables(G, 2, "zeta") is cubes._pass_tables(H, 2, "zeta")
+        assert enumerate_cube_codes(G, 2) is enumerate_cube_codes(H, 2)
+
+    def test_unequal_filtrations_compare_unequal(self):
+        G = FilteredAbelianGroup.maximal([4], 1)
+        H = FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2])
+        assert G.orders == H.orders and G != H
+        assert FilteredAbelianGroup.maximal([2, 2], 1) != \
+            FilteredAbelianGroup.maximal([4], 1)
+        assert G != G.orders
 
 
 def _form_tuples(forms_with_slots, d: int, n: int) -> np.ndarray:

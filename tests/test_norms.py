@@ -303,7 +303,47 @@ class TestFourier:
             assert np.abs(fh).max() >= gowers_norm(f, 2) ** 2 - 1e-9
 
 
+def _inverse_explore_oracle(f, s):
+    """inverse_explore one code at a time: a divmod decode, one table and one
+    vdot per polynomial (the reference for the batched search)."""
+    p, n = f.p, f.n
+    slots = canonical_slots(p, n, s)
+    best_val, best_poly = -1.0, None
+    for code in range(p ** len(slots)):
+        terms = {}
+        rest = code
+        for slot in slots:
+            rest, c = divmod(rest, p)
+            if c:
+                terms[slot] = c
+        P = NCPoly.from_canonical(CanonicalForm(p, n, TorusValue.zero(p), terms))
+        corr = abs(np.vdot(BoundedFunction.from_phase(P).values, f.values)) / p**n
+        if corr > best_val + 1e-12:
+            best_val, best_poly = corr, P
+    return best_poly, float(best_val)
+
+
+_EXPLORE_CELLS = [(2, n, s) for n in range(1, 5) for s in range(3)] \
+    + [(3, 2, s) for s in range(4)] + [(5, 1, 3), (2, 0, 100)]
+
+
 class TestInverseExplore:
+    @pytest.mark.parametrize("p,n,s", _EXPLORE_CELLS)
+    def test_matches_scalar_oracle(self, p, n, s):
+        rng = SplitMix64(1000 * p + 10 * n + s)
+        planted = NCPoly.from_canonical(CanonicalForm(
+            p, n, TorusValue(p, rng.below(p), 1),
+            {sl: rng.below(p) for sl in canonical_slots(p, n, s)}))
+        noise = _random_bounded(p, n, rng).values
+        for f in (_random_bounded(p, n, rng),
+                  BoundedFunction(p, n, (BoundedFunction.from_phase(planted).values
+                                         + noise) / 2)):
+            best, corr = inverse_explore(f, s)
+            want, want_corr = _inverse_explore_oracle(f, s)
+            assert best == want
+            assert best.canonical() == want.canonical()
+            assert abs(corr - want_corr) <= 1e-12
+
     def test_self_correlation(self):
         Q = NCPoly.from_text(2, 2, "1/2*x1*x2 + 1/2*x2")
         best, corr = inverse_explore(BoundedFunction.from_phase(Q), 2)

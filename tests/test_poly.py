@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from toruspoly.catalog import L_over_power, mother_p, mother_q
-from toruspoly.core import FVec, TorusValue, enumerate_space, space
+from toruspoly.core import (
+    SUPPORTED_PRIMES,
+    FVec,
+    TorusValue,
+    enumerate_space,
+    space,
+)
 from toruspoly import poly
 from toruspoly.poly import (
     CanonicalForm,
@@ -325,8 +331,6 @@ class TestEnumeration:
 
     def test_degree_zero_constants(self):
         assert [P.canonical().to_text() for P in enumerate_polys(2, 2, 0)] == ["0"]
-        with_consts = list(enumerate_polys(2, 2, 0, modulo_constants=False))
-        assert all(P.degree() <= 0 for P in with_consts)
 
     def test_every_enumerated_within_degree(self):
         for P in enumerate_polys(3, 1, 3):
@@ -338,6 +342,74 @@ class TestEnumeration:
             key = (P.K, P.nums.tobytes())
             assert key not in seen
             seen.add(key)
+
+
+def _slots_oracle(p, n, d):
+    """canonical_slots one depth and one exponent vector at a time."""
+    sp = space(p, n)
+    out = []
+    j = 0
+    while d - j * (p - 1) >= 1:
+        for e_idx in range(sp.size):
+            exps = sp.digits_of(e_idx)
+            if 0 < sum(exps) <= d - j * (p - 1):
+                out.append((exps, j))
+        j += 1
+    return out
+
+
+def _enumerate_oracle(p, n, d):
+    """enumerate_polys one code at a time: a divmod decode of the code into
+    slot coefficients, then one table per form."""
+    slots = _slots_oracle(p, n, d)
+    for code in range(p ** len(slots)):
+        terms = {}
+        rest = code
+        for slot in slots:
+            rest, c = divmod(rest, p)
+            if c:
+                terms[slot] = c
+        yield NCPoly.from_canonical(CanonicalForm(p, n, TorusValue.zero(p), terms))
+
+
+class TestEnumerationOracles:
+    """The batched enumeration against the scalar decode it replaced."""
+
+    @pytest.mark.parametrize("p,n_max", [(2, 4), (3, 4), (5, 4), (7, 2),
+                                         (11, 2), (13, 2)])
+    def test_slots_and_counts(self, p, n_max):
+        for n in range(n_max + 1):
+            for d in range(-1, 9):
+                slots = canonical_slots(p, n, d)
+                assert slots == _slots_oracle(p, n, d)
+                assert all(type(j) is int and all(type(e) is int for e in exps)
+                           for exps, j in slots)
+                assert count_polys(p, n, d) == p ** len(slots)
+
+    @pytest.mark.parametrize("entries", [None, 100])
+    # n = 0 at a high degree: no slots, so no table over p^K >= 2^63
+    @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 1, 4), (2, 3, 2),
+                                       (5, 1, 4), (3, 2, 2), (2, 1, 0),
+                                       (2, 0, 100)])
+    def test_stream_matches_scalar_decode(self, monkeypatch, entries, p, n, d):
+        if entries is not None:
+            monkeypatch.setattr(poly, "_BLOCK_ENTRIES", entries)
+        got = list(enumerate_polys(p, n, d))
+        want = list(_enumerate_oracle(p, n, d))
+        assert len(got) == len(want) == count_polys(p, n, d)
+        for P, Q in zip(got, want):
+            assert P == Q  # K and numerators, in code order
+            assert P.canonical() == Q.canonical()
+            assert P.canonical().to_text() == Q.canonical().to_text()
+            assert type(P.K) is int
+
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_inverse_vandermonde(self, p):
+        V = np.array([[pow(x, i, p) for i in range(p)] for x in range(p)],
+                     dtype=np.int64)
+        Minv = poly._inverse_vandermonde(p)
+        assert np.array_equal(Minv @ V % p, np.eye(p, dtype=np.int64))
+        assert np.array_equal(V @ Minv % p, np.eye(p, dtype=np.int64))
 
 
 class TestScanBlocks:
