@@ -33,8 +33,11 @@ class BudgetExceeded(Exception):
 
 def check_budget(cost: int, budget: int | None, kernel: str) -> None:
     if budget is not None and cost > budget:
+        # a cost past 2^64 prints as a power of two: p^(slot count) can have
+        # more digits than Python converts to a string
+        shown = cost if cost < 1 << 64 else f">= 2^{cost.bit_length() - 1}"
         raise BudgetExceeded(
-            f"{kernel}: estimated cost {cost} exceeds budget {budget}")
+            f"{kernel}: estimated cost {shown} exceeds budget {budget}")
 
 
 def validate_prime(p: int) -> int:

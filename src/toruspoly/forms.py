@@ -318,16 +318,9 @@ def binomial_lift_power(P: NCPoly, m: int, k: int | None = None) -> NCPoly:
     modulus = p ** (M + 1)
     ints = lift.nums * (modulus // p**lift.K) % modulus
     binom_mod = np.array(
-        [_comb(v, m) % p for v in range(modulus)], dtype=np.int64
+        [math.comb(v, m) % p for v in range(modulus)], dtype=np.int64
     )
     return NCPoly.from_classical_table(p, P.n, binom_mod[ints])
-
-
-def _comb(v: int, m: int) -> int:
-    out = 1
-    for u in range(m):
-        out = out * (v - u) // (u + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +508,9 @@ def naive_bias(form: MultilinearForm, budget: int | None = None) -> Fraction:
 # the p-fold repetition identity
 
 
-def check_dkp(P: NCPoly, k: int, trials: int = 64, rng=None,
-              exhaustive_cap: int = 4096) -> tuple[int, list]:
-    """Verify d^k P(h1 x p, h2, ..) = -d^(k-p+1)(pP)(h1, h2, ..) on tuples.
-
-    Exhaustive when |V|^(k-p+1) fits under the cap, otherwise on random
-    tuples.  Returns (number checked, failures).
-    """
+def check_dkp(P: NCPoly, k: int) -> tuple[int, list]:
+    """Verify d^k P(h1 x p, h2, ..) = -d^(k-p+1)(pP)(h1, h2, ..) on every
+    tuple, at most 2^20 of them.  Returns (number checked, failures)."""
     p, n = P.p, P.n
     if k <= p:
         raise ValueError("identity needs k > p")
@@ -530,13 +519,8 @@ def check_dkp(P: NCPoly, k: int, trials: int = 64, rng=None,
     r = k - p + 1  # argument count
     pP = P.mul_by_p()
     N = space(p, n).size
-
-    if N**r <= exhaustive_cap:
-        tuples = list(itertools.product(range(N), repeat=r))
-    else:
-        if rng is None:
-            raise ValueError("need an rng for sampled checking")
-        tuples = [tuple(rng.below(N) for _ in range(r)) for _ in range(trials)]
+    check_budget(N**r, 1 << 20, "check_dkp")
+    tuples = list(itertools.product(range(N), repeat=r))
     h = np.array(tuples, dtype=np.int64).reshape(len(tuples), r)
     lhs = dk_values(p, n, P.nums, P.K,
                     np.concatenate([np.repeat(h[:, :1], p, axis=1), h[:, 1:]], axis=1))

@@ -66,10 +66,44 @@ def normalize_tables(nums: np.ndarray, K: int, p: int) -> tuple[np.ndarray, int]
     return nums, K
 
 
-def derivative_tables(nums: np.ndarray, K: int, p: int, n: int, h_idx: int) -> np.ndarray:
-    """d_h P = P(x+h) - P(x), numerators mod p^K."""
-    perm = space(p, n).shift_perm(h_idx)
-    return (nums[..., perm] - nums) % (p**K if K else 1)
+def difference_degree(nums: np.ndarray, K: int, p: int,
+                      gens: Sequence[tuple[int, int, int]]) -> float:
+    """Least d such that every iterated difference of a periodic table of
+    numerators over p^K, along generators of total weight > d, vanishes.
+
+    gens holds (axis, step, weight) triples, weights >= 1; the table wraps
+    on each axis.  The degree is -inf for the zero table and otherwise
+    max(0, max_g weight_g + deg Delta_g f), memoised on the normalised
+    difference tables.  Each Delta_g is nilpotent on a p-power-periodic
+    table and the Delta_g commute, so the walk ends without a bound.
+    """
+    nums = np.asarray(nums, dtype=np.int64)
+    idx = np.arange(nums.size).reshape(nums.shape)
+    steps = [(np.roll(idx, -step, axis=axis).reshape(-1), weight)
+             for axis, step, weight in gens]
+    # a depth-first walk on an explicit stack: a chain of differences can
+    # outrun Python's frame limit (degree 1,100 from 169 entries at p = 13)
+    memo: dict[bytes, float] = {}
+    kids: dict[bytes, list[tuple[bytes, int]]] = {}
+    flat, K = normalize_tables(nums.reshape(-1), K, p)
+    root = K.to_bytes(2, "big") + flat.tobytes()
+    stack = [(root, flat, K)]
+    while stack:
+        key, flat, K = stack[-1]
+        if key in memo:
+            stack.pop()
+        elif K == 0:
+            memo[key] = NEG_INF
+        elif key in kids:  # every difference is resolved
+            memo[key] = max([0] + [w + memo[k] for k, w in kids.pop(key)])
+        else:
+            kids[key] = []
+            for perm, weight in steps:
+                diff, Kd = normalize_tables((flat[perm] - flat) % p**K, K, p)
+                kid = Kd.to_bytes(2, "big") + diff.tobytes()
+                kids[key].append((kid, weight))
+                stack.append((kid, diff, Kd))
+    return memo[root]
 
 
 def mulp_tables(nums: np.ndarray, K: int, p: int) -> tuple[np.ndarray, int]:
@@ -471,36 +505,13 @@ class NCPoly:
             self._deg = self.canonical().degree()
         return self._deg
 
-    def degree_by_derivatives(self, d_max: int | None = None) -> float:
-        """Independent degree computation: iterated basis-direction derivatives.
-
-        The least d with every (d+1)-fold derivative vanishing; generators
-        suffice as directions.  Any table over (1/p^K)Z/Z has degree at most
-        (n + K - 1)(p - 1), which bounds the recursion.
-        """
-        limit = (self.n + self.K) * (self.p - 1) + 1 if d_max is None else d_max
-        memo: dict[bytes, float] = {}
-
-        def rec(nums: np.ndarray, K: int, fuel: int) -> float:
-            if K == 0:
-                return NEG_INF
-            if fuel < 0:
-                raise NotPolynomialError(f"degree exceeds bound {limit}")
-            key = K.to_bytes(2, "big") + nums.tobytes()
-            if key in memo:
-                return memo[key]
-            best = NEG_INF
-            for i in range(self.n):
-                d = derivative_tables(nums, K, self.p, self.n, self.p**i)
-                d, Kd = normalize_tables(d, K, self.p)
-                sub = rec(d, Kd, fuel - 1)
-                if sub > best:
-                    best = sub
-            out = 0 if best == NEG_INF else best + 1
-            memo[key] = out
-            return out
-
-        return rec(self.nums, self.K, limit)
+    def degree_by_derivatives(self) -> float:
+        """Independent degree computation: the least d with every
+        (d+1)-fold derivative vanishing, along basis directions (which
+        suffice), each of weight 1."""
+        return difference_degree(self.nums.reshape((self.p,) * self.n),
+                                 self.K, self.p,
+                                 [(axis, 1, 1) for axis in range(self.n)])
 
     # -- calculus
 
@@ -511,10 +522,8 @@ class NCPoly:
     def derivative(self, h: FVec) -> "NCPoly":
         if (h.p, h.n) != (self.p, self.n):
             raise ValueError("dimension mismatch")
-        return NCPoly(
-            self.p, self.n,
-            derivative_tables(self.nums, self.K, self.p, self.n, h.idx), self.K,
-        )
+        perm = space(self.p, self.n).shift_perm(h.idx)
+        return NCPoly(self.p, self.n, self.nums[perm] - self.nums, self.K)
 
     def mul_by_p(self) -> "NCPoly":
         nums, K = mulp_tables(self.nums, self.K, self.p)

@@ -368,7 +368,7 @@ def _suite_dkp(rec: _Recorder, params: dict, rng, threads, budget):
     p = 2
     for n in range(2, n_max + 1):
         P = catalog.L_over_power(n, 3)
-        checked, failures = check_dkp(P, 3, exhaustive_cap=1 << 20)
+        checked, failures = check_dkp(P, 3)
         rec.add("p-fold-repetition", {"p": p, "n": n, "k": 3, "poly": "L/8"},
                 not failures, checked=checked, failures=failures[:3])
     for n in range(2, n_max + 1):
@@ -377,13 +377,13 @@ def _suite_dkp(rec: _Recorder, params: dict, rng, threads, budget):
             terms = {s: rng.below(2) for s in slots}
             P = NCPoly.from_canonical(
                 CanonicalForm(2, n, TorusValue.zero(2), terms))
-            checked, failures = check_dkp(P, 4, exhaustive_cap=1 << 20)
+            checked, failures = check_dkp(P, 4)
             rec.add("p-fold-repetition",
                     {"p": p, "n": n, "k": 4, "poly": f"random-depth1-{trial}"},
                     not failures, checked=checked, failures=failures[:3])
     # classical inputs: both sides vanish
     P = catalog.S_k(3, 3)
-    checked, failures = check_dkp(P, 3, exhaustive_cap=1 << 20)
+    checked, failures = check_dkp(P, 3)
     rec.add("p-fold-repetition-classical", {"p": 2, "n": 3, "k": 3},
             not failures, checked=checked)
 
@@ -396,7 +396,7 @@ def _exhaustive_poly_scan(p: int, n: int, d: int) -> dict:
     """Root round-trips, canonical round-trips, and the value-count bound
     over every degree <= d canonical form (modulo constants), batched."""
     sp = space(p, n)
-    K = _depth_count(p, d)
+    K = _depth_count(p, d) if n else 0  # F_p^0 has no slots at any degree
     out = {"count": 0, "root_fail": 0, "canon_fail": 0, "bound_fail": 0}
     for slots, codes, coeffs in coefficient_batches(p, n, d):
         tables = eval_slot_batches(p, n, slots, coeffs, K)

@@ -27,7 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import TorusValue, validate_prime
-from .poly import NCPoly, NotPolynomialError, _check_table_exponent
+from .poly import (
+    NCPoly,
+    NotPolynomialError,
+    _check_table_exponent,
+    difference_degree,
+)
 
 
 def gen_binom(x: int, i: int) -> int:
@@ -219,52 +224,19 @@ class PeriodicMap:
         return not self.nums.any()
 
 
-def weighted_degree(f: "WeightedPoly | PeriodicMap",
-                    d_cap: int | None = None) -> float:
+def weighted_degree(f: "WeightedPoly | PeriodicMap") -> float:
     """Weighted degree: max term degree for binomial-basis input, else the
-    least d passing the derivative criterion on the fundamental box."""
+    derivative criterion on the fundamental box, along the generators
+    p^j e_i (p^j < box_i; larger ones are periods) of weight D_i + j(p-1)."""
     if isinstance(f, WeightedPoly):
         return f.degree()
     if not isinstance(f, PeriodicMap):
         raise TypeError("need a WeightedPoly or a PeriodicMap with periods")
-    if f.is_zero():
-        return float("-inf")
-    if d_cap is None:
-        d_cap = sum(d * (s - 1) for d, s in zip(f.D, f.box)) \
-            + max(f.K - 1, 0) * (f.p - 1) + f.p
-    for d in range(0, d_cap + 1):
-        if _degree_at_most(f, d):
-            return d
-    raise NotPolynomialError(f"no weighted degree <= {d_cap} fits")
-
-
-def _degree_at_most(f: PeriodicMap, d: int) -> bool:
     p = f.p
-    # forced periods: p^j e_i is a period once D_i + j(p-1) > d
-    gens: list[tuple[int, int, int]] = []  # (axis, step, degree)
-    for i, Di in enumerate(f.D):
-        j = 0
-        while Di + j * (p - 1) <= d:
-            gens.append((i, p**j % f.box[i], Di + j * (p - 1)))
-            j += 1
-        if p**j % f.box[i] != 0 and not f.diff(i, p**j % f.box[i]).is_zero():
-            return False
-
-    # minimal violating multigenerators: total degree > d but any proper
-    # sub-multiset within d
-    def rec(table: PeriodicMap, start: int, total: int) -> bool:
-        for g in range(start, len(gens)):
-            axis, step, deg = gens[g]
-            if total + deg > d:
-                if total + deg - deg <= d:  # minimal violator
-                    if not table.diff(axis, step).is_zero():
-                        return False
-                continue
-            if not rec(table.diff(axis, step), g, total + deg):
-                return False
-        return True
-
-    return rec(f, 0, 0)
+    gens = [(i, p**j, Di + j * (p - 1))
+            for i, (Di, side) in enumerate(zip(f.D, f.box))
+            for j in range(round(math.log(side, p)))]
+    return difference_degree(f.nums, f.K, p, gens)
 
 
 def binomial_expand(f: PeriodicMap, d_bound: int) -> WeightedPoly:
@@ -363,17 +335,14 @@ class Factor:
 
     chains[i] is (D_i, [P_(i,0), ..., P_(i,J_i)]) with deg P_(i,j) bounded
     by D_i + j(p-1), values of P_(i,j) in (1/p^(j+1))Z/Z, and
-    p P_(i,j) = P_(i,j-1) (the j = 0 layer is classical).  Regularity is an
-    asymptotic notion and is accepted as a caller-supplied flag only.
+    p P_(i,j) = P_(i,j-1) (the j = 0 layer is classical).
     """
 
     def __init__(self, p: int, n: int,
-                 chains: Sequence[tuple[int, Sequence[NCPoly]]],
-                 regular: bool = False):
+                 chains: Sequence[tuple[int, Sequence[NCPoly]]]):
         self.p = p
         self.n = n
         self.chains = [(int(D), list(polys)) for D, polys in chains]
-        self.regular = regular
         self.validate()
 
     def validate(self) -> None:
@@ -424,7 +393,7 @@ class Factor:
             while len(polys) - 1 < target:
                 polys.append(polys[-1].pth_root())
             chains.append((D, polys))
-        return Factor(self.p, self.n, chains, regular=self.regular)
+        return Factor(self.p, self.n, chains)
 
     def retract(self, d: int) -> "Factor":
         """Degree <= d depth retraction: delete layers with D_i + j(p-1) > d."""
@@ -434,7 +403,7 @@ class Factor:
                     if D + j * (self.p - 1) <= d]
             if kept:
                 chains.append((D, kept))
-        return Factor(self.p, self.n, chains, regular=self.regular)
+        return Factor(self.p, self.n, chains)
 
     def top_values(self) -> np.ndarray:
         """(p^n, m) integer table whose row x holds the coordinates a_i with

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import sys
 import numpy as np
 import pytest
@@ -320,6 +321,18 @@ class TestCli:
         code, out = run_cli("--input", str(path), "norm", "--d", "3")
         assert code == 0
 
+    def test_explore_huge_cost_exits_3(self, tmp_path, capsys):
+        # 2^(about 18,000 slots) has more digits than Python prints
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"p": 2, "n": 2, "values": [
+            {"re": 1, "im": 0}, {"re": 0, "im": 1}, {"re": -1, "im": 0},
+            {"re": 1, "im": 0}]}))
+        code, out = run_cli("--input", str(path), "explore", "--s", "6000")
+        assert code == 3 and out == ""
+        assert re.fullmatch(r"budget exceeded: enumerate_polys: estimated "
+                            r"cost >= 2\^\d+ exceeds budget 1048576\n",
+                            capsys.readouterr().err)
+
     def test_decompose(self):
         payload = json.dumps({"values": ["1/2", "3/2", "2", "4"],
                               "factors": [[0, 0, 1, 1]]})
@@ -346,6 +359,12 @@ class TestCli:
         code, out = run_cli("--input", "-", "wdegree",
                             stdin_text=json.dumps(wp))
         assert code == 0 and json.loads(out)["weighted_degree"] == 2
+        # a table whose degree 12 lies past sum D(s - 1) + (K - 1)(p - 1) + p
+        table = {"p": 3, "m": 1, "D": [2], "box": [3], "nums": [24, 21, 19],
+                 "K": 3}
+        code, out = run_cli("--input", "-", "wdegree",
+                            stdin_text=json.dumps(table))
+        assert code == 0 and json.loads(out)["weighted_degree"] == 12
         code, out = run_cli("--input", "-", "wroot",
                             stdin_text=json.dumps(wp))
         assert code == 0

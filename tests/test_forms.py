@@ -415,8 +415,7 @@ class TestDkValues:
 
 class TestDkpIdentity:
     def test_l_over_eight_exhaustive(self):
-        checked, failures = check_dkp(L_over_power_local(3, 3), 3,
-                                      exhaustive_cap=1 << 20)
+        checked, failures = check_dkp(L_over_power_local(3, 3), 3)
         assert checked == 64 and not failures
 
     def test_depth_one_quartic(self):
@@ -424,18 +423,24 @@ class TestDkpIdentity:
         slots = [(e, j) for (e, j) in canonical_slots(2, 3, 4) if j <= 1]
         P = NCPoly.from_canonical(CanonicalForm(
             2, 3, TorusValue.zero(2), {s: rng.below(2) for s in slots}))
-        checked, failures = check_dkp(P, 4, exhaustive_cap=1 << 20)
+        checked, failures = check_dkp(P, 4)
         assert not failures
 
     def test_classical_both_sides_zero(self):
         P = S_k(3, 3)
-        checked, failures = check_dkp(P, 3, exhaustive_cap=1 << 20)
+        checked, failures = check_dkp(P, 3)
         assert not failures
         assert P.mul_by_p().is_zero()
 
     def test_requires_k_above_p(self):
         with pytest.raises(ValueError):
             check_dkp(S_k(3, 2), 2)
+
+    def test_tuple_budget(self):
+        # k = 4 on F_2^7 asks for 128^3 = 2^21 tuples
+        with pytest.raises(BudgetExceeded, match=r"^check_dkp: estimated "
+                           r"cost 2097152 exceeds budget 1048576$"):
+            check_dkp(L_over_power_local(7, 3), 4)
 
 
 def L_over_power_local(n, j):

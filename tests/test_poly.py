@@ -23,7 +23,7 @@ from toruspoly.poly import (
     eval_slot_batches,
 )
 from toruspoly.rng import SplitMix64
-from toruspoly.suites import _exhaustive_poly_scan
+from toruspoly.suites import _exhaustive_poly_scan, run_suite
 
 NEG_INF = float("-inf")
 
@@ -152,6 +152,25 @@ class TestDegree:
                 P = NCPoly.from_canonical(
                     CanonicalForm(p, n, TorusValue.zero(p), terms))
                 assert P.degree() == P.degree_by_derivatives()
+
+    def test_methods_agree_on_random_tables(self):
+        # every table over (1/p^K)Z/Z is a polynomial; F_p^0 included
+        rng = SplitMix64(41)
+        for p, n, K in ((2, 0, 3), (2, 3, 3), (3, 2, 3), (5, 1, 3), (7, 1, 2)):
+            for _ in range(8):
+                P = NCPoly(p, n, np.array([rng.below(p**K)
+                                           for _ in range(p**n)]), K)
+                assert P.degree() == P.degree_by_derivatives()
+
+    def test_difference_degree_scales_with_weight(self):
+        P = L_over_power(3, 2)
+        table = P.nums.reshape(2, 2, 2)
+        for w in (1, 2, 5):
+            gens = [(axis, 1, w) for axis in range(3)]
+            assert poly.difference_degree(table, P.K, 2, gens) == 2 * w
+        assert poly.difference_degree(np.zeros(4), 2, 2,
+                                      [(0, 1, 3)]) == NEG_INF
+        assert poly.difference_degree(np.full(4, 8), 4, 2, [(0, 1, 3)]) == 0
 
 
 class TestMulByP:
@@ -464,6 +483,15 @@ class TestScanBlocks:
         res = _exhaustive_poly_scan(p, n, d)
         assert res == {"count": count_polys(p, n, d), "root_fail": 0,
                        "canon_fail": 0, "bound_fail": 0}
+
+    def test_roots_suite_on_f_p_0(self):
+        # one form (the zero one) at any degree; K = 0 keeps p^K in int64
+        rep = run_suite("roots", params={"grids": [[2, 0, 100]],
+                                         "random_trials": 0,
+                                         "weighted_trials": 0})
+        cells = [c for c in rep.checks if c.name.endswith("-exhaustive")]
+        assert len(cells) == 2
+        assert all(c.passed and c.details["polynomials"] == 1 for c in cells)
 
 
 class TestSerialization:

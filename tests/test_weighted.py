@@ -1,6 +1,7 @@
 """Weighted-degree maps on Z^m and chained polynomial factors."""
 
 import itertools
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -50,6 +51,36 @@ def random_wpoly(rng, p, m, r_max, i_max=3):
             terms[(i_vec, r)] = c
     alpha = TorusValue(p, rng.below(p**3), rng.below(4))
     return WeightedPoly(p, m, (1 + rng.below(2),) * m, alpha, terms)
+
+
+def degree_at_most_oracle(f, d):
+    """Weighted degree <= d by definition: the forced periods p^j e_i
+    (D_i + j(p-1) > d, j minimal) are periods, and every minimal multiset of
+    generators of total degree > d kills f."""
+    p = f.p
+    gens = []  # (axis, step, degree)
+    for i, Di in enumerate(f.D):
+        j = 0
+        while Di + j * (p - 1) <= d:
+            gens.append((i, p**j % f.box[i], Di + j * (p - 1)))
+            j += 1
+        if p**j % f.box[i] != 0 and not f.diff(i, p**j % f.box[i]).is_zero():
+            return False
+
+    def rec(table, start, total):
+        if table.is_zero():  # and so is every further difference
+            return True
+        for g in range(start, len(gens)):
+            axis, step, deg = gens[g]
+            if total + deg > d:
+                if not table.diff(axis, step).is_zero():
+                    return False
+                continue
+            if not rec(table.diff(axis, step), g, total + deg):
+                return False
+        return True
+
+    return rec(f, 0, 0)
 
 
 def assert_matches_oracle(w, points):
@@ -139,6 +170,65 @@ class TestWeightedDegree:
     def test_requires_periods(self):
         with pytest.raises(TypeError):
             weighted_degree([0, 1, 2])
+
+    def test_degree_past_the_box_bound(self):
+        # D = 2 along e_1 with period 3e_1: Delta^6 f = 9/27 and Delta^7 f = 0,
+        # so the degree is 6 * 2 = 12, above sum D(s - 1) + (K - 1)(p - 1) + p
+        tab = PeriodicMap(3, 1, (2,), (3,), [24, 21, 19], 3)
+        diffs = [tab]
+        for _ in range(7):
+            diffs.append(diffs[-1].diff(0, 1))
+        assert diffs[6].value((0,)) == TorusValue(3, 1, 1)
+        assert diffs[6].nums.tolist() == [9, 9, 9] and diffs[7].is_zero()
+        assert weighted_degree(tab) == 12
+        assert degree_at_most_oracle(tab, 12)
+        assert not degree_at_most_oracle(tab, 11)
+
+    def test_long_difference_chain(self):
+        # degree 480 from 169 entries: the walk keeps no frame per
+        # difference, so it runs under a recursion limit of 200
+        rng = SplitMix64(3)
+        tab = PeriodicMap(13, 1, (1,), (169,),
+                          [rng.below(13**3) for _ in range(169)], 3)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            d = weighted_degree(tab)
+        finally:
+            sys.setrecursionlimit(limit)
+        # generators e_1 (weight 1) and 13e_1 (weight 13): for each b, the
+        # largest a with Delta_1^a Delta_13^b f != 0
+        expect, g, b = float("-inf"), tab, 0
+        while not g.is_zero():
+            h, a = g.diff(0, 1), 0
+            while not h.is_zero():
+                h, a = h.diff(0, 1), a + 1
+            expect = max(expect, a + 13 * b)
+            g, b = g.diff(0, 13), b + 1
+        assert d == expect == 480
+
+    def test_random_tables_against_the_oracle(self):
+        # the returned d passes the minimal-violator criterion, d - 1 fails
+        rng = SplitMix64(2024)
+        for _ in range(150):
+            p = (2, 3, 5)[rng.below(3)]
+            m = 1 + rng.below(2)
+            D = tuple(1 + rng.below(3) for _ in range(m))
+            box = tuple(p ** rng.below(3 if p < 5 else 2) for _ in range(m))
+            if np.prod(box) > 64:
+                box = box[:1] + (1,) * (m - 1)
+            K = rng.below(4)
+            nums = [rng.below(p**K) for _ in range(int(np.prod(box)))]
+            tab = PeriodicMap(p, m, D, box, np.reshape(nums, box), K)
+            d = weighted_degree(tab)
+            if tab.is_zero():
+                assert d == float("-inf")
+                continue
+            assert degree_at_most_oracle(tab, d)
+            if d >= 1:
+                assert not degree_at_most_oracle(tab, d - 1)
+            else:  # a nonzero constant
+                assert len(np.unique(tab.nums)) == 1
 
     def test_nonperiodic_rejected(self):
         with pytest.raises(ValueError):
