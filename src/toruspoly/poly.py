@@ -9,8 +9,12 @@ additive derivatives vanish.  Two representations are kept in sync:
   term equal to (i_1 + ... + i_n) + j(p-1).
 
 Tables are the fast path for norms and derivatives; canonical forms drive
-p-th roots, degree-by-inspection, and enumeration.  All table kernels accept
-leading batch dimensions so that large enumerations stay vectorised.
+p-th roots, degree-by-inspection, and enumeration.  The per-axis kernels
+(classical_coeffs, eval_layer_tables) take tables with the table axis first
+and any batch axes after it, so each per-axis pass runs over contiguous runs
+of entries; interpolate_tables and eval_slot_batches keep the table axis last.
+Their matrix products run in float64, where BLAS is exact because every
+partial sum is an integer below 2^53, and in Python integers past that.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class NotPolynomialError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# table kernels (batched over leading dimensions)
+# table kernels (table axis first, batched over the axes after it)
 
 
 def _reduce(x: np.ndarray, p: int, K: int) -> np.ndarray:
@@ -119,57 +123,67 @@ def _inverse_vandermonde(p: int) -> np.ndarray:
                       for a in range(p)] for i in range(p)], dtype=np.int64) % p
 
 
-def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
-    """Monomial coefficients of an F_p-valued table, per-axis interpolation.
+def _exact_dtype(terms: int, p: int, modulus: int):
+    """float64 while a sum of `terms` products of an F_p coefficient with an
+    entry below modulus stays below 2^53, so that every partial sum is an
+    exact integer and BLAS is exact in any order; Python integers past it."""
+    return np.float64 if terms * (p - 1) * (modulus - 1) < 1 << 53 else object
 
-    Returns an array of the same shape; entry at index e is the coefficient
-    of prod |x_t|^(digit_t(e)).
+
+def _exact_reduce(prod: np.ndarray, p: int, K: int) -> np.ndarray:
+    """An exact float64 or Python-integer product, mod p^K in int64."""
+    if prod.dtype == np.float64:
+        prod = prod.astype(np.int64)
+    return np.asarray(_reduce(prod, p, K), dtype=np.int64)
+
+
+def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
+    """Monomial coefficients of F_p-valued tables, per-axis interpolation.
+
+    Tables have shape (N, ...), the table axis first.  Returns an array of
+    the same shape; entry at index e is the coefficient of
+    prod |x_t|^(digit_t(e)).
     """
-    arr = _reduce(np.asarray(table, dtype=np.int64), p, 1)
+    arr = np.ascontiguousarray(_reduce(np.asarray(table, dtype=np.int64), p, 1))
+    shape = arr.shape
     N = p**n
-    lead = arr.shape[:-1]
-    arr = arr.reshape(-1, N)
+    arr = arr.reshape(N, -1)
     if p == 2:
         for ax in range(n):
-            view = arr.reshape(arr.shape[0], N >> (ax + 1), 2, 1 << ax)
-            view[:, :, 1, :] ^= view[:, :, 0, :]
-        return arr.reshape(*lead, N)
+            view = arr.reshape(N >> (ax + 1), 2, -1)
+            view[:, 1] ^= view[:, 0]
+        return arr.reshape(shape)
     Minv = _inverse_vandermonde(p)
     for ax in range(n):
-        view = arr.reshape(arr.shape[0], N // p ** (ax + 1), p, p**ax)
-        arr = _reduce(np.matmul(Minv, view), p, 1).reshape(arr.shape[0], N)
-    return arr.reshape(*lead, N)
+        view = arr.reshape(N // p ** (ax + 1), p, -1)
+        arr = _reduce(np.matmul(Minv, view), p, 1)
+    return arr.reshape(shape)
 
 
 @lru_cache(maxsize=256)
 def _monomial_matrix(p: int, n: int, modulus: int) -> np.ndarray:
-    """M[e, x] = prod_t |x_t|^(digit_t(e)) mod modulus, shape (N, N).
-
-    int64 while every product and every row of a product with F_p
-    coefficients stays below 2^63; past that, Python integers (dtype
-    object) run the same code.
-    """
+    """M[x, e] = prod_t |x_t|^(digit_t(e)) mod modulus, shape (N, N), built
+    in int64 (Python integers past 2^63) and stored as _exact_dtype says."""
     sp = space(p, n)
     dig = sp.digits.astype(np.int64)
     pows = [[pow(d, e, modulus) for e in range(p)] for d in range(p)]
     top = max(map(max, pows))  # 1 at p = 2, so no entry of M exceeds 1
-    wide = modulus * top >= 1 << 63 or \
-        sp.size * (p - 1) * min(modulus - 1, top**n) >= 1 << 63
-    powtab = np.array(pows, dtype=object if wide else np.int64)
+    powtab = np.array(pows, dtype=object if modulus * top >= 1 << 63 else np.int64)
     M = np.ones((sp.size, sp.size), dtype=powtab.dtype)
     for t in range(n):
-        M = M * powtab[np.ix_(dig[:, t], dig[:, t])].T % modulus
-    return M
+        M = M * powtab[np.ix_(dig[:, t], dig[:, t])] % modulus
+    return M.astype(_exact_dtype(sp.size, p, modulus))
 
 
 def eval_layer_tables(
     p: int, n: int, coeffs: np.ndarray, depth: int, K: int
 ) -> np.ndarray:
-    """Numerators over p^K of sum_e coeffs[..., e]/p^(depth+1) * monomial_e,
-    for coefficients in [0, p)."""
+    """Numerators over p^K of sum_e coeffs[e, ...]/p^(depth+1) * monomial_e,
+    for coefficients in [0, p), with the table axis first."""
     M = _monomial_matrix(p, n, p ** (depth + 1))
-    vals = _reduce(coeffs.astype(np.int64) @ M, p, depth + 1)
-    return np.asarray(_reduce(vals * p ** (K - 1 - depth), p, K), dtype=np.int64)
+    coeffs = np.asarray(coeffs)
+    vals = _exact_reduce(M @ coeffs.reshape(len(M), -1).astype(M.dtype), p, depth + 1)
+    return vals.reshape(coeffs.shape) * p ** (K - 1 - depth)
 
 
 def slot_degrees(p: int, n: int, K: int) -> np.ndarray:
@@ -192,21 +206,19 @@ def interpolate_tables(
     (..., K, N)).  Raises NotPolynomialError when a table has no canonical
     form.
     """
-    sp = space(p, n)
-    N = sp.size
+    N = space(p, n).size
     nums = np.asarray(nums, dtype=np.int64)
     lead = nums.shape[:-1]
-    nums = nums.reshape(-1, N)
-    alpha = _reduce(nums[:, 0], p, K)
-    resid = _reduce(nums - alpha[:, None], p, K)
-    C = np.zeros((nums.shape[0], K, N), dtype=np.int64)
+    nums = np.ascontiguousarray(nums.reshape(-1, N).T)  # table axis first
+    alpha = _reduce(nums[0], p, K)
+    resid = _reduce(nums - alpha, p, K)
+    C = np.zeros((K, N, nums.shape[1]), dtype=np.int64)
     for j in range(K - 1, -1, -1):
-        cj = classical_coeffs(p, n, resid // p ** (K - 1 - j))
-        C[:, j, :] = cj
-        resid = _reduce(resid - eval_layer_tables(p, n, cj, j, K), p, K)
+        C[j] = classical_coeffs(p, n, resid // p ** (K - 1 - j))
+        resid = _reduce(resid - eval_layer_tables(p, n, C[j], j, K), p, K)
     if resid.any():
         raise NotPolynomialError("table does not reduce to a canonical form")
-    return alpha.reshape(lead), C.reshape(*lead, K, N)
+    return alpha.reshape(lead), C.transpose(2, 0, 1).reshape(*lead, K, N)
 
 
 def degrees_from_coeffs(p: int, n: int, alpha: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -269,20 +281,16 @@ class CanonicalForm:
     def eval_table(self) -> tuple[np.ndarray, int]:
         K = self.table_exponent()
         _check_table_exponent(self.p, K)
-        N = space(self.p, self.n).size
-        nums = np.full(N, self.alpha.num * self.p ** (K - self.alpha.exp) if K else 0,
+        p, sp = self.p, space(self.p, self.n)
+        nums = np.full(sp.size, self.alpha.num * p ** (K - self.alpha.exp) if K else 0,
                        dtype=np.int64)
-        if K == 0:
-            return nums, 0
-        for j in range(K):
-            coeffs = np.zeros(N, dtype=np.int64)
-            any_term = False
-            for (exps, jj), c in self.terms.items():
-                if jj == j:
-                    coeffs[space(self.p, self.n).index_of(exps)] = c
-                    any_term = True
-            if any_term:
-                nums = (nums + eval_layer_tables(self.p, self.n, coeffs, j, K)) % self.p**K
+        C = np.zeros((K, sp.size), dtype=np.int64)
+        for (exps, j), c in self.terms.items():
+            C[j, sp.index_of(exps)] = c
+        for j in np.flatnonzero(C.any(axis=1)):
+            layer = eval_layer_tables(p, self.n, C[j], int(j), K)
+            # nums - (p^K - layer) stays inside (-p^K, p^K) where a sum could wrap
+            nums = (nums - (p**K - layer)) % p**K
         return nums, K
 
     def eval(self, x: FVec) -> TorusValue:
@@ -496,9 +504,6 @@ class NCPoly:
     def is_classical(self) -> bool:
         return self.K <= 1
 
-    def distinct_values(self) -> int:
-        return len(np.unique(self.nums))
-
     def degree(self) -> float:
         """Exact degree, read from the canonical form (interpolating if needed)."""
         if self._deg is None:
@@ -648,13 +653,15 @@ def coefficient_batches(
 @lru_cache(maxsize=64)
 def _slot_basis(p: int, n: int, slots: tuple[tuple[tuple[int, ...], int], ...],
                 K: int) -> np.ndarray:
-    """Read-only (slots, N) value tables over p^K of each slot's monomial."""
+    """Read-only (slots, N) value tables over p^K of each slot's monomial,
+    stored as _exact_dtype says."""
     sp = space(p, n)
     basis = np.zeros((len(slots), sp.size), dtype=np.int64)
     for s, (exps, j) in enumerate(slots):
         row = np.zeros(sp.size, dtype=np.int64)
         row[sp.index_of(exps)] = 1
         basis[s] = eval_layer_tables(p, n, row, j, K)
+    basis = basis.astype(_exact_dtype(len(slots), p, p**K))
     basis.flags.writeable = False
     return basis
 
@@ -663,4 +670,5 @@ def eval_slot_batches(
     p: int, n: int, slots: list[tuple[tuple[int, ...], int]], coeffs: np.ndarray, K: int
 ) -> np.ndarray:
     """Value tables (numerators over p^K) for a batch of coefficient rows."""
-    return _reduce(coeffs @ _slot_basis(p, n, tuple(slots), K), p, K)
+    basis = _slot_basis(p, n, tuple(slots), K)
+    return _exact_reduce(coeffs.astype(basis.dtype) @ basis, p, K)

@@ -295,6 +295,104 @@ class TestInterpolate:
             NCPoly.from_text(2, 2, f"1/{2**62}*x1 + 1/2*x2").pth_root()
         assert NCPoly(3, 1, [1, 2, 0], 39).K == 39
 
+    def test_eval_table_sums_past_2_to_the_62(self):
+        # 5^27 lies between 2^62 and 2^63: the sum of two layers' numerators
+        # would wrap int64
+        cf = CanonicalForm.from_text(5, 1, f"4/5 + 1/{5**27}*x1 + 4/5*x1")
+        P = NCPoly.from_canonical(cf)
+        assert P.K == 27
+        assert [P.eval(x) for x in enumerate_space(5, 1)] == \
+            [cf.eval(x) for x in enumerate_space(5, 1)]
+
+
+def _assert_tables_match_forms(p, n, tables, K, forms):
+    """tables[:, b] holds numerators over p^K of forms[b], point by point."""
+    for b, cf in enumerate(forms):
+        for x in enumerate_space(p, n):
+            assert TorusValue(p, int(tables[x.idx, b]), K) == cf.eval(x)
+
+
+class TestExactProducts:
+    # float64 products while N(p-1)(p^(depth+1) - 1) < 2^53, Python integers
+    # past it; at p = 13, n = 2, depth 13 the sums pass 2^53, so float64
+    # products would round there
+    @pytest.mark.parametrize("p,n,depth,dtype", [
+        (2, 3, 49, np.float64), (2, 3, 50, object),
+        (13, 2, 10, np.float64), (13, 2, 11, object), (13, 2, 13, object)])
+    def test_layer_products_switch_at_2_to_the_53(self, p, n, depth, dtype):
+        N, K = p**n, depth + 1
+        assert (N * (p - 1) * (p**K - 1) < 1 << 53) == (dtype is np.float64)
+        assert poly._monomial_matrix(p, n, p**K).dtype == dtype
+        rng = SplitMix64(depth)
+        coeffs = np.array([[rng.below(p) for _ in range(4)] for _ in range(N)])
+        coeffs[:, 0] = p - 1
+        tables = poly.eval_layer_tables(p, n, coeffs, depth, K)
+        assert tables.dtype == np.int64 and tables.shape == (N, 4)
+        sp = space(p, n)
+        forms = [CanonicalForm(p, n, TorusValue(p, int(col[0]), K),
+                               {(sp.digits_of(e), depth): int(c)
+                                for e, c in enumerate(col) if e})
+                 for col in coeffs.T]
+        _assert_tables_match_forms(p, n, tables, K, forms)
+
+    # S(p-1)(p^K - 1) is 2^53 - 8 at (2, 50, 8) and 7.3e15 at (13, 13, 2);
+    # deep slots of high degree at p = 13 have entries near p^K, and at
+    # K = 15 their sums pass 2^53, so float64 products would round there
+    @pytest.mark.parametrize("p,n,K,S,dtype", [
+        (2, 3, 50, 8, np.float64), (2, 3, 50, 9, object),
+        (13, 2, 13, 2, np.float64), (13, 2, 13, 3, object),
+        (13, 2, 15, 8, object)])
+    def test_slot_products_switch_at_2_to_the_53(self, p, n, K, S, dtype):
+        assert (S * (p - 1) * (p**K - 1) < 1 << 53) == (dtype is np.float64)
+        exps = [space(p, n).digits_of(e) for e in range(p**n - 1, 0, -1)]
+        slots = ([(e, K - 1) for e in exps] + [(e, 0) for e in exps])[:S]
+        assert poly._slot_basis(p, n, tuple(slots), K).dtype == dtype
+        rng = SplitMix64(S)
+        coeffs = np.array([[rng.below(p) for _ in slots] for _ in range(5)])
+        coeffs[0] = p - 1
+        tables = eval_slot_batches(p, n, slots, coeffs, K)
+        assert tables.dtype == np.int64
+        forms = [CanonicalForm(p, n, TorusValue.zero(p),
+                               {s: int(c) for s, c in zip(slots, row)})
+                 for row in coeffs]
+        _assert_tables_match_forms(p, n, tables.T, K, forms)
+
+
+class TestKernelLayout:
+    @pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 2)])
+    def test_batch_columns_equal_single_calls(self, p, n):
+        N = p**n
+        rng = SplitMix64(N)
+        batch = np.array([[rng.below(p) for _ in range(7)] for _ in range(N)])
+        coeffs = poly.classical_coeffs(p, n, batch)
+        layers = poly.eval_layer_tables(p, n, batch, 1, 3)
+        assert coeffs.shape == layers.shape == (N, 7)
+        for b in range(7):
+            assert np.array_equal(coeffs[:, b],
+                                  poly.classical_coeffs(p, n, batch[:, b]))
+            assert np.array_equal(layers[:, b],
+                                  poly.eval_layer_tables(p, n, batch[:, b], 1, 3))
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_interpolate_tables_keeps_leading_shapes(self, lead):
+        p, n, K = 3, 2, 2
+        slots = canonical_slots(p, n, 3)
+        rng = SplitMix64(len(lead))
+        rows = np.array([[rng.below(p) for _ in slots]
+                         for _ in range(int(np.prod(lead)))])
+        tables = eval_slot_batches(p, n, slots, rows, K).reshape(*lead, p**n)
+        alpha, C = poly.interpolate_tables(p, n, tables, K)
+        assert alpha.shape == lead and C.shape == (*lead, K, p**n)
+        for idx in np.ndindex(*lead):
+            row_alpha, row_C = poly.interpolate_tables(p, n, tables[idx], K)
+            assert row_alpha.shape == () and row_C.shape == (K, p**n)
+            assert row_alpha == alpha[idx]
+            assert np.array_equal(row_C, C[idx])
+        sp = space(p, n)
+        recovered = [C.reshape(-1, K, p**n)[:, j, sp.index_of(e)]
+                     for e, j in slots]
+        assert np.array_equal(np.stack(recovered, axis=1), rows)
+
 
 def mother_q_table_2d():
     # |x1|/4 on F_2^2
@@ -334,7 +432,7 @@ class TestClassicality:
                 if deg == NEG_INF:
                     continue
                 cap = p ** ((max(int(deg), 1) - 1) // (p - 1) + 1)
-                assert P.distinct_values() <= cap
+                assert len(np.unique(P.nums)) <= cap
 
 
 class TestEnumeration:
