@@ -13,8 +13,8 @@ p-th roots, degree-by-inspection, and enumeration.  The per-axis kernels
 (classical_coeffs, eval_layer_tables) take tables with the table axis first
 and any batch axes after it, so each per-axis pass runs over contiguous runs
 of entries; interpolate_tables and eval_slot_batches keep the table axis last.
-Their matrix products run in float64, where BLAS is exact because every
-partial sum is an integer below 2^53, and in Python integers past that.
+Products run in float64, exact in BLAS while every partial sum is an integer
+below 2^53, else in Python integers; layers share one matrix per (p, n).
 """
 
 from __future__ import annotations
@@ -123,11 +123,11 @@ def _inverse_vandermonde(p: int) -> np.ndarray:
                       for a in range(p)] for i in range(p)], dtype=np.int64) % p
 
 
-def _exact_dtype(terms: int, p: int, modulus: int):
+def _exact_dtype(terms: int, p: int, top: int):
     """float64 while a sum of `terms` products of an F_p coefficient with an
-    entry below modulus stays below 2^53, so that every partial sum is an
+    entry at most top stays below 2^53, so that every partial sum is an
     exact integer and BLAS is exact in any order; Python integers past it."""
-    return np.float64 if terms * (p - 1) * (modulus - 1) < 1 << 53 else object
+    return np.float64 if terms * (p - 1) * top < 1 << 53 else object
 
 
 def _exact_reduce(prod: np.ndarray, p: int, K: int) -> np.ndarray:
@@ -160,19 +160,33 @@ def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def _matrix_dtypes(p: int, n: int, modulus: int) -> tuple:
+    """Build dtype (int64 while modulus * top < 2^63) and storage dtype of M."""
+    top = max(pow(d, e, modulus) for d in range(p) for e in range(p))
+    return (object if modulus * top >= 1 << 63 else np.int64,
+            _exact_dtype(p**n, p, min(modulus - 1, (p - 1) ** (n * (p - 1)))))
+
+
 @lru_cache(maxsize=256)
 def _monomial_matrix(p: int, n: int, modulus: int) -> np.ndarray:
-    """M[x, e] = prod_t |x_t|^(digit_t(e)) mod modulus, shape (N, N), built
-    in int64 (Python integers past 2^63) and stored as _exact_dtype says."""
-    sp = space(p, n)
-    dig = sp.digits.astype(np.int64)
-    pows = [[pow(d, e, modulus) for e in range(p)] for d in range(p)]
-    top = max(map(max, pows))  # 1 at p = 2, so no entry of M exceeds 1
-    powtab = np.array(pows, dtype=object if modulus * top >= 1 << 63 else np.int64)
-    M = np.ones((sp.size, sp.size), dtype=powtab.dtype)
+    """M[x, e] = prod_t |x_t|^(digit_t(e)) mod modulus, shape (N, N)."""
+    dig = space(p, n).digits.astype(np.int64)
+    build, store = _matrix_dtypes(p, n, modulus)
+    powtab = np.array([[pow(d, e, modulus) for e in range(p)] for d in range(p)], build)
+    M = np.ones((p**n, p**n), dtype=build)
     for t in range(n):
         M = M * powtab[np.ix_(dig[:, t], dig[:, t])] % modulus
-    return M.astype(_exact_dtype(sp.size, p, modulus))
+    return M.astype(store)
+
+
+@lru_cache(maxsize=64)
+def _shared_modulus(p: int, n: int) -> tuple[int, bool]:
+    """(p^D, exact): M mod p^D for the largest D that builds in int64 and is
+    stored as float64; exact when no monomial value reaches p^D."""
+    m = max(p**D for D in range(64) if p**D < 1 << 63)  # the largest below 2^63
+    while _matrix_dtypes(p, n, m) != (np.int64, np.float64):  # monotone in D
+        m //= p
+    return m, (p - 1) ** (n * (p - 1)) < m
 
 
 def eval_layer_tables(
@@ -180,7 +194,8 @@ def eval_layer_tables(
 ) -> np.ndarray:
     """Numerators over p^K of sum_e coeffs[e, ...]/p^(depth+1) * monomial_e,
     for coefficients in [0, p), with the table axis first."""
-    M = _monomial_matrix(p, n, p ** (depth + 1))
+    m, exact = _shared_modulus(p, n)  # M mod p^D serves layers with p^(depth+1) | p^D
+    M = _monomial_matrix(p, n, m if exact else max(m, p ** (depth + 1)))
     coeffs = np.asarray(coeffs)
     vals = _exact_reduce(M @ coeffs.reshape(len(M), -1).astype(M.dtype), p, depth + 1)
     return vals.reshape(coeffs.shape) * p ** (K - 1 - depth)
@@ -661,7 +676,7 @@ def _slot_basis(p: int, n: int, slots: tuple[tuple[tuple[int, ...], int], ...],
         row = np.zeros(sp.size, dtype=np.int64)
         row[sp.index_of(exps)] = 1
         basis[s] = eval_layer_tables(p, n, row, j, K)
-    basis = basis.astype(_exact_dtype(len(slots), p, p**K))
+    basis = basis.astype(_exact_dtype(len(slots), p, p**K - 1))
     basis.flags.writeable = False
     return basis
 

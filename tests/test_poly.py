@@ -1,5 +1,9 @@
 """Torus-valued polynomials: calculus, canonical forms, roots, enumeration."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -312,27 +316,73 @@ def _assert_tables_match_forms(p, n, tables, K, forms):
             assert TorusValue(p, int(tables[x.idx, b]), K) == cf.eval(x)
 
 
-class TestExactProducts:
-    # float64 products while N(p-1)(p^(depth+1) - 1) < 2^53, Python integers
-    # past it; at p = 13, n = 2, depth 13 the sums pass 2^53, so float64
-    # products would round there
-    @pytest.mark.parametrize("p,n,depth,dtype", [
-        (2, 3, 49, np.float64), (2, 3, 50, object),
-        (13, 2, 10, np.float64), (13, 2, 11, object), (13, 2, 13, object)])
-    def test_layer_products_switch_at_2_to_the_53(self, p, n, depth, dtype):
-        N, K = p**n, depth + 1
-        assert (N * (p - 1) * (p**K - 1) < 1 << 53) == (dtype is np.float64)
-        assert poly._monomial_matrix(p, n, p**K).dtype == dtype
-        rng = SplitMix64(depth)
+def _layer_case(p, n, depth, seed, terms=None):
+    """Four coefficient columns of one layer at `depth` and their forms over
+    p^(depth+1): random in [0, p) with column 0 all p - 1, or nonzero at
+    `terms` random exponents per column, which keeps the point-by-point
+    check against CanonicalForm.eval short on large spaces."""
+    N, K = p**n, depth + 1
+    rng = SplitMix64(seed)
+    if terms is None:
         coeffs = np.array([[rng.below(p) for _ in range(4)] for _ in range(N)])
         coeffs[:, 0] = p - 1
+    else:
+        coeffs = np.zeros((N, 4), dtype=np.int64)
+        for b in range(4):
+            for _ in range(terms):
+                coeffs[rng.below(N), b] = 1 + rng.below(p - 1)
+    sp = space(p, n)
+    forms = [CanonicalForm(p, n, TorusValue(p, int(col[0]), K),
+                           {(sp.digits_of(e), depth): int(c)
+                            for e, c in enumerate(col) if e})
+             for col in coeffs.T]
+    return coeffs, forms
+
+
+@pytest.fixture
+def fresh_matrix_cache():
+    """An empty monomial matrix cache before and after the test, so that
+    cache counts do not depend on which tests ran first."""
+    cache = poly._monomial_matrix
+    cache.cache_clear()
+    yield cache
+    cache.cache_clear()
+
+
+@pytest.fixture
+def matrix_requests(monkeypatch, fresh_matrix_cache):
+    """(modulus, dtype) of each monomial matrix that the poly kernels fetch."""
+    requests = []
+    fetch = poly._monomial_matrix
+
+    def spy(p, n, modulus):
+        M = fetch(p, n, modulus)
+        requests.append((modulus, M.dtype))
+        return M
+
+    monkeypatch.setattr(poly, "_monomial_matrix", spy)
+    return requests
+
+
+class TestExactProducts:
+    # the layer matrix is float64 while N(p-1) times its largest entry,
+    # min(p^(depth+1) - 1, (p-1)^(n(p-1))), stays below 2^53, and Python
+    # integers past it: at p = 2 every entry is 0 or 1, so every depth runs
+    # on float64; at p = 13, n = 2, depth 13 the sums pass 2^53, so float64
+    # products would round there
+    @pytest.mark.parametrize("p,n,depth,dtype", [
+        (2, 3, 49, np.float64), (2, 3, 50, np.float64),
+        (2, 10, 44, np.float64), (2, 10, 49, np.float64),
+        (13, 2, 10, np.float64), (13, 2, 11, object), (13, 2, 13, object)])
+    def test_layer_products_switch_at_2_to_the_53(self, p, n, depth, dtype,
+                                                  matrix_requests):
+        N, K = p**n, depth + 1
+        top = min(p**K - 1, (p - 1) ** (n * (p - 1)))
+        assert (N * (p - 1) * top < 1 << 53) == (dtype is np.float64)
+        coeffs, forms = _layer_case(p, n, depth, depth, 16 if N > 169 else None)
         tables = poly.eval_layer_tables(p, n, coeffs, depth, K)
+        assert [dt for _, dt in matrix_requests] == [dtype]
         assert tables.dtype == np.int64 and tables.shape == (N, 4)
-        sp = space(p, n)
-        forms = [CanonicalForm(p, n, TorusValue(p, int(col[0]), K),
-                               {(sp.digits_of(e), depth): int(c)
-                                for e, c in enumerate(col) if e})
-                 for col in coeffs.T]
         _assert_tables_match_forms(p, n, tables, K, forms)
 
     # S(p-1)(p^K - 1) is 2^53 - 8 at (2, 50, 8) and 7.3e15 at (13, 13, 2);
@@ -356,6 +406,77 @@ class TestExactProducts:
                                {s: int(c) for s, c in zip(slots, row)})
                  for row in coeffs]
         _assert_tables_match_forms(p, n, tables.T, K, forms)
+
+
+_DEEP_FORM = f"1/{2**40}*x1*x2 + 1/2*x3"
+
+
+class TestSharedMatrix:
+    # eval_layer_tables reads every layer with p^(depth+1) | p^D off one
+    # matrix M mod p^D, for the largest D with an int64 build and float64
+    # storage, and every layer when no monomial value reaches p^D
+
+    def test_one_float64_matrix_for_every_depth_at_p_2(self, matrix_requests,
+                                                        fresh_matrix_cache):
+        for depth in range(62):
+            coeffs, forms = _layer_case(2, 3, depth, depth)
+            tables = poly.eval_layer_tables(2, 3, coeffs, depth, depth + 1)
+            _assert_tables_match_forms(2, 3, tables, depth + 1, forms)
+        assert matrix_requests == [(2**62, np.float64)] * 62
+        assert fresh_matrix_cache.cache_info().currsize == 1
+
+    def test_deep_bare_table_builds_one_matrix(self, fresh_matrix_cache):
+        cf = CanonicalForm.from_text(2, 10, _DEEP_FORM)
+        P = NCPoly.from_canonical(cf)
+        assert P.K == 40
+        fresh_matrix_cache.cache_clear()
+        assert NCPoly(2, 10, P.nums, P.K).canonical() == cf
+        assert fresh_matrix_cache.cache_info().currsize == 1
+
+    def test_deep_bare_table_peak_rss(self):
+        # one 8 MB matrix rather than one per depth (369 MB for 40 of them);
+        # a process inherits the ru_maxrss of the one that forked it, so the
+        # round trip runs in a child of a fresh interpreter, which reports
+        # the child's ru_maxrss (in KB)
+        work = ("from toruspoly.poly import NCPoly\n"
+                f"P = NCPoly.from_text(2, 10, {_DEEP_FORM!r})\n"
+                "NCPoly(2, 10, P.nums, P.K).canonical()\n")
+        script = ("import resource, subprocess, sys\n"
+                  f"subprocess.run([sys.executable, '-c', {work!r}], check=True)\n"
+                  "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert int(out.stdout.split()[-1]) < 150 * 1024
+
+    def test_unreduced_matrix_serves_every_depth_at_3_6(self, matrix_requests,
+                                                        fresh_matrix_cache):
+        for depth in range(4):
+            coeffs, forms = _layer_case(3, 6, depth, depth, terms=16)
+            tables = poly.eval_layer_tables(3, 6, coeffs, depth, depth + 1)
+            _assert_tables_match_forms(3, 6, tables, depth + 1, forms)
+        (modulus, dtype), = set(matrix_requests)
+        assert dtype == np.float64 and modulus > 2**12
+        dig = space(3, 6).digits.astype(np.int64)
+        exact = np.ones((3**6, 3**6), dtype=np.int64)
+        for t in range(6):
+            exact *= dig[:, t, None] ** dig[None, :, t]
+        assert exact.max() == 2**12
+        assert np.array_equal(fresh_matrix_cache(3, 6, modulus), exact)
+
+    # 13^8 times its largest power mod 13^8 is 0.07 * 2^63, at 13^9 it is
+    # 11.7 * 2^63; at 11^9 and 11^10 it is 0.29 and 28 * 2^63
+    @pytest.mark.parametrize("p,D", [(13, 8), (11, 9)])
+    def test_deeper_layers_build_their_own_matrix(self, p, D, matrix_requests):
+        assert poly._matrix_dtypes(p, 2, p**D) == (np.int64, np.float64)
+        assert poly._matrix_dtypes(p, 2, p ** (D + 1))[0] is object
+        for depth in (0, D - 1, D):
+            coeffs, forms = _layer_case(p, 2, depth, depth)
+            tables = poly.eval_layer_tables(p, 2, coeffs, depth, depth + 1)
+            _assert_tables_match_forms(p, 2, tables, depth + 1, forms)
+        assert [m for m, _ in matrix_requests] == [p**D, p**D, p ** (D + 1)]
 
 
 class TestKernelLayout:
