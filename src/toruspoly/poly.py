@@ -80,6 +80,7 @@ def difference_degree(nums: np.ndarray, K: int, p: int,
     max(0, max_g weight_g + deg Delta_g f), memoised on the normalised
     difference tables.  Each Delta_g is nilpotent on a p-power-periodic
     table and the Delta_g commute, so the walk ends without a bound.
+    Its one library caller is NCPoly.degree_by_derivatives.
     """
     nums = np.asarray(nums, dtype=np.int64)
     idx = np.arange(nums.size).reshape(nums.shape)

@@ -10,8 +10,14 @@ shift r -> r+1 at the cost of p-1 degrees.
 
 Every evaluation goes through one batched kernel, WeightedPoly.eval_nums:
 the numerators over p^K at an (M, m) array of points.  eval, tabulate,
-the residual check of binomial_expand, periodicity_check and
-Factor.pullback are calls of it.
+periodicity_check and Factor.pullback are calls of it.
+
+The inverse direction is one Newton transform, binomial_expand.  On a
+table with values in (1/p^K)Z/Z and period box_t = p^e along axis t, the
+shift S_t has Delta_t^(box_t) = (S_t - 1)^(p^e) = S_t^(p^e) - 1 = 0 mod p,
+so Delta_t^(K box_t) = 0: forward differences on the table tiled K times
+per axis reach every Newton coefficient, and weighted_degree reads the
+degree off them.
 
 The module also holds Factor: families of torus polynomials on F_p^n
 chained by p * P_(i,j) = P_(i,j-1), with depth extension via canonical
@@ -20,19 +26,13 @@ p-th roots and degree retraction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .core import TorusValue, validate_prime
-from .poly import (
-    NCPoly,
-    NotPolynomialError,
-    _check_table_exponent,
-    difference_degree,
-)
+from .core import SPACE_CAP, TorusValue, check_budget, validate_prime
+from .poly import NCPoly, NotPolynomialError, _check_table_exponent
 
 
 def gen_binom(x: int, i: int) -> int:
@@ -43,6 +43,16 @@ def gen_binom(x: int, i: int) -> int:
     return out
 
 
+def _check_coordinates(p: int, m: int, D: Sequence[int],
+                       *more: Sequence[int]) -> None:
+    """A supported prime, and one initial degree D_i >= 1 per coordinate
+    (and one entry of each further sequence, such as the box sides)."""
+    validate_prime(p)
+    if any(len(s) != m for s in (D, *more)) or any(d < 1 for d in D):
+        raise ValueError(f"need one initial degree D_i >= 1 (and one box "
+                         f"side) per coordinate, m = {m}")
+
+
 class WeightedPoly:
     """Canonical binomial-basis representation of a weighted-degree map."""
 
@@ -50,9 +60,7 @@ class WeightedPoly:
 
     def __init__(self, p: int, m: int, D: Sequence[int], alpha: TorusValue,
                  terms: dict[tuple[tuple[int, ...], int], int] | None = None):
-        validate_prime(p)
-        if len(D) != m or any(d < 1 for d in D):
-            raise ValueError("initial degrees must be >= 1, one per coordinate")
+        _check_coordinates(p, m, D)
         self.p = p
         self.m = m
         self.D = tuple(D)
@@ -126,15 +134,6 @@ class WeightedPoly:
             self.p, self.m, self.D, alpha,
             {(i, r + 1): c for (i, r), c in self.terms.items()})
 
-    def scale_by_p(self) -> "WeightedPoly":
-        """p * self: depth decrement; the r = 0 layer is annihilated."""
-        terms = {}
-        for (i, r), c in self.terms.items():
-            if r >= 1 and c % self.p**r:
-                terms[(i, r - 1)] = c % self.p**r
-        return WeightedPoly(self.p, self.m, self.D, self.alpha.scale(self.p),
-                            terms)
-
     def periods(self, d: int | None = None) -> tuple[int, ...]:
         """Periods p^K_i with K_i minimal such that D_i + K_i(p-1) > d."""
         if d is None:
@@ -195,16 +194,21 @@ class PeriodicMap:
 
     def __init__(self, p: int, m: int, D: Sequence[int], box: Sequence[int],
                  nums: np.ndarray, K: int):
+        _check_coordinates(p, m, D, box)
+        if K < 0:
+            raise ValueError(f"table exponent must be >= 0, got K = {K}")
+        _check_table_exponent(p, K)
         self.p = p
         self.m = m
         self.D = tuple(D)
         self.box = tuple(box)
-        _check_table_exponent(p, K)
-        self.nums = np.asarray(nums, dtype=np.int64) % (p**K if K else 1)
+        self.nums = np.asarray(nums, dtype=np.int64) % p**K
         self.K = K
+        if self.nums.shape != self.box:
+            raise ValueError(f"table shape {self.nums.shape} != box {self.box}")
         for side in self.box:
             e = side
-            while e % p == 0:
+            while e > 1 and e % p == 0:
                 e //= p
             if e != 1:
                 raise ValueError("periods must be powers of p")
@@ -213,65 +217,51 @@ class PeriodicMap:
         idx = tuple(int(xt) % s for xt, s in zip(x, self.box))
         return TorusValue(self.p, int(self.nums[idx]), self.K)
 
-    def diff(self, axis: int, step: int) -> "PeriodicMap":
-        """Forward difference along step * e_axis, using periodic wrap."""
-        mod = self.p**self.K if self.K else 1
-        rolled = np.roll(self.nums, -step, axis=axis)
-        return PeriodicMap(self.p, self.m, self.D, self.box,
-                           (rolled - self.nums) % mod, self.K)
-
     def is_zero(self) -> bool:
         return not self.nums.any()
 
 
 def weighted_degree(f: "WeightedPoly | PeriodicMap") -> float:
-    """Weighted degree: max term degree for binomial-basis input, else the
-    derivative criterion on the fundamental box, along the generators
-    p^j e_i (p^j < box_i; larger ones are periods) of weight D_i + j(p-1)."""
+    """Weighted degree: the max term degree of the binomial-basis form,
+    read off the Newton coefficients for a table."""
     if isinstance(f, WeightedPoly):
         return f.degree()
     if not isinstance(f, PeriodicMap):
         raise TypeError("need a WeightedPoly or a PeriodicMap with periods")
-    p = f.p
-    gens = [(i, p**j, Di + j * (p - 1))
-            for i, (Di, side) in enumerate(zip(f.D, f.box))
-            for j in range(round(math.log(side, p)))]
-    return difference_degree(f.nums, f.K, p, gens)
+    return binomial_expand(f, math.inf).degree()
 
 
-def binomial_expand(f: PeriodicMap, d_bound: int) -> WeightedPoly:
+def binomial_expand(f: PeriodicMap, d_bound: float) -> WeightedPoly:
     """Unique binomial-basis coefficients of a weighted degree <= d map.
 
-    Newton coefficients are iterated forward differences at the origin; the
-    basis is triangular under differencing so round-trips are exact.  A
-    residual after reconstruction means the input exceeds the bound.
+    The Newton coefficient at i is Delta^i f(0), for i_t < K box_t (see the
+    module docstring): in-place forward differences, one pass per axis, on
+    the table tiled K times, at cost prod(K box_t) sum(K box_t) whatever the
+    values.  A coefficient c/p^(r+1) at i is the term (i, r); one of degree
+    past d_bound means the map exceeds the bound.
     """
-    p, m = f.p, f.m
-    maxi = [d_bound // Di for Di in f.D]
-    alpha = f.value((0,) * m)
-    terms: dict[tuple[tuple[int, ...], int], int] = {}
-    for i_vec in itertools.product(*(range(mi + 1) for mi in maxi)):
-        if sum(Di * ii for Di, ii in zip(f.D, i_vec)) > d_bound:
-            continue
-        table = f
-        for axis, reps in enumerate(i_vec):
-            for _ in range(reps):
-                table = table.diff(axis, 1)
-        gamma = table.value((0,) * m)
-        if sum(i_vec) == 0 or gamma.is_zero():
-            continue
-        r = gamma.exp - 1
-        if sum(Di * ii for Di, ii in zip(f.D, i_vec)) + r * (p - 1) > d_bound:
+    p, K = f.p, f.K
+    reps = max(K, 1)  # K = 0 is the zero table
+    sides = [reps * s for s in f.box]
+    check_budget(math.prod(sides) * sum(sides), SPACE_CAP, "binomial_expand")
+    coefs = np.tile(f.nums, (reps,) * f.m)
+    for axis, side in enumerate(sides):
+        v = np.moveaxis(coefs, axis, 0)
+        for k in range(1, side):
+            v[k:] = (v[k:] - v[k - 1:-1]) % p**K
+    origin = (0,) * f.m
+    terms = {}
+    for i_vec in map(tuple, np.argwhere(coefs).tolist()):
+        gamma = TorusValue(p, int(coefs[i_vec]), K)
+        if i_vec != origin:
+            terms[(i_vec, gamma.exp - 1)] = gamma.num
+    out = WeightedPoly(p, f.m, f.D, TorusValue(p, int(coefs[origin]), K),
+                       terms)
+    for i_vec, r in out.terms:
+        if out.term_degree(i_vec, r) > d_bound:
             raise NotPolynomialError(
-                f"coefficient at {i_vec} has depth {r}: exceeds degree bound")
-        terms[(i_vec, r)] = gamma.num
-    out = WeightedPoly(p, m, f.D, alpha, terms)
-    # residual check on the common-period box
-    check_box = tuple(max(sf, so) for sf, so in zip(f.box, out.periods(d_bound)))
-    pts = _box_points(check_box)
-    given = f.nums[tuple((pts % f.box).T)]
-    if not same_values(p, out.eval_nums(pts), out.exponent(), given, f.K):
-        raise NotPolynomialError("reconstruction residual: exceeds degree bound")
+                f"coefficient at {i_vec} has depth {r}: degree "
+                f"{out.term_degree(i_vec, r)} exceeds the bound {d_bound}")
     return out
 
 
@@ -288,34 +278,32 @@ def periodicity_check(f: WeightedPoly, d: int) -> dict:
     """Confirm the forced periods and extract the top linear part:
     for every i with some j_i solving D_i + j_i(p-1) = d, the difference
     along p^(j_i) e_i is the constant c_i / p."""
-    p = f.p
+    p, K = f.p, f.exponent()
     periods = f.periods(d)
-    table = f.tabulate(periods)
     pts = _box_points(periods)
-    base = table.nums.reshape(-1)
+    base = f.eval_nums(pts)
+
+    def shifted(i: int, step: int) -> np.ndarray:  # the values at x + step e_i
+        moved = pts.copy()
+        moved[:, i] += step
+        return f.eval_nums(moved)
+
     report: dict = {"periods": {}, "top_coefficients": {}, "pass": True}
     for i, per in enumerate(periods):
-        shifted = pts.copy()
-        shifted[:, i] += per
-        ok = bool(np.array_equal(f.eval_nums(shifted), base))
+        ok = bool(np.array_equal(shifted(i, per), base))
         report["periods"][f"p^{round(math.log(per, p))}e_{i+1}"] = ok
         report["pass"] &= ok
     for i, Di in enumerate(f.D):
         if (d - Di) % (p - 1) != 0 or d < Di:
             continue
-        j_i = (d - Di) // (p - 1)
-        step = p**j_i % periods[i]
-        if step == 0:
-            # p^(j_i) e_i is already a full period: the difference is zero
-            report["top_coefficients"][i + 1] = 0
-            continue
-        diffed = table.diff(i, step)
-        vals = np.unique(diffed.nums)
+        # p^(j_i) with D_i + j_i(p-1) = d lies below the forced period
+        vals = np.unique((shifted(i, p ** ((d - Di) // (p - 1))) - base)
+                         % p**K)
         if len(vals) != 1:
             report["pass"] = False
             report["top_coefficients"][i + 1] = None
             continue
-        v = TorusValue(p, int(vals[0]), diffed.K)
+        v = TorusValue(p, int(vals[0]), K)
         if v.is_zero():
             report["top_coefficients"][i + 1] = 0
         elif v.exp == 1:

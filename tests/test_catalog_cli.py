@@ -19,6 +19,7 @@ from toruspoly.catalog import (
 from toruspoly.cli import main
 from toruspoly.core import space
 from toruspoly.norms import RankWitness, rank_witness_check
+from toruspoly.rng import SplitMix64
 from toruspoly.suites import run_suite
 
 
@@ -369,6 +370,44 @@ class TestCli:
                             stdin_text=json.dumps(wp))
         assert code == 0
         assert json.loads(out)["terms"] == [{"i": [1], "r": 2, "c": 1}]
+
+    @pytest.mark.parametrize("change", [
+        {"D": [0]},
+        {"D": [-3]},
+        {"p": 4},
+        {"m": 2, "D": [1], "box": [2, 2]},  # fewer degrees than coordinates
+        {"D": [1, 1]},  # more degrees than coordinates
+        {"m": 2, "D": [1, 1]},  # fewer box sides than coordinates
+        {"K": -1},
+        {"box": [0], "nums": []},
+    ], ids=["D0", "D-3", "p4", "short-D", "long-D", "short-box", "K-1",
+            "box0"])
+    def test_wdegree_malformed_table_exit_2(self, change, capsys):
+        table = {"p": 2, "m": 1, "D": [1], "box": [4], "nums": [0, 1, 2, 3],
+                 "K": 2, **change}
+        code, out = run_cli("--input", "-", "wdegree",
+                            stdin_text=json.dumps(table))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_wdegree_long_table(self):
+        # 64 values over 2^8: the Newton coefficients stop at index 8 * 64
+        r = SplitMix64(64)
+        table = {"p": 2, "m": 1, "D": [1], "box": [64],
+                 "nums": [r.below(2**8) for _ in range(64)], "K": 8}
+        code, out = run_cli("--input", "-", "wdegree",
+                            stdin_text=json.dumps(table))
+        assert code == 0 and json.loads(out)["weighted_degree"] == 287
+
+    def test_wdegree_past_the_transform_cap_exit_3(self, capsys):
+        # (62 * 2^14)^2 steps of the Newton transform, whatever the values
+        table = {"p": 2, "m": 1, "D": [1], "box": [1 << 14],
+                 "nums": [0] * (1 << 14), "K": 62}
+        code, out = run_cli("--input", "-", "wdegree",
+                            stdin_text=json.dumps(table))
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith(
+            "budget exceeded: binomial_expand: estimated cost ")
 
     def test_polymap_check(self):
         payload = {

@@ -1,6 +1,7 @@
 """Weighted-degree maps on Z^m and chained polynomial factors."""
 
 import itertools
+import math
 import sys
 from fractions import Fraction
 from math import comb
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from toruspoly.core import TorusValue
-from toruspoly.poly import NCPoly, NotPolynomialError
+from toruspoly.poly import NCPoly, NotPolynomialError, difference_degree
 from toruspoly.rng import SplitMix64
 from toruspoly.suites import run_suite
 from toruspoly.weighted import (
@@ -19,6 +20,7 @@ from toruspoly.weighted import (
     binomial_expand,
     gen_binom,
     periodicity_check,
+    same_values,
     weighted_degree,
 )
 
@@ -53,6 +55,37 @@ def random_wpoly(rng, p, m, r_max, i_max=3):
     return WeightedPoly(p, m, (1 + rng.below(2),) * m, alpha, terms)
 
 
+def random_table(rng, m_max=3):
+    """A periodic table with p in {2, 3, 5}, m <= m_max, at most 64 entries
+    and K <= 3."""
+    p = (2, 3, 5)[rng.below(3)]
+    m = 1 + rng.below(m_max)
+    D = tuple(1 + rng.below(3) for _ in range(m))
+    box = tuple(p ** rng.below(3 if p < 5 else 2) for _ in range(m))
+    if math.prod(box) > 64:
+        box = box[:1] + (1,) * (m - 1)
+    K = rng.below(4)
+    nums = [rng.below(p**K) for _ in range(math.prod(box))]
+    return PeriodicMap(p, m, D, box, np.reshape(nums, box), K)
+
+
+def _diff(table, axis, step):
+    """Forward difference along step * e_axis, with periodic wrap."""
+    rolled = np.roll(table.nums, -step, axis=axis)
+    return PeriodicMap(table.p, table.m, table.D, table.box,
+                       rolled - table.nums, table.K)
+
+
+def walk_degree(f):
+    """The derivative criterion on the fundamental box, along the generators
+    p^j e_i (p^j < box_i; larger ones are periods) of weight D_i + j(p-1)."""
+    p = f.p
+    gens = [(i, p**j, Di + j * (p - 1))
+            for i, (Di, side) in enumerate(zip(f.D, f.box))
+            for j in range(side.bit_length()) if p**j < side]
+    return difference_degree(f.nums, f.K, p, gens)
+
+
 def degree_at_most_oracle(f, d):
     """Weighted degree <= d by definition: the forced periods p^j e_i
     (D_i + j(p-1) > d, j minimal) are periods, and every minimal multiset of
@@ -64,7 +97,7 @@ def degree_at_most_oracle(f, d):
         while Di + j * (p - 1) <= d:
             gens.append((i, p**j % f.box[i], Di + j * (p - 1)))
             j += 1
-        if p**j % f.box[i] != 0 and not f.diff(i, p**j % f.box[i]).is_zero():
+        if p**j % f.box[i] != 0 and not _diff(f, i, p**j % f.box[i]).is_zero():
             return False
 
     def rec(table, start, total):
@@ -73,10 +106,10 @@ def degree_at_most_oracle(f, d):
         for g in range(start, len(gens)):
             axis, step, deg = gens[g]
             if total + deg > d:
-                if not table.diff(axis, step).is_zero():
+                if not _diff(table, axis, step).is_zero():
                     return False
                 continue
-            if not rec(table.diff(axis, step), g, total + deg):
+            if not rec(_diff(table, axis, step), g, total + deg):
                 return False
         return True
 
@@ -177,7 +210,7 @@ class TestWeightedDegree:
         tab = PeriodicMap(3, 1, (2,), (3,), [24, 21, 19], 3)
         diffs = [tab]
         for _ in range(7):
-            diffs.append(diffs[-1].diff(0, 1))
+            diffs.append(_diff(diffs[-1], 0, 1))
         assert diffs[6].value((0,)) == TorusValue(3, 1, 1)
         assert diffs[6].nums.tolist() == [9, 9, 9] and diffs[7].is_zero()
         assert weighted_degree(tab) == 12
@@ -200,26 +233,18 @@ class TestWeightedDegree:
         # largest a with Delta_1^a Delta_13^b f != 0
         expect, g, b = float("-inf"), tab, 0
         while not g.is_zero():
-            h, a = g.diff(0, 1), 0
+            h, a = _diff(g, 0, 1), 0
             while not h.is_zero():
-                h, a = h.diff(0, 1), a + 1
+                h, a = _diff(h, 0, 1), a + 1
             expect = max(expect, a + 13 * b)
-            g, b = g.diff(0, 13), b + 1
+            g, b = _diff(g, 0, 13), b + 1
         assert d == expect == 480
 
     def test_random_tables_against_the_oracle(self):
         # the returned d passes the minimal-violator criterion, d - 1 fails
         rng = SplitMix64(2024)
         for _ in range(150):
-            p = (2, 3, 5)[rng.below(3)]
-            m = 1 + rng.below(2)
-            D = tuple(1 + rng.below(3) for _ in range(m))
-            box = tuple(p ** rng.below(3 if p < 5 else 2) for _ in range(m))
-            if np.prod(box) > 64:
-                box = box[:1] + (1,) * (m - 1)
-            K = rng.below(4)
-            nums = [rng.below(p**K) for _ in range(int(np.prod(box)))]
-            tab = PeriodicMap(p, m, D, box, np.reshape(nums, box), K)
+            tab = random_table(rng, m_max=2)
             d = weighted_degree(tab)
             if tab.is_zero():
                 assert d == float("-inf")
@@ -229,6 +254,42 @@ class TestWeightedDegree:
                 assert not degree_at_most_oracle(tab, d - 1)
             else:  # a nonzero constant
                 assert len(np.unique(tab.nums)) == 1
+
+    def test_single_term_degree_exact(self):
+        # each monomial c/p^(r+1) binom(x, i) has weighted degree exactly
+        # (sum D_j i_j) + r(p-1), by the derivative criterion
+        for p, D, i_vec, r in (
+            (2, (1,), (2,), 1),
+            (2, (2,), (1,), 2),
+            (3, (1, 2), (1, 1), 1),
+            (3, (2,), (2,), 0),
+        ):
+            m = len(D)
+            w = WeightedPoly(p, m, D, TorusValue.zero(p),
+                             {(i_vec, r): 1 + (p > 2)})
+            expect = sum(Dj * ij for Dj, ij in zip(D, i_vec)) + r * (p - 1)
+            assert w.degree() == expect
+            tab = w.tabulate(w.periods())
+            assert weighted_degree(tab) == expect
+
+    def test_random_tables_against_the_walk(self):
+        # the Newton transform against the derivative walk along every
+        # generator below the box, and against the minimal-violator criterion
+        rng = SplitMix64(2026)
+        for _ in range(150):
+            tab = random_table(rng)
+            d = weighted_degree(tab)
+            assert d == walk_degree(tab)
+            if d == float("-inf"):
+                assert tab.is_zero()
+                continue
+            assert degree_at_most_oracle(tab, d)
+            if d >= 1:
+                assert not degree_at_most_oracle(tab, d - 1)
+
+    def test_table_shape_must_be_the_box(self):
+        with pytest.raises(ValueError, match="table shape"):
+            PeriodicMap(2, 1, (1,), (4,), [0, 1], 1)
 
     def test_nonperiodic_rejected(self):
         with pytest.raises(ValueError):
@@ -280,13 +341,28 @@ class TestBinomialExpand:
             binomial_expand(tab, 2)
 
     def test_residual_rejects_terms_past_the_exponent_range(self):
-        # binom(a, 2)/2 has degree 2; at bound 1 every kept Newton
-        # coefficient is zero, so only the residual check can see it
+        # binom(a, 2)/2 has degree 2: its Newton coefficient at 2 (at 3 for
+        # 2 binom(a_2, 3)/3) is past bound 1 and is named
         for p, w in ((2, wpoly(2, (1,), {((2,), 0): 1})),
                      (3, wpoly(3, (1, 1), {((0, 3), 0): 2}))):
             tab = w.tabulate(w.periods())
-            with pytest.raises(NotPolynomialError, match="residual"):
+            with pytest.raises(NotPolynomialError, match="coefficient"):
                 binomial_expand(tab, 1)
+
+    def test_reconstruction_oracle(self):
+        # the expansion tabulates back to the table, and the degree it
+        # reports is the least bound that the expansion accepts
+        rng = SplitMix64(31)
+        for _ in range(150):
+            tab = random_table(rng)
+            back = binomial_expand(tab, math.inf)
+            again = back.tabulate(tab.box)
+            assert same_values(tab.p, again.nums, again.K, tab.nums, tab.K)
+            d = back.degree()
+            if d >= 1:
+                assert binomial_expand(tab, d) == back
+                with pytest.raises(NotPolynomialError, match="coefficient"):
+                    binomial_expand(tab, d - 1)
 
     def test_specialises_to_unit_degrees(self):
         # with all D_i = 1 and periods p, the expansion is the classical
@@ -359,44 +435,13 @@ class TestPeriodicity:
         rep = periodicity_check(w, 0)
         assert rep["pass"] and all(rep["periods"].values())
 
-
-class TestScaleByP:
-    def test_root_after_scaling_recovers_deep_layers(self):
-        rng = SplitMix64(13)
-        for _ in range(60):
-            p = (2, 3)[rng.below(2)]
-            D = (1 + rng.below(2),)
-            d = D[0] + rng.below(4)
-            terms = {}
-            for i in range(1, d // D[0] + 1):
-                r = rng.below((d - i * D[0]) // (p - 1) + 1)
-                c = rng.below(p ** (r + 1))
-                if c and c % p:
-                    terms[((i,), r)] = c
-            f = WeightedPoly(p, 1, D, TorusValue.zero(p), terms)
-            g = f.scale_by_p().pth_root()
-            # the depth >= 1 slots survive; the r = 0 layer is annihilated
-            assert set(g.terms) <= {(i, r) for (i, r) in f.terms if r >= 1}
-            for a in range(9):
-                assert g.eval((a,)).scale(p) == f.scale_by_p().eval((a,))
-                assert f.scale_by_p().eval((a,)) == f.eval((a,)).scale(p)
-
-    def test_single_term_degree_exact(self):
-        # each monomial c/p^(r+1) binom(x, i) has weighted degree exactly
-        # (sum D_j i_j) + r(p-1), by the derivative criterion
-        for p, D, i_vec, r in (
-            (2, (1,), (2,), 1),
-            (2, (2,), (1,), 2),
-            (3, (1, 2), (1, 1), 1),
-            (3, (2,), (2,), 0),
-        ):
-            m = len(D)
-            w = WeightedPoly(p, m, D, TorusValue.zero(p),
-                             {(i_vec, r): 1 + (p > 2)})
-            expect = sum(Dj * ij for Dj, ij in zip(D, i_vec)) + r * (p - 1)
-            assert w.degree() == expect
-            tab = w.tabulate(w.periods())
-            assert weighted_degree(tab) == expect
+    def test_top_coefficient_at_p_3(self):
+        # 2a_1/9 + binom(a_2, 1)/3 at d = 3: periods 9e_1 and 3e_2, and the
+        # difference along 3e_1 is the constant 2/3
+        w = wpoly(3, (1, 2), {((1, 0), 1): 2, ((0, 1), 0): 1})
+        rep = periodicity_check(w, 3)
+        assert rep == {"periods": {"p^2e_1": True, "p^1e_2": True},
+                       "top_coefficients": {1: 2}, "pass": True}
 
 
 class TestBinomialValuation:
