@@ -84,6 +84,18 @@ def _poly_payload(P: NCPoly) -> dict:
     return out
 
 
+def _reject_non_integers(obj: dict, keys: tuple[str, ...]) -> None:
+    """A JSON float or bool where integers (or nested lists of them) belong
+    is a usage error, not a value to truncate."""
+    stack = [(key, obj[key]) for key in keys if key in obj]
+    while stack:
+        key, value = stack.pop()
+        if isinstance(value, list):
+            stack.extend((key, v) for v in value)
+        elif isinstance(value, (bool, float)):
+            raise ValueError(f"{key} must hold integers, got {json.dumps(value)}")
+
+
 def _parse_digits(text: str) -> list[int]:
     return [int(t) for t in text.replace(",", " ").split()]
 
@@ -196,7 +208,7 @@ def _dispatch(args) -> int:
     if cmd == "degree":
         P = _load_poly(args)
         canonical = P.degree()
-        by_deriv = P.degree_by_derivatives()
+        by_deriv = P.degree_by_derivatives(budget=args.budget)
         _emit(args, {"degree": None if canonical == float("-inf") else canonical,
                      "by_derivatives": None if by_deriv == float("-inf") else by_deriv,
                      "agree": canonical == by_deriv})
@@ -282,15 +294,15 @@ def _dispatch(args) -> int:
 
     if cmd == "wdegree":
         obj = _read_input(args)
+        _reject_non_integers(obj, ("p", "m", "K", "D", "box", "nums"))
         if "terms" in obj:
             d = weighted_degree(WeightedPoly.from_json(obj))
         else:
+            box = tuple(int(x) for x in obj["box"])
+            # Python integers, which PeriodicMap reduces mod p^K exactly
             pm = PeriodicMap(
-                int(obj["p"]), int(obj["m"]), [int(x) for x in obj["D"]],
-                tuple(int(x) for x in obj["box"]),
-                np.array(obj["nums"], dtype=np.int64).reshape(
-                    tuple(int(x) for x in obj["box"])),
-                int(obj["K"]))
+                int(obj["p"]), int(obj["m"]), [int(x) for x in obj["D"]], box,
+                np.array(obj["nums"], dtype=object).reshape(box), int(obj["K"]))
             d = weighted_degree(pm)
         _emit(args, {"weighted_degree": None if d == float("-inf") else d})
         return EXIT_PASS

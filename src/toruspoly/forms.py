@@ -32,7 +32,7 @@ from .core import (
     validate_prime,
 )
 from .parallel import chunk_ranges, ordered_map
-from .poly import CanonicalForm, NCPoly, TorusValue
+from .poly import CanonicalForm, NCPoly, TorusValue, _exact_reduce
 
 Multiset = tuple[int, ...]
 
@@ -488,17 +488,24 @@ def _fp_ranks(p: int, mats: np.ndarray) -> np.ndarray:
 
 
 def naive_bias(form: MultilinearForm, budget: int | None = None) -> Fraction:
-    """Direct |V|^k character sum, via exact residue counters."""
+    """Direct |V|^k character sum, via exact residue counters.
+
+    The dense tensor is contracted with the digit vectors one argument at a
+    time and reduced mod p once: after t contractions every entry is below
+    (p-1)(n(p-1))^t, so float64 is exact while (p-1)(n(p-1))^k < 2^53, and
+    Python integers carry the same sum past that.
+    """
     p, n, k = form.p, form.n, form.k
     sp = space(p, n)
     N = sp.size
     check_budget(N**k, budget, "naive_bias")
-    dig = sp.digits.astype(np.int64)
-    cur = form.dense_tensor().astype(np.int64)
+    dtype = np.float64 if (p - 1) * (n * (p - 1)) ** k < 1 << 53 else object
+    dig = sp.digits.astype(dtype)
+    cur = form.dense_tensor().astype(dtype)
     for t in range(k):
-        cur = np.moveaxis(np.tensordot(dig, cur, axes=(1, t)) % p, 0, t)
+        cur = np.moveaxis(np.tensordot(dig, cur, axes=(1, t)), 0, t)
     counter = UnityCounter(p, 1)
-    counter.add_residues(cur.reshape(-1))
+    counter.add_residues(_exact_reduce(cur, p, 1).reshape(-1))
     frac = counter.expectation().as_fraction()
     assert frac is not None, "bias of a multilinear form must be rational"
     return frac

@@ -15,6 +15,9 @@ and any batch axes after it, so each per-axis pass runs over contiguous runs
 of entries; interpolate_tables and eval_slot_batches keep the table axis last.
 Products run in float64, exact in BLAS while every partial sum is an integer
 below 2^53, else in Python integers; layers share one matrix per (p, n).
+Every reduction mod p^K goes through one helper, _reduce, on floor division
+(a mask at p = 2), and classical_coeffs runs its per-axis products in
+float64 with one reduction per transform.
 """
 
 from __future__ import annotations
@@ -51,27 +54,36 @@ class NotPolynomialError(ValueError):
 
 
 def _reduce(x: np.ndarray, p: int, K: int) -> np.ndarray:
-    """x mod p^K for int64 (or Python-integer) arrays, negatives included;
-    a mask at p = 2, which costs a fraction of an integer %."""
-    return x & ((1 << K) - 1) if p == 2 else x % p**K
+    """x mod p^K for int64, Python-integer or integral float64 arrays,
+    negatives included.
+
+    A mask at p = 2; elsewhere x - (x // p^K) p^K, since numpy's floor
+    division costs a fraction of its integer %.  The product may wrap in
+    int64, but the true residue lies in [0, p^K), so the wrapped difference
+    is exact.  Python-integer arrays keep %."""
+    if p == 2:
+        return x & ((1 << K) - 1)
+    m = p**K
+    return x % m if x.dtype == object else x - x // m * m
 
 
 def _check_table_exponent(p: int, K: int) -> None:
     """Value tables hold numerators over p^K in int64."""
-    if p**K >= 1 << 63:
+    if K >= 63 or p**K >= 1 << 63:  # p >= 2, so K >= 63 never fits
         raise ValueError(f"table denominator {p}^{K} exceeds 2^63 - 1")
 
 
 def normalize_tables(nums: np.ndarray, K: int, p: int) -> tuple[np.ndarray, int]:
-    nums = np.asarray(nums, dtype=np.int64) % (p**K if K else 1)
-    while K > 0 and not (nums % p).any():
+    nums = _reduce(np.asarray(nums, dtype=np.int64), p, K)
+    while K > 0 and not _reduce(nums, p, 1).any():
         nums = nums // p
         K -= 1
     return nums, K
 
 
 def difference_degree(nums: np.ndarray, K: int, p: int,
-                      gens: Sequence[tuple[int, int, int]]) -> float:
+                      gens: Sequence[tuple[int, int, int]],
+                      budget: int | None = None) -> float:
     """Least d such that every iterated difference of a periodic table of
     numerators over p^K, along generators of total weight > d, vanishes.
 
@@ -80,7 +92,9 @@ def difference_degree(nums: np.ndarray, K: int, p: int,
     max(0, max_g weight_g + deg Delta_g f), memoised on the normalised
     difference tables.  Each Delta_g is nilpotent on a p-power-periodic
     table and the Delta_g commute, so the walk ends without a bound.
-    Its one library caller is NCPoly.degree_by_derivatives.
+    Its one library caller is NCPoly.degree_by_derivatives.  The work,
+    difference tables computed times their size, is checked against budget
+    as the walk goes.
     """
     nums = np.asarray(nums, dtype=np.int64)
     idx = np.arange(nums.size).reshape(nums.shape)
@@ -93,6 +107,7 @@ def difference_degree(nums: np.ndarray, K: int, p: int,
     flat, K = normalize_tables(nums.reshape(-1), K, p)
     root = K.to_bytes(2, "big") + flat.tobytes()
     stack = [(root, flat, K)]
+    work = 0
     while stack:
         key, flat, K = stack[-1]
         if key in memo:
@@ -102,9 +117,11 @@ def difference_degree(nums: np.ndarray, K: int, p: int,
         elif key in kids:  # every difference is resolved
             memo[key] = max([0] + [w + memo[k] for k, w in kids.pop(key)])
         else:
+            work += len(steps) * flat.size
+            check_budget(work, budget, "difference_degree")
             kids[key] = []
             for perm, weight in steps:
-                diff, Kd = normalize_tables((flat[perm] - flat) % p**K, K, p)
+                diff, Kd = normalize_tables(_reduce(flat[perm] - flat, p, K), K, p)
                 kid = Kd.to_bytes(2, "big") + diff.tobytes()
                 kids[key].append((kid, weight))
                 stack.append((kid, diff, Kd))
@@ -113,7 +130,7 @@ def difference_degree(nums: np.ndarray, K: int, p: int,
 
 def mulp_tables(nums: np.ndarray, K: int, p: int) -> tuple[np.ndarray, int]:
     # reduce mod p^(K-1) first so that the product stays below p^K
-    return normalize_tables(nums % p ** max(K - 1, 0) * p, K, p)
+    return normalize_tables(_reduce(nums, p, max(K - 1, 0)) * p, K, p)
 
 
 @lru_cache(maxsize=64)
@@ -138,12 +155,26 @@ def _exact_reduce(prod: np.ndarray, p: int, K: int) -> np.ndarray:
     return np.asarray(_reduce(prod, p, K), dtype=np.int64)
 
 
+@lru_cache(maxsize=16)
+def _float_axes(p: int) -> int:
+    """Per-axis products by the inverse Vandermonde matrix that a float64
+    chain of F_p entries takes between reductions mod p: after t of them
+    the entries stay below (p-1)(p(p-1))^t, exact while under 2^53.  At
+    p = 13 that is 6 axes, so tables below 13^7 entries reduce once."""
+    t = 1
+    while (p - 1) * (p * (p - 1)) ** (t + 1) < 1 << 53:
+        t += 1
+    return t
+
+
 def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
     """Monomial coefficients of F_p-valued tables, per-axis interpolation.
 
     Tables have shape (N, ...), the table axis first.  Returns an array of
     the same shape; entry at index e is the coefficient of
-    prod |x_t|^(digit_t(e)).
+    prod |x_t|^(digit_t(e)).  At odd p the per-axis products run in float64
+    and reduce mod p once at the end, and also every _float_axes(p) axes on
+    a table long enough to pass 2^53 without it.
     """
     arr = np.ascontiguousarray(_reduce(np.asarray(table, dtype=np.int64), p, 1))
     shape = arr.shape
@@ -154,11 +185,14 @@ def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
             view = arr.reshape(N >> (ax + 1), 2, -1)
             view[:, 1] ^= view[:, 0]
         return arr.reshape(shape)
-    Minv = _inverse_vandermonde(p)
+    Minv = _inverse_vandermonde(p).astype(np.float64)
+    arr = arr.astype(np.float64)
+    run = _float_axes(p)
     for ax in range(n):
-        view = arr.reshape(N // p ** (ax + 1), p, -1)
-        arr = _reduce(np.matmul(Minv, view), p, 1)
-    return arr.reshape(shape)
+        if ax and ax % run == 0:
+            arr = _reduce(arr, p, 1)
+        arr = np.matmul(Minv, arr.reshape(N // p ** (ax + 1), p, -1))
+    return _reduce(arr.astype(np.int64), p, 1).reshape(shape)
 
 
 def _matrix_dtypes(p: int, n: int, modulus: int) -> tuple:
@@ -277,7 +311,8 @@ class CanonicalForm:
             c %= p
             if c == 0:
                 continue
-            if len(exps) != n or any(not 0 <= e < p for e in exps):
+            if len(exps) != n or min(exps, default=0) < 0 \
+                    or max(exps, default=0) >= p:
                 raise ValueError(f"bad exponent vector {exps}")
             if sum(exps) == 0:
                 raise ValueError("constant terms belong in alpha")
@@ -301,12 +336,14 @@ class CanonicalForm:
         nums = np.full(sp.size, self.alpha.num * p ** (K - self.alpha.exp) if K else 0,
                        dtype=np.int64)
         C = np.zeros((K, sp.size), dtype=np.int64)
-        for (exps, j), c in self.terms.items():
-            C[j, sp.index_of(exps)] = c
+        exps = np.array([e for e, _ in self.terms], dtype=np.int64).reshape(
+            len(self.terms), self.n)
+        C[[j for _, j in self.terms],
+          exps @ p ** np.arange(self.n, dtype=np.int64)] = list(self.terms.values())
         for j in np.flatnonzero(C.any(axis=1)):
             layer = eval_layer_tables(p, self.n, C[j], int(j), K)
             # nums - (p^K - layer) stays inside (-p^K, p^K) where a sum could wrap
-            nums = (nums - (p**K - layer)) % p**K
+            nums = _reduce(nums - (p**K - layer), p, K)
         return nums, K
 
     def eval(self, x: FVec) -> TorusValue:
@@ -526,13 +563,14 @@ class NCPoly:
             self._deg = self.canonical().degree()
         return self._deg
 
-    def degree_by_derivatives(self) -> float:
+    def degree_by_derivatives(self, budget: int | None = None) -> float:
         """Independent degree computation: the least d with every
         (d+1)-fold derivative vanishing, along basis directions (which
         suffice), each of weight 1."""
         return difference_degree(self.nums.reshape((self.p,) * self.n),
                                  self.K, self.p,
-                                 [(axis, 1, 1) for axis in range(self.n)])
+                                 [(axis, 1, 1) for axis in range(self.n)],
+                                 budget=budget)
 
     # -- calculus
 
@@ -562,7 +600,7 @@ class NCPoly:
         a = self.nums * p ** (K - self.K)
         b = other.nums * p ** (K - other.K)
         # a - (mod - b) stays inside (-p^K, p^K) where a + b could wrap
-        return NCPoly(p, self.n, (a - (mod - b)) % mod, K)
+        return NCPoly(p, self.n, _reduce(a - (mod - b), p, K), K)
 
     def __neg__(self) -> "NCPoly":
         return NCPoly(self.p, self.n, -self.nums, self.K)
@@ -607,11 +645,17 @@ def _depth_count(p: int, d):
 
 
 def canonical_slots(p: int, n: int, d: int) -> list[tuple[tuple[int, ...], int]]:
-    """All (exponent vector, depth) slots allowed at degree <= d, depth-major."""
+    """All (exponent vector, depth) slots allowed at degree <= d, depth-major;
+    a fresh list each call."""
+    return list(_canonical_slots(p, n, d))
+
+
+@lru_cache(maxsize=256)
+def _canonical_slots(p: int, n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     allowed = slot_degrees(p, n, _depth_count(p, d)) <= d
     allowed[:, 0] = False  # the constant monomial belongs to alpha
     sp = space(p, n)
-    return [(sp.digits_of(int(e)), int(j)) for j, e in zip(*np.nonzero(allowed))]
+    return tuple((sp.digits_of(int(e)), int(j)) for j, e in zip(*np.nonzero(allowed)))
 
 
 def count_polys(p: int, n: int, d: int) -> int:
@@ -656,14 +700,13 @@ def coefficient_batches(
     slots = canonical_slots(p, n, d)
     total = p ** len(slots)
     rows = max(1, _BLOCK_ENTRIES // p**n)
+    # a code is below 2^63 - 1, so that divisor leaves digit 0 wherever
+    # p^s passes it; one divisor per row keeps numpy's scalar-divisor loop
+    powers = np.array([min(p**s, (1 << 63) - 1) for s in range(len(slots))],
+                      dtype=np.int64)
     for start in range(0, total, rows):
         codes = np.arange(start, min(start + rows, total), dtype=np.int64)
-        coeffs = np.empty((len(codes), len(slots)), dtype=np.int64)
-        rest = codes.copy()
-        for s in range(len(slots)):
-            coeffs[:, s] = rest % p
-            rest //= p
-        yield slots, codes, coeffs
+        yield slots, codes, _reduce(codes // powers[:, None], p, 1).T
 
 
 @lru_cache(maxsize=64)

@@ -63,11 +63,13 @@ from .poly import (
     CanonicalForm,
     NCPoly,
     _depth_count,
+    _reduce,
     canonical_slots,
     coefficient_batches,
     degrees_from_coeffs,
     eval_slot_batches,
     interpolate_tables,
+    slot_degrees,
 )
 from .rng import ALGORITHM, SplitMix64
 from .weighted import (
@@ -397,24 +399,25 @@ def _exhaustive_poly_scan(p: int, n: int, d: int) -> dict:
     over every degree <= d canonical form (modulo constants), batched."""
     sp = space(p, n)
     K = _depth_count(p, d) if n else 0  # F_p^0 has no slots at any degree
+    # once per cell: every block shares the slots
+    slots = canonical_slots(p, n, d)
+    root_slots = [(e, j + 1) for (e, j) in slots]
+    depths = np.array([j for _, j in slots], dtype=np.intp)
+    indices = np.array([sp.index_of(e) for e, _ in slots], dtype=np.intp)
+    slot_deg = slot_degrees(p, n, K)[depths, indices]
     out = {"count": 0, "root_fail": 0, "canon_fail": 0, "bound_fail": 0}
-    for slots, codes, coeffs in coefficient_batches(p, n, d):
+    for _, codes, coeffs in coefficient_batches(p, n, d):
         tables = eval_slot_batches(p, n, slots, coeffs, K)
-        roots = eval_slot_batches(
-            p, n, [(e, j + 1) for (e, j) in slots], coeffs, K + 1)
+        roots = eval_slot_batches(p, n, root_slots, coeffs, K + 1)
         # p * root reproduces the table exactly
-        ok_root = (roots * p % p ** (K + 1) == tables * p).all(axis=1)
+        ok_root = (_reduce(roots * p, p, K + 1) == tables * p).all(axis=1)
         # canonical round-trip: interpolation recovers the same coefficients
         alpha, C = interpolate_tables(p, n, tables, K)
         if slots:
-            recovered = np.stack(
-                [C[:, j, sp.index_of(e)] for (e, j) in slots], axis=1)
-            ok_canon = (recovered == coeffs).all(axis=1) & (alpha == 0)
+            ok_canon = (C[:, depths, indices] == coeffs).all(axis=1) & (alpha == 0)
         else:
             ok_canon = (alpha == 0) & ~C.reshape(len(codes), -1).any(axis=1)
         # degree of the root stays within deg + p - 1 (via re-interpolation)
-        slot_deg = np.array([sum(e) + j * (p - 1) for (e, j) in slots],
-                            dtype=np.int64)
         degs = (np.max(np.where(coeffs != 0, slot_deg[None, :], -1), axis=1)
                 if slots else np.full(len(codes), -1, dtype=np.int64))
         r_alpha, r_C = interpolate_tables(p, n, roots, K + 1)

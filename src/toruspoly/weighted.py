@@ -114,7 +114,8 @@ class WeightedPoly:
             if top == 0:
                 continue
             coords, inv = np.unique(pts[:, t], return_inverse=True)
-            cols = np.array([[gen_binom(u, i) % mod for i in range(top + 1)]
+            cols = np.array([[(math.comb(u, i) if u >= 0 else gen_binom(u, i))
+                              % mod for i in range(top + 1)]
                              for u in coords.tolist()],
                             dtype=dtype).reshape(len(coords), top + 1)
             mono = mono * cols[inv.reshape(-1)][:, exps[:, t]] % mod
@@ -198,11 +199,16 @@ class PeriodicMap:
         if K < 0:
             raise ValueError(f"table exponent must be >= 0, got K = {K}")
         _check_table_exponent(p, K)
+        nums = np.asarray(nums)
+        # Python integers (dtype object) reduce exactly, whatever their size
+        if nums.dtype.kind not in "iuO" or (nums.dtype == object and not all(
+                isinstance(v, int) for v in nums.flat)):
+            raise ValueError("table numerators must be integers")
         self.p = p
         self.m = m
         self.D = tuple(D)
         self.box = tuple(box)
-        self.nums = np.asarray(nums, dtype=np.int64) % p**K
+        self.nums = np.asarray(nums % p**K, dtype=np.int64)
         self.K = K
         if self.nums.shape != self.box:
             raise ValueError(f"table shape {self.nums.shape} != box {self.box}")

@@ -157,6 +157,14 @@ class TestCli:
         assert capsys.readouterr().err == \
             "error: table denominator 2^70 exceeds 2^63 - 1\n"
 
+    def test_wdegree_huge_table_exponent_exit_2(self, capsys):
+        # rejected before 13^(10^12) is ever computed
+        text = json.dumps({"p": 13, "m": 1, "D": [1], "box": [13],
+                           "nums": [0] * 13, "K": 10**12})
+        code, _ = run_cli("--input", "-", "wdegree", stdin_text=text)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: table denominator")
+
     def test_norm_negative_d_exit_2(self, tmp_path, capsys):
         from toruspoly.norms import BoundedFunction
         f = BoundedFunction.constant_one(2, 2)
@@ -389,6 +397,47 @@ class TestCli:
                             stdin_text=json.dumps(table))
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    # numerators past int64 reduce mod 2^2 to the base table's; a float or
+    # a bool where an integer belongs is a usage error, not a truncation
+    @pytest.mark.parametrize("change", [
+        {"nums": [2**64, 1 + 4 * 10**22, 2 - 2**70, 3 + 2**63]},
+        {"nums": [0, 1.5, 2, 3]},
+        {"nums": [0, True, 2, 3]},
+        {"D": [1.7]},
+        {"D": [True]},
+        {"K": 2.0},
+        {"K": True},
+        {"p": 2.0},
+        {"m": 1.0},
+        {"box": [4.0]},
+    ], ids=["past-int64", "float-num", "bool-num", "float-D", "bool-D",
+            "float-K", "bool-K", "float-p", "float-m", "float-box"])
+    def test_wdegree_numeric_input(self, change, capsys):
+        table = {"p": 2, "m": 1, "D": [1], "box": [4], "nums": [0, 1, 2, 3],
+                 "K": 2}
+        code, out = run_cli("--input", "-", "wdegree",
+                            stdin_text=json.dumps({**table, **change}))
+        if "nums" in change and max(change["nums"]) >= 1 << 63:
+            assert (code, out) == run_cli("--input", "-", "wdegree",
+                                          stdin_text=json.dumps(table))
+        else:
+            assert code == 2 and out == ""
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_degree_walk_budget(self, capsys):
+        # a random K = 2 table on F_2^10: the derivative walk is the cost
+        r = SplitMix64(10)
+        table = json.dumps({"p": 2, "n": 10, "values": [
+            {"num": r.below(4), "exp": 2} for _ in range(1024)]})
+        code, out = run_cli("--input", "-", "--budget", "100000", "degree",
+                            stdin_text=table)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith(
+            "budget exceeded: difference_degree: estimated cost ")
+        code, out = run_cli("--input", "-", "degree", stdin_text=table)
+        assert code == 0 and json.loads(out) == {
+            "agree": True, "by_derivatives": 10, "degree": 10}
 
     def test_wdegree_long_table(self):
         # 64 values over 2^8: the Newton coefficients stop at index 8 * 64

@@ -1,5 +1,6 @@
 """Torus-valued polynomials: calculus, canonical forms, roots, enumeration."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from toruspoly.catalog import L_over_power, mother_p, mother_q
 from toruspoly.core import (
     SUPPORTED_PRIMES,
+    BudgetExceeded,
     FVec,
     TorusValue,
     enumerate_space,
@@ -165,6 +167,12 @@ class TestDegree:
                 P = NCPoly(p, n, np.array([rng.below(p**K)
                                            for _ in range(p**n)]), K)
                 assert P.degree() == P.degree_by_derivatives()
+
+    def test_derivative_walk_budget(self):
+        P = NCPoly.from_text(3, 2, "1/9*x1^2*x2 + 1/3*x2^2")
+        with pytest.raises(BudgetExceeded, match="^difference_degree: "):
+            P.degree_by_derivatives(budget=20)
+        assert P.degree_by_derivatives(budget=10**6) == P.degree() == 5
 
     def test_difference_degree_scales_with_weight(self):
         P = L_over_power(3, 2)
@@ -479,6 +487,57 @@ class TestSharedMatrix:
         assert [m for m, _ in matrix_requests] == [p**D, p**D, p ** (D + 1)]
 
 
+def _coefficient_oracle(p, n, table):
+    """Every column of an (N, B) F_p table, rebuilt from its monomial
+    coefficients in Python integers (0^0 = 1)."""
+    dig = space(p, n).digits.tolist()
+    N = p**n
+    M = np.array([[int(np.prod([pow(x, e, p) for x, e in zip(dx, de)]))
+                   for de in dig] for dx in dig], dtype=np.int64).reshape(N, N)
+    return lambda coeffs: M @ coeffs % p
+
+
+class TestClassicalCoeffs:
+    """Float64 per-axis products, reduced mod p once per transform."""
+
+    CASES = [(2, 6), (3, 4), (5, 3), (7, 2), (11, 2), (13, 2)]
+
+    @pytest.mark.parametrize("p,n", CASES)
+    def test_every_column_against_the_oracle(self, p, n):
+        rng = SplitMix64(p * 10 + n)
+        table = np.array([[rng.below(3 * p) - p for _ in range(5)]
+                          for _ in range(p**n)], dtype=np.int64)
+        coeffs = poly.classical_coeffs(p, n, table)
+        assert coeffs.dtype == np.int64 and coeffs.shape == table.shape
+        assert ((0 <= coeffs) & (coeffs < p)).all()
+        assert np.array_equal(_coefficient_oracle(p, n, table)(coeffs), table % p)
+
+    @pytest.mark.parametrize("run", [1, 2])
+    @pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (13, 2)])
+    def test_reductions_inside_the_chain(self, monkeypatch, run, p, n):
+        # what a table past the 2^53 point does, on a table that fits here:
+        # one reduction on entry, one at the end, one every `run` axes
+        monkeypatch.setattr(poly, "_float_axes", lambda q: run)
+        calls = []
+        reduce = poly._reduce
+        monkeypatch.setattr(poly, "_reduce",
+                            lambda x, q, K: calls.append(x.dtype) or reduce(x, q, K))
+        rng = SplitMix64(run)
+        table = np.array([[rng.below(p) for _ in range(3)]
+                          for _ in range(p**n)], dtype=np.int64)
+        coeffs = poly.classical_coeffs(p, n, table)
+        assert np.array_equal(_coefficient_oracle(p, n, table)(coeffs), table)
+        assert calls.count(np.float64) == (n - 1) // run
+        assert len(calls) == 2 + (n - 1) // run
+
+    # at p = 13 a table of 13^7 entries is the first past the 2^53 point
+    @pytest.mark.parametrize("p,t", [(3, 20), (5, 11), (7, 9), (11, 7), (13, 6)])
+    def test_float_axes_is_the_2_53_point(self, p, t):
+        assert poly._float_axes(p) == t
+        assert (p - 1) * (p * (p - 1)) ** t < 1 << 53
+        assert (p - 1) * (p * (p - 1)) ** (t + 1) >= 1 << 53
+
+
 class TestKernelLayout:
     @pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 2)])
     def test_batch_columns_equal_single_calls(self, p, n):
@@ -677,6 +736,43 @@ class TestScanBlocks:
         x = np.array([-(2**63), -(2**62) - 1, -(p**K), -5,
                       -1, 0, 1, 7, 2**62, 2**63 - 1], dtype=np.int64)
         assert np.array_equal(poly._reduce(x, p, K), x % p**K)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [q for q in SUPPORTED_PRIMES if q != 2])
+    def test_floor_reduction_at_the_int64_extremes(self, p):
+        # the largest K with p^K < 2^63, where x // m * m wraps the most
+        K = max(k for k in range(64) if p**k < 1 << 63)
+        m = p**K
+        xs = [-(2**63), -(2**63) + 1, -m, -1, 0, m - 1, m, 2**63 - m, 2**63 - 1]
+        got = poly._reduce(np.array(xs, dtype=np.int64), p, K)
+        assert got.dtype == np.int64
+        assert got.tolist() == [x % m for x in xs]
+        # Python-integer arrays keep %
+        big = np.array([x * 10**30 for x in xs], dtype=object)
+        assert poly._reduce(big, p, K).tolist() == [x * 10**30 % m for x in xs]
+
+    def test_canonical_slots_returns_a_fresh_list(self):
+        slots = canonical_slots(3, 2, 3)
+        want = list(slots)
+        slots.append(((0, 0), 0))
+        slots[0] = None
+        assert canonical_slots(3, 2, 3) == want
+        assert canonical_slots(3, 2, 3) is not canonical_slots(3, 2, 3)
+
+    # every block of the small cells; the first blocks of cells with so
+    # many slots that p^s passes 2^63 - 1, where the digits are all 0
+    @pytest.mark.parametrize("p,n,d", [(2, 3, 3), (3, 3, 2), (5, 2, 2),
+                                       (2, 0, 4), (3, 0, 0), (2, 1, 200),
+                                       (3, 1, 400), (13, 1, 400)])
+    def test_digit_split_equals_the_divmod_loop(self, p, n, d):
+        for slots, codes, coeffs in itertools.islice(
+                coefficient_batches(p, n, d), 20):
+            want = np.empty((len(codes), len(slots)), dtype=np.int64)
+            rest = codes.copy()
+            for s in range(len(slots)):
+                want[:, s] = rest % p
+                rest //= p
+            assert np.array_equal(coeffs, want)
 
     def test_slot_basis_is_cached_and_read_only(self):
         slots = canonical_slots(3, 2, 3)

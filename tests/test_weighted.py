@@ -291,6 +291,20 @@ class TestWeightedDegree:
         with pytest.raises(ValueError, match="table shape"):
             PeriodicMap(2, 1, (1,), (4,), [0, 1], 1)
 
+    @pytest.mark.parametrize("nums", [
+        np.array([0.0, 1.0, 2.0, 3.0]), np.array([0, 1, 2.5, 3], dtype=object),
+        np.array([False, True, True, False])])
+    def test_non_integer_numerators_rejected(self, nums):
+        with pytest.raises(ValueError, match="numerators must be integers"):
+            PeriodicMap(2, 1, (1,), (4,), nums, 2)
+
+    def test_python_integer_numerators_reduce_exactly(self):
+        big = np.array([2**64, 1 + 4 * 10**22, 2 - 2**70, 3 + 2**63],
+                       dtype=object)
+        tab = PeriodicMap(2, 1, (1,), (4,), big, 2)
+        assert tab.nums.dtype == np.int64
+        assert tab.nums.tolist() == [0, 1, 2, 3]
+
     def test_nonperiodic_rejected(self):
         with pytest.raises(ValueError):
             PeriodicMap(2, 1, (1,), (3,), [0, 1, 2], 1)
