@@ -6,11 +6,8 @@ from .core import (
     BudgetExceeded,
     ExactExpectation,
     FVec,
-    PrimeField,
     TorusValue,
     UnityCounter,
-    char_eval,
-    enumerate_space,
 )
 from .forms import (
     CSMForm,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BudgetExceeded, FVec, TorusValue
+from .core import BudgetExceeded, FVec, TorusValue, json_int
 from .cubes import (
     CubePoint,
     FilteredAbelianGroup,
@@ -70,11 +70,12 @@ def _load_poly(args, obj=None) -> NCPoly:
     if "terms" in obj or "alpha" in obj:
         return NCPoly.from_json(obj)
     if "values" in obj:
-        p, n = int(obj["p"]), int(obj["n"])
+        p, n = json_int(obj, "p"), json_int(obj, "n")
         vals = [TorusValue.from_json(p, v) for v in obj["values"]]
         return NCPoly.from_values(p, n, vals)
     if "text" in obj:
-        return NCPoly.from_text(int(obj["p"]), int(obj["n"]), obj["text"])
+        return NCPoly.from_text(json_int(obj, "p"), json_int(obj, "n"),
+                                obj["text"])
     raise ValueError("polynomial JSON needs terms/alpha, values, or text")
 
 
@@ -82,18 +83,6 @@ def _poly_payload(P: NCPoly) -> dict:
     out = P.to_json()
     out["text"] = P.canonical().to_text()
     return out
-
-
-def _reject_non_integers(obj: dict, keys: tuple[str, ...]) -> None:
-    """A JSON float or bool where integers (or nested lists of them) belong
-    is a usage error, not a value to truncate."""
-    stack = [(key, obj[key]) for key in keys if key in obj]
-    while stack:
-        key, value = stack.pop()
-        if isinstance(value, list):
-            stack.extend((key, v) for v in value)
-        elif isinstance(value, (bool, float)):
-            raise ValueError(f"{key} must hold integers, got {json.dumps(value)}")
 
 
 def _parse_digits(text: str) -> list[int]:
@@ -294,15 +283,15 @@ def _dispatch(args) -> int:
 
     if cmd == "wdegree":
         obj = _read_input(args)
-        _reject_non_integers(obj, ("p", "m", "K", "D", "box", "nums"))
         if "terms" in obj:
             d = weighted_degree(WeightedPoly.from_json(obj))
         else:
-            box = tuple(int(x) for x in obj["box"])
+            box = tuple(json_int(obj, "box"))
             # Python integers, which PeriodicMap reduces mod p^K exactly
             pm = PeriodicMap(
-                int(obj["p"]), int(obj["m"]), [int(x) for x in obj["D"]], box,
-                np.array(obj["nums"], dtype=object).reshape(box), int(obj["K"]))
+                json_int(obj, "p"), json_int(obj, "m"), json_int(obj, "D"), box,
+                np.array(json_int(obj, "nums"), dtype=object).reshape(box),
+                json_int(obj, "K"))
             d = weighted_degree(pm)
         _emit(args, {"weighted_degree": None if d == float("-inf") else d})
         return EXIT_PASS
@@ -315,8 +304,8 @@ def _dispatch(args) -> int:
     if cmd == "cube-check":
         obj = _read_input(args)
         G = FilteredAbelianGroup.from_json(obj["group"])
-        k = int(obj["k"])
-        cube = CubePoint(k, [G.reduce(e) for e in obj["cube"]])
+        k = json_int(obj, "k")
+        cube = CubePoint(k, [G.reduce(e) for e in json_int(obj, "cube")])
         member = hk_membership(cube, G)
         coeffs, offending = hk_taylor(cube, G)
         payload = {"member": member,
@@ -334,7 +323,7 @@ def _dispatch(args) -> int:
         H = FilteredAbelianGroup.from_json(obj["H"])
         G = FilteredAbelianGroup.from_json(obj["G"])
         table = {}
-        for k, v in (tuple(pair) for pair in obj["map"]):
+        for k, v in (tuple(pair) for pair in json_int(obj, "map")):
             x = H.reduce(k)
             if x in table:
                 raise ValueError(f"map gives H element {x} two values")
@@ -346,7 +335,7 @@ def _dispatch(args) -> int:
                               for c in range(H.size)], dtype=np.int64)
         poly = is_polynomial_map(phi_codes, H, G)
         preserved, _ = preserves_cubes_fast(
-            phi_codes, H, G, int(obj.get("k_max", 2)),
+            phi_codes, H, G, json_int(obj, "k_max") if "k_max" in obj else 2,
             cap=args.budget or (1 << 22))
         _emit(args, {"polynomial_map": poly, "preserves_cubes": preserved,
                      "equivalent": poly == preserved})

@@ -1,12 +1,12 @@
 """Exact arithmetic substrate for computations over F_p^n.
 
-Provides the prime field, torus values with p-power denominators (elements
-of (1/p^K)Z/Z), digit vectors over F_p^n with fast index arithmetic,
-deterministic root-of-unity accumulators (`UnityCounter`), and exact
-expectations of roots of unity (`ExactExpectation`): integer counts on the
-residues of Z/p^K, batched over leading axes and reduced once to their
-coordinates in Z[zeta_{p^K}], from which zero tests, rational values and
-|.|^2 are read exactly.
+Provides torus values with p-power denominators (elements of (1/p^K)Z/Z),
+digit vectors over F_p^n with fast index arithmetic, deterministic
+root-of-unity accumulators (`UnityCounter`), exact expectations of roots of
+unity (`ExactExpectation`): integer counts on the residues of Z/p^K,
+batched over leading axes and reduced once to their coordinates in
+Z[zeta_{p^K}], from which zero tests, rational values and |.|^2 are read
+exactly, and the integer reader of JSON input (`json_int`).
 
 All arithmetic here is integer-exact; floats appear only when a character
 sum is finally converted to a complex number.
@@ -14,12 +14,10 @@ sum is finally converted to a complex number.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,23 +44,16 @@ def validate_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The field F_p of prime order p (2 <= p <= 13)."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        validate_prime(self.p)
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
+def json_int(obj: dict, key: str):
+    """obj[key] of JSON input as an integer, or nested lists of integers: a
+    float or a bool there raises ValueError instead of being truncated."""
+    def read(value):
+        if isinstance(value, list):
+            return [read(v) for v in value]
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{key} must hold integers, got {value!r}")
+        return int(value)
+    return read(obj[key])
 
 
 class TorusValue:
@@ -149,21 +140,7 @@ class TorusValue:
 
     @classmethod
     def from_json(cls, p: int, obj: dict) -> "TorusValue":
-        return cls(p, int(obj["num"]), int(obj["exp"]))
-
-
-@lru_cache(maxsize=4096)
-def _root_of_unity(num: int, den: int) -> complex:
-    # quarter-turn values are pinned exactly so algebraic identities hold
-    num %= den
-    if 4 * num % den == 0:
-        return {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}[4 * num // den]
-    return cmath.exp(2j * cmath.pi * num / den)
-
-
-def char_eval(a: TorusValue) -> complex:
-    """The standard character e(a) = exp(2*pi*i*a)."""
-    return _root_of_unity(a.num, a.p**a.exp)
+        return cls(p, json_int(obj, "num"), json_int(obj, "exp"))
 
 
 class Space:
@@ -295,16 +272,7 @@ class FVec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FVec":
-        return cls.from_digits(int(obj["p"]), [int(d) for d in obj["digits"]])
-
-
-def enumerate_space(p: int, n: int) -> Iterator[FVec]:
-    """All p^n vectors exactly once (at most SPACE_CAP), lexicographic digit
-    order."""
-    sp = space(p, n)
-    check_budget(sp.size, SPACE_CAP, "enumerate_space")
-    for idx in range(sp.size):
-        yield FVec(p, n, idx)
+        return cls.from_digits(json_int(obj, "p"), json_int(obj, "digits"))
 
 
 class ExactExpectation:
@@ -410,10 +378,10 @@ _DENSE_COUNTERS = 1 << 20
 class UnityCounter:
     """Integer counters over the residues of (1/p^K)Z/Z.
 
-    Insertion order never matters and merging is associative and
-    commutative, so any parallel accumulation schedule gives bit-identical
-    expectations.  ``counts`` is an array indexed by residue while p^K is
-    at most _DENSE_COUNTERS, and a {residue: count} dict past it.
+    Insertion order never matters, so any accumulation schedule gives
+    bit-identical expectations.  ``counts`` is an array indexed by residue
+    while p^K is at most _DENSE_COUNTERS, and a {residue: count} dict past
+    it.
     """
 
     def __init__(self, p: int, K: int):
@@ -422,13 +390,6 @@ class UnityCounter:
         self.K = K
         self.counts: np.ndarray | dict[int, int] = \
             np.zeros(p**K, dtype=np.int64) if p**K <= _DENSE_COUNTERS else {}
-
-    def add_value(self, v: TorusValue, count: int = 1) -> None:
-        if v.p != self.p:
-            raise ValueError(f"value of modulus {v.p} in a counter of {self.p}")
-        if v.exp > self.K:
-            raise ValueError(f"value denominator exceeds p^{self.K}")
-        self.add_counts([v.num * self.p ** (self.K - v.exp)], [count])
 
     def add_counts(self, residues, counts) -> None:
         """Add counts[i] to the counter of residues[i] (reduced numerators
@@ -448,25 +409,10 @@ class UnityCounter:
         else:
             self.counts += np.bincount(residues.ravel() % mod, minlength=mod)
 
-    def merge(self, other: "UnityCounter") -> "UnityCounter":
-        if (self.p, self.K) != (other.p, other.K):
-            raise ValueError("mismatched counters")
-        out = UnityCounter(self.p, self.K)
-        for c in (self, other):
-            out.add_counts(*c._nonzero())
-        return out
-
-    def _nonzero(self) -> tuple[list[int], list[int]]:
-        """(residues, counts) of the nonzero counters, residues ascending."""
-        if isinstance(self.counts, dict):
-            items = sorted(self.counts.items())
-            return [r for r, _ in items], [c for _, c in items]
-        nz = np.flatnonzero(self.counts)
-        return nz.tolist(), self.counts[nz].tolist()
-
     def expectation(self) -> ExactExpectation:
         if isinstance(self.counts, dict):
-            residues, counts = self._nonzero()
+            residues = sorted(self.counts)
+            counts = [self.counts[r] for r in residues]
             return ExactExpectation(self.p, self.K, np.array(counts, np.int64),
                                     sum(counts), residues)
         return ExactExpectation(self.p, self.K, self.counts,

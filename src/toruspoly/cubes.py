@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ExactExpectation, check_budget
+from .core import ExactExpectation, check_budget, json_int
 
 Element = tuple[int, ...]
 
@@ -148,8 +148,8 @@ class FilteredAbelianGroup:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FilteredAbelianGroup":
-        return cls(obj["cyclic_orders"],
-                   levels=[[tuple(g) for g in lv] for lv in obj["filtration"]])
+        return cls(json_int(obj, "cyclic_orders"), levels=[
+            [tuple(g) for g in lv] for lv in json_int(obj, "filtration")])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FilteredAbelianGroup):

@@ -28,6 +28,7 @@ from .core import (
     FVec,
     UnityCounter,
     check_budget,
+    json_int,
     space,
     validate_prime,
 )
@@ -115,11 +116,6 @@ class MultilinearForm:
             )
         return cur.reshape(-1)
 
-    def argument_permutation_invariant(self, args: Sequence[FVec]) -> bool:
-        vals = {self.evaluate([args[i] for i in perm])
-                for perm in itertools.permutations(range(self.k))}
-        return len(vals) == 1
-
     def to_json(self) -> dict:
         return {
             "p": self.p, "n": self.n, "k": self.k,
@@ -132,8 +128,8 @@ class MultilinearForm:
     @classmethod
     def from_json(cls, obj: dict) -> "MultilinearForm":
         return cls(
-            int(obj["p"]), int(obj["n"]), int(obj["k"]),
-            {tuple(int(i) - 1 for i in t["multiset"]): int(t["c"])
+            json_int(obj, "p"), json_int(obj, "n"), json_int(obj, "k"),
+            {tuple(i - 1 for i in json_int(t, "multiset")): json_int(t, "c")
              for t in obj.get("coeffs", [])},
         )
 

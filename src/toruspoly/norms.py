@@ -20,6 +20,7 @@ from .core import (
     TorusValue,
     UnityCounter,
     check_budget,
+    json_int,
     space,
 )
 from .forms import bias, dk_extract
@@ -49,29 +50,22 @@ class BoundedFunction:
         return cls(P.p, P.n, values, phase=(P.nums.copy(), P.K))
 
     @classmethod
-    def constant_one(cls, p: int, n: int) -> "BoundedFunction":
-        return cls.from_phase(NCPoly.zero(p, n))
-
-    @classmethod
     def from_json(cls, obj: dict) -> "BoundedFunction":
-        p, n = int(obj["p"]), int(obj["n"])
+        p, n = json_int(obj, "p"), json_int(obj, "n")
         vals = []
         nums = []
-        exact = True
         for entry in obj["values"]:
             if "num" in entry:
                 tv = TorusValue.from_json(p, entry)
                 nums.append(tv)
                 vals.append(cmath.exp(2j * cmath.pi * float(tv.as_fraction())))
             else:
-                exact = False
                 vals.append(complex(entry["re"], entry.get("im", 0.0)))
-        if exact and len(nums) == len(vals):
-            K = max((t.exp for t in nums), default=0)
-            arr = np.array([t.num * p ** (K - t.exp) for t in nums], dtype=np.int64)
-            f = cls(p, n, np.array(vals), phase=(arr, K))
-            return f
-        return cls(p, n, np.array(vals))
+        if len(nums) < len(vals):
+            return cls(p, n, np.array(vals))
+        K = max((t.exp for t in nums), default=0)
+        arr = np.array([t.num * p ** (K - t.exp) for t in nums], dtype=np.int64)
+        return cls(p, n, np.array(vals), phase=(arr, K))
 
     def to_json(self) -> dict:
         if self.phase_nums is not None:
@@ -81,9 +75,6 @@ class BoundedFunction:
                 for v in self.phase_nums % mod]}
         return {"p": self.p, "n": self.n, "values": [
             {"re": float(v.real), "im": float(v.imag)} for v in self.values]}
-
-    def is_one_bounded(self, tol: float = 1e-12) -> bool:
-        return bool((np.abs(self.values) <= 1 + tol).all())
 
     def mult_derivative(self, h: FVec) -> "BoundedFunction":
         """Delta_h f = (T_h f) conj(f)."""

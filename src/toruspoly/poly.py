@@ -34,6 +34,7 @@ from .core import (
     FVec,
     TorusValue,
     check_budget,
+    json_int,
     space,
     validate_prime,
 )
@@ -410,12 +411,12 @@ class CanonicalForm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CanonicalForm":
-        p, n = int(obj["p"]), int(obj["n"])
+        p, n = json_int(obj, "p"), json_int(obj, "n")
         alpha = TorusValue.from_json(p, obj.get("alpha", {"num": 0, "exp": 0}))
         terms: dict[tuple[tuple[int, ...], int], int] = {}
         for t in obj.get("terms", []):
-            key = (tuple(int(e) for e in t["exps"]), int(t["depth"]))
-            terms[key] = terms.get(key, 0) + int(t["coeff"])
+            key = (tuple(json_int(t, "exps")), json_int(t, "depth"))
+            terms[key] = terms.get(key, 0) + json_int(t, "coeff")
         return cls(p, n, alpha, terms)
 
     @classmethod
@@ -482,11 +483,6 @@ class NCPoly:
     @classmethod
     def zero(cls, p: int, n: int) -> "NCPoly":
         return cls(p, n, np.zeros(space(p, n).size, dtype=np.int64), 0)
-
-    @classmethod
-    def constant(cls, p: int, n: int, value: TorusValue) -> "NCPoly":
-        nums = np.full(space(p, n).size, value.num, dtype=np.int64)
-        return cls(p, n, nums, value.exp)
 
     @classmethod
     def from_values(cls, p: int, n: int, values: Sequence[TorusValue]) -> "NCPoly":
@@ -607,15 +603,6 @@ class NCPoly:
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
-
-    def multiply_classical(self, other: "NCPoly") -> "NCPoly":
-        """Pointwise product in F of two classical polynomials."""
-        self._check(other)
-        if not (self.is_classical() and other.is_classical()):
-            raise ValueError("multiply_classical requires classical inputs")
-        return NCPoly.from_classical_table(
-            self.p, self.n, self.classical_table() * other.classical_table() % self.p
-        )
 
     def _check(self, other: "NCPoly") -> None:
         if (self.p, self.n) != (other.p, other.n):

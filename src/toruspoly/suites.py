@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from . import catalog
-from .core import TorusValue, space
+from .core import FVec, TorusValue, space
 from .cubes import (
     FilteredAbelianGroup,
     _subset_table,
@@ -41,6 +41,7 @@ from .cubescan import (
     taylor_member_mask,
 )
 from .forms import (
+    antiderivative,
     bias,
     binomial_lift_power,
     check_dkp,
@@ -73,6 +74,7 @@ from .poly import (
 )
 from .rng import ALGORITHM, SplitMix64
 from .weighted import (
+    Factor,
     WeightedPoly,
     binomial_expand,
     periodicity_check,
@@ -278,6 +280,14 @@ def _suite_symprod(rec: _Recorder, params: dict, rng, threads, budget):
         pairs, fails = _product_rule_exhaustive(3, k, l)
         rec.add("product-rule-exhaustive", {"p": 2, "n": 3, "k": k, "l": l},
                 fails == 0, pairs=pairs)
+    # d^k of the antiderivative of a classical form T is T
+    for p, n, k in ((2, 3, 3), (3, 2, 2), (5, 2, 3), (2, 4, 2)):
+        ok = True
+        for _ in range(5):
+            T = dk_extract(_random_classical(p, n, k, rng), k)
+            ok &= dk_extract(antiderivative(T), k) == T
+        rec.add("antiderivative-roundtrip", {"p": p, "n": n, "k": k, "cases": 5},
+                ok)
 
 
 def _classical_tables(n: int, d: int) -> np.ndarray:
@@ -363,6 +373,22 @@ def _suite_gowers(rec: _Recorder, params: dict, rng, threads, budget):
                                         threads=threads)
         rec.add("exact-phase-path", {"p": p, "n": n, "cases": 20},
                 ok_exact and ok_bias)
+    # ||f||_{U^d}^(2^d) = E_h ||Delta_h f||_{U^(d-1)}^(2^(d-1)), through the
+    # multiplicative derivative Delta_h f = (T_h f) conj(f)
+    for p, n in configs:
+        sub = SplitMix64(rng.next_u64())
+        N = space(p, n).size
+        worst = 0.0
+        for _ in range(10):
+            f = _random_bounded(p, n, sub)
+            for d in (2, 3):
+                recursed = sum(
+                    gowers_power(f.mult_derivative(FVec(p, n, h)), d - 1,
+                                 budget=budget) for h in range(N)) / N
+                worst = max(worst, abs(gowers_power(f, d, budget=budget)
+                                       - recursed))
+        rec.add("derivative-recursion", {"p": p, "n": n, "cases": 10},
+                worst <= 1e-9, worst=worst)
 
 
 def _suite_dkp(rec: _Recorder, params: dict, rng, threads, budget):
@@ -545,6 +571,27 @@ def _suite_weighted(rec: _Recorder, params: dict, rng, threads, budget):
                 if comb(p**k, l) % p ** (k - t):
                     ok = False
     rec.add("binomial-valuation", {"p_max": 5, "k_max": 4}, ok)
+    # factors from classical layers, extended by p-th roots: retracting to
+    # the factor's degree keeps every layer, and a weighted polynomial on
+    # the factor's D pulls back to degree at most its weighted degree
+    fails = 0
+    for _ in range(40):
+        p = (2, 3)[rng.below(2)]
+        n = 2 + rng.below(2)
+        m = 1 + rng.below(2)
+        D = tuple(2 + rng.below(2) for _ in range(m))
+        F = Factor(p, n, [(Di, [_random_classical(p, n, Di, rng)]) for Di in D])
+        depths = [rng.below(3) for _ in range(m)]
+        F = F.depth_extend(depths)
+        # below this degree the polynomial has period p^(J_i+1) along e_i,
+        # so it is a function of the top values a_i mod p^(J_i+1)
+        d = min(Di + (J + 1) * (p - 1) for Di, J in zip(D, depths)) - 1
+        wp = _random_weighted(p, m, D, d, rng)
+        fails += not ([len(polys) - 1 for _, polys in F.chains] == depths
+                      and F.retract(F.degree()) == F
+                      and F.pullback(wp).degree() <= wp.degree())
+    rec.add("factor-pullback-degree", {"factors": 40}, fails == 0,
+            failures=fails)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SPACE_CAP, TorusValue, check_budget, validate_prime
+from .core import SPACE_CAP, TorusValue, check_budget, json_int, validate_prime
 from .poly import NCPoly, NotPolynomialError, _check_table_exponent
 
 
@@ -170,11 +170,11 @@ class WeightedPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightedPoly":
-        p = int(obj["p"])
+        p = json_int(obj, "p")
         return cls(
-            p, int(obj["m"]), [int(d) for d in obj["D"]],
+            p, json_int(obj, "m"), json_int(obj, "D"),
             TorusValue.from_json(p, obj.get("alpha", {"num": 0, "exp": 0})),
-            {(tuple(int(v) for v in t["i"]), int(t["r"])): int(t["c"])
+            {(tuple(json_int(t, "i")), json_int(t, "r")): json_int(t, "c")
              for t in obj.get("terms", [])},
         )
 
@@ -365,10 +365,6 @@ class Factor:
     def dimension(self) -> int:
         return len(self.chains)
 
-    @property
-    def depths(self) -> tuple[int, ...]:
-        return tuple(len(polys) - 1 for _, polys in self.chains)
-
     def degree(self) -> int:
         return max(
             (D + (len(polys) - 1) * (self.p - 1) for D, polys in self.chains),
@@ -433,7 +429,7 @@ class Factor:
     @classmethod
     def from_json(cls, obj: dict) -> "Factor":
         return cls(
-            int(obj["p"]), int(obj["n"]),
-            [(int(ch["D"]), [NCPoly.from_json(pj) for pj in ch["polys"]])
+            json_int(obj, "p"), json_int(obj, "n"),
+            [(json_int(ch, "D"), [NCPoly.from_json(pj) for pj in ch["polys"]])
              for ch in obj["chains"]],
         )

@@ -16,11 +16,14 @@ from toruspoly.catalog import (
     mother_q,
     quartic_form,
 )
+from toruspoly import suites
 from toruspoly.cli import main
 from toruspoly.core import space
-from toruspoly.norms import RankWitness, rank_witness_check
+from toruspoly.norms import BoundedFunction, RankWitness, rank_witness_check
+from toruspoly.poly import NCPoly
 from toruspoly.rng import SplitMix64
 from toruspoly.suites import run_suite
+from toruspoly.weighted import Factor
 
 
 class TestCatalog:
@@ -166,8 +169,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: table denominator")
 
     def test_norm_negative_d_exit_2(self, tmp_path, capsys):
-        from toruspoly.norms import BoundedFunction
-        f = BoundedFunction.constant_one(2, 2)
+        f = BoundedFunction.from_phase(NCPoly.zero(2, 2))
         path = tmp_path / "f.json"
         path.write_text(json.dumps(f.to_json()))
         code, _ = run_cli("--input", str(path), "norm", "--d", "-1")
@@ -509,7 +511,105 @@ class TestCli:
         assert message in capsys.readouterr().err
 
 
+    # a JSON float or bool where an integer belongs is a usage error in
+    # every reader, not a value to truncate
+    @pytest.mark.parametrize("command, payload", [
+        ("wroot", {"p": 2, "m": 1, "D": [1],
+                   "terms": [{"i": [1], "r": 1, "c": 1.5}]}),
+        ("degree", {"p": 2, "n": 2,
+                    "terms": [{"exps": [1, 0], "depth": 0.9, "coeff": 1}]}),
+        ("degree", {"p": 2, "n": 2,
+                    "terms": [{"exps": [1, 0], "depth": 0, "coeff": 1.7}]}),
+        ("degree", {"p": 2.0, "n": 2, "text": "1/2*x1"}),
+        ("bias", {"p": 2, "n": 3, "k": 2,
+                  "coeffs": [{"multiset": [1, 2.9], "c": 1}]}),
+        ("cube-check", {"group": {"cyclic_orders": [4.5],
+                                  "filtration": [[[0], [1], [2], [3]]]},
+                        "k": 1, "cube": [[0], [1]]}),
+        ("cube-check", {"group": {"cyclic_orders": [4],
+                                  "filtration": [[[0], [1], [2], [3]]]},
+                        "k": 1, "cube": [[0], [True]]}),
+        ("polymap-check", {
+            "H": {"cyclic_orders": [2], "filtration": [[[0], [1]]]},
+            "G": {"cyclic_orders": [2], "filtration": [[[0], [1]]]},
+            "map": [[[0], [0]], [[1], [1.0]]]}),
+    ], ids=["wroot-c", "degree-depth", "degree-coeff", "degree-p", "bias",
+            "cube-orders", "cube-entry", "polymap-entry"])
+    def test_non_integer_json_exit_2(self, command, payload, capsys):
+        code, out = run_cli("--input", "-", command,
+                            stdin_text=json.dumps(payload))
+        assert code == 2 and out == ""
+        assert "must hold integers" in capsys.readouterr().err
+
+
+class _Stop(Exception):
+    pass
+
+
 class TestSuiteReports:
+    # the paper operations that three suites check last, with the number of
+    # records each check adds at the default parameters
+    APPENDED = {
+        "gowers-props": ("derivative-recursion", 2,
+                         "toruspoly.norms.BoundedFunction.mult_derivative"),
+        "symprod": ("antiderivative-roundtrip", 4,
+                    "toruspoly.suites.antiderivative"),
+        "weighted": ("factor-pullback-degree", 1,
+                     "toruspoly.weighted.Factor.depth_extend"),
+    }
+
+    @pytest.mark.parametrize("name", APPENDED)
+    def test_operation_checks_follow_every_other_record(self, name,
+                                                        monkeypatch):
+        check, count, operation = self.APPENDED[name]
+        full = run_suite(name, seed=1111).checks
+        assert [c.name for c in full[-count:]] == [check] * count
+        assert all(c.passed for c in full[-count:])
+        # stopped at the operation's first call, the suite has written all
+        # its other records, byte for byte, and drawn nothing else
+        def stop(*args):
+            raise _Stop
+        monkeypatch.setattr(operation, stop)
+        report = suites.SuiteReport(name, 1111, 1, {})
+        with pytest.raises(_Stop):
+            suites._SUITES[name](suites._Recorder(report), {},
+                                 SplitMix64(1111), 1, None)
+        assert [json.dumps(c.to_json(), sort_keys=True)
+                for c in report.checks] == \
+            [json.dumps(c.to_json(), sort_keys=True) for c in full[:-count]]
+
+    @pytest.mark.parametrize("operation", [
+        "mult_derivative", "antiderivative", "depth_extend", "retract",
+        "pullback"])
+    def test_wrong_operation_fails_its_check(self, operation, monkeypatch):
+        retract, pullback = Factor.retract, Factor.pullback
+
+        def no_conjugate(f, h):
+            perm = space(f.p, f.n).shift_perm(h.idx)
+            return BoundedFunction(f.p, f.n, f.values[perm] * f.values)
+
+        def plus_delta(F, wp):
+            # adds 1/p at x = 0: degree n(p - 1), past most weighted degrees
+            delta = np.zeros(F.p**F.n, dtype=np.int64)
+            delta[0] = 1
+            return pullback(F, wp) + NCPoly(F.p, F.n, delta, 1)
+
+        suite, target, wrong = {
+            "mult_derivative": ("gowers-props", BoundedFunction, no_conjugate),
+            "antiderivative": ("symprod", None,
+                               lambda T: NCPoly.zero(T.p, T.n)),
+            "depth_extend": ("weighted", Factor, lambda F, depths: F),
+            "retract": ("weighted", Factor, lambda F, d: retract(F, d - 1)),
+            "pullback": ("weighted", Factor, plus_delta),
+        }[operation]
+        if target is None:
+            monkeypatch.setattr(f"toruspoly.suites.{operation}", wrong)
+        else:
+            monkeypatch.setattr(target, operation, wrong)
+        report = run_suite(suite, seed=1111)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {self.APPENDED[suite][0]}
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("no-such-suite")

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: torus values, spaces, counters, roots of unity."""
 
+import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,8 @@ from toruspoly.core import (
     BudgetExceeded,
     ExactExpectation,
     FVec,
-    PrimeField,
     TorusValue,
     UnityCounter,
-    char_eval,
-    enumerate_space,
     space,
 )
 from toruspoly.cubes import FilteredAbelianGroup
@@ -23,6 +21,7 @@ from toruspoly.cubescan import enumerate_cube_codes, equivalence_scan
 from toruspoly.parallel import chunk_ranges
 from toruspoly.poly import count_polys, enumerate_polys
 from toruspoly.rng import SplitMix64
+from toruspoly.weighted import PeriodicMap, binomial_expand
 
 
 def tv(p, num, exp):
@@ -83,37 +82,45 @@ class TestTorusValue:
         assert (x + y).scale(m) == x.scale(m) + y.scale(m)
 
 
-class TestCharacter:
-    def test_quarter_points_exact(self):
-        assert char_eval(TorusValue.zero(2)) == 1
-        assert char_eval(tv(2, 1, 1)) == -1
-        assert char_eval(tv(2, 1, 2)) == 1j
+def char(a):
+    """The standard character e(a) = exp(2 pi i a) of a torus value."""
+    return cmath.exp(2j * cmath.pi * a.num / a.p**a.exp)
 
+
+class TestCharacter:
     def test_homomorphism(self):
         rng = SplitMix64(5)
         for _ in range(10_000):
             a = tv(3, rng.below(81), 4)
             b = tv(3, rng.below(81), 4)
-            assert abs(char_eval(a + b) - char_eval(a) * char_eval(b)) < 1e-12
+            assert abs(char(a + b) - char(a) * char(b)) < 1e-12
 
 
 class TestSpace:
     def test_enumeration_order(self):
-        vecs = [v.digits for v in enumerate_space(2, 2)]
+        vecs = [FVec(2, 2, i).digits for i in range(4)]
         assert vecs == [(0, 0), (1, 0), (0, 1), (1, 1)]
-        assert [v.digits for v in enumerate_space(3, 1)] == [(0,), (1,), (2,)]
+        assert [FVec(3, 1, i).digits for i in range(3)] == [(0,), (1,), (2,)]
 
     def test_large_count(self):
-        assert sum(1 for _ in enumerate_space(2, 20)) == 1 << 20
+        sp = space(2, 20)
+        assert sp.size == 1 << 20
+        assert sp.index_of(sp.digits_of(sp.size - 1)) == sp.size - 1
 
     def test_cap(self):
+        # SPACE_CAP bounds the Newton transform on every axis at once:
+        # (2 * 128)^2 entries times 2 * 256 steps
+        table = PeriodicMap(2, 2, [1, 1], [128, 128],
+                            np.zeros((128, 128), dtype=np.int64), 2)
         with pytest.raises(BudgetExceeded):
-            list(enumerate_space(2, 25))
+            binomial_expand(table, 1)
 
     # each fixed cap reports the kernel, the estimated cost and the cap
     CAPS = {
-        "enumerate_space": (lambda: list(enumerate_space(2, 25)),
-                            1 << 25, 1 << 24),
+        "binomial_expand": (
+            lambda: binomial_expand(PeriodicMap(
+                2, 1, [1], [1 << 13], np.zeros(1 << 13, dtype=np.int64), 1), 1),
+            1 << 26, 1 << 24),
         "enumerate_polys": (lambda: next(enumerate_polys(2, 6, 2)),
                             count_polys(2, 6, 2), 1 << 20),
         "equivalence_scan": (
@@ -148,50 +155,52 @@ class TestSpace:
         sp = space(3, 2)
         h = FVec.from_digits(3, [1, 2])
         perm = sp.shift_perm(h.idx)
-        for x in enumerate_space(3, 2):
+        for x in (FVec(3, 2, i) for i in range(9)):
             assert perm[x.idx] == (x + h).idx
 
     def test_prime_validation(self):
-        with pytest.raises(ValueError):
-            PrimeField(4)
-        assert PrimeField(7).inv(3) == 5
+        with pytest.raises(ValueError, match="modulus must be a prime"):
+            space(4, 1)
 
 
 class TestCounters:
     def test_expectation_examples(self):
         c = UnityCounter(2, 1)
-        c.add_value(TorusValue.zero(2), 3)
-        c.add_value(tv(2, 1, 1), 1)
+        c.add_counts([0], [3])  # 0 three times
+        c.add_counts([1], [1])  # 1/2 once
         assert c.expectation().as_fraction() == Fraction(1, 2)
 
         c = UnityCounter(2, 2)
-        c.add_value(TorusValue.zero(2), 5)
+        c.add_counts([0], [5])
         assert c.expectation().as_fraction() == 1
 
         c = UnityCounter(5, 1)
-        for num in range(5):
-            c.add_value(tv(5, num, 1))
+        c.add_residues(np.arange(5))
         assert c.expectation().is_zero()
 
     def test_empty_counter(self):
         with pytest.raises(ValueError):
             UnityCounter(2, 1).expectation()
 
-    def test_value_of_another_prime_rejected(self):
-        # 1/3 would otherwise count as the residue 2 of Z/4
-        with pytest.raises(ValueError, match="modulus 3"):
-            UnityCounter(2, 2).add_value(TorusValue(3, 1, 1))
-
-    def test_merge_order_independent(self):
+    def test_insertion_order_independent(self):
+        # one by one forwards, one by one backwards and in bulk, with array
+        # counters (3^2 residues) and dict counters (2^21 residues)
         rng = SplitMix64(9)
-        parts = [UnityCounter(3, 2) for _ in range(4)]
-        for _ in range(500):
-            parts[rng.below(4)].add_value(tv(3, rng.below(9), 2))
-        forward = parts[0].merge(parts[1]).merge(parts[2]).merge(parts[3])
-        backward = parts[3].merge(parts[2]).merge(parts[1]).merge(parts[0])
-        assert np.array_equal(forward.counts, backward.counts)
-        assert forward.expectation().as_complex() == \
-            backward.expectation().as_complex()
+        for p, K in ((3, 2), (2, 21)):
+            residues = np.array([rng.below(p**K) for _ in range(500)])
+            forward, backward, bulk = (UnityCounter(p, K) for _ in range(3))
+            for r in residues:
+                forward.add_counts([r], [1])
+            for r in residues[::-1]:
+                backward.add_counts([r], [1])
+            bulk.add_residues(residues)
+            for c in (backward, bulk):
+                if isinstance(c.counts, dict):
+                    assert c.counts == forward.counts
+                else:
+                    assert np.array_equal(c.counts, forward.counts)
+                assert c.expectation().as_complex() == \
+                    forward.expectation().as_complex()
 
 
 class CycloSum:

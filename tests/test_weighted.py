@@ -31,6 +31,11 @@ def wpoly(p, D, terms, alpha=None):
     return WeightedPoly(p, len(D), D, alpha or TorusValue.zero(p), terms)
 
 
+def depths(F):
+    """The depth J_i of each chain of a factor."""
+    return [len(polys) - 1 for _, polys in F.chains]
+
+
 def eval_oracle(w, x):
     """The per-point definition: alpha + sum c/p^(r+1) prod binom(x_t, i_t),
     summed as exact rationals."""
@@ -489,7 +494,7 @@ def chain_factor(n=3):
 class TestFactor:
     def test_chain_validation(self):
         F = chain_factor()
-        assert F.dimension == 2 and F.depths == (1, 0)
+        assert F.dimension == 2 and depths(F) == [1, 0]
         assert F.degree() == 3
 
     def test_broken_chain_rejected(self):
@@ -506,7 +511,7 @@ class TestFactor:
     def test_depth_extension(self):
         F = chain_factor()
         F2 = F.depth_extend([2, 1])
-        assert F2.depths == (2, 1)
+        assert depths(F2) == [2, 1]
         # original layers untouched, new layers chained
         for (D, old), (_, new) in zip(F.chains, F2.chains):
             assert new[: len(old)] == old
@@ -529,7 +534,7 @@ class TestFactor:
         F = chain_factor().depth_extend([2, 1])
         # degree <= D_2 = initial degree drops the deep layers
         R = F.retract(2)
-        assert R.depths == (0, 0)
+        assert depths(R) == [0, 0]
         assert F.retract(10) == F
         assert F.retract(1).dimension == 0
 
