@@ -5,7 +5,6 @@ Z^m, and Host-Kra cube groups."""
 from .core import (
     BudgetExceeded,
     ExactExpectation,
-    FVec,
     TorusValue,
     UnityCounter,
 )

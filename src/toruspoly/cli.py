@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BudgetExceeded, FVec, TorusValue, json_int
+from .core import BudgetExceeded, TorusValue, json_int, space
 from .cubes import (
     CubePoint,
     FilteredAbelianGroup,
@@ -183,14 +183,14 @@ def _dispatch(args) -> int:
 
     if cmd == "eval":
         P = _load_poly(args)
-        x = FVec.from_digits(P.p, _parse_digits(args.x))
+        x = space(P.p, P.n).index_of(_parse_digits(args.x))
         _emit(args, {"value": P.eval(x).to_json(),
                      "display": repr(P.eval(x))})
         return EXIT_PASS
 
     if cmd == "derive":
         P = _load_poly(args)
-        h = FVec.from_digits(P.p, _parse_digits(args.h))
+        h = space(P.p, P.n).index_of(_parse_digits(args.h))
         _emit(args, _poly_payload(P.derivative(h)))
         return EXIT_PASS
 

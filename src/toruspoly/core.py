@@ -1,7 +1,7 @@
 """Exact arithmetic substrate for computations over F_p^n.
 
 Provides torus values with p-power denominators (elements of (1/p^K)Z/Z),
-digit vectors over F_p^n with fast index arithmetic, deterministic
+the space F_p^n, whose points are packed integer indices, deterministic
 root-of-unity accumulators (`UnityCounter`), exact expectations of roots of
 unity (`ExactExpectation`): integer counts on the residues of Z/p^K,
 batched over leading axes and reduced once to their coordinates in
@@ -146,7 +146,7 @@ class TorusValue:
 class Space:
     """The vector space F_p^n with lexicographic digit indexing.
 
-    A vector (x_1, ..., x_n) has index sum(x_i * p^(i-1)); digit 1 varies
+    A point (x_1, ..., x_n) is its index sum(x_i * p^(i-1)); digit 1 varies
     fastest in enumeration order.
     """
 
@@ -182,6 +182,11 @@ class Space:
             idx += d * self.p**i
         return idx
 
+    def check_index(self, idx: int) -> int:
+        if not 0 <= idx < self.size:
+            raise ValueError(f"{idx} is not a point index of F_{self.p}^{self.n}")
+        return idx
+
     def digits_of(self, idx: int) -> tuple[int, ...]:
         out = []
         for _ in range(self.n):
@@ -201,78 +206,15 @@ class Space:
             res = res + ((da + db) % self.p) * pi
         return res
 
-    def neg_index(self, a):
-        if self.p == 2:
-            return a
-        res = 0 if np.isscalar(a) else np.zeros(np.shape(a), dtype=np.int64)
-        for i in range(self.n):
-            pi = self.p**i
-            da = (a // pi) % self.p
-            res = res + ((-da) % self.p) * pi
-        return res
-
-    def shift_perm(self, h_idx: int) -> np.ndarray:
-        """Permutation array perm[x] = index(x + h)."""
-        return self.add_indices(np.arange(self.size, dtype=np.int64), h_idx)
+    def shift_perm(self, h: int) -> np.ndarray:
+        """Permutation array perm[x] = x + h."""
+        return self.add_indices(np.arange(self.size, dtype=np.int64),
+                                self.check_index(h))
 
 
 @lru_cache(maxsize=256)
 def space(p: int, n: int) -> Space:
     return Space(p, n)
-
-
-class FVec:
-    """A vector in F_p^n, held as its packed index (bit-packed when p=2)."""
-
-    __slots__ = ("p", "n", "idx")
-
-    def __init__(self, p: int, n: int, idx: int):
-        self.p = p
-        self.n = n
-        self.idx = idx
-
-    @classmethod
-    def from_digits(cls, p: int, digits: Sequence[int]) -> "FVec":
-        sp = space(p, len(digits))
-        return cls(p, len(digits), sp.index_of(digits))
-
-    @classmethod
-    def zero(cls, p: int, n: int) -> "FVec":
-        return cls(p, n, 0)
-
-    @classmethod
-    def unit(cls, p: int, n: int, i: int) -> "FVec":
-        return cls(p, n, p**i)
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return space(self.p, self.n).digits_of(self.idx)
-
-    def __add__(self, other: "FVec") -> "FVec":
-        if (self.p, self.n) != (other.p, other.n):
-            raise ValueError("mismatched spaces")
-        return FVec(self.p, self.n, space(self.p, self.n).add_indices(self.idx, other.idx))
-
-    def __neg__(self) -> "FVec":
-        return FVec(self.p, self.n, space(self.p, self.n).neg_index(self.idx))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FVec):
-            return NotImplemented
-        return (self.p, self.n, self.idx) == (other.p, other.n, other.idx)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.n, self.idx))
-
-    def __repr__(self) -> str:
-        return f"FVec({''.join(map(str, self.digits))})"
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "digits": list(self.digits)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FVec":
-        return cls.from_digits(json_int(obj, "p"), json_int(obj, "digits"))
 
 
 class ExactExpectation:

@@ -140,12 +140,6 @@ class FilteredAbelianGroup:
             levels.append([(x,) for x in range(0, order, step)])
         return cls((order,), levels=levels)
 
-    def to_json(self) -> dict:
-        return {
-            "cyclic_orders": list(self.orders),
-            "filtration": [[list(g) for g in sorted(lv)] for lv in self.levels],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "FilteredAbelianGroup":
         return cls(json_int(obj, "cyclic_orders"), levels=[
@@ -182,13 +176,6 @@ class CubePoint:
 
     def __hash__(self) -> int:
         return hash((self.k, self.entries))
-
-    def to_json(self) -> list:
-        return [list(e) for e in self.entries]
-
-    @classmethod
-    def from_json(cls, k: int, obj: list) -> "CubePoint":
-        return cls(k, [tuple(e) for e in obj])
 
 
 @lru_cache(maxsize=64)

@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    FVec,
     UnityCounter,
     check_budget,
     json_int,
@@ -66,9 +65,6 @@ class MultilinearForm:
     def value(self, key: Iterable[int]) -> int:
         return self.coeffs.get(tuple(sorted(key)), 0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultilinearForm):
             return NotImplemented
@@ -94,11 +90,13 @@ class MultilinearForm:
                 T[perm] = c
         return T
 
-    def evaluate(self, args: Sequence[FVec]) -> int:
+    def evaluate(self, args: Sequence[int]) -> int:
+        """T at one tuple of point indices."""
         if len(args) != self.k:
             raise ValueError(f"need {self.k} arguments")
-        idx = np.array([[a.idx] for a in args], dtype=np.int64)
-        return int(self.eval_batch([row for row in idx])[0])
+        sp = space(self.p, self.n)
+        return int(self.eval_batch([np.array([sp.check_index(a)])
+                                    for a in args])[0])
 
     def eval_batch(self, arg_indices: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate on B tuples given as k index arrays of shape (B,)."""
@@ -115,15 +113,6 @@ class MultilinearForm:
                 np.einsum("bi,bir->br", d, cur.reshape(len(d), self.n, rest)) % self.p
             )
         return cur.reshape(-1)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p, "n": self.n, "k": self.k,
-            "coeffs": [
-                {"multiset": [i + 1 for i in key], "c": c}
-                for key, c in sorted(self.coeffs.items())
-            ],
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "MultilinearForm":

@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import (
     ExactExpectation,
-    FVec,
     TorusValue,
     UnityCounter,
     check_budget,
@@ -67,20 +66,9 @@ class BoundedFunction:
         arr = np.array([t.num * p ** (K - t.exp) for t in nums], dtype=np.int64)
         return cls(p, n, np.array(vals), phase=(arr, K))
 
-    def to_json(self) -> dict:
-        if self.phase_nums is not None:
-            mod = self.p**self.phase_K if self.phase_K else 1
-            return {"p": self.p, "n": self.n, "values": [
-                TorusValue(self.p, int(v), self.phase_K).to_json()
-                for v in self.phase_nums % mod]}
-        return {"p": self.p, "n": self.n, "values": [
-            {"re": float(v.real), "im": float(v.imag)} for v in self.values]}
-
-    def mult_derivative(self, h: FVec) -> "BoundedFunction":
-        """Delta_h f = (T_h f) conj(f)."""
-        if (h.p, h.n) != (self.p, self.n):
-            raise ValueError("dimension mismatch")
-        perm = space(self.p, self.n).shift_perm(h.idx)
+    def mult_derivative(self, h: int) -> "BoundedFunction":
+        """Delta_h f = (T_h f) conj(f), for the point of index h."""
+        perm = space(self.p, self.n).shift_perm(h)
         phase = None
         if self.phase_nums is not None:
             mod = self.p**self.phase_K if self.phase_K else 1
@@ -289,8 +277,8 @@ class RankWitness:
         any value tuple mapped inconsistently."""
         table: dict[tuple[TorusValue, ...], TorusValue] = {}
         for idx in range(space(P.p, P.n).size):
-            key = tuple(q.value_at_index(idx) for q in polys)
-            table.setdefault(key, P.value_at_index(idx))
+            key = tuple(q.eval(idx) for q in polys)
+            table.setdefault(key, P.eval(idx))
         return cls(polys, table)
 
 
@@ -299,10 +287,10 @@ def rank_witness_check(P: NCPoly, s: int, witness: RankWitness) -> bool:
         if q.degree() > s:
             raise ValueError("witness polynomial exceeds degree s")
     for idx in range(space(P.p, P.n).size):
-        key = tuple(q.value_at_index(idx) for q in witness.polys)
+        key = tuple(q.eval(idx) for q in witness.polys)
         if key not in witness.table:
             raise ValueError("incomplete lookup table")
-        if witness.table[key] != P.value_at_index(idx):
+        if witness.table[key] != P.eval(idx):
             return False
     return True
 

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    FVec,
+    SPACE_CAP,
     TorusValue,
     check_budget,
     json_int,
@@ -331,6 +331,7 @@ class CanonicalForm:
         return max(self.alpha.exp, depth + 1, 0)
 
     def eval_table(self) -> tuple[np.ndarray, int]:
+        check_budget(self.p**self.n, SPACE_CAP, "CanonicalForm.eval_table")
         K = self.table_exponent()
         _check_table_exponent(self.p, K)
         p, sp = self.p, space(self.p, self.n)
@@ -347,9 +348,11 @@ class CanonicalForm:
             nums = _reduce(nums - (p**K - layer), p, K)
         return nums, K
 
-    def eval(self, x: FVec) -> TorusValue:
-        """Evaluate via integer lifts |x_t| in {0, ..., p-1}."""
-        dig = x.digits
+    def eval(self, x: int) -> TorusValue:
+        """Evaluate at the point of index x via integer lifts |x_t| in
+        {0, ..., p-1}."""
+        sp = space(self.p, self.n)
+        dig = sp.digits_of(sp.check_index(x))
         total = self.alpha.as_fraction()
         for (exps, j), c in self.terms.items():
             mono = 1
@@ -482,6 +485,7 @@ class NCPoly:
 
     @classmethod
     def zero(cls, p: int, n: int) -> "NCPoly":
+        check_budget(p**n, SPACE_CAP, "NCPoly.zero")
         return cls(p, n, np.zeros(space(p, n).size, dtype=np.int64), 0)
 
     @classmethod
@@ -539,13 +543,10 @@ class NCPoly:
 
     # -- inspection
 
-    def eval(self, x: FVec) -> TorusValue:
-        if (x.p, x.n) != (self.p, self.n):
-            raise ValueError("dimension mismatch")
-        return TorusValue(self.p, int(self.nums[x.idx]), self.K)
-
-    def value_at_index(self, idx: int) -> TorusValue:
-        return TorusValue(self.p, int(self.nums[idx]), self.K)
+    def eval(self, x: int) -> TorusValue:
+        """The value at the point of index x."""
+        x = space(self.p, self.n).check_index(x)
+        return TorusValue(self.p, int(self.nums[x]), self.K)
 
     def is_zero(self) -> bool:
         return self.K == 0 and not self.nums.any()
@@ -570,14 +571,9 @@ class NCPoly:
 
     # -- calculus
 
-    def shift(self, h: FVec) -> "NCPoly":
-        perm = space(self.p, self.n).shift_perm(h.idx)
-        return NCPoly(self.p, self.n, self.nums[perm], self.K)
-
-    def derivative(self, h: FVec) -> "NCPoly":
-        if (h.p, h.n) != (self.p, self.n):
-            raise ValueError("dimension mismatch")
-        perm = space(self.p, self.n).shift_perm(h.idx)
+    def derivative(self, h: int) -> "NCPoly":
+        """x -> P(x + h) - P(x), for the point of index h."""
+        perm = space(self.p, self.n).shift_perm(h)
         return NCPoly(self.p, self.n, self.nums[perm] - self.nums, self.K)
 
     def mul_by_p(self) -> "NCPoly":

@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from . import catalog
-from .core import FVec, TorusValue, space
+from .core import TorusValue, space
 from .cubes import (
     FilteredAbelianGroup,
     _subset_table,
@@ -383,7 +383,7 @@ def _suite_gowers(rec: _Recorder, params: dict, rng, threads, budget):
             f = _random_bounded(p, n, sub)
             for d in (2, 3):
                 recursed = sum(
-                    gowers_power(f.mult_derivative(FVec(p, n, h)), d - 1,
+                    gowers_power(f.mult_derivative(h), d - 1,
                                  budget=budget) for h in range(N)) / N
                 worst = max(worst, abs(gowers_power(f, d, budget=budget)
                                        - recursed))

@@ -9,7 +9,7 @@ soon as D_i + j(p-1) > d, and they admit p-th roots by the denominator
 shift r -> r+1 at the cost of p-1 degrees.
 
 Every evaluation goes through one batched kernel, WeightedPoly.eval_nums:
-the numerators over p^K at an (M, m) array of points.  eval, tabulate,
+the numerators over p^K at an (M, m) array of points.  tabulate,
 periodicity_check and Factor.pullback are calls of it.
 
 The inverse direction is one Newton transform, binomial_expand.  On a
@@ -124,9 +124,6 @@ class WeightedPoly:
         const = self.alpha.num * p ** (K - self.alpha.exp) % mod
         return ((mono * coefs % mod).sum(axis=1, dtype=dtype) + const) % mod
 
-    def eval(self, x: Sequence[int]) -> TorusValue:
-        return TorusValue(self.p, int(self.eval_nums([x])[0]), self.exponent())
-
     def pth_root(self) -> "WeightedPoly":
         """p*root = self; per-term denominator shift, degree cost p-1."""
         alpha = TorusValue(self.p, self.alpha.num, self.alpha.exp + 1) \
@@ -218,13 +215,6 @@ class PeriodicMap:
                 e //= p
             if e != 1:
                 raise ValueError("periods must be powers of p")
-
-    def value(self, x: Sequence[int]) -> TorusValue:
-        idx = tuple(int(xt) % s for xt, s in zip(x, self.box))
-        return TorusValue(self.p, int(self.nums[idx]), self.K)
-
-    def is_zero(self) -> bool:
-        return not self.nums.any()
 
 
 def weighted_degree(f: "WeightedPoly | PeriodicMap") -> float:
@@ -415,21 +405,3 @@ class Factor:
         if not isinstance(other, Factor):
             return NotImplemented
         return (self.p, self.n, self.chains) == (other.p, other.n, other.chains)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p, "n": self.n,
-            "chains": [
-                {"D": D, "J": len(polys) - 1,
-                 "polys": [poly.to_json() for poly in polys]}
-                for D, polys in self.chains
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Factor":
-        return cls(
-            json_int(obj, "p"), json_int(obj, "n"),
-            [(json_int(ch, "D"), [NCPoly.from_json(pj) for pj in ch["polys"]])
-             for ch in obj["chains"]],
-        )

@@ -18,7 +18,7 @@ from toruspoly.catalog import (
 )
 from toruspoly import suites
 from toruspoly.cli import main
-from toruspoly.core import space
+from toruspoly.core import TorusValue, space
 from toruspoly.norms import BoundedFunction, RankWitness, rank_witness_check
 from toruspoly.poly import NCPoly
 from toruspoly.rng import SplitMix64
@@ -78,6 +78,16 @@ def run_cli(*argv, stdin_text=None):
     return code, out.getvalue()
 
 
+def function_json(f):
+    """The norm and explore input of f: its phases when it has them."""
+    if f.phase_nums is None:
+        values = [{"re": float(v.real), "im": float(v.imag)} for v in f.values]
+    else:
+        values = [TorusValue(f.p, int(v), f.phase_K).to_json()
+                  for v in f.phase_nums]
+    return {"p": f.p, "n": f.n, "values": values}
+
+
 class TestCli:
     def test_eval(self, tmp_path):
         path = tmp_path / "P.json"
@@ -113,7 +123,7 @@ class TestCli:
         from toruspoly.poly import NCPoly
         f = BoundedFunction.from_phase(NCPoly.from_text(2, 2, "1/2*x1*x2"))
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(f.to_json()))
+        path.write_text(json.dumps(function_json(f)))
         code, out = run_cli("--input", str(path), "norm", "--d", "2")
         assert code == 0
         payload = json.loads(out)
@@ -127,7 +137,7 @@ class TestCli:
         from toruspoly.poly import NCPoly
         f = BoundedFunction.from_phase(NCPoly(2, 1, np.array([0, 1]), 40))
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(f.to_json()))
+        path.write_text(json.dumps(function_json(f)))
         code, out = run_cli("--input", str(path), "norm", "--d", "1")
         assert code == 0
         assert json.loads(out)["norm"] == pytest.approx(1.0)
@@ -171,10 +181,31 @@ class TestCli:
     def test_norm_negative_d_exit_2(self, tmp_path, capsys):
         f = BoundedFunction.from_phase(NCPoly.zero(2, 2))
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(f.to_json()))
+        path.write_text(json.dumps(function_json(f)))
         code, _ = run_cli("--input", str(path), "norm", "--d", "-1")
         assert code == 2
         assert capsys.readouterr().err == "error: d must be >= 0, got d = -1\n"
+
+    @pytest.mark.parametrize("command,flag", [("eval", "x"), ("derive", "h")])
+    @pytest.mark.parametrize("digits", ["1", "1,0,0", "3,0", "-1,0"])
+    def test_bad_point_exit_2(self, command, flag, digits, capsys):
+        # too few digits, too many, a digit >= p and a negative one
+        text = json.dumps({"p": 3, "n": 2, "text": "1/9*x1*x2"})
+        code, out = run_cli("--input", "-", command, f"--{flag}={digits}",
+                            stdin_text=text)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("n", [30, 50])
+    def test_space_past_cap_exit_3(self, n, capsys):
+        # the cap is checked before the 2^n-entry table is allocated
+        text = json.dumps({"p": 2, "n": n, "text": "1/2*x1"})
+        code, out = run_cli("--input", "-", "eval", "--x",
+                            ",".join(["1"] + ["0"] * (n - 1)), stdin_text=text)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            f"budget exceeded: CanonicalForm.eval_table: estimated cost "
+            f"{2**n} exceeds budget {1 << 24}\n")
 
     def test_wrong_json_shape_exit_2(self):
         text = json.dumps({"p": 2, "n": 2, "values": 5})
@@ -326,7 +357,7 @@ class TestCli:
         from toruspoly.poly import NCPoly
         f = BoundedFunction.from_phase(NCPoly.from_text(2, 3, "1/2*x1*x2*x3"))
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(f.to_json()))
+        path.write_text(json.dumps(function_json(f)))
         code, out = run_cli("--input", str(path), "explore", "--s", "2")
         assert code == 0 and json.loads(out)["correlation"] == 0.75
         code, out = run_cli("--input", str(path), "norm", "--d", "3")
@@ -585,7 +616,7 @@ class TestSuiteReports:
         retract, pullback = Factor.retract, Factor.pullback
 
         def no_conjugate(f, h):
-            perm = space(f.p, f.n).shift_perm(h.idx)
+            perm = space(f.p, f.n).shift_perm(h)
             return BoundedFunction(f.p, f.n, f.values[perm] * f.values)
 
         def plus_delta(F, wp):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from toruspoly.core import (
     BudgetExceeded,
     ExactExpectation,
-    FVec,
     TorusValue,
     UnityCounter,
     space,
@@ -19,7 +18,7 @@ from toruspoly.core import (
 from toruspoly.cubes import FilteredAbelianGroup
 from toruspoly.cubescan import enumerate_cube_codes, equivalence_scan
 from toruspoly.parallel import chunk_ranges
-from toruspoly.poly import count_polys, enumerate_polys
+from toruspoly.poly import NCPoly, count_polys, enumerate_polys
 from toruspoly.rng import SplitMix64
 from toruspoly.weighted import PeriodicMap, binomial_expand
 
@@ -98,9 +97,9 @@ class TestCharacter:
 
 class TestSpace:
     def test_enumeration_order(self):
-        vecs = [FVec(2, 2, i).digits for i in range(4)]
+        vecs = [space(2, 2).digits_of(i) for i in range(4)]
         assert vecs == [(0, 0), (1, 0), (0, 1), (1, 1)]
-        assert [FVec(3, 1, i).digits for i in range(3)] == [(0,), (1,), (2,)]
+        assert [space(3, 1).digits_of(i) for i in range(3)] == [(0,), (1,), (2,)]
 
     def test_large_count(self):
         sp = space(2, 20)
@@ -130,6 +129,10 @@ class TestSpace:
             lambda: enumerate_cube_codes(FilteredAbelianGroup.maximal([4], 1),
                                          2, cap=63),
             64, 63),
+        # p^n is bounded before a value table is allocated
+        "NCPoly.zero": (lambda: NCPoly.zero(2, 30), 1 << 30, 1 << 24),
+        "CanonicalForm.eval_table": (
+            lambda: NCPoly.from_text(2, 50, "1/2*x1"), 1 << 50, 1 << 24),
     }
 
     @pytest.mark.parametrize("kernel", CAPS)
@@ -145,18 +148,24 @@ class TestSpace:
         assert flat == list(range(27))
 
     def test_vector_arithmetic(self):
-        a = FVec.from_digits(3, [1, 2, 0])
-        b = FVec.from_digits(3, [2, 2, 1])
-        assert (a + b).digits == (0, 1, 1)
-        assert (-a).digits == (2, 1, 0)
-        assert FVec.from_json(a.to_json()) == a
+        sp = space(3, 3)
+        a = sp.index_of([1, 2, 0])
+        b = sp.index_of([2, 2, 1])
+        assert sp.digits_of(sp.add_indices(a, b)) == (0, 1, 1)
+        assert sp.add_indices(a, sp.index_of([2, 1, 0])) == 0  # -a
 
     def test_shift_perm_matches_vector_add(self):
         sp = space(3, 2)
-        h = FVec.from_digits(3, [1, 2])
-        perm = sp.shift_perm(h.idx)
-        for x in (FVec(3, 2, i) for i in range(9)):
-            assert perm[x.idx] == (x + h).idx
+        h = sp.index_of([1, 2])
+        perm = sp.shift_perm(h)
+        for x in range(9):
+            assert sp.digits_of(int(perm[x])) == tuple(
+                (d + e) % 3 for d, e in zip(sp.digits_of(x), (1, 2)))
+
+    @pytest.mark.parametrize("idx", [-1, 9])
+    def test_point_index_range(self, idx):
+        with pytest.raises(ValueError, match="not a point index"):
+            space(3, 2).shift_perm(idx)
 
     def test_prime_validation(self):
         with pytest.raises(ValueError, match="modulus must be a prime"):

@@ -36,6 +36,11 @@ def depths(F):
     return [len(polys) - 1 for _, polys in F.chains]
 
 
+def value(w, x):
+    """w at the point x, through the batched kernel eval_nums."""
+    return TorusValue(w.p, int(w.eval_nums([x])[0]), w.exponent())
+
+
 def eval_oracle(w, x):
     """The per-point definition: alpha + sum c/p^(r+1) prod binom(x_t, i_t),
     summed as exact rationals."""
@@ -102,16 +107,16 @@ def degree_at_most_oracle(f, d):
         while Di + j * (p - 1) <= d:
             gens.append((i, p**j % f.box[i], Di + j * (p - 1)))
             j += 1
-        if p**j % f.box[i] != 0 and not _diff(f, i, p**j % f.box[i]).is_zero():
+        if p**j % f.box[i] != 0 and _diff(f, i, p**j % f.box[i]).nums.any():
             return False
 
     def rec(table, start, total):
-        if table.is_zero():  # and so is every further difference
+        if not table.nums.any():  # and so is every further difference
             return True
         for g in range(start, len(gens)):
             axis, step, deg = gens[g]
             if total + deg > d:
-                if not _diff(table, axis, step).is_zero():
+                if _diff(table, axis, step).nums.any():
                     return False
                 continue
             if not rec(_diff(table, axis, step), g, total + deg):
@@ -126,7 +131,7 @@ def assert_matches_oracle(w, points):
     K = w.exponent()
     for x, num in zip(points, nums):
         assert TorusValue(w.p, int(num), K) == eval_oracle(w, x)
-        assert w.eval(x) == eval_oracle(w, x)
+        assert value(w, x) == eval_oracle(w, x)
 
 
 class TestEvalKernel:
@@ -149,8 +154,8 @@ class TestEvalKernel:
             assert w.exponent() == 0
             pts = np.array(list(itertools.product(range(-2, 3), repeat=m)))
             assert not w.eval_nums(pts).any()
-            assert w.eval((7,) * m).is_zero()
-            assert w.tabulate((p,) * m).is_zero()
+            assert value(w, (7,) * m).is_zero()
+            assert not w.tabulate((p,) * m).nums.any()
 
     @pytest.mark.parametrize("p, K_int64", [(2, 31), (3, 19), (5, 13)])
     def test_object_dtype_beyond_int64_products(self, p, K_int64):
@@ -171,7 +176,7 @@ class TestEvalKernel:
     def test_big_python_int_coordinates(self):
         w = wpoly(3, (1,), {((2,), 1): 4, ((1,), 0): 1})
         x = 3**50 + 5
-        assert w.eval((x,)) == eval_oracle(w, (x,))
+        assert value(w, (x,)) == eval_oracle(w, (x,))
 
     def test_tabulate_is_the_kernel_on_the_box(self):
         rng = SplitMix64(5)
@@ -179,7 +184,7 @@ class TestEvalKernel:
             w = random_wpoly(rng, p, 2, r_max=2)
             tab = w.tabulate((p, p**2))
             for x in itertools.product(range(p), range(p**2)):
-                assert tab.value(x) == eval_oracle(w, x)
+                assert TorusValue(p, int(tab.nums[x]), tab.K) == eval_oracle(w, x)
 
 
 class TestWeightedDegree:
@@ -216,8 +221,8 @@ class TestWeightedDegree:
         diffs = [tab]
         for _ in range(7):
             diffs.append(_diff(diffs[-1], 0, 1))
-        assert diffs[6].value((0,)) == TorusValue(3, 1, 1)
-        assert diffs[6].nums.tolist() == [9, 9, 9] and diffs[7].is_zero()
+        assert TorusValue(3, int(diffs[6].nums[0]), diffs[6].K) == TorusValue(3, 1, 1)
+        assert diffs[6].nums.tolist() == [9, 9, 9] and not diffs[7].nums.any()
         assert weighted_degree(tab) == 12
         assert degree_at_most_oracle(tab, 12)
         assert not degree_at_most_oracle(tab, 11)
@@ -237,9 +242,9 @@ class TestWeightedDegree:
         # generators e_1 (weight 1) and 13e_1 (weight 13): for each b, the
         # largest a with Delta_1^a Delta_13^b f != 0
         expect, g, b = float("-inf"), tab, 0
-        while not g.is_zero():
+        while g.nums.any():
             h, a = _diff(g, 0, 1), 0
-            while not h.is_zero():
+            while h.nums.any():
                 h, a = _diff(h, 0, 1), a + 1
             expect = max(expect, a + 13 * b)
             g, b = _diff(g, 0, 13), b + 1
@@ -251,7 +256,7 @@ class TestWeightedDegree:
         for _ in range(150):
             tab = random_table(rng, m_max=2)
             d = weighted_degree(tab)
-            if tab.is_zero():
+            if not tab.nums.any():
                 assert d == float("-inf")
                 continue
             assert degree_at_most_oracle(tab, d)
@@ -286,7 +291,7 @@ class TestWeightedDegree:
             d = weighted_degree(tab)
             assert d == walk_degree(tab)
             if d == float("-inf"):
-                assert tab.is_zero()
+                assert not tab.nums.any()
                 continue
             assert degree_at_most_oracle(tab, d)
             if d >= 1:
@@ -413,7 +418,7 @@ class TestWeightedRoot:
 
     def test_zero(self):
         w = WeightedPoly(2, 1, (1,), ZERO2, {})
-        assert w.pth_root().eval((3,)).is_zero()
+        assert value(w.pth_root(), (3,)).is_zero()
 
     def test_a_over_two(self):
         w = wpoly(2, (1,), {((1,), 0): 1})
@@ -421,7 +426,7 @@ class TestWeightedRoot:
         assert g == wpoly(2, (1,), {((1,), 1): 1})
         assert w.degree() == 1 and g.degree() == 2
         for a in range(8):
-            assert g.eval((a,)).scale(2) == w.eval((a,))
+            assert value(g, (a,)).scale(2) == value(w, (a,))
 
     def test_degree_cost_random(self):
         rng = SplitMix64(11)
@@ -538,10 +543,6 @@ class TestFactor:
         assert F.retract(10) == F
         assert F.retract(1).dimension == 0
 
-    def test_json_round_trip(self):
-        F = chain_factor()
-        assert Factor.from_json(F.to_json()) == F
-
     def test_pullback_degree_bridge(self):
         # Q(x) = f(a1, a2) through the top coordinates has degree at most
         # the weighted degree of f, on explicitly constructed chains
@@ -557,7 +558,7 @@ class TestFactor:
     def test_pullback_matches_pointwise_table(self):
         F = chain_factor(4).depth_extend([2, 1])
         # a_i = p^(J_i+1) P_(i,J_i)(x), read off the values one point at a time
-        tops = [[int(polys[-1].value_at_index(idx).as_fraction() * 2 ** len(polys))
+        tops = [[int(polys[-1].eval(idx).as_fraction() * 2 ** len(polys))
                  for _, polys in F.chains] for idx in range(16)]
         assert F.top_values().tolist() == tops
         rng = SplitMix64(17)
