@@ -43,13 +43,11 @@ from .poly import (
     enumerate_polys,
 )
 from .cubes import (
-    CubePoint,
     FilteredAbelianGroup,
     equidistribution_report,
     hk_taylor,
     is_polynomial_map,
 )
-from .cubescan import hk_membership
 from .weighted import (
     Factor,
     PeriodicMap,

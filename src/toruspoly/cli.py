@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import BudgetExceeded, TorusValue, json_int, space
 from .cubes import (
-    CubePoint,
     FilteredAbelianGroup,
     code_element,
     element_code,
@@ -25,7 +24,7 @@ from .cubes import (
     hk_taylor,
     is_polynomial_map,
 )
-from .cubescan import hk_membership, preserves_cubes_fast
+from .cubescan import face_member_mask, preserves_cubes_fast
 from .forms import MultilinearForm, bias
 from .norms import (
     BoundedFunction,
@@ -305,14 +304,18 @@ def _dispatch(args) -> int:
         obj = _read_input(args)
         G = FilteredAbelianGroup.from_json(obj["group"])
         k = json_int(obj, "k")
-        cube = CubePoint(k, [G.reduce(e) for e in json_int(obj, "cube")])
-        member = hk_membership(cube, G)
+        cube = np.array([element_code(G, e) for e in json_int(obj, "cube")],
+                        dtype=np.int64)
+        if len(cube) != 1 << k:
+            raise ValueError(f"need 2^{k} entries")
+        member = bool(face_member_mask(cube[None], G, k)[0])
         coeffs, offending = hk_taylor(cube, G)
         payload = {"member": member,
                    "taylor_success": coeffs is not None,
                    "agree": member == (coeffs is not None)}
         if coeffs is not None:
-            payload["taylor"] = {bin(J): list(g) for J, g in coeffs.items()}
+            payload["taylor"] = {bin(J): list(code_element(G, int(c)))
+                                 for J, c in enumerate(coeffs)}
         else:
             payload["offending_mask"] = offending
         _emit(args, payload)
@@ -324,15 +327,15 @@ def _dispatch(args) -> int:
         G = FilteredAbelianGroup.from_json(obj["G"])
         table = {}
         for k, v in (tuple(pair) for pair in json_int(obj, "map")):
-            x = H.reduce(k)
+            x = element_code(H, k)
             if x in table:
-                raise ValueError(f"map gives H element {x} two values")
-            table[x] = G.reduce(v)
-        missing = [x for x in H.elements() if x not in table]
+                raise ValueError(f"map gives H element {code_element(H, x)} "
+                                 "two values")
+            table[x] = element_code(G, v)
+        missing = [code_element(H, x) for x in range(H.size) if x not in table]
         if missing:
-            raise ValueError(f"map gives H element {missing[0]} no value")
-        phi_codes = np.array([element_code(G, table[code_element(H, c)])
-                              for c in range(H.size)], dtype=np.int64)
+            raise ValueError(f"map gives H element {min(missing)} no value")
+        phi_codes = np.array([table[x] for x in range(H.size)], dtype=np.int64)
         poly = is_polynomial_map(phi_codes, H, G)
         preserved, _ = preserves_cubes_fast(
             phi_codes, H, G, json_int(obj, "k_max") if "k_max" in obj else 2,

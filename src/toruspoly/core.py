@@ -161,8 +161,10 @@ class Space:
 
     @property
     def digits(self) -> np.ndarray:
-        """(size, n) uint8 matrix of digit expansions."""
+        """(size, n) uint8 matrix of digit expansions; p^n is checked
+        against SPACE_CAP before it is allocated."""
         if self._digits is None:
+            check_budget(self.size, SPACE_CAP, "Space.digits")
             idx = np.arange(self.size, dtype=np.int64)
             cols = [(idx // self.p**i) % self.p for i in range(self.n)]
             self._digits = (

@@ -3,12 +3,14 @@ filtered groups, and exact equidistribution reports.
 
 Groups are finite products of cyclic groups; filtrations are nested chains
 of subgroups (the commutator condition is automatic in the abelian case).
-A k-cube is a 2^k-tuple indexed by omega in {0,1}^k; membership in HK^k is
-characterised either by Taylor coefficients g_J in G_|J| or by alternating
-sums over faces landing in the filtration.  Elements are packed into
-integer codes, and the one Yates kernel over the subset lattice of {0,1}^k
-(`_subset_codes`) lives here: `hk_taylor` and `taylor_expand` are one-row
-Moebius and zeta passes of it, and `cubescan` runs it over many cubes.
+Elements are mixed-radix integer codes, and each level is stored once, as a
+row of the group's membership table; its generators are the rows of its
+echelon basis.  A k-cube is a row of 2^k codes indexed by omega in
+{0,1}^k; membership in HK^k is characterised either by Taylor coefficients
+g_J in G_|J| or by alternating sums over faces landing in the filtration.
+The one Yates kernel over the subset lattice of {0,1}^k (`_subset_codes`)
+lives here: `hk_taylor` is a one-row Moebius pass of it, and `cubescan`
+runs it over many cubes.
 `is_polynomial_map(phi_codes, H, G)` checks the derivative criterion for a
 code table level by level in numpy, subtracting codes by the kernel's
 digit and residue lookups.  `equidistribution_report` histograms a map
@@ -22,105 +24,66 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ExactExpectation, check_budget, json_int
+from .core import SPACE_CAP, ExactExpectation, check_budget, json_int
 
 Element = tuple[int, ...]
 
 
 class FilteredAbelianGroup:
-    """A product of cyclic groups with a nested filtration G_0 >= G_1 >= ..."""
+    """A product of cyclic groups with a nested filtration G_0 >= G_1 >= ...
 
-    def __init__(self, orders: Sequence[int],
-                 levels: Sequence[Iterable[Element]] | None = None,
-                 generators: Sequence[Iterable[Element]] | None = None):
+    Elements are element_code integers.  The filtration is stored once, as
+    the read-only (levels, |G|) table member, whose row i marks the codes of
+    G_i.  Each level's echelon basis (_echelon_insert) gives its generators,
+    and its index |G| / prod(pivots) is the order of the subgroup that the
+    level generates, so a level of any other size is not a subgroup."""
+
+    def __init__(self, orders: Sequence[int], levels: Sequence[Iterable[Element]]):
         self.orders = tuple(int(o) for o in orders)
         if any(o < 1 for o in self.orders):
             raise ValueError("cyclic orders must be positive")
-        if levels is None and generators is None:
-            raise ValueError("need filtration levels or generator sets")
-        self.generators: list[tuple[Element, ...]] = []
-        if generators is not None:
-            levels = []
-            for gens in generators:
-                gens = [self.reduce(g) for g in gens]
-                self.generators.append(tuple(gens))
-                levels.append(self.span(gens))
-        else:
-            levels = [frozenset(self.reduce(g) for g in lv) for lv in levels]
-            self.generators = [tuple(sorted(lv)) for lv in levels]
-        self.levels: list[frozenset[Element]] = [frozenset(lv) for lv in levels]
-        prev = frozenset(self.elements())
-        for i, lv in enumerate(self.levels):
-            if not lv <= prev:
+        self.size = math.prod(self.orders)
+        check_budget(self.size, SPACE_CAP, "FilteredAbelianGroup")
+        member = np.zeros((len(levels), self.size), dtype=bool)
+        for i, lv in enumerate(levels):
+            member[i, [element_code(self, g) for g in lv]] = True
+        member.flags.writeable = False
+        self.member = member
+        self._generators: list[tuple[int, ...]] = []
+        mods = list(self.orders)
+        prev = np.ones(self.size, dtype=bool)
+        for i, row in enumerate(member):
+            if (row & ~prev).any():
                 raise ValueError(f"filtration not nested at level {i}")
-            if self.zero not in lv:
-                raise ValueError(f"level {i} is not a subgroup (missing 0)")
-            prev = lv
-        self._hash = hash((self.orders, tuple(self.levels)))
+            prev = row
+            basis = _diagonal(mods)
+            _echelon_insert(basis, [code_element(self, int(c))
+                                    for c in np.flatnonzero(row)], mods)
+            pivots = [b[c] for c, b in enumerate(basis)]
+            if self.size // math.prod(pivots) != row.sum():
+                raise ValueError(f"level {i} is not a subgroup")
+            self._generators.append(tuple(
+                element_code(self, b) for c, b in enumerate(basis)
+                if pivots[c] != mods[c]))
+        # the last i with G_i != {0}, or 0
+        nontrivial = np.flatnonzero(member.sum(axis=1) > 1)
+        self.degree = int(nontrivial[-1]) if len(nontrivial) else 0
+        self._key = (self.orders, member.tobytes())
 
-    # -- group structure
-
-    @property
-    def zero(self) -> Element:
-        return (0,) * len(self.orders)
-
-    @property
-    def size(self) -> int:
-        out = 1
-        for o in self.orders:
-            out *= o
-        return out
-
-    def reduce(self, g: Sequence[int]) -> Element:
-        if len(g) != len(self.orders):
-            raise ValueError("wrong coordinate count")
-        return tuple(int(x) % o for x, o in zip(g, self.orders))
-
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % o for x, y, o in zip(a, b, self.orders))
-
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % o for x, o in zip(a, self.orders))
-
-    def elements(self) -> Iterator[Element]:
-        return itertools.product(*(range(o) for o in self.orders))
-
-    def span(self, gens: Sequence[Element]) -> frozenset[Element]:
-        out = {self.zero}
-        frontier = [self.zero]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = self.add(cur, g)
-                if nxt not in out:
-                    out.add(nxt)
-                    frontier.append(nxt)
-        return frozenset(out)
-
-    # -- filtration access
-
-    @property
-    def degree(self) -> int:
-        d = len(self.levels) - 1
-        while d >= 0 and self.levels[d] == frozenset({self.zero}):
-            d -= 1
-        return max(d, 0)
-
-    def level(self, i: int) -> frozenset[Element]:
+    def level(self, i: int) -> np.ndarray:
+        """The codes of G_i in increasing order; {0} past the last level."""
         if i < 0:
             raise ValueError("negative filtration index")
-        if i < len(self.levels):
-            return self.levels[i]
-        return frozenset({self.zero})
+        return np.flatnonzero(_member_tables(self, i)[i])
 
-    def level_generators(self, i: int) -> tuple[Element, ...]:
-        if i < len(self.generators):
-            return self.generators[i]
-        return ()
+    def level_generators(self, i: int) -> tuple[int, ...]:
+        """The codes of the rows of G_i's echelon basis; () past the last
+        level."""
+        return self._generators[i] if i < len(self._generators) else ()
 
     @classmethod
     def maximal(cls, orders: Sequence[int], k: int) -> "FilteredAbelianGroup":
@@ -148,34 +111,49 @@ class FilteredAbelianGroup:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FilteredAbelianGroup):
             return NotImplemented
-        return (self.orders, self.levels) == (other.orders, other.levels)
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"FilteredAbelianGroup(orders={self.orders}, degree<={self.degree})"
 
 
-class CubePoint:
-    """A 2^k-tuple of group elements indexed by omega in {0,1}^k
-    (omega_1 is the least significant bit of the index)."""
+def _diagonal(mods: list[int]) -> list[list[int]]:
+    """The echelon basis of mods[c] * e_c, the lattice of 0."""
+    return [[m if j == c else 0 for j in range(len(mods))]
+            for c, m in enumerate(mods)]
 
-    __slots__ = ("k", "entries")
 
-    def __init__(self, k: int, entries: Sequence[Element]):
-        if len(entries) != 1 << k:
-            raise ValueError(f"need 2^{k} entries")
-        self.k = k
-        self.entries = tuple(tuple(e) for e in entries)
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CubePoint):
-            return NotImplemented
-        return (self.k, self.entries) == (other.k, other.entries)
 
-    def __hash__(self) -> int:
-        return hash((self.k, self.entries))
+def _echelon_insert(basis: list[list[int]], rows, mods: list[int]) -> None:
+    """Add rows to the lattice spanned by an upper-triangular basis.
+
+    basis[c] has its pivot at column c and the lattice contains mods[c] * e_c,
+    so every entry is kept reduced modulo its column's mod (Hermite normal
+    form modulo D, Cohen section 2.4).  Each row is cleared column by column
+    with one extended gcd against the pivot row.
+    """
+    for v in rows:
+        v = [x % m for x, m in zip(v, mods)]
+        for c in range(len(mods)):
+            if v[c] == 0:
+                continue
+            b = basis[c]
+            g, s, t = _xgcd(b[c], v[c])
+            u, w = b[c] // g, v[c] // g
+            basis[c] = [(s * x + t * y) % m for x, y, m in zip(b, v, mods)]
+            basis[c][c] = g
+            v = [(u * y - w * x) % m for x, y, m in zip(b, v, mods)]
 
 
 @lru_cache(maxsize=64)
@@ -202,42 +180,37 @@ def _faces(k: int) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-def _cube_row(G: FilteredAbelianGroup, entries) -> np.ndarray:
-    """One row of codes; G.reduce rejects a wrong coordinate count."""
-    return np.array([[element_code(G, G.reduce(e)) for e in entries]])
+def hk_taylor(row, G: FilteredAbelianGroup):
+    """Taylor coefficients of the k-cube row, whose 2^k codes are its
+    vertices omega in {0,1}^k (omega_1 the least significant bit of the
+    index): the row of g_J with g_omega = sum_{J subset omega} g_J, by a
+    one-row Moebius pass of _subset_codes, unique by Moebius inversion.
 
-
-def hk_taylor(g: CubePoint, G: FilteredAbelianGroup):
-    """Taylor coefficients g_J with g_omega = sum_{J subset omega} g_J (a
-    one-row Moebius pass of _subset_codes); unique by Moebius inversion.
-
-    Returns (coefficients dict J-mask -> element, None) on success, else
-    (None, the first J-mask whose g_J is outside G_|J|)."""
-    coeffs = _subset_table(_cube_row(G, g.entries), G, "moebius")[0]
-    inside = _member_tables(G, g.k)[_pass_tables(G, g.k, "moebius")[2], coeffs]
+    Returns (coefficient row, None) when every g_J lies in G_|J|, else
+    (None, the first J whose g_J does not).  A row that is not 2^k codes of
+    G raises ValueError."""
+    row = np.asarray(row, dtype=np.int64)
+    k = max(row.size, 1).bit_length() - 1
+    if row.shape != (1 << k,) or not ((row >= 0) & (row < G.size)).all():
+        raise ValueError("a k-cube is a row of 2^k codes of G")
+    coeffs = _subset_table(row[None], G, "moebius")[0]
+    inside = _member_tables(G, k)[_pass_tables(G, k, "moebius")[2], coeffs]
     if not inside.all():
         return None, int(np.argmin(inside))
-    return {J: code_element(G, int(c)) for J, c in enumerate(coeffs)}, None
-
-
-def taylor_expand(k: int, coeffs: dict[int, Element],
-                  G: FilteredAbelianGroup) -> CubePoint:
-    """The cube sum_{J subset omega} g_J (a one-row zeta pass of
-    _subset_codes); g_J = 0 where coeffs has no J."""
-    row = _cube_row(G, [coeffs.get(J, G.zero) for J in range(1 << k)])
-    return CubePoint(k, [code_element(G, int(c))
-                         for c in _subset_table(row, G, "zeta")[0]])
+    return coeffs, None
 
 
 def hk_size(G: FilteredAbelianGroup, k: int) -> int:
-    out = 1
-    for J in range(1 << k):
-        out *= len(G.level(bin(J).count("1")))
-    return out
+    """prod_J |G_|J||, the number of k-cubes."""
+    counts = [int(c) for c in _member_tables(G, k).sum(axis=1)]
+    return math.prod(counts[i] ** math.comb(k, i) for i in range(k + 1))
 
 
 def element_code(G: FilteredAbelianGroup, g) -> int:
-    """g as the mixed-radix integer sum_t g_t * (o_1 ... o_(t-1))."""
+    """g as the mixed-radix integer sum_t (g_t mod o_t) * (o_1 ... o_(t-1));
+    a g with the wrong coordinate count raises ValueError."""
+    if len(g) != len(G.orders):
+        raise ValueError("wrong coordinate count")
     code = 0
     radix = 1
     for x, o in zip(g, G.orders):
@@ -256,11 +229,13 @@ def code_element(G: FilteredAbelianGroup, code: int):
 
 @lru_cache(maxsize=64)
 def _member_tables(G: FilteredAbelianGroup, k: int) -> np.ndarray:
-    """Read-only (k+1, |G|) booleans, row i marking G_i; cached per G, k.
-    G hashes by (orders, levels), all it reads, so equal groups share it."""
+    """Read-only (k+1, |G|) booleans, row i marking G_i: G.member's rows,
+    then {0}; cached per G and k.  G hashes by (orders, member), all it
+    reads, so equal groups share it."""
     tab = np.zeros((k + 1, G.size), dtype=bool)
-    for i in range(k + 1):
-        tab[i, [element_code(G, g) for g in G.level(i)]] = True
+    tab[:, 0] = True
+    top = min(k + 1, len(G.member))
+    tab[:top] = G.member[:top]
     tab.flags.writeable = False
     return tab
 
@@ -347,6 +322,23 @@ def _check_code_table(phi_codes, H: FilteredAbelianGroup,
     return phi_codes
 
 
+@lru_cache(maxsize=64)
+def _directions(H: FilteredAbelianGroup, top: int, use_generators: bool):
+    """Read-only (degrees, shift) of the nonzero directions h_t in H_i,
+    i = 1..top, from the generators or every element: shift[t, x] is the
+    code of x + h_t = x - (-h_t); cached per H by value, like
+    _member_tables."""
+    dirs = [(i, int(h)) for i in range(1, top + 1)
+            for h in (H.level_generators(i) if use_generators else H.level(i))
+            if h]
+    degs = np.array([i for i, _ in dirs], dtype=np.int64)
+    neg = _sub_codes(H, 0, np.array([h for _, h in dirs], dtype=np.int64))
+    shift = _sub_codes(H, np.arange(H.size), neg[:, None])
+    for tab in (degs, shift):
+        tab.flags.writeable = False
+    return degs, shift
+
+
 def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
                       G: FilteredAbelianGroup,
                       use_generators: bool = True) -> bool:
@@ -363,14 +355,7 @@ def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
     """
     phi_codes = _check_code_table(phi_codes, H, G)
     max_total = G.degree + 1
-    dirs = [(i, h) for i in range(1, max_total + 1)
-            for h in (H.level_generators(i) if use_generators
-                      else tuple(H.level(i)))
-            if h != H.zero]
-    degs = np.array([i for i, _ in dirs], dtype=np.int64)
-    # shift[t, x] is the code of x + h_t = x - (-h_t)
-    neg = np.array([element_code(H, H.neg(h)) for _, h in dirs], np.int64)
-    shift = _sub_codes(H, np.arange(H.size), neg[:, None])
+    degs, shift = _directions(H, max_total, use_generators)
     member = _member_tables(G, max_total)
     step = max(1, _FRONTIER_BLOCK // H.size)
     tabs = phi_codes[None]
@@ -379,7 +364,7 @@ def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
     while True:
         if not member[total[:, None], tabs].all():
             return False
-        rows, ts = np.nonzero((np.arange(len(dirs)) >= start[:, None])
+        rows, ts = np.nonzero((np.arange(len(degs)) >= start[:, None])
                               & (total[:, None] + degs <= max_total))
         pending += [(tabs, total, rows[lo:lo + step], ts[lo:lo + step])
                     for lo in range(0, len(rows), step)]

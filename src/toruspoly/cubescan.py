@@ -1,9 +1,9 @@
 """Vectorised cube criteria: the face criterion, the Taylor criterion,
 cube enumeration and cube preservation, each over many cubes at once.
 
-Elements of a product of cyclic groups are packed into mixed-radix integer
-codes, and whole populations of 2^k-tuples are checked with numpy; a single
-cube (`hk_membership`) is a one-row call.  Every array kernel here runs the
+Elements of a product of cyclic groups are mixed-radix integer codes, a
+k-cube is a row of 2^k codes, and whole (M, 2^k) arrays of them are checked
+with numpy; a single cube is a one-row call.  Every array kernel here runs the
 subset-lattice passes of `cubes._subset_codes`, as in Yates' algorithm:
 (a0, a1) -> (a0, a1, a1 - a0) gives every face sum, (a0, a1 - a0) the
 Taylor coefficients g_J, which are the sums over the lower faces
@@ -23,10 +23,9 @@ from math import prod
 import numpy as np
 
 from .core import check_budget
-from .cubes import (CubePoint, FilteredAbelianGroup, _check_code_table,
-                    _cube_row, _faces, _member_tables, _pass_tables,
-                    _subset_codes, _subset_table, code_element, element_code,
-                    hk_size)
+from .cubes import (FilteredAbelianGroup, _check_code_table, _diagonal,
+                    _echelon_insert, _faces, _member_tables, _pass_tables,
+                    _subset_codes, _subset_table, code_element, hk_size)
 
 # equivalence_scan enumerates at most SCAN_CAP tuples, at most _SCAN_CHUNK
 # at a time (a power of |G|);
@@ -53,11 +52,6 @@ def face_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup,
     alternating vertex sum in G_i.  The passes give each face sum up to a
     sign, which does not change membership of a subgroup."""
     return _level_mask(tuples, G, k, "faces")
-
-
-def hk_membership(g: CubePoint, G: FilteredAbelianGroup) -> bool:
-    """Face criterion for one cube (a one-row face_member_mask)."""
-    return bool(face_member_mask(_cube_row(G, g.entries), G, g.k)[0])
 
 
 def taylor_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup,
@@ -96,36 +90,6 @@ def equivalence_scan(G: FilteredAbelianGroup, k: int) -> dict:
     return {"tuples": total, "disagreements": disagreements, "members": members}
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
-    return a, s0, t0
-
-
-def _echelon_insert(basis: list[list[int]], rows, mods: list[int]) -> None:
-    """Add rows to the lattice spanned by an upper-triangular basis.
-
-    basis[c] has its pivot at column c and the lattice contains mods[c] * e_c,
-    so every entry is kept reduced modulo its column's mod (Hermite normal
-    form modulo D, Cohen section 2.4).  Each row is cleared column by column
-    with one extended gcd against the pivot row.
-    """
-    for v in rows:
-        v = [x % m for x, m in zip(v, mods)]
-        for c in range(len(mods)):
-            if v[c] == 0:
-                continue
-            b = basis[c]
-            g, s, t = _xgcd(b[c], v[c])
-            u, w = b[c] // g, v[c] // g
-            basis[c] = [(s * x + t * y) % m for x, y, m in zip(b, v, mods)]
-            basis[c][c] = g
-            v = [(u * y - w * x) % m for x, y, m in zip(b, v, mods)]
-
-
 def counted_equivalence(G: FilteredAbelianGroup, k: int) -> dict:
     """Exact equivalence check without scanning every tuple.
 
@@ -145,7 +109,7 @@ def counted_equivalence(G: FilteredAbelianGroup, k: int) -> dict:
     faces = _faces(k)
 
     # HK generators g^[face], g in G_codim, satisfy the face criterion
-    gens = np.array([[element_code(G, g) if m in masks else 0 for m in range(width)]
+    gens = np.array([[g if m in masks else 0 for m in range(width)]
                      for dim, masks in faces for g in G.level_generators(k - dim)],
                     dtype=np.int64).reshape(-1, width)
     if not face_member_mask(gens, G, k).all():
@@ -155,8 +119,9 @@ def counted_equivalence(G: FilteredAbelianGroup, k: int) -> dict:
     orders = list(G.orders)
     blocks = []
     for dim in range(k + 1):
-        block = [[o if j == t else 0 for j in range(r)] for t, o in enumerate(orders)]
-        _echelon_insert(block, G.level_generators(dim), orders)
+        block = _diagonal(orders)
+        _echelon_insert(block, [code_element(G, g)
+                                for g in G.level_generators(dim)], orders)
         blocks.append(block)
     basis = [[0] * (f * r) + row + [0] * ((len(faces) - f - 1) * r)
              for f, (dim, _) in enumerate(faces) for row in blocks[dim]]
@@ -207,14 +172,14 @@ def preserves_cubes_fast(phi_codes: np.ndarray, H: FilteredAbelianGroup,
     """Entrywise image of every H-cube is a G-cube, vectorised.
 
     phi_codes maps H element codes to G element codes.  Returns
-    (preserved, counterexample CubePoint or None); a table that is not one
-    G code per H code raises ValueError.
+    (preserved, None) or (False, the first H-cube whose image is no G-cube,
+    as a row of 2^k H codes); a table that is not one G code per H code
+    raises ValueError.
     """
     phi_codes = _check_code_table(phi_codes, H, G)
     for k in range(k_max + 1):
         cubes = enumerate_cube_codes(H, k, cap=cap)
         mask = face_member_mask(phi_codes[cubes], G, k)
         if not mask.all():
-            bad = cubes[int(np.argmin(mask))]
-            return False, CubePoint(k, [code_element(H, int(c)) for c in bad])
+            return False, cubes[int(np.argmin(mask))]
     return True, None

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
+    SPACE_CAP,
     UnityCounter,
     check_budget,
     json_int,
@@ -83,7 +84,9 @@ class MultilinearForm:
                           {key: a * c for key, c in self.coeffs.items()})
 
     def dense_tensor(self) -> np.ndarray:
-        """Full (n,)*k value tensor; filled via symmetry."""
+        """Full (n,)*k value tensor, filled via symmetry; n^k is checked
+        against SPACE_CAP before it is allocated."""
+        check_budget(self.n**self.k, SPACE_CAP, "MultilinearForm.dense_tensor")
         T = np.zeros((self.n,) * self.k, dtype=np.int8)
         for key, c in self.coeffs.items():
             for perm in set(itertools.permutations(key)):

@@ -233,6 +233,16 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["bias"] == f"1/{2**38}"
 
+    def test_bias_dense_tensor_past_cap_exit_3(self, capsys):
+        # a k = 8 form on F_2^40 would need a 40^8-entry dense tensor
+        text = json.dumps({"p": 2, "n": 40, "k": 8, "coeffs": [
+            {"multiset": [1, 2, 3, 4, 5, 6, 7, 40], "c": 1}]})
+        code, out = run_cli("--input", "-", "bias", stdin_text=text)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            f"budget exceeded: MultilinearForm.dense_tensor: estimated cost "
+            f"{40**8} exceeds budget {1 << 24}\n")
+
     def test_bias_composite_modulus_exit_2(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"p": 4, "n": 2, "k": 2, "coeffs": [
@@ -543,34 +553,43 @@ class TestCli:
 
 
     # a JSON float or bool where an integer belongs is a usage error in
-    # every reader, not a value to truncate
-    @pytest.mark.parametrize("command, payload", [
+    # every reader, not a value to truncate; so is a filtration level that
+    # is not a subgroup
+    INTS = "must hold integers"
+
+    @pytest.mark.parametrize("command, payload, message", [
         ("wroot", {"p": 2, "m": 1, "D": [1],
-                   "terms": [{"i": [1], "r": 1, "c": 1.5}]}),
-        ("degree", {"p": 2, "n": 2,
-                    "terms": [{"exps": [1, 0], "depth": 0.9, "coeff": 1}]}),
-        ("degree", {"p": 2, "n": 2,
-                    "terms": [{"exps": [1, 0], "depth": 0, "coeff": 1.7}]}),
-        ("degree", {"p": 2.0, "n": 2, "text": "1/2*x1"}),
+                   "terms": [{"i": [1], "r": 1, "c": 1.5}]}, INTS),
+        ("degree", {"p": 2, "n": 2, "terms": [
+            {"exps": [1, 0], "depth": 0.9, "coeff": 1}]}, INTS),
+        ("degree", {"p": 2, "n": 2, "terms": [
+            {"exps": [1, 0], "depth": 0, "coeff": 1.7}]}, INTS),
+        ("degree", {"p": 2.0, "n": 2, "text": "1/2*x1"}, INTS),
         ("bias", {"p": 2, "n": 3, "k": 2,
-                  "coeffs": [{"multiset": [1, 2.9], "c": 1}]}),
+                  "coeffs": [{"multiset": [1, 2.9], "c": 1}]}, INTS),
         ("cube-check", {"group": {"cyclic_orders": [4.5],
                                   "filtration": [[[0], [1], [2], [3]]]},
-                        "k": 1, "cube": [[0], [1]]}),
+                        "k": 1, "cube": [[0], [1]]}, INTS),
         ("cube-check", {"group": {"cyclic_orders": [4],
                                   "filtration": [[[0], [1], [2], [3]]]},
-                        "k": 1, "cube": [[0], [True]]}),
+                        "k": 1, "cube": [[0], [True]]}, INTS),
         ("polymap-check", {
             "H": {"cyclic_orders": [2], "filtration": [[[0], [1]]]},
             "G": {"cyclic_orders": [2], "filtration": [[[0], [1]]]},
-            "map": [[[0], [0]], [[1], [1.0]]]}),
+            "map": [[[0], [0]], [[1], [1.0]]]}, INTS),
+        ("cube-check", {"group": {"cyclic_orders": [4],
+                                  "filtration": [[[0], [1], [2], [3]],
+                                                 [[0], [1]], [[0]]]},
+                        "k": 1, "cube": [[0], [1]]},
+         "level 1 is not a subgroup"),
     ], ids=["wroot-c", "degree-depth", "degree-coeff", "degree-p", "bias",
-            "cube-orders", "cube-entry", "polymap-entry"])
-    def test_non_integer_json_exit_2(self, command, payload, capsys):
+            "cube-orders", "cube-entry", "polymap-entry", "cube-not-subgroup"])
+    def test_non_integer_json_exit_2(self, command, payload, message,
+                                     capsys):
         code, out = run_cli("--input", "-", command,
                             stdin_text=json.dumps(payload))
         assert code == 2 and out == ""
-        assert "must hold integers" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class _Stop(Exception):

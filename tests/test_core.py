@@ -17,6 +17,7 @@ from toruspoly.core import (
 )
 from toruspoly.cubes import FilteredAbelianGroup
 from toruspoly.cubescan import enumerate_cube_codes, equivalence_scan
+from toruspoly.forms import MultilinearForm, naive_bias
 from toruspoly.parallel import chunk_ranges
 from toruspoly.poly import NCPoly, count_polys, enumerate_polys
 from toruspoly.rng import SplitMix64
@@ -133,6 +134,17 @@ class TestSpace:
         "NCPoly.zero": (lambda: NCPoly.zero(2, 30), 1 << 30, 1 << 24),
         "CanonicalForm.eval_table": (
             lambda: NCPoly.from_text(2, 50, "1/2*x1"), 1 << 50, 1 << 24),
+        # n^k and p^n are bounded before the tensor and the digit matrix
+        "MultilinearForm.dense_tensor": (
+            lambda: MultilinearForm(2, 40, 8, {tuple(range(8)): 1}).dense_tensor(),
+            40**8, 1 << 24),
+        "Space.digits": (
+            lambda: naive_bias(MultilinearForm(2, 40, 2, {(0, 1): 1})),
+            1 << 40, 1 << 24),
+        # |G| is bounded before the level table is allocated
+        "FilteredAbelianGroup": (
+            lambda: FilteredAbelianGroup([1 << 20, 1 << 20], levels=[]),
+            1 << 40, 1 << 24),
     }
 
     @pytest.mark.parametrize("kernel", CAPS)

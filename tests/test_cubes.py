@@ -10,139 +10,144 @@ from toruspoly import cubes, cubescan
 from toruspoly.catalog import L_table, S_k, bilinear_b, mother_q
 from toruspoly.core import BudgetExceeded, space
 from toruspoly.cubes import (
-    CubePoint,
     FilteredAbelianGroup,
     _faces,
     _member_tables,
     _sub_codes,
-    code_element,
+    _subset_table,
     element_code,
     equidistribution_report,
     hk_size,
     hk_taylor,
     is_polynomial_map,
-    taylor_expand,
 )
 from toruspoly.cubescan import (
     counted_equivalence,
     enumerate_cube_codes,
     equivalence_scan,
     face_member_mask,
-    hk_membership,
     preserves_cubes_fast,
     taylor_member_mask,
 )
 from toruspoly.forms import CSMForm
 from toruspoly.poly import NCPoly
 from toruspoly.rng import SplitMix64
-from toruspoly.suites import _group_zoo, _taylor_roundtrip
+from toruspoly.suites import _group_zoo, _map_choices, _taylor_roundtrip
 from toruspoly.weighted import Factor
 
 
-def _hk_taylor_oracle(g, G):
+def _code_sum(G, terms):
+    """The code of sum_j s_j g_j over (s_j, code of g_j) terms, added as
+    digit tuples: the scalar arithmetic of the oracles below."""
+    digits = [0] * len(G.orders)
+    for sign, code in terms:
+        for t, o in enumerate(G.orders):
+            code, x = divmod(int(code), o)
+            digits[t] += sign * x
+    code, radix = 0, 1
+    for x, o in zip(digits, G.orders):
+        code += x % o * radix
+        radix *= o
+    return code
+
+
+def _hk_taylor_oracle(row, G):
     """hk_taylor one J and one subset of J at a time: the reference for the
-    Moebius pass."""
-    k = g.k
-    coeffs = {}
+    Moebius pass.  Returns (coefficient list, None) or (None, first J)."""
+    k = len(row).bit_length() - 1
+    coeffs = []
     for J in range(1 << k):
-        total = G.zero
+        terms = []
         sub = J
         while True:
-            sign = (bin(J).count("1") - bin(sub).count("1")) % 2
-            term = g.entries[sub] if sign == 0 else G.neg(g.entries[sub])
-            total = G.add(total, term)
+            terms.append(((-1) ** bin(J ^ sub).count("1"), row[sub]))
             if sub == 0:
                 break
             sub = (sub - 1) & J
-        coeffs[J] = total
-    for J, val in coeffs.items():
+        coeffs.append(_code_sum(G, terms))
+    for J, val in enumerate(coeffs):
         if val not in G.level(bin(J).count("1")):
             return None, J
     return coeffs, None
 
 
-def _taylor_expand_oracle(k, coeffs, G):
-    """taylor_expand one vertex omega and one subset of omega at a time:
-    the reference for the zeta pass."""
+def _taylor_expand_oracle(coeffs, G):
+    """The cube of a coefficient row, one vertex omega and one subset of
+    omega at a time: the reference for the zeta pass."""
     entries = []
-    for omega in range(1 << k):
-        total = G.zero
+    for omega in range(len(coeffs)):
+        terms = []
         sub = omega
         while True:
-            total = G.add(total, coeffs.get(sub, G.zero))
+            terms.append((1, coeffs[sub]))
             if sub == 0:
                 break
             sub = (sub - 1) & omega
-        entries.append(total)
-    return CubePoint(k, entries)
+        entries.append(_code_sum(G, terms))
+    return entries
+
+
+def _listed(result):
+    """hk_taylor's (coefficient row or None, J) with the row as a list."""
+    coeffs, J = result
+    return (None if coeffs is None else coeffs.tolist()), J
 
 
 def _cube_entries(G, k):
-    """Every k-cube of G as a tuple of elements."""
-    return {tuple(code_element(G, int(c)) for c in row)
-            for row in enumerate_cube_codes(G, k)}
+    """Every k-cube of G as a tuple of codes."""
+    return set(map(tuple, enumerate_cube_codes(G, k).tolist()))
 
 
 class TestMembership:
     def test_constant_cube(self):
         G = FilteredAbelianGroup.maximal([4], 1)
-        cube = CubePoint(2, [(3,)] * 4)
-        assert hk_membership(cube, G)
+        cube = np.array([3] * 4)
+        assert face_member_mask(cube[None], G, 2)[0]
         coeffs, _ = hk_taylor(cube, G)
-        assert coeffs[0] == (3,)
-        assert all(coeffs[J] == (0,) for J in (1, 2, 3))
+        assert coeffs.tolist() == [3, 0, 0, 0]
 
     def test_second_difference_criterion(self):
         # (v, v+a, v+b, v+a+b) is a cube iff the second difference vanishes
         # when G_2 = 0
         G = FilteredAbelianGroup.maximal([2], 1)
-        assert hk_membership(CubePoint(2, [(0,), (1,), (1,), (0,)]), G)
-        assert not hk_membership(CubePoint(2, [(0,), (1,), (1,), (1,)]), G)
+        rows = np.array([[0, 1, 1, 0], [0, 1, 1, 1]])
+        assert face_member_mask(rows, G, 2).tolist() == [True, False]
 
     def test_taylor_recovers_structure(self):
         G = FilteredAbelianGroup.maximal([8], 2)
-        v, a, b, c = (5,), (3,), (6,), (4,)
-        cube = CubePoint(2, [
-            v,
-            G.add(v, a),
-            G.add(v, b),
-            G.add(G.add(v, a), G.add(b, c)),
-        ])
+        v, a, b, c = 5, 3, 6, 4
+        cube = np.array([v, v + a, v + b, v + a + b + c]) % 8
         coeffs, _ = hk_taylor(cube, G)
-        assert coeffs == {0: v, 1: a, 2: b, 3: c}
+        assert coeffs.tolist() == [v, a, b, c]
 
     def test_membership_equals_taylor_exhaustive(self):
         G = FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2, 1])
+        rows = np.array(list(itertools.product(range(4), repeat=4)))
         members = set()
-        for entries in itertools.product(G.elements(), repeat=4):
-            cube = CubePoint(2, list(entries))
-            m1 = hk_membership(cube, G)
-            m2 = _hk_taylor_oracle(cube, G)[0] is not None
+        for row, m1 in zip(rows, face_member_mask(rows, G, 2)):
+            m2 = _hk_taylor_oracle(row, G)[0] is not None
             assert m1 == m2
-            assert hk_taylor(cube, G) == _hk_taylor_oracle(cube, G)
+            assert _listed(hk_taylor(row, G)) == _hk_taylor_oracle(row, G)
             if m1:
-                members.add(cube.entries)
+                members.add(tuple(row.tolist()))
         assert len(members) == hk_size(G, 2)
         assert _cube_entries(G, 2) == members
 
     def test_taylor_uniqueness_exhaustive(self):
-        # distinct coefficient tuples give distinct cubes, |G| <= 8, k <= 2
+        # distinct coefficient rows give distinct cubes, |G| <= 8, k <= 2
         for G in (FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2]),
                   FilteredAbelianGroup.maximal([2, 2], 1)):
-            seen = {}
-            masks = list(range(4))
-            levels = [sorted(G.level(bin(J).count("1"))) for J in masks]
-            for combo in itertools.product(*levels):
-                cube = taylor_expand(2, dict(zip(masks, combo)), G)
-                assert cube.entries not in seen
-                seen[cube.entries] = combo
+            levels = [G.level(bin(J).count("1")) for J in range(4)]
+            combos = np.array(list(itertools.product(*levels)))
+            cube_rows = _subset_table(combos, G, "zeta")
+            assert len(set(map(tuple, cube_rows.tolist()))) == len(combos)
 
     def test_cube_group_closed_under_addition(self):
         G = FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2, 1])
         members = _cube_entries(G, 2)
         for a in list(members)[:40]:
             for b in list(members)[:40]:
-                s = tuple(G.add(x, y) for x, y in zip(a, b))
+                s = tuple(_code_sum(G, [(1, x), (1, y)]) for x, y in zip(a, b))
                 assert s in members
 
 
@@ -190,8 +195,7 @@ class TestVectorisedScan:
         tuples = np.array([[rng.below(9) for _ in range(4)] for _ in range(300)])
         mask = face_member_mask(tuples, G, 2)
         for row, ok in zip(tuples, mask):
-            cube = CubePoint(2, [(int(x),) for x in row])
-            assert (_hk_taylor_oracle(cube, G)[0] is not None) == bool(ok)
+            assert (_hk_taylor_oracle(row, G)[0] is not None) == bool(ok)
 
 
 def _signed_sum_oracle(tuples, masks, signs, G):
@@ -233,8 +237,7 @@ def _cube_codes_oracle(G, k):
     """Every k-cube from its Taylor coefficients, one vertex omega and one
     subset of omega at a time."""
     width = 1 << k
-    levels = [sorted(element_code(G, g) for g in G.level(bin(J).count("1")))
-              for J in range(width)]
+    levels = [G.level(bin(J).count("1")) for J in range(width)]
     combos = np.array(list(itertools.product(*levels)),
                       dtype=np.int64).reshape(-1, width)
     out = np.zeros_like(combos)
@@ -248,19 +251,14 @@ def _cube_codes_oracle(G, k):
     return out
 
 
-def _row_cube(G, k, row):
-    return CubePoint(k, [code_element(G, int(c)) for c in row])
-
-
 def _mask_rows(G, k, rng):
     """97 code rows: 49 random tuples, then 24 random cubes (from random
     Taylor coefficients), each followed by a copy with one entry moved."""
-    levels = [sorted(G.level(bin(J).count("1"))) for J in range(1 << k)]
+    levels = [G.level(bin(J).count("1")) for J in range(1 << k)]
     rows = [[rng.below(G.size) for _ in range(1 << k)] for _ in range(49)]
     for _ in range(24):
-        coeffs = {J: lv[rng.below(len(lv))] for J, lv in enumerate(levels)}
-        cube = [element_code(G, g)
-                for g in _taylor_expand_oracle(k, coeffs, G).entries]
+        cube = _taylor_expand_oracle([lv[rng.below(len(lv))] for lv in levels],
+                                     G)
         moved = list(cube)
         e = rng.below(1 << k)
         moved[e] = (moved[e] + 1 + rng.below(G.size - 1)) % G.size
@@ -281,9 +279,8 @@ class TestSubsetPasses:
         rows = _mask_rows(G, k, SplitMix64(1000 + 10 * i + k))
         face = _face_mask_oracle(rows, G, k)
         assert face.tolist() == _taylor_mask_oracle(rows, G, k).tolist()
-        assert face.tolist() == [
-            _hk_taylor_oracle(_row_cube(G, k, row), G)[0] is not None
-            for row in rows]
+        assert face.tolist() == [_hk_taylor_oracle(row, G)[0] is not None
+                                 for row in rows]
         assert face[49::2].all()
         for block in BLOCKS:
             monkeypatch.setattr(cubes, "_PASS_BLOCK", block)
@@ -302,22 +299,19 @@ class TestSubsetPasses:
 
     @pytest.mark.parametrize("i,G,k", ZOO_K)
     def test_single_cube_calls_match_oracles(self, i, G, k):
-        # hk_taylor and taylor_expand are one-row passes; on non-members
-        # hk_taylor names the oracle's first failing J
+        # hk_taylor is a one-row Moebius pass, and one-row zeta passes
+        # expand coefficients; on non-members hk_taylor names the oracle's
+        # first failing J
         rng = SplitMix64(2000 + 10 * i + k)
         rows = _mask_rows(G, k, rng)
-        results = [hk_taylor(_row_cube(G, k, row), G) for row in rows]
-        assert results == [_hk_taylor_oracle(_row_cube(G, k, row), G)
-                           for row in rows]
-        elements = list(G.elements())
+        assert [_listed(hk_taylor(row, G)) for row in rows] == \
+            [_hk_taylor_oracle(row, G) for row in rows]
         for _ in range(20):
-            # unreduced coefficients, with some J left out
-            coeffs = {J: tuple(x + o * rng.below(3) for x, o in
-                               zip(elements[rng.below(len(elements))],
-                                   G.orders))
-                      for J in range(1 << k) if rng.below(4)}
-            assert taylor_expand(k, coeffs, G) == \
-                _taylor_expand_oracle(k, coeffs, G)
+            # any coefficients, zero at some J
+            coeffs = [rng.below(G.size) if rng.below(4) else 0
+                      for _ in range(1 << k)]
+            assert _subset_table(np.array([coeffs]), G, "zeta")[0].tolist() \
+                == _taylor_expand_oracle(coeffs, G)
 
     def test_trivial_group(self):
         G = FilteredAbelianGroup([], levels=[[()]])
@@ -331,28 +325,29 @@ class TestSubsetPasses:
         G = FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1])
         rows = _mask_rows(G, 3, SplitMix64(5))
         assert set(face_member_mask(rows, G, 3).tolist()) == {True, False}
-        offending = {hk_taylor(_row_cube(G, 3, row), G)[1] for row in rows}
+        offending = {hk_taylor(row, G)[1] for row in rows}
         assert None in offending and len(offending) > 2
 
 
 def _is_polynomial_map_oracle(phi_codes, H, G, use_generators=True):
-    """The derivative criterion as a recursion over dicts of elements, one
+    """The derivative criterion as a recursion over dicts of codes, one
     direction at a time: the reference for the vectorised kernel."""
-    table = {x: code_element(G, int(phi_codes[element_code(H, x)]))
-             for x in H.elements()}
+    table = {x: int(phi_codes[x]) for x in range(H.size)}
     max_total = G.degree + 1
+    levels = [set(G.level(i).tolist()) for i in range(max_total + 1)]
     dirs = []
     for i in range(1, max_total + 1):
-        source = H.level_generators(i) if use_generators else tuple(H.level(i))
+        source = H.level_generators(i) if use_generators else H.level(i)
         for h in source:
-            if h != H.zero:
+            if h != 0:
                 dirs.append((i, h))
 
     def derive(tab, h):
-        return {x: G.add(tab[H.add(x, h)], G.neg(tab[x])) for x in tab}
+        return {x: _code_sum(G, [(1, tab[_code_sum(H, [(1, x), (1, h)])]),
+                                 (-1, tab[x])]) for x in tab}
 
     def rec(tab, start, total):
-        if not all(v in G.level(total) for v in tab.values()):
+        if not all(v in levels[total] for v in tab.values()):
             return False
         if total >= max_total:
             return True
@@ -371,7 +366,8 @@ Z4_TARGETS = (FilteredAbelianGroup.maximal([4], 1),
               FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2]))
 # H_1 = Z/4 generated by 1 alone and H_2 = {0, 2}: the generator directions
 # are a strict subset of the element directions
-Z4_BY_GENERATORS = FilteredAbelianGroup([4], generators=[[(1,)], [(1,)], [(2,)]])
+Z4_TWO_LEVELS = FilteredAbelianGroup(
+    [4], levels=[[(0,), (1,), (2,), (3,)]] * 2 + [[(0,), (2,)]])
 
 
 def _agrees_with_oracle_on_every_map(H, targets):
@@ -414,9 +410,8 @@ class TestPolynomialMaps:
         G1 = FilteredAbelianGroup.maximal([4], 1)
         preserved, cex = preserves_cubes_fast(codes, H, G1, 3)
         assert not preserved
-        image = CubePoint(cex.k, [(int(codes[x[0]]),) for x in cex.entries])
         assert _hk_taylor_oracle(cex, H)[0] is not None
-        assert _hk_taylor_oracle(image, G1)[0] is None
+        assert _hk_taylor_oracle(codes[cex], G1)[0] is None
 
     def test_nonconstant_into_degree_zero(self):
         H = FilteredAbelianGroup.maximal([2], 1)
@@ -428,6 +423,8 @@ class TestPolynomialMaps:
         rng = SplitMix64(7)
         H = FilteredAbelianGroup.maximal([9], 1)
         G = FilteredAbelianGroup.cyclic_chain(9, [9, 9, 3])
+        # one generator direction against eight nonzero elements
+        assert len(H.level_generators(1)) == 1 < np.count_nonzero(H.level(1))
         # 20 arbitrary tables, fresh draws at every point of H in code order
         maps = [np.array([(rng.below(3) * x + rng.below(9)) % 9
                           for x in range(9)]) for _ in range(20)]
@@ -477,8 +474,9 @@ class TestDerivativeKernelOracle:
             FilteredAbelianGroup.maximal([2, 2], 1), Z4_TARGETS)
 
     def test_generator_filtration(self):
-        H = Z4_BY_GENERATORS
-        assert H.level_generators(1) == ((1,),)
+        H = Z4_TWO_LEVELS
+        assert H.level_generators(1) == (1,)
+        assert H.level_generators(2) == (2,)
         assert len(H.level(1)) == 4
         _agrees_with_oracle_on_every_map(H, Z4_TARGETS)
 
@@ -500,11 +498,12 @@ class TestDerivativeKernelOracle:
         # one table row per block, so every level spans many blocks
         monkeypatch.setattr(cubes, "_FRONTIER_BLOCK", 4)
         for H in (FilteredAbelianGroup.maximal([4], 1),
-                  FilteredAbelianGroup.maximal([2, 2], 1), Z4_BY_GENERATORS):
+                  FilteredAbelianGroup.maximal([2, 2], 1), Z4_TWO_LEVELS):
             _agrees_with_oracle_on_every_map(H, Z4_TARGETS[1:])
 
 
 class TestSingleCubeInput:
+    # a cube given as element tuples becomes a code row through element_code
     G = FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1])
 
     @pytest.mark.parametrize("entries", [
@@ -512,31 +511,33 @@ class TestSingleCubeInput:
         [(1,), ()],            # one too few
     ])
     def test_wrong_coordinate_count_rejected(self, entries):
-        cube = CubePoint(1, entries)
         with pytest.raises(ValueError, match="wrong coordinate count"):
-            hk_membership(cube, self.G)
-        with pytest.raises(ValueError, match="wrong coordinate count"):
-            hk_taylor(cube, self.G)
-        with pytest.raises(ValueError, match="wrong coordinate count"):
-            taylor_expand(1, dict(enumerate(entries)), self.G)
+            [element_code(self.G, e) for e in entries]
 
     def test_unreduced_entries_reduced(self):
-        cube = CubePoint(1, [(9,), (-5,)])
-        assert hk_membership(cube, self.G)
-        assert hk_taylor(cube, self.G) == ({0: (1,), 1: (2,)}, None)
-        assert taylor_expand(1, {0: (9,), 1: (-6,)}, self.G) == \
-            CubePoint(1, [(1,), (3,)])
+        cube = np.array([element_code(self.G, e) for e in [(9,), (-5,)]])
+        assert cube.tolist() == [1, 3]
+        assert face_member_mask(cube[None], self.G, 1)[0]
+        assert _listed(hk_taylor(cube, self.G)) == ([1, 2], None)
+        coeffs = np.array([[element_code(self.G, g) for g in [(9,), (-6,)]]])
+        assert _subset_table(coeffs, self.G, "zeta").tolist() == [[1, 3]]
+
+    # not a power of two long, not one row, codes outside Z/8
+    @pytest.mark.parametrize("row", [[1, 3, 5], [], [[1, 3]], [1, 8], [-1, 0]])
+    def test_row_not_a_cube_rejected(self, row):
+        with pytest.raises(ValueError, match="row of 2\\^k codes"):
+            hk_taylor(row, self.G)
 
 
 def _taylor_roundtrip_oracle(G, k, rng, count) -> bool:
     """The round trip one sample at a time, through the scalar oracles."""
-    levels = [sorted(G.level(i)) for i in range(k + 1)]
+    levels = [G.level(i).tolist() for i in range(k + 1)]
     for _ in range(count):
-        coeffs = {}
+        coeffs = []
         for J in range(1 << k):
             lv = levels[bin(J).count("1")]
-            coeffs[J] = lv[rng.below(len(lv))]
-        solved, _ = _hk_taylor_oracle(_taylor_expand_oracle(k, coeffs, G), G)
+            coeffs.append(lv[rng.below(len(lv))])
+        solved, _ = _hk_taylor_oracle(_taylor_expand_oracle(coeffs, G), G)
         if solved != coeffs:
             return False
     return True
@@ -561,9 +562,9 @@ class TestTaylorRoundtrip:
         assert batched.next_u64() == scalar.next_u64()
         # the same coefficients, sample by sample
         replay = SplitMix64(3000 + i)
-        levels = [sorted(G.level(bin(J).count("1"))) for J in range(1 << k)]
-        expected = [[element_code(G, lv[replay.below(len(lv))])
-                     for lv in levels] for _ in range(100)]
+        levels = [G.level(bin(J).count("1")) for J in range(1 << k)]
+        expected = [[int(lv[replay.below(len(lv))]) for lv in levels]
+                    for _ in range(100)]
         assert len(drawn) == 1 and drawn[0].tolist() == expected
 
     def test_corrupted_solution_detected(self, monkeypatch):
@@ -582,6 +583,53 @@ class TestTaylorRoundtrip:
         assert not _taylor_roundtrip(G, 2, SplitMix64(1), 100)
 
 
+def _span(G, gens):
+    """The codes of the subgroup that gens generate, by closure."""
+    out, frontier = {0}, [0]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = _code_sum(G, [(1, cur), (1, g)])
+            if nxt not in out:
+                out.add(nxt)
+                frontier.append(nxt)
+    return out
+
+
+class TestFiltrationLevels:
+    @pytest.mark.parametrize("orders, levels, bad", [
+        ([4], [[(0,), (1,), (2,), (3,)], [(0,), (1,)], [(0,)]], 1),
+        ([2], [[(0,), (1,)], [(1,)]], 1),           # 0 missing
+        ([2], [[(0,), (1,)], []], 1),
+        ([2, 2], [[(0, 0), (1, 0), (0, 1)]], 0),    # not closed
+    ], ids=["Z4-01", "Z2-no-zero", "Z2-empty", "Z2xZ2-three"])
+    def test_level_not_a_subgroup_rejected(self, orders, levels, bad):
+        with pytest.raises(ValueError, match=f"^level {bad} is not a subgroup$"):
+            FilteredAbelianGroup(orders, levels=levels)
+
+    def test_level_not_nested_rejected(self):
+        with pytest.raises(ValueError, match="not nested at level 2"):
+            FilteredAbelianGroup([4], levels=[[(0,), (1,), (2,), (3,)],
+                                              [(0,), (2,)], [(0,), (1,)]])
+
+    def test_generators_fewer_than_elements(self):
+        # the suite's generator-reduction check compares two direction sets
+        assert FilteredAbelianGroup.maximal([8], 1).level_generators(1) == (1,)
+        h_choices, _ = _map_choices(9)
+        for H in h_choices:
+            gens, level = H.level_generators(1), H.level(1)
+            assert len(gens) == len(H.orders)
+            if H.size > 2:
+                assert len(gens) < np.count_nonzero(level)
+
+    @pytest.mark.parametrize("G", _group_zoo(),
+                             ids=lambda G: "Z" + "x".join(map(str, G.orders)))
+    def test_generators_span_each_level(self, G):
+        for i in range(len(G.member) + 1):
+            assert _span(G, G.level_generators(i)) == set(G.level(i).tolist())
+            assert 0 not in G.level_generators(i)
+
+
 class TestCachedTables:
     def test_cached_arrays_read_only(self):
         G = FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2, 1])
@@ -590,6 +638,8 @@ class TestCachedTables:
             cube_codes[0, 0] = 1
         with pytest.raises(ValueError):
             _member_tables(G, 2)[0, 0] = False
+        with pytest.raises(ValueError):
+            cubes._directions(G, 2, True)[1][0, 0] = 0
         assert enumerate_cube_codes(G, 2) is cube_codes
 
     def test_large_arrays_rebuilt(self):
@@ -609,13 +659,17 @@ class TestCachedTables:
             preserves_cubes_fast(identity, H, H, 2, cap=63)
 
     def test_equal_groups_share_tables(self):
-        # built apart, once from levels and once from generators
+        # built apart: once by cyclic_chain, once from unordered, repeated
+        # and unreduced elements
         G = FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2, 1])
-        H = FilteredAbelianGroup((4,), generators=[[(1,)], [(1,)], [(2,)], []])
+        H = FilteredAbelianGroup((4,), levels=[
+            [(3,), (2,), (1,), (0,)], [(1,), (7,), (-2,), (0,), (3,)],
+            [(2,), (0,), (-2,)], [(4,)]])
         assert G is not H and G == H and hash(G) == hash(H)
         assert _member_tables(G, 2) is _member_tables(H, 2)
         assert cubes._pass_tables(G, 2, "zeta") is cubes._pass_tables(H, 2, "zeta")
         assert enumerate_cube_codes(G, 2) is enumerate_cube_codes(H, 2)
+        assert cubes._directions(G, 2, True) is cubes._directions(H, 2, True)
 
     def test_unequal_filtrations_compare_unequal(self):
         G = FilteredAbelianGroup.maximal([4], 1)
@@ -792,4 +846,5 @@ class TestSerialization:
             "filtration": [[[x] for x in range(0, 8, step)]
                            for step in (1, 2, 4)]})
         assert again.orders == G.orders
-        assert again.levels == G.levels
+        assert again.member.tolist() == G.member.tolist()
+        assert again == G

@@ -59,7 +59,6 @@ SHADOWED = {
     "poly.NCPoly.is_zero": "weighted.Factor.validate",
     "poly.NCPoly.degree": "forms.dk_extract",
     "suites.CheckRecord.to_json": "suites.SuiteReport.to_json",
-    "suites._Recorder.add": "suites._suite_lucas",
     "weighted.WeightedPoly.to_json": "cli._dispatch",
     "weighted.Factor.degree": "suites._suite_weighted",
 }
