@@ -23,7 +23,6 @@ from .forms import (
 from .norms import (
     AnalyticRank,
     BoundedFunction,
-    RankWitness,
     analytic_rank,
     conditional_expectation,
     gowers_norm,
@@ -31,7 +30,6 @@ from .norms import (
     gowers_power_exact,
     inverse_explore,
     rank_witness_check,
-    verify_gowers_properties,
     walsh_fourier,
 )
 from .poly import (

@@ -28,7 +28,6 @@ from .cubescan import face_member_mask, preserves_cubes_fast
 from .forms import MultilinearForm, bias
 from .norms import (
     BoundedFunction,
-    RankWitness,
     analytic_rank,
     conditional_expectation,
     gowers_power,
@@ -224,10 +223,10 @@ def _dispatch(args) -> int:
         power = gowers_power(f, args.d, budget=args.budget)
         payload = {"d": args.d, "norm": abs(power) ** (1.0 / (1 << args.d)),
                    "power": {"re": power.real, "im": power.imag}}
-        if f.phase_nums is not None:
-            exact = gowers_power_exact(
-                NCPoly(f.p, f.n, f.phase_nums, f.phase_K), args.d,
-                budget=args.budget)
+        if all("num" in entry for entry in obj["values"]):
+            # a pure phase e(P): read P from the same values
+            exact = gowers_power_exact(_load_poly(args, obj), args.d,
+                                       budget=args.budget)
             payload["exact_power"] = exact.as_fraction()
         _emit(args, payload)
         return EXIT_PASS
@@ -249,17 +248,12 @@ def _dispatch(args) -> int:
 
     if cmd == "witness-check":
         obj = _read_input(args)
+        if "table" in obj:
+            raise ValueError("witness-check takes no table: the witness "
+                             "polynomials induce it")
         P = _load_poly(args, obj["P"])
         polys = [_load_poly(args, q) for q in obj["witness"]]
-        if "table" in obj:
-            table = {
-                tuple(TorusValue.from_json(P.p, t) for t in entry["key"]):
-                TorusValue.from_json(P.p, entry["value"])
-                for entry in obj["table"]}
-            witness = RankWitness(polys, table)
-        else:
-            witness = RankWitness.induced(P, polys)
-        ok = rank_witness_check(P, args.s, witness)
+        ok = rank_witness_check(P, args.s, polys)
         _emit(args, {"witness_valid": ok, "s": args.s,
                      "certifies_rank_at_most": len(polys) if ok else None})
         return EXIT_PASS if ok else EXIT_FAIL
@@ -338,7 +332,8 @@ def _dispatch(args) -> int:
         phi_codes = np.array([table[x] for x in range(H.size)], dtype=np.int64)
         poly = is_polynomial_map(phi_codes, H, G)
         preserved, _ = preserves_cubes_fast(
-            phi_codes, H, G, json_int(obj, "k_max") if "k_max" in obj else 2,
+            phi_codes, H, G,
+            json_int(obj, "k_max") if "k_max" in obj else G.degree + 1,
             cap=args.budget or (1 << 22))
         _emit(args, {"polynomial_map": poly, "preserves_cubes": preserved,
                      "equivalent": poly == preserved})

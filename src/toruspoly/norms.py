@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    SPACE_CAP,
     ExactExpectation,
     TorusValue,
     UnityCounter,
@@ -28,53 +29,37 @@ from .rng import SplitMix64
 
 
 class BoundedFunction:
-    """A function V -> C given by its value table; tracks an exact torus
-    phase table when the function is e(P)."""
+    """A function V -> C given by its value table."""
 
-    __slots__ = ("p", "n", "values", "phase_nums", "phase_K")
+    __slots__ = ("p", "n", "values")
 
-    def __init__(self, p: int, n: int, values: np.ndarray,
-                 phase: tuple[np.ndarray, int] | None = None):
+    def __init__(self, p: int, n: int, values: np.ndarray):
         self.p = p
         self.n = n
         self.values = np.asarray(values, dtype=np.complex128)
         if self.values.shape != (space(p, n).size,):
             raise ValueError("value table has the wrong size")
-        self.phase_nums, self.phase_K = phase if phase else (None, None)
 
     @classmethod
     def from_phase(cls, P: NCPoly) -> "BoundedFunction":
-        mod = P.p**P.K if P.K else 1
-        values = np.exp(2j * np.pi * P.nums / mod)
-        return cls(P.p, P.n, values, phase=(P.nums.copy(), P.K))
+        return cls(P.p, P.n, np.exp(2j * np.pi * P.nums / P.p**P.K))
 
     @classmethod
     def from_json(cls, obj: dict) -> "BoundedFunction":
+        """Entries are torus values {num, exp}, read as e(num/p^exp), or
+        complex numbers {re, im}."""
         p, n = json_int(obj, "p"), json_int(obj, "n")
-        vals = []
-        nums = []
-        for entry in obj["values"]:
-            if "num" in entry:
-                tv = TorusValue.from_json(p, entry)
-                nums.append(tv)
-                vals.append(cmath.exp(2j * cmath.pi * float(tv.as_fraction())))
-            else:
-                vals.append(complex(entry["re"], entry.get("im", 0.0)))
-        if len(nums) < len(vals):
-            return cls(p, n, np.array(vals))
-        K = max((t.exp for t in nums), default=0)
-        arr = np.array([t.num * p ** (K - t.exp) for t in nums], dtype=np.int64)
-        return cls(p, n, np.array(vals), phase=(arr, K))
+        vals = [cmath.exp(2j * cmath.pi
+                          * float(TorusValue.from_json(p, entry).as_fraction()))
+                if "num" in entry else complex(entry["re"], entry.get("im", 0.0))
+                for entry in obj["values"]]
+        return cls(p, n, np.array(vals))
 
     def mult_derivative(self, h: int) -> "BoundedFunction":
         """Delta_h f = (T_h f) conj(f), for the point of index h."""
         perm = space(self.p, self.n).shift_perm(h)
-        phase = None
-        if self.phase_nums is not None:
-            mod = self.p**self.phase_K if self.phase_K else 1
-            phase = ((self.phase_nums[perm] - self.phase_nums) % mod, self.phase_K)
         return BoundedFunction(
-            self.p, self.n, self.values[perm] * np.conj(self.values), phase)
+            self.p, self.n, self.values[perm] * np.conj(self.values))
 
     def modulate(self, P: NCPoly) -> "BoundedFunction":
         return BoundedFunction(
@@ -95,7 +80,7 @@ class BoundedFunction:
 
 
 def _derivative_expansion(table: np.ndarray, p: int, n: int, d: int,
-                          step, emit) -> None:
+                          step, emit, kernel: str) -> None:
     """Pass the d-fold derivative table of one function to emit in
     (rows, N) blocks.  step(cur, shifts) maps rows (R, N) to the
     (R, len(shifts), N) derivatives along each shift index array.
@@ -103,7 +88,9 @@ def _derivative_expansion(table: np.ndarray, p: int, n: int, d: int,
     Split over the outermost shift h_1 once N^(d+1) > 2^22, so memory
     stays at N^d entries: each block is dropped before the next is built.
     The N x N table of x + h is built per call, and only when a shift is
-    expanded over all of V.
+    expanded over all of V.  A split block is checked against SPACE_CAP,
+    in the name of the calling kernel, before it is built; it is at least
+    as large as the shift table, and an unsplit expansion stays below 2^22.
     """
     sp = space(p, n)
     N = sp.size
@@ -117,6 +104,8 @@ def _derivative_expansion(table: np.ndarray, p: int, n: int, d: int,
     base = table.reshape(1, N)
     split = d >= 1 and N ** (d + 1) > (1 << 22)
     whole = d - split           # shifts expanded over all of V
+    if split:
+        check_budget(N**d, SPACE_CAP, kernel)
     A = sp.add_indices(x[:, None], x[None, :]) if whole else None
     if split:
         for h in range(N):
@@ -133,6 +122,7 @@ def _cube_product(tables: Sequence[np.ndarray], p: int, n: int,
     N = sp.size
     d = len(tables).bit_length() - 1
     check_budget(N ** (d + 1), budget, "_cube_product")
+    check_budget(N ** (d + 1), SPACE_CAP, "_cube_product")
     axes_idx = []
     for t in range(d + 1):
         shape = [1] * (d + 1)
@@ -174,7 +164,8 @@ def gowers_power(f: BoundedFunction, d: int,
     _derivative_expansion(
         f.values, f.p, f.n, d - 1,
         lambda cur, s: cur[:, s] * np.conj(cur)[:, None, :],
-        lambda block: sums.append((np.abs(block.sum(axis=1)) ** 2).sum()))
+        lambda block: sums.append((np.abs(block.sum(axis=1)) ** 2).sum()),
+        "gowers_power")
     return complex(np.sum(sums) / N ** (d + 1))
 
 
@@ -199,6 +190,8 @@ def gowers_power_exact(P: NCPoly, d: int, budget: int | None = None) -> ExactExp
     fold = d >= 1 and mod <= N
     check_budget(N ** (d - 1) * max(N, mod**2) if fold else N ** (d + 1),
                  budget, "gowers_power_exact")
+    if fold:    # the pair counts are an M x M table
+        check_budget(mod * mod, SPACE_CAP, "gowers_power_exact")
     counter = UnityCounter(P.p, P.K)
 
     def histograms(rows: np.ndarray) -> None:
@@ -212,7 +205,7 @@ def gowers_power_exact(P: NCPoly, d: int, budget: int | None = None) -> ExactExp
     _derivative_expansion(
         P.nums % mod, P.p, P.n, d - 1 if fold else d,
         lambda cur, s: (cur[:, s] - cur[:, None, :]) % mod,
-        histograms if fold else counter.add_residues)
+        histograms if fold else counter.add_residues, "gowers_power_exact")
     return counter.expectation()
 
 
@@ -221,15 +214,10 @@ def gowers_power_exact(P: NCPoly, d: int, budget: int | None = None) -> ExactExp
 
 
 class AnalyticRank:
-    __slots__ = ("bias", "value", "exact", "infinite")
+    __slots__ = ("bias", "value", "exact")
 
     def __init__(self, bias_value: Fraction, p: int):
         self.bias = bias_value
-        self.infinite = bias_value == 0
-        if self.infinite:
-            self.value = math.inf
-            self.exact = None
-            return
         self.value = -math.log(bias_value) / math.log(p)
         self.exact = None
         num, den = bias_value.numerator, bias_value.denominator
@@ -252,47 +240,30 @@ def analytic_rank(P: NCPoly, s: int, budget: int | None = None,
         raise ValueError(f"degree {P.degree()} exceeds s+1 = {s+1}")
     T = dk_extract(P, s + 1)
     b = bias(T, budget=budget, threads=threads)
-    result = AnalyticRank(b, P.p)
     # the zero tuple always contributes, so a genuine polynomial has bias > 0
-    assert not result.infinite, "bias vanished on a degree <= s+1 polynomial"
-    return result
+    assert b > 0, "bias vanished on a degree <= s+1 polynomial"
+    return AnalyticRank(b, P.p)
 
 
 # ---------------------------------------------------------------------------
 # rank witnesses
 
 
-class RankWitness:
-    """Polynomials Q_1..Q_m of degree <= s plus a lookup F with
-    P(x) = F(Q_1(x), ..., Q_m(x))."""
-
-    def __init__(self, polys: Sequence[NCPoly],
-                 table: dict[tuple[TorusValue, ...], TorusValue]):
-        self.polys = list(polys)
-        self.table = dict(table)
-
-    @classmethod
-    def induced(cls, P: NCPoly, polys: Sequence[NCPoly]) -> "RankWitness":
-        """Build the lookup from first occurrences; the check then fails on
-        any value tuple mapped inconsistently."""
-        table: dict[tuple[TorusValue, ...], TorusValue] = {}
-        for idx in range(space(P.p, P.n).size):
-            key = tuple(q.eval(idx) for q in polys)
-            table.setdefault(key, P.eval(idx))
-        return cls(polys, table)
-
-
-def rank_witness_check(P: NCPoly, s: int, witness: RankWitness) -> bool:
-    for q in witness.polys:
+def rank_witness_check(P: NCPoly, s: int, polys: Sequence[NCPoly]) -> bool:
+    """Whether P is a function of the polynomials Q_1..Q_m of degree <= s,
+    that is constant on every fibre of x -> (Q_1(x), ..., Q_m(x)); then P
+    has rank <= m.  With m = 0 there is one fibre: P must be constant."""
+    N = space(P.p, P.n).size
+    keys = np.empty((N, len(polys)), dtype=np.int64)
+    for j, q in enumerate(polys):
+        if (q.p, q.n) != (P.p, P.n):
+            raise ValueError("witness polynomial lives on another space")
         if q.degree() > s:
             raise ValueError("witness polynomial exceeds degree s")
-    for idx in range(space(P.p, P.n).size):
-        key = tuple(q.eval(idx) for q in witness.polys)
-        if key not in witness.table:
-            raise ValueError("incomplete lookup table")
-        if witness.table[key] != P.eval(idx):
-            return False
-    return True
+        keys[:, j] = q.nums     # normalised, so equal values, equal numerators
+    _, first, fibre = np.unique(keys, axis=0, return_index=True,
+                                return_inverse=True)
+    return bool(np.array_equal(P.nums, P.nums[first][fibre.reshape(N)]))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +347,7 @@ def conditional_expectation(values: Sequence, factors: Sequence[Sequence]):
 
 
 # ---------------------------------------------------------------------------
-# numeric verification of the norm inequalities
+# seeded random inputs of the suites
 
 
 def _random_bounded(p: int, n: int, rng: SplitMix64) -> BoundedFunction:
@@ -394,101 +365,3 @@ def _random_poly(p: int, n: int, d: int, rng: SplitMix64) -> NCPoly:
     terms = {s: rng.below(p) for s in slots}
     alpha = TorusValue(p, rng.below(p**2), 2)
     return NCPoly.from_canonical(CanonicalForm(p, n, alpha, terms))
-
-
-def verify_gowers_properties(p: int, n: int, seed: int, count: int = 100,
-                             d_max: int = 3, tol: float = 1e-8,
-                             budget: int | None = None) -> list[dict]:
-    """Numeric checks of the norm properties: (i) triangle inequality,
-    (ii) monotonicity in d, (iii) the L^(2^d/(d+1)) bound, (iv) and (v) the
-    two Cauchy-Schwarz inequalities, (vi) invariance under modulation by
-    lower-degree phases.  Returns one record per check."""
-    if d_max < 2:
-        raise ValueError("d_max must be at least 2")
-    rng = SplitMix64(seed)
-    records: list[dict] = []
-
-    def rec(check: str, case: int, lhs: float, rhs: float, tolerance: float):
-        records.append({
-            "check": check,
-            "inputs_digest": f"{seed}/{check}/{case}",
-            "lhs": lhs, "rhs": rhs, "tolerance": tolerance,
-            "pass": lhs <= rhs + tolerance,
-        })
-
-    for case in range(count):
-        d = 2 + rng.below(d_max - 1) if d_max > 2 else 2
-        f = _random_bounded(p, n, rng)
-        g = _random_bounded(p, n, rng)
-
-        # (ii) monotonicity along d = 1..d_max; norms[d - 1] is ||f||_{U^d}
-        norms = [gowers_norm(f, dd, budget=budget) for dd in range(1, d_max + 1)]
-
-        # (i) triangle
-        rec("triangle", case,
-            gowers_norm(f + g, d, budget=budget),
-            norms[d - 1] + gowers_norm(g, d, budget=budget), tol)
-        # homogeneity edge: ||2g|| = 2||g||
-        two_g = g.scale(2.0)
-        rec("triangle-homogeneity", case,
-            abs(gowers_norm(two_g, d, budget=budget)
-                - 2 * gowers_norm(g, d, budget=budget)), 0.0, 1e-10)
-
-        for dd in range(d_max - 1):
-            rec("monotonicity", case * d_max + dd, norms[dd], norms[dd + 1], tol)
-
-        # (iii) L^q bound with q = 2^d/(d+1)
-        q = (1 << d) / (d + 1)
-        lq = float(np.mean(np.abs(f.values) ** q) ** (1 / q))
-        rec("lq-bound", case, norms[d - 1], lq, tol)
-
-        # (iv) first Cauchy-Schwarz: product over the 2^d cube vertices
-        fs = [_random_bounded(p, n, rng) for _ in range(1 << d)]
-        lhs = abs(_cube_product([fo.values for fo in fs], p, n, budget))
-        rhs = 1.0
-        for fo in fs:
-            rhs *= gowers_norm(fo, d, budget=budget)
-        rec("cauchy-schwarz-1", case, lhs, rhs, tol)
-
-        # (v) second Cauchy-Schwarz: weights independent of one variable each
-        lhs = _csg2_lhs(f, d, rng, budget)
-        rec("cauchy-schwarz-2", case, lhs, norms[d - 1], tol)
-
-        # (vi) modulation invariance by a degree <= d-1 phase
-        P = _random_poly(p, n, d - 1, rng)
-        rec("modulation", case,
-            abs(gowers_norm(f.modulate(P), d, budget=budget) - norms[d - 1]),
-            0.0, 1e-10)
-
-    return records
-
-
-def _csg2_lhs(f: BoundedFunction, d: int, rng: SplitMix64,
-              budget: int | None = None) -> float:
-    """|E_{x_1..x_d} f(x_1+...+x_d) prod_j F_j| with each F_j a random
-    1-bounded weight not reading x_j."""
-    p, n = f.p, f.n
-    sp = space(p, n)
-    N = sp.size
-    check_budget(N**d, budget, "_csg2_lhs")
-    weights = []
-    for _ in range(d):
-        w = np.array([rng.unit() * cmath.exp(2j * cmath.pi * rng.unit())
-                      for _ in range(N ** (d - 1))])
-        weights.append(w.reshape((N,) * (d - 1)))
-    axes_idx = []
-    for t in range(d):
-        shape = [1] * d
-        shape[t] = N
-        axes_idx.append(np.arange(N, dtype=np.int64).reshape(shape))
-    total_idx = axes_idx[0]
-    for t in range(1, d):
-        total_idx = sp.add_indices(total_idx, axes_idx[t])
-    total = f.values[total_idx].astype(np.complex128)
-    for j in range(d):
-        shape = [N] * d
-        shape[j] = 1
-        other = [ax for ax in range(d) if ax != j]
-        w = weights[j].reshape([N if ax in other else 1 for ax in range(d)])
-        total = total * w
-    return abs(complex(total.mean()))

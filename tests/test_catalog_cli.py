@@ -19,7 +19,7 @@ from toruspoly.catalog import (
 from toruspoly import suites
 from toruspoly.cli import main
 from toruspoly.core import TorusValue, space
-from toruspoly.norms import BoundedFunction, RankWitness, rank_witness_check
+from toruspoly.norms import BoundedFunction, rank_witness_check
 from toruspoly.poly import NCPoly
 from toruspoly.rng import SplitMix64
 from toruspoly.suites import run_suite
@@ -49,8 +49,7 @@ class TestCatalog:
         P = S_k(6, 4)
         assert P.is_classical()
         assert P.degree() == 4
-        w = RankWitness.induced(P, [L_over_power(6, 3)])
-        assert rank_witness_check(P, 3, w)
+        assert rank_witness_check(P, 3, [L_over_power(6, 3)])
 
     def test_mothers(self):
         assert mother_p().degree() == 1
@@ -78,14 +77,10 @@ def run_cli(*argv, stdin_text=None):
     return code, out.getvalue()
 
 
-def function_json(f):
-    """The norm and explore input of f: its phases when it has them."""
-    if f.phase_nums is None:
-        values = [{"re": float(v.real), "im": float(v.imag)} for v in f.values]
-    else:
-        values = [TorusValue(f.p, int(v), f.phase_K).to_json()
-                  for v in f.phase_nums]
-    return {"p": f.p, "n": f.n, "values": values}
+def function_json(P):
+    """The norm and explore input of the phase e(P): its torus values."""
+    values = [TorusValue(P.p, int(v), P.K).to_json() for v in P.nums]
+    return {"p": P.p, "n": P.n, "values": values}
 
 
 class TestCli:
@@ -119,11 +114,9 @@ class TestCli:
         assert payload["arank"] == pytest.approx(2.3770330552, abs=1e-9)
 
     def test_norm_exact_field(self, tmp_path):
-        from toruspoly.norms import BoundedFunction
-        from toruspoly.poly import NCPoly
-        f = BoundedFunction.from_phase(NCPoly.from_text(2, 2, "1/2*x1*x2"))
+        P = NCPoly.from_text(2, 2, "1/2*x1*x2")
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(function_json(f)))
+        path.write_text(json.dumps(function_json(P)))
         code, out = run_cli("--input", str(path), "norm", "--d", "2")
         assert code == 0
         payload = json.loads(out)
@@ -133,11 +126,9 @@ class TestCli:
 
     def test_norm_past_dense_counter_exit_0(self, tmp_path):
         # 2^40 residues are counted sparsely instead of failing to allocate
-        from toruspoly.norms import BoundedFunction
-        from toruspoly.poly import NCPoly
-        f = BoundedFunction.from_phase(NCPoly(2, 1, np.array([0, 1]), 40))
+        P = NCPoly(2, 1, np.array([0, 1]), 40)
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(function_json(f)))
+        path.write_text(json.dumps(function_json(P)))
         code, out = run_cli("--input", str(path), "norm", "--d", "1")
         assert code == 0
         assert json.loads(out)["norm"] == pytest.approx(1.0)
@@ -150,6 +141,19 @@ class TestCli:
         code, out = run_cli("--input", str(path), "witness-check", "--s", "3")
         assert code == 0
         assert json.loads(out)["certifies_rank_at_most"] == 1
+
+    def test_witness_check_table_exit_2(self, capsys):
+        # the witness polynomials induce the lookup table; a given one,
+        # even a complete and consistent one, is refused
+        P, Q = S_k(5, 4), L_over_power(5, 3)
+        payload = {"P": P.to_json(), "witness": [Q.to_json()],
+                   "table": [{"key": [Q.eval(x).to_json()],
+                              "value": P.eval(x).to_json()} for x in range(32)]}
+        code, out = run_cli("--input", "-", "witness-check", "--s", "3",
+                            stdin_text=json.dumps(payload))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(
+            "error: witness-check takes no table")
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -179,9 +183,8 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: table denominator")
 
     def test_norm_negative_d_exit_2(self, tmp_path, capsys):
-        f = BoundedFunction.from_phase(NCPoly.zero(2, 2))
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(function_json(f)))
+        path.write_text(json.dumps(function_json(NCPoly.zero(2, 2))))
         code, _ = run_cli("--input", str(path), "norm", "--d", "-1")
         assert code == 2
         assert capsys.readouterr().err == "error: d must be >= 0, got d = -1\n"
@@ -363,11 +366,9 @@ class TestCli:
             {"coeff": 1, "depth": 1, "exps": [1]}]
 
     def test_explore_and_norm(self, tmp_path):
-        from toruspoly.norms import BoundedFunction
-        from toruspoly.poly import NCPoly
-        f = BoundedFunction.from_phase(NCPoly.from_text(2, 3, "1/2*x1*x2*x3"))
+        P = NCPoly.from_text(2, 3, "1/2*x1*x2*x3")
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(function_json(f)))
+        path.write_text(json.dumps(function_json(P)))
         code, out = run_cli("--input", str(path), "explore", "--s", "2")
         assert code == 0 and json.loads(out)["correlation"] == 0.75
         code, out = run_cli("--input", str(path), "norm", "--d", "3")
@@ -515,6 +516,29 @@ class TestCli:
         assert code == 0
         rep = json.loads(out)
         assert rep["polynomial_map"] and rep["preserves_cubes"]
+
+    def test_polymap_check_default_k_max_is_degree_plus_one(self):
+        # (a, b) -> b + 2a from Z/2 x Z/4 to Z/4 of degree 2 is no polynomial
+        # map; 3-cubes (k = deg G + 1) see it, 2-cubes do not
+        Z4 = [[0], [1], [2], [3]]
+        payload = {
+            "H": {"cyclic_orders": [2, 4],
+                  "filtration": [[[a, b] for b in range(4) for a in range(2)]] * 2
+                  + [[[0, b] for b in range(4)], [[0, 0], [0, 2]]]},
+            "G": {"cyclic_orders": [4], "filtration": [Z4, Z4, Z4]},
+            "map": [[[a, b], [(b + 2 * a) % 4]]
+                    for a in range(2) for b in range(4)],
+        }
+        code, out = run_cli("--input", "-", "polymap-check",
+                            stdin_text=json.dumps(payload))
+        assert code == 0
+        assert json.loads(out) == {"polynomial_map": False,
+                                   "preserves_cubes": False,
+                                   "equivalent": True}
+        # an explicit k_max is still honoured
+        code, out = run_cli("--input", "-", "polymap-check",
+                            stdin_text=json.dumps({**payload, "k_max": 2}))
+        assert code == 1 and json.loads(out)["preserves_cubes"]
 
 
     @pytest.mark.parametrize("pairs", [

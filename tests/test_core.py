@@ -18,9 +18,16 @@ from toruspoly.core import (
 from toruspoly.cubes import FilteredAbelianGroup
 from toruspoly.cubescan import enumerate_cube_codes, equivalence_scan
 from toruspoly.forms import MultilinearForm, naive_bias
+from toruspoly.norms import (
+    BoundedFunction,
+    _gowers_power_direct,
+    gowers_power,
+    gowers_power_exact,
+)
 from toruspoly.parallel import chunk_ranges
 from toruspoly.poly import NCPoly, count_polys, enumerate_polys
 from toruspoly.rng import SplitMix64
+from toruspoly.suites import _csg2_lhs
 from toruspoly.weighted import PeriodicMap, binomial_expand
 
 
@@ -141,6 +148,23 @@ class TestSpace:
         "Space.digits": (
             lambda: naive_bias(MultilinearForm(2, 40, 2, {(0, 1): 1})),
             1 << 40, 1 << 24),
+        # the dense norm blocks are bounded before they are built: N^(d-1)
+        # entries for gowers_power, N^(d-1) or N^d for the exact path,
+        # N^(d+1) for the cube product and N^d for the Cauchy-Schwarz sum
+        "gowers_power": (
+            lambda: gowers_power(BoundedFunction.from_phase(NCPoly.zero(2, 6)), 6),
+            1 << 30, 1 << 24),
+        "gowers_power_exact": (
+            lambda: gowers_power_exact(NCPoly(2, 2, np.arange(4) % 2, 10), 13),
+            1 << 26, 1 << 24),
+        "_cube_product": (
+            lambda: _gowers_power_direct(
+                BoundedFunction.from_phase(NCPoly.zero(2, 4)), 6),
+            1 << 28, 1 << 24),
+        "_csg2_lhs": (
+            lambda: _csg2_lhs(BoundedFunction.from_phase(NCPoly.zero(2, 5)), 5,
+                              SplitMix64(1)),
+            1 << 25, 1 << 24),
         # |G| is bounded before the level table is allocated
         "FilteredAbelianGroup": (
             lambda: FilteredAbelianGroup([1 << 20, 1 << 20], levels=[]),

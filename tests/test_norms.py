@@ -11,7 +11,6 @@ from toruspoly.core import BudgetExceeded, TorusValue, UnityCounter, space
 from toruspoly.forms import bias, dk_extract
 from toruspoly.norms import (
     BoundedFunction,
-    RankWitness,
     analytic_rank,
     conditional_expectation,
     gowers_norm,
@@ -19,13 +18,13 @@ from toruspoly.norms import (
     gowers_power_exact,
     inverse_explore,
     rank_witness_check,
-    verify_gowers_properties,
     walsh_fourier,
     _gowers_power_direct,
     _random_bounded,
 )
 from toruspoly.poly import CanonicalForm, NCPoly, canonical_slots, enumerate_polys
 from toruspoly.rng import SplitMix64
+from toruspoly.suites import run_suite
 
 
 def constant_one(p, n):
@@ -45,8 +44,7 @@ class TestMultDerivative:
         h = space(2, 2).index_of([1, 1])
         d = f.mult_derivative(h)
         dP = P.derivative(h)
-        assert d.phase_nums is not None
-        assert NCPoly(2, 2, d.phase_nums, d.phase_K) == dP
+        assert np.allclose(d.values, BoundedFunction.from_phase(dP).values)
 
     def test_zero_shift_gives_modulus_squared(self):
         rng = SplitMix64(3)
@@ -198,6 +196,12 @@ class TestFoldedLastDerivative:
             folded = gowers_power(f, d, budget=N ** (d + 1))
             assert abs(folded - _gowers_power_direct(f, d)) < 1e-12
 
+    def test_pair_counts_past_cap_refused(self):
+        # p^K = N = 2^13 folds, and its pair counts would be 2^26 entries
+        P = NCPoly(2, 13, np.arange(1 << 13), 13)
+        with pytest.raises(BudgetExceeded, match=r"^gowers_power_exact: "
+                           r"estimated cost 67108864 exceeds budget 16777216$"):
+            gowers_power_exact(P, 1)
 
     # p^K past the dense bound: (2, 1, 40) would need an 8 TiB array
     @pytest.mark.parametrize("p,n,K,d", [(2, 1, 40, 1), (2, 1, 40, 2),
@@ -253,31 +257,50 @@ class TestAnalyticRank:
 
 class TestRankWitness:
     def test_s4_function_of_l_over_eight(self):
-        P = S_k(5, 4)
-        w = RankWitness.induced(P, [L_over_power(5, 3)])
-        assert rank_witness_check(P, 3, w)
+        assert rank_witness_check(S_k(5, 4), 3, [L_over_power(5, 3)])
 
     def test_constant_empty_witness(self):
         C = NCPoly(2, 3, np.full(8, 1), 1)  # the constant 1/2
-        w = RankWitness.induced(C, [])
-        assert rank_witness_check(C, 1, w)
+        assert rank_witness_check(C, 1, [])
+        # with no witnesses there is one fibre: only a constant passes
+        assert not rank_witness_check(NCPoly.from_text(2, 3, "1/2*x1"), 1, [])
 
     def test_independent_coordinate_fails(self):
         P = NCPoly.from_text(2, 2, "1/2*x1")
-        w = RankWitness.induced(P, [NCPoly.from_text(2, 2, "1/2*x2")])
-        assert not rank_witness_check(P, 1, w)
+        assert not rank_witness_check(P, 1, [NCPoly.from_text(2, 2, "1/2*x2")])
 
-    def test_incomplete_table_raises(self):
-        P = NCPoly.from_text(2, 2, "1/2*x1")
-        w = RankWitness([NCPoly.from_text(2, 2, "1/2*x2")], {})
-        with pytest.raises(ValueError):
-            rank_witness_check(P, 1, w)
+    def test_fibre_mismatch_away_from_point_zero(self):
+        # on the fibres of (x1, x2), x1 + x2 is constant; x1*x3 first
+        # differs from its value at the fibre's first point at (1, 0, 1)
+        Q = [NCPoly.from_text(2, 3, "1/2*x1"), NCPoly.from_text(2, 3, "1/2*x2")]
+        assert rank_witness_check(NCPoly.from_text(2, 3, "1/2*x1 + 1/2*x2"), 1, Q)
+        assert not rank_witness_check(NCPoly.from_text(2, 3, "1/2*x1*x3"), 1, Q)
 
     def test_degree_guard(self):
-        P = S_k(4, 4)
-        w = RankWitness.induced(P, [S_k(4, 4)])
         with pytest.raises(ValueError):
-            rank_witness_check(P, 3, w)
+            rank_witness_check(S_k(4, 4), 3, [S_k(4, 4)])
+
+    def test_witness_on_another_space_raises(self):
+        with pytest.raises(ValueError, match="another space"):
+            rank_witness_check(S_k(4, 4), 3, [L_over_power(5, 3)])
+
+    def test_matches_lookup_loop(self):
+        # the fibres as a dict of value tuples, point by point; P is a
+        # function of the witnesses, then one point is redrawn
+        rng = SplitMix64(23)
+        for _ in range(30):
+            polys = [NCPoly(3, 2, np.array([rng.below(3) for _ in range(9)]), 1)
+                     for _ in range(rng.below(3))]
+            lut = [rng.below(9) for _ in range(27)]
+            nums = [lut[sum(int(q.nums[x]) * 3**j for j, q in enumerate(polys))]
+                    for x in range(9)]
+            nums[rng.below(9)] = rng.below(9)
+            P = NCPoly(3, 2, np.array(nums), 2)
+            seen = {}
+            expected = all(
+                seen.setdefault(tuple(q.eval(x) for q in polys), P.eval(x))
+                == P.eval(x) for x in range(9))
+            assert rank_witness_check(P, 4, polys) == expected
 
 
 class TestFourier:
@@ -382,7 +405,6 @@ class TestInverseExplore:
         obj = {"p": 2, "n": 1,
                "values": [{"re": 0.5, "im": 0.1}, {"re": -0.25, "im": 0.0}]}
         f = BoundedFunction.from_json(obj)
-        assert f.phase_nums is None
         assert f.values[0] == 0.5 + 0.1j
         assert (np.abs(f.values) <= 1).all()
 
@@ -481,24 +503,21 @@ class TestPowerRecording:
 
 class TestPropertySuite:
     def test_all_properties_pass(self):
-        recs = verify_gowers_properties(2, 3, seed=99, count=10)
-        assert recs and all(r["pass"] for r in recs)
-        names = {r["check"] for r in recs}
-        assert {"triangle", "monotonicity", "lq-bound", "cauchy-schwarz-1",
-                "cauchy-schwarz-2", "modulation"} <= names
-
-    def test_d_max_below_two_rejected(self):
-        # the checks run at d >= 2; d_max = 1 used to end in an IndexError
-        for d_max in (1, 0, -1):
-            with pytest.raises(ValueError, match="d_max must be at least 2"):
-                verify_gowers_properties(2, 2, seed=1, count=1, d_max=d_max)
-        recs = verify_gowers_properties(2, 2, seed=1, count=1, d_max=2)
-        assert recs and all(r["pass"] for r in recs)
+        report = run_suite("gowers-props", seed=99,
+                           params={"count": 10, "configs": [[2, 3]]})
+        norms = [c for c in report.checks if c.name.startswith("norm-")]
+        assert norms and all(c.passed for c in norms)
+        assert {"norm-triangle", "norm-monotonicity", "norm-lq-bound",
+                "norm-cauchy-schwarz-1", "norm-cauchy-schwarz-2",
+                "norm-modulation"} <= {c.name for c in norms}
+        # two monotonicity cases (d = 1, 2 and d = 2, 3) per function
+        assert {c.name: c.params["cases"] for c in norms}["norm-monotonicity"] == 20
 
     def test_budget_covers_cube_products(self):
         # every norm fits in 16^3 = 4096, the d = 3 cube products need 16^4
         with pytest.raises(BudgetExceeded, match="_cube_product"):
-            verify_gowers_properties(2, 4, seed=1, count=3, budget=5000)
+            run_suite("gowers-props", seed=1, budget=5000,
+                      params={"count": 3, "p": 2, "n": 4})
 
     def test_every_call_gets_the_budget(self, monkeypatch):
         import inspect

@@ -51,11 +51,11 @@ SHADOWED = {
     "core.ExactExpectation.is_zero": "cubes.equidistribution_report",
     "core.ExactExpectation.as_fraction": "forms.naive_bias",
     "forms.MultilinearForm.scale": "suites._suite_symprod",
-    "norms.BoundedFunction.scale": "norms.verify_gowers_properties",
+    "norms.BoundedFunction.scale": "suites._norm_properties",
     "poly.CanonicalForm.degree": "poly.NCPoly.degree",
     "poly.CanonicalForm.to_json": "poly.NCPoly.to_json",
     "poly.NCPoly.to_json": "cli._poly_payload",
-    "poly.NCPoly.eval": "norms.rank_witness_check",
+    "poly.NCPoly.eval": "cli._dispatch",
     "poly.NCPoly.is_zero": "weighted.Factor.validate",
     "poly.NCPoly.degree": "forms.dk_extract",
     "suites.CheckRecord.to_json": "suites.SuiteReport.to_json",
