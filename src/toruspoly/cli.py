@@ -53,9 +53,11 @@ def _read_input(args) -> dict:
         return json.load(fh)
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(jsonable(payload), indent=None if args.json else 2,
-                      sort_keys=True)
+def _emit(args, payload: dict | str) -> None:
+    """Write a payload as JSON, or a report's text as it is, to --out or
+    stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(
+        jsonable(payload), indent=None if args.json else 2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -89,9 +91,6 @@ def _parse_digits(text: str) -> list[int]:
 
 def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--p", type=int, default=d(None))
-    parser.add_argument("--n", type=int, default=d(None))
-    parser.add_argument("--degree", type=int, default=d(None))
     parser.add_argument("--input", default=d(None),
                         help="JSON file or - for stdin")
     parser.add_argument("--json", action="store_true", default=d(False),
@@ -125,8 +124,10 @@ def main(argv=None) -> int:
     sp.add_argument("--h", required=True)
     sub.add_parser("degree", parents=[common],
                    help="degree by canonical form and by derivatives")
-    sub.add_parser("interpolate", parents=[common],
-                   help="value table -> canonical form")
+    sp = sub.add_parser("interpolate", parents=[common],
+                        help="value table -> canonical form")
+    sp.add_argument("--degree", type=int, default=None,
+                    help="refuse a table of higher degree (exit 2)")
     sub.add_parser("root", parents=[common], help="canonical p-th root")
     sub.add_parser("mulp", parents=[common], help="multiply by p")
     sp = sub.add_parser("norm", parents=[common],
@@ -347,22 +348,13 @@ def _dispatch(args) -> int:
     if cmd == "verify":
         params = {}
         for kv in args.param:
-            key, _, value = kv.partition("=")
+            key, sep, value = kv.partition("=")
+            if not sep:  # as from `--p 3`, which abbreviates --param
+                raise ValueError(f"--param takes key=value, got {kv!r}")
             params[key] = int(value) if value.lstrip("-").isdigit() else value
-        if args.p is not None:
-            params.setdefault("p", args.p)
-        if args.n is not None:
-            params.setdefault("n", args.n)
-        if args.degree is not None:
-            params.setdefault("d", args.degree)
         report = run_suite(args.suite, params=params, seed=args.seed,
                            threads=args.threads, budget=args.budget)
-        text = report.to_bytes(include_timing=args.timing).decode()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _emit(args, report.to_bytes(include_timing=args.timing).decode())
         return EXIT_PASS if report.passed else EXIT_FAIL
 
     raise ValueError(f"unhandled command {cmd}")

@@ -156,30 +156,6 @@ def _echelon_insert(basis: list[list[int]], rows, mods: list[int]) -> None:
             v = [(u * y - w * x) % m for x, y, m in zip(b, v, mods)]
 
 
-@lru_cache(maxsize=64)
-def _faces(k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All faces of {0,1}^k as (dimension, vertex masks)."""
-    out = []
-    for free in range(1 << k):
-        dim = bin(free).count("1")
-        fixed_positions = [j for j in range(k) if not free >> j & 1]
-        free_positions = [j for j in range(k) if free >> j & 1]
-        for assign in range(1 << len(fixed_positions)):
-            base = 0
-            for t, j in enumerate(fixed_positions):
-                if assign >> t & 1:
-                    base |= 1 << j
-            masks = []
-            for sub in range(1 << dim):
-                m = base
-                for t, j in enumerate(free_positions):
-                    if sub >> t & 1:
-                        m |= 1 << j
-                masks.append(m)
-            out.append((dim, tuple(masks)))
-    return out
-
-
 def hk_taylor(row, G: FilteredAbelianGroup):
     """Taylor coefficients of the k-cube row, whose 2^k codes are its
     vertices omega in {0,1}^k (omega_1 the least significant bit of the

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import check_budget
 from .cubes import (FilteredAbelianGroup, _check_code_table, _diagonal,
-                    _echelon_insert, _faces, _member_tables, _pass_tables,
+                    _echelon_insert, _member_tables, _pass_tables,
                     _subset_codes, _subset_table, code_element, hk_size)
 
 # equivalence_scan enumerates at most SCAN_CAP tuples, at most _SCAN_CHUNK
@@ -106,11 +106,16 @@ def counted_equivalence(G: FilteredAbelianGroup, k: int) -> dict:
     taylor_count = hk_size(G, k)
     width = 1 << k
     r = len(G.orders)
-    faces = _faces(k)
+    # face f is output f of the "faces" pass: its base-3 digit on axis a is
+    # 2 where vertex bit k-1-a is free and fixes that bit otherwise
+    dims = _pass_tables(G, k, "faces")[2]
+    digits = np.indices((3,) * k).reshape(k, len(dims), 1)
+    bits = np.arange(width) >> np.arange(k - 1, -1, -1)[:, None, None] & 1
+    on = ((digits == 2) | (digits == bits)).all(axis=0)  # on[f, vertex]
 
     # HK generators g^[face], g in G_codim, satisfy the face criterion
-    gens = np.array([[g if m in masks else 0 for m in range(width)]
-                     for dim, masks in faces for g in G.level_generators(k - dim)],
+    gens = np.array([on[f] * g for f, dim in enumerate(dims)
+                     for g in G.level_generators(k - dim)],
                     dtype=np.int64).reshape(-1, width)
     if not face_member_mask(gens, G, k).all():
         return {"equal": False, "reason": "generator fails face test"}
@@ -123,16 +128,15 @@ def counted_equivalence(G: FilteredAbelianGroup, k: int) -> dict:
         _echelon_insert(block, [code_element(G, g)
                                 for g in G.level_generators(dim)], orders)
         blocks.append(block)
-    basis = [[0] * (f * r) + row + [0] * ((len(faces) - f - 1) * r)
-             for f, (dim, _) in enumerate(faces) for row in blocks[dim]]
+    basis = [[0] * (f * r) + row + [0] * ((len(dims) - f - 1) * r)
+             for f, dim in enumerate(dims) for row in blocks[dim]]
     quotient_size = prod(row[c] for c, row in enumerate(basis))
 
     # phi(Z^(r 2^k)): the face sums of each unit vector at each vertex.  The
     # alternating signs are left out: negating the odd vertices is an
     # automorphism of G^(2^k), so it does not change the image.
-    units = [[int(e in masks and j == t) for _, masks in faces for j in range(r)]
-             for e in range(width) for t in range(r)]
-    _echelon_insert(basis, units, orders * len(faces))
+    units = np.kron(on.T, np.eye(r, dtype=np.int64)).tolist()
+    _echelon_insert(basis, units, orders * len(dims))
 
     image_size = quotient_size // prod(row[c] for c, row in enumerate(basis))
     face_count = G.size**width // image_size

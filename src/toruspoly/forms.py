@@ -93,14 +93,6 @@ class MultilinearForm:
                 T[perm] = c
         return T
 
-    def evaluate(self, args: Sequence[int]) -> int:
-        """T at one tuple of point indices."""
-        if len(args) != self.k:
-            raise ValueError(f"need {self.k} arguments")
-        sp = space(self.p, self.n)
-        return int(self.eval_batch([np.array([sp.check_index(a)])
-                                    for a in args])[0])
-
     def eval_batch(self, arg_indices: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate on B tuples given as k index arrays of shape (B,)."""
         sp = space(self.p, self.n)
@@ -478,18 +470,19 @@ def _fp_ranks(p: int, mats: np.ndarray) -> np.ndarray:
 def naive_bias(form: MultilinearForm, budget: int | None = None) -> Fraction:
     """Direct |V|^k character sum, via exact residue counters.
 
-    The dense tensor is contracted with the digit vectors one argument at a
-    time and reduced mod p once: after t contractions every entry is below
-    (p-1)(n(p-1))^t, so float64 is exact while (p-1)(n(p-1))^k < 2^53, and
-    Python integers carry the same sum past that.
+    N^k is checked against budget and against SPACE_CAP.  The dense tensor
+    is contracted with the digit vectors one argument at a time in float64
+    and reduced mod p once: after t contractions every entry is below
+    (p-1)(n(p-1))^t, and inside the cap that is below 2^53 (3.6e7 at
+    p = 13, n = 1, k = 6).
     """
     p, n, k = form.p, form.n, form.k
     sp = space(p, n)
     N = sp.size
     check_budget(N**k, budget, "naive_bias")
-    dtype = np.float64 if (p - 1) * (n * (p - 1)) ** k < 1 << 53 else object
-    dig = sp.digits.astype(dtype)
-    cur = form.dense_tensor().astype(dtype)
+    check_budget(N**k, SPACE_CAP, "naive_bias")
+    dig = sp.digits.astype(np.float64)
+    cur = form.dense_tensor().astype(np.float64)
     for t in range(k):
         cur = np.moveaxis(np.tensordot(dig, cur, axes=(1, t)), 0, t)
     counter = UnityCounter(p, 1)

@@ -16,8 +16,9 @@ of entries; interpolate_tables and eval_slot_batches keep the table axis last.
 Products run in float64, exact in BLAS while every partial sum is an integer
 below 2^53, else in Python integers; layers share one matrix per (p, n).
 Every reduction mod p^K goes through one helper, _reduce, on floor division
-(a mask at p = 2), and classical_coeffs runs its per-axis products in
-float64 with one reduction per transform.
+(a mask at p = 2).  classical_coeffs refuses tables past SPACE_CAP entries;
+below it, its per-axis products run in float64 with one reduction per
+transform.
 """
 
 from __future__ import annotations
@@ -156,30 +157,21 @@ def _exact_reduce(prod: np.ndarray, p: int, K: int) -> np.ndarray:
     return np.asarray(_reduce(prod, p, K), dtype=np.int64)
 
 
-@lru_cache(maxsize=16)
-def _float_axes(p: int) -> int:
-    """Per-axis products by the inverse Vandermonde matrix that a float64
-    chain of F_p entries takes between reductions mod p: after t of them
-    the entries stay below (p-1)(p(p-1))^t, exact while under 2^53.  At
-    p = 13 that is 6 axes, so tables below 13^7 entries reduce once."""
-    t = 1
-    while (p - 1) * (p * (p - 1)) ** (t + 1) < 1 << 53:
-        t += 1
-    return t
-
-
 def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
     """Monomial coefficients of F_p-valued tables, per-axis interpolation.
 
     Tables have shape (N, ...), the table axis first.  Returns an array of
     the same shape; entry at index e is the coefficient of
-    prod |x_t|^(digit_t(e)).  At odd p the per-axis products run in float64
-    and reduce mod p once at the end, and also every _float_axes(p) axes on
-    a table long enough to pass 2^53 without it.
+    prod |x_t|^(digit_t(e)).  N = p^n is checked against SPACE_CAP before
+    anything is allocated.  At odd p the per-axis products run in float64
+    and reduce mod p once at the end: after t axes the entries stay below
+    (p-1)(p(p-1))^t, and inside the cap that is below 2^53 (1.7e14 at
+    p = 13, n = 6).
     """
+    N = p**n
+    check_budget(N, SPACE_CAP, "classical_coeffs")
     arr = np.ascontiguousarray(_reduce(np.asarray(table, dtype=np.int64), p, 1))
     shape = arr.shape
-    N = p**n
     arr = arr.reshape(N, -1)
     if p == 2:
         for ax in range(n):
@@ -188,10 +180,7 @@ def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
         return arr.reshape(shape)
     Minv = _inverse_vandermonde(p).astype(np.float64)
     arr = arr.astype(np.float64)
-    run = _float_axes(p)
     for ax in range(n):
-        if ax and ax % run == 0:
-            arr = _reduce(arr, p, 1)
         arr = np.matmul(Minv, arr.reshape(N // p ** (ax + 1), p, -1))
     return _reduce(arr.astype(np.int64), p, 1).reshape(shape)
 

@@ -1,4 +1,4 @@
-"""Seeded splittable PRNG (splitmix64).
+"""Seeded PRNG (splitmix64).
 
 All randomised checks draw from this generator so that reports are
 reproducible from (algorithm name, seed) alone.
@@ -22,9 +22,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
         return z ^ (z >> 31)
-
-    def split(self) -> "SplitMix64":
-        return SplitMix64(self.next_u64() ^ 0x9E3779B97F4A7C15)
 
     def below(self, n: int) -> int:
         if n <= 0:

@@ -71,6 +71,7 @@ from .poly import (
     degrees_from_coeffs,
     eval_slot_batches,
     interpolate_tables,
+    normalize_tables,
     slot_degrees,
 )
 from .rng import ALGORITHM, SplitMix64
@@ -79,7 +80,6 @@ from .weighted import (
     WeightedPoly,
     binomial_expand,
     periodicity_check,
-    same_values,
     weighted_degree,
 )
 
@@ -581,10 +581,11 @@ def _suite_roots(rec: _Recorder, params: dict, rng, threads, budget):
         wp = _random_weighted(p, m, D, d, rng)
         g = wp.pth_root()
         pts = np.indices([min(s, 9) for s in g.periods()]).reshape(m, -1).T
-        # p*g over p^(K-1) against wp, as two tables on the same box
-        gk = max(g.exponent() - 1, 0)
-        ok = weighted_degree(g) <= max(wp.degree(), 0) + p - 1 and same_values(
-            p, g.eval_nums(pts) % p**gk, gk, wp.eval_nums(pts), wp.exponent())
+        # p*g over p^(K-1) against wp, both normalised on the same box
+        pg, pg_K = normalize_tables(g.eval_nums(pts), max(g.exponent() - 1, 0), p)
+        want, want_K = normalize_tables(wp.eval_nums(pts), wp.exponent(), p)
+        ok = (weighted_degree(g) <= max(wp.degree(), 0) + p - 1
+              and pg_K == want_K and np.array_equal(pg, want))
         fails += not ok
     rec.add("weighted-root-roundtrip", {"trials": wtrials}, fails == 0)
 

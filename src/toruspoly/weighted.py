@@ -261,15 +261,6 @@ def binomial_expand(f: PeriodicMap, d_bound: float) -> WeightedPoly:
     return out
 
 
-def same_values(p: int, a: np.ndarray, ka: int, b: np.ndarray, kb: int) -> bool:
-    """Whether a/p^ka == b/p^kb in R/Z entrywise, for numerators reduced
-    mod p^ka and p^kb."""
-    if ka < kb:
-        a, ka, b, kb = b, kb, a, ka
-    step = p ** (ka - kb)
-    return not (a % step).any() and np.array_equal(a // step, b)
-
-
 def periodicity_check(f: WeightedPoly, d: int) -> dict:
     """Confirm the forced periods and extract the top linear part:
     for every i with some j_i solving D_i + j_i(p-1) = d, the difference

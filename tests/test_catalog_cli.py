@@ -365,6 +365,44 @@ class TestCli:
         assert json.loads(out)["terms"] == [
             {"coeff": 1, "depth": 1, "exps": [1]}]
 
+    def test_interpolate_degree_bound(self, capsys):
+        # |x|/4 on F_2 has degree 2
+        values = json.dumps({"p": 2, "n": 1, "values": [
+            {"num": 0, "exp": 0}, {"num": 1, "exp": 2}]})
+        code, out = run_cli("--input", "-", "interpolate", "--degree", "1",
+                            stdin_text=values)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: not a polynomial of degree <= 1\n")
+        code, _ = run_cli("--input", "-", "interpolate", "--degree", "2",
+                          stdin_text=values)
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "lam", "--param", "n=3"),
+        ("--input", "P.json", "eval", "--x", "1"),
+    ], ids=["verify", "eval"])
+    def test_out_writes_what_stdout_would(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "P.json").write_text(json.dumps(mother_q().to_json()))
+        code, out = run_cli(*argv)
+        code_out, printed = run_cli(*argv, "--out", "F")
+        assert code == code_out == 0 and out and printed == ""
+        assert (tmp_path / "F").read_text() == out
+
+    def test_suite_parameters_only_through_param(self, capsys):
+        # --p, --n and --degree are no verify options; --p abbreviates
+        # --param, which takes key=value
+        code, out = run_cli("verify", "lam", "--p", "3")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: --param takes key=value, got '3'\n")
+        for argv in (["--n", "3", "verify", "lam"],
+                     ["verify", "lam", "--degree", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
     def test_explore_and_norm(self, tmp_path):
         P = NCPoly.from_text(2, 3, "1/2*x1*x2*x3")
         path = tmp_path / "f.json"

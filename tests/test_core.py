@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruspoly.catalog import quartic_form
 from toruspoly.core import (
     BudgetExceeded,
     ExactExpectation,
@@ -25,7 +26,7 @@ from toruspoly.norms import (
     gowers_power_exact,
 )
 from toruspoly.parallel import chunk_ranges
-from toruspoly.poly import NCPoly, count_polys, enumerate_polys
+from toruspoly.poly import NCPoly, classical_coeffs, count_polys, enumerate_polys
 from toruspoly.rng import SplitMix64
 from toruspoly.suites import _csg2_lhs
 from toruspoly.weighted import PeriodicMap, binomial_expand
@@ -145,9 +146,13 @@ class TestSpace:
         "MultilinearForm.dense_tensor": (
             lambda: MultilinearForm(2, 40, 8, {tuple(range(8)): 1}).dense_tensor(),
             40**8, 1 << 24),
-        "Space.digits": (
-            lambda: naive_bias(MultilinearForm(2, 40, 2, {(0, 1): 1})),
-            1 << 40, 1 << 24),
+        "Space.digits": (lambda: space(2, 40).digits, 1 << 40, 1 << 24),
+        # N^k and p^n are bounded before the float64 transforms: past the
+        # cap their float chains could pass 2^53
+        "naive_bias": (lambda: naive_bias(quartic_form(7)), 1 << 28, 1 << 24),
+        "classical_coeffs": (
+            lambda: classical_coeffs(13, 7, np.broadcast_to(np.int64(0), (13**7,))),
+            13**7, 1 << 24),
         # the dense norm blocks are bounded before they are built: N^(d-1)
         # entries for gowers_power, N^(d-1) or N^d for the exact path,
         # N^(d+1) for the cube product and N^d for the Cauchy-Schwarz sum

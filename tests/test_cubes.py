@@ -11,7 +11,6 @@ from toruspoly.catalog import L_table, S_k, bilinear_b, mother_q
 from toruspoly.core import BudgetExceeded, space
 from toruspoly.cubes import (
     FilteredAbelianGroup,
-    _faces,
     _member_tables,
     _sub_codes,
     _subset_table,
@@ -209,6 +208,15 @@ def _signed_sum_oracle(tuples, masks, signs, G):
         total += comp % o * radix
         radix *= o
     return total
+
+
+def _faces(k):
+    """All faces of {0,1}^k as (dimension, vertex masks): a free-axis set
+    and a fixed assignment at a time, apart from the face pass in src."""
+    return [(bin(free).count("1"),
+             tuple(m for m in range(1 << k) if m & ~free == base))
+            for free in range(1 << k) for base in range(1 << k)
+            if base & free == 0]
 
 
 def _face_mask_oracle(tuples, G, k):

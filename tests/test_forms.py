@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from toruspoly.catalog import S_k, bilinear_b, quartic_form
-from toruspoly.core import BudgetExceeded, TorusValue, space
+from toruspoly.core import (SPACE_CAP, SUPPORTED_PRIMES, BudgetExceeded,
+                            TorusValue, space)
 from toruspoly.forms import (
     CSMForm,
     MultilinearForm,
@@ -38,6 +39,11 @@ def _gf2_rank(rows, n):
     return rank
 
 
+def evaluate(T, args):
+    """T at one tuple of point indices: eval_batch on a batch of one."""
+    return int(T.eval_batch([np.array([a]) for a in args])[0])
+
+
 def rand_vec(p, n, rng):
     return rng.below(space(p, n).size)
 
@@ -55,18 +61,14 @@ class TestExtraction:
         B = bilinear_b(4)
         for i in range(4):
             for j in range(4):
-                val = B.evaluate([2**i, 2**j])  # unit vectors e_i, e_j
+                val = evaluate(B, [2**i, 2**j])  # unit vectors e_i, e_j
                 assert val == (1 if i != j else 0)
-        # -1 would wrap to the last point, 16 lies past it
-        for bad in (-1, 16):
-            with pytest.raises(ValueError, match="not a point index"):
-                B.evaluate([bad, 1])
 
     def test_linear_case(self):
         P = NCPoly.from_text(2, 3, "1/2*x1")
         T = dk_extract(P, 1)
         for h in range(8):
-            assert T.evaluate([h]) == space(2, 3).digits_of(h)[0]
+            assert evaluate(T, [h]) == space(2, 3).digits_of(h)[0]
 
     def test_quartic_is_sym_square(self):
         T = quartic_form(4)
@@ -100,7 +102,7 @@ class TestExtraction:
         for k in (2, 3, 4):
             T = dk_extract(S_k(4, k), k)
             args = [rand_vec(2, 4, rng) for _ in range(k)]
-            assert len({T.evaluate(list(perm))
+            assert len({evaluate(T, list(perm))
                         for perm in itertools.permutations(args)}) == 1
 
 
@@ -113,14 +115,14 @@ class TestConcat:
         for _ in range(20):
             a, b, c, d = (rand_vec(3, 3, rng) for _ in range(4))
             expected = (
-                S.evaluate([a, b]) * T.evaluate([c, d])
-                + S.evaluate([a, c]) * T.evaluate([b, d])
-                + S.evaluate([a, d]) * T.evaluate([b, c])
-                + S.evaluate([b, c]) * T.evaluate([a, d])
-                + S.evaluate([b, d]) * T.evaluate([a, c])
-                + S.evaluate([c, d]) * T.evaluate([a, b])
+                evaluate(S, [a, b]) * evaluate(T, [c, d])
+                + evaluate(S, [a, c]) * evaluate(T, [b, d])
+                + evaluate(S, [a, d]) * evaluate(T, [b, c])
+                + evaluate(S, [b, c]) * evaluate(T, [a, d])
+                + evaluate(S, [b, d]) * evaluate(T, [a, c])
+                + evaluate(S, [c, d]) * evaluate(T, [a, b])
             ) % 3
-            assert U.evaluate([a, b, c, d]) == expected
+            assert evaluate(U, [a, b, c, d]) == expected
 
     def test_concat_with_zero(self):
         S = bilinear_b(3)
@@ -158,11 +160,11 @@ class TestSymPower:
         for _ in range(20):
             a, b, c, d = (rand_vec(2, 4, rng) for _ in range(4))
             expected = (
-                T.evaluate([a, b]) * T.evaluate([c, d])
-                + T.evaluate([a, c]) * T.evaluate([b, d])
-                + T.evaluate([a, d]) * T.evaluate([b, c])
+                evaluate(T, [a, b]) * evaluate(T, [c, d])
+                + evaluate(T, [a, c]) * evaluate(T, [b, d])
+                + evaluate(T, [a, d]) * evaluate(T, [b, c])
             ) % 2
-            assert S.evaluate([a, b, c, d]) == expected
+            assert evaluate(S, [a, b, c, d]) == expected
 
     def test_factorial_relation_p5(self):
         rng = SplitMix64(19)
@@ -252,6 +254,15 @@ class TestBias:
                             coeffs[key] = c
                     T = CSMForm(p, n, k, coeffs)
                     assert bias(T) == naive_bias(T)
+
+    def test_naive_chain_stays_below_2_53_inside_the_cap(self):
+        # after t contractions the entries stay below (p-1)(n(p-1))^t, and
+        # naive_bias refuses N^k past SPACE_CAP
+        for p in SUPPORTED_PRIMES:
+            for n in range(1, 25):
+                for k in range(1, 25):
+                    if p ** (n * k) <= SPACE_CAP:
+                        assert (p - 1) * (n * (p - 1)) ** k < 1 << 53
 
     def test_quartic_sequence(self):
         # frozen oracle values of E e(iota(d^4 S_4)) for n = 4, 6
@@ -378,7 +389,7 @@ class TestBias:
         T = dk_extract(P, 4)
         for _ in range(30):
             h1, h2 = rand_vec(2, 3, rng), rand_vec(2, 3, rng)
-            assert T.evaluate([h1, h1, h2, h2]) == T.evaluate([h2, h2, h1, h1])
+            assert evaluate(T, [h1, h1, h2, h2]) == evaluate(T, [h2, h2, h1, h1])
 
 
 class TestDkValues:

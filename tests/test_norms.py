@@ -496,7 +496,7 @@ class TestPowerRecording:
             total = 0j
             for h1 in range(N):
                 for h2 in range(N):
-                    tv = T.evaluate([h1, h2])
+                    tv = T.eval_batch([np.array([h1]), np.array([h2])])[0]
                     total += (-1) ** tv * w1[h2] * w2[h1]
             assert abs(total) / N**2 <= b ** 0.5 + 1e-9
 

@@ -10,6 +10,7 @@ import pytest
 
 from toruspoly.catalog import L_over_power, mother_p, mother_q
 from toruspoly.core import (
+    SPACE_CAP,
     SUPPORTED_PRIMES,
     BudgetExceeded,
     TorusValue,
@@ -519,7 +520,8 @@ def _coefficient_oracle(p, n, table):
 
 
 class TestClassicalCoeffs:
-    """Float64 per-axis products, reduced mod p once per transform."""
+    """Float64 per-axis products, reduced mod p once per transform; past
+    SPACE_CAP entries the transform is refused (tests/test_core.py)."""
 
     CASES = [(2, 6), (3, 4), (5, 3), (7, 2), (11, 2), (13, 2)]
 
@@ -533,30 +535,12 @@ class TestClassicalCoeffs:
         assert ((0 <= coeffs) & (coeffs < p)).all()
         assert np.array_equal(_coefficient_oracle(p, n, table)(coeffs), table % p)
 
-    @pytest.mark.parametrize("run", [1, 2])
-    @pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (13, 2)])
-    def test_reductions_inside_the_chain(self, monkeypatch, run, p, n):
-        # what a table past the 2^53 point does, on a table that fits here:
-        # one reduction on entry, one at the end, one every `run` axes
-        monkeypatch.setattr(poly, "_float_axes", lambda q: run)
-        calls = []
-        reduce = poly._reduce
-        monkeypatch.setattr(poly, "_reduce",
-                            lambda x, q, K: calls.append(x.dtype) or reduce(x, q, K))
-        rng = SplitMix64(run)
-        table = np.array([[rng.below(p) for _ in range(3)]
-                          for _ in range(p**n)], dtype=np.int64)
-        coeffs = poly.classical_coeffs(p, n, table)
-        assert np.array_equal(_coefficient_oracle(p, n, table)(coeffs), table)
-        assert calls.count(np.float64) == (n - 1) // run
-        assert len(calls) == 2 + (n - 1) // run
-
-    # at p = 13 a table of 13^7 entries is the first past the 2^53 point
-    @pytest.mark.parametrize("p,t", [(3, 20), (5, 11), (7, 9), (11, 7), (13, 6)])
-    def test_float_axes_is_the_2_53_point(self, p, t):
-        assert poly._float_axes(p) == t
-        assert (p - 1) * (p * (p - 1)) ** t < 1 << 53
-        assert (p - 1) * (p * (p - 1)) ** (t + 1) >= 1 << 53
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_float_chain_stays_below_2_53_inside_the_cap(self, p):
+        # after t axes the entries stay below (p-1)(p(p-1))^t; the largest
+        # table inside SPACE_CAP has n axes
+        n = max(n for n in range(1, 25) if p**n <= SPACE_CAP)
+        assert (p - 1) * (p * (p - 1)) ** n < 1 << 53
 
 
 class TestKernelLayout:

@@ -11,20 +11,22 @@ A non-dunder method C.name counts as used, outside its own body, on
     bases, and also counted for every subclass of C that overrides name;
   * C.name, or mod.C.name, anywhere in src, resolved through C's bases;
   * x.name for any other x, when C is the only class in src that defines
-    name;
+    name and no builtin type (BUILTIN_TYPES) has a method of that name;
 and in tests/test_acceptance.py or perfbench/*.py on the text C.name, or
-on the word name when C is the only class that defines it.  An x.name
-whose name several classes define resolves to none of them: the owner is
-listed in SHADOWED with the src function that really calls it, and the
-test checks that this function's body still reads .name.  Names only the
-other tests reach are either deleted or listed in ALLOWED with the reason
-they stay.
+on the word name under the same two conditions.  An x.name whose name
+several classes, or a class and a builtin type, define resolves to none of
+them: the owner is listed in SHADOWED with the src function that really
+calls it, and the test checks that this function's body still reads
+.name.  Names only the other tests reach are either deleted or listed in
+ALLOWED with the reason they stay.
 """
 
 import ast
 import itertools
 import re
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "toruspoly"
@@ -38,9 +40,12 @@ ALLOWED = {
                             "whose cap message explore prints",
     "poly.CanonicalForm.eval": "the one-point evaluator that the tests "
                                "compare eval_table against",
-    "forms.MultilinearForm.evaluate": "the one-point evaluator that the "
-                                      "tests compare eval_batch against",
 }
+
+# x.name never resolves to a src class when these types have a method name
+BUILTIN_TYPES = (str, bytes, int, float, list, tuple, dict, set,
+                 np.ndarray, np.generic)
+BUILTIN_METHODS = {name for t in BUILTIN_TYPES for name in dir(t)}
 
 # owner.method -> the src function (module.qualname) whose body calls it
 # through a receiver that several classes' methods share a name with
@@ -51,6 +56,7 @@ SHADOWED = {
     "core.ExactExpectation.is_zero": "cubes.equidistribution_report",
     "core.ExactExpectation.as_fraction": "forms.naive_bias",
     "forms.MultilinearForm.scale": "suites._suite_symprod",
+    "norms.BoundedFunction.mean": "norms.gowers_power",
     "norms.BoundedFunction.scale": "suites._norm_properties",
     "poly.CanonicalForm.degree": "poly.NCPoly.degree",
     "poly.CanonicalForm.to_json": "poly.NCPoly.to_json",
@@ -59,6 +65,8 @@ SHADOWED = {
     "poly.NCPoly.is_zero": "weighted.Factor.validate",
     "poly.NCPoly.degree": "forms.dk_extract",
     "suites.CheckRecord.to_json": "suites.SuiteReport.to_json",
+    "suites.SuiteReport.to_bytes": "cli._dispatch",
+    "suites._Recorder.add": "suites._suite_lucas",
     "weighted.WeightedPoly.to_json": "cli._dispatch",
     "weighted.Factor.degree": "suites._suite_weighted",
 }
@@ -135,7 +143,8 @@ class _Owners:
 
     def unique(self, name):
         definers = self.definers.get(name, set())
-        return set(definers) if len(definers) == 1 else set()
+        return set(definers) if len(definers) == 1 and (
+            name not in BUILTIN_METHODS) else set()
 
     def in_text(self, text):
         """Methods that a text of tests or benchmarks names."""
@@ -274,20 +283,22 @@ def test_resolver_on_a_synthetic_package(tmp_path):
         "    def label(self):\n"
         "        return 'c'\n"
         "    def grow(self):\n"
-        "        return 2\n")
+        "        return 2\n"
+        "    def split(self):\n"
+        "        return 3\n")
     (pkg / "use.py").write_text(
         "from .shapes import Circle, Square\n"
         "\n"
         "def main(x):\n"
         "    s = Square.build()\n"
-        "    return s.area() + x.corners() + len(x.label())\n"
+        "    return s.area() + x.corners() + len(x.label()) + x.split()\n"
         "\n"
         "def unused(): return Circle\n")
     unused = set(unused_names(pkg, texts=[]))
     # Base._check and Square._check are both reached by self._check in
     # Base; Square.build through the class; Base.area and Square.corners
-    # through their unique names; label is shadowed, and grow and the
-    # module's functions have no use
+    # through their unique names; label is shadowed, split is a str
+    # method too, and grow and the module's functions have no use
     assert unused == {"shapes.Square.label", "shapes.Circle.label",
-                      "shapes.Base.grow", "shapes.Circle.grow", "use.main",
-                      "use.unused"}
+                      "shapes.Circle.split", "shapes.Base.grow",
+                      "shapes.Circle.grow", "use.main", "use.unused"}
