@@ -299,6 +299,8 @@ def _dispatch(args) -> int:
         obj = _read_input(args)
         G = FilteredAbelianGroup.from_json(obj["group"])
         k = json_int(obj, "k")
+        if k < 0:
+            raise ValueError(f"k must be at least 0, got {k}")
         cube = np.array([element_code(G, e) for e in json_int(obj, "cube")],
                         dtype=np.int64)
         if len(cube) != 1 << k:
@@ -351,7 +353,10 @@ def _dispatch(args) -> int:
             key, sep, value = kv.partition("=")
             if not sep:  # as from `--p 3`, which abbreviates --param
                 raise ValueError(f"--param takes key=value, got {kv!r}")
-            params[key] = int(value) if value.lstrip("-").isdigit() else value
+            try:  # a JSON literal: 3, 1e-6, [[2, 3]]; else the text itself
+                params[key] = json.loads(value)
+            except json.JSONDecodeError:
+                params[key] = value
         report = run_suite(args.suite, params=params, seed=args.seed,
                            threads=args.threads, budget=args.budget)
         _emit(args, report.to_bytes(include_timing=args.timing).decode())

@@ -118,10 +118,6 @@ class TorusValue:
     def __sub__(self, other: "TorusValue") -> "TorusValue":
         return self + (-other)
 
-    def scale(self, n: int) -> "TorusValue":
-        """n * self, exact; scaling by p drops the exponent by one."""
-        return TorusValue(self.p, n * self.num, self.exp)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusValue):
             return NotImplemented

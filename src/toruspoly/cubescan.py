@@ -177,9 +177,11 @@ def preserves_cubes_fast(phi_codes: np.ndarray, H: FilteredAbelianGroup,
 
     phi_codes maps H element codes to G element codes.  Returns
     (preserved, None) or (False, the first H-cube whose image is no G-cube,
-    as a row of 2^k H codes); a table that is not one G code per H code
-    raises ValueError.
+    as a row of 2^k H codes); a table that is not one G code per H code,
+    or a negative k_max, raises ValueError.
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be at least 0, got {k_max}")
     phi_codes = _check_code_table(phi_codes, H, G)
     for k in range(k_max + 1):
         cubes = enumerate_cube_codes(H, k, cap=cap)

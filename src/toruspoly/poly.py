@@ -358,15 +358,6 @@ class CanonicalForm:
             self.p, self.n, alpha, {(e, j + 1): c for (e, j), c in self.terms.items()}
         )
 
-    def mulp(self) -> "CanonicalForm":
-        """Multiplication by p: depth decrement, depth-0 terms annihilated."""
-        return CanonicalForm(
-            self.p,
-            self.n,
-            self.alpha.scale(self.p),
-            {(e, j - 1): c for (e, j), c in self.terms.items() if j >= 1},
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanonicalForm):
             return NotImplemented
@@ -566,9 +557,7 @@ class NCPoly:
         return NCPoly(self.p, self.n, self.nums[perm] - self.nums, self.K)
 
     def mul_by_p(self) -> "NCPoly":
-        nums, K = mulp_tables(self.nums, self.K, self.p)
-        canon = self._canon.mulp() if self._canon is not None else None
-        return NCPoly(self.p, self.n, nums, K, canon=canon)
+        return NCPoly(self.p, self.n, *mulp_tables(self.nums, self.K, self.p))
 
     def pth_root(self) -> "NCPoly":
         """The canonical p-th root Q with pQ = P and deg Q <= deg P + p - 1."""

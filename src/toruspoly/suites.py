@@ -83,12 +83,6 @@ from .weighted import (
     weighted_degree,
 )
 
-SUITE_NAMES = (
-    "lucas", "lam", "df", "symprod", "gowers-props",
-    "dkp", "roots", "weighted", "cubes", "decomposition",
-)
-
-
 def jsonable(v):
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
@@ -132,7 +126,16 @@ class SuiteReport:
     threads: int
     params: dict
     checks: list[CheckRecord] = field(default_factory=list)
-    algorithm: str = ALGORITHM
+    # the end of the previous record, or the report's creation
+    _last: float = field(default_factory=time.perf_counter, init=False,
+                         repr=False, compare=False)
+
+    def add(self, name: str, params: dict, passed: bool, **details):
+        """Append a check record; its runtime is the time since _last."""
+        now = time.perf_counter()
+        self.checks.append(CheckRecord(
+            name, params, bool(passed), details, (now - self._last) * 1e3))
+        self._last = now
 
     @property
     def passed(self) -> bool:
@@ -142,7 +145,7 @@ class SuiteReport:
         out = {
             "suite": self.suite,
             "seed": self.seed,
-            "rng": self.algorithm,
+            "rng": ALGORITHM,
             "params": jsonable(self.params),
             "passed": self.passed,
             "checks": [c.to_json(include_timing) for c in self.checks],
@@ -158,72 +161,54 @@ class SuiteReport:
                           separators=(",", ":")).encode()
 
 
-class _Recorder:
-    """Appends check records; each one's runtime is the time since the
-    previous record (or since the suite started)."""
-
-    def __init__(self, report: SuiteReport):
-        self.report = report
-        self.last = time.perf_counter()
-
-    def add(self, name: str, params: dict, passed: bool, **details):
-        now = time.perf_counter()
-        self.report.checks.append(CheckRecord(
-            name, params, bool(passed), details, (now - self.last) * 1e3))
-        self.last = now
-
-
 # ---------------------------------------------------------------------------
 # identity suites
 
 
-def _suite_lucas(rec: _Recorder, params: dict, rng, threads, budget):
-    n_max = params.get("n", 10)
-    k_max = params.get("k", 10)
-    for n in range(1, n_max + 1):
+def _suite_lucas(report: SuiteReport, rng, threads, budget, *, n=10, k=10):
+    for dim in range(1, n + 1):
         ok = True
         bad = None
-        for k in range(1, k_max + 1):
-            sk = catalog.S_k(n, k).classical_table()
+        for j in range(1, k + 1):
+            sk = catalog.S_k(dim, j).classical_table()
             prod = np.ones_like(sk)
-            kk = k
+            jj = j
             a = 0
-            while kk:
-                if kk & 1:
-                    prod = prod * catalog.S_k(n, 1 << a).classical_table() % 2
-                kk >>= 1
+            while jj:
+                if jj & 1:
+                    prod = prod * catalog.S_k(dim, 1 << a).classical_table() % 2
+                jj >>= 1
                 a += 1
             if not np.array_equal(sk, prod):
-                ok, bad = False, {"k": k, "kind": "product"}
+                ok, bad = False, {"k": j, "kind": "product"}
                 break
-            if not np.array_equal(sk, catalog.binom_L_mod2(n, k)):
-                ok, bad = False, {"k": k, "kind": "binomial"}
+            if not np.array_equal(sk, catalog.binom_L_mod2(dim, j)):
+                ok, bad = False, {"k": j, "kind": "binomial"}
                 break
-        rec.add("lucas-products", {"n": n, "k_max": k_max}, ok,
-                **({"counterexample": bad} if bad else {"points": 2**n}))
+        report.add("lucas-products", {"n": dim, "k_max": k}, ok,
+                   **({"counterexample": bad} if bad else {"points": 2**dim}))
 
 
-def _suite_lam(rec: _Recorder, params: dict, rng, threads, budget):
-    n_max = params.get("n", 12)
-    for n in range(1, n_max + 1):
-        L = catalog.L_table(n)
+def _suite_lam(report: SuiteReport, rng, threads, budget, *, n=12):
+    for dim in range(1, n + 1):
+        L = catalog.L_table(dim)
         total = np.zeros_like(L)
         m = 0
-        while (1 << m) <= n:
-            total = total + catalog.S_k(n, 1 << m).classical_table() * (1 << m)
+        while (1 << m) <= dim:
+            total = total + catalog.S_k(dim, 1 << m).classical_table() * (1 << m)
             m += 1
-        rec.add("digit-expansion-of-L", {"n": n},
-                bool(np.array_equal(L, total)), points=2**n)
+        report.add("digit-expansion-of-L", {"n": dim},
+                   bool(np.array_equal(L, total)), points=2**dim)
 
 
-def _suite_df(rec: _Recorder, params: dict, rng, threads, budget):
-    n_max = params.get("n", 6)
-    trials = params.get("trials", 10_000)
-    for n in range(4, n_max + 1):
-        T = catalog.quartic_form(n)
-        S = sym_power(catalog.bilinear_b(n), 2)
-        rec.add("d4S4-coefficients", {"n": n}, T == S, entries=len(T.coeffs))
-        N = space(2, n).size
+def _suite_df(report: SuiteReport, rng, threads, budget, *, n=6,
+              trials=10_000):
+    for dim in range(4, n + 1):
+        T = catalog.quartic_form(dim)
+        S = sym_power(catalog.bilinear_b(dim), 2)
+        report.add("d4S4-coefficients", {"n": dim}, T == S,
+                   entries=len(T.coeffs))
+        N = space(2, dim).size
         if N**4 <= 1 << 18:
             grids = np.meshgrid(*([np.arange(N)] * 4), indexing="ij")
             args = [g.reshape(-1) for g in grids]
@@ -231,12 +216,14 @@ def _suite_df(rec: _Recorder, params: dict, rng, threads, budget):
             for lo in range(0, N**4, 1 << 14):
                 chunk = [a[lo: lo + (1 << 14)] for a in args]
                 agree &= np.array_equal(T.eval_batch(chunk), S.eval_batch(chunk))
-            rec.add("d4S4-exhaustive-tuples", {"n": n, "tuples": N**4}, agree)
+            report.add("d4S4-exhaustive-tuples", {"n": dim, "tuples": N**4},
+                       agree)
         else:
             args = [np.array([rng.below(N) for _ in range(trials)])
                     for _ in range(4)]
             agree = np.array_equal(T.eval_batch(args), S.eval_batch(args))
-            rec.add("d4S4-random-tuples", {"n": n, "trials": trials}, agree)
+            report.add("d4S4-random-tuples", {"n": dim, "trials": trials},
+                       agree)
 
 
 def _random_classical(p: int, n: int, d: int, rng) -> NCPoly:
@@ -246,20 +233,20 @@ def _random_classical(p: int, n: int, d: int, rng) -> NCPoly:
         CanonicalForm(p, n, TorusValue.zero(p), terms))
 
 
-def _suite_symprod(rec: _Recorder, params: dict, rng, threads, budget):
-    n_max = params.get("n", 5)
+def _suite_symprod(report: SuiteReport, rng, threads, budget, *, n=5):
     # the quadratic -> quartic lift over F_2
-    for n in range(2, n_max + 1):
-        S2, S4 = catalog.S_k(n, 2), catalog.S_k(n, 4)
+    for dim in range(2, n + 1):
+        S2, S4 = catalog.S_k(dim, 2), catalog.S_k(dim, 4)
         Q = binomial_lift_power(S2, 2)
-        ok_form = dk_extract(Q, 4) == sym_power(catalog.bilinear_b(n), 2)
+        ok_form = dk_extract(Q, 4) == sym_power(catalog.bilinear_b(dim), 2)
         diff_deg = (Q - S4).degree()
-        rec.add("binomial-lift-quartic", {"n": n, "p": 2, "m": 2},
-                ok_form and diff_deg <= 3,
-                lift_degree=Q.degree(), difference_degree=diff_deg)
+        report.add("binomial-lift-quartic", {"n": dim, "p": 2, "m": 2},
+                   ok_form and diff_deg <= 3,
+                   lift_degree=Q.degree(), difference_degree=diff_deg)
     # m = 1 is the identity
     P = _random_classical(2, 3, 2, rng)
-    rec.add("lift-m1-identity", {"p": 2, "n": 3}, binomial_lift_power(P, 1) == P)
+    report.add("lift-m1-identity", {"p": 2, "n": 3},
+               binomial_lift_power(P, 1) == P)
     # odd characteristic, m up to 3
     for n, m in ((2, 3), (3, 2), (3, 3)):
         P = _random_classical(3, n, 2, rng)
@@ -267,28 +254,29 @@ def _suite_symprod(rec: _Recorder, params: dict, rng, threads, budget):
             P = _random_classical(3, n, 2, rng)
         Q = binomial_lift_power(P, m, k=2)
         ok = dk_extract(Q, 2 * m) == sym_power(dk_extract(P, 2), m)
-        rec.add("binomial-lift-odd", {"p": 3, "n": n, "m": m}, ok,
-                lift_degree=Q.degree())
+        report.add("binomial-lift-odd", {"p": 3, "n": n, "m": m}, ok,
+                   lift_degree=Q.degree())
     # m! Sym^m(T) = T * ... * T in characteristic 5
     p, n, m = 5, 3, 2
     T = dk_extract(_random_classical(p, n, 2, rng), 2)
     lhs = sym_power(T, m).scale(2)  # 2! = 2
     rhs = concat(T, T)
-    rec.add("factorial-symmetric-power", {"p": p, "n": n, "m": m}, lhs == rhs)
+    report.add("factorial-symmetric-power", {"p": p, "n": n, "m": m},
+               lhs == rhs)
     # product rule d^(k+l)(PQ) = d^k P * d^l Q over every classical pair
     # with degree sum <= 4 on F_2^3
     for k, l in ((1, 1), (1, 2), (2, 2), (1, 3)):
         pairs, fails = _product_rule_exhaustive(3, k, l)
-        rec.add("product-rule-exhaustive", {"p": 2, "n": 3, "k": k, "l": l},
-                fails == 0, pairs=pairs)
+        report.add("product-rule-exhaustive",
+                   {"p": 2, "n": 3, "k": k, "l": l}, fails == 0, pairs=pairs)
     # d^k of the antiderivative of a classical form T is T
     for p, n, k in ((2, 3, 3), (3, 2, 2), (5, 2, 3), (2, 4, 2)):
         ok = True
         for _ in range(5):
             T = dk_extract(_random_classical(p, n, k, rng), k)
             ok &= dk_extract(antiderivative(T), k) == T
-        rec.add("antiderivative-roundtrip", {"p": p, "n": n, "k": k, "cases": 5},
-                ok)
+        report.add("antiderivative-roundtrip",
+                   {"p": p, "n": n, "k": k, "cases": 5}, ok)
 
 
 def _classical_tables(n: int, d: int) -> np.ndarray:
@@ -360,7 +348,7 @@ def _csg2_lhs(f: BoundedFunction, d: int, rng: SplitMix64,
     return abs(complex(total.mean()))
 
 
-def _norm_properties(rec: _Recorder, p: int, n: int, rng: SplitMix64,
+def _norm_properties(report: SuiteReport, p: int, n: int, rng: SplitMix64,
                      count: int, tol: float, budget: int | None) -> None:
     """Numeric checks of the norm properties at d = 2 or 3: (i) triangle
     inequality, (ii) monotonicity in d, (iii) the L^(2^d/(d+1)) bound, (iv)
@@ -418,19 +406,14 @@ def _norm_properties(rec: _Recorder, p: int, n: int, rng: SplitMix64,
              0.0, 1e-10)
 
     for check, (cases, ok, _, margin) in sorted(folds.items()):
-        rec.add(f"norm-{check}", {"p": p, "n": n, "cases": cases}, ok,
-                worst_margin=margin)
+        report.add(f"norm-{check}", {"p": p, "n": n, "cases": cases}, ok,
+                   worst_margin=margin)
 
 
-def _suite_gowers(rec: _Recorder, params: dict, rng, threads, budget):
-    count = params.get("count", 100)
-    tol = params.get("tol", 1e-8)
-    if "p" in params or "n" in params:
-        configs = ((params.get("p", 2), params.get("n", 4)),)
-    else:
-        configs = params.get("configs", ((2, 4), (3, 2)))
+def _suite_gowers(report: SuiteReport, rng, threads, budget, *, count=100,
+                  tol=1e-8, configs=((2, 4), (3, 2))):
     for p, n in configs:
-        _norm_properties(rec, p, n, SplitMix64(rng.next_u64()), count, tol,
+        _norm_properties(report, p, n, SplitMix64(rng.next_u64()), count, tol,
                          budget)
         # direct vs recursive agreement
         sub = SplitMix64(rng.next_u64())
@@ -439,8 +422,8 @@ def _suite_gowers(rec: _Recorder, params: dict, rng, threads, budget):
             f = _random_bounded(p, n, sub)
             worst = max(worst, abs(gowers_power(f, d, budget=budget)
                                    - _gowers_power_direct(f, d, budget)))
-        rec.add("direct-vs-recursive", {"p": p, "n": n, "count": count},
-                worst <= 1e-9, worst=worst)
+        report.add("direct-vs-recursive", {"p": p, "n": n, "count": count},
+                   worst <= 1e-9, worst=worst)
         # exact pure-phase path vs floats, and the collapse onto bias
         sub = SplitMix64(rng.next_u64())
         ok_exact = True
@@ -455,8 +438,8 @@ def _suite_gowers(rec: _Recorder, params: dict, rng, threads, budget):
             if frac is not None:
                 ok_bias &= frac == bias(dk_extract(P, d), budget=budget,
                                         threads=threads)
-        rec.add("exact-phase-path", {"p": p, "n": n, "cases": 20},
-                ok_exact and ok_bias)
+        report.add("exact-phase-path", {"p": p, "n": n, "cases": 20},
+                   ok_exact and ok_bias)
     # ||f||_{U^d}^(2^d) = E_h ||Delta_h f||_{U^(d-1)}^(2^(d-1)), through the
     # multiplicative derivative Delta_h f = (T_h f) conj(f)
     for p, n in configs:
@@ -471,33 +454,34 @@ def _suite_gowers(rec: _Recorder, params: dict, rng, threads, budget):
                                  budget=budget) for h in range(N)) / N
                 worst = max(worst, abs(gowers_power(f, d, budget=budget)
                                        - recursed))
-        rec.add("derivative-recursion", {"p": p, "n": n, "cases": 10},
-                worst <= 1e-9, worst=worst)
+        report.add("derivative-recursion", {"p": p, "n": n, "cases": 10},
+                   worst <= 1e-9, worst=worst)
 
 
-def _suite_dkp(rec: _Recorder, params: dict, rng, threads, budget):
-    n_max = params.get("n", 3)
+def _suite_dkp(report: SuiteReport, rng, threads, budget, *, n=3):
     p = 2
-    for n in range(2, n_max + 1):
-        P = catalog.L_over_power(n, 3)
+    for dim in range(2, n + 1):
+        P = catalog.L_over_power(dim, 3)
         checked, failures = check_dkp(P, 3)
-        rec.add("p-fold-repetition", {"p": p, "n": n, "k": 3, "poly": "L/8"},
-                not failures, checked=checked, failures=failures[:3])
-    for n in range(2, n_max + 1):
+        report.add("p-fold-repetition",
+                   {"p": p, "n": dim, "k": 3, "poly": "L/8"},
+                   not failures, checked=checked, failures=failures[:3])
+    for dim in range(2, n + 1):
         for trial in range(4):
-            slots = [(e, j) for (e, j) in canonical_slots(2, n, 4) if j <= 1]
+            slots = [(e, j) for (e, j) in canonical_slots(2, dim, 4) if j <= 1]
             terms = {s: rng.below(2) for s in slots}
             P = NCPoly.from_canonical(
-                CanonicalForm(2, n, TorusValue.zero(2), terms))
+                CanonicalForm(2, dim, TorusValue.zero(2), terms))
             checked, failures = check_dkp(P, 4)
-            rec.add("p-fold-repetition",
-                    {"p": p, "n": n, "k": 4, "poly": f"random-depth1-{trial}"},
-                    not failures, checked=checked, failures=failures[:3])
+            report.add("p-fold-repetition",
+                       {"p": p, "n": dim, "k": 4,
+                        "poly": f"random-depth1-{trial}"},
+                       not failures, checked=checked, failures=failures[:3])
     # classical inputs: both sides vanish
     P = catalog.S_k(3, 3)
     checked, failures = check_dkp(P, 3)
-    rec.add("p-fold-repetition-classical", {"p": 2, "n": 3, "k": 3},
-            not failures, checked=checked)
+    report.add("p-fold-repetition-classical", {"p": 2, "n": 3, "k": 3},
+               not failures, checked=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -545,23 +529,24 @@ def _exhaustive_poly_scan(p: int, n: int, d: int) -> dict:
     return out
 
 
-def _suite_roots(rec: _Recorder, params: dict, rng, threads, budget):
-    grids = params.get(
-        "grids",
-        [(2, n, d) for n in range(1, 4) for d in range(0, 5)]
-        + [(3, n, d) for n in range(1, 3) for d in range(0, 4)],
-    )
+# the (p, n, d) cells that the roots suite scans exhaustively by default
+_ROOT_GRIDS = tuple([(2, n, d) for n in range(1, 4) for d in range(0, 5)]
+                    + [(3, n, d) for n in range(1, 3) for d in range(0, 4)])
+
+
+def _suite_roots(report: SuiteReport, rng, threads, budget, *,
+                 grids=_ROOT_GRIDS, random_trials=500, weighted_trials=300):
     for p, n, d in grids:
         res = _exhaustive_poly_scan(p, n, d)
-        rec.add("root-roundtrip-exhaustive", {"p": p, "n": n, "d": d},
-                res["root_fail"] == 0 and res["bound_fail"] == 0,
-                polynomials=res["count"])
-        rec.add("canonical-roundtrip-exhaustive", {"p": p, "n": n, "d": d},
-                res["canon_fail"] == 0, polynomials=res["count"])
+        report.add("root-roundtrip-exhaustive", {"p": p, "n": n, "d": d},
+                   res["root_fail"] == 0 and res["bound_fail"] == 0,
+                   polynomials=res["count"])
+        report.add("canonical-roundtrip-exhaustive",
+                   {"p": p, "n": n, "d": d}, res["canon_fail"] == 0,
+                   polynomials=res["count"])
     # random larger cases through the object-level path
-    trials = params.get("random_trials", 500)
     fails = 0
-    for t in range(trials):
+    for t in range(random_trials):
         p = (2, 3, 5)[rng.below(3)]
         n = 1 + rng.below(4 if p == 2 else 2)
         d = 1 + rng.below(5 if p == 2 else 4)
@@ -569,11 +554,10 @@ def _suite_roots(rec: _Recorder, params: dict, rng, threads, budget):
         R = P.pth_root()
         if R.mul_by_p() != P or R.degree() > max(P.degree(), 0) + p - 1:
             fails += 1
-    rec.add("root-roundtrip-random", {"trials": trials}, fails == 0)
+    report.add("root-roundtrip-random", {"trials": random_trials}, fails == 0)
     # weighted roots
-    wtrials = params.get("weighted_trials", 300)
     fails = 0
-    for t in range(wtrials):
+    for t in range(weighted_trials):
         p = (2, 3)[rng.below(2)]
         m = 1 + rng.below(2)
         D = tuple(1 + rng.below(2) for _ in range(m))
@@ -587,7 +571,8 @@ def _suite_roots(rec: _Recorder, params: dict, rng, threads, budget):
         ok = (weighted_degree(g) <= max(wp.degree(), 0) + p - 1
               and pg_K == want_K and np.array_equal(pg, want))
         fails += not ok
-    rec.add("weighted-root-roundtrip", {"trials": wtrials}, fails == 0)
+    report.add("weighted-root-roundtrip", {"trials": weighted_trials},
+               fails == 0)
 
 
 def _random_weighted(p: int, m: int, D: tuple, d: int, rng) -> WeightedPoly:
@@ -605,8 +590,8 @@ def _random_weighted(p: int, m: int, D: tuple, d: int, rng) -> WeightedPoly:
     return WeightedPoly(p, m, D, alpha, terms)
 
 
-def _suite_weighted(rec: _Recorder, params: dict, rng, threads, budget):
-    trials = params.get("trials", 300)
+def _suite_weighted(report: SuiteReport, rng, threads, budget, *,
+                    trials=300):
     fails = 0
     worst = None
     for t in range(trials):
@@ -621,8 +606,8 @@ def _suite_weighted(rec: _Recorder, params: dict, rng, threads, budget):
         if back != wp:
             fails += 1
             worst = wp.to_json()
-    rec.add("binomial-expand-roundtrip", {"trials": trials}, fails == 0,
-            **({"witness": worst} if worst else {}))
+    report.add("binomial-expand-roundtrip", {"trials": trials}, fails == 0,
+               **({"witness": worst} if worst else {}))
     # derivative criterion agrees with the term-degree formula
     fails = 0
     for t in range(60):
@@ -637,12 +622,12 @@ def _suite_weighted(rec: _Recorder, params: dict, rng, threads, budget):
         table = wp.tabulate(wp.periods(max(int(dd), 1)))
         if weighted_degree(table) != max(int(dd), 0):
             fails += 1
-    rec.add("weighted-degree-criterion", {"trials": 60}, fails == 0)
+    report.add("weighted-degree-criterion", {"trials": 60}, fails == 0)
     # periodicity and top-coefficient extraction
     w = WeightedPoly(2, 1, (1,), TorusValue.zero(2), {((1,), 1): 1})  # a/4
     rep = periodicity_check(w, 2)
-    rec.add("periodicity-and-top-layer", {"p": 2, "D": [1], "d": 2},
-            rep["pass"] and rep["top_coefficients"] == {1: 1}, report=rep)
+    report.add("periodicity-and-top-layer", {"p": 2, "D": [1], "d": 2},
+               rep["pass"] and rep["top_coefficients"] == {1: 1}, report=rep)
     # p^(k-t) divides binom(p^k, l) when p^t || l
     ok = True
     for p in (2, 3, 5):
@@ -655,7 +640,7 @@ def _suite_weighted(rec: _Recorder, params: dict, rng, threads, budget):
                     t += 1
                 if comb(p**k, l) % p ** (k - t):
                     ok = False
-    rec.add("binomial-valuation", {"p_max": 5, "k_max": 4}, ok)
+    report.add("binomial-valuation", {"p_max": 5, "k_max": 4}, ok)
     # factors from classical layers, extended by p-th roots: retracting to
     # the factor's degree keeps every layer, and a weighted polynomial on
     # the factor's D pulls back to degree at most its weighted degree
@@ -675,8 +660,8 @@ def _suite_weighted(rec: _Recorder, params: dict, rng, threads, budget):
         fails += not ([len(polys) - 1 for _, polys in F.chains] == depths
                       and F.retract(F.degree()) == F
                       and F.pullback(wp).degree() <= wp.degree())
-    rec.add("factor-pullback-degree", {"factors": 40}, fails == 0,
-            failures=fails)
+    report.add("factor-pullback-degree", {"factors": 40}, fails == 0,
+               failures=fails)
 
 
 # ---------------------------------------------------------------------------
@@ -706,32 +691,31 @@ def _group_zoo() -> list[FilteredAbelianGroup]:
     ]
 
 
-def _suite_cubes(rec: _Recorder, params: dict, rng, threads, budget):
-    scan_cap = params.get("scan_cap", 1 << 20)
-    k_max = params.get("k", 3)
+def _suite_cubes(report: SuiteReport, rng, threads, budget, *,
+                 scan_cap=1 << 20, k=3, maps=1000):
     for G in _group_zoo():
-        for k in range(1, k_max + 1):
-            total = G.size ** (1 << k)
+        for dim in range(1, k + 1):
+            total = G.size ** (1 << dim)
             name = f"Z{'x'.join(map(str, G.orders))}"
             if total <= scan_cap:
-                res = equivalence_scan(G, k)
-                rec.add("face-vs-taylor-scan",
-                        {"group": name, "k": k, "tuples": res["tuples"]},
-                        res["disagreements"] == 0
-                        and res["members"] == hk_size(G, k),
-                        members=res["members"])
+                res = equivalence_scan(G, dim)
+                report.add("face-vs-taylor-scan",
+                           {"group": name, "k": dim, "tuples": res["tuples"]},
+                           res["disagreements"] == 0
+                           and res["members"] == hk_size(G, dim),
+                           members=res["members"])
             else:
-                res = counted_equivalence(G, k)
-                sample = _sampled_agreement(G, k, rng, 1 << 14)
-                rec.add("face-vs-taylor-counted",
-                        {"group": name, "k": k, "tuples": total},
-                        res["equal"] and sample == 0,
-                        face_count=res["face_count"],
-                        taylor_count=res["taylor_count"],
-                        sampled_disagreements=sample)
+                res = counted_equivalence(G, dim)
+                sample = _sampled_agreement(G, dim, rng, 1 << 14)
+                report.add("face-vs-taylor-counted",
+                           {"group": name, "k": dim, "tuples": total},
+                           res["equal"] and sample == 0,
+                           face_count=res["face_count"],
+                           taylor_count=res["taylor_count"],
+                           sampled_disagreements=sample)
             # Taylor round-trip injectivity on sampled coefficient tuples
-            ok = _taylor_roundtrip(G, k, rng, 100)
-            rec.add("taylor-roundtrip", {"group": name, "k": k}, ok)
+            ok = _taylor_roundtrip(G, dim, rng, 100)
+            report.add("taylor-roundtrip", {"group": name, "k": dim}, ok)
     # closure of the cube set under addition
     G = FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1])
     cubes = enumerate_cube_codes(G, 2)
@@ -743,21 +727,21 @@ def _suite_cubes(rec: _Recorder, params: dict, rng, threads, budget):
         b = cubes[idx[:, 1], e]
         sums[:, e] = (a + b) % 8
     ok = bool(face_member_mask(sums, G, 2).all())
-    rec.add("cube-group-closure", {"group": "Z8-chain", "k": 2, "pairs": 2000}, ok)
+    report.add("cube-group-closure",
+               {"group": "Z8-chain", "k": 2, "pairs": 2000}, ok)
 
     # cube preservation must coincide with derivative polynomiality
-    maps_target = params.get("maps", 1000)
     agree = 0
     poly_count = 0
-    for t in range(maps_target):
+    for t in range(maps):
         H, G2, phi_codes = _sample_map(rng)
         poly = is_polynomial_map(phi_codes, H, G2)
         pres, _ = preserves_cubes_fast(phi_codes, H, G2, k_max=3, cap=1 << 16)
         agree += poly == pres
         poly_count += poly
-    rec.add("derivative-vs-cube-preservation",
-            {"maps": maps_target, "k_max": 3},
-            agree == maps_target, polynomial_maps=poly_count)
+    report.add("derivative-vs-cube-preservation",
+               {"maps": maps, "k_max": 3},
+               agree == maps, polynomial_maps=poly_count)
 
     # generator-only checking is as strong as all-element checking
     ok = True
@@ -766,7 +750,7 @@ def _suite_cubes(rec: _Recorder, params: dict, rng, threads, budget):
         if is_polynomial_map(phi_codes, H, G2, use_generators=True) != \
            is_polynomial_map(phi_codes, H, G2, use_generators=False):
             ok = False
-    rec.add("generator-reduction", {"maps": 60}, ok)
+    report.add("generator-reduction", {"maps": 60}, ok)
 
     # Weyl: zero bias iff exactly uniform, exhaustive maps [A] -> Z/4
     for a_size in (4, 8):
@@ -778,17 +762,17 @@ def _suite_cubes(rec: _Recorder, params: dict, rng, threads, budget):
             (counts[:, 0] == counts[:, 2]) & (counts[:, 1] == counts[:, 3])
             & (counts[:, 0] + counts[:, 2] == counts[:, 1] + counts[:, 3])
         )
-        rec.add("weyl-criterion", {"domain": a_size, "codomain": "Z4",
-                                   "maps": len(codes)},
-                bool((uniform == bias_zero).all()))
+        report.add("weyl-criterion", {"domain": a_size, "codomain": "Z4",
+                                      "maps": len(codes)},
+                   bool((uniform == bias_zero).all()))
     # spot-check the report object against the vectorised logic
     vals = [(rng.below(4),) for _ in range(8)]
     rep = equidistribution_report(vals, (4,))
     counts = [sum(1 for v in vals if v == (b,)) for b in range(4)]
     expect_zero = counts[0] == counts[2] and counts[1] == counts[3] \
         and counts[0] + counts[2] == counts[1] + counts[3]
-    rec.add("report-consistency", {"domain": 8}, rep["bias_zero"] == expect_zero
-            and rep["weyl_consistent"])
+    report.add("report-consistency", {"domain": 8}, rep["bias_zero"] == expect_zero
+               and rep["weyl_consistent"])
 
 
 def _sampled_agreement(G, k, rng, count) -> int:
@@ -871,9 +855,8 @@ def _sample_map(rng, max_order: int = 8):
 # decomposition suite
 
 
-def _suite_decomposition(rec: _Recorder, params: dict, rng, threads, budget):
-    n = params.get("n", 5)
-    cases = params.get("cases", 100)
+def _suite_decomposition(report: SuiteReport, rng, threads, budget, *,
+                         n=5, cases=100):
     N = space(2, n).size
     s1 = catalog.S_k(n, 1).classical_table().tolist()
     s2 = catalog.S_k(n, 2).classical_table().tolist()
@@ -902,10 +885,10 @@ def _suite_decomposition(rec: _Recorder, params: dict, rng, threads, budget):
         _, coarse = conditional_expectation(f, [s1])
         if coarse > energy:
             fails_mono += 1
-    rec.add("pythagoras-energy", {"n": n, "cases": cases}, fails_pyth == 0)
-    rec.add("residual-orthogonality", {"n": n, "cases": cases}, fails_orth == 0)
-    rec.add("energy-monotone-refinement", {"n": n, "cases": cases},
-            fails_mono == 0)
+    report.add("pythagoras-energy", {"n": n, "cases": cases}, fails_pyth == 0)
+    report.add("residual-orthogonality", {"n": n, "cases": cases}, fails_orth == 0)
+    report.add("energy-monotone-refinement", {"n": n, "cases": cases},
+               fails_mono == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -926,12 +909,23 @@ _SUITES = {
 }
 
 
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, params: dict | None = None, seed: int = 0,
               threads: int = 1, budget: int | None = None) -> SuiteReport:
+    """Run a named suite.  Its keyword parameters, each with a default, are
+    the only keys params may hold; any other key raises ValueError before a
+    check runs."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    suite = _SUITES[name]
     params = dict(params or {})
-    report = SuiteReport(suite=name, seed=seed, threads=threads, params=params)
-    rng = SplitMix64(seed)
-    _SUITES[name](_Recorder(report), params, rng, threads, budget)
+    unknown = [key for key in params if key not in suite.__kwdefaults__]
+    if unknown:
+        raise ValueError(
+            f"suite {name!r} takes no parameter {', '.join(map(repr, unknown))}"
+            f"; its parameters are {', '.join(suite.__kwdefaults__)}")
+    report = SuiteReport(name, seed, threads, params)
+    suite(report, SplitMix64(seed), threads, budget, **params)
     return report

@@ -4,6 +4,8 @@ import itertools
 import json
 import re
 import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,27 @@ class TestCli:
         rep = json.loads(out)
         assert rep["member"] is False and rep["agree"] is True
 
+    def test_cube_check_member(self):
+        Z4 = [[0], [1], [2], [3]]
+        payload = {"group": {"cyclic_orders": [4],
+                             "filtration": [Z4, Z4, [[0]]]},
+                   "k": 1, "cube": [[1], [3]]}
+        code, out = run_cli("--input", "-", "cube-check",
+                            stdin_text=json.dumps(payload))
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["member"] is True and rep["agree"] is True
+        assert rep["taylor"] == {"0b0": [1], "0b1": [2]}
+
+    def test_cube_check_negative_k_exit_2(self, capsys):
+        payload = {"group": {"cyclic_orders": [2],
+                             "filtration": [[[0], [1]], [[0], [1]]]},
+                   "k": -1, "cube": [[0]]}
+        code, out = run_cli("--input", "-", "cube-check",
+                            stdin_text=json.dumps(payload))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: k must be at least 0, got -1\n"
+
     def test_cube_check_wrong_coordinate_count_exit_2(self, capsys):
         payload = {
             "group": {"cyclic_orders": [2],
@@ -348,6 +371,27 @@ class TestCli:
         assert code == 0
         rep = json.loads(out)
         assert rep["passed"] and rep["params"] == {"n": 4, "k": 4}
+
+    def test_verify_unknown_param_exits_2(self, capsys):
+        code, out = run_cli("verify", "lam", "--param", "nn=3")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: suite 'lam' takes no parameter 'nn'; its parameters "
+            "are n\n")
+
+    def test_verify_params_are_json_literals(self):
+        code, out = run_cli("verify", "gowers-props", "--json",
+                            "--param", "count=2", "--param", "tol=1e-6")
+        assert code == 0
+        assert json.loads(out)["params"] == {"count": 2, "tol": 1e-06}
+        assert '"params":{"count":2,"tol":1e-06}' in out
+        code, out = run_cli("verify", "roots", "--param", "grids=[[2,2,3]]",
+                            "--param", "random_trials=5",
+                            "--param", "weighted_trials=5")
+        assert code == 0
+        cells = [c["params"] for c in json.loads(out)["checks"]
+                 if c["check"] == "root-roundtrip-exhaustive"]
+        assert cells == [{"p": 2, "n": 2, "d": 3}]
 
     def test_derive_degree_interpolate(self, tmp_path):
         path = tmp_path / "P.json"
@@ -578,6 +622,20 @@ class TestCli:
                             stdin_text=json.dumps({**payload, "k_max": 2}))
         assert code == 1 and json.loads(out)["preserves_cubes"]
 
+    def test_polymap_check_negative_k_max_exit_2(self, capsys):
+        # no k-cube exists for k < 0, so nothing would be checked
+        payload = {
+            "H": {"cyclic_orders": [2], "filtration": [[[0], [1]], [[0], [1]]]},
+            "G": {"cyclic_orders": [2], "filtration": [[[0], [1]], [[0], [1]]]},
+            "map": [[[0], [0]], [[1], [1]]],
+            "k_max": -3,
+        }
+        code, out = run_cli("--input", "-", "polymap-check",
+                            stdin_text=json.dumps(payload))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: k_max must be at least 0, got -3\n")
+
 
     @pytest.mark.parametrize("pairs", [
         [[[0], [0, 3]], [[1], [1, 7]]],     # values with two coordinates
@@ -684,8 +742,7 @@ class TestSuiteReports:
         monkeypatch.setattr(operation, stop)
         report = suites.SuiteReport(name, 1111, 1, {})
         with pytest.raises(_Stop):
-            suites._SUITES[name](suites._Recorder(report), {},
-                                 SplitMix64(1111), 1, None)
+            suites._SUITES[name](report, SplitMix64(1111), 1, None)
         assert [json.dumps(c.to_json(), sort_keys=True)
                 for c in report.checks] == \
             [json.dumps(c.to_json(), sort_keys=True) for c in full[:-count]]
@@ -725,6 +782,29 @@ class TestSuiteReports:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("no-such-suite")
+
+    @pytest.mark.parametrize("name", suites._SUITES)
+    def test_unknown_param_rejected_before_any_check(self, name,
+                                                     monkeypatch):
+        added = []
+        monkeypatch.setattr(suites.SuiteReport, "add",
+                            lambda self, *args, **kw: added.append(args))
+        with pytest.raises(ValueError, match=f"suite '{name}' takes no "
+                                             "parameter 'nn'"):
+            run_suite(name, {"nn": 3})
+        assert added == []
+
+    def test_readme_lists_each_suites_parameters(self):
+        # the README's suite-parameter table: one row per suite, naming
+        # each keyword parameter of its function as `name` = default
+        readme = (Path(__file__).resolve().parent.parent / "README.md"
+                  ).read_text()
+        rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme,
+                               re.MULTILINE))
+        rows = {name: re.findall(r"`(\w+)` = ", cell)
+                for name, cell in rows.items() if name in suites._SUITES}
+        assert rows == {name: sorted(suite.__kwdefaults__)
+                        for name, suite in suites._SUITES.items()}
 
     def test_report_round_trip(self):
         rep = run_suite("lam", params={"n": 6})

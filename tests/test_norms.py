@@ -517,7 +517,7 @@ class TestPropertySuite:
         # every norm fits in 16^3 = 4096, the d = 3 cube products need 16^4
         with pytest.raises(BudgetExceeded, match="_cube_product"):
             run_suite("gowers-props", seed=1, budget=5000,
-                      params={"count": 3, "p": 2, "n": 4})
+                      params={"count": 3, "configs": [[2, 4]]})
 
     def test_every_call_gets_the_budget(self, monkeypatch):
         import inspect

@@ -51,7 +51,6 @@ BUILTIN_METHODS = {name for t in BUILTIN_TYPES for name in dir(t)}
 # through a receiver that several classes' methods share a name with
 SHADOWED = {
     "core.TorusValue.as_fraction": "norms.BoundedFunction.from_json",
-    "core.TorusValue.scale": "poly.CanonicalForm.mulp",
     "core.TorusValue.to_json": "poly.CanonicalForm.to_json",
     "core.ExactExpectation.is_zero": "cubes.equidistribution_report",
     "core.ExactExpectation.as_fraction": "forms.naive_bias",
@@ -66,7 +65,7 @@ SHADOWED = {
     "poly.NCPoly.degree": "forms.dk_extract",
     "suites.CheckRecord.to_json": "suites.SuiteReport.to_json",
     "suites.SuiteReport.to_bytes": "cli._dispatch",
-    "suites._Recorder.add": "suites._suite_lucas",
+    "suites.SuiteReport.add": "suites._suite_lucas",
     "weighted.WeightedPoly.to_json": "cli._dispatch",
     "weighted.Factor.degree": "suites._suite_weighted",
 }
