@@ -176,8 +176,10 @@ def hk_taylor(row, G: FilteredAbelianGroup):
     return coeffs, None
 
 
+@lru_cache(maxsize=64)
 def hk_size(G: FilteredAbelianGroup, k: int) -> int:
-    """prod_J |G_|J||, the number of k-cubes."""
+    """prod_J |G_|J||, the number of k-cubes; cached per G and k by value,
+    like _member_tables."""
     counts = [int(c) for c in _member_tables(G, k).sum(axis=1)]
     return math.prod(counts[i] ** math.comb(k, i) for i in range(k + 1))
 
@@ -221,7 +223,10 @@ def _sub_codes(G: FilteredAbelianGroup, a, b) -> np.ndarray:
     _pass_tables(G, 0, ...) splits both, and its residue lookup reduces each
     digit difference (a negative one indexes from the end)."""
     digit, residue, _ = _pass_tables(G, 0, "moebius")
-    return sum(residue[t][digit[t][a] - digit[t][b]] for t in range(len(digit)))
+    codes = residue[0][digit[0][a] - digit[0][b]]
+    for t in range(1, len(digit)):
+        codes += residue[t][digit[t][a] - digit[t][b]]
+    return codes
 
 
 _PASS_BLOCK = 1 << 16  # face sums or vertices _subset_codes holds at once
@@ -232,14 +237,20 @@ def _pass_tables(G: FilteredAbelianGroup, k: int, kind: str):
     """Read-only lookups for _subset_codes: digit[t, c] is digit t of code c,
     residue[t, s] is (s mod o_t) * radix_t for -|G| 2^k <= s < |G| 2^k (s < 0
     indexes from the end), level[f] is the free-axis count of output f;
-    cached per G by value, like _member_tables and cubescan._cube_codes."""
+    cached per G by value, like _member_tables and cubescan._cube_codes.
+    A pass whose one row has more than SPACE_CAP outputs, or whose residue
+    table has more than SPACE_CAP entries, raises BudgetExceeded first."""
     factors = G.orders or (1,)  # the trivial group as one factor of order 1
+    base = 3 if kind == "faces" else 2
+    check_budget(len(factors) * base**k, SPACE_CAP, "_subset_codes")
+    check_budget(len(factors) * (G.size << k), SPACE_CAP, "_subset_codes")
     orders = np.array(factors, dtype=np.int64).reshape(-1, 1)
     radix = np.cumprod((1,) + factors)[:-1].reshape(-1, 1)
-    base = 3 if kind == "faces" else 2
+    level = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        level = np.add.outer(np.arange(base) == base - 1, level).reshape(-1)
     tables = (np.arange(G.size) // radix % orders,
-              np.arange(G.size << k) % orders * radix,
-              (np.indices((base,) * k) == base - 1).sum(axis=0).reshape(-1))
+              np.arange(G.size << k) % orders * radix, level)
     for tab in tables:
         tab.flags.writeable = False
     return tables
@@ -250,9 +261,14 @@ def _subset_codes(tuples: np.ndarray, G: FilteredAbelianGroup, kind: str):
     cyclic factor, of the rows of an (M, 2^k) code array.  Each pass maps
     (a0, a1) on one axis to (a0, a1, a1 - a0) for "faces" (all 3^k face
     sums), (a0, a1 - a0) for "moebius" (the Taylor coefficients) or
-    (a0, a0 + a1) for "zeta" (the Taylor expansion).  Sums are reduced mod
-    the orders once, at the end, by a lookup, which is faster than %.
-    Yields (rows, (F, len(rows)) codes), at most _PASS_BLOCK at a time."""
+    (a0, a0 + a1) for "zeta" (the Taylor expansion).  The face pass fills
+    one (r, 3, ..., 3, M) array whose {0,1}^k corner holds the vertices:
+    the pass on axis a writes index 2 over the whole extent of the axes
+    before a and the {0,1} extent of those after it, so it reads only
+    entries already written.  Sums are reduced mod the orders once, at the
+    end, by a lookup, which is faster than %; np.take's fresh copy keeps
+    the in-place passes off the caller's rows.  Yields (rows, (F, len(rows))
+    codes), at most _PASS_BLOCK at a time."""
     k = tuples.shape[1].bit_length() - 1
     digit, residue, level = _pass_tables(G, k, kind)
     r, size = len(digit), len(level)
@@ -261,14 +277,21 @@ def _subset_codes(tuples: np.ndarray, G: FilteredAbelianGroup, kind: str):
         rows = slice(lo, lo + step)
         block = np.ascontiguousarray(tuples[rows].T)
         planes = np.take(digit, block, axis=1).reshape(r, *(2,) * k, -1)
+        if kind == "faces":
+            vertices = planes
+            planes = np.empty((r, *(3,) * k, block.shape[1]), dtype=np.int64)
+            planes[(slice(None),) + (slice(0, 2),) * k] = vertices
         for ax in range(1, k + 1):
-            cut = (slice(None),) * ax
-            a0, a1 = planes[cut + (slice(0, 1),)], planes[cut + (slice(1, 2),)]
+            head, tail = (slice(None),) * ax, (slice(0, 2),) * (k - ax)
+            a0, a1 = planes[head + (0,) + tail], planes[head + (1,) + tail]
             if kind == "faces":
-                planes = np.concatenate((planes, a1 - a0), axis=ax)
+                np.subtract(a1, a0, out=planes[head + (2,) + tail])
             else:
                 (np.subtract if kind == "moebius" else np.add)(a1, a0, out=a1)
-        yield rows, sum(residue[t][planes[t].reshape(size, -1)] for t in range(r))
+        codes = residue[0][planes[0].reshape(size, -1)]
+        for t in range(1, r):
+            codes += residue[t][planes[t].reshape(size, -1)]
+        yield rows, codes
 
 
 def _subset_table(tuples: np.ndarray, G: FilteredAbelianGroup,

@@ -13,7 +13,17 @@ counted exactly instead: it is the kernel of the face-sum homomorphism into
 a product of quotients G/G_i, so its size is the ambient size divided by
 the order of the image, and that order is an integer lattice index read
 off the pivots of an echelon basis.  The count has no cap; the scan stays
-as the exhaustive oracle for small groups."""
+as the exhaustive oracle for small groups.
+
+The two criteria accept the same rows of any filtered abelian group.  g_J
+is the alternating sum over the lower face {omega subset J}, of dimension
+|J|, so the face criterion implies the Taylor criterion.  A Taylor-valid
+row is a sum of HK generators g^[F] with g in G_(codim F); each generator
+meets the face criterion, which cuts out a subgroup, so the Taylor
+criterion implies the face criterion.  Cube preservation is therefore
+decided by the cheaper Taylor pass; the face criterion keeps its own
+checks: the scan, the generator test of the count, and the cube-check
+command."""
 
 from __future__ import annotations
 
@@ -175,7 +185,10 @@ def preserves_cubes_fast(phi_codes: np.ndarray, H: FilteredAbelianGroup,
                          cap: int = 1 << 20):
     """Entrywise image of every H-cube is a G-cube, vectorised.
 
-    phi_codes maps H element codes to G element codes.  Returns
+    Each image cube is decided by the Taylor criterion, 2^k outputs a cube
+    against the face criterion's 3^k.  The two masks are equal row by row
+    (see the module docstring), so the verdict and the witness are the face
+    criterion's.  phi_codes maps H element codes to G element codes.  Returns
     (preserved, None) or (False, the first H-cube whose image is no G-cube,
     as a row of 2^k H codes); a table that is not one G code per H code,
     or a negative k_max, raises ValueError.
@@ -185,7 +198,7 @@ def preserves_cubes_fast(phi_codes: np.ndarray, H: FilteredAbelianGroup,
     phi_codes = _check_code_table(phi_codes, H, G)
     for k in range(k_max + 1):
         cubes = enumerate_cube_codes(H, k, cap=cap)
-        mask = face_member_mask(phi_codes[cubes], G, k)
+        mask = taylor_member_mask(phi_codes[cubes], G, k)
         if not mask.all():
             return False, cubes[int(np.argmin(mask))]
     return True, None

@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from . import catalog
-from .core import SPACE_CAP, TorusValue, check_budget, space
+from .core import SPACE_CAP, TorusValue, check_budget, json_int, space
 from .cubes import (
     FilteredAbelianGroup,
     _subset_table,
@@ -139,7 +139,8 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """Every record passed, and there is at least one."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def to_json(self, include_timing: bool = False) -> dict:
         out = {
@@ -165,6 +166,16 @@ class SuiteReport:
 # identity suites
 
 
+def _least(**bounds):
+    """Declare the least value of each integer parameter of a suite: the
+    least at which its every check still has a case to check."""
+    def mark(suite):
+        suite.least = bounds
+        return suite
+    return mark
+
+
+@_least(n=1, k=1)
 def _suite_lucas(report: SuiteReport, rng, threads, budget, *, n=10, k=10):
     for dim in range(1, n + 1):
         ok = True
@@ -189,6 +200,7 @@ def _suite_lucas(report: SuiteReport, rng, threads, budget, *, n=10, k=10):
                    **({"counterexample": bad} if bad else {"points": 2**dim}))
 
 
+@_least(n=1)
 def _suite_lam(report: SuiteReport, rng, threads, budget, *, n=12):
     for dim in range(1, n + 1):
         L = catalog.L_table(dim)
@@ -201,6 +213,7 @@ def _suite_lam(report: SuiteReport, rng, threads, budget, *, n=12):
                    bool(np.array_equal(L, total)), points=2**dim)
 
 
+@_least(n=4, trials=1)
 def _suite_df(report: SuiteReport, rng, threads, budget, *, n=6,
               trials=10_000):
     for dim in range(4, n + 1):
@@ -233,6 +246,7 @@ def _random_classical(p: int, n: int, d: int, rng) -> NCPoly:
         CanonicalForm(p, n, TorusValue.zero(p), terms))
 
 
+@_least(n=2)
 def _suite_symprod(report: SuiteReport, rng, threads, budget, *, n=5):
     # the quadratic -> quartic lift over F_2
     for dim in range(2, n + 1):
@@ -410,6 +424,7 @@ def _norm_properties(report: SuiteReport, p: int, n: int, rng: SplitMix64,
                    worst_margin=margin)
 
 
+@_least(count=1)
 def _suite_gowers(report: SuiteReport, rng, threads, budget, *, count=100,
                   tol=1e-8, configs=((2, 4), (3, 2))):
     for p, n in configs:
@@ -458,6 +473,7 @@ def _suite_gowers(report: SuiteReport, rng, threads, budget, *, count=100,
                    worst <= 1e-9, worst=worst)
 
 
+@_least(n=2)
 def _suite_dkp(report: SuiteReport, rng, threads, budget, *, n=3):
     p = 2
     for dim in range(2, n + 1):
@@ -534,6 +550,7 @@ _ROOT_GRIDS = tuple([(2, n, d) for n in range(1, 4) for d in range(0, 5)]
                     + [(3, n, d) for n in range(1, 3) for d in range(0, 4)])
 
 
+@_least(random_trials=0, weighted_trials=0)
 def _suite_roots(report: SuiteReport, rng, threads, budget, *,
                  grids=_ROOT_GRIDS, random_trials=500, weighted_trials=300):
     for p, n, d in grids:
@@ -590,6 +607,7 @@ def _random_weighted(p: int, m: int, D: tuple, d: int, rng) -> WeightedPoly:
     return WeightedPoly(p, m, D, alpha, terms)
 
 
+@_least(trials=1)
 def _suite_weighted(report: SuiteReport, rng, threads, budget, *,
                     trials=300):
     fails = 0
@@ -691,6 +709,7 @@ def _group_zoo() -> list[FilteredAbelianGroup]:
     ]
 
 
+@_least(scan_cap=0, k=1, maps=1)
 def _suite_cubes(report: SuiteReport, rng, threads, budget, *,
                  scan_cap=1 << 20, k=3, maps=1000):
     for G in _group_zoo():
@@ -855,6 +874,7 @@ def _sample_map(rng, max_order: int = 8):
 # decomposition suite
 
 
+@_least(n=0, cases=1)
 def _suite_decomposition(report: SuiteReport, rng, threads, budget, *,
                          n=5, cases=100):
     N = space(2, n).size
@@ -915,8 +935,9 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str, params: dict | None = None, seed: int = 0,
               threads: int = 1, budget: int | None = None) -> SuiteReport:
     """Run a named suite.  Its keyword parameters, each with a default, are
-    the only keys params may hold; any other key raises ValueError before a
-    check runs."""
+    the only keys params may hold, and an integer parameter takes an integer
+    (json_int's rule: no bool, no float) no less than its declared least;
+    any other key or value raises ValueError before a check runs."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     suite = _SUITES[name]
@@ -926,6 +947,12 @@ def run_suite(name: str, params: dict | None = None, seed: int = 0,
         raise ValueError(
             f"suite {name!r} takes no parameter {', '.join(map(repr, unknown))}"
             f"; its parameters are {', '.join(suite.__kwdefaults__)}")
+    for key in [key for key in params if key in suite.least]:
+        value = json_int(params, key)
+        if not isinstance(value, int) or value < suite.least[key]:
+            raise ValueError(f"suite {name!r}: {key} must be an integer of "
+                             f"at least {suite.least[key]}, got {params[key]!r}")
+        params[key] = value
     report = SuiteReport(name, seed, threads, params)
     suite(report, SplitMix64(seed), threads, budget, **params)
     return report

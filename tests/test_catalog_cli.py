@@ -320,6 +320,18 @@ class TestCli:
         assert code == 2 and out == ""
         assert "wrong coordinate count" in capsys.readouterr().err
 
+    def test_cube_check_face_pass_past_cap_exit_3(self, capsys):
+        # one row's 3^16 face sums pass SPACE_CAP = 2^24: refused before
+        # the face pass allocates anything of that size
+        payload = {"group": {"cyclic_orders": [2], "filtration": [[[0], [1]]]},
+                   "k": 16, "cube": [[0]] * (1 << 16)}
+        code, out = run_cli("--input", "-", "cube-check",
+                            stdin_text=json.dumps(payload))
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            "budget exceeded: _subset_codes: estimated cost 43046721 exceeds "
+            "budget 16777216\n")
+
     def test_equidist(self):
         payload = json.dumps({"orders": [3], "values": [[0], [1], [2]]})
         code, out = run_cli("--input", "-", "equidist", stdin_text=payload)
@@ -378,6 +390,24 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: suite 'lam' takes no parameter 'nn'; its parameters "
             "are n\n")
+
+    @pytest.mark.parametrize("suite, params, message", [
+        ("lam", ["n=0"], "suite 'lam': n must be an integer of at least 1, "
+                         "got 0"),
+        ("lam", ["n=true"], "n must hold integers, got True"),
+        ("lam", ["n=2.0"], "n must hold integers, got 2.0"),
+        ("decomposition", ["cases=-4", "n=2"],
+         "suite 'decomposition': cases must be an integer of at least 1, "
+         "got -4"),
+        ("cubes", ["k=[3]"], "suite 'cubes': k must be an integer of at "
+                             "least 1, got [3]"),
+    ], ids=["zero", "bool", "float", "negative", "list"])
+    def test_verify_bad_param_value_exits_2(self, suite, params, message,
+                                            capsys):
+        code, out = run_cli("verify", suite,
+                            *[arg for kv in params for arg in ("--param", kv)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_verify_params_are_json_literals(self):
         code, out = run_cli("verify", "gowers-props", "--json",
@@ -793,6 +823,29 @@ class TestSuiteReports:
                                              "parameter 'nn'"):
             run_suite(name, {"nn": 3})
         assert added == []
+
+    def test_every_integer_parameter_has_a_least_value(self):
+        for suite in suites._SUITES.values():
+            defaults = suite.__kwdefaults__
+            assert set(suite.least) == {key for key, value in defaults.items()
+                                        if isinstance(value, int)}
+            assert all(defaults[key] >= least
+                       for key, least in suite.least.items())
+
+    @pytest.mark.parametrize("name", suites._SUITES)
+    def test_least_values_still_check(self, name):
+        # one small roots cell instead of the default grids
+        params = {**suites._SUITES[name].least,
+                  **({"grids": [[2, 1, 1]]} if name == "roots" else {})}
+        report = run_suite(name, params, seed=3)
+        assert report.checks and report.passed
+
+    def test_report_without_records_fails(self):
+        report = suites.SuiteReport("lam", 0, 1, {})
+        assert not report.passed
+        assert json.loads(report.to_bytes())["passed"] is False
+        report.add("digit-expansion-of-L", {"n": 1}, True)
+        assert report.passed
 
     def test_readme_lists_each_suites_parameters(self):
         # the README's suite-parameter table: one row per suite, naming

@@ -36,6 +36,44 @@ def tv(p, num, exp):
     return TorusValue(p, num, exp)
 
 
+class _ScalarSplitMix64:
+    """splitmix64 one output at a time in Python integers: the reference
+    stream for the block generator."""
+
+    def __init__(self, seed):
+        self.state = seed & ((1 << 64) - 1)
+
+    def next_u64(self):
+        mask = (1 << 64) - 1
+        self.state = (self.state + 0x9E3779B97F4A7C15) & mask
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    def below(self, n):
+        return self.next_u64() % n
+
+    def unit(self):
+        return (self.next_u64() >> 11) / float(1 << 53)
+
+
+class TestSplitMix64:
+    @pytest.mark.parametrize("seed", [0, 1, 808, (1 << 64) - 1])
+    def test_stream_and_state_match_scalar_generator(self, seed):
+        fast, slow = SplitMix64(seed), _ScalarSplitMix64(seed)
+        assert fast.state == slow.state
+        for i in range(10_000):
+            draw = ("next_u64", "below", "unit")[i % 3]
+            args = (1 + i % 1000,) if draw == "below" else ()
+            assert getattr(fast, draw)(*args) == getattr(slow, draw)(*args)
+            assert fast.state == slow.state
+
+    def test_seed_reduced_mod_2_64(self):
+        assert SplitMix64(-1).state == SplitMix64((1 << 64) - 1).state
+        assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
+
+
 class TestTorusValue:
     def test_add_examples(self):
         assert tv(2, 1, 1) + tv(2, 1, 1) == TorusValue.zero(2)

@@ -14,6 +14,7 @@ from toruspoly.cubes import (
     _member_tables,
     _sub_codes,
     _subset_table,
+    code_element,
     element_code,
     equidistribution_report,
     hk_size,
@@ -335,6 +336,114 @@ class TestSubsetPasses:
         assert set(face_member_mask(rows, G, 3).tolist()) == {True, False}
         offending = {hk_taylor(row, G)[1] for row in rows}
         assert None in offending and len(offending) > 2
+
+
+def _face_pass_oracle(tuples, G):
+    """Every face sum of each row as (3^k, M) codes, by the pass that grows
+    the digit planes with one np.concatenate per axis."""
+    k = tuples.shape[1].bit_length() - 1
+    orders = G.orders or (1,)
+    radix = np.cumprod((1,) + orders)[:-1]
+    planes = np.stack([tuples.T // q % o for o, q in zip(orders, radix)])
+    planes = planes.reshape(len(orders), *(2,) * k, -1)
+    for ax in range(1, k + 1):
+        cut = (slice(None),) * ax
+        planes = np.concatenate((planes, planes[cut + (slice(1, 2),)]
+                                 - planes[cut + (slice(0, 1),)]), axis=ax)
+    return sum(planes[t] % o * q for t, (o, q) in
+               enumerate(zip(orders, radix))).reshape(3**k, -1)
+
+
+def _first_face_failure(phi_codes, H, G, k_max, cube_lists):
+    """(k, first H-cube) of the lowest k <= k_max at which the image of an
+    H-cube fails the face criterion, one face at a time, or None."""
+    for k in range(k_max + 1):
+        if (H, k) not in cube_lists:
+            cube_lists[H, k] = _cube_codes_oracle(H, k)
+        mask = _face_mask_oracle(phi_codes[cube_lists[H, k]], G, k)
+        if not mask.all():
+            return k, cube_lists[H, k][int(np.argmin(mask))].tolist()
+    return None
+
+
+FACE_PASS_GROUPS = [
+    FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1]),
+    FilteredAbelianGroup.cyclic_chain(9, [9, 9, 3, 1]),
+    _group_zoo()[7],
+    FilteredAbelianGroup.maximal([2, 2], 2),
+]
+
+
+class TestOneAllocationPasses:
+    @pytest.mark.parametrize("G", FACE_PASS_GROUPS, ids=lambda G: str(G.orders))
+    def test_face_pass_matches_concatenating_oracle(self, G):
+        # one block of rows and a few more, so the rows cross a block edge
+        rng = SplitMix64(len(G.orders) * 100 + G.size)
+        for k in range(4):
+            count = cubes._PASS_BLOCK // 3**k + 5
+            rows = np.array([rng.below(G.size) for _ in range(count << k)],
+                            dtype=np.int64).reshape(count, 1 << k)
+            assert np.array_equal(_subset_table(rows, G, "faces").T,
+                                  _face_pass_oracle(rows, G))
+
+    @pytest.mark.parametrize("G", FACE_PASS_GROUPS, ids=lambda G: str(G.orders))
+    def test_passes_leave_their_input_unchanged(self, G):
+        # hk_taylor's row is a view into rows, and a one-row block is a view
+        # of the caller's row until np.take copies it
+        rng = SplitMix64(G.size)
+        for k in range(4):
+            rows = np.array([rng.below(G.size) for _ in range(40 << k)],
+                            dtype=np.int64).reshape(40, 1 << k)
+            before = rows.copy()
+            hk_taylor(rows[3], G)
+            for kind in ("faces", "moebius", "zeta"):
+                _subset_table(rows, G, kind)
+                _subset_table(rows[5:6], G, kind)
+            face_member_mask(rows, G, k)
+            taylor_member_mask(rows, G, k)
+            assert np.array_equal(rows, before)
+
+    def test_hk_size_cache_matches_uncached(self):
+        for G in _group_zoo() + FACE_PASS_GROUPS:
+            for k in range(5):
+                assert hk_size(G, k) == hk_size.__wrapped__(G, k)
+        assert hk_size.cache_info().hits > 0
+
+    def test_residue_table_past_cap_refused(self):
+        # |G| 2^15 = 2^25 residues; the pass itself has only 2^15 outputs
+        G = FilteredAbelianGroup.maximal([1024], 1)
+        with pytest.raises(BudgetExceeded, match=r"^_subset_codes: estimated "
+                           r"cost 33554432 exceeds budget 16777216$"):
+            taylor_member_mask(np.zeros((1, 1 << 15), dtype=np.int64), G, 15)
+
+    def test_preservation_matches_face_oracle(self):
+        # preserves_cubes_fast decides each k by the Taylor pass; its
+        # verdict and witness (the first failing H-cube at the lowest k)
+        # are the face criterion's, for every pair of sampled groups
+        rng = SplitMix64(26)
+        cube_lists = {}
+        failing_k = []
+        for max_order in (8, 9):
+            for H, G in itertools.product(*_map_choices(max_order)):
+                c0 = code_element(G, rng.below(G.size))
+                mults = [rng.below(G.orders[0]) for _ in H.orders]
+                affine = [element_code(G, (c0[0] + sum(
+                    m * x for m, x in zip(mults, code_element(H, h))),)
+                    + c0[1:]) for h in range(H.size)]
+                maps = ([rng.below(G.size) for _ in range(H.size)],
+                        [rng.below(G.size)] * H.size, affine)
+                for phi in map(np.array, maps):
+                    first = _first_face_failure(phi, H, G, 3, cube_lists)
+                    failing_k.append(None if first is None else first[0])
+                    for k_max in range(4):
+                        verdict, witness = preserves_cubes_fast(phi, H, G,
+                                                                k_max)
+                        if first is None or first[0] > k_max:
+                            assert verdict and witness is None
+                        else:
+                            assert not verdict
+                            assert witness.tolist() == first[1]
+        assert set(failing_k) == {None, 1, 2, 3}
 
 
 def _is_polynomial_map_oracle(phi_codes, H, G, use_generators=True):
