@@ -334,10 +334,10 @@ def _dispatch(args) -> int:
             raise ValueError(f"map gives H element {min(missing)} no value")
         phi_codes = np.array([table[x] for x in range(H.size)], dtype=np.int64)
         poly = is_polynomial_map(phi_codes, H, G)
-        preserved, _ = preserves_cubes_fast(
+        preserved = preserves_cubes_fast(
             phi_codes, H, G,
             json_int(obj, "k_max") if "k_max" in obj else G.degree + 1,
-            cap=args.budget or (1 << 22))
+            args.budget)
         _emit(args, {"polynomial_map": poly, "preserves_cubes": preserved,
                      "equivalent": poly == preserved})
         return EXIT_PASS if poly == preserved else EXIT_FAIL

@@ -23,7 +23,12 @@ meets the face criterion, which cuts out a subgroup, so the Taylor
 criterion implies the face criterion.  Cube preservation is therefore
 decided by the cheaper Taylor pass; the face criterion keeps its own
 checks: the scan, the generator test of the count, and the cube-check
-command."""
+command.
+
+Preserving (k+1)-cubes implies preserving k-cubes, so preservation is
+checked at k_max alone: a k-cube c doubled along a new axis, (c, c), has
+Taylor coefficients 0 on that axis, so it is a (k+1)-cube exactly when c
+is a k-cube, and phi maps it to (phi(c), phi(c))."""
 
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from math import prod
 
 import numpy as np
 
-from .core import check_budget
+from .core import SPACE_CAP, check_budget
 from .cubes import (FilteredAbelianGroup, _check_code_table, _diagonal,
                     _echelon_insert, _member_tables, _pass_tables,
                     _subset_codes, _subset_table, code_element, hk_size)
@@ -158,23 +163,26 @@ def counted_equivalence(G: FilteredAbelianGroup, k: int) -> dict:
     }
 
 
-def enumerate_cube_codes(G: FilteredAbelianGroup, k: int,
-                         cap: int = 1 << 20) -> np.ndarray:
+def enumerate_cube_codes(G: FilteredAbelianGroup, k: int) -> np.ndarray:
     """All k-cubes as a read-only (M, 2^k) array of element codes (Taylor
-    parameterised), cached per group and k when small."""
-    M = hk_size(G, k)
-    check_budget(M, cap, "enumerate_cube_codes")
-    small = M << k <= _CACHED_CODES
-    return (_cube_codes if small else _cube_codes.__wrapped__)(G, k)
+    parameterised), cached per group and k when small; M 2^k is checked
+    against SPACE_CAP on every call."""
+    size = hk_size(G, k) << k
+    check_budget(size, SPACE_CAP, "enumerate_cube_codes")
+    return (_cube_codes if size <= _CACHED_CODES else _cube_codes.__wrapped__)(G, k)
 
 
 @lru_cache(maxsize=32)
 def _cube_codes(G: FilteredAbelianGroup, k: int) -> np.ndarray:
-    """Cached per G by value, like cubes._member_tables."""
+    """Cached per G by value, like cubes._member_tables.  Row q takes its
+    coefficient g_J from level |J| at q's mixed-radix digit J, last J fastest."""
     member = _member_tables(G, k)
     level_codes = [np.flatnonzero(member[i]) for i in _pass_tables(G, k, "zeta")[2]]
-    combos = np.stack(
-        [g.reshape(-1) for g in np.meshgrid(*level_codes, indexing="ij")], axis=1)
+    q = np.arange(hk_size(G, k))
+    combos = np.empty((len(q), len(level_codes)), dtype=np.int64)
+    for J in reversed(range(len(level_codes))):
+        q, digit = np.divmod(q, len(level_codes[J]))
+        combos[:, J] = level_codes[J][digit]
     out = _subset_table(combos, G, "zeta")
     out.flags.writeable = False
     return out
@@ -182,23 +190,16 @@ def _cube_codes(G: FilteredAbelianGroup, k: int) -> np.ndarray:
 
 def preserves_cubes_fast(phi_codes: np.ndarray, H: FilteredAbelianGroup,
                          G: FilteredAbelianGroup, k_max: int,
-                         cap: int = 1 << 20):
-    """Entrywise image of every H-cube is a G-cube, vectorised.
-
-    Each image cube is decided by the Taylor criterion, 2^k outputs a cube
-    against the face criterion's 3^k.  The two masks are equal row by row
-    (see the module docstring), so the verdict and the witness are the face
-    criterion's.  phi_codes maps H element codes to G element codes.  Returns
-    (preserved, None) or (False, the first H-cube whose image is no G-cube,
-    as a row of 2^k H codes); a table that is not one G code per H code,
-    or a negative k_max, raises ValueError.
-    """
+                         budget: int | None = None) -> bool:
+    """Whether phi maps every H-cube of dimension at most k_max to a G-cube,
+    by one Taylor pass over the k_max-cubes (see the module docstring).
+    phi_codes maps H element codes to G element codes.  The pass's
+    hk_size(H, k_max) 2^k_max entries are checked against budget; a table
+    that is not one G code per H code, or a negative k_max, raises
+    ValueError."""
     if k_max < 0:
         raise ValueError(f"k_max must be at least 0, got {k_max}")
     phi_codes = _check_code_table(phi_codes, H, G)
-    for k in range(k_max + 1):
-        cubes = enumerate_cube_codes(H, k, cap=cap)
-        mask = taylor_member_mask(phi_codes[cubes], G, k)
-        if not mask.all():
-            return False, cubes[int(np.argmin(mask))]
-    return True, None
+    check_budget(hk_size(H, k_max) << k_max, budget, "preserves_cubes_fast")
+    cubes = enumerate_cube_codes(H, k_max)
+    return bool(taylor_member_mask(phi_codes[cubes], G, k_max).all())

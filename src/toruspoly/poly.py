@@ -194,7 +194,9 @@ def _matrix_dtypes(p: int, n: int, modulus: int) -> tuple:
 
 @lru_cache(maxsize=256)
 def _monomial_matrix(p: int, n: int, modulus: int) -> np.ndarray:
-    """M[x, e] = prod_t |x_t|^(digit_t(e)) mod modulus, shape (N, N)."""
+    """M[x, e] = prod_t |x_t|^(digit_t(e)) mod modulus, shape (N, N); N^2 is
+    checked against SPACE_CAP before it is allocated."""
+    check_budget(p ** (2 * n), SPACE_CAP, "_monomial_matrix")
     dig = space(p, n).digits.astype(np.int64)
     build, store = _matrix_dtypes(p, n, modulus)
     powtab = np.array([[pow(d, e, modulus) for e in range(p)] for d in range(p)], build)

@@ -504,13 +504,16 @@ def _suite_dkp(report: SuiteReport, rng, threads, budget, *, n=3):
 # exhaustive root / canonical-form suite
 
 
-def _exhaustive_poly_scan(p: int, n: int, d: int) -> dict:
+def _exhaustive_poly_scan(p: int, n: int, d: int,
+                          budget: int | None = None) -> dict:
     """Root round-trips, canonical round-trips, and the value-count bound
-    over every degree <= d canonical form (modulo constants), batched."""
+    over every degree <= d canonical form (modulo constants), batched; the
+    cell's p^(slots) forms times p^n points are checked against budget."""
     sp = space(p, n)
     K = _depth_count(p, d) if n else 0  # F_p^0 has no slots at any degree
     # once per cell: every block shares the slots
     slots = canonical_slots(p, n, d)
+    check_budget(p ** len(slots) * sp.size, budget, "_exhaustive_poly_scan")
     root_slots = [(e, j + 1) for (e, j) in slots]
     depths = np.array([j for _, j in slots], dtype=np.intp)
     indices = np.array([sp.index_of(e) for e, _ in slots], dtype=np.intp)
@@ -554,7 +557,7 @@ _ROOT_GRIDS = tuple([(2, n, d) for n in range(1, 4) for d in range(0, 5)]
 def _suite_roots(report: SuiteReport, rng, threads, budget, *,
                  grids=_ROOT_GRIDS, random_trials=500, weighted_trials=300):
     for p, n, d in grids:
-        res = _exhaustive_poly_scan(p, n, d)
+        res = _exhaustive_poly_scan(p, n, d, budget)
         report.add("root-roundtrip-exhaustive", {"p": p, "n": n, "d": d},
                    res["root_fail"] == 0 and res["bound_fail"] == 0,
                    polynomials=res["count"])
@@ -709,14 +712,16 @@ def _group_zoo() -> list[FilteredAbelianGroup]:
     ]
 
 
-@_least(scan_cap=0, k=1, maps=1)
-def _suite_cubes(report: SuiteReport, rng, threads, budget, *,
-                 scan_cap=1 << 20, k=3, maps=1000):
+_SCANNED_TUPLES = 1 << 20  # the cubes suite counts G^(2^k) past this size
+
+
+@_least(k=1, maps=1)
+def _suite_cubes(report: SuiteReport, rng, threads, budget, *, k=3, maps=1000):
     for G in _group_zoo():
         for dim in range(1, k + 1):
             total = G.size ** (1 << dim)
             name = f"Z{'x'.join(map(str, G.orders))}"
-            if total <= scan_cap:
+            if total <= _SCANNED_TUPLES:
                 res = equivalence_scan(G, dim)
                 report.add("face-vs-taylor-scan",
                            {"group": name, "k": dim, "tuples": res["tuples"]},
@@ -755,7 +760,7 @@ def _suite_cubes(report: SuiteReport, rng, threads, budget, *,
     for t in range(maps):
         H, G2, phi_codes = _sample_map(rng)
         poly = is_polynomial_map(phi_codes, H, G2)
-        pres, _ = preserves_cubes_fast(phi_codes, H, G2, k_max=3, cap=1 << 16)
+        pres = preserves_cubes_fast(phi_codes, H, G2, 3, budget)
         agree += poly == pres
         poly_count += poly
     report.add("derivative-vs-cube-preservation",
@@ -799,8 +804,7 @@ def _sampled_agreement(G, k, rng, count) -> int:
     tuples = np.array([[rng.below(G.size) for _ in range(width)]
                        for _ in range(count)], dtype=np.int64)
     # bias half the sample toward actual cubes with one perturbed vertex
-    cubes = enumerate_cube_codes(G, k, cap=1 << 18) \
-        if hk_size(G, k) <= 1 << 18 else None
+    cubes = enumerate_cube_codes(G, k) if hk_size(G, k) <= 1 << 18 else None
     if cubes is not None:
         for row in range(0, count, 2):
             base = cubes[rng.below(len(cubes))].copy()

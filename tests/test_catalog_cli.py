@@ -212,6 +212,15 @@ class TestCli:
             f"budget exceeded: CanonicalForm.eval_table: estimated cost "
             f"{2**n} exceeds budget {1 << 24}\n")
 
+    def test_layer_matrix_past_cap_exit_3(self, capsys):
+        # the 2^16-entry table fits; the dense N x N layer matrix does not
+        text = json.dumps({"p": 2, "n": 16, "text": "1/4*x1 + 1/2*x2*x3"})
+        code, out = run_cli("--input", "-", "degree", stdin_text=text)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            f"budget exceeded: _monomial_matrix: estimated cost {1 << 32} "
+            f"exceeds budget {1 << 24}\n")
+
     def test_wrong_json_shape_exit_2(self):
         text = json.dumps({"p": 2, "n": 2, "values": 5})
         code, _ = run_cli("--input", "-", "eval", "--x", "1,0",
@@ -408,6 +417,24 @@ class TestCli:
                             *[arg for kv in params for arg in ("--param", kv)])
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_verify_cubes_takes_no_scan_cap(self, capsys):
+        code, out = run_cli("verify", "cubes", "--param", "scan_cap=0")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: suite 'cubes' takes no parameter 'scan_cap'; its "
+            "parameters are k, maps\n")
+
+    def test_verify_roots_budget_exit_3(self, capsys):
+        # the (2, 4, 4) cell is 2^43 forms on 2^4 points: refused before
+        # its scan starts
+        code, out = run_cli("verify", "roots", "--param", "grids=[[2,4,4]]",
+                            "--param", "random_trials=0",
+                            "--param", "weighted_trials=0", "--budget", "1000")
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            f"budget exceeded: _exhaustive_poly_scan: estimated cost {2**47} "
+            "exceeds budget 1000\n")
 
     def test_verify_params_are_json_literals(self):
         code, out = run_cli("verify", "gowers-props", "--json",
@@ -628,6 +655,24 @@ class TestCli:
         assert code == 0
         rep = json.loads(out)
         assert rep["polynomial_map"] and rep["preserves_cubes"]
+
+    def test_polymap_check_past_32_cube_levels(self, capsys):
+        # a 6-cube has 64 Taylor coefficients; --budget counts the pass's
+        # hk_size(H, 6) 2^6 = 2^13 entries
+        Z2 = {"cyclic_orders": [2], "filtration": [[[0], [1]], [[0], [1]]]}
+        payload = json.dumps({"H": Z2, "G": Z2, "k_max": 6,
+                              "map": [[[0], [0]], [[1], [1]]]})
+        code, out = run_cli("--input", "-", "polymap-check",
+                            stdin_text=payload)
+        assert code == 0 and json.loads(out) == {
+            "polynomial_map": True, "preserves_cubes": True,
+            "equivalent": True}
+        code, out = run_cli("--input", "-", "--budget", "8191",
+                            "polymap-check", stdin_text=payload)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            "budget exceeded: preserves_cubes_fast: estimated cost 8192 "
+            "exceeds budget 8191\n")
 
     def test_polymap_check_default_k_max_is_degree_plus_one(self):
         # (a, b) -> b + 2a from Z/2 x Z/4 to Z/4 of degree 2 is no polynomial

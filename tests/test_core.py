@@ -160,10 +160,14 @@ class TestSpace:
         "equivalence_scan": (
             lambda: equivalence_scan(FilteredAbelianGroup.maximal([81], 1), 2),
             81**4, 1 << 24),
+        # hk_size 2^13 cubes of 2^12 entries each
         "enumerate_cube_codes": (
-            lambda: enumerate_cube_codes(FilteredAbelianGroup.maximal([4], 1),
-                                         2, cap=63),
-            64, 63),
+            lambda: enumerate_cube_codes(FilteredAbelianGroup.maximal([2], 1),
+                                         12),
+            1 << 25, 1 << 24),
+        # the dense layer matrix has N^2 entries
+        "_monomial_matrix": (lambda: NCPoly.from_text(2, 13, "1/4*x1"),
+                             1 << 26, 1 << 24),
         # p^n is bounded before a value table is allocated
         "NCPoly.zero": (lambda: NCPoly.zero(2, 30), 1 << 30, 1 << 24),
         "CanonicalForm.eval_table": (

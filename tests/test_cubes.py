@@ -322,6 +322,18 @@ class TestSubsetPasses:
             assert _subset_table(np.array([coeffs]), G, "zeta")[0].tolist() \
                 == _taylor_expand_oracle(coeffs, G)
 
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_cube_codes_past_32_levels(self, k):
+        # 2^k > 32 coefficient levels, past what numpy broadcasts at once;
+        # the k-cubes of Z/2 of degree 1 are the affine maps {0,1}^k -> Z/2
+        G = FilteredAbelianGroup.maximal([2], 1)
+        codes = enumerate_cube_codes(G, k)
+        assert np.array_equal(codes, _cube_codes_oracle(G, k))
+        bits = np.arange(1 << k) >> np.arange(k)[:, None] & 1
+        assert set(map(tuple, codes.tolist())) == {
+            tuple((a + np.dot(b, bits)) % 2)
+            for a in range(2) for b in itertools.product(range(2), repeat=k)}
+
     def test_trivial_group(self):
         G = FilteredAbelianGroup([], levels=[[()]])
         for k in range(3):
@@ -354,16 +366,22 @@ def _face_pass_oracle(tuples, G):
                enumerate(zip(orders, radix))).reshape(3**k, -1)
 
 
-def _first_face_failure(phi_codes, H, G, k_max, cube_lists):
-    """(k, first H-cube) of the lowest k <= k_max at which the image of an
-    H-cube fails the face criterion, one face at a time, or None."""
+def _lowest_face_failures(maps, H, G, k_max):
+    """Per row of maps (H-code -> G-code tables), the lowest k <= k_max at
+    which the image of some H-cube fails the face criterion, one face at a
+    time, or None."""
+    lowest = [None] * len(maps)
     for k in range(k_max + 1):
-        if (H, k) not in cube_lists:
-            cube_lists[H, k] = _cube_codes_oracle(H, k)
-        mask = _face_mask_oracle(phi_codes[cube_lists[H, k]], G, k)
-        if not mask.all():
-            return k, cube_lists[H, k][int(np.argmin(mask))].tolist()
-    return None
+        # each distinct image row, keyed by its base-|G| value, is checked once
+        assert G.size ** (1 << k) < 1 << 63
+        images = maps[:, _cube_codes_oracle(H, k)].reshape(-1, 1 << k)
+        _, first, inverse = np.unique(images @ G.size ** np.arange(1 << k),
+                                      return_index=True, return_inverse=True)
+        ok = _face_mask_oracle(images[first], G, k)[inverse].reshape(
+            len(maps), -1).all(axis=1)
+        lowest = [k if low is None and not good else low
+                  for low, good in zip(lowest, ok)]
+    return lowest
 
 
 FACE_PASS_GROUPS = [
@@ -416,13 +434,21 @@ class TestOneAllocationPasses:
                            r"cost 33554432 exceeds budget 16777216$"):
             taylor_member_mask(np.zeros((1, 1 << 15), dtype=np.int64), G, 15)
 
+    @staticmethod
+    def _check_verdicts(maps, H, G, k_max, failing_k):
+        """preserves_cubes_fast's one Taylor pass at k_max returns True
+        exactly when the face criterion holds at every k <= k_max."""
+        lowest = _lowest_face_failures(maps, H, G, k_max)
+        failing_k.update(lowest)
+        for phi, low in zip(maps, lowest):
+            for k in range(k_max + 1):
+                assert preserves_cubes_fast(phi, H, G, k) is \
+                    (low is None or low > k)
+
     def test_preservation_matches_face_oracle(self):
-        # preserves_cubes_fast decides each k by the Taylor pass; its
-        # verdict and witness (the first failing H-cube at the lowest k)
-        # are the face criterion's, for every pair of sampled groups
+        # random, constant and affine maps for every pair of sampled groups
         rng = SplitMix64(26)
-        cube_lists = {}
-        failing_k = []
+        failing_k = set()
         for max_order in (8, 9):
             for H, G in itertools.product(*_map_choices(max_order)):
                 c0 = code_element(G, rng.below(G.size))
@@ -430,20 +456,27 @@ class TestOneAllocationPasses:
                 affine = [element_code(G, (c0[0] + sum(
                     m * x for m, x in zip(mults, code_element(H, h))),)
                     + c0[1:]) for h in range(H.size)]
-                maps = ([rng.below(G.size) for _ in range(H.size)],
-                        [rng.below(G.size)] * H.size, affine)
-                for phi in map(np.array, maps):
-                    first = _first_face_failure(phi, H, G, 3, cube_lists)
-                    failing_k.append(None if first is None else first[0])
-                    for k_max in range(4):
-                        verdict, witness = preserves_cubes_fast(phi, H, G,
-                                                                k_max)
-                        if first is None or first[0] > k_max:
-                            assert verdict and witness is None
-                        else:
-                            assert not verdict
-                            assert witness.tolist() == first[1]
-        assert set(failing_k) == {None, 1, 2, 3}
+                maps = np.array([[rng.below(G.size) for _ in range(H.size)],
+                                 [rng.below(G.size)] * H.size, affine])
+                self._check_verdicts(maps, H, G, 3, failing_k)
+        assert failing_k == {None, 1, 2, 3}
+
+    def test_preservation_matches_face_oracle_on_every_small_map(self):
+        # every map from Z/3 of degree 1 or 2, and every map on H_0 = 3Z/9
+        # (0 off it), into odd filtrations, one with G_0 = 3Z/9 != G
+        Z3 = [FilteredAbelianGroup.maximal([3], d) for d in (1, 2)]
+        sub9 = FilteredAbelianGroup.cyclic_chain(9, [3, 3, 1])
+        targets = Z3 + [FilteredAbelianGroup.cyclic_chain(9, [9, 3, 1]), sub9]
+        failing_k = set()
+        for H, k_max in ((Z3[0], 4), (Z3[1], 3), (sub9, 4)):
+            points = np.flatnonzero(H.member[0])
+            for G in targets:
+                values = np.array(list(itertools.product(
+                    range(G.size), repeat=len(points))), dtype=np.int64)
+                maps = np.zeros((len(values), H.size), dtype=np.int64)
+                maps[:, points] = values
+                self._check_verdicts(maps, H, G, k_max, failing_k)
+        assert failing_k == {None, 0, 1, 2, 3}
 
 
 def _is_polynomial_map_oracle(phi_codes, H, G, use_generators=True):
@@ -523,18 +556,15 @@ class TestPolynomialMaps:
         H = FilteredAbelianGroup.maximal([2], 1)
         codes = mother_q().nums % 4   # degree 2 into (1/4)Z/Z
         G2 = FilteredAbelianGroup.maximal([4], 2)
-        assert preserves_cubes_fast(codes, H, G2, 3)[0]
+        assert preserves_cubes_fast(codes, H, G2, 3)
         G1 = FilteredAbelianGroup.maximal([4], 1)
-        preserved, cex = preserves_cubes_fast(codes, H, G1, 3)
-        assert not preserved
-        assert _hk_taylor_oracle(cex, H)[0] is not None
-        assert _hk_taylor_oracle(codes[cex], G1)[0] is None
+        assert not preserves_cubes_fast(codes, H, G1, 3)
 
     def test_nonconstant_into_degree_zero(self):
         H = FilteredAbelianGroup.maximal([2], 1)
         G0 = FilteredAbelianGroup.maximal([2], 0)
         assert not is_polynomial_map(np.array([0, 1]), H, G0)
-        assert not preserves_cubes_fast(np.array([0, 1]), H, G0, 2)[0]
+        assert not preserves_cubes_fast(np.array([0, 1]), H, G0, 2)
 
     def test_generator_reduction_agrees(self):
         rng = SplitMix64(7)
@@ -566,7 +596,7 @@ class TestPolynomialMaps:
         for values in itertools.product(range(4), repeat=4):
             codes = np.array(values)
             poly = is_polynomial_map(codes, H, G)
-            assert preserves_cubes_fast(codes, H, G, G.degree + 1)[0] == poly
+            assert preserves_cubes_fast(codes, H, G, G.degree + 1) == poly
             outcomes.add(poly)
         assert outcomes == {True, False}
 
@@ -767,13 +797,13 @@ class TestCachedTables:
         assert not first.flags.writeable
 
     def test_budget_checked_on_cache_hit(self):
+        # the pass's hk_size(H, 2) 2^2 = 256 entries count against budget
         H = FilteredAbelianGroup.maximal([4], 1)
         identity = np.arange(4)
-        assert preserves_cubes_fast(identity, H, H, 2, cap=1 << 20)[0]
-        assert hk_size(H, 2) == 64
-        with pytest.raises(BudgetExceeded, match=r"^enumerate_cube_codes: "
-                           r"estimated cost 64 exceeds budget 63$"):
-            preserves_cubes_fast(identity, H, H, 2, cap=63)
+        assert preserves_cubes_fast(identity, H, H, 2, budget=256)
+        with pytest.raises(BudgetExceeded, match=r"^preserves_cubes_fast: "
+                           r"estimated cost 256 exceeds budget 255$"):
+            preserves_cubes_fast(identity, H, H, 2, budget=255)
 
     def test_equal_groups_share_tables(self):
         # built apart: once by cyclic_chain, once from unordered, repeated
