@@ -256,7 +256,8 @@ def _pass_tables(G: FilteredAbelianGroup, k: int, kind: str):
     return tables
 
 
-def _subset_codes(tuples: np.ndarray, G: FilteredAbelianGroup, kind: str):
+def _subset_codes(tuples: np.ndarray, G: FilteredAbelianGroup, kind: str,
+                  outputs=slice(None)):
     """k per-axis passes (Yates) over vertex-major digit planes, one per
     cyclic factor, of the rows of an (M, 2^k) code array.  Each pass maps
     (a0, a1) on one axis to (a0, a1, a1 - a0) for "faces" (all 3^k face
@@ -267,8 +268,9 @@ def _subset_codes(tuples: np.ndarray, G: FilteredAbelianGroup, kind: str):
     before a and the {0,1} extent of those after it, so it reads only
     entries already written.  Sums are reduced mod the orders once, at the
     end, by a lookup, which is faster than %; np.take's fresh copy keeps
-    the in-place passes off the caller's rows.  Yields (rows, (F, len(rows))
-    codes), at most _PASS_BLOCK at a time."""
+    the in-place passes off the caller's rows; only the outputs selected
+    by outputs (an index array or a slice) are reduced.  Yields (rows,
+    (selected, len(rows)) codes), at most _PASS_BLOCK at a time."""
     k = tuples.shape[1].bit_length() - 1
     digit, residue, level = _pass_tables(G, k, kind)
     r, size = len(digit), len(level)
@@ -288,9 +290,9 @@ def _subset_codes(tuples: np.ndarray, G: FilteredAbelianGroup, kind: str):
                 np.subtract(a1, a0, out=planes[head + (2,) + tail])
             else:
                 (np.subtract if kind == "moebius" else np.add)(a1, a0, out=a1)
-        codes = residue[0][planes[0].reshape(size, -1)]
+        codes = residue[0][planes[0].reshape(size, -1)[outputs]]
         for t in range(1, r):
-            codes += residue[t][planes[t].reshape(size, -1)]
+            codes += residue[t][planes[t].reshape(size, -1)[outputs]]
         yield rows, codes
 
 

@@ -50,27 +50,59 @@ _SCAN_CHUNK = 1 << 18
 _CACHED_CODES = 1 << 16
 
 
-def _level_mask(tuples: np.ndarray, G: FilteredAbelianGroup, k: int,
+def _check_cube_rows(tuples, G: FilteredAbelianGroup, k: int) -> np.ndarray:
+    """tuples as an int64 (M, 2^k) array of G codes, or ValueError; the
+    codes are range-checked by one min and one max."""
+    tuples = np.asarray(tuples)
+    if k < 0 or tuples.ndim != 2 or tuples.shape[1] != 1 << k \
+            or tuples.dtype.kind not in "iu":
+        raise ValueError(f"k-cubes must be a 2-D integer array of width 2^k, "
+                         f"k = {k}; got shape {tuples.shape}, {tuples.dtype}")
+    if tuples.size and (tuples.min() < 0 or tuples.max() >= G.size):
+        raise ValueError(f"cube codes must lie in [0, {G.size})")
+    return tuples.astype(np.int64, copy=False)
+
+
+@lru_cache(maxsize=64)
+def _tested_outputs(G: FilteredAbelianGroup, k: int, kind: str):
+    """(outputs, offsets): the outputs of _subset_codes whose level G_i is a
+    proper subgroup, and i |G| for each as a column; an output at a level
+    equal to G holds for every row.  Cached per G by value, like
+    _member_tables."""
+    level = _pass_tables(G, k, kind)[2]
+    proper = ~_member_tables(G, k).all(axis=1)
+    outputs = np.flatnonzero(proper[level])
+    offsets = level[outputs][:, None] * G.size
+    for tab in (outputs, offsets):
+        tab.flags.writeable = False
+    return outputs, offsets
+
+
+def _level_mask(tuples, G: FilteredAbelianGroup, k: int,
                 kind: str) -> np.ndarray:
-    """Rows whose every output of _subset_codes lies in G_(free axes)."""
-    offsets = _pass_tables(G, k, kind)[2][:, None] * G.size
+    """Rows whose every output of _subset_codes lies in G_(free axes); only
+    the outputs at proper levels are resolved, and none at all when every
+    level is G.  tuples that are not an (M, 2^k) integer array of G codes
+    raise ValueError."""
+    tuples = _check_cube_rows(tuples, G, k)
+    outputs, offsets = _tested_outputs(G, k, kind)
+    mask = np.ones(len(tuples), dtype=bool)
+    if not len(outputs):
+        return mask
     member = _member_tables(G, k).reshape(-1)
-    mask = np.empty(len(tuples), dtype=bool)
-    for rows, codes in _subset_codes(tuples, G, kind):
+    for rows, codes in _subset_codes(tuples, G, kind, outputs):
         mask[rows] = member[offsets + codes].all(axis=0)
     return mask
 
 
-def face_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup,
-                     k: int) -> np.ndarray:
+def face_member_mask(tuples, G: FilteredAbelianGroup, k: int) -> np.ndarray:
     """Which rows satisfy the face criterion: each dimension-i face has its
     alternating vertex sum in G_i.  The passes give each face sum up to a
     sign, which does not change membership of a subgroup."""
     return _level_mask(tuples, G, k, "faces")
 
 
-def taylor_member_mask(tuples: np.ndarray, G: FilteredAbelianGroup,
-                       k: int) -> np.ndarray:
+def taylor_member_mask(tuples, G: FilteredAbelianGroup, k: int) -> np.ndarray:
     """Which rows have every Taylor coefficient g_J inside G_|J|; g_J is the
     face sum over the lower face {omega : omega subset J}."""
     return _level_mask(tuples, G, k, "moebius")
@@ -93,9 +125,11 @@ def equivalence_scan(G: FilteredAbelianGroup, k: int) -> dict:
     while m < width and G.size ** (m + 1) <= _SCAN_CHUNK:
         m += 1
     tuples = np.empty((G.size**m, width), dtype=np.int64)
-    low = tuples[:, :m]
-    np.floor_divide(np.arange(G.size**m)[:, None], G.size ** np.arange(m), out=low)
-    low %= G.size
+    # row x holds digit j of x in base |G| at vertex j, least significant
+    # first: the sparse index grids broadcast into a view of the low vertices
+    low = tuples[:, :m].reshape((G.size,) * m + (m,))
+    for j, grid in enumerate(np.indices((G.size,) * m, sparse=True)[::-1]):
+        low[..., j] = grid
     for q in range(total // G.size**m):
         tuples[:, m:] = q // G.size ** np.arange(width - m) % G.size
         m_face = face_member_mask(tuples, G, k)

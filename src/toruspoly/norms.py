@@ -362,6 +362,6 @@ def _random_poly(p: int, n: int, d: int, rng: SplitMix64) -> NCPoly:
     if d < 0:
         return NCPoly.zero(p, n)
     slots = canonical_slots(p, n, d)
-    terms = {s: rng.below(p) for s in slots}
+    terms = dict(zip(slots, (rng.draws(len(slots)) % np.uint64(p)).tolist()))
     alpha = TorusValue(p, rng.below(p**2), 2)
     return NCPoly.from_canonical(CanonicalForm(p, n, alpha, terms))

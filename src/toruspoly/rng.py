@@ -1,10 +1,10 @@
 """Seeded PRNG (splitmix64).
 
 All randomised checks draw from this generator so that reports are
-reproducible from (algorithm name, seed) alone.  Outputs are computed 256
-at a time in uint64 arithmetic (state + i * gamma, then the two mix rounds,
-all mod 2^64) and served one per call, so the stream is the scalar
-generator's, draw for draw.
+reproducible from (algorithm name, seed) alone.  Outputs are computed in
+uint64 arithmetic (state + i * gamma, then the two mix rounds, all mod
+2^64): 256 at a time and served one per call by next_u64, or as one array
+by draws, so the stream is the scalar generator's, draw for draw.
 """
 
 from __future__ import annotations
@@ -15,15 +15,19 @@ MASK = (1 << 64) - 1
 ALGORITHM = "splitmix64"
 GAMMA = 0x9E3779B97F4A7C15
 _BLOCK = 256
-_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(GAMMA)
 
 
-def _outputs(state: int) -> list[int]:
-    """The next _BLOCK outputs of the generator in this state."""
-    z = np.uint64(state) + _STEPS
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return (z ^ (z >> np.uint64(31))).tolist()
+def _mix(state: int, count: int) -> np.ndarray:
+    """The next count outputs of the generator in this state, as uint64."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(GAMMA)
+    z += np.uint64(state)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class SplitMix64:
@@ -34,7 +38,7 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self._base = seed & MASK
-        self._block = _outputs(self._base)
+        self._block = _mix(self._base, _BLOCK).tolist()
         self._used = 0
 
     @property
@@ -45,10 +49,26 @@ class SplitMix64:
         i = self._used
         if i == _BLOCK:
             self._base = self.state  # the block is used up
-            self._block = _outputs(self._base)
+            self._block = _mix(self._base, _BLOCK).tolist()
             i = 0
         self._used = i + 1
         return self._block[i]
+
+    def draws(self, count: int) -> np.ndarray:
+        """The next count outputs as one uint64 array: the values of count
+        next_u64 calls, after which state is where those calls leave it."""
+        if count < 0:
+            raise ValueError("need a nonnegative count")
+        i = self._used
+        if i + count <= _BLOCK:  # served from the current block
+            self._used = i + count
+            return np.array(self._block[i:i + count], dtype=np.uint64)
+        start = self.state
+        out = _mix(start, count)
+        # a used-up block whose state is start + count * gamma
+        self._base = (start + (count - _BLOCK) * GAMMA) & MASK
+        self._used = _BLOCK
+        return out
 
     def below(self, n: int) -> int:
         if n <= 0:

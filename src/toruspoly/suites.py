@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -743,13 +743,8 @@ def _suite_cubes(report: SuiteReport, rng, threads, budget, *, k=3, maps=1000):
     # closure of the cube set under addition
     G = FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1])
     cubes = enumerate_cube_codes(G, 2)
-    idx = np.array([[rng.below(len(cubes)) for _ in range(2)]
-                    for _ in range(2000)])
-    sums = np.zeros((2000, 4), dtype=np.int64)
-    for e in range(4):
-        a = cubes[idx[:, 0], e]
-        b = cubes[idx[:, 1], e]
-        sums[:, e] = (a + b) % 8
+    idx = _draws_below(rng, (2000, 2), len(cubes))
+    sums = (cubes[idx[:, 0]] + cubes[idx[:, 1]]) % 8
     ok = bool(face_member_mask(sums, G, 2).all())
     report.add("cube-group-closure",
                {"group": "Z8-chain", "k": 2, "pairs": 2000}, ok)
@@ -778,16 +773,14 @@ def _suite_cubes(report: SuiteReport, rng, threads, budget, *, k=3, maps=1000):
 
     # Weyl: zero bias iff exactly uniform, exhaustive maps [A] -> Z/4
     for a_size in (4, 8):
-        codes = np.arange(4**a_size, dtype=np.int64)
-        digs = np.stack([codes // 4**i % 4 for i in range(a_size)], axis=1)
-        counts = np.stack([(digs == v).sum(axis=1) for v in range(4)], axis=1)
+        counts = _value_counts(a_size)
         uniform = (counts == a_size // 4).all(axis=1)
         bias_zero = (
             (counts[:, 0] == counts[:, 2]) & (counts[:, 1] == counts[:, 3])
             & (counts[:, 0] + counts[:, 2] == counts[:, 1] + counts[:, 3])
         )
         report.add("weyl-criterion", {"domain": a_size, "codomain": "Z4",
-                                      "maps": len(codes)},
+                                      "maps": len(counts)},
                    bool((uniform == bias_zero).all()))
     # spot-check the report object against the vectorised logic
     vals = [(rng.below(4),) for _ in range(8)]
@@ -799,17 +792,35 @@ def _suite_cubes(report: SuiteReport, rng, threads, budget, *, k=3, maps=1000):
                and rep["weyl_consistent"])
 
 
+def _draws_below(rng, shape: tuple, bound) -> np.ndarray:
+    """An int64 array of rng.below(bound) values in row-major order, from
+    one block draw; bound is an int or one bound per last-axis column."""
+    draws = rng.draws(prod(shape)).reshape(shape)
+    np.remainder(draws, np.asarray(bound, dtype=np.uint64), out=draws)
+    return draws.view(np.int64)  # every value is below its bound
+
+
+def _value_counts(a_size: int) -> np.ndarray:
+    """counts[code, v]: how many of the a_size base-4 digits of code equal
+    v.  A code's counts are those of its high digits plus its low digit."""
+    counts = np.zeros((1, 4), dtype=np.int64)
+    for _ in range(a_size):
+        counts = (counts[:, None] + np.eye(4, dtype=np.int64)).reshape(-1, 4)
+    return counts
+
+
 def _sampled_agreement(G, k, rng, count) -> int:
     width = 1 << k
-    tuples = np.array([[rng.below(G.size) for _ in range(width)]
-                       for _ in range(count)], dtype=np.int64)
-    # bias half the sample toward actual cubes with one perturbed vertex
-    cubes = enumerate_cube_codes(G, k) if hk_size(G, k) <= 1 << 18 else None
-    if cubes is not None:
-        for row in range(0, count, 2):
-            base = cubes[rng.below(len(cubes))].copy()
-            base[rng.below(width)] = rng.below(G.size)
-            tuples[row] = base
+    tuples = _draws_below(rng, (count, width), G.size)
+    # bias half the sample toward actual cubes with one perturbed vertex:
+    # each even row draws its cube, a new value, then the vertex it replaces
+    if hk_size(G, k) <= 1 << 18:
+        cubes = enumerate_cube_codes(G, k)
+        picks = _draws_below(rng, ((count + 1) // 2, 3),
+                             (len(cubes), G.size, width))
+        base = cubes[picks[:, 0]]
+        base[np.arange(len(base)), picks[:, 2]] = picks[:, 1]
+        tuples[::2] = base
     m1 = face_member_mask(tuples, G, k)
     m2 = taylor_member_mask(tuples, G, k)
     return int((m1 != m2).sum())
@@ -819,8 +830,8 @@ def _taylor_roundtrip(G, k, rng, count) -> bool:
     """Taylor injectivity on count sampled coefficient rows, by one zeta
     and one Moebius pass; the first cube also goes through hk_taylor."""
     levels = [G.level(bin(J).count("1")) for J in range(1 << k)]
-    coeffs = np.array([[lv[rng.below(len(lv))] for lv in levels]
-                       for _ in range(count)], dtype=np.int64)
+    picks = _draws_below(rng, (count, 1 << k), [len(lv) for lv in levels])
+    coeffs = np.stack([lv[picks[:, J]] for J, lv in enumerate(levels)], axis=1)
     cubes = _subset_table(coeffs, G, "zeta")
     return (np.array_equal(_subset_table(cubes, G, "moebius"), coeffs)
             and np.array_equal(hk_taylor(cubes[0], G)[0], coeffs[0]))
@@ -857,11 +868,10 @@ def _sample_map(rng, max_order: int = 8):
     H = h_choices[rng.below(len(h_choices))]
     G = g_choices[rng.below(len(g_choices))]
     kind = rng.below(4)
-    table = np.zeros(H.size, dtype=np.int64)
     if kind == 0:          # unstructured random table
-        for x in range(H.size):
-            table[x] = rng.below(G.size)
-    elif kind == 1:        # constant
+        return H, G, _draws_below(rng, (H.size,), G.size)
+    table = np.zeros(H.size, dtype=np.int64)
+    if kind == 1:          # constant
         c = rng.below(G.size)
         table[:] = c
     else:                  # affine-ish structured map, often polynomial

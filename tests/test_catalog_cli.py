@@ -1,5 +1,6 @@
 """Example catalog consistency and CLI behaviour."""
 
+import hashlib
 import itertools
 import json
 import re
@@ -792,6 +793,22 @@ class _Stop(Exception):
 
 
 class TestSuiteReports:
+    # The bytes of `verify cubes` at k = 2, maps = 150, as the scalar draw
+    # loops wrote them.  Every sampled tuple, coefficient row and map table
+    # of the suite comes from block draws, which must keep the stream.
+    CUBES_SHA256 = {
+        1: "f3055d5144bff3c1236ef0a8f70c78ba644fbcd36b24ae7f628d97bf7a57026b",
+        4242: "6e5861e24c91c5f6304004fcf49dd54457187f76c161d5cb342619e00cc0dfa8",
+    }
+
+    @pytest.mark.parametrize("seed", CUBES_SHA256)
+    def test_cubes_report_bytes_pinned(self, seed):
+        code, out = run_cli("verify", "cubes", "--param", "k=2", "--param",
+                            "maps=150", "--seed", str(seed))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            self.CUBES_SHA256[seed]
+
     # the paper operations that three suites check last, with the number of
     # records each check adds at the default parameters
     APPENDED = {

@@ -69,6 +69,31 @@ class TestSplitMix64:
             assert getattr(fast, draw)(*args) == getattr(slow, draw)(*args)
             assert fast.state == slow.state
 
+    # block draws across block edges (255, 256, 257) and far past them,
+    # between scalar draws of each kind, at the seeds of the stream test
+    @pytest.mark.parametrize("seed", [0, 1, 808, (1 << 64) - 1])
+    def test_draws_match_scalar_generator(self, seed):
+        fast, slow = SplitMix64(seed), _ScalarSplitMix64(seed)
+        for count in (0, 1, 255, 256, 257, 10**5):
+            for draw, args in (("below", (7,)), ("unit", ()),
+                               ("next_u64", ())):
+                block = fast.draws(count)
+                assert block.dtype == np.uint64 and block.shape == (count,)
+                assert block.tolist() == [slow.next_u64() for _ in range(count)]
+                assert fast.state == slow.state
+                assert getattr(fast, draw)(*args) == getattr(slow, draw)(*args)
+                assert fast.state == slow.state
+        # two block draws in a row, then scalar draws from a fresh block
+        assert fast.draws(3).tolist() + fast.draws(300).tolist() == \
+            [slow.next_u64() for _ in range(303)]
+        assert [fast.next_u64() for _ in range(600)] == \
+            [slow.next_u64() for _ in range(600)]
+        assert fast.state == slow.state
+
+    def test_negative_draw_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative count"):
+            SplitMix64(1).draws(-1)
+
     def test_seed_reduced_mod_2_64(self):
         assert SplitMix64(-1).state == SplitMix64((1 << 64) - 1).state
         assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toruspoly import cubes, cubescan
+from toruspoly import cubes, cubescan, suites
 from toruspoly.catalog import L_table, S_k, bilinear_b, mother_q
 from toruspoly.core import BudgetExceeded, space
 from toruspoly.cubes import (
@@ -32,7 +32,9 @@ from toruspoly.cubescan import (
 from toruspoly.forms import CSMForm
 from toruspoly.poly import NCPoly
 from toruspoly.rng import SplitMix64
-from toruspoly.suites import _group_zoo, _map_choices, _taylor_roundtrip
+from toruspoly.suites import (_group_zoo, _map_choices, _sample_map,
+                              _sampled_agreement, _taylor_roundtrip,
+                              _value_counts)
 from toruspoly.weighted import Factor
 
 
@@ -175,6 +177,30 @@ class TestVectorisedScan:
             assert res == {"tuples": 4 ** (1 << k), "disagreements": 0,
                            "members": hk_size(G, k)}
 
+    # every chunk's rows, in order, are the tuples 0 .. |G|^(2^k) - 1 with
+    # vertex j holding digit j in base |G|, as floor_divide and % give them
+    @pytest.mark.parametrize("chunk", [1, 16, 1 << 18])
+    @pytest.mark.parametrize("G,k", [
+        (FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2, 1]), 2),
+        (FilteredAbelianGroup.cyclic_chain(9, [9, 9, 3, 1]), 2),
+        (FilteredAbelianGroup.maximal([2], 1), 3),
+        (FilteredAbelianGroup.maximal([2], 1), 0),
+    ])
+    def test_scan_decodes_every_tuple_once(self, G, k, chunk, monkeypatch):
+        seen = []
+
+        def recording(tuples, G, k):
+            seen.append(tuples.copy())
+            return face_member_mask(tuples, G, k)
+
+        monkeypatch.setattr(cubescan, "_SCAN_CHUNK", chunk)
+        monkeypatch.setattr(cubescan, "face_member_mask", recording)
+        equivalence_scan(G, k)
+        width = 1 << k
+        decoded = np.floor_divide(np.arange(G.size**width)[:, None],
+                                  G.size ** np.arange(width)) % G.size
+        assert np.array_equal(np.concatenate(seen), decoded)
+
     @pytest.mark.parametrize("G,k", SCANNABLE)
     def test_counted_equivalence_matches_scan(self, G, k):
         scanned = equivalence_scan(G, k)
@@ -275,15 +301,31 @@ def _mask_rows(G, k, rng):
     return np.array(rows, dtype=np.int64)
 
 
+def _every_output_mask(tuples, G, k, kind):
+    """The level test on every output of the pass, levels equal to G
+    included: the reference for the masks, which skip those levels."""
+    level = cubes._pass_tables(G, k, kind)[2]
+    codes = _subset_table(np.asarray(tuples, dtype=np.int64), G, kind)
+    return _member_tables(G, k)[level, codes].all(axis=1)
+
+
+def _params(groups, prefix, start=0):
+    return [pytest.param(i, G, k, id=f"{prefix}{i}-Z{'x'.join(map(str, G.orders))}-k{k}")
+            for i, G in enumerate(groups, start) for k in range(4)]
+
+
 # every suite group at k = 0..3, and the block sizes the passes run at: the
 # default, one row per block, and a row count that does not divide 97
-ZOO_K = [pytest.param(i, G, k, id=f"zoo{i}-Z{'x'.join(map(str, G.orders))}-k{k}")
-         for i, G in enumerate(_group_zoo()) for k in range(4)]
+ZOO_K = _params(_group_zoo(), "zoo")
 BLOCKS = (cubes._PASS_BLOCK, 1, 100)
+# the zoo, then the _map_choices groups that are not in it
+MASK_K = ZOO_K + _params([G for G in dict.fromkeys(
+    H for order in (8, 9) for pair in _map_choices(order) for H in pair)
+    if G not in _group_zoo()], "map", len(_group_zoo()))
 
 
 class TestSubsetPasses:
-    @pytest.mark.parametrize("i,G,k", ZOO_K)
+    @pytest.mark.parametrize("i,G,k", MASK_K)
     def test_masks_match_oracles(self, i, G, k, monkeypatch):
         rows = _mask_rows(G, k, SplitMix64(1000 + 10 * i + k))
         face = _face_mask_oracle(rows, G, k)
@@ -291,6 +333,9 @@ class TestSubsetPasses:
         assert face.tolist() == [_hk_taylor_oracle(row, G)[0] is not None
                                  for row in rows]
         assert face[49::2].all()
+        for kind in ("faces", "moebius"):
+            assert _every_output_mask(rows, G, k, kind).tolist() == \
+                face.tolist()
         for block in BLOCKS:
             monkeypatch.setattr(cubes, "_PASS_BLOCK", block)
             assert face_member_mask(rows, G, k).tolist() == face.tolist()
@@ -348,6 +393,71 @@ class TestSubsetPasses:
         assert set(face_member_mask(rows, G, 3).tolist()) == {True, False}
         offending = {hk_taylor(row, G)[1] for row in rows}
         assert None in offending and len(offending) > 2
+
+
+class TestSkippedLevels:
+    @pytest.mark.parametrize("i,G,k", MASK_K)
+    def test_tested_outputs_are_the_proper_levels(self, i, G, k):
+        for kind in ("faces", "moebius"):
+            level = cubes._pass_tables(G, k, kind)[2]
+            outputs, offsets = cubescan._tested_outputs(G, k, kind)
+            assert outputs.tolist() == [
+                f for f, lv in enumerate(level.tolist())
+                if len(G.level(lv)) < G.size]
+            assert offsets[:, 0].tolist() == (level[outputs] * G.size).tolist()
+
+    # every level up to k is G: no output is tested and no pass runs
+    @pytest.mark.parametrize("G,k_top", [
+        (FilteredAbelianGroup.maximal([16], 3), 3),
+        (FilteredAbelianGroup.maximal([2, 2], 2), 2),
+        (FilteredAbelianGroup.maximal([2], 1), 1),
+    ])
+    def test_all_levels_g_runs_no_pass(self, G, k_top, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(cubescan, "_subset_codes", no_pass)
+        for k in range(k_top + 1):
+            rows = _mask_rows(G, k, SplitMix64(5000 + k))
+            assert len(cubescan._tested_outputs(G, k, "faces")[0]) == 0
+            assert face_member_mask(rows, G, k).all()
+            assert taylor_member_mask(rows, G, k).all()
+            assert _every_output_mask(rows, G, k, "faces").all()
+        # one level past G_(k_top) is tested
+        monkeypatch.undo()
+        rows = _mask_rows(G, k_top + 1, SplitMix64(6000))
+        assert not taylor_member_mask(rows, G, k_top + 1).all()
+
+    G8 = FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1])
+
+    @pytest.mark.parametrize("tuples,k", [
+        ([[0, -1, 0, 0]], 2),                      # negative code
+        ([[0, 8, 0, 0]], 2),                       # code |G|
+        (np.array([[0, 1 << 40, 0, 0]]), 2),       # far past |G|
+        (np.array([[0, 1 << 63, 0, 0]], dtype=np.uint64), 2),
+        ([[0, 1, 2]], 1),                          # width not 2^k
+        ([[0, 1, 2, 3]], 1),                       # width 2^2 at k = 1
+        ([[0, 1]], 2),                             # width 2^1 at k = 2
+        ([0, 1, 2, 3], 2),                         # one 1-D row
+        ([[[0, 1, 2, 3]]], 2),                     # 3-D
+        (np.array([[0.0, 1.0, 2.0, 3.0]]), 2),     # floats
+        (np.array([[True, False]]), 1),            # booleans
+        ([[0, 1 << 70]], 1),                       # past 64 bits
+        ([[0]], -1),                               # negative k
+    ])
+    def test_bad_rows_rejected(self, tuples, k):
+        for mask in (face_member_mask, taylor_member_mask):
+            with pytest.raises(ValueError, match="k-cubes must be|cube codes"):
+                mask(tuples, self.G8, k)
+
+    def test_good_rows_accepted(self):
+        rows = [[0, 7, 4, 3]]
+        for tuples in (rows, np.array(rows, dtype=np.int32),
+                       np.array(rows, dtype=np.uint64)):
+            assert face_member_mask(tuples, self.G8, 2).tolist() == \
+                _face_mask_oracle(np.array(rows), self.G8, 2).tolist()
+        empty = np.zeros((0, 4), dtype=np.int64)
+        assert taylor_member_mask(empty, self.G8, 2).tolist() == []
 
 
 def _face_pass_oracle(tuples, G):
@@ -690,6 +800,27 @@ def _taylor_roundtrip_oracle(G, k, rng, count) -> bool:
     return True
 
 
+def _sample_map_oracle(rng):
+    """_sample_map one draw at a time; also returns the kind drawn."""
+    h_choices, g_choices = _map_choices(8)
+    H = h_choices[rng.below(len(h_choices))]
+    G = g_choices[rng.below(len(g_choices))]
+    kind = rng.below(4)
+    if kind == 0:
+        table = [rng.below(G.size) for _ in range(H.size)]
+    elif kind == 1:
+        table = [rng.below(G.size)] * H.size
+    else:
+        c0 = rng.below(G.size)
+        mults = [rng.below(G.orders[0]) for _ in H.orders]
+        table = []
+        for x in range(H.size):
+            acc = list(code_element(G, c0))
+            acc[0] += sum(m * xt for m, xt in zip(mults, code_element(H, x)))
+            table.append(element_code(G, acc))
+    return H, G, table, kind
+
+
 class TestTaylorRoundtrip:
     @pytest.mark.parametrize("i,G,k", [p for p in ZOO_K if p.values[2] >= 1])
     def test_draws_match_scalar_loop(self, i, G, k, monkeypatch):
@@ -713,6 +844,47 @@ class TestTaylorRoundtrip:
         expected = [[int(lv[replay.below(len(lv))]) for lv in levels]
                     for _ in range(100)]
         assert len(drawn) == 1 and drawn[0].tolist() == expected
+
+    # the sampled tuples of the cubes suite, from block draws, are the
+    # scalar loop's: count rows of 2^k draws, then per even row a cube, a
+    # new value and the vertex it replaces (Python draws the value first)
+    @pytest.mark.parametrize("G,k,count", [
+        (FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1]), 2, 64),
+        (FilteredAbelianGroup.maximal([16], 3), 2, 33),
+        (FilteredAbelianGroup.cyclic_chain(9, [9, 9, 3, 1]), 3, 10),
+    ])
+    def test_sampled_tuples_match_scalar_loop(self, G, k, count, monkeypatch):
+        seen = []
+
+        def recording(tuples, G, k):
+            seen.append(tuples.copy())
+            return face_member_mask(tuples, G, k)
+
+        monkeypatch.setattr(suites, "face_member_mask", recording)
+        batched, scalar = SplitMix64(7), SplitMix64(7)
+        assert _sampled_agreement(G, k, batched, count) == 0
+        width = 1 << k
+        rows = [[scalar.below(G.size) for _ in range(width)]
+                for _ in range(count)]
+        cubes_k = enumerate_cube_codes(G, k)
+        for row in range(0, count, 2):
+            base = cubes_k[scalar.below(len(cubes_k))].tolist()
+            value = scalar.below(G.size)
+            base[scalar.below(width)] = value
+            rows[row] = base
+        assert seen[0].tolist() == rows
+        assert batched.state == scalar.state
+
+    def test_sampled_maps_match_scalar_loop(self):
+        batched, scalar = SplitMix64(11), SplitMix64(11)
+        kinds = set()
+        for _ in range(200):
+            H, G, table = _sample_map(batched)
+            H0, G0, table0, kind = _sample_map_oracle(scalar)
+            assert (H, G, table.tolist()) == (H0, G0, table0)
+            assert batched.state == scalar.state
+            kinds.add(kind)
+        assert kinds == {0, 1, 2, 3}
 
     def test_corrupted_solution_detected(self, monkeypatch):
         from toruspoly import suites
@@ -867,6 +1039,13 @@ class TestEquidistribution:
         assert rep["histogram"] == {"0": 36, "1": 24, "2": 4}
         assert rep["max_deviation"] == Fraction(5, 16)
         assert rep["max_bias_sq"] == Fraction(25, 64)
+
+    @pytest.mark.parametrize("a_size", [1, 2, 4, 8])
+    def test_weyl_count_table_matches_digit_stack(self, a_size):
+        codes = np.arange(4**a_size, dtype=np.int64)
+        digs = np.stack([codes // 4**i % 4 for i in range(a_size)], axis=1)
+        expected = np.stack([(digs == v).sum(axis=1) for v in range(4)], axis=1)
+        assert np.array_equal(_value_counts(a_size), expected)
 
     def test_weyl_zero_bias_iff_uniform(self):
         rng = SplitMix64(13)
