@@ -2,11 +2,12 @@
 
 Provides torus values with p-power denominators (elements of (1/p^K)Z/Z),
 the space F_p^n, whose points are packed integer indices, deterministic
-root-of-unity accumulators (`UnityCounter`), exact expectations of roots of
-unity (`ExactExpectation`): integer counts on the residues of Z/p^K,
-batched over leading axes and reduced once to their coordinates in
-Z[zeta_{p^K}], from which zero tests, rational values and |.|^2 are read
-exactly, and the integer reader of JSON input (`json_int`).
+root-of-unity accumulators (`UnityCounter`: sorted distinct residues and one
+count each, at any p^K), exact expectations of roots of unity
+(`ExactExpectation`): integer counts on the residues of Z/p^K, batched over
+leading axes and reduced once to their coordinates in Z[zeta_{p^K}], from
+which zero tests, rational values and |.|^2 are read exactly, and the
+integer reader of JSON input (`json_int`).
 
 All arithmetic here is integer-exact; floats appear only when a character
 sum is finally converted to a complex number.
@@ -54,6 +55,20 @@ def json_int(obj: dict, key: str):
             raise ValueError(f"{key} must hold integers, got {value!r}")
         return int(value)
     return read(obj[key])
+
+
+def _reduce(x: np.ndarray, p: int, K: int) -> np.ndarray:
+    """x mod p^K for int64, Python-integer or integral float64 arrays,
+    negatives included.
+
+    A mask at p = 2; elsewhere x - (x // p^K) p^K, since numpy's floor
+    division costs a fraction of its integer %.  The product may wrap in
+    int64, but the true residue lies in [0, p^K), so the wrapped difference
+    is exact.  Python-integer arrays keep %."""
+    if p == 2:
+        return x & ((1 << K) - 1)
+    m = p**K
+    return x % m if x.dtype == object else x - x // m * m
 
 
 class TorusValue:
@@ -232,13 +247,21 @@ class ExactExpectation:
     __slots__ = ("p", "K", "basis", "coords", "total")
 
     def __init__(self, p: int, K: int, counts, total: int, residues=None):
-        """counts is (..., R) over the R distinct residues mod p^K that the
-        batch shares; residues=None means all p^K of them, in order."""
+        """counts is (..., R) over the R residues mod p^K that the batch
+        shares, strictly increasing in [0, p^K); residues=None means all p^K
+        of them, in order."""
         if total <= 0:
             raise ValueError("empty counter")
         self.p, self.K, self.total = p, K, total
         counts = np.asarray(counts)
         batch = counts.shape[:-1]
+        if residues is not None:
+            residues = np.asarray(residues, dtype=np.int64)
+            if residues.shape != counts.shape[-1:] \
+                    or (np.diff(residues, prepend=-1) <= 0).any() \
+                    or len(residues) and int(residues[-1]) >= p**K:
+                raise ValueError("residues must be one strictly increasing "
+                                 f"row in [0, {p}^{K}), one per count")
         if K == 0:
             basis = np.zeros(1, dtype=np.int64)
             coords = counts.sum(axis=-1, keepdims=True)
@@ -248,10 +271,12 @@ class ExactExpectation:
                 cols = np.arange(m, dtype=np.int64)
                 table = counts.reshape(batch + (p, m))
             else:
-                residues = np.asarray(residues, dtype=np.int64)
+                # scattered with the residue axis first, where each residue's
+                # counts are one contiguous row
                 cols, col = np.unique(residues % m, return_inverse=True)
-                table = np.zeros(batch + (p, len(cols)), dtype=counts.dtype)
-                table[..., residues // m, col] = counts
+                table = np.zeros((p, len(cols)) + batch, dtype=counts.dtype)
+                table[residues // m, col] = np.moveaxis(counts, -1, 0)
+                table = np.moveaxis(table, (0, 1), (-2, -1))
             coords = (table[..., :-1, :] - table[..., -1:, :]) \
                 .reshape(batch + (-1,))
             basis = (np.arange(p - 1)[:, None] * m + cols).ravel()
@@ -286,14 +311,12 @@ class ExactExpectation:
         bound = np.abs(self.coords.astype(float)).sum(axis=-1).max(initial=0.0)
         x = self.coords.astype(object if bound**2 >= 2.0**62 else np.int64) \
             .reshape(math.prod(batch), n)
-        # row j holds the residues t_i - t_j of the products x_i x_j; as in
-        # UnityCounter they index all p^K residues up to _DENSE_COUNTERS,
-        # which reduce by a reshape, and the differences that occur past it
-        M = self.p**self.K
-        diffs = (self.basis - self.basis[:, None]) % M
-        residues = np.unique(diffs) if M > _DENSE_COUNTERS else None
-        if residues is not None:
-            M, diffs = len(residues), np.searchsorted(residues, diffs)
+        # row j holds the residues t_i - t_j of the products x_i x_j, as
+        # indices into the differences that occur
+        residues, diffs = np.unique(
+            _reduce(self.basis - self.basis[:, None], self.p, self.K),
+            return_inverse=True)
+        M = len(residues)
         acc = np.zeros((len(x), M), dtype=x.dtype)
         # each sum's nonzero coordinates come first in cols, padded to the
         # longest sum's k by zeros; the i-th pairs with all k at once, so the
@@ -310,50 +333,36 @@ class ExactExpectation:
                                 self.total**2, residues)
 
 
-# UnityCounter keeps a dense array of counters up to this many residues and
-# a dict of the residues it has seen above it
-_DENSE_COUNTERS = 1 << 20
-
-
 class UnityCounter:
-    """Integer counters over the residues of (1/p^K)Z/Z.
+    """Integer counters over the residues of (1/p^K)Z/Z: sorted distinct
+    residues and one count each, at any p^K.
 
     Insertion order never matters, so any accumulation schedule gives
-    bit-identical expectations.  ``counts`` is an array indexed by residue
-    while p^K is at most _DENSE_COUNTERS, and a {residue: count} dict past
-    it.
+    bit-identical expectations.
     """
 
     def __init__(self, p: int, K: int):
         validate_prime(p)
         self.p = p
         self.K = K
-        self.counts: np.ndarray | dict[int, int] = \
-            np.zeros(p**K, dtype=np.int64) if p**K <= _DENSE_COUNTERS else {}
+        self.residues = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros(0, dtype=np.int64)
 
     def add_counts(self, residues, counts) -> None:
         """Add counts[i] to the counter of residues[i] (reduced numerators
         over p^K; a residue may repeat)."""
-        if isinstance(self.counts, dict):
-            for r, c in zip(np.asarray(residues).tolist(), np.asarray(counts).tolist()):
-                if c:
-                    self.counts[r] = self.counts.get(r, 0) + c
-        else:
-            np.add.at(self.counts, residues, counts)
+        self.residues, at = np.unique(np.concatenate(
+            [self.residues, np.asarray(residues, dtype=np.int64)]),
+            return_inverse=True)
+        merged = np.zeros(len(self.residues), dtype=np.int64)
+        np.add.at(merged, at, np.concatenate([self.counts, counts]))
+        self.counts = merged
 
     def add_residues(self, residues: np.ndarray) -> None:
         """Bulk insert residue indices (numerators over p^K)."""
-        mod = self.p**self.K
-        if isinstance(self.counts, dict):
-            self.add_counts(*np.unique(residues.ravel() % mod, return_counts=True))
-        else:
-            self.counts += np.bincount(residues.ravel() % mod, minlength=mod)
+        self.add_counts(*np.unique(_reduce(residues.ravel(), self.p, self.K),
+                                   return_counts=True))
 
     def expectation(self) -> ExactExpectation:
-        if isinstance(self.counts, dict):
-            residues = sorted(self.counts)
-            counts = [self.counts[r] for r in residues]
-            return ExactExpectation(self.p, self.K, np.array(counts, np.int64),
-                                    sum(counts), residues)
         return ExactExpectation(self.p, self.K, self.counts,
-                                int(self.counts.sum()))
+                                int(self.counts.sum()), self.residues)

@@ -19,6 +19,7 @@ from .core import (
     ExactExpectation,
     TorusValue,
     UnityCounter,
+    _reduce,
     check_budget,
     json_int,
     space,
@@ -204,7 +205,7 @@ def gowers_power_exact(P: NCPoly, d: int, budget: int | None = None) -> ExactExp
 
     _derivative_expansion(
         P.nums % mod, P.p, P.n, d - 1 if fold else d,
-        lambda cur, s: (cur[:, s] - cur[:, None, :]) % mod,
+        lambda cur, s: _reduce(cur[:, s] - cur[:, None, :], P.p, P.K),
         histograms if fold else counter.add_residues, "gowers_power_exact")
     return counter.expectation()
 
@@ -218,7 +219,8 @@ class AnalyticRank:
 
     def __init__(self, bias_value: Fraction, p: int):
         self.bias = bias_value
-        self.value = -math.log(bias_value) / math.log(p)
+        # + 0.0 turns the -0.0 of bias 1 into 0.0 and leaves every other value
+        self.value = -math.log(bias_value) / math.log(p) + 0.0
         self.exact = None
         num, den = bias_value.numerator, bias_value.denominator
         if num == 1:

@@ -15,10 +15,10 @@ and any batch axes after it, so each per-axis pass runs over contiguous runs
 of entries; interpolate_tables and eval_slot_batches keep the table axis last.
 Products run in float64, exact in BLAS while every partial sum is an integer
 below 2^53, else in Python integers; layers share one matrix per (p, n).
-Every reduction mod p^K goes through one helper, _reduce, on floor division
-(a mask at p = 2).  classical_coeffs refuses tables past SPACE_CAP entries;
-below it, its per-axis products run in float64 with one reduction per
-transform.
+Every reduction mod p^K goes through one helper, core._reduce, on floor
+division (a mask at p = 2).  classical_coeffs refuses tables past SPACE_CAP
+entries; below it, its per-axis products run in float64 with one reduction
+per transform.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 from .core import (
     SPACE_CAP,
     TorusValue,
+    _reduce,
     check_budget,
     json_int,
     space,
@@ -53,20 +54,6 @@ class NotPolynomialError(ValueError):
 
 # ---------------------------------------------------------------------------
 # table kernels (table axis first, batched over the axes after it)
-
-
-def _reduce(x: np.ndarray, p: int, K: int) -> np.ndarray:
-    """x mod p^K for int64, Python-integer or integral float64 arrays,
-    negatives included.
-
-    A mask at p = 2; elsewhere x - (x // p^K) p^K, since numpy's floor
-    division costs a fraction of its integer %.  The product may wrap in
-    int64, but the true residue lies in [0, p^K), so the wrapped difference
-    is exact.  Python-integer arrays keep %."""
-    if p == 2:
-        return x & ((1 << K) - 1)
-    m = p**K
-    return x % m if x.dtype == object else x - x // m * m
 
 
 def _check_table_exponent(p: int, K: int) -> None:

@@ -116,6 +116,14 @@ class TestCli:
         assert payload["bias"] == "1577/8192"
         assert payload["arank"] == pytest.approx(2.3770330552, abs=1e-9)
 
+    def test_arank_zero_below_degree(self):
+        # bias 1 gives -log 1 = -0.0, which printed as "-0.0"
+        payload = json.dumps({"p": 2, "n": 2, "text": "1/2*x1*x2"})
+        code, out = run_cli("--input", "-", "arank", "--s", "2", "--json",
+                            stdin_text=payload)
+        assert code == 0
+        assert out == '{"arank": 0.0, "bias": "1/1", "exact": 0}\n'
+
     def test_norm_exact_field(self, tmp_path):
         P = NCPoly.from_text(2, 2, "1/2*x1*x2")
         path = tmp_path / "f.json"
@@ -808,6 +816,32 @@ class TestSuiteReports:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
             self.CUBES_SHA256[seed]
+
+    def test_gowers_props_report_bytes_pinned(self):
+        # the exact-phase-path records run gowers_power_exact through the
+        # residue counter
+        code, out = run_cli("verify", "gowers-props", "--param", "count=10",
+                            "--seed", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "30838261ce0db5b7c3d0d6119bf94f64df57ff8b8e2407d6c4a7341c91b1e3f4"
+
+    # equidistribution reports, whose squared biases run abs_sq: on Z/2048
+    # irrational, on Z/8 x Z/8 rational with values in a subgroup
+    EQUIDIST_SHA256 = {
+        (2048,): ("dd83e860671f19a9f8bfb75b8dc031ca045f96c588071b27bb154335e6ef1834",
+                  [[(i**3 + i * i + 5 * i + 3) % 2048] for i in range(48)]),
+        (8, 8): ("bad549bdd0a0c85148fcddf908cb7d8b3caefcd5a06a6be06ab92ad4e0362b02",
+                 [[4 * (i % 2), 2 * ((i * i + i // 3) % 4)] for i in range(100)]),
+    }
+
+    @pytest.mark.parametrize("orders", EQUIDIST_SHA256, ids=["Z2048", "Z8xZ8"])
+    def test_equidist_bytes_pinned(self, orders):
+        digest, values = self.EQUIDIST_SHA256[orders]
+        payload = json.dumps({"orders": list(orders), "values": values})
+        code, out = run_cli("--input", "-", "equidist", stdin_text=payload)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # the paper operations that three suites check last, with the number of
     # records each check adds at the default parameters

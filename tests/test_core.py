@@ -288,10 +288,10 @@ class TestCounters:
             UnityCounter(2, 1).expectation()
 
     def test_insertion_order_independent(self):
-        # one by one forwards, one by one backwards and in bulk, with array
-        # counters (3^2 residues) and dict counters (2^21 residues)
+        # one by one forwards, one by one backwards and in bulk, at 3^2,
+        # 2^21 and 2^62 residues
         rng = SplitMix64(9)
-        for p, K in ((3, 2), (2, 21)):
+        for p, K in ((3, 2), (2, 21), (2, 62)):
             residues = np.array([rng.below(p**K) for _ in range(500)])
             forward, backward, bulk = (UnityCounter(p, K) for _ in range(3))
             for r in residues:
@@ -300,12 +300,28 @@ class TestCounters:
                 backward.add_counts([r], [1])
             bulk.add_residues(residues)
             for c in (backward, bulk):
-                if isinstance(c.counts, dict):
-                    assert c.counts == forward.counts
-                else:
-                    assert np.array_equal(c.counts, forward.counts)
+                assert np.array_equal(c.residues, forward.residues)
+                assert np.array_equal(c.counts, forward.counts)
                 assert c.expectation().as_complex() == \
                     forward.expectation().as_complex()
+
+    def test_counts_only_the_residues_that_occur(self):
+        # 10^5 residues mod 2^62 from a pool of 3000, half of them given
+        # shifted by -2^62: one counter each, summing to the oracle's value
+        rng = SplitMix64(62)
+        pool = (rng.draws(3000) >> np.uint64(2)).astype(np.int64)
+        residues = pool[rng.draws(10**5) % np.uint64(3000)]
+        c = UnityCounter(2, 62)
+        c.add_residues(residues[::2])
+        c.add_residues(residues[1::2] - (1 << 62))
+        distinct, counts = np.unique(residues, return_counts=True)
+        assert len(c.counts) == len(distinct)
+        assert np.array_equal(c.residues, distinct)
+        assert np.array_equal(c.counts, counts)
+        e = c.expectation()
+        assert e.total == 10**5
+        assert _coeffs(e) == \
+            CycloSum(2, 62, dict(zip(distinct.tolist(), counts.tolist()))).coeffs
 
 
 class CycloSum:
@@ -458,6 +474,19 @@ class TestExactExpectation:
         assert np.array_equal(dense.basis, sparse.basis)
         assert np.array_equal(dense.coords, sparse.coords)
         assert _coeffs(dense) == CycloSum(5, 2, {3: 2, 8: 1, 21: 4}).coeffs
+
+    @pytest.mark.parametrize(
+        "residues", [[0, 0], [1, 0], [-1, 1], [0, 2]],
+        ids=["repeated", "decreasing", "negative", "past-modulus"])
+    def test_residues_strictly_increasing_in_range(self, residues):
+        # a repeated residue used to keep only its last count ([0, 0] read
+        # 2/3 instead of 1) and one past p^K to raise a bare IndexError
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ExactExpectation(2, 1, [1, 2], 3, residues=residues)
+
+    def test_residues_one_per_count(self):
+        with pytest.raises(ValueError, match="one per count"):
+            ExactExpectation(2, 2, [1, 2], 3, residues=[0, 1, 2])
 
     @pytest.mark.parametrize("p,K", [(2, 40), (3, 30)])
     def test_abs_sq_past_dense_counters(self, p, K):
