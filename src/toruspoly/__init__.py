@@ -9,7 +9,6 @@ from .core import (
     UnityCounter,
 )
 from .forms import (
-    CSMForm,
     MultilinearForm,
     antiderivative,
     bias,

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import TorusValue, space
-from .forms import CSMForm, dk_extract
+from .forms import MultilinearForm, dk_extract
 from .poly import NCPoly
 
 
@@ -60,16 +60,16 @@ def mother_q() -> NCPoly:
 
 
 @lru_cache(maxsize=64)
-def bilinear_b(n: int) -> CSMForm:
+def bilinear_b(n: int) -> MultilinearForm:
     """B = d^2 S_2: B(a, b) = sum_{i != j} a_i b_j."""
     form = dk_extract(S_k(n, 2), 2)
-    assert isinstance(form, CSMForm)
+    assert form.classical
     return form
 
 
 @lru_cache(maxsize=64)
-def quartic_form(n: int) -> CSMForm:
+def quartic_form(n: int) -> MultilinearForm:
     """d^4 S_4, the quartilinear form whose bias tends to 1/8."""
     form = dk_extract(S_k(n, 4), 4)
-    assert isinstance(form, CSMForm)
+    assert form.classical
     return form

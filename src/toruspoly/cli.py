@@ -204,7 +204,8 @@ def _dispatch(args) -> int:
 
     if cmd == "interpolate":
         P = _load_poly(args)
-        P.canonical(d_max=args.degree)
+        if args.degree is not None and P.degree() > args.degree:
+            raise NotPolynomialError(f"not a polynomial of degree <= {args.degree}")
         _emit(args, _poly_payload(P))
         return EXIT_PASS
 
@@ -303,7 +304,7 @@ def _dispatch(args) -> int:
             raise ValueError(f"k must be at least 0, got {k}")
         cube = np.array([element_code(G, e) for e in json_int(obj, "cube")],
                         dtype=np.int64)
-        if len(cube) != 1 << k:
+        if len(cube).bit_length() != k + 1 or len(cube) != 1 << k:
             raise ValueError(f"need 2^{k} entries")
         member = bool(face_member_mask(cube[None], G, k)[0])
         coeffs, offending = hk_taylor(cube, G)

@@ -150,11 +150,13 @@ def counted_equivalence(G: FilteredAbelianGroup, k: int) -> dict:
     for the block lattice L spanned by the orders and each face's level
     generators, so |im phi| = |Q| / [Z^(rF) : L + phi(Z^(r 2^k))], and both
     factors are products of echelon pivots.  Equal cardinalities then force
-    equality of the two sets.
+    equality of the two sets.  The echelon basis is a dense (3^k r)^2
+    Python array, checked against SPACE_CAP before anything is built.
     """
+    r = len(G.orders)
+    check_budget((3**k * r) ** 2, SPACE_CAP, "counted_equivalence")
     taylor_count = hk_size(G, k)
     width = 1 << k
-    r = len(G.orders)
     # face f is output f of the "faces" pass: its base-3 digit on axis a is
     # 2 where vertex bit k-1-a is free and fixes that bit otherwise
     dims = _pass_tables(G, k, "faces")[2]
@@ -227,12 +229,13 @@ def preserves_cubes_fast(phi_codes: np.ndarray, H: FilteredAbelianGroup,
                          budget: int | None = None) -> bool:
     """Whether phi maps every H-cube of dimension at most k_max to a G-cube,
     by one Taylor pass over the k_max-cubes (see the module docstring).
-    phi_codes maps H element codes to G element codes.  The pass's
-    hk_size(H, k_max) 2^k_max entries are checked against budget; a table
-    that is not one G code per H code, or a negative k_max, raises
-    ValueError."""
+    phi_codes maps H element codes to G element codes.  2^k_max is checked
+    against SPACE_CAP, then the pass's hk_size(H, k_max) 2^k_max entries
+    against budget; a table that is not one G code per H code, or a
+    negative k_max, raises ValueError."""
     if k_max < 0:
         raise ValueError(f"k_max must be at least 0, got {k_max}")
+    check_budget(1 << min(k_max, 64), SPACE_CAP, "preserves_cubes_fast")
     phi_codes = _check_code_table(phi_codes, H, G)
     check_budget(hk_size(H, k_max) << k_max, budget, "preserves_cubes_fast")
     cubes = enumerate_cube_codes(H, k_max)

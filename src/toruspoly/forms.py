@@ -2,9 +2,9 @@
 
 A form is stored by its values on sorted basis tuples (equivalently,
 coordinate multisets) and extended everywhere by multilinearity.  The
-classical ones (CSMForm) vanish whenever p or more arguments coincide;
-their coefficients live on multisets with every multiplicity below p, and
-they are exactly the k-th derivatives of classical polynomials.
+classical ones vanish whenever p or more arguments coincide: the property
+`classical` checks that every multiplicity in the support is below p.
+They are exactly the k-th derivatives of classical polynomials.
 
 The bias of a form is computed exactly from ranks.  With its first k-2
 arguments fixed, T is a bilinear form with an n x n matrix M over F_p,
@@ -41,8 +41,6 @@ Multiset = tuple[int, ...]
 class MultilinearForm:
     """Symmetric k-linear map V^k -> F_p given by values on basis multisets."""
 
-    classical = False
-
     def __init__(self, p: int, n: int, k: int, coeffs: dict[Multiset, int] | None = None):
         if k < 1:
             raise ValueError("arity must be >= 1")
@@ -57,11 +55,12 @@ class MultilinearForm:
             key = tuple(sorted(key))
             if len(key) != k or any(not 0 <= i < n for i in key):
                 raise ValueError(f"bad multiset {key}")
-            self._validate(key)
             self.coeffs[key] = c
 
-    def _validate(self, key: Multiset) -> None:
-        pass
+    @property
+    def classical(self) -> bool:
+        """Every multiplicity of every supporting multiset is below p."""
+        return all(key.count(i) < self.p for key in self.coeffs for i in key)
 
     def value(self, key: Iterable[int]) -> int:
         return self.coeffs.get(tuple(sorted(key)), 0)
@@ -76,12 +75,11 @@ class MultilinearForm:
         out: dict[Multiset, int] = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = (out.get(key, 0) + c) % self.p
-        cls = CSMForm if self.classical and other.classical else MultilinearForm
-        return cls(self.p, self.n, self.k, out)
+        return MultilinearForm(self.p, self.n, self.k, out)
 
     def scale(self, a: int) -> "MultilinearForm":
-        return type(self)(self.p, self.n, self.k,
-                          {key: a * c for key, c in self.coeffs.items()})
+        return MultilinearForm(self.p, self.n, self.k,
+                               {key: a * c for key, c in self.coeffs.items()})
 
     def dense_tensor(self) -> np.ndarray:
         """Full (n,)*k value tensor, filled via symmetry; n^k is checked
@@ -121,18 +119,6 @@ class MultilinearForm:
         return f"{type(self).__name__}(p={self.p}, n={self.n}, k={self.k}, {len(self.coeffs)} terms)"
 
 
-class CSMForm(MultilinearForm):
-    """Classical symmetric multilinear form: multiplicities stay below p."""
-
-    classical = True
-
-    def _validate(self, key: Multiset) -> None:
-        for i in set(key):
-            if key.count(i) >= self.p:
-                raise ValueError(
-                    f"multiplicity >= p in {key}: form is not classical")
-
-
 # ---------------------------------------------------------------------------
 # extraction and antiderivative
 
@@ -167,7 +153,7 @@ def dk_extract(P: NCPoly, k: int) -> MultilinearForm:
     """The k-fold derivative d^k P as a symmetric multilinear form.
 
     Requires deg P <= k so that the iterated derivative is independent of
-    the base point.  Returns a CSMForm when P is classical.
+    the base point.  The form is classical when P is.
     """
     if P.degree() > k:
         raise ValueError(f"degree {P.degree()} exceeds arity {k}: d^k depends on x")
@@ -181,12 +167,10 @@ def dk_extract(P: NCPoly, k: int) -> MultilinearForm:
         if val.exp != 1:
             raise ValueError("d^k values left iota(F); input is not a polynomial")
         coeffs[key] = val.num
-    if P.is_classical():
-        return CSMForm(P.p, P.n, k, coeffs)
     return MultilinearForm(P.p, P.n, k, coeffs)
 
 
-def antiderivative(T: CSMForm) -> NCPoly:
+def antiderivative(T: MultilinearForm) -> NCPoly:
     """A classical P of degree <= k with d^k P = T (monomial construction:
     each multiset A contributes iota(prod x_j^(a_j) / a_j!))."""
     if not T.classical:
@@ -229,8 +213,7 @@ def concat(S: MultilinearForm, T: MultilinearForm) -> MultilinearForm:
             total += S.value(left) * T.value(right)
         if total % p:
             out[tup] = total % p
-    cls = CSMForm if S.classical and T.classical else MultilinearForm
-    return cls(p, n, k + l, out)
+    return MultilinearForm(p, n, k + l, out)
 
 
 def _block_partitions(positions: tuple[int, ...], k: int):
@@ -267,8 +250,7 @@ def sym_power(T: MultilinearForm, m: int) -> MultilinearForm:
             total += prod
         if total % p:
             out[tup] = total % p
-    cls = type(T) if T.classical else MultilinearForm
-    return cls(p, n, m * k, out)
+    return MultilinearForm(p, n, m * k, out)
 
 
 def binomial_lift_power(P: NCPoly, m: int, k: int | None = None) -> NCPoly:

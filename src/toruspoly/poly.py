@@ -77,44 +77,39 @@ def difference_degree(nums: np.ndarray, K: int, p: int,
     numerators over p^K, along generators of total weight > d, vanishes.
 
     gens holds (axis, step, weight) triples, weights >= 1; the table wraps
-    on each axis.  The degree is -inf for the zero table and otherwise
-    max(0, max_g weight_g + deg Delta_g f), memoised on the normalised
-    difference tables.  Each Delta_g is nilpotent on a p-power-periodic
-    table and the Delta_g commute, so the walk ends without a bound.
-    Its one library caller is NCPoly.degree_by_derivatives.  The work,
-    difference tables computed times their size, is checked against budget
-    as the walk goes.
+    on each axis.  The degree is -inf for the zero table and otherwise the
+    largest total weight of a generator multiset whose iterated difference
+    is nonzero.  The differences commute, so the walk takes each multiset
+    once, as cubes.is_polynomial_map does: an entry is a nonzero difference
+    table, the first generator it may still take and its total weight, and
+    one gather derives all of its differences.  Each Delta_g is nilpotent
+    on a p-power-periodic table, so the walk ends without a bound.  Its
+    one library caller is NCPoly.degree_by_derivatives.  The work,
+    difference tables computed times their size, is checked against
+    budget as the walk goes.
     """
     nums = np.asarray(nums, dtype=np.int64)
     idx = np.arange(nums.size).reshape(nums.shape)
-    steps = [(np.roll(idx, -step, axis=axis).reshape(-1), weight)
-             for axis, step, weight in gens]
-    # a depth-first walk on an explicit stack: a chain of differences can
-    # outrun Python's frame limit (degree 1,100 from 169 entries at p = 13)
-    memo: dict[bytes, float] = {}
-    kids: dict[bytes, list[tuple[bytes, int]]] = {}
-    flat, K = normalize_tables(nums.reshape(-1), K, p)
-    root = K.to_bytes(2, "big") + flat.tobytes()
-    stack = [(root, flat, K)]
-    work = 0
+    perms = np.array([np.roll(idx, -step, axis=axis).reshape(-1)
+                      for axis, step, _ in gens], dtype=np.intp)
+    perms = perms.reshape(len(gens), nums.size)  # also when gens is empty
+    weights = [weight for *_, weight in gens]
+    flat = _reduce(nums.reshape(-1), p, K)
+    if not flat.any():
+        return NEG_INF
+    # depth first on an explicit stack: a chain of differences can outrun
+    # Python's frame limit (degree 1,100 from 169 entries at p = 13)
+    stack = [(flat, 0, 0)]
+    degree = work = 0
     while stack:
-        key, flat, K = stack[-1]
-        if key in memo:
-            stack.pop()
-        elif K == 0:
-            memo[key] = NEG_INF
-        elif key in kids:  # every difference is resolved
-            memo[key] = max([0] + [w + memo[k] for k, w in kids.pop(key)])
-        else:
-            work += len(steps) * flat.size
-            check_budget(work, budget, "difference_degree")
-            kids[key] = []
-            for perm, weight in steps:
-                diff, Kd = normalize_tables(_reduce(flat[perm] - flat, p, K), K, p)
-                kid = Kd.to_bytes(2, "big") + diff.tobytes()
-                kids[key].append((kid, weight))
-                stack.append((kid, diff, Kd))
-    return memo[root]
+        flat, first, total = stack.pop()
+        degree = max(degree, total)
+        work += (len(gens) - first) * flat.size
+        check_budget(work, budget, "difference_degree")
+        diffs = _reduce(flat[perms[first:]] - flat, p, K)
+        stack += [(diffs[g], first + g, total + weights[first + g])
+                  for g in np.flatnonzero(diffs.any(axis=1)).tolist()]
+    return degree
 
 
 def mulp_tables(nums: np.ndarray, K: int, p: int) -> tuple[np.ndarray, int]:
@@ -490,7 +485,7 @@ class NCPoly:
 
     # -- representation plumbing
 
-    def canonical(self, d_max: int | None = None) -> CanonicalForm:
+    def canonical(self) -> CanonicalForm:
         if self._canon is None:
             alpha, C = interpolate_tables(self.p, self.n, self.nums, self.K)
             sp = space(self.p, self.n)
@@ -500,8 +495,6 @@ class NCPoly:
             self._canon = CanonicalForm(
                 self.p, self.n, TorusValue(self.p, int(alpha), self.K), terms
             )
-        if d_max is not None and self._canon.degree() > d_max:
-            raise NotPolynomialError(f"not a polynomial of degree <= {d_max}")
         return self._canon
 
     def classical_table(self) -> np.ndarray:
@@ -594,14 +587,10 @@ def _depth_count(p: int, d):
     return (top - 1) // (p - 1) + 1
 
 
-def canonical_slots(p: int, n: int, d: int) -> list[tuple[tuple[int, ...], int]]:
-    """All (exponent vector, depth) slots allowed at degree <= d, depth-major;
-    a fresh list each call."""
-    return list(_canonical_slots(p, n, d))
-
-
 @lru_cache(maxsize=256)
-def _canonical_slots(p: int, n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def canonical_slots(p: int, n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """All (exponent vector, depth) slots allowed at degree <= d, depth-major;
+    cached, so one tuple serves every call."""
     allowed = slot_degrees(p, n, _depth_count(p, d)) <= d
     allowed[:, 0] = False  # the constant monomial belongs to alpha
     sp = space(p, n)
@@ -613,7 +602,7 @@ def count_polys(p: int, n: int, d: int) -> int:
     return p ** len(canonical_slots(p, n, d))
 
 
-def _form_poly(p: int, n: int, slots: list[tuple[tuple[int, ...], int]],
+def _form_poly(p: int, n: int, slots: Sequence[tuple[tuple[int, ...], int]],
                row: np.ndarray, table: np.ndarray, K: int) -> NCPoly:
     """The polynomial of one coefficient row of a block, with its table."""
     terms = {s: int(c) for s, c in zip(slots, row) if c}
@@ -622,7 +611,7 @@ def _form_poly(p: int, n: int, slots: list[tuple[tuple[int, ...], int]],
 
 
 def _form_tables(p: int, n: int, d: int
-                 ) -> Iterator[tuple[list, np.ndarray, np.ndarray, int]]:
+                 ) -> Iterator[tuple[tuple, np.ndarray, np.ndarray, int]]:
     """(slots, coefficient rows, value tables over p^K, K) for each block of
     coefficient_batches: every degree <= d form modulo constants, in code
     order, at most ENUM_CAP of them."""
@@ -642,7 +631,7 @@ def enumerate_polys(p: int, n: int, d: int) -> Iterator[NCPoly]:
 
 def coefficient_batches(
     p: int, n: int, d: int
-) -> Iterator[tuple[list[tuple[tuple[int, ...], int]], np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[tuple[tuple[tuple[int, ...], int], ...], np.ndarray, np.ndarray]]:
     """Yield (slots, codes, coefficient matrix) blocks covering every
     degree <= d canonical form modulo constants, in code order, each of
     about _BLOCK_ENTRIES table entries: the one enumeration of canonical
@@ -676,7 +665,7 @@ def _slot_basis(p: int, n: int, slots: tuple[tuple[tuple[int, ...], int], ...],
 
 
 def eval_slot_batches(
-    p: int, n: int, slots: list[tuple[tuple[int, ...], int]], coeffs: np.ndarray, K: int
+    p: int, n: int, slots: Sequence[tuple[tuple[int, ...], int]], coeffs: np.ndarray, K: int
 ) -> np.ndarray:
     """Value tables (numerators over p^K) for a batch of coefficient rows."""
     basis = _slot_basis(p, n, tuple(slots), K)

@@ -810,28 +810,31 @@ def _value_counts(a_size: int) -> np.ndarray:
 
 
 def _sampled_agreement(G, k, rng, count) -> int:
+    """Face-vs-Taylor disagreements on count tuples.  The odd rows are
+    uniform in G^(2^k); the even rows are cubes from sampled coefficient
+    rows, each with one vertex replaced by a drawn value."""
     width = 1 << k
     tuples = _draws_below(rng, (count, width), G.size)
-    # bias half the sample toward actual cubes with one perturbed vertex:
-    # each even row draws its cube, a new value, then the vertex it replaces
-    if hk_size(G, k) <= 1 << 18:
-        cubes = enumerate_cube_codes(G, k)
-        picks = _draws_below(rng, ((count + 1) // 2, 3),
-                             (len(cubes), G.size, width))
-        base = cubes[picks[:, 0]]
-        base[np.arange(len(base)), picks[:, 2]] = picks[:, 1]
-        tuples[::2] = base
+    base = _subset_table(_taylor_coeffs(G, k, rng, (count + 1) // 2), G, "zeta")
+    picks = _draws_below(rng, (len(base), 2), (G.size, width))
+    base[np.arange(len(base)), picks[:, 1]] = picks[:, 0]
+    tuples[::2] = base
     m1 = face_member_mask(tuples, G, k)
     m2 = taylor_member_mask(tuples, G, k)
     return int((m1 != m2).sum())
 
 
+def _taylor_coeffs(G, k, rng, count) -> np.ndarray:
+    """count coefficient rows, g_J drawn uniformly from G_|J|."""
+    levels = [G.level(bin(J).count("1")) for J in range(1 << k)]
+    picks = _draws_below(rng, (count, 1 << k), [len(lv) for lv in levels])
+    return np.stack([lv[picks[:, J]] for J, lv in enumerate(levels)], axis=1)
+
+
 def _taylor_roundtrip(G, k, rng, count) -> bool:
     """Taylor injectivity on count sampled coefficient rows, by one zeta
     and one Moebius pass; the first cube also goes through hk_taylor."""
-    levels = [G.level(bin(J).count("1")) for J in range(1 << k)]
-    picks = _draws_below(rng, (count, 1 << k), [len(lv) for lv in levels])
-    coeffs = np.stack([lv[picks[:, J]] for J, lv in enumerate(levels)], axis=1)
+    coeffs = _taylor_coeffs(G, k, rng, count)
     cubes = _subset_table(coeffs, G, "zeta")
     return (np.array_equal(_subset_table(cubes, G, "moebius"), coeffs)
             and np.array_equal(hk_taylor(cubes[0], G)[0], coeffs[0]))

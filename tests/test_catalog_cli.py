@@ -326,6 +326,17 @@ class TestCli:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == "error: k must be at least 0, got -1\n"
 
+    def test_cube_check_huge_k_exit_2(self, capsys):
+        # the entry count is compared with 2^k without building 2^k
+        payload = {"group": {"cyclic_orders": [2],
+                             "filtration": [[[0], [1]], [[0], [1]]]},
+                   "k": 10**12, "cube": [[0], [1]]}
+        code, out = run_cli("--input", "-", "cube-check",
+                            stdin_text=json.dumps(payload))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: need 2^{10**12} entries\n")
+
     def test_cube_check_wrong_coordinate_count_exit_2(self, capsys):
         payload = {
             "group": {"cyclic_orders": [2],
@@ -487,6 +498,16 @@ class TestCli:
         code, _ = run_cli("--input", "-", "interpolate", "--degree", "2",
                           stdin_text=values)
         assert code == 0
+
+    def test_interpolate_degree_bound_on_a_plane(self, capsys):
+        # |x1|/4 on F_2^2, degree 2, against the bound 1
+        values = json.dumps({"p": 2, "n": 2, "values": [
+            {"num": v, "exp": 2} for v in (0, 1, 0, 1)]})
+        code, out = run_cli("--input", "-", "interpolate", "--degree", "1",
+                            stdin_text=values)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: not a polynomial of degree <= 1\n")
 
     @pytest.mark.parametrize("argv", [
         ("verify", "lam", "--param", "n=3"),
@@ -719,6 +740,19 @@ class TestCli:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == (
             "error: k_max must be at least 0, got -3\n")
+
+    def test_polymap_check_huge_k_max_exit_3(self, capsys):
+        # 2^k_max cube vertices pass SPACE_CAP: refused before any table
+        # with k_max + 1 rows is built
+        Z2 = {"cyclic_orders": [2], "filtration": [[[0], [1]], [[0], [1]]]}
+        payload = json.dumps({"H": Z2, "G": Z2, "k_max": 10**12,
+                              "map": [[[0], [0]], [[1], [1]]]})
+        code, out = run_cli("--input", "-", "polymap-check",
+                            stdin_text=payload)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            "budget exceeded: preserves_cubes_fast: estimated cost >= 2^64 "
+            "exceeds budget 16777216\n")
 
 
     @pytest.mark.parametrize("pairs", [

@@ -1,6 +1,7 @@
 """Host-Kra cube groups, polynomial maps, and equidistribution reports."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from toruspoly.cubescan import (
     preserves_cubes_fast,
     taylor_member_mask,
 )
-from toruspoly.forms import CSMForm
+from toruspoly.forms import MultilinearForm
 from toruspoly.poly import NCPoly
 from toruspoly.rng import SplitMix64
 from toruspoly.suites import (_group_zoo, _map_choices, _sample_map,
@@ -214,6 +215,18 @@ class TestVectorisedScan:
         counted = counted_equivalence(G, 4)
         assert counted["equal"]
         assert counted["face_count"] == hk_size(G, 4)
+
+    @pytest.mark.parametrize("G,k,cost", [
+        (FilteredAbelianGroup.cyclic_chain(8, [8, 8, 4, 2]), 8, 3**16),
+        (FilteredAbelianGroup.cyclic_chain(8, [8, 8, 4, 2]), 34, 3**68),
+        (_group_zoo()[7], 7, (2 * 3**7) ** 2),  # Z/2 x Z/4, two factors
+    ], ids=["Z8-k8", "Z8-k34", "Z2x4-k7"])
+    def test_counted_equivalence_basis_past_cap(self, G, k, cost):
+        # the (3^k r)^2 echelon basis is refused before it is built
+        shown = cost if cost < 1 << 64 else f">= 2^{cost.bit_length() - 1}"
+        with pytest.raises(BudgetExceeded, match=re.escape(
+                f"counted_equivalence: estimated cost {shown} exceeds ")):
+            counted_equivalence(G, k)
 
     def test_face_mask_agrees_with_predicate(self):
         G = FilteredAbelianGroup.cyclic_chain(9, [9, 3, 1])
@@ -846,12 +859,14 @@ class TestTaylorRoundtrip:
         assert len(drawn) == 1 and drawn[0].tolist() == expected
 
     # the sampled tuples of the cubes suite, from block draws, are the
-    # scalar loop's: count rows of 2^k draws, then per even row a cube, a
-    # new value and the vertex it replaces (Python draws the value first)
+    # scalar loop's: count rows of 2^k draws, then the even rows' Taylor
+    # coefficients (g_J from G_|J|), then per even row a new value and the
+    # vertex of its cube it replaces (Python draws the value first)
     @pytest.mark.parametrize("G,k,count", [
         (FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1]), 2, 64),
         (FilteredAbelianGroup.maximal([16], 3), 2, 33),
         (FilteredAbelianGroup.cyclic_chain(9, [9, 9, 3, 1]), 3, 10),
+        (FilteredAbelianGroup.cyclic_chain(16, [16, 8, 4, 2]), 3, 7),
     ])
     def test_sampled_tuples_match_scalar_loop(self, G, k, count, monkeypatch):
         seen = []
@@ -866,14 +881,42 @@ class TestTaylorRoundtrip:
         width = 1 << k
         rows = [[scalar.below(G.size) for _ in range(width)]
                 for _ in range(count)]
-        cubes_k = enumerate_cube_codes(G, k)
-        for row in range(0, count, 2):
-            base = cubes_k[scalar.below(len(cubes_k))].tolist()
+        levels = [G.level(bin(J).count("1")).tolist() for J in range(width)]
+        cubes_k = [_taylor_expand_oracle([lv[scalar.below(len(lv))]
+                                          for lv in levels], G)
+                   for _ in range(0, count, 2)]
+        for row, base in zip(range(0, count, 2), cubes_k):
             value = scalar.below(G.size)
             base[scalar.below(width)] = value
             rows[row] = base
         assert seen[0].tolist() == rows
         assert batched.state == scalar.state
+
+    def test_criterion_8_sample_holds_members_and_non_members(self,
+                                                              monkeypatch):
+        # the counted groups' 2^14 sampled 3-cubes at seed 808: half are
+        # cubes with one vertex redrawn, a cube again when the change lies
+        # in G_3; where every level is G, every tuple is a cube
+        sampled = []
+
+        def recording(tuples, G, k):
+            mask = face_member_mask(tuples, G, k)
+            if k == 3 and len(tuples) == 1 << 14:
+                sampled.append((G, int(mask.sum())))
+            return mask
+
+        monkeypatch.setattr(suites, "face_member_mask", recording)
+        rep = suites.run_suite("cubes", seed=808, params={"k": 3, "maps": 1})
+        assert rep.passed
+        assert [G for G, _ in sampled] == [
+            G for G in _group_zoo() if G.size ** 8 > suites._SCANNED_TUPLES]
+        for G, members in sampled:
+            top = len(G.level(3))
+            if all(len(G.level(i)) == G.size for i in range(4)):
+                assert members == 1 << 14
+            else:
+                # about 2^13 top / |G| perturbed cubes stay cubes
+                assert (1 << 13) * top // G.size // 2 <= members < 1 << 13
 
     def test_sampled_maps_match_scalar_loop(self):
         batched, scalar = SplitMix64(11), SplitMix64(11)
@@ -1055,12 +1098,12 @@ class TestEquidistribution:
             assert rep["bias_zero"] == (rep["max_deviation"] == 0)
 
     def test_joint_full_rank_linear(self):
-        L = CSMForm(2, 3, 1, {(0,): 1})
+        L = MultilinearForm(2, 3, 1, {(0,): 1})
         rep = equidistribution_report(_form_tuples([(L, (1,))], 1, 3), (2,))
         assert rep["max_deviation"] == 0
 
     def test_joint_duplicated_form_diagonal(self):
-        L = CSMForm(2, 3, 1, {(0,): 1})
+        L = MultilinearForm(2, 3, 1, {(0,): 1})
         rep = equidistribution_report(
             _form_tuples([(L, (1,)), (L, (1,))], 1, 3), (2, 2))
         assert rep["max_bias"] == pytest.approx(1.0)

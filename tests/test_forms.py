@@ -10,7 +10,6 @@ from toruspoly.catalog import S_k, bilinear_b, quartic_form
 from toruspoly.core import (SPACE_CAP, SUPPORTED_PRIMES, BudgetExceeded,
                             TorusValue, space)
 from toruspoly.forms import (
-    CSMForm,
     MultilinearForm,
     antiderivative,
     bias,
@@ -53,7 +52,7 @@ def rand_csm(p, n, k, rng):
     for key in itertools.combinations_with_replacement(range(n), k):
         if max(key.count(i) for i in set(key)) < p and rng.below(2):
             coeffs[key] = 1 + rng.below(p - 1)
-    return CSMForm(p, n, k, coeffs)
+    return MultilinearForm(p, n, k, coeffs)
 
 
 class TestExtraction:
@@ -79,7 +78,7 @@ class TestExtraction:
             dk_extract(S_k(4, 3), 2)
 
     def test_classicality_of_extractions(self):
-        # d^k of any degree <= k classical polynomial is a CSM form
+        # d^k of any degree <= k classical polynomial is classical
         rng = SplitMix64(5)
         for _ in range(30):
             p = (2, 3)[rng.below(2)]
@@ -88,14 +87,23 @@ class TestExtraction:
             P = NCPoly.from_canonical(CanonicalForm(
                 p, 2, TorusValue.zero(p),
                 {s: rng.below(p) for s in slots}))
-            assert isinstance(dk_extract(P, k), CSMForm)
+            assert dk_extract(P, k).classical
 
     def test_nonclassical_extraction_fails_classicality(self):
         # d^2 of the mother polynomial Q is multilinear but not classical
         from toruspoly.catalog import mother_q
         T = dk_extract(mother_q(), 2)
-        assert not isinstance(T, CSMForm)
+        assert not T.classical
         assert T.value((0, 0)) == 1
+        with pytest.raises(ValueError, match="needs a classical form"):
+            antiderivative(T)
+
+    def test_classical_reads_multiplicities(self):
+        # a multiplicity of p or more in any supporting multiset
+        assert MultilinearForm(3, 2, 3, {(0, 0, 1): 1}).classical
+        assert not MultilinearForm(3, 2, 3, {(0, 0, 1): 1, (1, 1, 1): 2}).classical
+        assert not MultilinearForm(2, 3, 2, {(2, 2): 1}).classical
+        assert MultilinearForm(2, 3, 2, {(2, 2): 2}).classical  # 2 = 0 in F_2
 
     def test_symmetry_under_argument_permutations(self):
         rng = SplitMix64(7)
@@ -126,7 +134,7 @@ class TestConcat:
 
     def test_concat_with_zero(self):
         S = bilinear_b(3)
-        Z = CSMForm(2, 3, 2, {})
+        Z = MultilinearForm(2, 3, 2, {})
         assert not concat(S, Z).coeffs
 
     def test_product_rule_instance(self):
@@ -136,6 +144,15 @@ class TestConcat:
         lhs = dk_extract(product, 3)
         rhs = concat(dk_extract(S_k(4, 1), 1), bilinear_b(4))
         assert lhs == rhs
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_classical_inputs_give_classical_output(self, p):
+        rng = SplitMix64(31 + p)
+        for k, l in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3)):
+            for _ in range(3):
+                S, T = rand_csm(p, 3, k, rng), rand_csm(p, 3, l, rng)
+                assert S.classical and T.classical
+                assert concat(S, T).classical
 
     def test_algebra_laws(self):
         rng = SplitMix64(13)
@@ -171,18 +188,25 @@ class TestSymPower:
         T = rand_csm(5, 3, 2, rng)
         assert sym_power(T, 2).scale(2) == concat(T, T)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_classical_form_gives_classical_power(self, p):
+        rng = SplitMix64(37 + p)
+        for k, m in ((2, 2), (2, 3), (3, 2)):
+            T = rand_csm(p, 2, k, rng)
+            assert T.classical and sym_power(T, m).classical
+
     def test_linear_rejected(self):
-        L = CSMForm(2, 3, 1, {(0,): 1})
+        L = MultilinearForm(2, 3, 1, {(0,): 1})
         with pytest.raises(ValueError):
             sym_power(L, 2)
 
 
 class TestAntiderivative:
     def test_zero(self):
-        assert antiderivative(CSMForm(2, 3, 2, {})).is_zero()
+        assert antiderivative(MultilinearForm(2, 3, 2, {})).is_zero()
 
     def test_linear(self):
-        T = CSMForm(2, 3, 1, {(0,): 1})
+        T = MultilinearForm(2, 3, 1, {(0,): 1})
         P = antiderivative(T)
         assert P == NCPoly.from_text(2, 3, "1/2*x1")
 
@@ -227,7 +251,7 @@ class TestBinomialLift:
 
 class TestBias:
     def test_zero_form(self):
-        assert bias(CSMForm(2, 3, 2, {})) == 1
+        assert bias(MultilinearForm(2, 3, 2, {})) == 1
         for p, k in itertools.product((2, 3), (1, 2, 3, 4)):
             assert bias(MultilinearForm(p, 0, k)) == 1
 
@@ -239,7 +263,7 @@ class TestBias:
             assert bias(T) == Fraction(1, 2**n)
 
     def test_fast_equals_naive_exhaustive(self):
-        # every CSM form with k <= 3 over small spaces
+        # every classical form with k <= 3 over small spaces
         for p, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
             for k in (1, 2, 3):
                 keys = [key for key in
@@ -252,7 +276,7 @@ class TestBias:
                         rest, c = divmod(rest, p)
                         if c:
                             coeffs[key] = c
-                    T = CSMForm(p, n, k, coeffs)
+                    T = MultilinearForm(p, n, k, coeffs)
                     assert bias(T) == naive_bias(T)
 
     def test_naive_chain_stays_below_2_53_inside_the_cap(self):
