@@ -270,7 +270,10 @@ def _dispatch(args) -> int:
 
     if cmd == "decompose":
         obj = _read_input(args)
-        values = [Fraction(v) for v in obj["values"]]
+        try:
+            values = [Fraction(v) for v in obj["values"]]
+        except ZeroDivisionError:
+            raise ValueError("a value has denominator 0") from None
         projected, energy = conditional_expectation(values, obj["factors"])
         _emit(args, {"projected": [str(v) for v in projected],
                      "energy": energy})

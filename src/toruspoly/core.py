@@ -211,7 +211,7 @@ class Space:
         """Index of x + y given indices; works on scalars and arrays."""
         if self.p == 2:
             return a ^ b
-        res = 0 if np.isscalar(a) and np.isscalar(b) else np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+        res = 0 * (a + b)  # zero in their broadcast shape, also at n = 0
         for i in range(self.n):
             pi = self.p**i
             da = (a // pi) % self.p

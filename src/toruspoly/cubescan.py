@@ -54,8 +54,8 @@ def _check_cube_rows(tuples, G: FilteredAbelianGroup, k: int) -> np.ndarray:
     """tuples as an int64 (M, 2^k) array of G codes, or ValueError; the
     codes are range-checked by one min and one max."""
     tuples = np.asarray(tuples)
-    if k < 0 or tuples.ndim != 2 or tuples.shape[1] != 1 << k \
-            or tuples.dtype.kind not in "iu":
+    if k < 0 or tuples.ndim != 2 or tuples.shape[1].bit_length() != k + 1 \
+            or tuples.shape[1] != 1 << k or tuples.dtype.kind not in "iu":
         raise ValueError(f"k-cubes must be a 2-D integer array of width 2^k, "
                          f"k = {k}; got shape {tuples.shape}, {tuples.dtype}")
     if tuples.size and (tuples.min() < 0 or tuples.max() >= G.size):

@@ -92,12 +92,15 @@ class MultilinearForm:
         return T
 
     def eval_batch(self, arg_indices: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate on B tuples given as k index arrays of shape (B,)."""
+        """Evaluate on B tuples given as k index arrays of shape (B,); the
+        B x n^(k-1) contraction is checked against SPACE_CAP first."""
+        B = len(arg_indices[0])
+        check_budget(B * self.n ** (self.k - 1), SPACE_CAP, "MultilinearForm.eval_batch")
         sp = space(self.p, self.n)
         dig = sp.digits.astype(np.int64)
         cur = np.broadcast_to(
             self.dense_tensor().astype(np.int64).reshape((1,) + (self.n,) * self.k),
-            (len(arg_indices[0]),) + (self.n,) * self.k,
+            (B,) + (self.n,) * self.k,
         )
         for t, idx in enumerate(arg_indices):
             d = dig[np.asarray(idx, dtype=np.int64)]  # (B, n)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -124,18 +125,11 @@ def _cube_product(tables: Sequence[np.ndarray], p: int, n: int,
     d = len(tables).bit_length() - 1
     check_budget(N ** (d + 1), budget, "_cube_product")
     check_budget(N ** (d + 1), SPACE_CAP, "_cube_product")
-    axes_idx = []
-    for t in range(d + 1):
-        shape = [1] * (d + 1)
-        shape[t] = N
-        axes_idx.append(np.arange(N, dtype=np.int64).reshape(shape))
+    axes = np.indices((N,) * (d + 1), sparse=True)  # x runs on the last axis
     total = np.ones((N,) * (d + 1), dtype=np.complex128)
     for omega in range(1 << d):
-        idx = axes_idx[d]  # x runs on the last axis
-        for t in range(d):
-            if omega >> t & 1:
-                idx = sp.add_indices(idx, axes_idx[t])
-        total *= tables[omega][idx]
+        shifts = [axes[t] for t in range(d) if omega >> t & 1]
+        total *= tables[omega][reduce(sp.add_indices, shifts, axes[d])]
     return complex(total.mean())
 
 
@@ -352,18 +346,25 @@ def conditional_expectation(values: Sequence, factors: Sequence[Sequence]):
 # seeded random inputs of the suites
 
 
+def _random_disc(rng: SplitMix64, count: int) -> np.ndarray:
+    """count values r e(t) of scalar rng.unit() pairs (r, t), in one block draw."""
+    units = (rng.draws(2 * count) >> np.uint64(11)) / float(1 << 53)
+    return units[0::2] * np.exp(2j * np.pi * units[1::2])
+
+
 def _random_bounded(p: int, n: int, rng: SplitMix64) -> BoundedFunction:
-    N = space(p, n).size
-    vals = np.array(
-        [rng.unit() * cmath.exp(2j * cmath.pi * rng.unit()) for _ in range(N)])
-    return BoundedFunction(p, n, vals)
+    return BoundedFunction(p, n, _random_disc(rng, space(p, n).size))
 
 
-def _random_poly(p: int, n: int, d: int, rng: SplitMix64) -> NCPoly:
+def _random_poly(p: int, n: int, d: int, rng: SplitMix64,
+                 depth: int | None = None) -> NCPoly:
+    """Degree <= d, one coefficient below p per canonical slot of depth below
+    depth; alpha over p^2 is drawn only when depth is None, keeping them all."""
     from .poly import CanonicalForm, canonical_slots
     if d < 0:
         return NCPoly.zero(p, n)
-    slots = canonical_slots(p, n, d)
+    slots = [s for s in canonical_slots(p, n, d) if depth is None or s[1] < depth]
     terms = dict(zip(slots, (rng.draws(len(slots)) % np.uint64(p)).tolist()))
-    alpha = TorusValue(p, rng.below(p**2), 2)
+    alpha = (TorusValue(p, rng.below(p**2), 2) if depth is None
+             else TorusValue.zero(p))
     return NCPoly.from_canonical(CanonicalForm(p, n, alpha, terms))

@@ -14,11 +14,11 @@ p-th roots, degree-by-inspection, and enumeration.  The per-axis kernels
 and any batch axes after it, so each per-axis pass runs over contiguous runs
 of entries; interpolate_tables and eval_slot_batches keep the table axis last.
 Products run in float64, exact in BLAS while every partial sum is an integer
-below 2^53, else in Python integers; layers share one matrix per (p, n).
-Every reduction mod p^K goes through one helper, core._reduce, on floor
-division (a mask at p = 2).  classical_coeffs refuses tables past SPACE_CAP
-entries; below it, its per-axis products run in float64 with one reduction
-per transform.
+below 2^53, else in Python integers; layers share one matrix per (p, n) and
+those past float64 one exact matrix.  Every reduction mod p^K goes through
+one helper, core._reduce, on floor division (a mask at p = 2).
+classical_coeffs refuses tables past SPACE_CAP entries; below it, its
+per-axis products run in float64 with one reduction per transform.
 """
 
 from __future__ import annotations
@@ -204,7 +204,11 @@ def eval_layer_tables(
     """Numerators over p^K of sum_e coeffs[e, ...]/p^(depth+1) * monomial_e,
     for coefficients in [0, p), with the table axis first."""
     m, exact = _shared_modulus(p, n)  # M mod p^D serves layers with p^(depth+1) | p^D
-    M = _monomial_matrix(p, n, m if exact else max(m, p ** (depth + 1)))
+    if not exact and p ** (depth + 1) > m:
+        m = p ** (depth + 1)
+        if _matrix_dtypes(p, n, m)[1] is object:  # past float64: one exact
+            m = p ** (n * (p - 1))  # matrix, as no monomial value reaches this
+    M = _monomial_matrix(p, n, m)
     coeffs = np.asarray(coeffs)
     vals = _exact_reduce(M @ coeffs.reshape(len(M), -1).astype(M.dtype), p, depth + 1)
     return vals.reshape(coeffs.shape) * p ** (K - 1 - depth)

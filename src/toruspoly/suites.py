@@ -9,13 +9,12 @@ canonical byte form.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, prod
 
 import numpy as np
@@ -55,6 +54,7 @@ from .norms import (
     _cube_product,
     _gowers_power_direct,
     _random_bounded,
+    _random_disc,
     _random_poly,
     conditional_expectation,
     gowers_norm,
@@ -62,8 +62,6 @@ from .norms import (
     gowers_power_exact,
 )
 from .poly import (
-    CanonicalForm,
-    NCPoly,
     _depth_count,
     _reduce,
     canonical_slots,
@@ -222,28 +220,18 @@ def _suite_df(report: SuiteReport, rng, threads, budget, *, n=6,
         report.add("d4S4-coefficients", {"n": dim}, T == S,
                    entries=len(T.coeffs))
         N = space(2, dim).size
-        if N**4 <= 1 << 18:
-            grids = np.meshgrid(*([np.arange(N)] * 4), indexing="ij")
-            args = [g.reshape(-1) for g in grids]
-            agree = True
-            for lo in range(0, N**4, 1 << 14):
-                chunk = [a[lo: lo + (1 << 14)] for a in args]
-                agree &= np.array_equal(T.eval_batch(chunk), S.eval_batch(chunk))
-            report.add("d4S4-exhaustive-tuples", {"n": dim, "tuples": N**4},
-                       agree)
+        exhaustive = N**4 <= 1 << 18
+        tuples = (np.indices((N,) * 4).reshape(4, -1) if exhaustive
+                  else _draws_below(rng, (4, trials), N))
+        # Sym^2(B) against the 4-fold derivatives of S_4's own table
+        s4 = catalog.S_k(dim, 4).classical_table()
+        blocks = np.split(tuples, range(1 << 14, tuples.shape[1], 1 << 14), axis=1)
+        agree = all(np.array_equal(S.eval_batch(b), dk_values(2, dim, s4, 1, b.T))
+                    for b in blocks)
+        if exhaustive:
+            report.add("d4S4-exhaustive-tuples", {"n": dim, "tuples": N**4}, agree)
         else:
-            args = [np.array([rng.below(N) for _ in range(trials)])
-                    for _ in range(4)]
-            agree = np.array_equal(T.eval_batch(args), S.eval_batch(args))
-            report.add("d4S4-random-tuples", {"n": dim, "trials": trials},
-                       agree)
-
-
-def _random_classical(p: int, n: int, d: int, rng) -> NCPoly:
-    slots = [(e, j) for (e, j) in canonical_slots(p, n, d) if j == 0]
-    terms = {s: rng.below(p) for s in slots}
-    return NCPoly.from_canonical(
-        CanonicalForm(p, n, TorusValue.zero(p), terms))
+            report.add("d4S4-random-tuples", {"n": dim, "trials": trials}, agree)
 
 
 @_least(n=2)
@@ -258,21 +246,21 @@ def _suite_symprod(report: SuiteReport, rng, threads, budget, *, n=5):
                    ok_form and diff_deg <= 3,
                    lift_degree=Q.degree(), difference_degree=diff_deg)
     # m = 1 is the identity
-    P = _random_classical(2, 3, 2, rng)
+    P = _random_poly(2, 3, 2, rng, depth=1)
     report.add("lift-m1-identity", {"p": 2, "n": 3},
                binomial_lift_power(P, 1) == P)
     # odd characteristic, m up to 3
     for n, m in ((2, 3), (3, 2), (3, 3)):
-        P = _random_classical(3, n, 2, rng)
+        P = _random_poly(3, n, 2, rng, depth=1)
         while P.degree() < 2:
-            P = _random_classical(3, n, 2, rng)
+            P = _random_poly(3, n, 2, rng, depth=1)
         Q = binomial_lift_power(P, m, k=2)
         ok = dk_extract(Q, 2 * m) == sym_power(dk_extract(P, 2), m)
         report.add("binomial-lift-odd", {"p": 3, "n": n, "m": m}, ok,
                    lift_degree=Q.degree())
     # m! Sym^m(T) = T * ... * T in characteristic 5
     p, n, m = 5, 3, 2
-    T = dk_extract(_random_classical(p, n, 2, rng), 2)
+    T = dk_extract(_random_poly(p, n, 2, rng, depth=1), 2)
     lhs = sym_power(T, m).scale(2)  # 2! = 2
     rhs = concat(T, T)
     report.add("factorial-symmetric-power", {"p": p, "n": n, "m": m},
@@ -287,7 +275,7 @@ def _suite_symprod(report: SuiteReport, rng, threads, budget, *, n=5):
     for p, n, k in ((2, 3, 3), (3, 2, 2), (5, 2, 3), (2, 4, 2)):
         ok = True
         for _ in range(5):
-            T = dk_extract(_random_classical(p, n, k, rng), k)
+            T = dk_extract(_random_poly(p, n, k, rng, depth=1), k)
             ok &= dk_extract(antiderivative(T), k) == T
         report.add("antiderivative-roundtrip",
                    {"p": p, "n": n, "k": k, "cases": 5}, ok)
@@ -342,23 +330,10 @@ def _csg2_lhs(f: BoundedFunction, d: int, rng: SplitMix64,
     N = sp.size
     check_budget(N**d, budget, "_csg2_lhs")
     check_budget(N**d, SPACE_CAP, "_csg2_lhs")
-    weights = []
-    for _ in range(d):
-        w = np.array([rng.unit() * cmath.exp(2j * cmath.pi * rng.unit())
-                      for _ in range(N ** (d - 1))])
-        weights.append(w.reshape((N,) * (d - 1)))
-    axes_idx = []
-    for t in range(d):
-        shape = [1] * d
-        shape[t] = N
-        axes_idx.append(np.arange(N, dtype=np.int64).reshape(shape))
-    total_idx = axes_idx[0]
-    for t in range(1, d):
-        total_idx = sp.add_indices(total_idx, axes_idx[t])
-    total = f.values[total_idx]
+    weights = _random_disc(rng, d * N ** (d - 1)).reshape((d,) + (N,) * (d - 1))
+    total = f.values[reduce(sp.add_indices, np.indices((N,) * d, sparse=True))]
     for j in range(d):
-        total = total * weights[j].reshape([1 if ax == j else N
-                                            for ax in range(d)])
+        total = total * np.expand_dims(weights[j], j)
     return abs(complex(total.mean()))
 
 
@@ -484,10 +459,7 @@ def _suite_dkp(report: SuiteReport, rng, threads, budget, *, n=3):
                    not failures, checked=checked, failures=failures[:3])
     for dim in range(2, n + 1):
         for trial in range(4):
-            slots = [(e, j) for (e, j) in canonical_slots(2, dim, 4) if j <= 1]
-            terms = {s: rng.below(2) for s in slots}
-            P = NCPoly.from_canonical(
-                CanonicalForm(2, dim, TorusValue.zero(2), terms))
+            P = _random_poly(2, dim, 4, rng, depth=2)
             checked, failures = check_dkp(P, 4)
             report.add("p-fold-repetition",
                        {"p": p, "n": dim, "k": 4,
@@ -578,21 +550,27 @@ def _suite_roots(report: SuiteReport, rng, threads, budget, *,
     # weighted roots
     fails = 0
     for t in range(weighted_trials):
-        p = (2, 3)[rng.below(2)]
-        m = 1 + rng.below(2)
-        D = tuple(1 + rng.below(2) for _ in range(m))
-        d = max(D) + rng.below(4)
-        wp = _random_weighted(p, m, D, d, rng)
+        wp = _weighted_case(rng, (4, 4))
         g = wp.pth_root()
-        pts = np.indices([min(s, 9) for s in g.periods()]).reshape(m, -1).T
+        pts = np.indices([min(s, 9) for s in g.periods()]).reshape(wp.m, -1).T
         # p*g over p^(K-1) against wp, both normalised on the same box
-        pg, pg_K = normalize_tables(g.eval_nums(pts), max(g.exponent() - 1, 0), p)
-        want, want_K = normalize_tables(wp.eval_nums(pts), wp.exponent(), p)
-        ok = (weighted_degree(g) <= max(wp.degree(), 0) + p - 1
+        pg, pg_K = normalize_tables(g.eval_nums(pts), max(g.exponent() - 1, 0), wp.p)
+        want, want_K = normalize_tables(wp.eval_nums(pts), wp.exponent(), wp.p)
+        ok = (weighted_degree(g) <= max(wp.degree(), 0) + wp.p - 1
               and pg_K == want_K and np.array_equal(pg, want))
         fails += not ok
     report.add("weighted-root-roundtrip", {"trials": weighted_trials},
                fails == 0)
+
+
+def _weighted_case(rng, spreads: tuple[int, int]) -> WeightedPoly:
+    """A random weighted polynomial: p in (2, 3), m in (1, 2) coordinates of
+    initial degree 1 or 2, and degree bound max(D) + rng.below(spreads[m - 1])."""
+    p = (2, 3)[rng.below(2)]
+    m = 1 + rng.below(2)
+    D = tuple(1 + rng.below(2) for _ in range(m))
+    d = max(D) + rng.below(spreads[m - 1])
+    return _random_weighted(p, m, D, d, rng)
 
 
 def _random_weighted(p: int, m: int, D: tuple, d: int, rng) -> WeightedPoly:
@@ -616,11 +594,7 @@ def _suite_weighted(report: SuiteReport, rng, threads, budget, *,
     fails = 0
     worst = None
     for t in range(trials):
-        p = (2, 3)[rng.below(2)]
-        m = 1 + rng.below(2)
-        D = tuple(1 + rng.below(2) for _ in range(m))
-        d = max(D) + rng.below(5 - m)
-        wp = _random_weighted(p, m, D, d, rng)
+        wp = _weighted_case(rng, (4, 3))
         bound = max(int(wp.degree()), 1) if wp.terms else 1
         table = wp.tabulate(wp.periods(bound))
         back = binomial_expand(table, bound)
@@ -632,11 +606,7 @@ def _suite_weighted(report: SuiteReport, rng, threads, budget, *,
     # derivative criterion agrees with the term-degree formula
     fails = 0
     for t in range(60):
-        p = (2, 3)[rng.below(2)]
-        m = 1 + rng.below(2)
-        D = tuple(1 + rng.below(2) for _ in range(m))
-        d = max(D) + rng.below(3)
-        wp = _random_weighted(p, m, D, d, rng)
+        wp = _weighted_case(rng, (3, 3))
         dd = wp.degree()
         if dd == float("-inf"):
             continue
@@ -671,7 +641,7 @@ def _suite_weighted(report: SuiteReport, rng, threads, budget, *,
         n = 2 + rng.below(2)
         m = 1 + rng.below(2)
         D = tuple(2 + rng.below(2) for _ in range(m))
-        F = Factor(p, n, [(Di, [_random_classical(p, n, Di, rng)]) for Di in D])
+        F = Factor(p, n, [(Di, [_random_poly(p, n, Di, rng, depth=1)]) for Di in D])
         depths = [rng.below(3) for _ in range(m)]
         F = F.depth_extend(depths)
         # below this degree the polynomial has period p^(J_i+1) along e_i,
@@ -794,7 +764,9 @@ def _suite_cubes(report: SuiteReport, rng, threads, budget, *, k=3, maps=1000):
 
 def _draws_below(rng, shape: tuple, bound) -> np.ndarray:
     """An int64 array of rng.below(bound) values in row-major order, from
-    one block draw; bound is an int or one bound per last-axis column."""
+    one block draw, checked against SPACE_CAP; bound is an int or one bound
+    per last-axis column."""
+    check_budget(prod(shape), SPACE_CAP, "_draws_below")
     draws = rng.draws(prod(shape)).reshape(shape)
     np.remainder(draws, np.asarray(bound, dtype=np.uint64), out=draws)
     return draws.view(np.int64)  # every value is below its bound

@@ -67,6 +67,8 @@ class WeightedPoly:
         self.alpha = alpha
         self.terms = {}
         for (i_vec, r), c in (terms or {}).items():
+            if r < 0:
+                raise ValueError(f"negative depth r = {r}")
             mod = p ** (r + 1)
             c %= mod
             if c == 0:
@@ -167,13 +169,15 @@ class WeightedPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightedPoly":
+        """Terms with equal (i, r) sum, as CanonicalForm.from_json's do."""
         p = json_int(obj, "p")
-        return cls(
-            p, json_int(obj, "m"), json_int(obj, "D"),
-            TorusValue.from_json(p, obj.get("alpha", {"num": 0, "exp": 0})),
-            {(tuple(json_int(t, "i")), json_int(t, "r")): json_int(t, "c")
-             for t in obj.get("terms", [])},
-        )
+        terms: dict[tuple[tuple[int, ...], int], int] = {}
+        for t in obj.get("terms", []):
+            key = (tuple(json_int(t, "i")), json_int(t, "r"))
+            terms[key] = terms.get(key, 0) + json_int(t, "c")
+        return cls(p, json_int(obj, "m"), json_int(obj, "D"),
+                   TorusValue.from_json(p, obj.get("alpha", {"num": 0, "exp": 0})),
+                   terms)
 
     def __repr__(self) -> str:
         return f"WeightedPoly(p={self.p}, D={self.D}, {len(self.terms)} terms)"

@@ -568,6 +568,7 @@ class TestCli:
         {"values": [1, 2, 3, 4], "factors": [[0, 1]]},  # factor too short
         {"values": [1, 2], "factors": [[0, 1, 1]]},  # factor too long
         {"values": [], "factors": []},  # no values
+        {"values": ["1/0", "1"], "factors": [[0, 1]]},  # zero denominator
     ])
     def test_decompose_malformed_exit_2(self, payload, capsys):
         code, out = run_cli("--input", "-", "decompose",
@@ -591,6 +592,21 @@ class TestCli:
                             stdin_text=json.dumps(wp))
         assert code == 0
         assert json.loads(out)["terms"] == [{"i": [1], "r": 2, "c": 1}]
+
+    @pytest.mark.parametrize("command", ["wroot", "wdegree"])
+    @pytest.mark.parametrize("p,r", [(3, -2), (2, -1)])
+    def test_weighted_negative_depth_exit_2(self, command, p, r, capsys):
+        wp = {"p": p, "m": 1, "D": [1], "terms": [{"i": [1], "r": r, "c": 5}]}
+        code, out = run_cli("--input", "-", command, stdin_text=json.dumps(wp))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: negative depth r = {r}\n"
+
+    def test_wdegree_equal_terms_sum(self):
+        # x/2 + x/2 is 0 on Z, of degree -inf
+        half = {"i": [1], "r": 0, "c": 1}
+        wp = {"p": 2, "m": 1, "D": [1], "terms": [half, half]}
+        code, out = run_cli("--input", "-", "wdegree", stdin_text=json.dumps(wp))
+        assert code == 0 and json.loads(out)["weighted_degree"] is None
 
     @pytest.mark.parametrize("change", [
         {"D": [0]},

@@ -28,7 +28,7 @@ from toruspoly.norms import (
 from toruspoly.parallel import chunk_ranges
 from toruspoly.poly import NCPoly, classical_coeffs, count_polys, enumerate_polys
 from toruspoly.rng import SplitMix64
-from toruspoly.suites import _csg2_lhs
+from toruspoly.suites import _csg2_lhs, _draws_below
 from toruspoly.weighted import PeriodicMap, binomial_expand
 
 
@@ -201,6 +201,14 @@ class TestSpace:
         "MultilinearForm.dense_tensor": (
             lambda: MultilinearForm(2, 40, 8, {tuple(range(8)): 1}).dense_tensor(),
             40**8, 1 << 24),
+        # B tuples contract the k-tensor to B x n^(k-1) entries first
+        "MultilinearForm.eval_batch": (
+            lambda: MultilinearForm(2, 20, 4, {(0, 1, 2, 3): 1}).eval_batch(
+                [np.zeros(1 << 12, dtype=np.int64)] * 4),
+            (1 << 12) * 20**3, 1 << 24),
+        # the suites' block draws, such as the df suite's 4 x trials
+        "_draws_below": (lambda: _draws_below(SplitMix64(1), (4, 1 << 23), 2),
+                         1 << 25, 1 << 24),
         "Space.digits": (lambda: space(2, 40).digits, 1 << 40, 1 << 24),
         # N^k and p^n are bounded before the float64 transforms: past the
         # cap their float chains could pass 2^53

@@ -457,6 +457,7 @@ class TestSkippedLevels:
         (np.array([[True, False]]), 1),            # booleans
         ([[0, 1 << 70]], 1),                       # past 64 bits
         ([[0]], -1),                               # negative k
+        (np.zeros((1, 2), dtype=np.int64), 10**12),  # 1 << k is never built
     ])
     def test_bad_rows_rejected(self, tuples, k):
         for mask in (face_member_mask, taylor_member_mask):

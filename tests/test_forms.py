@@ -24,6 +24,7 @@ from toruspoly.forms import (
 from toruspoly.poly import CanonicalForm, NCPoly, canonical_slots
 from toruspoly.parallel import ordered_map
 from toruspoly.rng import SplitMix64
+from toruspoly import suites
 
 
 def _gf2_rank(rows, n):
@@ -497,3 +498,48 @@ class TestSerialization:
             "coeffs": [{"multiset": [i, j], "c": 1}
                        for i in range(1, 5) for j in range(i + 1, 5)]})
         assert again == B
+
+
+class TestDfSuite:
+    """The df suite compares Sym^2(B), through eval_batch, with the 4-fold
+    derivatives of S_4's own table: at n = 4 on every tuple, past it on
+    tuples drawn argument by argument, in blocks of 2^14 tuples."""
+
+    @staticmethod
+    def _tuple_records():
+        rep = suites.run_suite("df", {"n": 5, "trials": 500}, seed=1111)
+        return [c for c in rep.checks if c.name.endswith("-tuples")]
+
+    def test_a_broken_evaluation_fails_every_tuple_record(self, monkeypatch):
+        assert [c.passed for c in self._tuple_records()] == [True, True]
+        true_eval = MultilinearForm.eval_batch
+
+        def broken(self, args):  # reads another point's digits in argument 1
+            return true_eval(self, [np.asarray(args[0]) ^ 1] + list(args[1:]))
+
+        monkeypatch.setattr(MultilinearForm, "eval_batch", broken)
+        records = self._tuple_records()
+        assert [c.name for c in records] == ["d4S4-exhaustive-tuples",
+                                             "d4S4-random-tuples"]
+        assert not any(c.passed for c in records)
+
+    def test_tuples_replay_the_scalar_draws(self, monkeypatch):
+        seen = {4: [], 5: []}
+
+        def recording(p, n, nums, K, dirs):
+            seen[n].append(dirs.copy())
+            return dk_values(p, n, nums, K, dirs)
+
+        monkeypatch.setattr(suites, "dk_values", recording)
+        batched, scalar = SplitMix64(7), SplitMix64(7)
+        report = suites.SuiteReport("df", 7, 1, {})
+        suites._suite_df(report, batched, 1, None, n=5, trials=20_000)
+        assert report.passed
+        grids = np.meshgrid(*([np.arange(16)] * 4), indexing="ij")
+        assert [len(d) for d in seen[4]] == [1 << 14] * 4
+        assert np.array_equal(np.concatenate(seen[4]),
+                              np.stack([g.reshape(-1) for g in grids], axis=1))
+        want = [[scalar.below(32) for _ in range(20_000)] for _ in range(4)]
+        assert [len(d) for d in seen[5]] == [1 << 14, 20_000 - (1 << 14)]
+        assert np.concatenate(seen[5]).T.tolist() == want
+        assert batched.state == scalar.state

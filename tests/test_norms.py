@@ -1,5 +1,6 @@
 """Uniformity norms, analytic rank, Fourier analysis, decomposition."""
 
+import cmath
 import tracemalloc
 from fractions import Fraction
 
@@ -21,10 +22,12 @@ from toruspoly.norms import (
     walsh_fourier,
     _gowers_power_direct,
     _random_bounded,
+    _random_disc,
+    _random_poly,
 )
 from toruspoly.poly import CanonicalForm, NCPoly, canonical_slots, enumerate_polys
 from toruspoly.rng import SplitMix64
-from toruspoly.suites import run_suite
+from toruspoly.suites import _csg2_lhs, run_suite
 
 
 def constant_one(p, n):
@@ -551,3 +554,67 @@ class TestPropertySuite:
         f = _random_bounded(2, 4, rng)
         P = NCPoly.from_text(2, 4, "1/2*x1*x2 + 1/2*x3")
         assert abs(gowers_norm(f.modulate(P), 3) - gowers_norm(f, 3)) < 1e-10
+
+
+class TestSeededInputs:
+    """Each block-drawn input of the suites is, bit for bit, what the scalar
+    draw loop it replaced drew, and leaves the generator where that loop
+    left it: the df and cubes reports print verdicts only, so their bytes
+    would not show a changed stream."""
+
+    @staticmethod
+    def _scalar_disc(rng, count):
+        return np.array([rng.unit() * cmath.exp(2j * cmath.pi * rng.unit())
+                         for _ in range(count)], dtype=np.complex128)
+
+    # 300 values cross the generator's 256-draw block; the offsets start
+    # them inside one
+    @pytest.mark.parametrize("count", [0, 1, 100, 128, 300])
+    @pytest.mark.parametrize("offset", [0, 5, 255])
+    def test_disc_values_replay_scalar_units(self, count, offset):
+        scalar, batched = SplitMix64(count + offset), SplitMix64(count + offset)
+        scalar.draws(offset)
+        batched.draws(offset)
+        want = self._scalar_disc(scalar, count)
+        got = _random_disc(batched, count)
+        assert got.dtype == np.complex128
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert batched.state == scalar.state
+
+    @pytest.mark.parametrize("p,n,d,depth", [
+        (2, 3, 2, 1), (3, 2, 2, 1), (5, 3, 2, 1), (2, 4, 2, 1), (2, 3, 3, 1),
+        (3, 3, 2, 1), (2, 2, 4, 2), (2, 3, 4, 2), (3, 2, 3, None),
+        (5, 2, 2, None)])
+    def test_poly_replays_one_draw_per_slot(self, p, n, d, depth):
+        seed = 100 * p + 10 * n + d
+        scalar, batched = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(3):
+            slots = [(e, j) for (e, j) in canonical_slots(p, n, d)
+                     if depth is None or j < depth]
+            terms = {s: scalar.below(p) for s in slots}
+            alpha = (TorusValue(p, scalar.below(p**2), 2) if depth is None
+                     else TorusValue.zero(p))
+            want = NCPoly.from_canonical(CanonicalForm(p, n, alpha, terms))
+            got = _random_poly(p, n, d, batched, depth=depth)
+            assert got == want and got.canonical() == want.canonical()
+            assert batched.state == scalar.state
+
+    @pytest.mark.parametrize("p,n,d", [(2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 1, 3)])
+    def test_cauchy_schwarz_weights_replay_scalar_units(self, p, n, d):
+        # the sum as it was written with scalar draws and hand-built axes
+        f = _random_bounded(p, n, SplitMix64(1))
+        scalar, batched = SplitMix64(d), SplitMix64(d)
+        sp = space(p, n)
+        N = sp.size
+        weights = [self._scalar_disc(scalar, N ** (d - 1)).reshape((N,) * (d - 1))
+                   for _ in range(d)]
+        axes = [np.arange(N).reshape([N if a == t else 1 for a in range(d)])
+                for t in range(d)]
+        idx = axes[0]
+        for t in range(1, d):
+            idx = sp.add_indices(idx, axes[t])
+        total = f.values[idx]
+        for j in range(d):
+            total = total * weights[j].reshape([1 if a == j else N for a in range(d)])
+        assert _csg2_lhs(f, d, batched) == abs(complex(total.mean()))
+        assert batched.state == scalar.state

@@ -491,6 +491,20 @@ class TestSharedMatrix:
         assert exact.max() == 2**12
         assert np.array_equal(fresh_matrix_cache(3, 6, modulus), exact)
 
+    def test_layers_past_float64_share_one_exact_matrix(self, matrix_requests,
+                                                         fresh_matrix_cache):
+        # at p = 13, n = 2: M mod 13^8 serves depths 0-7, depths 8-10 take a
+        # float64 matrix each, and depths 11-15 one exact matrix, mod 13^24,
+        # which reduces no entry: every monomial value is at most 12^24
+        for depth in range(16):
+            coeffs, forms = _layer_case(13, 2, depth, depth, terms=3)
+            tables = poly.eval_layer_tables(13, 2, coeffs, depth, depth + 1)
+            _assert_tables_match_forms(13, 2, tables, depth + 1, forms)
+        assert matrix_requests == (
+            [(13**8, np.float64)] * 8
+            + [(13**D, np.float64) for D in (9, 10, 11)] + [(13**24, object)] * 5)
+        assert fresh_matrix_cache.cache_info().currsize == 5
+
     # 13^8 times its largest power mod 13^8 is 0.07 * 2^63, at 13^9 it is
     # 11.7 * 2^63; at 11^9 and 11^10 it is 0.29 and 28 * 2^63
     @pytest.mark.parametrize("p,D", [(13, 8), (11, 9)])

@@ -13,7 +13,7 @@ from toruspoly.core import TorusValue
 from toruspoly.poly import (NCPoly, NotPolynomialError, difference_degree,
                             normalize_tables)
 from toruspoly.rng import SplitMix64
-from toruspoly.suites import run_suite
+from toruspoly.suites import _random_weighted, _weighted_case, run_suite
 from toruspoly.weighted import (
     Factor,
     PeriodicMap,
@@ -570,3 +570,37 @@ class TestFactor:
             pointwise = NCPoly.from_values(
                 2, 4, [eval_oracle(w, x) for x in tops])
             assert F.pullback(w) == pointwise
+
+
+class TestMalformedTerms:
+    @pytest.mark.parametrize("p,r", [(3, -2), (2, -1), (5, -1)])
+    def test_negative_depth_rejected(self, p, r):
+        with pytest.raises(ValueError, match="negative depth"):
+            WeightedPoly(p, 1, (1,), TorusValue.zero(p), {((1,), r): 1})
+
+    def test_equal_terms_sum(self):
+        # x/2 + x/2 is 0 on Z; 1/9 binom(x, 2) twice is 2/9 binom(x, 2)
+        half = {"i": [1], "r": 0, "c": 1}
+        w = WeightedPoly.from_json({"p": 2, "m": 1, "D": [1],
+                                    "terms": [half, half]})
+        assert w.terms == {} and weighted_degree(w) == float("-inf")
+        ninth = {"i": [2], "r": 1, "c": 1}
+        w = WeightedPoly.from_json({"p": 3, "m": 1, "D": [1],
+                                    "terms": [ninth, half, ninth]})
+        assert w.terms == {((2,), 1): 2, ((1,), 0): 1}
+
+
+class TestWeightedCase:
+    # the (p, m, D, degree) draw of the roots and weighted suites, as their
+    # three inline copies drew it
+    @pytest.mark.parametrize("spreads", [(4, 4), (4, 3), (3, 3)])
+    def test_replays_the_inline_draws(self, spreads):
+        batched, scalar = SplitMix64(sum(spreads)), SplitMix64(sum(spreads))
+        for _ in range(40):
+            p = (2, 3)[scalar.below(2)]
+            m = 1 + scalar.below(2)
+            D = tuple(1 + scalar.below(2) for _ in range(m))
+            d = max(D) + scalar.below(spreads[m - 1])
+            want = _random_weighted(p, m, D, d, scalar)
+            assert _weighted_case(batched, spreads) == want
+            assert batched.state == scalar.state
