@@ -83,7 +83,7 @@ class TorusValue:
     def __init__(self, p: int, num: int, exp: int):
         if exp < 0:
             raise ValueError("exponent must be non-negative")
-        num %= p**exp if exp > 0 else 1
+        num %= p**exp
         while exp > 0 and num % p == 0:
             num //= p
             exp -= 1
@@ -108,7 +108,7 @@ class TorusValue:
             exp += 1
         if den != 1:
             raise ValueError(f"denominator {frac.denominator} is not a power of {p}")
-        return cls(p, frac.numerator % p**exp if exp else 0, exp)
+        return cls(p, frac.numerator, exp)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.p**self.exp)

@@ -165,10 +165,8 @@ def hk_taylor(row, G: FilteredAbelianGroup):
     Returns (coefficient row, None) when every g_J lies in G_|J|, else
     (None, the first J whose g_J does not).  A row that is not 2^k codes of
     G raises ValueError."""
-    row = np.asarray(row, dtype=np.int64)
-    k = max(row.size, 1).bit_length() - 1
-    if row.shape != (1 << k,) or not ((row >= 0) & (row < G.size)).all():
-        raise ValueError("a k-cube is a row of 2^k codes of G")
+    k = max(np.size(row), 1).bit_length() - 1
+    row = _check_codes(row, G, (1 << k,), "a k-cube is a row of 2^k codes of G")
     coeffs = _subset_table(row[None], G, "moebius")[0]
     inside = _member_tables(G, k)[_pass_tables(G, k, "moebius")[2], coeffs]
     if not inside.all():
@@ -307,20 +305,24 @@ def _subset_table(tuples: np.ndarray, G: FilteredAbelianGroup,
     return out
 
 
+def _check_codes(codes, G: FilteredAbelianGroup, shape: tuple,
+                 message: str = "phi_codes must map every H code to a G code",
+                 range_message: str | None = None) -> np.ndarray:
+    """codes as int64 codes of G in the given shape, else ValueError: float,
+    bool and Python-integer arrays are refused, not truncated, and one min
+    and one max check [0, |G|) before the cast, so no uint64 code wraps."""
+    codes = np.asarray(codes)
+    if codes.shape != shape or codes.dtype.kind not in "iu":
+        raise ValueError(message)
+    if codes.size and (codes.min() < 0 or codes.max() >= G.size):
+        raise ValueError(range_message or message)
+    return codes.astype(np.int64, copy=False)
+
+
 # ---------------------------------------------------------------------------
 # polynomial maps
 
 _FRONTIER_BLOCK = 1 << 20  # table entries is_polynomial_map holds at once
-
-
-def _check_code_table(phi_codes, H: FilteredAbelianGroup,
-                      G: FilteredAbelianGroup) -> np.ndarray:
-    """phi_codes as an int64 table of one G code per H code, or ValueError."""
-    phi_codes = np.asarray(phi_codes, dtype=np.int64)
-    if phi_codes.shape != (H.size,) or not (
-            (phi_codes >= 0) & (phi_codes < G.size)).all():
-        raise ValueError("phi_codes must map every H code to a G code")
-    return phi_codes
 
 
 @lru_cache(maxsize=64)
@@ -354,7 +356,7 @@ def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
     gather and a lookup subtraction derive its children.  Blocks are taken
     last in, first out, so only the parents on one path are held at once.
     """
-    phi_codes = _check_code_table(phi_codes, H, G)
+    phi_codes = _check_codes(phi_codes, G, (H.size,))
     max_total = G.degree + 1
     degs, shift = _directions(H, max_total, use_generators)
     member = _member_tables(G, max_total)
@@ -407,12 +409,12 @@ def equidistribution_report(values: np.ndarray | Sequence[Element],
     product of cyclic p-groups, all exact where the algebra allows.
 
     values is an (A, r) integer array or a list of A r-tuples, reduced mod
-    the orders.  Reports max_b | |{f=b}|/|A| - 1/|B| | (exact rational) and
-    the largest nontrivial squared character bias; bias exactly zero forces
-    an exactly uniform histogram and the deviation never exceeds the
-    largest bias.
+    the orders, which json_int's rule reads (no bool, no float).  Reports
+    max_b | |{f=b}|/|A| - 1/|B| | (exact rational) and the largest
+    nontrivial squared character bias; bias exactly zero forces an exactly
+    uniform histogram and the deviation never exceeds the largest bias.
     """
-    orders = tuple(int(o) for o in orders)
+    orders = tuple(json_int({"orders": list(orders)}, "orders"))
     if any(o < 1 for o in orders):
         raise ValueError("cyclic orders must be positive")
     p, K = _prime_power(orders)

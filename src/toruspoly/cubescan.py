@@ -38,7 +38,7 @@ from math import prod
 import numpy as np
 
 from .core import SPACE_CAP, check_budget
-from .cubes import (FilteredAbelianGroup, _check_code_table, _diagonal,
+from .cubes import (FilteredAbelianGroup, _check_codes, _diagonal,
                     _echelon_insert, _member_tables, _pass_tables,
                     _subset_codes, _subset_table, code_element, hk_size)
 
@@ -48,19 +48,6 @@ from .cubes import (FilteredAbelianGroup, _check_code_table, _diagonal,
 SCAN_CAP = 1 << 24
 _SCAN_CHUNK = 1 << 18
 _CACHED_CODES = 1 << 16
-
-
-def _check_cube_rows(tuples, G: FilteredAbelianGroup, k: int) -> np.ndarray:
-    """tuples as an int64 (M, 2^k) array of G codes, or ValueError; the
-    codes are range-checked by one min and one max."""
-    tuples = np.asarray(tuples)
-    if k < 0 or tuples.ndim != 2 or tuples.shape[1].bit_length() != k + 1 \
-            or tuples.shape[1] != 1 << k or tuples.dtype.kind not in "iu":
-        raise ValueError(f"k-cubes must be a 2-D integer array of width 2^k, "
-                         f"k = {k}; got shape {tuples.shape}, {tuples.dtype}")
-    if tuples.size and (tuples.min() < 0 or tuples.max() >= G.size):
-        raise ValueError(f"cube codes must lie in [0, {G.size})")
-    return tuples.astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=64)
@@ -84,7 +71,14 @@ def _level_mask(tuples, G: FilteredAbelianGroup, k: int,
     the outputs at proper levels are resolved, and none at all when every
     level is G.  tuples that are not an (M, 2^k) integer array of G codes
     raise ValueError."""
-    tuples = _check_cube_rows(tuples, G, k)
+    tuples = np.asarray(tuples)
+    message = (f"k-cubes must be a 2-D integer array of width 2^k, k = {k}; "
+               f"got shape {tuples.shape}, {tuples.dtype}")
+    # the width's bit length first, so that a huge k never builds 1 << k
+    if k < 0 or tuples.ndim != 2 or tuples.shape[1].bit_length() != k + 1:
+        raise ValueError(message)
+    tuples = _check_codes(tuples, G, (len(tuples), 1 << k), message,
+                          f"cube codes must lie in [0, {G.size})")
     outputs, offsets = _tested_outputs(G, k, kind)
     mask = np.ones(len(tuples), dtype=bool)
     if not len(outputs):
@@ -236,7 +230,7 @@ def preserves_cubes_fast(phi_codes: np.ndarray, H: FilteredAbelianGroup,
     if k_max < 0:
         raise ValueError(f"k_max must be at least 0, got {k_max}")
     check_budget(1 << min(k_max, 64), SPACE_CAP, "preserves_cubes_fast")
-    phi_codes = _check_code_table(phi_codes, H, G)
+    phi_codes = _check_codes(phi_codes, G, (H.size,))
     check_budget(hk_size(H, k_max) << k_max, budget, "preserves_cubes_fast")
     cubes = enumerate_cube_codes(H, k_max)
     return bool(taylor_member_mask(phi_codes[cubes], G, k_max).all())

@@ -48,11 +48,15 @@ class MultilinearForm:
         self.n = n
         self.k = k
         self.coeffs: dict[Multiset, int] = {}
+        given: set[Multiset] = set()
         for key, c in (coeffs or {}).items():
+            key = tuple(sorted(key))
+            if key in given:  # a form is one value per multiset
+                raise ValueError(f"multiset {key} is given two values")
+            given.add(key)
             c %= p
             if c == 0:
                 continue
-            key = tuple(sorted(key))
             if len(key) != k or any(not 0 <= i < n for i in key):
                 raise ValueError(f"bad multiset {key}")
             self.coeffs[key] = c
@@ -74,7 +78,7 @@ class MultilinearForm:
     def __add__(self, other: "MultilinearForm") -> "MultilinearForm":
         out: dict[Multiset, int] = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            out[key] = (out.get(key, 0) + c) % self.p
+            out[key] = out.get(key, 0) + c
         return MultilinearForm(self.p, self.n, self.k, out)
 
     def scale(self, a: int) -> "MultilinearForm":
@@ -112,11 +116,14 @@ class MultilinearForm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MultilinearForm":
-        return cls(
-            json_int(obj, "p"), json_int(obj, "n"), json_int(obj, "k"),
-            {tuple(i - 1 for i in json_int(t, "multiset")): json_int(t, "c")
-             for t in obj.get("coeffs", [])},
-        )
+        coeffs: dict[Multiset, int] = {}  # 1-based, as in the JSON
+        for t in obj.get("coeffs", []):
+            key = tuple(sorted(json_int(t, "multiset")))
+            if key in coeffs:
+                raise ValueError(f"multiset {list(key)} is given two values")
+            coeffs[key] = json_int(t, "c")
+        return cls(json_int(obj, "p"), json_int(obj, "n"), json_int(obj, "k"),
+                   {tuple(i - 1 for i in key): c for key, c in coeffs.items()})
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p={self.p}, n={self.n}, k={self.k}, {len(self.coeffs)} terms)"
@@ -214,8 +221,7 @@ def concat(S: MultilinearForm, T: MultilinearForm) -> MultilinearForm:
             left = tuple(tup[i] for i in A)
             right = tuple(tup[i] for i in range(k + l) if i not in Aset)
             total += S.value(left) * T.value(right)
-        if total % p:
-            out[tup] = total % p
+        out[tup] = total
     return MultilinearForm(p, n, k + l, out)
 
 
@@ -251,8 +257,7 @@ def sym_power(T: MultilinearForm, m: int) -> MultilinearForm:
                 if prod == 0:
                     break
             total += prod
-        if total % p:
-            out[tup] = total % p
+        out[tup] = total
     return MultilinearForm(p, n, m * k, out)
 
 

@@ -285,9 +285,11 @@ class CanonicalForm:
         self.n = n
         self.alpha = alpha
         self.terms = {}
-        for (exps, j), c in (terms or {}).items():
-            c %= p
-            if c == 0:
+        terms = terms or {}
+        # a carry walks j + 1 depths at most, and no table passes 2^63
+        _check_table_exponent(p, max((j for _, j in terms), default=0) + 1)
+        for (exps, j), c in terms.items():
+            if not c:
                 continue
             if len(exps) != n or min(exps, default=0) < 0 \
                     or max(exps, default=0) >= p:
@@ -296,7 +298,13 @@ class CanonicalForm:
                 raise ValueError("constant terms belong in alpha")
             if j < 0:
                 raise ValueError("negative depth")
-            self.terms[(tuple(exps), j)] = c
+            # c/p^(j+1) added digit by digit: c mod p stays at depth j, the rest
+            # carries one depth shallower, and past depth 0 it is an integer
+            while c and j >= 0:
+                c, digit = divmod(c + self.terms.pop((exps, j), 0), p)
+                if digit:
+                    self.terms[(exps, j)] = digit
+                j -= 1
 
     def degree(self) -> float:
         if self.terms:
@@ -312,7 +320,7 @@ class CanonicalForm:
         K = self.table_exponent()
         _check_table_exponent(self.p, K)
         p, sp = self.p, space(self.p, self.n)
-        nums = np.full(sp.size, self.alpha.num * p ** (K - self.alpha.exp) if K else 0,
+        nums = np.full(sp.size, self.alpha.num * p ** (K - self.alpha.exp),
                        dtype=np.int64)
         C = np.zeros((K, sp.size), dtype=np.int64)
         exps = np.array([e for e, _ in self.terms], dtype=np.int64).reshape(
@@ -340,11 +348,9 @@ class CanonicalForm:
 
     def depth_shift_root(self) -> "CanonicalForm":
         """The canonical p-th root: every denominator p^(j+1) -> p^(j+2)."""
-        alpha = TorusValue(self.p, self.alpha.num, self.alpha.exp + 1) \
-            if not self.alpha.is_zero() else self.alpha
         return CanonicalForm(
-            self.p, self.n, alpha, {(e, j + 1): c for (e, j), c in self.terms.items()}
-        )
+            self.p, self.n, TorusValue(self.p, self.alpha.num, self.alpha.exp + 1),
+            {(e, j + 1): c for (e, j), c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanonicalForm):
@@ -412,7 +418,11 @@ class CanonicalForm:
                         raise ValueError(f"variable x{i+1} out of range")
                     exps[i] += int(m.group(2) or 1)
                 else:
-                    coeff *= Fraction(factor)
+                    try:
+                        coeff *= Fraction(factor)
+                    except ZeroDivisionError:
+                        raise ValueError(f"coefficient {factor} has denominator 0") \
+                            from None
             if any(e >= p for e in exps):
                 raise ValueError("exponents must be < p in canonical text form")
             if all(e == 0 for e in exps):
@@ -420,15 +430,9 @@ class CanonicalForm:
             else:
                 key = tuple(exps)
                 acc[key] = acc.get(key, Fraction(0)) + sign * coeff
-        terms: dict[tuple[tuple[int, ...], int], int] = {}
-        for exps, val in acc.items():
-            tv = TorusValue.from_fraction(p, val)
-            num, K = tv.num, tv.exp
-            for j in range(K):  # digit at depth j is the p-adic digit of num
-                digit = num // p ** (K - 1 - j) % p
-                if digit:
-                    terms[(exps, j)] = terms.get((exps, j), 0) + digit
-        return cls(p, n, TorusValue.from_fraction(p, alpha), terms)
+        sums = {exps: TorusValue.from_fraction(p, val) for exps, val in acc.items()}
+        return cls(p, n, TorusValue.from_fraction(p, alpha),
+                   {(exps, tv.exp - 1): tv.num for exps, tv in sums.items() if tv.exp})
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +590,7 @@ class NCPoly:
 
 def _depth_count(p: int, d):
     """Depths K of degree <= d forms, whose tables live over p^K; elementwise
-    on an array, a Python int for an int d (NCPoly memos call K.to_bytes)."""
+    on an array, a Python int for an int d (p ** K on an np.int64 K wraps)."""
     top = np.maximum(d, 1) if isinstance(d, np.ndarray) else max(d, 1)
     return (top - 1) // (p - 1) + 1
 

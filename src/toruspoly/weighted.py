@@ -65,19 +65,17 @@ class WeightedPoly:
         self.m = m
         self.D = tuple(D)
         self.alpha = alpha
-        self.terms = {}
+        # the terms c/p^(r+1) of each i summed as one reduced fraction
+        sums: dict[tuple[int, ...], TorusValue] = {}
         for (i_vec, r), c in (terms or {}).items():
             if r < 0:
                 raise ValueError(f"negative depth r = {r}")
-            mod = p ** (r + 1)
-            c %= mod
-            if c == 0:
-                continue
-            if c % p == 0:
-                raise ValueError("coefficient divisible by p: reduce the depth r")
             if len(i_vec) != m or any(i < 0 for i in i_vec) or sum(i_vec) == 0:
                 raise ValueError(f"bad exponent vector {i_vec}")
-            self.terms[(tuple(i_vec), r)] = c
+            v = TorusValue(p, c, r + 1)
+            sums[i_vec] = sums[i_vec] + v if i_vec in sums else v
+        self.terms = {(i_vec, v.exp - 1): v.num
+                      for i_vec, v in sums.items() if v.exp}
 
     def term_degree(self, i_vec: tuple[int, ...], r: int) -> int:
         return sum(d * i for d, i in zip(self.D, i_vec)) + r * (self.p - 1)
@@ -128,10 +126,9 @@ class WeightedPoly:
 
     def pth_root(self) -> "WeightedPoly":
         """p*root = self; per-term denominator shift, degree cost p-1."""
-        alpha = TorusValue(self.p, self.alpha.num, self.alpha.exp + 1) \
-            if not self.alpha.is_zero() else self.alpha
         return WeightedPoly(
-            self.p, self.m, self.D, alpha,
+            self.p, self.m, self.D,
+            TorusValue(self.p, self.alpha.num, self.alpha.exp + 1),
             {(i, r + 1): c for (i, r), c in self.terms.items()})
 
     def periods(self, d: int | None = None) -> tuple[int, ...]:
@@ -237,8 +234,9 @@ def binomial_expand(f: PeriodicMap, d_bound: float) -> WeightedPoly:
     The Newton coefficient at i is Delta^i f(0), for i_t < K box_t (see the
     module docstring): in-place forward differences, one pass per axis, on
     the table tiled K times, at cost prod(K box_t) sum(K box_t) whatever the
-    values.  A coefficient c/p^(r+1) at i is the term (i, r); one of degree
-    past d_bound means the map exceeds the bound.
+    values.  Each numerator over p^K goes to WeightedPoly as it is, which
+    reduces it to a term c/p^(r+1); one of degree past d_bound means the map
+    exceeds the bound.
     """
     p, K = f.p, f.K
     reps = max(K, 1)  # K = 0 is the zero table
@@ -250,11 +248,8 @@ def binomial_expand(f: PeriodicMap, d_bound: float) -> WeightedPoly:
         for k in range(1, side):
             v[k:] = (v[k:] - v[k - 1:-1]) % p**K
     origin = (0,) * f.m
-    terms = {}
-    for i_vec in map(tuple, np.argwhere(coefs).tolist()):
-        gamma = TorusValue(p, int(coefs[i_vec]), K)
-        if i_vec != origin:
-            terms[(i_vec, gamma.exp - 1)] = gamma.num
+    terms = {(i_vec, K - 1): int(coefs[i_vec])
+             for i_vec in map(tuple, np.argwhere(coefs).tolist()) if i_vec != origin}
     out = WeightedPoly(p, f.m, f.D, TorusValue(p, int(coefs[origin]), K),
                        terms)
     for i_vec, r in out.terms:
@@ -295,9 +290,7 @@ def periodicity_check(f: WeightedPoly, d: int) -> dict:
             report["top_coefficients"][i + 1] = None
             continue
         v = TorusValue(p, int(vals[0]), K)
-        if v.is_zero():
-            report["top_coefficients"][i + 1] = 0
-        elif v.exp == 1:
+        if v.exp <= 1:  # 0 or c/p
             report["top_coefficients"][i + 1] = v.num
         else:
             report["pass"] = False

@@ -371,6 +371,8 @@ class TestCli:
         {"values": [[1], [0]], "orders": [2, 4]},  # wrong coordinate count
         {"values": [[1], [0]], "orders": [0]},  # order below 1
         {"values": [[1.5], [0]], "orders": [2]},  # not an integer
+        {"values": [[1], [3]], "orders": [True]},  # a bool, not Z/1
+        {"values": [[1], [3]], "orders": [4.7]},  # a float, not Z/4
     ])
     def test_equidist_malformed_exit_2(self, payload, capsys):
         code, out = run_cli("--input", "-", "equidist",
@@ -592,6 +594,40 @@ class TestCli:
                             stdin_text=json.dumps(wp))
         assert code == 0
         assert json.loads(out)["terms"] == [{"i": [1], "r": 2, "c": 1}]
+
+    @pytest.mark.parametrize("terms", [
+        [{"i": [1], "r": 0, "c": 1}, {"i": [1], "r": 1, "c": 1}],  # x/2 + x/4
+        [{"i": [1], "r": 1, "c": 3}],
+        [{"i": [1], "r": 2, "c": 6}],  # c divisible by p
+    ])
+    def test_wroot_prints_one_term_per_exponent(self, terms):
+        wp = {"p": 2, "m": 1, "D": [1], "terms": terms}
+        code, out = run_cli("--input", "-", "wroot", stdin_text=json.dumps(wp))
+        assert code == 0
+        assert json.loads(out)["terms"] == [{"i": [1], "r": 2, "c": 3}]
+
+    def test_degree_carries_a_json_digit_past_p(self):
+        # 2/4 * x1 on F_2^1 is x1/2, of degree 1
+        obj = {"p": 2, "n": 1, "terms": [{"exps": [1], "depth": 1, "coeff": 2}]}
+        code, out = run_cli("--input", "-", "degree", stdin_text=json.dumps(obj))
+        assert code == 0 and json.loads(out)["degree"] == 1
+
+    def test_text_zero_denominator_exit_2(self, capsys):
+        obj = {"p": 2, "n": 1, "text": "1/0*x1"}
+        code, out = run_cli("--input", "-", "degree", stdin_text=json.dumps(obj))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == \
+            "error: coefficient 1/0 has denominator 0\n"
+
+    @pytest.mark.parametrize("c12,c21", [(1, 2), (2, 1)])
+    def test_bias_repeated_multiset_exit_2(self, c12, c21, capsys):
+        # the bias read 1/25 in one order and 1/5 in the other
+        obj = {"p": 5, "n": 2, "k": 2, "coeffs": [
+            {"multiset": [1, 1], "c": 1}, {"multiset": [2, 2], "c": 1},
+            {"multiset": [1, 2], "c": c12}, {"multiset": [2, 1], "c": c21}]}
+        code, out = run_cli("--input", "-", "bias", stdin_text=json.dumps(obj))
+        assert code == 2 and out == ""
+        assert "multiset [1, 2] is given two values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["wroot", "wdegree"])
     @pytest.mark.parametrize("p,r", [(3, -2), (2, -1)])

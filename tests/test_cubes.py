@@ -724,6 +724,28 @@ class TestPolynomialMaps:
             outcomes.add(poly)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("codes", [
+        np.array([0.0, 1.7]),          # would truncate to [0, 1]
+        np.array([0.0, 1.0]),          # integral floats are refused too
+        np.array([False, True]),       # a bool is not a code
+        [0, 1 << 70],                  # past 64 bits
+    ])
+    def test_non_integer_codes_refused_everywhere(self, codes):
+        # one validator behind both criteria, hk_taylor and both masks
+        H = FilteredAbelianGroup.maximal([2], 1)
+        G = FilteredAbelianGroup.maximal([4], 1)
+        checks = [
+            ("every H code to a G code", lambda: is_polynomial_map(codes, H, G)),
+            ("every H code to a G code",
+             lambda: preserves_cubes_fast(codes, H, G, 2)),
+            ("row of 2\\^k codes", lambda: hk_taylor(codes, G)),
+            ("k-cubes must be", lambda: face_member_mask([codes], G, 1)),
+            ("k-cubes must be", lambda: taylor_member_mask([codes], G, 1)),
+        ]
+        for message, call in checks:
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_code_table_checked(self):
         # a code outside G must not be reduced mod |G| into a verdict
         H = FilteredAbelianGroup.maximal([2], 1)
@@ -1200,6 +1222,17 @@ class TestEquidistribution:
         for orders in ((0,), (4, -2)):
             with pytest.raises(ValueError, match="orders must be positive"):
                 equidistribution_report([(1,) * len(orders)] * 2, orders)
+
+    @pytest.mark.parametrize("orders", [(True,), (4.7,), (2, 4.0)])
+    def test_non_integer_orders_rejected(self, orders):
+        # read by json_int's rule: Z/1 from True or Z/4 from 4.7 would
+        # silently answer for another group
+        with pytest.raises(ValueError, match="orders must hold integers"):
+            equidistribution_report([(1,) * len(orders)] * 2, orders)
+
+    def test_numpy_integer_orders_accepted(self):
+        assert equidistribution_report([(1,), (3,)], np.array([4])) == \
+            equidistribution_report([(1,), (3,)], (4,))
 
     def test_mixed_prime_orders_rejected(self):
         with pytest.raises(ValueError):

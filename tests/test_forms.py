@@ -115,6 +115,35 @@ class TestExtraction:
                         for perm in itertools.permutations(args)}) == 1
 
 
+class TestOneValuePerMultiset:
+    """A form is its values on multisets, so a multiset given twice, in
+    either order, is refused instead of letting list order pick one."""
+
+    @pytest.mark.parametrize("first,second", [((0, 1), (1, 0)),
+                                              ((1, 0), (0, 1))])
+    def test_repeated_multiset_refused(self, first, second):
+        coeffs = {(0, 0): 1, (1, 1): 1, first: 1, second: 2}
+        with pytest.raises(ValueError, match="given two values"):
+            MultilinearForm(5, 2, 2, coeffs)
+        # even when one of the two values is 0 mod p
+        with pytest.raises(ValueError, match="given two values"):
+            MultilinearForm(5, 2, 2, {first: 5, second: 1})
+
+    def test_json_repeat_refused_before_the_dict_drops_it(self):
+        # an exact repeat would collapse in a dict comprehension
+        for pair in ([1, 2], [2, 1]):
+            obj = {"p": 5, "n": 2, "k": 2, "coeffs": [
+                {"multiset": [1, 2], "c": 1}, {"multiset": pair, "c": 1}]}
+            with pytest.raises(ValueError, match=r"multiset \[1, 2\]"):
+                MultilinearForm.from_json(obj)
+
+    def test_distinct_multisets_accepted(self):
+        obj = {"p": 5, "n": 2, "k": 2, "coeffs": [
+            {"multiset": [1, 1], "c": 1}, {"multiset": [2, 1], "c": 3}]}
+        assert MultilinearForm.from_json(obj) == \
+            MultilinearForm(5, 2, 2, {(0, 0): 1, (0, 1): 3})
+
+
 class TestConcat:
     def test_six_term_expansion(self):
         rng = SplitMix64(11)

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -826,3 +827,84 @@ class TestSerialization:
     def test_text_splits_deep_numerators(self):
         P = NCPoly.from_text(2, 1, "3/8*x1")
         assert P.canonical().terms == {((1,), 1): 1, ((1,), 2): 1}
+
+
+def _value_oracle(p, n, pieces):
+    """The table of sum c/p^(j+1) * prod |x_t|^e_t over (exps, j, c) pieces,
+    one Fraction per point, read as torus values."""
+    sp = space(p, n)
+    out = []
+    for x in range(sp.size):
+        dig = sp.digits_of(x)
+        total = Fraction(0)
+        for exps, j, c in pieces:
+            mono = 1
+            for d, e in zip(dig, exps):
+                mono *= d**e
+            total += Fraction(c * mono, p ** (j + 1))
+        out.append(TorusValue.from_fraction(p, total))
+    return out
+
+
+def _pieces_text(p, pieces):
+    """The same pieces as from_text input, one signed chunk each."""
+    chunks = []
+    for exps, j, c in pieces:
+        mono = [f"x{t + 1}^{e}" for t, e in enumerate(exps) if e]
+        chunks.append(f"{'-' if c < 0 else '+'}{abs(c)}/{p ** (j + 1)}*"
+                      + "*".join(mono))
+    return "".join(chunks) or "0"
+
+
+class TestCanonicalCarry:
+    """Every input path reaches one canonical form: a coefficient c at
+    depth j is c/p^(j+1), whatever its sign or size."""
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 2), (5, 1)])
+    def test_json_text_and_table_agree(self, p, n):
+        rng = SplitMix64(9100 + 10 * p + n)
+        exps_pool = [e for e in itertools.product(range(p), repeat=n) if any(e)]
+        for _ in range(40):
+            pieces = []
+            for _ in range(rng.below(6)):
+                exps = exps_pool[rng.below(len(exps_pool))]
+                # coefficients past p, negative ones and repeated slots
+                pieces.append((exps, rng.below(3),
+                               rng.below(4 * p**2) - 2 * p**2))
+            if pieces and rng.below(2):
+                pieces.append(pieces[0])
+            obj = {"p": p, "n": n, "terms": [
+                {"exps": list(e), "depth": j, "coeff": c}
+                for e, j, c in pieces]}
+            cf = CanonicalForm.from_json(obj)
+            assert cf == CanonicalForm.from_text(p, n, _pieces_text(p, pieces))
+            assert all(0 < c < p for c in cf.terms.values())
+            P = NCPoly.from_canonical(cf)
+            Q = NCPoly.from_values(p, n, _value_oracle(p, n, pieces))
+            assert P == Q and Q.canonical() == cf
+            assert cf.degree() == Q.degree_by_derivatives()
+
+    def test_json_digit_past_p_carries(self):
+        # 2/4 * x1 on F_2^1 is x1/2: degree 1, table [0, 1/2]
+        cf = CanonicalForm.from_json(
+            {"p": 2, "n": 1, "terms": [{"exps": [1], "depth": 1, "coeff": 2}]})
+        assert cf.terms == {((1,), 0): 1} and cf.degree() == 1
+        assert cf == CanonicalForm.from_text(2, 1, "2/4*x1")
+        assert NCPoly.from_canonical(cf) == NCPoly.from_values(
+            2, 1, [TorusValue.zero(2), TorusValue(2, 1, 1)])
+
+    def test_negative_coefficient_fills_every_shallower_digit(self):
+        # -1/8 = 7/8 = 1/2 + 1/4 + 1/8; a carry past depth 0 vanishes
+        cf = CanonicalForm(2, 1, TorusValue.zero(2), {((1,), 2): -1})
+        assert cf.terms == {((1,), 0): 1, ((1,), 1): 1, ((1,), 2): 1}
+        assert CanonicalForm(2, 1, TorusValue.zero(2), {((1,), 0): 6}).terms == {}
+
+    @pytest.mark.parametrize("j", [62, 10**12])
+    def test_depth_past_the_table_bound_rejected(self, j):
+        # refused before a carry walks j depths or p^(j+1) is built
+        with pytest.raises(ValueError, match="exceeds 2\\^63"):
+            CanonicalForm(2, 1, TorusValue.zero(2), {((1,), j): -1})
+
+    def test_text_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="coefficient 1/0"):
+            CanonicalForm.from_text(2, 1, "1/0*x1")

@@ -447,6 +447,41 @@ class TestWeightedRoot:
             assert g.degree() <= max(w.degree(), 0) + p - 1
 
 
+class TestOneFractionPerExponent:
+    """WeightedPoly keeps one reduced fraction c/p^(r+1) per exponent
+    vector i, whatever the depths and coefficients its terms come in."""
+
+    def test_split_terms_equal_their_sum(self):
+        # x/2 + x/4 = 3x/4
+        w = wpoly(2, (1,), {((1,), 0): 1, ((1,), 1): 1})
+        assert w == wpoly(2, (1,), {((1,), 1): 3})
+        assert w.terms == {((1,), 1): 3} and w.degree() == 2
+        assert wpoly(2, (1,), {((1,), 0): 1, ((1,), 1): 2}).terms == {}
+
+    def test_coefficient_divisible_by_p_reduces_its_depth(self):
+        wp = WeightedPoly.from_json({"p": 2, "m": 1, "D": [1], "terms": [
+            {"i": [1], "r": 1, "c": 2}]})
+        assert wp == wpoly(2, (1,), {((1,), 0): 1}) and wp.degree() == 1
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_random_split_terms_against_the_fraction_sum(self, p):
+        rng = SplitMix64(5150 + p)
+        for _ in range(60):
+            pieces = [((1 + rng.below(3),), rng.below(3),
+                       rng.below(4 * p**3) - 2 * p**3)
+                      for _ in range(1 + rng.below(5))]
+            terms: dict = {}
+            for i, r, c in pieces:  # repeated (i, r) slots sum, as in JSON
+                terms[(i, r)] = terms.get((i, r), 0) + c
+            w = wpoly(p, (1,), terms)
+            assert len({i for i, _ in w.terms}) == len(w.terms)
+            assert all(c % p for c in w.terms.values())
+            for x in range(-3, 10):
+                want = sum(Fraction(c * gen_binom(x, i[0]), p ** (r + 1))
+                           for i, r, c in pieces)
+                assert value(w, (x,)) == TorusValue.from_fraction(p, want)
+
+
 class TestPeriodicity:
     def test_a_over_four_report(self):
         w = wpoly(2, (1,), {((1,), 1): 1})
