@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands operate on the JSON schemas of the owning modules; reports go
-to stdout or --out.  Exit codes: 0 pass, 1 check failure, 2 usage error
-(including input JSON of the wrong shape), 3 budget exceeded, 4 internal
-error.
+Each subcommand is one entry of COMMANDS, whose input is read once in the
+JSON schema of its owning module; reports go to stdout or --out.  Exit
+codes: 0 pass, 1 check failure, 2 usage error (including input JSON of the
+wrong shape), 3 budget exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -48,9 +48,13 @@ EXIT_INTERNAL = 4
 
 def _read_input(args) -> dict:
     if args.input in (None, "-"):
-        return json.load(sys.stdin)
-    with open(args.input) as fh:
-        return json.load(fh)
+        obj = json.load(sys.stdin)
+    else:
+        with open(args.input) as fh:
+            obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("input JSON must be an object")
+    return obj
 
 
 def _emit(args, payload: dict | str) -> None:
@@ -106,6 +110,201 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="include runtimes in suite reports")
 
 
+def _eval(P, args):
+    x = space(P.p, P.n).index_of(_parse_digits(args.x))
+    return {"value": P.eval(x).to_json(), "display": repr(P.eval(x))}, True
+
+
+def _derive(P, args):
+    h = space(P.p, P.n).index_of(_parse_digits(args.h))
+    return _poly_payload(P.derivative(h)), True
+
+
+def _degree(P, args):
+    canonical = P.degree()
+    by_deriv = P.degree_by_derivatives(budget=args.budget)
+    return {"degree": None if canonical == float("-inf") else canonical,
+            "by_derivatives": None if by_deriv == float("-inf") else by_deriv,
+            "agree": canonical == by_deriv}, canonical == by_deriv
+
+
+def _interpolate(P, args):
+    if args.degree is not None and P.degree() > args.degree:
+        raise NotPolynomialError(f"not a polynomial of degree <= {args.degree}")
+    return _poly_payload(P), True
+
+
+def _norm(obj, args):
+    f = BoundedFunction.from_json(obj)
+    power = gowers_power(f, args.d, budget=args.budget)
+    payload = {"d": args.d, "norm": abs(power) ** (1.0 / (1 << args.d)),
+               "power": {"re": power.real, "im": power.imag}}
+    if all("num" in entry for entry in obj["values"]):
+        # a pure phase e(P): read P from the same values
+        exact = gowers_power_exact(_load_poly(args, obj), args.d,
+                                   budget=args.budget)
+        payload["exact_power"] = exact.as_fraction()
+    return payload, True
+
+
+def _arank(P, args):
+    res = analytic_rank(P, args.s, budget=args.budget, threads=args.threads)
+    return {"bias": res.bias, "arank": res.value, "exact": res.exact}, True
+
+
+def _bias(obj, args):
+    b = bias(MultilinearForm.from_json(obj), budget=args.budget,
+             threads=args.threads)
+    return {"bias": b, "float": float(b)}, True
+
+
+def _witness_check(obj, args):
+    if "table" in obj:
+        raise ValueError("witness-check takes no table: the witness "
+                         "polynomials induce it")
+    P = _load_poly(args, obj["P"])
+    polys = [_load_poly(args, q) for q in obj["witness"]]
+    ok = rank_witness_check(P, args.s, polys)
+    return {"witness_valid": ok, "s": args.s,
+            "certifies_rank_at_most": len(polys) if ok else None}, ok
+
+
+def _explore(obj, args):
+    best, corr = inverse_explore(BoundedFunction.from_json(obj), args.s,
+                                 budget=args.budget)
+    return {"s": args.s, "correlation": corr,
+            "best": _poly_payload(best)}, True
+
+
+def _decompose(obj, args):
+    try:
+        values = [Fraction(v) for v in obj["values"]]
+    except ZeroDivisionError:
+        raise ValueError("a value has denominator 0") from None
+    projected, energy = conditional_expectation(values, obj["factors"])
+    return {"projected": [str(v) for v in projected], "energy": energy}, True
+
+
+def _wdegree(obj, args):
+    if "terms" in obj:
+        f = WeightedPoly.from_json(obj)
+    else:
+        box = tuple(json_int(obj, "box"))
+        # Python integers, which PeriodicMap reduces mod p^K exactly
+        f = PeriodicMap(
+            json_int(obj, "p"), json_int(obj, "m"), json_int(obj, "D"), box,
+            np.array(json_int(obj, "nums"), dtype=object).reshape(box),
+            json_int(obj, "K"))
+    d = weighted_degree(f)
+    return {"weighted_degree": None if d == float("-inf") else d}, True
+
+
+def _wroot(obj, args):
+    return WeightedPoly.from_json(obj).pth_root().to_json(), True
+
+
+def _cube_check(obj, args):
+    G = FilteredAbelianGroup.from_json(obj["group"])
+    k = json_int(obj, "k")
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
+    cube = np.array([element_code(G, e) for e in json_int(obj, "cube")],
+                    dtype=np.int64)
+    if len(cube).bit_length() != k + 1 or len(cube) != 1 << k:
+        raise ValueError(f"need 2^{k} entries")
+    member = bool(face_member_mask(cube[None], G, k)[0])
+    coeffs, offending = hk_taylor(cube, G)
+    payload = {"member": member,
+               "taylor_success": coeffs is not None,
+               "agree": member == (coeffs is not None)}
+    if coeffs is not None:
+        payload["taylor"] = {bin(J): list(code_element(G, int(c)))
+                             for J, c in enumerate(coeffs)}
+    else:
+        payload["offending_mask"] = offending
+    return payload, payload["agree"]
+
+
+def _polymap_check(obj, args):
+    H = FilteredAbelianGroup.from_json(obj["H"])
+    G = FilteredAbelianGroup.from_json(obj["G"])
+    table = {}
+    for k, v in (tuple(pair) for pair in json_int(obj, "map")):
+        x = element_code(H, k)
+        if x in table:
+            raise ValueError(f"map gives H element {code_element(H, x)} "
+                             "two values")
+        table[x] = element_code(G, v)
+    missing = [code_element(H, x) for x in range(H.size) if x not in table]
+    if missing:
+        raise ValueError(f"map gives H element {min(missing)} no value")
+    phi_codes = np.array([table[x] for x in range(H.size)], dtype=np.int64)
+    poly = is_polynomial_map(phi_codes, H, G)
+    k_max = json_int(obj, "k_max") if "k_max" in obj else G.degree + 1
+    preserved = preserves_cubes_fast(phi_codes, H, G, k_max, args.budget)
+    return {"polynomial_map": poly, "preserves_cubes": preserved,
+            "equivalent": poly == preserved}, poly == preserved
+
+
+def _verify(_, args):
+    params = {}
+    for kv in args.param:
+        key, sep, value = kv.partition("=")
+        if not sep:  # as from `--p 3`, which abbreviates --param
+            raise ValueError(f"--param takes key=value, got {kv!r}")
+        try:  # a JSON literal: 3, 1e-6, [[2, 3]]; else the text itself
+            params[key] = json.loads(value)
+        except json.JSONDecodeError:
+            params[key] = value
+    report = run_suite(args.suite, params=params, seed=args.seed,
+                       threads=args.threads, budget=args.budget)
+    return report.to_bytes(include_timing=args.timing).decode(), report.passed
+
+
+# name: (help, reader, handler, *(argument, add_argument options)).  The
+# handler takes reader(args) (a polynomial or the input JSON object; None for
+# verify) and args, and returns (payload, passed).
+COMMANDS = {
+    "eval": ("evaluate a polynomial at a point", _load_poly, _eval,
+             ("--x", {"required": True, "help": "digits, e.g. 1,0,1"})),
+    "derive": ("additive derivative along h", _load_poly, _derive,
+               ("--h", {"required": True})),
+    "degree": ("degree by canonical form and by derivatives", _load_poly,
+               _degree),
+    "interpolate": ("value table -> canonical form", _load_poly, _interpolate,
+                    ("--degree", {"type": int, "default": None,
+                                  "help": "refuse a table of higher degree "
+                                          "(exit 2)"})),
+    "root": ("canonical p-th root", _load_poly,
+             lambda P, args: (_poly_payload(P.pth_root()), True)),
+    "mulp": ("multiply by p", _load_poly,
+             lambda P, args: (_poly_payload(P.mul_by_p()), True)),
+    "norm": ("Gowers uniformity norm of a function", _read_input, _norm,
+             ("--d", {"type": int, "required": True})),
+    "arank": ("analytic rank of a polynomial", _load_poly, _arank,
+              ("--s", {"type": int, "required": True})),
+    "bias": ("exact bias of a multilinear form", _read_input, _bias),
+    "witness-check": ("rank witness verification", _read_input,
+                      _witness_check, ("--s", {"type": int, "required": True})),
+    "explore": ("exhaustive correlation search", _read_input, _explore,
+                ("--s", {"type": int, "required": True})),
+    "decompose": ("conditional expectation onto factors", _read_input,
+                  _decompose),
+    "wdegree": ("weighted degree of a map on Z^m", _read_input, _wdegree),
+    "wroot": ("p-th root of a weighted polynomial", _read_input, _wroot),
+    "cube-check": ("Host-Kra cube membership", _read_input, _cube_check),
+    "polymap-check": ("polynomial map + cube preservation", _read_input,
+                      _polymap_check),
+    "equidist": ("equidistribution report of a finite map", _read_input,
+                 lambda obj, args: (equidistribution_report(
+                     obj["values"], obj["orders"]), True)),
+    "verify": ("run a named verification suite", None, _verify,
+               ("suite", {"choices": SUITE_NAMES}),
+               ("--param", {"action": "append", "default": [],
+                            "help": "key=value suite parameter, repeatable"})),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="toruspoly",
@@ -115,52 +314,10 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     _global_flags(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("eval", parents=[common],
-                        help="evaluate a polynomial at a point")
-    sp.add_argument("--x", required=True, help="digits, e.g. 1,0,1")
-    sp = sub.add_parser("derive", parents=[common],
-                        help="additive derivative along h")
-    sp.add_argument("--h", required=True)
-    sub.add_parser("degree", parents=[common],
-                   help="degree by canonical form and by derivatives")
-    sp = sub.add_parser("interpolate", parents=[common],
-                        help="value table -> canonical form")
-    sp.add_argument("--degree", type=int, default=None,
-                    help="refuse a table of higher degree (exit 2)")
-    sub.add_parser("root", parents=[common], help="canonical p-th root")
-    sub.add_parser("mulp", parents=[common], help="multiply by p")
-    sp = sub.add_parser("norm", parents=[common],
-                        help="Gowers uniformity norm of a function")
-    sp.add_argument("--d", type=int, required=True)
-    sp = sub.add_parser("arank", parents=[common],
-                        help="analytic rank of a polynomial")
-    sp.add_argument("--s", type=int, required=True)
-    sub.add_parser("bias", parents=[common],
-                   help="exact bias of a multilinear form")
-    sp = sub.add_parser("witness-check", parents=[common],
-                        help="rank witness verification")
-    sp.add_argument("--s", type=int, required=True)
-    sp = sub.add_parser("explore", parents=[common],
-                        help="exhaustive correlation search")
-    sp.add_argument("--s", type=int, required=True)
-    sub.add_parser("decompose", parents=[common],
-                   help="conditional expectation onto factors")
-    sub.add_parser("wdegree", parents=[common],
-                   help="weighted degree of a map on Z^m")
-    sub.add_parser("wroot", parents=[common],
-                   help="p-th root of a weighted polynomial")
-    sub.add_parser("cube-check", parents=[common],
-                   help="Host-Kra cube membership")
-    sub.add_parser("polymap-check", parents=[common],
-                   help="polynomial map + cube preservation")
-    sub.add_parser("equidist", parents=[common],
-                   help="equidistribution report of a finite map")
-    sp = sub.add_parser("verify", parents=[common],
-                        help="run a named verification suite")
-    sp.add_argument("suite", choices=SUITE_NAMES)
-    sp.add_argument("--param", action="append", default=[],
-                    help="key=value suite parameter, repeatable")
+    for name, (help_text, _, _, *arguments) in COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=help_text)
+        for argument, options in arguments:
+            sp.add_argument(argument, **options)
 
     args = parser.parse_args(argv)
     try:
@@ -178,195 +335,10 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
-
-    if cmd == "eval":
-        P = _load_poly(args)
-        x = space(P.p, P.n).index_of(_parse_digits(args.x))
-        _emit(args, {"value": P.eval(x).to_json(),
-                     "display": repr(P.eval(x))})
-        return EXIT_PASS
-
-    if cmd == "derive":
-        P = _load_poly(args)
-        h = space(P.p, P.n).index_of(_parse_digits(args.h))
-        _emit(args, _poly_payload(P.derivative(h)))
-        return EXIT_PASS
-
-    if cmd == "degree":
-        P = _load_poly(args)
-        canonical = P.degree()
-        by_deriv = P.degree_by_derivatives(budget=args.budget)
-        _emit(args, {"degree": None if canonical == float("-inf") else canonical,
-                     "by_derivatives": None if by_deriv == float("-inf") else by_deriv,
-                     "agree": canonical == by_deriv})
-        return EXIT_PASS if canonical == by_deriv else EXIT_FAIL
-
-    if cmd == "interpolate":
-        P = _load_poly(args)
-        if args.degree is not None and P.degree() > args.degree:
-            raise NotPolynomialError(f"not a polynomial of degree <= {args.degree}")
-        _emit(args, _poly_payload(P))
-        return EXIT_PASS
-
-    if cmd == "root":
-        P = _load_poly(args)
-        _emit(args, _poly_payload(P.pth_root()))
-        return EXIT_PASS
-
-    if cmd == "mulp":
-        P = _load_poly(args)
-        _emit(args, _poly_payload(P.mul_by_p()))
-        return EXIT_PASS
-
-    if cmd == "norm":
-        obj = _read_input(args)
-        f = BoundedFunction.from_json(obj)
-        power = gowers_power(f, args.d, budget=args.budget)
-        payload = {"d": args.d, "norm": abs(power) ** (1.0 / (1 << args.d)),
-                   "power": {"re": power.real, "im": power.imag}}
-        if all("num" in entry for entry in obj["values"]):
-            # a pure phase e(P): read P from the same values
-            exact = gowers_power_exact(_load_poly(args, obj), args.d,
-                                       budget=args.budget)
-            payload["exact_power"] = exact.as_fraction()
-        _emit(args, payload)
-        return EXIT_PASS
-
-    if cmd == "arank":
-        P = _load_poly(args)
-        res = analytic_rank(P, args.s, budget=args.budget,
-                            threads=args.threads)
-        _emit(args, {"bias": res.bias, "arank": res.value,
-                     "exact": res.exact})
-        return EXIT_PASS
-
-    if cmd == "bias":
-        obj = _read_input(args)
-        form = MultilinearForm.from_json(obj)
-        b = bias(form, budget=args.budget, threads=args.threads)
-        _emit(args, {"bias": b, "float": float(b)})
-        return EXIT_PASS
-
-    if cmd == "witness-check":
-        obj = _read_input(args)
-        if "table" in obj:
-            raise ValueError("witness-check takes no table: the witness "
-                             "polynomials induce it")
-        P = _load_poly(args, obj["P"])
-        polys = [_load_poly(args, q) for q in obj["witness"]]
-        ok = rank_witness_check(P, args.s, polys)
-        _emit(args, {"witness_valid": ok, "s": args.s,
-                     "certifies_rank_at_most": len(polys) if ok else None})
-        return EXIT_PASS if ok else EXIT_FAIL
-
-    if cmd == "explore":
-        obj = _read_input(args)
-        f = BoundedFunction.from_json(obj)
-        best, corr = inverse_explore(f, args.s, budget=args.budget)
-        _emit(args, {"s": args.s, "correlation": corr,
-                     "best": _poly_payload(best)})
-        return EXIT_PASS
-
-    if cmd == "decompose":
-        obj = _read_input(args)
-        try:
-            values = [Fraction(v) for v in obj["values"]]
-        except ZeroDivisionError:
-            raise ValueError("a value has denominator 0") from None
-        projected, energy = conditional_expectation(values, obj["factors"])
-        _emit(args, {"projected": [str(v) for v in projected],
-                     "energy": energy})
-        return EXIT_PASS
-
-    if cmd == "wdegree":
-        obj = _read_input(args)
-        if "terms" in obj:
-            d = weighted_degree(WeightedPoly.from_json(obj))
-        else:
-            box = tuple(json_int(obj, "box"))
-            # Python integers, which PeriodicMap reduces mod p^K exactly
-            pm = PeriodicMap(
-                json_int(obj, "p"), json_int(obj, "m"), json_int(obj, "D"), box,
-                np.array(json_int(obj, "nums"), dtype=object).reshape(box),
-                json_int(obj, "K"))
-            d = weighted_degree(pm)
-        _emit(args, {"weighted_degree": None if d == float("-inf") else d})
-        return EXIT_PASS
-
-    if cmd == "wroot":
-        obj = _read_input(args)
-        _emit(args, WeightedPoly.from_json(obj).pth_root().to_json())
-        return EXIT_PASS
-
-    if cmd == "cube-check":
-        obj = _read_input(args)
-        G = FilteredAbelianGroup.from_json(obj["group"])
-        k = json_int(obj, "k")
-        if k < 0:
-            raise ValueError(f"k must be at least 0, got {k}")
-        cube = np.array([element_code(G, e) for e in json_int(obj, "cube")],
-                        dtype=np.int64)
-        if len(cube).bit_length() != k + 1 or len(cube) != 1 << k:
-            raise ValueError(f"need 2^{k} entries")
-        member = bool(face_member_mask(cube[None], G, k)[0])
-        coeffs, offending = hk_taylor(cube, G)
-        payload = {"member": member,
-                   "taylor_success": coeffs is not None,
-                   "agree": member == (coeffs is not None)}
-        if coeffs is not None:
-            payload["taylor"] = {bin(J): list(code_element(G, int(c)))
-                                 for J, c in enumerate(coeffs)}
-        else:
-            payload["offending_mask"] = offending
-        _emit(args, payload)
-        return EXIT_PASS if payload["agree"] else EXIT_FAIL
-
-    if cmd == "polymap-check":
-        obj = _read_input(args)
-        H = FilteredAbelianGroup.from_json(obj["H"])
-        G = FilteredAbelianGroup.from_json(obj["G"])
-        table = {}
-        for k, v in (tuple(pair) for pair in json_int(obj, "map")):
-            x = element_code(H, k)
-            if x in table:
-                raise ValueError(f"map gives H element {code_element(H, x)} "
-                                 "two values")
-            table[x] = element_code(G, v)
-        missing = [code_element(H, x) for x in range(H.size) if x not in table]
-        if missing:
-            raise ValueError(f"map gives H element {min(missing)} no value")
-        phi_codes = np.array([table[x] for x in range(H.size)], dtype=np.int64)
-        poly = is_polynomial_map(phi_codes, H, G)
-        preserved = preserves_cubes_fast(
-            phi_codes, H, G,
-            json_int(obj, "k_max") if "k_max" in obj else G.degree + 1,
-            args.budget)
-        _emit(args, {"polynomial_map": poly, "preserves_cubes": preserved,
-                     "equivalent": poly == preserved})
-        return EXIT_PASS if poly == preserved else EXIT_FAIL
-
-    if cmd == "equidist":
-        obj = _read_input(args)
-        _emit(args, equidistribution_report(obj["values"], obj["orders"]))
-        return EXIT_PASS
-
-    if cmd == "verify":
-        params = {}
-        for kv in args.param:
-            key, sep, value = kv.partition("=")
-            if not sep:  # as from `--p 3`, which abbreviates --param
-                raise ValueError(f"--param takes key=value, got {kv!r}")
-            try:  # a JSON literal: 3, 1e-6, [[2, 3]]; else the text itself
-                params[key] = json.loads(value)
-            except json.JSONDecodeError:
-                params[key] = value
-        report = run_suite(args.suite, params=params, seed=args.seed,
-                           threads=args.threads, budget=args.budget)
-        _emit(args, report.to_bytes(include_timing=args.timing).decode())
-        return EXIT_PASS if report.passed else EXIT_FAIL
-
-    raise ValueError(f"unhandled command {cmd}")
+    _, read, handler, *_ = COMMANDS[args.command]
+    payload, passed = handler(read(args) if read else None, args)
+    _emit(args, payload)
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

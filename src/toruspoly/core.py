@@ -81,8 +81,11 @@ class TorusValue:
     __slots__ = ("p", "num", "exp")
 
     def __init__(self, p: int, num: int, exp: int):
+        validate_prime(p)
         if exp < 0:
             raise ValueError("exponent must be non-negative")
+        # p^exp is not formed past SPACE_CAP bits
+        check_budget(exp * int(p).bit_length(), SPACE_CAP, "TorusValue")
         num %= p**exp
         while exp > 0 and num % p == 0:
             num //= p

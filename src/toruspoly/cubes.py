@@ -38,9 +38,10 @@ class FilteredAbelianGroup:
 
     Elements are element_code integers.  The filtration is stored once, as
     the read-only (levels, |G|) table member, whose row i marks the codes of
-    G_i.  Each level's echelon basis (_echelon_insert) gives its generators,
-    and its index |G| / prod(pivots) is the order of the subgroup that the
-    level generates, so a level of any other size is not a subgroup."""
+    G_i.  Each level's echelon basis (_echelon_insert), kept as the tuple
+    rows of bases[i], gives its generators, and its index |G| / prod(pivots)
+    is the order of the subgroup that the level generates, so a level of any
+    other size is not a subgroup."""
 
     def __init__(self, orders: Sequence[int], levels: Sequence[Iterable[Element]]):
         self.orders = tuple(int(o) for o in orders)
@@ -53,7 +54,7 @@ class FilteredAbelianGroup:
             member[i, [element_code(self, g) for g in lv]] = True
         member.flags.writeable = False
         self.member = member
-        self._generators: list[tuple[int, ...]] = []
+        bases = []
         mods = list(self.orders)
         prev = np.ones(self.size, dtype=bool)
         for i, row in enumerate(member):
@@ -66,9 +67,8 @@ class FilteredAbelianGroup:
             pivots = [b[c] for c, b in enumerate(basis)]
             if self.size // math.prod(pivots) != row.sum():
                 raise ValueError(f"level {i} is not a subgroup")
-            self._generators.append(tuple(
-                element_code(self, b) for c, b in enumerate(basis)
-                if pivots[c] != mods[c]))
+            bases.append(tuple(map(tuple, basis)))
+        self.bases = tuple(bases)
         # the last i with G_i != {0}, or 0
         nontrivial = np.flatnonzero(member.sum(axis=1) > 1)
         self.degree = int(nontrivial[-1]) if len(nontrivial) else 0
@@ -81,9 +81,12 @@ class FilteredAbelianGroup:
         return np.flatnonzero(_member_tables(self, i)[i])
 
     def level_generators(self, i: int) -> tuple[int, ...]:
-        """The codes of the rows of G_i's echelon basis; () past the last
-        level."""
-        return self._generators[i] if i < len(self._generators) else ()
+        """The codes of the rows of G_i's echelon basis whose pivot is not
+        the cyclic order; () past the last level."""
+        if i >= len(self.bases):
+            return ()
+        return tuple(element_code(self, b) for c, b in enumerate(self.bases[i])
+                     if b[c] != self.orders[c])
 
     @classmethod
     def maximal(cls, orders: Sequence[int], k: int) -> "FilteredAbelianGroup":
@@ -417,12 +420,15 @@ def equidistribution_report(values: np.ndarray | Sequence[Element],
     orders = tuple(json_int({"orders": list(orders)}, "orders"))
     if any(o < 1 for o in orders):
         raise ValueError("cyclic orders must be positive")
+    # |B| max(orders) is |B| p^K for valid orders; checked before the trial
+    # division of _prime_power, which costs sqrt(max(orders))
+    size_B = math.prod(orders)
+    check_budget(size_B * max(orders, default=1), _EQUIDIST_CAP,
+                 "equidistribution_report")
     p, K = _prime_power(orders)
     total = len(values)
     if total == 0:
         raise ValueError("empty domain")
-    size_B = math.prod(orders)
-    check_budget(size_B * p**K, _EQUIDIST_CAP, "equidistribution_report")
     raw = np.asarray(values)
     if raw.ndim != 2 or raw.shape[1] != len(orders):
         raise ValueError("wrong coordinate count")

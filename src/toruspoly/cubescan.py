@@ -40,7 +40,7 @@ import numpy as np
 from .core import SPACE_CAP, check_budget
 from .cubes import (FilteredAbelianGroup, _check_codes, _diagonal,
                     _echelon_insert, _member_tables, _pass_tables,
-                    _subset_codes, _subset_table, code_element, hk_size)
+                    _subset_codes, _subset_table, hk_size)
 
 # equivalence_scan enumerates at most SCAN_CAP tuples, at most _SCAN_CHUNK
 # at a time (a power of |G|);
@@ -165,15 +165,11 @@ def counted_equivalence(G: FilteredAbelianGroup, k: int) -> dict:
     if not face_member_mask(gens, G, k).all():
         return {"equal": False, "reason": "generator fails face test"}
 
-    # L: per face, the echelon basis of G_dim + diag(orders) in Z^r
+    # L: per face, the echelon basis of G_dim + diag(orders) in Z^r, which
+    # G keeps per level; diag(orders) alone past the last level
     orders = list(G.orders)
-    blocks = []
-    for dim in range(k + 1):
-        block = _diagonal(orders)
-        _echelon_insert(block, [code_element(G, g)
-                                for g in G.level_generators(dim)], orders)
-        blocks.append(block)
-    basis = [[0] * (f * r) + row + [0] * ((len(dims) - f - 1) * r)
+    blocks = [*G.bases, *[_diagonal(orders)] * (k + 1 - len(G.bases))]
+    basis = [[0] * (f * r) + [*row] + [0] * ((len(dims) - f - 1) * r)
              for f, dim in enumerate(dims) for row in blocks[dim]]
     quotient_size = prod(row[c] for c, row in enumerate(basis))
 

@@ -399,6 +399,9 @@ class CanonicalForm:
     @classmethod
     def from_text(cls, p: int, n: int, text: str) -> "CanonicalForm":
         """Parse forms like '1/4*x1*x2 + 1/2*x3' with |x_i| semantics."""
+        if not isinstance(text, str):
+            raise ValueError(f"canonical text must be a string, got "
+                             f"{type(text).__name__}")
         text = text.replace(" ", "")
         if text in ("", "0"):
             return cls(p, n, TorusValue.zero(p))

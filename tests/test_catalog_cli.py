@@ -19,7 +19,7 @@ from toruspoly.catalog import (
     mother_q,
     quartic_form,
 )
-from toruspoly import suites
+from toruspoly import cli, suites
 from toruspoly.cli import main
 from toruspoly.core import TorusValue, space
 from toruspoly.norms import BoundedFunction, rank_witness_check
@@ -78,6 +78,22 @@ def run_cli(*argv, stdin_text=None):
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue()
+
+
+@pytest.fixture
+def run_probe(time_limit):
+    """run_cli on the JSON of obj from stdin, stopped if it runs past 2 s."""
+    def probe(command, obj, *argv):
+        with time_limit(2):
+            return run_cli("--input", "-", command, *argv,
+                           stdin_text=json.dumps(obj))
+    return probe
+
+
+def required_args(command):
+    """A value of 1 for each required option of a command."""
+    return [token for argument, options in cli.COMMANDS[command][3:]
+            if options.get("required") for token in (argument, "1")]
 
 
 def function_json(P):
@@ -880,6 +896,93 @@ class TestCli:
                             stdin_text=json.dumps(payload))
         assert code == 2 and out == ""
         assert message in capsys.readouterr().err
+
+    def test_help_lists_the_commands_in_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^    (\S+) +(\S.*)$", capsys.readouterr().out,
+                            re.MULTILINE)
+        assert listed == [
+            ("eval", "evaluate a polynomial at a point"),
+            ("derive", "additive derivative along h"),
+            ("degree", "degree by canonical form and by derivatives"),
+            ("interpolate", "value table -> canonical form"),
+            ("root", "canonical p-th root"),
+            ("mulp", "multiply by p"),
+            ("norm", "Gowers uniformity norm of a function"),
+            ("arank", "analytic rank of a polynomial"),
+            ("bias", "exact bias of a multilinear form"),
+            ("witness-check", "rank witness verification"),
+            ("explore", "exhaustive correlation search"),
+            ("decompose", "conditional expectation onto factors"),
+            ("wdegree", "weighted degree of a map on Z^m"),
+            ("wroot", "p-th root of a weighted polynomial"),
+            ("cube-check", "Host-Kra cube membership"),
+            ("polymap-check", "polynomial map + cube preservation"),
+            ("equidist", "equidistribution report of a finite map"),
+            ("verify", "run a named verification suite"),
+        ]
+
+    @pytest.mark.parametrize("text", ["[]", "5", "null", '"x"'])
+    @pytest.mark.parametrize("command",
+                             [c for c in cli.COMMANDS if c != "verify"])
+    def test_non_object_input_exit_2(self, command, text, capsys):
+        # bias exited 4 with AttributeError: 'list' object has no attribute
+        # 'get'
+        code, out = run_cli("--input", "-", command, *required_args(command),
+                            stdin_text=text)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == \
+            "error: input JSON must be an object\n"
+
+    @pytest.mark.parametrize("text", [5, [], {"a": 1}])
+    @pytest.mark.parametrize("command", [
+        c for c, entry in cli.COMMANDS.items() if entry[1] is cli._load_poly])
+    def test_non_string_text_exit_2(self, command, text, run_probe, capsys):
+        # exited 4 with AttributeError: ... 'replace'
+        code, out = run_probe(command, {"p": 2, "n": 1, "text": text},
+                              *required_args(command))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(
+            "error: canonical text must be a string")
+
+    @pytest.mark.parametrize("command,obj,argv", [
+        ("degree", {"p": 0, "n": 1, "alpha": {"num": 1, "exp": 1}}, ()),
+        ("wroot", {"p": 0, "m": 1, "D": [1], "alpha": {"num": 1, "exp": 1}},
+         ()),
+        ("norm", {"p": 0, "n": 1, "values": [{"num": 1, "exp": 1}]},
+         ("--d", "1")),
+    ])
+    def test_zero_modulus_exit_2(self, command, obj, argv, run_probe, capsys):
+        # each exited 4 with ZeroDivisionError
+        code, out = run_probe(command, obj, *argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(
+            "error: modulus must be a prime")
+
+    @pytest.mark.parametrize("command,obj,argv", [
+        ("degree", {"p": 3, "n": 1, "alpha": {"num": 1, "exp": 10**11}}, ()),
+        ("norm", {"p": 3, "n": 1, "values": [
+            {"num": 1, "exp": 10**11}, {"num": 0, "exp": 0},
+            {"num": 0, "exp": 0}]}, ("--d", "1")),
+        ("wroot", {"p": 2, "m": 1, "D": [1],
+                   "terms": [{"i": [1], "r": 10**11, "c": 1}]}, ()),
+    ], ids=["degree-alpha", "norm-values", "wroot-depth"])
+    def test_huge_torus_exponent_exit_3(self, command, obj, argv, run_probe, capsys):
+        # degree ran on past 20 s; norm and wroot ended in MemoryError
+        code, out = run_probe(command, obj, *argv)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith(
+            "budget exceeded: TorusValue: ")
+
+    def test_equidist_huge_prime_order_exit_3(self, run_probe, capsys):
+        # _prime_power's trial division ran for more than 30 s
+        code, out = run_probe("equidist", {"values": [[0]],
+                                           "orders": [999999999999999989]})
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith(
+            "budget exceeded: equidistribution_report: ")
 
 
 class _Stop(Exception):

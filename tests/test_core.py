@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from toruspoly.catalog import quartic_form
 from toruspoly.core import (
+    SPACE_CAP,
     BudgetExceeded,
     ExactExpectation,
     TorusValue,
@@ -131,6 +132,20 @@ class TestTorusValue:
     def test_json_round_trip(self):
         v = tv(2, 5, 3)
         assert TorusValue.from_json(2, v.to_json()) == v
+
+    @pytest.mark.parametrize("p", [0, 1, 4, -2])
+    def test_modulus_validated(self, p):
+        # p = 0 used to divide by zero in the reduction
+        with pytest.raises(ValueError, match="modulus must be a prime"):
+            TorusValue(p, 1, 1)
+
+    def test_exponent_bounded_before_the_power(self):
+        # p^exp is formed up to SPACE_CAP bits (exp * bit_length(p)), and
+        # refused one step past it before anything of that size is built
+        assert TorusValue(2, 3, SPACE_CAP // 2).exp == SPACE_CAP // 2
+        for p, exp in [(2, SPACE_CAP // 2 + 1), (3, 10**11), (13, 10**18)]:
+            with pytest.raises(BudgetExceeded, match="^TorusValue: "):
+                TorusValue(p, 1, exp)
 
     @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
     @settings(max_examples=200, deadline=None)

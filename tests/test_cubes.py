@@ -1,6 +1,7 @@
 """Host-Kra cube groups, polynomial maps, and equidistribution reports."""
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -1014,6 +1015,18 @@ class TestFiltrationLevels:
             assert _span(G, G.level_generators(i)) == set(G.level(i).tolist())
             assert 0 not in G.level_generators(i)
 
+    @pytest.mark.parametrize("G", _group_zoo(),
+                             ids=lambda G: "Z" + "x".join(map(str, G.orders)))
+    def test_bases_are_each_levels_lattice(self, G):
+        # bases[i] spans G_i + diag(orders) in Z^r: its rows lie in G_i, and
+        # its pivots multiply to the index |G| / |G_i|
+        assert isinstance(G.bases, tuple) and len(G.bases) == len(G.member)
+        for i, basis in enumerate(G.bases):
+            assert all(isinstance(row, tuple) for row in basis)
+            assert all(G.member[i, element_code(G, row)] for row in basis)
+            pivots = math.prod(row[c] for c, row in enumerate(basis))
+            assert G.size // pivots == np.count_nonzero(G.member[i])
+
 
 class TestCachedTables:
     def test_cached_arrays_read_only(self):
@@ -1085,6 +1098,15 @@ def _max_bias_oracle(values, orders) -> float:
 
 
 class TestEquidistribution:
+    @pytest.mark.parametrize("orders", [(999999999999999989,), (6, 1 << 30)])
+    def test_cap_checked_before_the_orders_are_factored(self, orders,
+                                                         time_limit):
+        # a prime order near 10^18 was trial-divided up to 10^9 first; an
+        # order past the cap that is no prime power is refused by the cap
+        with time_limit(2), pytest.raises(BudgetExceeded,
+                                          match="^equidistribution_report"):
+            equidistribution_report([(0,) * len(orders)], orders)
+
     def test_identity_uniform(self):
         rep = equidistribution_report([(x,) for x in range(5)], (5,))
         assert rep["max_deviation"] == 0

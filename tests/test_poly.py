@@ -908,3 +908,8 @@ class TestCanonicalCarry:
     def test_text_zero_denominator_rejected(self):
         with pytest.raises(ValueError, match="coefficient 1/0"):
             CanonicalForm.from_text(2, 1, "1/0*x1")
+
+    @pytest.mark.parametrize("text", [5, [], {"a": 1}, None])
+    def test_text_must_be_a_string(self, text):
+        with pytest.raises(ValueError, match="canonical text must be a string"):
+            CanonicalForm.from_text(2, 1, text)

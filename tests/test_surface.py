@@ -60,13 +60,13 @@ SHADOWED = {
     "poly.CanonicalForm.degree": "poly.NCPoly.degree",
     "poly.CanonicalForm.to_json": "poly.NCPoly.to_json",
     "poly.NCPoly.to_json": "cli._poly_payload",
-    "poly.NCPoly.eval": "cli._dispatch",
+    "poly.NCPoly.eval": "cli._eval",
     "poly.NCPoly.is_zero": "weighted.Factor.validate",
     "poly.NCPoly.degree": "forms.dk_extract",
     "suites.CheckRecord.to_json": "suites.SuiteReport.to_json",
-    "suites.SuiteReport.to_bytes": "cli._dispatch",
+    "suites.SuiteReport.to_bytes": "cli._verify",
     "suites.SuiteReport.add": "suites._suite_lucas",
-    "weighted.WeightedPoly.to_json": "cli._dispatch",
+    "weighted.WeightedPoly.to_json": "cli._wroot",
     "weighted.Factor.degree": "suites._suite_weighted",
 }
 
