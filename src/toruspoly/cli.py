@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BudgetExceeded, TorusValue, json_int, space
+from .core import BudgetExceeded, json_int, space
 from .cubes import (
     FilteredAbelianGroup,
     code_element,
@@ -69,18 +69,8 @@ def _emit(args, payload: dict | str) -> None:
         print(text)
 
 
-def _load_poly(args, obj=None) -> NCPoly:
-    obj = obj if obj is not None else _read_input(args)
-    if "terms" in obj or "alpha" in obj:
-        return NCPoly.from_json(obj)
-    if "values" in obj:
-        p, n = json_int(obj, "p"), json_int(obj, "n")
-        vals = [TorusValue.from_json(p, v) for v in obj["values"]]
-        return NCPoly.from_values(p, n, vals)
-    if "text" in obj:
-        return NCPoly.from_text(json_int(obj, "p"), json_int(obj, "n"),
-                                obj["text"])
-    raise ValueError("polynomial JSON needs terms/alpha, values, or text")
+def _load_poly(args) -> NCPoly:
+    return NCPoly.from_json(_read_input(args))
 
 
 def _poly_payload(P: NCPoly) -> dict:
@@ -141,8 +131,7 @@ def _norm(obj, args):
                "power": {"re": power.real, "im": power.imag}}
     if all("num" in entry for entry in obj["values"]):
         # a pure phase e(P): read P from the same values
-        exact = gowers_power_exact(_load_poly(args, obj), args.d,
-                                   budget=args.budget)
+        exact = gowers_power_exact(NCPoly.from_json(obj), args.d, budget=args.budget)
         payload["exact_power"] = exact.as_fraction()
     return payload, True
 
@@ -162,8 +151,8 @@ def _witness_check(obj, args):
     if "table" in obj:
         raise ValueError("witness-check takes no table: the witness "
                          "polynomials induce it")
-    P = _load_poly(args, obj["P"])
-    polys = [_load_poly(args, q) for q in obj["witness"]]
+    P = NCPoly.from_json(obj["P"])
+    polys = [NCPoly.from_json(q) for q in obj["witness"]]
     ok = rank_witness_check(P, args.s, polys)
     return {"witness_valid": ok, "s": args.s,
             "certifies_rank_at_most": len(polys) if ok else None}, ok

@@ -168,6 +168,8 @@ class Space:
         validate_prime(p)
         if n < 0:
             raise ValueError("dimension must be non-negative")
+        # p^n is not formed past SPACE_CAP bits
+        check_budget(n * int(p).bit_length(), SPACE_CAP, "Space")
         self.p = p
         self.n = n
         self.size = p**n

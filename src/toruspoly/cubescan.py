@@ -42,10 +42,9 @@ from .cubes import (FilteredAbelianGroup, _check_codes, _diagonal,
                     _echelon_insert, _member_tables, _pass_tables,
                     _subset_codes, _subset_table, hk_size)
 
-# equivalence_scan enumerates at most SCAN_CAP tuples, at most _SCAN_CHUNK
+# equivalence_scan enumerates at most SPACE_CAP tuples, at most _SCAN_CHUNK
 # at a time (a power of |G|);
 # enumerate_cube_codes caches arrays of at most _CACHED_CODES entries
-SCAN_CAP = 1 << 24
 _SCAN_CHUNK = 1 << 18
 _CACHED_CODES = 1 << 16
 
@@ -106,10 +105,10 @@ def equivalence_scan(G: FilteredAbelianGroup, k: int) -> dict:
     """Face criterion vs Taylor criterion over every tuple in G^(2^k).
 
     Returns {"tuples", "disagreements", "members"}; the scan is chunked and
-    deterministic.  Raises BudgetExceeded past SCAN_CAP tuples.
+    deterministic.  Raises BudgetExceeded past SPACE_CAP tuples.
     """
     total = G.size ** (1 << k)
-    check_budget(total, SCAN_CAP, "equivalence_scan")
+    check_budget(total, SPACE_CAP, "equivalence_scan")
     disagreements = 0
     members = 0
     width = 1 << k

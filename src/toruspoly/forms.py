@@ -30,7 +30,6 @@ from .core import (
     check_budget,
     json_int,
     space,
-    validate_prime,
 )
 from .parallel import chunk_ranges, ordered_map
 from .poly import CanonicalForm, NCPoly, TorusValue, _exact_reduce
@@ -42,6 +41,7 @@ class MultilinearForm:
     """Symmetric k-linear map V^k -> F_p given by values on basis multisets."""
 
     def __init__(self, p: int, n: int, k: int, coeffs: dict[Multiset, int] | None = None):
+        space(p, n)  # validates p and n
         if k < 1:
             raise ValueError("arity must be >= 1")
         self.p = p
@@ -167,6 +167,8 @@ def dk_extract(P: NCPoly, k: int) -> MultilinearForm:
     """
     if P.degree() > k:
         raise ValueError(f"degree {P.degree()} exceeds arity {k}: d^k depends on x")
+    # 2^k points for each of at most C(n+k, k) multisets, before they are listed
+    check_budget(math.comb(P.n + k, k) << min(k, 64), SPACE_CAP, "dk_extract")
     keys = list(itertools.combinations_with_replacement(range(P.n), k))
     units = P.p ** np.array(keys, dtype=np.int64).reshape(len(keys), k)
     coeffs: dict[Multiset, int] = {}
@@ -311,13 +313,12 @@ def bias(form: MultilinearForm, budget: int | None = None, threads: int = 1) -> 
     sum p^(n - rank M) over the N^(k-2) prefixes.
     """
     p, n, k = form.p, form.n, form.k
-    validate_prime(p)
     if k == 1:
         check_budget(max(n, 1), budget, "bias")
         zero = all(form.value((i,)) == 0 for i in range(n))
         return Fraction(1 if zero else 0, 1)
     packed = p == 2 and n <= 64
-    N = p**n
+    N = space(p, n).size
     check_budget(N ** (k - 2) * max(n, 1) ** (2 if packed else 3), budget, "bias")
     return Fraction(_count_vanishing(form, threads, packed), N ** (k - 1))
 
@@ -332,7 +333,7 @@ def _count_vanishing(form: MultilinearForm, threads: int, packed: bool) -> int:
     the F_p elimination.
     """
     p, n, k = form.p, form.n, form.k
-    N = p**n
+    N = space(p, n).size
     if packed:
         tensor = _packed_tensor(form)
         combos, ranks = _xor_combos, _packed_ranks

@@ -150,6 +150,9 @@ def gowers_power(f: BoundedFunction, d: int,
     if d < 0:
         raise ValueError(f"d must be >= 0, got d = {d}")
     N = space(f.p, f.n).size
+    # d past the cap's bit length would pass SPACE_CAP in one N^(d-1) block
+    # (N >= 2) or take d steps (N = 1): it is refused before N^d is formed
+    check_budget(d, SPACE_CAP.bit_length(), "gowers_power")
     check_budget(N ** max(d, 1), budget, "gowers_power")
     if d == 0:
         return f.mean()
@@ -181,6 +184,7 @@ def gowers_power_exact(P: NCPoly, d: int, budget: int | None = None) -> ExactExp
     if d < 0:
         raise ValueError(f"d must be >= 0, got d = {d}")
     N = space(P.p, P.n).size
+    check_budget(d, SPACE_CAP.bit_length(), "gowers_power_exact")  # as gowers_power
     mod = P.p**P.K
     fold = d >= 1 and mod <= N
     check_budget(N ** (d - 1) * max(N, mod**2) if fold else N ** (d + 1),
@@ -348,6 +352,7 @@ def conditional_expectation(values: Sequence, factors: Sequence[Sequence]):
 
 def _random_disc(rng: SplitMix64, count: int) -> np.ndarray:
     """count values r e(t) of scalar rng.unit() pairs (r, t), in one block draw."""
+    check_budget(2 * count, SPACE_CAP, "_random_disc")
     units = (rng.draws(2 * count) >> np.uint64(11)) / float(1 << 53)
     return units[0::2] * np.exp(2j * np.pi * units[1::2])
 

@@ -38,7 +38,6 @@ from .core import (
     check_budget,
     json_int,
     space,
-    validate_prime,
 )
 
 NEG_INF = float("-inf")
@@ -280,7 +279,7 @@ class CanonicalForm:
         alpha: TorusValue,
         terms: dict[tuple[tuple[int, ...], int], int] | None = None,
     ):
-        validate_prime(p)
+        space(p, n)  # validates p and n
         self.p = p
         self.n = n
         self.alpha = alpha
@@ -316,10 +315,10 @@ class CanonicalForm:
         return max(self.alpha.exp, depth + 1, 0)
 
     def eval_table(self) -> tuple[np.ndarray, int]:
-        check_budget(self.p**self.n, SPACE_CAP, "CanonicalForm.eval_table")
-        K = self.table_exponent()
-        _check_table_exponent(self.p, K)
         p, sp = self.p, space(self.p, self.n)
+        check_budget(sp.size, SPACE_CAP, "CanonicalForm.eval_table")
+        K = self.table_exponent()
+        _check_table_exponent(p, K)
         nums = np.full(sp.size, self.alpha.num * p ** (K - self.alpha.exp),
                        dtype=np.int64)
         C = np.zeros((K, sp.size), dtype=np.int64)
@@ -449,10 +448,13 @@ class NCPoly:
 
     def __init__(self, p: int, n: int, nums: np.ndarray, K: int,
                  canon: CanonicalForm | None = None):
+        N = space(p, n).size
         _check_table_exponent(p, K)
         self.p = p
         self.n = n
         self.nums, self.K = normalize_tables(nums, K, p)
+        if self.nums.shape != (N,):
+            raise ValueError(f"need {N} values, got {self.nums.size}")
         self._canon = canon
         self._deg: float | None = None
 
@@ -460,14 +462,12 @@ class NCPoly:
 
     @classmethod
     def zero(cls, p: int, n: int) -> "NCPoly":
-        check_budget(p**n, SPACE_CAP, "NCPoly.zero")
-        return cls(p, n, np.zeros(space(p, n).size, dtype=np.int64), 0)
+        N = space(p, n).size
+        check_budget(N, SPACE_CAP, "NCPoly.zero")
+        return cls(p, n, np.zeros(N, dtype=np.int64), 0)
 
     @classmethod
     def from_values(cls, p: int, n: int, values: Sequence[TorusValue]) -> "NCPoly":
-        sp = space(p, n)
-        if len(values) != sp.size:
-            raise ValueError(f"need {sp.size} values, got {len(values)}")
         K = max((v.exp for v in values), default=0)
         _check_table_exponent(p, K)
         nums = np.array([v.num * p ** (K - v.exp) for v in values], dtype=np.int64)
@@ -485,7 +485,17 @@ class NCPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NCPoly":
-        return cls.from_canonical(CanonicalForm.from_json(obj))
+        """The one reader of polynomial JSON: terms/alpha, values or text."""
+        if not isinstance(obj, dict):
+            raise ValueError("polynomial JSON must be an object")
+        if "terms" in obj or "alpha" in obj:
+            return cls.from_canonical(CanonicalForm.from_json(obj))
+        if "values" not in obj and "text" not in obj:
+            raise ValueError("polynomial JSON needs terms/alpha, values, or text")
+        p, n = json_int(obj, "p"), json_int(obj, "n")
+        if "values" in obj:
+            return cls.from_values(p, n, [TorusValue.from_json(p, v) for v in obj["values"]])
+        return cls.from_text(p, n, obj["text"])
 
     @classmethod
     def from_text(cls, p: int, n: int, text: str) -> "NCPoly":
@@ -601,10 +611,14 @@ def _depth_count(p: int, d):
 @lru_cache(maxsize=256)
 def canonical_slots(p: int, n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All (exponent vector, depth) slots allowed at degree <= d, depth-major;
-    cached, so one tuple serves every call."""
-    allowed = slot_degrees(p, n, _depth_count(p, d)) <= d
+    cached, so one tuple serves every call.  The (K, N) slot degrees are
+    checked against SPACE_CAP before they are built, the slots against
+    ENUM_CAP before they are listed."""
+    sp, K = space(p, n), _depth_count(p, d)
+    check_budget(K * sp.size, SPACE_CAP, "canonical_slots")
+    allowed = slot_degrees(p, n, K) <= d
     allowed[:, 0] = False  # the constant monomial belongs to alpha
-    sp = space(p, n)
+    check_budget(int(allowed.sum()), ENUM_CAP, "canonical_slots")
     return tuple((sp.digits_of(int(e)), int(j)) for j, e in zip(*np.nonzero(allowed)))
 
 

@@ -985,6 +985,76 @@ class TestCli:
             "budget exceeded: equidistribution_report: ")
 
 
+HUGE = 10**11
+PHASE = {"p": 2, "n": 1, "values": [{"num": 0, "exp": 0}, {"num": 1, "exp": 1}]}
+
+
+class TestPolynomialLayerProbes:
+    """Inputs of the polynomial layer that hung or exited 4; each now exits 2
+    or 3 within 2 s, naming the owner of the input or the kernel."""
+
+    @pytest.mark.parametrize("command,obj,argv", [
+        ("degree", {"p": 2, "n": HUGE, "text": "0"}, ()),
+        ("eval", {"p": 2, "n": HUGE, "text": "0"}, ("--x", "0")),
+        ("eval", {"p": 2, "n": HUGE, "values": []}, ("--x", "0")),
+        ("norm", {"p": 2, "n": HUGE, "values": [{"num": 0, "exp": 0}]},
+         ("--d", "1")),
+        ("bias", {"p": 2, "n": HUGE, "k": 2, "coeffs": []}, ()),
+    ], ids=["degree", "eval-text", "eval-values", "norm", "bias"])
+    def test_huge_dimension_exit_3(self, command, obj, argv, run_probe, capsys):
+        # each hung forming 2^(10^11)
+        code, out = run_probe(command, obj, *argv)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith("budget exceeded: Space: ")
+
+    def test_bias_zero_modulus_exit_2(self, run_probe, capsys):
+        # exited 4 with ZeroDivisionError
+        code, out = run_probe("bias", {"p": 0, "n": 2, "k": 2, "coeffs": [
+            {"multiset": [1, 2], "c": 1}]})
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(
+            "error: modulus must be a prime")
+
+    def test_witness_check_null_polynomial_exit_2(self, tmp_path, run_probe,
+                                                  time_limit, capsys):
+        # stdin was read a second time (a JSON decode error), and an --input
+        # file was read whole as P
+        obj = {"P": None, "witness": []}
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(obj))
+        code, out = run_probe("witness-check", obj, "--s", "1")
+        with time_limit(2):
+            code_file, out_file = run_cli("--input", str(path),
+                                          "witness-check", "--s", "1")
+        assert (code, out, code_file, out_file) == (2, "", 2, "")
+        assert capsys.readouterr().err == \
+            "error: polynomial JSON must be an object\n" * 2
+
+    @pytest.mark.parametrize("command,obj,argv,kernel", [
+        ("norm", PHASE, ("--d", str(HUGE)), "gowers_power"),
+        ("norm", PHASE, ("--d", str(HUGE), "--budget", "1000"), "gowers_power"),
+        ("norm", {"p": 2, "n": 0, "values": [{"num": 0, "exp": 0}]},
+         ("--d", "100000000"), "gowers_power"),
+        ("explore", PHASE, ("--s", str(HUGE)), "canonical_slots"),
+        # 10^7 slots, inside SPACE_CAP as a (K, N) table, past ENUM_CAP
+        ("explore", {"p": 13, "n": 1, "values": [{"num": 0, "exp": 0}] * 13},
+         ("--s", "15000000"), "canonical_slots"),
+        ("arank", {"p": 2, "n": 1, "text": "1/2*x1"}, ("--s", str(HUGE)),
+         "dk_extract"),
+        ("verify", {}, ("gowers-props", "--param", "configs=[[2,30]]",
+                        "--param", "count=1"), "_random_disc"),
+    ], ids=["norm-d", "norm-d-budget", "norm-d-point", "explore-s",
+            "explore-s-slots", "arank-s", "gowers-props-draws"])
+    def test_huge_exponent_exit_3(self, command, obj, argv, kernel, run_probe,
+                                  capsys):
+        # norm hung forming N^d or ran 10^8 steps; the rest ended in
+        # MemoryError (exit 4)
+        code, out = run_probe(command, obj, *argv)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith(
+            f"budget exceeded: {kernel}: ")
+
+
 class _Stop(Exception):
     pass
 

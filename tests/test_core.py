@@ -13,6 +13,7 @@ from toruspoly.core import (
     SPACE_CAP,
     BudgetExceeded,
     ExactExpectation,
+    Space,
     TorusValue,
     UnityCounter,
     space,
@@ -27,7 +28,8 @@ from toruspoly.norms import (
     gowers_power_exact,
 )
 from toruspoly.parallel import chunk_ranges
-from toruspoly.poly import NCPoly, classical_coeffs, count_polys, enumerate_polys
+from toruspoly.poly import (CanonicalForm, NCPoly, classical_coeffs, count_polys,
+                            enumerate_polys)
 from toruspoly.rng import SplitMix64
 from toruspoly.suites import _csg2_lhs, _draws_below
 from toruspoly.weighted import PeriodicMap, binomial_expand
@@ -289,6 +291,49 @@ class TestSpace:
     def test_prime_validation(self):
         with pytest.raises(ValueError, match="modulus must be a prime"):
             space(4, 1)
+
+
+# the objects that live on F_p^n, each built on (p, n) with a table of one entry
+SPACE_OWNERS = {
+    "CanonicalForm": lambda p, n: CanonicalForm(p, n, TorusValue.zero(2)),
+    "NCPoly": lambda p, n: NCPoly(p, n, np.zeros(1, dtype=np.int64), 0),
+    "MultilinearForm": lambda p, n: MultilinearForm(p, n, 2),
+    "BoundedFunction": lambda p, n: BoundedFunction(p, n, np.zeros(1)),
+}
+
+
+class TestSpaceOwner:
+    @pytest.mark.parametrize("owner", SPACE_OWNERS)
+    def test_constructor_validates_the_space(self, owner, time_limit):
+        build = SPACE_OWNERS[owner]
+        for p in (0, 4):
+            with pytest.raises(ValueError, match="modulus must be a prime"):
+                build(p, 1)
+        with pytest.raises(ValueError, match="dimension must be non-negative"):
+            build(2, -1)
+        # p^n is refused by its bit length before it is formed
+        with time_limit(2), pytest.raises(
+                BudgetExceeded, match=r"^Space: estimated cost 200000000000 "):
+            build(2, 10**11)
+
+    def test_size_bound_is_bits_of_p_to_the_n(self, time_limit):
+        # p^n is formed up to SPACE_CAP bits (n * bit_length(p)), as p^exp
+        # is in TorusValue
+        assert Space(2, SPACE_CAP // 2).size == 1 << SPACE_CAP // 2
+        for p, n in [(2, SPACE_CAP // 2 + 1), (3, 10**11), (13, 10**18)]:
+            with time_limit(2), pytest.raises(BudgetExceeded, match="^Space: "):
+                Space(p, n)
+
+    @pytest.mark.parametrize("length", [0, 3, 5])
+    def test_ncpoly_table_length(self, length):
+        with pytest.raises(ValueError, match=f"^need 4 values, got {length}$"):
+            NCPoly(2, 2, np.zeros(length, dtype=np.int64), 0)
+        with pytest.raises(ValueError, match=f"^need 4 values, got {length}$"):
+            NCPoly.from_values(2, 2, [TorusValue(2, 1, 1)] * length)
+
+    def test_ncpoly_table_is_one_axis(self):
+        with pytest.raises(ValueError, match="^need 4 values, got 4$"):
+            NCPoly(2, 2, np.zeros((2, 2), dtype=np.int64), 0)
 
 
 class TestCounters:

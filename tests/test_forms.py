@@ -430,9 +430,8 @@ class TestBias:
 
     @pytest.mark.parametrize("p", [1, 4, 9, 17])
     def test_unsupported_modulus(self, p):
-        T = MultilinearForm(p, 2, 3, {(0, 0, 1): 1})
         with pytest.raises(ValueError, match="modulus must be a prime"):
-            bias(T)
+            bias(MultilinearForm(p, 2, 3, {(0, 0, 1): 1}))
 
     def test_repeated_argument_constraint(self):
         # d^k P(h1 x p, h2, ...) = d^k P(h1, h2 x p, ...) for degree <= k

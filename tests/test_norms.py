@@ -171,6 +171,30 @@ def _brute_cube_residues(P: NCPoly, d: int) -> np.ndarray:
     return np.bincount((total % mod).ravel(), minlength=mod)
 
 
+class TestDerivativeCount:
+    # a d past bit_length(SPACE_CAP) = 25 is refused before N^d is formed
+    def test_huge_d_refused(self, time_limit):
+        f = BoundedFunction.from_phase(NCPoly.from_text(2, 1, "1/2*x1"))
+        with time_limit(2):
+            with pytest.raises(BudgetExceeded, match="^gowers_power: "
+                               "estimated cost 100000000000 exceeds budget 25$"):
+                gowers_power(f, 10**11)
+            with pytest.raises(BudgetExceeded, match="^gowers_power_exact: "):
+                gowers_power_exact(NCPoly.from_text(2, 1, "1/2*x1"), 10**11)
+
+    def test_point_space_up_to_the_bound(self, time_limit):
+        # F_p^0 takes d steps: d = 25 runs, 26 does not
+        f = BoundedFunction(3, 0, [np.exp(0.5j)])
+        P = NCPoly.from_text(3, 0, "1/9")
+        with time_limit(2):
+            assert gowers_power(f, 25) == pytest.approx(1.0)
+            assert gowers_power_exact(P, 25).as_fraction() == 1
+            for kernel in (lambda: gowers_power(f, 26),
+                           lambda: gowers_power_exact(P, 26)):
+                with pytest.raises(BudgetExceeded, match="exceeds budget 25$"):
+                    kernel()
+
+
 class TestFoldedLastDerivative:
     """The last derivative is folded into |E_x g|^2; the counts must be
     those of the full N^(d+1) expansion."""

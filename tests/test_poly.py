@@ -27,6 +27,7 @@ from toruspoly.poly import (
     enumerate_polys,
     eval_slot_batches,
 )
+from toruspoly.norms import _random_poly
 from toruspoly.rng import SplitMix64
 from toruspoly.suites import _exhaustive_poly_scan, run_suite
 
@@ -827,6 +828,32 @@ class TestSerialization:
     def test_text_splits_deep_numerators(self):
         P = NCPoly.from_text(2, 1, "3/8*x1")
         assert P.canonical().terms == {((1,), 1): 1, ((1,), 2): 1}
+
+
+class TestPolynomialJson:
+    @pytest.mark.parametrize("p,n,d", [(2, 3, 4), (3, 2, 5), (5, 2, 6)])
+    def test_every_form_reads_to_one_poly(self, p, n, d):
+        P = _random_poly(p, n, d, SplitMix64(350 + p))
+        assert P.K >= 2 and P.degree() > 1
+        forms = [
+            P.to_json(),
+            {"p": p, "n": n,
+             "values": [TorusValue(p, int(v), P.K).to_json() for v in P.nums]},
+            {"p": p, "n": n, "text": P.canonical().to_text()},
+        ]
+        assert [NCPoly.from_json(obj) for obj in forms] == [P] * 3
+
+    @pytest.mark.parametrize("obj", [None, [], 5, "x"])
+    def test_non_object_refused(self, obj):
+        with pytest.raises(ValueError,
+                           match="^polynomial JSON must be an object$"):
+            NCPoly.from_json(obj)
+
+    @pytest.mark.parametrize("obj", [{}, {"p": 2, "n": 1}])
+    def test_no_form_refused(self, obj):
+        with pytest.raises(ValueError, match="^polynomial JSON needs "
+                                             "terms/alpha, values, or text$"):
+            NCPoly.from_json(obj)
 
 
 def _value_oracle(p, n, pieces):
