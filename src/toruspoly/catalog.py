@@ -35,11 +35,11 @@ def S_k(n: int, k: int) -> NCPoly:
 
 
 def binom_L_mod2(n: int, k: int) -> np.ndarray:
-    """binom(L, k) mod 2 as a table; equals S_k by Lucas' theorem."""
+    """binom(L, k) mod 2 as a table; equals S_k by Lucas' theorem.  One
+    direct binomial per weight w <= n, gathered by L."""
     from math import comb
 
-    L = L_table(n)
-    return np.array([comb(int(v), k) % 2 for v in L], dtype=np.int64)
+    return np.array([comb(w, k) % 2 for w in range(n + 1)], dtype=np.int64)[L_table(n)]
 
 
 def L_over_power(n: int, j: int) -> NCPoly:

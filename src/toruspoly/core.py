@@ -24,6 +24,9 @@ import numpy as np
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 SPACE_CAP = 1 << 24
+# p^n and p^exp are formed up to this many bits (n * bit_length(p)): n = 2048
+# at p = 13, past every n a kernel takes (bias takes F_2^40)
+POWER_BITS = 1 << 13
 
 
 class BudgetExceeded(Exception):
@@ -47,14 +50,22 @@ def validate_prime(p: int) -> int:
 
 def json_int(obj: dict, key: str):
     """obj[key] of JSON input as an integer, or nested lists of integers: a
-    float or a bool there raises ValueError instead of being truncated."""
+    float or a bool there raises ValueError instead of being truncated.  A
+    plain int and a flat list of plain ints, the common polynomial terms,
+    return without the recursive walk; numpy integers take the walk."""
+    value = obj[key]
+    if type(value) is int:  # a bool is no int here
+        return value
+    if type(value) is list and all(type(v) is int for v in value):
+        return value.copy()
+
     def read(value):
         if isinstance(value, list):
             return [read(v) for v in value]
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{key} must hold integers, got {value!r}")
         return int(value)
-    return read(obj[key])
+    return read(value)
 
 
 def _reduce(x: np.ndarray, p: int, K: int) -> np.ndarray:
@@ -84,8 +95,7 @@ class TorusValue:
         validate_prime(p)
         if exp < 0:
             raise ValueError("exponent must be non-negative")
-        # p^exp is not formed past SPACE_CAP bits
-        check_budget(exp * int(p).bit_length(), SPACE_CAP, "TorusValue")
+        check_budget(exp * int(p).bit_length(), POWER_BITS, "TorusValue")
         num %= p**exp
         while exp > 0 and num % p == 0:
             num //= p
@@ -168,8 +178,7 @@ class Space:
         validate_prime(p)
         if n < 0:
             raise ValueError("dimension must be non-negative")
-        # p^n is not formed past SPACE_CAP bits
-        check_budget(n * int(p).bit_length(), SPACE_CAP, "Space")
+        check_budget(n * int(p).bit_length(), POWER_BITS, "Space")
         self.p = p
         self.n = n
         self.size = p**n

@@ -26,7 +26,7 @@ from .core import (
     space,
 )
 from .forms import bias, dk_extract
-from .poly import NCPoly, _form_poly, _form_tables, count_polys
+from .poly import NCPoly, _enum_count, _form_poly, _form_tables
 from .rng import SplitMix64
 
 
@@ -300,7 +300,7 @@ def inverse_explore(f: BoundedFunction, s: int, budget: int | None = None
     constants; ties broken by enumeration order."""
     p, n = f.p, f.n
     N = space(p, n).size
-    check_budget(count_polys(p, n, s) * N, budget, "inverse_explore")
+    check_budget(_enum_count(p, n, s) * N, budget, "inverse_explore")
     best_val, best_poly = -1.0, None
     for slots, coeffs, T, K in _form_tables(p, n, s):
         corr = np.abs(np.conj(np.exp(2j * np.pi * T / p**K)) @ f.values) / N

@@ -13,10 +13,11 @@ p-th roots, degree-by-inspection, and enumeration.  The per-axis kernels
 (classical_coeffs, eval_layer_tables) take tables with the table axis first
 and any batch axes after it, so each per-axis pass runs over contiguous runs
 of entries; interpolate_tables and eval_slot_batches keep the table axis last.
-Products run in float64, exact in BLAS while every partial sum is an integer
-below 2^53, else in Python integers; layers share one matrix per (p, n) and
-those past float64 one exact matrix.  Every reduction mod p^K goes through
-one helper, core._reduce, on floor division (a mask at p = 2).
+Products run in float32 while every partial sum is an integer below 2^24,
+in float64 below 2^53, exact in BLAS either way, else in Python integers;
+layers share one matrix per (p, n) and those past float64 one exact matrix.
+Every reduction mod p^K goes through one helper, core._reduce, on floor
+division (a mask at p = 2).
 classical_coeffs refuses tables past SPACE_CAP entries; below it, its
 per-axis products run in float64 with one reduction per transform.
 """
@@ -32,6 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
+    POWER_BITS,
     SPACE_CAP,
     TorusValue,
     _reduce,
@@ -125,15 +127,17 @@ def _inverse_vandermonde(p: int) -> np.ndarray:
 
 
 def _exact_dtype(terms: int, p: int, top: int):
-    """float64 while a sum of `terms` products of an F_p coefficient with an
-    entry at most top stays below 2^53, so that every partial sum is an
-    exact integer and BLAS is exact in any order; Python integers past it."""
-    return np.float64 if terms * (p - 1) * top < 1 << 53 else object
+    """The narrowest exact dtype for a sum of `terms` products of an F_p
+    coefficient with an entry at most top: float32 while the sum stays below
+    2^24, float64 below 2^53, so that every partial sum is an exact integer
+    and BLAS is exact in any order; Python integers past it."""
+    bound = terms * (p - 1) * top
+    return np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else object
 
 
 def _exact_reduce(prod: np.ndarray, p: int, K: int) -> np.ndarray:
-    """An exact float64 or Python-integer product, mod p^K in int64."""
-    if prod.dtype == np.float64:
+    """An exact float or Python-integer product, mod p^K in int64."""
+    if prod.dtype.kind == "f":
         prod = prod.astype(np.int64)
     return np.asarray(_reduce(prod, p, K), dtype=np.int64)
 
@@ -176,23 +180,30 @@ def _matrix_dtypes(p: int, n: int, modulus: int) -> tuple:
 @lru_cache(maxsize=256)
 def _monomial_matrix(p: int, n: int, modulus: int) -> np.ndarray:
     """M[x, e] = prod_t |x_t|^(digit_t(e)) mod modulus, shape (N, N); N^2 is
-    checked against SPACE_CAP before it is allocated."""
+    checked against SPACE_CAP before it is allocated.  Built in place, one
+    N x N gather at a time: in its float storage dtype when no monomial value
+    reaches modulus (no reduction, no final copy), else in the build dtype."""
     check_budget(p ** (2 * n), SPACE_CAP, "_monomial_matrix")
     dig = space(p, n).digits.astype(np.int64)
     build, store = _matrix_dtypes(p, n, modulus)
-    powtab = np.array([[pow(d, e, modulus) for e in range(p)] for d in range(p)], build)
-    M = np.ones((p**n, p**n), dtype=build)
+    unreduced = store is not object and (p - 1) ** (n * (p - 1)) < modulus
+    dtype = store if unreduced else build
+    powtab = np.array([[pow(d, e, modulus) for e in range(p)] for d in range(p)], dtype)
+    M = np.ones((p**n, p**n), dtype=dtype)
     for t in range(n):
-        M = M * powtab[np.ix_(dig[:, t], dig[:, t])] % modulus
-    return M.astype(store)
+        M *= powtab[np.ix_(dig[:, t], dig[:, t])]
+        if not unreduced:
+            M %= modulus
+    return M.astype(store, copy=False)
 
 
 @lru_cache(maxsize=64)
 def _shared_modulus(p: int, n: int) -> tuple[int, bool]:
     """(p^D, exact): M mod p^D for the largest D that builds in int64 and is
-    stored as float64; exact when no monomial value reaches p^D."""
+    stored as a float (float32 or float64, as _exact_dtype says); exact when
+    no monomial value reaches p^D."""
     m = max(p**D for D in range(64) if p**D < 1 << 63)  # the largest below 2^63
-    while _matrix_dtypes(p, n, m) != (np.int64, np.float64):  # monotone in D
+    while object in _matrix_dtypes(p, n, m):  # monotone in D
         m //= p
     return m, (p - 1) ** (n * (p - 1)) < m
 
@@ -608,23 +619,39 @@ def _depth_count(p: int, d):
     return (top - 1) // (p - 1) + 1
 
 
-@lru_cache(maxsize=256)
-def canonical_slots(p: int, n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All (exponent vector, depth) slots allowed at degree <= d, depth-major;
-    cached, so one tuple serves every call.  The (K, N) slot degrees are
-    checked against SPACE_CAP before they are built, the slots against
-    ENUM_CAP before they are listed."""
-    sp, K = space(p, n), _depth_count(p, d)
-    check_budget(K * sp.size, SPACE_CAP, "canonical_slots")
+def _slot_mask(p: int, n: int, d: int) -> np.ndarray:
+    """(K, N) mask of the slots allowed at degree <= d, checked against
+    SPACE_CAP before it is built; its count against ENUM_CAP."""
+    K = _depth_count(p, d)
+    check_budget(K * space(p, n).size, SPACE_CAP, "canonical_slots")
     allowed = slot_degrees(p, n, K) <= d
     allowed[:, 0] = False  # the constant monomial belongs to alpha
     check_budget(int(allowed.sum()), ENUM_CAP, "canonical_slots")
-    return tuple((sp.digits_of(int(e)), int(j)) for j, e in zip(*np.nonzero(allowed)))
+    return allowed
+
+
+@lru_cache(maxsize=256)
+def canonical_slots(p: int, n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """All (exponent vector, depth) slots allowed at degree <= d, depth-major;
+    cached, so one tuple serves every call."""
+    sp = space(p, n)
+    return tuple((sp.digits_of(int(e)), int(j))
+                 for j, e in zip(*np.nonzero(_slot_mask(p, n, d))))
 
 
 def count_polys(p: int, n: int, d: int) -> int:
     """Number of degree <= d canonical forms modulo constants."""
     return p ** len(canonical_slots(p, n, d))
+
+
+def _enum_count(p: int, n: int, d: int) -> int:
+    """count_polys(p, n, d), checked against ENUM_CAP by the slot count s on
+    the degree mask before any slot is listed; past POWER_BITS its lower
+    bound 2^s is checked instead, and p^s is not formed."""
+    s = int(_slot_mask(p, n, d).sum())
+    count = p**s if s * p.bit_length() <= POWER_BITS else 1 << s
+    check_budget(count, ENUM_CAP, "enumerate_polys")
+    return count
 
 
 def _form_poly(p: int, n: int, slots: Sequence[tuple[tuple[int, ...], int]],
@@ -640,7 +667,7 @@ def _form_tables(p: int, n: int, d: int
     """(slots, coefficient rows, value tables over p^K, K) for each block of
     coefficient_batches: every degree <= d form modulo constants, in code
     order, at most ENUM_CAP of them."""
-    check_budget(count_polys(p, n, d), ENUM_CAP, "enumerate_polys")
+    _enum_count(p, n, d)
     K = _depth_count(p, d) if n else 0  # F_p^0 has no slots at any degree
     for slots, _, coeffs in coefficient_batches(p, n, d):
         yield slots, coeffs, eval_slot_batches(p, n, slots, coeffs, K), K

@@ -19,8 +19,13 @@ from math import comb, prod
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform; --timing then omits peak_rss_mb
+    resource = None
+
 from . import catalog
-from .core import SPACE_CAP, TorusValue, check_budget, json_int, space
+from .core import POWER_BITS, SPACE_CAP, TorusValue, check_budget, json_int, space
 from .cubes import (
     FilteredAbelianGroup,
     _subset_table,
@@ -104,6 +109,8 @@ class CheckRecord:
     passed: bool
     details: dict = field(default_factory=dict)
     runtime_ms: float = 0.0
+    # the process's peak resident set when the check ended, in MB
+    peak_rss_mb: float | None = None
 
     def to_json(self, include_timing: bool = False) -> dict:
         out = {
@@ -114,6 +121,8 @@ class CheckRecord:
         }
         if include_timing:
             out["runtime_ms"] = round(self.runtime_ms, 3)
+            if self.peak_rss_mb is not None:
+                out["peak_rss_mb"] = round(self.peak_rss_mb, 1)
         return out
 
 
@@ -131,8 +140,11 @@ class SuiteReport:
     def add(self, name: str, params: dict, passed: bool, **details):
         """Append a check record; its runtime is the time since _last."""
         now = time.perf_counter()
+        # ru_maxrss is in KB on Linux
+        rss = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+               if resource else None)
         self.checks.append(CheckRecord(
-            name, params, bool(passed), details, (now - self._last) * 1e3))
+            name, params, bool(passed), details, (now - self._last) * 1e3, rss))
         self._last = now
 
     @property
@@ -175,6 +187,9 @@ def _least(**bounds):
 
 @_least(n=1, k=1)
 def _suite_lucas(report: SuiteReport, rng, threads, budget, *, n=10, k=10):
+    # k tables of 2^dim entries for each dim <= n, each S_j built in dim
+    # passes; past POWER_BITS a lower bound stands in for the cost
+    check_budget(k * n * 2 ** (min(n, POWER_BITS) + 1), budget, "_suite_lucas")
     for dim in range(1, n + 1):
         ok = True
         bad = None

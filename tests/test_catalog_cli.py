@@ -1055,6 +1055,30 @@ class TestPolynomialLayerProbes:
             f"budget exceeded: {kernel}: ")
 
 
+class TestProbesRefusedAtOnce:
+    """Inputs refused with exit 3 only after seconds of work; each now ends
+    within 1 s, before the work that would be refused."""
+
+    @pytest.mark.parametrize("command,obj,argv,kernel", [
+        # formed 13^4194304 in Space (3.4 s) before a table cap refused it
+        ("degree", {"p": 13, "n": 4194304, "text": "0"}, (), "Space"),
+        # listed 10^6 slots and formed 13^(10^6) twice (2.1 s)
+        ("explore", {"p": 13, "n": 1, "values": [{"re": 1.0}] * 13},
+         ("--s", "1000000"), "enumerate_polys"),
+        # ran on past 12 s: the suite checked none of its work
+        ("verify", {}, ("lucas", "--param", "n=22", "--param", "k=2",
+                        "--budget", "1000"), "_suite_lucas"),
+    ], ids=["degree-13-power", "explore-slots", "lucas-budget"])
+    def test_exit_3_within_a_second(self, command, obj, argv, kernel,
+                                    time_limit, capsys):
+        with time_limit(1):
+            code, out = run_cli("--input", "-", command, *argv,
+                                stdin_text=json.dumps(obj))
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith(
+            f"budget exceeded: {kernel}: ")
+
+
 class _Stop(Exception):
     pass
 
@@ -1226,6 +1250,17 @@ class TestSuiteReports:
         base = rep.to_json(include_timing=False)
         timed = rep.to_json(include_timing=True)
         assert "threads" in timed and "threads" not in base
+        # each check's runtime and the process's peak RSS at its end, in MB
+        for plain, check in zip(base["checks"], timed["checks"]):
+            assert set(check) - set(plain) == {"runtime_ms", "peak_rss_mb"}
+            assert check["peak_rss_mb"] > 1
+        assert b"peak_rss_mb" not in rep.to_bytes()
+
+    def test_timing_omits_peak_rss_without_resource(self, monkeypatch):
+        monkeypatch.setattr(suites, "resource", None)
+        timed = run_suite("lam", params={"n": 4}).to_json(include_timing=True)
+        assert all("runtime_ms" in c and "peak_rss_mb" not in c
+                   for c in timed["checks"])
 
     def test_timing_reports_real_runtimes(self):
         rep = run_suite("lam", params={"n": 10})

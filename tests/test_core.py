@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from toruspoly.catalog import quartic_form
 from toruspoly.core import (
+    POWER_BITS,
     SPACE_CAP,
     BudgetExceeded,
     ExactExpectation,
     Space,
     TorusValue,
     UnityCounter,
+    json_int,
     space,
 )
 from toruspoly.cubes import FilteredAbelianGroup
@@ -142,10 +144,12 @@ class TestTorusValue:
             TorusValue(p, 1, 1)
 
     def test_exponent_bounded_before_the_power(self):
-        # p^exp is formed up to SPACE_CAP bits (exp * bit_length(p)), and
+        # p^exp is formed up to POWER_BITS bits (exp * bit_length(p)), and
         # refused one step past it before anything of that size is built
-        assert TorusValue(2, 3, SPACE_CAP // 2).exp == SPACE_CAP // 2
-        for p, exp in [(2, SPACE_CAP // 2 + 1), (3, 10**11), (13, 10**18)]:
+        assert TorusValue(2, 3, POWER_BITS // 2).exp == POWER_BITS // 2
+        assert TorusValue(13, 1, POWER_BITS // 4).exp == POWER_BITS // 4
+        for p, exp in [(2, POWER_BITS // 2 + 1), (13, POWER_BITS // 4 + 1),
+                       (3, 10**11), (13, 10**18)]:
             with pytest.raises(BudgetExceeded, match="^TorusValue: "):
                 TorusValue(p, 1, exp)
 
@@ -317,10 +321,13 @@ class TestSpaceOwner:
             build(2, 10**11)
 
     def test_size_bound_is_bits_of_p_to_the_n(self, time_limit):
-        # p^n is formed up to SPACE_CAP bits (n * bit_length(p)), as p^exp
-        # is in TorusValue
-        assert Space(2, SPACE_CAP // 2).size == 1 << SPACE_CAP // 2
-        for p, n in [(2, SPACE_CAP // 2 + 1), (3, 10**11), (13, 10**18)]:
+        # p^n is formed up to POWER_BITS bits (n * bit_length(p)), as p^exp
+        # is in TorusValue: n = 1024 at p = 13 still fits
+        assert Space(2, POWER_BITS // 2).size == 1 << POWER_BITS // 2
+        assert Space(13, POWER_BITS // 4).size == 13 ** (POWER_BITS // 4)
+        assert POWER_BITS // 4 >= 1024
+        for p, n in [(2, POWER_BITS // 2 + 1), (13, POWER_BITS // 4 + 1),
+                     (13, 4194304), (3, 10**11), (13, 10**18)]:
             with time_limit(2), pytest.raises(BudgetExceeded, match="^Space: "):
                 Space(p, n)
 
@@ -334,6 +341,26 @@ class TestSpaceOwner:
     def test_ncpoly_table_is_one_axis(self):
         with pytest.raises(ValueError, match="^need 4 values, got 4$"):
             NCPoly(2, 2, np.zeros((2, 2), dtype=np.int64), 0)
+
+
+class TestJsonInt:
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_fast_path_refuses_as_the_walk_does(self, bad):
+        # a flat list of plain ints takes the fast path; a nested list, a
+        # numpy integer or a lone value takes the walk, with one message
+        for value in ([1, bad], [[1, bad]], [np.int64(1), bad], bad):
+            with pytest.raises(ValueError) as exc:
+                json_int({"k": value}, "k")
+            assert str(exc.value) == f"k must hold integers, got {bad!r}"
+
+    def test_numpy_integers_still_read(self):
+        for value, want in [(np.int8(3), 3), ([1, np.int64(2)], [1, 2]),
+                            ([[np.uint8(1)], [2]], [[1], [2]])]:
+            got = json_int({"k": value}, "k")
+            assert got == want and type(got) is type(want)
+        flat = [1, 2]
+        got = json_int({"k": flat}, "k")
+        assert got == flat and got is not flat
 
 
 class TestCounters:

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -391,36 +392,48 @@ def matrix_requests(monkeypatch, fresh_matrix_cache):
     return requests
 
 
+def _ladder(bound):
+    """The dtype for products whose partial sums stay below bound: float32
+    below 2^24, float64 below 2^53, Python integers past both."""
+    return (np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53
+            else object)
+
+
 class TestExactProducts:
-    # the layer matrix is float64 while N(p-1) times its largest entry,
-    # min(p^(depth+1) - 1, (p-1)^(n(p-1))), stays below 2^53, and Python
-    # integers past it: at p = 2 every entry is 0 or 1, so every depth runs
-    # on float64; at p = 13, n = 2, depth 13 the sums pass 2^53, so float64
-    # products would round there
+    # the layer matrix M mod m is float32 while N(p-1) times its largest
+    # entry, min(m - 1, (p-1)^(n(p-1))), stays below 2^24, float64 below
+    # 2^53, and Python integers past it: at p = 2 every entry is 0 or 1, so
+    # every depth runs on float32; the unreduced matrix at (5, 2) has sums
+    # up to 6.6e6 and at (5, 3) up to 8.4e9, so float32 would round there;
+    # at p = 13, n = 2, depth 13 the sums pass 2^53, so float64 would round
     @pytest.mark.parametrize("p,n,depth,dtype", [
-        (2, 3, 49, np.float64), (2, 3, 50, np.float64),
-        (2, 10, 44, np.float64), (2, 10, 49, np.float64),
+        (2, 3, 49, np.float32), (2, 3, 50, np.float32),
+        (2, 10, 44, np.float32), (2, 10, 49, np.float32),
+        (5, 2, 2, np.float32), (5, 3, 2, np.float64),
         (13, 2, 10, np.float64), (13, 2, 11, object), (13, 2, 13, object)])
     def test_layer_products_switch_at_2_to_the_53(self, p, n, depth, dtype,
                                                   matrix_requests):
         N, K = p**n, depth + 1
-        top = min(p**K - 1, (p - 1) ** (n * (p - 1)))
-        assert (N * (p - 1) * top < 1 << 53) == (dtype is np.float64)
         coeffs, forms = _layer_case(p, n, depth, depth, 16 if N > 169 else None)
         tables = poly.eval_layer_tables(p, n, coeffs, depth, K)
-        assert [dt for _, dt in matrix_requests] == [dtype]
+        (modulus, got), = matrix_requests
+        top = min(modulus - 1, (p - 1) ** (n * (p - 1)))
+        assert _ladder(N * (p - 1) * top) is dtype and got == dtype
         assert tables.dtype == np.int64 and tables.shape == (N, 4)
         _assert_tables_match_forms(p, n, tables, K, forms)
 
-    # S(p-1)(p^K - 1) is 2^53 - 8 at (2, 50, 8) and 7.3e15 at (13, 13, 2);
-    # deep slots of high degree at p = 13 have entries near p^K, and at
-    # K = 15 their sums pass 2^53, so float64 products would round there
+    # S(p-1)(p^K - 1) is 2^24 - 8 at (2, 21, 8), 1.3e7 at (13, 5, 3),
+    # 2^53 - 8 at (2, 50, 8) and 7.3e15 at (13, 13, 2); deep slots of high
+    # degree at p = 13 have entries near p^K, and at K = 15 their sums pass
+    # 2^53, so float64 products would round there
     @pytest.mark.parametrize("p,n,K,S,dtype", [
+        (2, 3, 21, 8, np.float32), (2, 3, 21, 9, np.float64),
+        (13, 2, 5, 3, np.float32), (13, 2, 5, 4, np.float64),
         (2, 3, 50, 8, np.float64), (2, 3, 50, 9, object),
         (13, 2, 13, 2, np.float64), (13, 2, 13, 3, object),
         (13, 2, 15, 8, object)])
     def test_slot_products_switch_at_2_to_the_53(self, p, n, K, S, dtype):
-        assert (S * (p - 1) * (p**K - 1) < 1 << 53) == (dtype is np.float64)
+        assert _ladder(S * (p - 1) * (p**K - 1)) is dtype
         exps = [space(p, n).digits_of(e) for e in range(p**n - 1, 0, -1)]
         slots = ([(e, K - 1) for e in exps] + [(e, 0) for e in exps])[:S]
         assert poly._slot_basis(p, n, tuple(slots), K).dtype == dtype
@@ -440,16 +453,16 @@ _DEEP_FORM = f"1/{2**40}*x1*x2 + 1/2*x3"
 
 class TestSharedMatrix:
     # eval_layer_tables reads every layer with p^(depth+1) | p^D off one
-    # matrix M mod p^D, for the largest D with an int64 build and float64
+    # matrix M mod p^D, for the largest D with an int64 build and float
     # storage, and every layer when no monomial value reaches p^D
 
-    def test_one_float64_matrix_for_every_depth_at_p_2(self, matrix_requests,
+    def test_one_float32_matrix_for_every_depth_at_p_2(self, matrix_requests,
                                                         fresh_matrix_cache):
         for depth in range(62):
             coeffs, forms = _layer_case(2, 3, depth, depth)
             tables = poly.eval_layer_tables(2, 3, coeffs, depth, depth + 1)
             _assert_tables_match_forms(2, 3, tables, depth + 1, forms)
-        assert matrix_requests == [(2**62, np.float64)] * 62
+        assert matrix_requests == [(2**62, np.float32)] * 62
         assert fresh_matrix_cache.cache_info().currsize == 1
 
     def test_deep_bare_table_builds_one_matrix(self, fresh_matrix_cache):
@@ -484,14 +497,33 @@ class TestSharedMatrix:
             coeffs, forms = _layer_case(3, 6, depth, depth, terms=16)
             tables = poly.eval_layer_tables(3, 6, coeffs, depth, depth + 1)
             _assert_tables_match_forms(3, 6, tables, depth + 1, forms)
+        # N(p-1) 2^12 = 6.0e6 < 2^24: every entry and sum is exact in float32
         (modulus, dtype), = set(matrix_requests)
-        assert dtype == np.float64 and modulus > 2**12
+        assert dtype == np.float32 and modulus > 2**12
         dig = space(3, 6).digits.astype(np.int64)
         exact = np.ones((3**6, 3**6), dtype=np.int64)
         for t in range(6):
             exact *= dig[:, t, None] ** dig[None, :, t]
         assert exact.max() == 2**12
         assert np.array_equal(fresh_matrix_cache(3, 6, modulus), exact)
+
+    def test_unreduced_matrix_builds_in_place(self, fresh_matrix_cache):
+        # the float32 matrix at (2, 10) is built in its storage dtype: the
+        # matrix and one N x N gather at a time, 2 N^2 4 bytes (8.4 MB),
+        # where int64 products, their reductions and a final copy took 25 MB
+        N = 2**10
+        modulus, exact = poly._shared_modulus(2, 10)
+        space(2, 10).digits  # cached before the measurement
+        tracemalloc.start()
+        try:
+            M = fresh_matrix_cache(2, 10, modulus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exact and M.dtype == np.float32 and M.shape == (N, N)
+        assert peak <= 1.05 * 2 * N * N * 4
+        dig = space(2, 10).digits
+        assert np.array_equal(M, (dig[None, :, :] <= dig[:, None, :]).all(axis=2))
 
     def test_layers_past_float64_share_one_exact_matrix(self, matrix_requests,
                                                          fresh_matrix_cache):
