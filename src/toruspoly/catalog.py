@@ -16,22 +16,26 @@ from .poly import NCPoly
 @lru_cache(maxsize=64)
 def L_table(n: int) -> np.ndarray:
     """L(x) = |x_1| + ... + |x_n| as integers."""
-    return space(2, n).digits.astype(np.int64).sum(axis=1)
+    return space(2, n).digits.sum(axis=1, dtype=np.int64)
+
+
+def S_table(n: int, k: int) -> np.ndarray:
+    """(2^n, k + 1) uint8 table of S_0, ..., S_k over F_2: the coefficients
+    of prod_i (1 + t x_i), built in n in-place passes.  The & term is a
+    temporary, so its overlap with the slice it updates is safe."""
+    dig = space(2, n).digits
+    coef = np.zeros((len(dig), k + 1), dtype=np.uint8)
+    coef[:, 0] = 1
+    for i in range(n):
+        coef[:, 1:] ^= coef[:, :-1] & dig[:, i: i + 1]
+    return coef
 
 
 @lru_cache(maxsize=256)
 def S_k(n: int, k: int) -> NCPoly:
-    """The degree-k elementary symmetric polynomial over F_2, computed from
-    its definition as the coefficient of t^k in prod_i (1 + t x_i)."""
-    sp = space(2, n)
-    dig = sp.digits.astype(np.int64)
-    coef = np.zeros((sp.size, k + 1), dtype=np.int64)
-    coef[:, 0] = 1
-    for i in range(n):
-        shifted = np.zeros_like(coef)
-        shifted[:, 1:] = coef[:, :-1] * dig[:, i: i + 1]
-        coef = (coef + shifted) % 2
-    return NCPoly.from_classical_table(2, n, coef[:, k])
+    """The degree-k elementary symmetric polynomial over F_2: column k of
+    S_table."""
+    return NCPoly.from_classical_table(2, n, S_table(n, k)[:, k])
 
 
 def binom_L_mod2(n: int, k: int) -> np.ndarray:

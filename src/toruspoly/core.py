@@ -186,17 +186,14 @@ class Space:
 
     @property
     def digits(self) -> np.ndarray:
-        """(size, n) uint8 matrix of digit expansions; p^n is checked
-        against SPACE_CAP before it is allocated."""
+        """(size, n) uint8 matrix of digit expansions, filled in place; p^n
+        is checked against SPACE_CAP before it is allocated."""
         if self._digits is None:
             check_budget(self.size, SPACE_CAP, "Space.digits")
+            self._digits = np.empty((self.size, self.n), dtype=np.uint8)
             idx = np.arange(self.size, dtype=np.int64)
-            cols = [(idx // self.p**i) % self.p for i in range(self.n)]
-            self._digits = (
-                np.stack(cols, axis=1).astype(np.uint8)
-                if self.n
-                else np.zeros((1, 0), dtype=np.uint8)
-            )
+            for i in range(self.n):
+                idx, self._digits[:, i] = np.divmod(idx, self.p)
         return self._digits
 
     def index_of(self, digits: Sequence[int]) -> int:

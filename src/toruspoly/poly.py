@@ -226,8 +226,7 @@ def eval_layer_tables(
 
 def slot_degrees(p: int, n: int, K: int) -> np.ndarray:
     """Degree of slot (depth j, exponent index e): sum(digits) + j(p-1)."""
-    sp = space(p, n)
-    base = sp.digits.astype(np.int64).sum(axis=1)
+    base = space(p, n).digits.sum(axis=1, dtype=np.int64)
     return base[None, :] + (p - 1) * np.arange(K, dtype=np.int64)[:, None]
 
 

@@ -187,43 +187,36 @@ def _least(**bounds):
 
 @_least(n=1, k=1)
 def _suite_lucas(report: SuiteReport, rng, threads, budget, *, n=10, k=10):
-    # k tables of 2^dim entries for each dim <= n, each S_j built in dim
-    # passes; past POWER_BITS a lower bound stands in for the cost
+    # one table of S_0..S_k for each dim <= n, built in dim passes of k + 1
+    # columns; past POWER_BITS a lower bound stands in for the cost
     check_budget(k * n * 2 ** (min(n, POWER_BITS) + 1), budget, "_suite_lucas")
     for dim in range(1, n + 1):
-        ok = True
+        S = catalog.S_table(dim, k)
         bad = None
         for j in range(1, k + 1):
-            sk = catalog.S_k(dim, j).classical_table()
-            prod = np.ones_like(sk)
-            jj = j
-            a = 0
-            while jj:
-                if jj & 1:
-                    prod = prod * catalog.S_k(dim, 1 << a).classical_table() % 2
-                jj >>= 1
-                a += 1
-            if not np.array_equal(sk, prod):
-                ok, bad = False, {"k": j, "kind": "product"}
+            powers = [1 << a for a in range(j.bit_length()) if j >> a & 1]
+            if not np.array_equal(S[:, j], np.bitwise_and.reduce(S[:, powers], axis=1)):
+                bad = {"k": j, "kind": "product"}
+            elif not np.array_equal(S[:, j], catalog.binom_L_mod2(dim, j)):
+                bad = {"k": j, "kind": "binomial"}
+            if bad:
                 break
-            if not np.array_equal(sk, catalog.binom_L_mod2(dim, j)):
-                ok, bad = False, {"k": j, "kind": "binomial"}
-                break
-        report.add("lucas-products", {"n": dim, "k_max": k}, ok,
+        report.add("lucas-products", {"n": dim, "k_max": k}, bad is None,
                    **({"counterexample": bad} if bad else {"points": 2**dim}))
 
 
 @_least(n=1)
 def _suite_lam(report: SuiteReport, rng, threads, budget, *, n=12):
+    # one table of S_0..S_(2^m) for each dim <= n, 2^m <= dim, built in dim
+    # passes; the last dim bounds the sum within a factor 2
+    top = 1 << (n.bit_length() - 1)
+    check_budget(2 * n * (top + 1) * 2 ** min(n, POWER_BITS), budget, "_suite_lam")
     for dim in range(1, n + 1):
-        L = catalog.L_table(dim)
-        total = np.zeros_like(L)
-        m = 0
-        while (1 << m) <= dim:
-            total = total + catalog.S_k(dim, 1 << m).classical_table() * (1 << m)
-            m += 1
+        powers = 1 << np.arange(dim.bit_length())
+        S = catalog.S_table(dim, int(powers[-1]))
         report.add("digit-expansion-of-L", {"n": dim},
-                   bool(np.array_equal(L, total)), points=2**dim)
+                   bool(np.array_equal(catalog.L_table(dim), S[:, powers] @ powers)),
+                   points=2**dim)
 
 
 @_least(n=4, trials=1)

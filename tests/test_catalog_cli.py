@@ -5,6 +5,7 @@ import itertools
 import json
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,17 +14,22 @@ import pytest
 from toruspoly.catalog import (
     L_over_power,
     S_k,
+    S_table,
     binom_L_mod2,
     bilinear_b,
     mother_p,
     mother_q,
     quartic_form,
 )
-from toruspoly import cli, suites
+from toruspoly import catalog, cli, suites
 from toruspoly.cli import main
 from toruspoly.core import TorusValue, space
-from toruspoly.norms import BoundedFunction, rank_witness_check
-from toruspoly.poly import NCPoly
+from toruspoly.cubes import FilteredAbelianGroup, equidistribution_report
+from toruspoly.forms import (MultilinearForm, binomial_lift_power, check_dkp,
+                             sym_power)
+from toruspoly.norms import (BoundedFunction, conditional_expectation,
+                             rank_witness_check)
+from toruspoly.poly import CanonicalForm, NCPoly
 from toruspoly.rng import SplitMix64
 from toruspoly.suites import run_suite
 from toruspoly.weighted import Factor
@@ -47,6 +53,20 @@ class TestCatalog:
                     term = term * sp.digits[:, i]
                 expected = (expected + term) % 2
             assert np.array_equal(S_k(5, k).classical_table(), expected)
+
+    def test_sk_matches_int64_recurrence(self):
+        # the int64 recurrence S_k was once built from, one column set per k
+        for n in range(11):
+            dig = space(2, n).digits.astype(np.int64)
+            for k in range(n + 3):
+                coef = np.zeros((2**n, k + 1), dtype=np.int64)
+                coef[:, 0] = 1
+                for i in range(n):
+                    shifted = np.zeros_like(coef)
+                    shifted[:, 1:] = coef[:, :-1] * dig[:, i: i + 1]
+                    coef = (coef + shifted) % 2
+                assert np.array_equal(S_k(n, k).nums, coef[:, k])
+                assert np.array_equal(S_table(n, k), coef)
 
     def test_s4_properties(self):
         P = S_k(6, 4)
@@ -1068,7 +1088,10 @@ class TestProbesRefusedAtOnce:
         # ran on past 12 s: the suite checked none of its work
         ("verify", {}, ("lucas", "--param", "n=22", "--param", "k=2",
                         "--budget", "1000"), "_suite_lucas"),
-    ], ids=["degree-13-power", "explore-slots", "lucas-budget"])
+        # ran 101 s: the suite checked none of its work
+        ("verify", {}, ("lam", "--param", "n=22", "--budget", "1000"),
+         "_suite_lam"),
+    ], ids=["degree-13-power", "explore-slots", "lucas-budget", "lam-budget"])
     def test_exit_3_within_a_second(self, command, obj, argv, kernel,
                                     time_limit, capsys):
         with time_limit(1):
@@ -1077,6 +1100,119 @@ class TestProbesRefusedAtOnce:
         assert code == 3 and out == ""
         assert capsys.readouterr().err.startswith(
             f"budget exceeded: {kernel}: ")
+
+
+def _chain_factor():
+    """The one-chain factor L/2, L/4 on F_2^2, of initial degree 2."""
+    return Factor(2, 2, [(2, [L_over_power(2, 1), L_over_power(2, 2)])])
+
+
+class TestRefusals:
+    """Refusals of malformed input, each with its message, and exit 2
+    where a command reads that input."""
+
+    ZERO = TorusValue.zero(2)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: CanonicalForm(2, 2, TestRefusals.ZERO, {((1,), 0): 1}),
+         "bad exponent vector (1,)"),
+        (lambda: CanonicalForm(2, 2, TestRefusals.ZERO, {((0, 0), 0): 1}),
+         "constant terms belong in alpha"),
+        (lambda: CanonicalForm(2, 2, TestRefusals.ZERO, {((1, 0), -1): 1}),
+         "negative depth"),
+        (lambda: CanonicalForm.from_text(2, 2, "1/2*x0"),
+         "variable x0 out of range"),
+        (lambda: CanonicalForm.from_text(2, 2, "1/2*x1*x1"),
+         "exponents must be < p in canonical text form"),
+        (lambda: TorusValue(2, 1, -1), "exponent must be non-negative"),
+        (lambda: MultilinearForm(2, 2, 0), "arity must be >= 1"),
+        (lambda: MultilinearForm(2, 2, 2, {(0,): 1}), "bad multiset (0,)"),
+        (lambda: MultilinearForm(2, 2, 2, {(0, 2): 1}), "bad multiset (0, 2)"),
+        (lambda: BoundedFunction(2, 2, np.zeros(3)),
+         "value table has the wrong size"),
+        (lambda: FilteredAbelianGroup([4, 0], []),
+         "cyclic orders must be positive"),
+        (lambda: FilteredAbelianGroup.cyclic_chain(8, [4, 3]),
+         "subgroup order must divide the group order"),
+        (lambda: FilteredAbelianGroup.cyclic_chain(8, [4]).level(-1),
+         "negative filtration index"),
+        (lambda: equidistribution_report([], [2]), "empty domain"),
+        (lambda: sym_power(bilinear_b(3), 0), "m must be positive"),
+        (lambda: binomial_lift_power(S_k(3, 1), 2, k=1),
+         "need degree bound k >= 2"),
+        (lambda: binomial_lift_power(S_k(4, 3), 2, k=2),
+         "degree exceeds stated bound"),
+        (lambda: check_dkp(S_k(4, 4), 3), "degree exceeds k"),
+        (lambda: L_over_power(2, 2).classical_table(),
+         "polynomial is not classical"),
+        (lambda: S_k(2, 1) + S_k(3, 1), "mismatched spaces"),
+        (lambda: SplitMix64(1).below(0), "need a positive bound"),
+        (lambda: L_over_power(3, 0), "need j >= 1"),
+        (lambda: Factor(2, 2, [(1, [S_k(2, 1)])]),
+         "initial degrees must be >= 2"),
+        (lambda: Factor(2, 2, [(2, [S_k(3, 1)])]),
+         "chain polynomial on the wrong space"),
+        (lambda: Factor(2, 2, [(2, [L_over_power(2, 2)])]),
+         "layer 0 takes values outside (1/p^1)Z/Z"),
+        (lambda: Factor(2, 3, [(2, [S_k(3, 3)])]), "layer 0 exceeds degree 2"),
+        (lambda: Factor(2, 2, [(2, [S_k(2, 2), L_over_power(2, 2)])]),
+         "broken chain at layer 1"),
+        (lambda: _chain_factor().depth_extend([2, 2]),
+         "one target depth per chain"),
+        (lambda: _chain_factor().depth_extend([0]),
+         "depth extension cannot shrink a chain"),
+    ], ids=["form-exponents", "form-constant", "form-depth", "text-x0",
+            "text-exponent", "torus-exp", "form-arity", "form-multiset-length",
+            "form-multiset-range", "function-length", "group-order",
+            "chain-order", "level-index", "equidist-empty", "sym-power-m",
+            "lift-k", "lift-degree", "dkp-degree", "classical-table",
+            "sum-spaces", "below-0", "L-over-power-j", "factor-D",
+            "factor-space", "factor-values", "factor-degree", "factor-chain",
+            "extend-count", "extend-shrink"])
+    def test_api_refusal(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("command,obj,argv,message", [
+        ("degree", {"p": 2, "n": 2, "terms": [
+            {"exps": [1], "depth": 0, "coeff": 1}]}, (),
+         "bad exponent vector (1,)"),
+        ("degree", {"p": 2, "n": 2, "terms": [
+            {"exps": [0, 0], "depth": 0, "coeff": 1}]}, (),
+         "constant terms belong in alpha"),
+        ("degree", {"p": 2, "n": 2, "terms": [
+            {"exps": [1, 0], "depth": -1, "coeff": 1}]}, (), "negative depth"),
+        ("degree", {"p": 2, "n": 2, "text": "1/2*x0"}, (),
+         "variable x0 out of range"),
+        ("degree", {"p": 2, "n": 2, "text": "1/2*x1^2"}, (),
+         "exponents must be < p in canonical text form"),
+        ("degree", {"p": 2, "n": 1, "values": [
+            {"num": 0, "exp": 0}, {"num": 1, "exp": -1}]}, (),
+         "exponent must be non-negative"),
+        ("bias", {"p": 2, "n": 2, "k": 0, "coeffs": []}, (),
+         "arity must be >= 1"),
+        ("bias", {"p": 2, "n": 2, "k": 2, "coeffs": [
+            {"multiset": [1, 3], "c": 1}]}, (), "bad multiset (0, 2)"),
+        ("norm", {"p": 2, "n": 2, "values": [{"re": 1.0}] * 3}, ("--d", "2"),
+         "value table has the wrong size"),
+        ("cube-check", {"group": {"cyclic_orders": [0], "filtration": []},
+                        "k": 0, "cube": [[0]]}, (),
+         "cyclic orders must be positive"),
+        ("equidist", {"orders": [2], "values": []}, (), "empty domain"),
+    ], ids=["form-exponents", "form-constant", "form-depth", "text-x0",
+            "text-exponent", "torus-exp", "form-arity", "form-multiset",
+            "function-length", "group-order", "equidist-empty"])
+    def test_cli_refusal_exit_2(self, command, obj, argv, message, run_probe,
+                                capsys):
+        code, out = run_probe(command, obj, *argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_conditional_expectation_of_ints_is_exact(self):
+        projected, energy = conditional_expectation([1, 2, 3, 4], [[0, 0, 1, 1]])
+        assert projected == [Fraction(3, 2)] * 2 + [Fraction(7, 2)] * 2
+        assert all(type(v) is Fraction for v in projected)
+        assert type(energy) is Fraction and energy == Fraction(29, 4)
 
 
 class _Stop(Exception):
@@ -1187,6 +1323,57 @@ class TestSuiteReports:
         report = run_suite(suite, seed=1111)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {self.APPENDED[suite][0]}
+
+    # The bytes of the identity suites past their defaults.  One S_0..S_k
+    # table per dimension serves every j; rebuilt per j, as it once was,
+    # these took 4.7 s and 19.1 s.
+    @pytest.mark.parametrize("name,params,seconds,digest", [
+        ("lucas", {"n": 18, "k": 10}, 2,
+         "62b75102f2c8a6b3415436775741e6c5f40f616135d56a86203eea0d19ebbeea"),
+        ("lam", {"n": 20}, 5,
+         "7f55184f10ac6fcc84f3f6d7f1d4ac650b35e222fa52b6dee645147c6b9bc4c7"),
+    ], ids=["lucas", "lam"])
+    def test_identity_suite_bytes_pinned_in_time(self, name, params, seconds,
+                                                 digest, time_limit):
+        with time_limit(seconds):
+            out = run_suite(name, params, seed=7).to_bytes()
+        assert hashlib.sha256(out).hexdigest() == digest
+
+    @staticmethod
+    def _flip_at(monkeypatch, function, at, entry):
+        """Patch catalog.function to flip entry (a row and, for a table, a
+        column) of its result at the leading arguments at."""
+        real = getattr(catalog, function)
+
+        def flipped(*args):
+            table = real(*args).copy()
+            if args[:len(at)] == at:
+                table[entry] ^= 1
+            return table
+        monkeypatch.setattr(catalog, function, flipped)
+
+    @pytest.mark.parametrize("function,at,entry,kind", [
+        ("S_table", (4,), (5, 3), "product"),
+        ("S_table", (4,), (5, 4), "binomial"),
+        ("S_table", (4,), (5, 6), "product"),
+        ("binom_L_mod2", (4, 5), 7, "binomial"),
+    ], ids=["S3", "S4", "S6", "binomial-5"])
+    def test_lucas_records_a_flipped_entry(self, function, at, entry, kind,
+                                           monkeypatch):
+        # a flipped S_j breaks its product of S_(2^a) unless j is a power
+        # of two, whose product is itself; then only binom(L, j) sees it
+        self._flip_at(monkeypatch, function, at, entry)
+        checks = run_suite("lucas", {"n": 5, "k": 6}).checks
+        assert [c.passed for c in checks] == [True] * 3 + [False, True]
+        j = entry[1] if function == "S_table" else at[1]
+        assert checks[3].details == {"counterexample": {"k": j, "kind": kind}}
+
+    @pytest.mark.parametrize("function,entry", [("L_table", 9),
+                                                ("S_table", (9, 2))])
+    def test_lam_records_a_flipped_entry(self, function, entry, monkeypatch):
+        self._flip_at(monkeypatch, function, (4,), entry)
+        checks = run_suite("lam", {"n": 5}).checks
+        assert [c.passed for c in checks] == [True] * 3 + [False, True]
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: torus values, spaces, counters, roots of unity."""
 
 import cmath
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -181,6 +182,30 @@ class TestSpace:
         vecs = [space(2, 2).digits_of(i) for i in range(4)]
         assert vecs == [(0, 0), (1, 0), (0, 1), (1, 1)]
         assert [space(3, 1).digits_of(i) for i in range(3)] == [(0,), (1,), (2,)]
+
+    @pytest.mark.parametrize("p", [2, 3, 13])
+    def test_digits_match_division_oracle(self, p):
+        # column by column, the stack of the division formula the table
+        # was once built from
+        for n in range(7):
+            idx = np.arange(p**n, dtype=np.int64)
+            digits = Space(p, n).digits
+            assert digits.dtype == np.uint8 and digits.shape == (p**n, n)
+            for i in range(n):
+                assert np.array_equal(digits[:, i], (idx // p**i) % p)
+
+    def test_digits_build_in_place(self):
+        # the uint8 table and one divmod step at a time, (n + 24) N bytes,
+        # where n int64 columns, their stack and a cast took about 17 n N
+        n, N = 16, 1 << 16
+        tracemalloc.start()
+        try:
+            digits = Space(2, n).digits
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digits.shape == (N, n)
+        assert peak <= (n + 32) * N
 
     def test_large_count(self):
         sp = space(2, 20)
