@@ -91,8 +91,9 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="compact output")
     parser.add_argument("--seed", type=int, default=d(0))
     parser.add_argument("--threads", type=int, default=d(1),
-                        help="threads for the bias rank fold only (bias, "
-                             "arank, and the bias checks of gowers-props)")
+                        help="threads for the bias rank fold of bias and "
+                             "arank; verify only records it, in --timing "
+                             "output")
     parser.add_argument("--budget", type=int, default=d(None),
                         help="hard wall in estimated elementary operations")
     parser.add_argument("--out", default=d(None))

@@ -341,8 +341,6 @@ def conditional_expectation(values: Sequence, factors: Sequence[Sequence]):
         for x in members:
             out[x] = mean
     energy = sum(abs(v) ** 2 if isinstance(v, complex) else v * v for v in out)
-    if isinstance(energy, int):
-        energy = Fraction(energy)
     return out, energy / N
 
 

@@ -541,9 +541,6 @@ class NCPoly:
         x = space(self.p, self.n).check_index(x)
         return TorusValue(self.p, int(self.nums[x]), self.K)
 
-    def is_zero(self) -> bool:
-        return self.K == 0 and not self.nums.any()
-
     def is_classical(self) -> bool:
         return self.K <= 1
 

@@ -176,28 +176,20 @@ class SuiteReport:
 # identity suites
 
 
-def _least(**bounds):
-    """Declare the least value of each integer parameter of a suite: the
-    least at which its every check still has a case to check."""
-    def mark(suite):
-        suite.least = bounds
-        return suite
-    return mark
-
-
-@_least(n=1, k=1)
-def _suite_lucas(report: SuiteReport, rng, threads, budget, *, n=10, k=10):
-    # one table of S_0..S_k for each dim <= n, built in dim passes of k + 1
-    # columns; past POWER_BITS a lower bound stands in for the cost
+def _suite_lucas(report: SuiteReport, rng, budget=None, *, n=10, k=10):
+    # one table of S_0..S_min(k, dim) for each dim <= n, built in dim passes;
+    # its columns, made contiguous, and the zero table as each S_j, j > dim,
+    # stand for S_0..S_k.  Past POWER_BITS a lower bound stands in for the cost
     check_budget(k * n * 2 ** (min(n, POWER_BITS) + 1), budget, "_suite_lucas")
     for dim in range(1, n + 1):
-        S = catalog.S_table(dim, k)
+        S = catalog.S_table(dim, min(k, dim))
+        S = [*S.T.copy(), *[np.zeros(len(S), S.dtype)] * (k - dim)]
         bad = None
         for j in range(1, k + 1):
             powers = [1 << a for a in range(j.bit_length()) if j >> a & 1]
-            if not np.array_equal(S[:, j], np.bitwise_and.reduce(S[:, powers], axis=1)):
+            if not np.array_equal(S[j], reduce(np.bitwise_and, [S[q] for q in powers])):
                 bad = {"k": j, "kind": "product"}
-            elif not np.array_equal(S[:, j], catalog.binom_L_mod2(dim, j)):
+            elif not np.array_equal(S[j], catalog.binom_L_mod2(dim, j)):
                 bad = {"k": j, "kind": "binomial"}
             if bad:
                 break
@@ -205,8 +197,7 @@ def _suite_lucas(report: SuiteReport, rng, threads, budget, *, n=10, k=10):
                    **({"counterexample": bad} if bad else {"points": 2**dim}))
 
 
-@_least(n=1)
-def _suite_lam(report: SuiteReport, rng, threads, budget, *, n=12):
+def _suite_lam(report: SuiteReport, rng, budget=None, *, n=12):
     # one table of S_0..S_(2^m) for each dim <= n, 2^m <= dim, built in dim
     # passes; the last dim bounds the sum within a factor 2
     top = 1 << (n.bit_length() - 1)
@@ -219,9 +210,7 @@ def _suite_lam(report: SuiteReport, rng, threads, budget, *, n=12):
                    points=2**dim)
 
 
-@_least(n=4, trials=1)
-def _suite_df(report: SuiteReport, rng, threads, budget, *, n=6,
-              trials=10_000):
+def _suite_df(report: SuiteReport, rng, *, n=6, trials=10_000):
     for dim in range(4, n + 1):
         T = catalog.quartic_form(dim)
         S = sym_power(catalog.bilinear_b(dim), 2)
@@ -242,8 +231,7 @@ def _suite_df(report: SuiteReport, rng, threads, budget, *, n=6,
             report.add("d4S4-random-tuples", {"n": dim, "trials": trials}, agree)
 
 
-@_least(n=2)
-def _suite_symprod(report: SuiteReport, rng, threads, budget, *, n=5):
+def _suite_symprod(report: SuiteReport, rng, *, n=5):
     # the quadratic -> quartic lift over F_2
     for dim in range(2, n + 1):
         S2, S4 = catalog.S_k(dim, 2), catalog.S_k(dim, 4)
@@ -407,8 +395,7 @@ def _norm_properties(report: SuiteReport, p: int, n: int, rng: SplitMix64,
                    worst_margin=margin)
 
 
-@_least(count=1)
-def _suite_gowers(report: SuiteReport, rng, threads, budget, *, count=100,
+def _suite_gowers(report: SuiteReport, rng, budget=None, *, count=100,
                   tol=1e-8, configs=((2, 4), (3, 2))):
     for p, n in configs:
         _norm_properties(report, p, n, SplitMix64(rng.next_u64()), count, tol,
@@ -434,8 +421,7 @@ def _suite_gowers(report: SuiteReport, rng, threads, budget, *, count=100,
             ok_exact &= abs(exact.as_complex() - fl) <= 1e-9
             frac = exact.as_fraction()
             if frac is not None:
-                ok_bias &= frac == bias(dk_extract(P, d), budget=budget,
-                                        threads=threads)
+                ok_bias &= frac == bias(dk_extract(P, d), budget=budget)
         report.add("exact-phase-path", {"p": p, "n": n, "cases": 20},
                    ok_exact and ok_bias)
     # ||f||_{U^d}^(2^d) = E_h ||Delta_h f||_{U^(d-1)}^(2^(d-1)), through the
@@ -456,8 +442,7 @@ def _suite_gowers(report: SuiteReport, rng, threads, budget, *, count=100,
                    worst <= 1e-9, worst=worst)
 
 
-@_least(n=2)
-def _suite_dkp(report: SuiteReport, rng, threads, budget, *, n=3):
+def _suite_dkp(report: SuiteReport, rng, *, n=3):
     p = 2
     for dim in range(2, n + 1):
         P = catalog.L_over_power(dim, 3)
@@ -533,8 +518,7 @@ _ROOT_GRIDS = tuple([(2, n, d) for n in range(1, 4) for d in range(0, 5)]
                     + [(3, n, d) for n in range(1, 3) for d in range(0, 4)])
 
 
-@_least(random_trials=0, weighted_trials=0)
-def _suite_roots(report: SuiteReport, rng, threads, budget, *,
+def _suite_roots(report: SuiteReport, rng, budget=None, *,
                  grids=_ROOT_GRIDS, random_trials=500, weighted_trials=300):
     for p, n, d in grids:
         res = _exhaustive_poly_scan(p, n, d, budget)
@@ -596,9 +580,7 @@ def _random_weighted(p: int, m: int, D: tuple, d: int, rng) -> WeightedPoly:
     return WeightedPoly(p, m, D, alpha, terms)
 
 
-@_least(trials=1)
-def _suite_weighted(report: SuiteReport, rng, threads, budget, *,
-                    trials=300):
+def _suite_weighted(report: SuiteReport, rng, *, trials=300):
     fails = 0
     worst = None
     for t in range(trials):
@@ -693,8 +675,7 @@ def _group_zoo() -> list[FilteredAbelianGroup]:
 _SCANNED_TUPLES = 1 << 20  # the cubes suite counts G^(2^k) past this size
 
 
-@_least(k=1, maps=1)
-def _suite_cubes(report: SuiteReport, rng, threads, budget, *, k=3, maps=1000):
+def _suite_cubes(report: SuiteReport, rng, budget=None, *, k=3, maps=1000):
     for G in _group_zoo():
         for dim in range(1, k + 1):
             total = G.size ** (1 << dim)
@@ -871,9 +852,7 @@ def _sample_map(rng, max_order: int = 8):
 # decomposition suite
 
 
-@_least(n=0, cases=1)
-def _suite_decomposition(report: SuiteReport, rng, threads, budget, *,
-                         n=5, cases=100):
+def _suite_decomposition(report: SuiteReport, rng, *, n=5, cases=100):
     N = space(2, n).size
     s1 = catalog.S_k(n, 1).classical_table().tolist()
     s2 = catalog.S_k(n, 2).classical_table().tolist()
@@ -912,17 +891,20 @@ def _suite_decomposition(report: SuiteReport, rng, threads, budget, *,
 # dispatcher
 
 
+# name: (suite function, least value of each integer parameter: the least at
+# which its every check still has a case to check).  A suite takes the report,
+# its generator and, when it checks a cost estimate against --budget, budget.
 _SUITES = {
-    "lucas": _suite_lucas,
-    "lam": _suite_lam,
-    "df": _suite_df,
-    "symprod": _suite_symprod,
-    "gowers-props": _suite_gowers,
-    "dkp": _suite_dkp,
-    "roots": _suite_roots,
-    "weighted": _suite_weighted,
-    "cubes": _suite_cubes,
-    "decomposition": _suite_decomposition,
+    "lucas": (_suite_lucas, {"n": 1, "k": 1}),
+    "lam": (_suite_lam, {"n": 1}),
+    "df": (_suite_df, {"n": 4, "trials": 1}),
+    "symprod": (_suite_symprod, {"n": 2}),
+    "gowers-props": (_suite_gowers, {"count": 1}),
+    "dkp": (_suite_dkp, {"n": 2}),
+    "roots": (_suite_roots, {"random_trials": 0, "weighted_trials": 0}),
+    "weighted": (_suite_weighted, {"trials": 1}),
+    "cubes": (_suite_cubes, {"k": 1, "maps": 1}),
+    "decomposition": (_suite_decomposition, {"n": 0, "cases": 1}),
 }
 
 
@@ -933,23 +915,32 @@ def run_suite(name: str, params: dict | None = None, seed: int = 0,
               threads: int = 1, budget: int | None = None) -> SuiteReport:
     """Run a named suite.  Its keyword parameters, each with a default, are
     the only keys params may hold, and an integer parameter takes an integer
-    (json_int's rule: no bool, no float) no less than its declared least;
-    any other key or value raises ValueError before a check runs."""
+    (json_int's rule: no bool, no float) no less than its least in _SUITES;
+    any other key or value, or a budget for a suite that checks none, raises
+    ValueError before a check runs.  A run that writes no record raises it
+    too.  threads is only recorded, in the report's timing form: no suite
+    splits work across threads."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    suite = _SUITES[name]
+    suite, least = _SUITES[name]
+    if budget is not None and suite.__code__.co_argcount < 3:
+        raise ValueError(f"suite {name!r} checks no budget; run it without "
+                         "--budget")
     params = dict(params or {})
     unknown = [key for key in params if key not in suite.__kwdefaults__]
     if unknown:
         raise ValueError(
             f"suite {name!r} takes no parameter {', '.join(map(repr, unknown))}"
             f"; its parameters are {', '.join(suite.__kwdefaults__)}")
-    for key in [key for key in params if key in suite.least]:
+    for key in [key for key in params if key in least]:
         value = json_int(params, key)
-        if not isinstance(value, int) or value < suite.least[key]:
+        if not isinstance(value, int) or value < least[key]:
             raise ValueError(f"suite {name!r}: {key} must be an integer of "
-                             f"at least {suite.least[key]}, got {params[key]!r}")
+                             f"at least {least[key]}, got {params[key]!r}")
         params[key] = value
     report = SuiteReport(name, seed, threads, params)
-    suite(report, SplitMix64(seed), threads, budget, **params)
+    suite(report, SplitMix64(seed), *(() if budget is None else (budget,)),
+          **params)
+    if not report.checks:
+        raise ValueError(f"suite {name!r} wrote no record at params {params}")
     return report

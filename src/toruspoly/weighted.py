@@ -331,11 +331,8 @@ class Factor:
                         f"layer {j} takes values outside (1/p^{j+1})Z/Z")
                 if poly.degree() > D + j * (p - 1):
                     raise ValueError(f"layer {j} exceeds degree {D + j*(p-1)}")
-                mult = poly.mul_by_p()
-                if prev is None:
-                    if not mult.is_zero():
-                        raise ValueError("layer 0 is not classical")
-                elif mult != prev:
+                # layer 0 has K <= 1, so p * layer 0 = 0 needs no check
+                if prev is not None and poly.mul_by_p() != prev:
                     raise ValueError(f"broken chain at layer {j}")
                 prev = poly
 

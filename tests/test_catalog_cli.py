@@ -21,7 +21,7 @@ from toruspoly.catalog import (
     mother_q,
     quartic_form,
 )
-from toruspoly import catalog, cli, suites
+from toruspoly import catalog, cli, forms, suites
 from toruspoly.cli import main
 from toruspoly.core import TorusValue, space
 from toruspoly.cubes import FilteredAbelianGroup, equidistribution_report
@@ -1286,8 +1286,9 @@ class TestSuiteReports:
             raise _Stop
         monkeypatch.setattr(operation, stop)
         report = suites.SuiteReport(name, 1111, 1, {})
+        suite, _ = suites._SUITES[name]
         with pytest.raises(_Stop):
-            suites._SUITES[name](report, SplitMix64(1111), 1, None)
+            suite(report, SplitMix64(1111))
         assert [json.dumps(c.to_json(), sort_keys=True)
                 for c in report.checks] == \
             [json.dumps(c.to_json(), sort_keys=True) for c in full[:-count]]
@@ -1326,13 +1327,16 @@ class TestSuiteReports:
 
     # The bytes of the identity suites past their defaults.  One S_0..S_k
     # table per dimension serves every j; rebuilt per j, as it once was,
-    # these took 4.7 s and 19.1 s.
+    # the first and third took 4.7 s and 19.1 s.  Past k = dim the table
+    # stops at S_dim; with all k + 1 columns, k = 2000 took 10 s and 380 MB.
     @pytest.mark.parametrize("name,params,seconds,digest", [
         ("lucas", {"n": 18, "k": 10}, 2,
          "62b75102f2c8a6b3415436775741e6c5f40f616135d56a86203eea0d19ebbeea"),
+        ("lucas", {"n": 16, "k": 2000}, 2,
+         "0c1ac0c3a12044daad67c5342d90b2a4eee6d791f45f0f5963b863dcb7b4d1d7"),
         ("lam", {"n": 20}, 5,
          "7f55184f10ac6fcc84f3f6d7f1d4ac650b35e222fa52b6dee645147c6b9bc4c7"),
-    ], ids=["lucas", "lam"])
+    ], ids=["lucas", "lucas-k-past-n", "lam"])
     def test_identity_suite_bytes_pinned_in_time(self, name, params, seconds,
                                                  digest, time_limit):
         with time_limit(seconds):
@@ -1355,9 +1359,8 @@ class TestSuiteReports:
     @pytest.mark.parametrize("function,at,entry,kind", [
         ("S_table", (4,), (5, 3), "product"),
         ("S_table", (4,), (5, 4), "binomial"),
-        ("S_table", (4,), (5, 6), "product"),
         ("binom_L_mod2", (4, 5), 7, "binomial"),
-    ], ids=["S3", "S4", "S6", "binomial-5"])
+    ], ids=["S3", "S4", "binomial-5"])
     def test_lucas_records_a_flipped_entry(self, function, at, entry, kind,
                                            monkeypatch):
         # a flipped S_j breaks its product of S_(2^a) unless j is a power
@@ -1390,18 +1393,64 @@ class TestSuiteReports:
             run_suite(name, {"nn": 3})
         assert added == []
 
+    # the kernel that refuses --budget 1 in each suite that checks a budget
+    BUDGET_KERNELS = {"lucas": "_suite_lucas", "lam": "_suite_lam",
+                      "gowers-props": "gowers_power",
+                      "roots": "_exhaustive_poly_scan",
+                      "cubes": "preserves_cubes_fast"}
+
+    @pytest.mark.parametrize("name", suites.SUITE_NAMES)
+    def test_budget_is_checked_or_refused(self, name, monkeypatch, capsys):
+        add = suites.SuiteReport.add
+        added = []
+
+        def spy(self, *args, **kw):
+            added.append(args)
+            add(self, *args, **kw)
+        monkeypatch.setattr(suites.SuiteReport, "add", spy)
+        code, out = run_cli("verify", name, "--budget", "1")
+        err = capsys.readouterr().err
+        assert out == ""
+        if name in self.BUDGET_KERNELS:
+            assert code == 3
+            assert err.startswith(
+                f"budget exceeded: {self.BUDGET_KERNELS[name]}: ")
+        else:
+            assert (code, err, added) == (
+                2, f"error: suite {name!r} checks no budget; run it without "
+                   "--budget\n", [])
+
+    def test_suite_without_records_exits_2(self, capsys):
+        code, out = run_cli("verify", "gowers-props", "--param", "configs=[]")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: suite 'gowers-props' wrote no record at params "
+            "{'configs': []}\n")
+
+    def test_threads_reach_no_fold(self, monkeypatch):
+        # gowers-props hands bias no thread count: its bias folds run over
+        # at most N = 64 points, one chunk, which threads could not split
+        real = forms.ordered_map
+        seen = []
+
+        def spy(fn, chunks, threads):
+            seen.append(threads)
+            return real(fn, chunks, threads)
+        monkeypatch.setattr(forms, "ordered_map", spy)
+        assert run_suite("gowers-props", seed=1111, threads=8).passed
+        assert seen and set(seen) == {1}
+
     def test_every_integer_parameter_has_a_least_value(self):
-        for suite in suites._SUITES.values():
+        for suite, least in suites._SUITES.values():
             defaults = suite.__kwdefaults__
-            assert set(suite.least) == {key for key, value in defaults.items()
-                                        if isinstance(value, int)}
-            assert all(defaults[key] >= least
-                       for key, least in suite.least.items())
+            assert set(least) == {key for key, value in defaults.items()
+                                  if isinstance(value, int)}
+            assert all(defaults[key] >= least[key] for key in least)
 
     @pytest.mark.parametrize("name", suites._SUITES)
     def test_least_values_still_check(self, name):
         # one small roots cell instead of the default grids
-        params = {**suites._SUITES[name].least,
+        params = {**suites._SUITES[name][1],
                   **({"grids": [[2, 1, 1]]} if name == "roots" else {})}
         report = run_suite(name, params, seed=3)
         assert report.checks and report.passed
@@ -1423,7 +1472,7 @@ class TestSuiteReports:
         rows = {name: re.findall(r"`(\w+)` = ", cell)
                 for name, cell in rows.items() if name in suites._SUITES}
         assert rows == {name: sorted(suite.__kwdefaults__)
-                        for name, suite in suites._SUITES.items()}
+                        for name, (suite, _) in suites._SUITES.items()}
 
     def test_report_round_trip(self):
         rep = run_suite("lam", params={"n": 6})

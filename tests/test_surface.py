@@ -61,7 +61,6 @@ SHADOWED = {
     "poly.CanonicalForm.to_json": "poly.NCPoly.to_json",
     "poly.NCPoly.to_json": "cli._poly_payload",
     "poly.NCPoly.eval": "cli._eval",
-    "poly.NCPoly.is_zero": "weighted.Factor.validate",
     "poly.NCPoly.degree": "forms.dk_extract",
     "suites.CheckRecord.to_json": "suites.SuiteReport.to_json",
     "suites.SuiteReport.to_bytes": "cli._verify",
