@@ -69,13 +69,13 @@ def json_int(obj: dict, key: str):
 
 
 def _reduce(x: np.ndarray, p: int, K: int) -> np.ndarray:
-    """x mod p^K for int64, Python-integer or integral float64 arrays,
-    negatives included.
+    """x mod p^K for integer arrays of any type that holds p^K, and for
+    Python-integer or integral float64 arrays, negatives included.
 
     A mask at p = 2; elsewhere x - (x // p^K) p^K, since numpy's floor
     division costs a fraction of its integer %.  The product may wrap in
-    int64, but the true residue lies in [0, p^K), so the wrapped difference
-    is exact.  Python-integer arrays keep %."""
+    x's type, but the true residue lies in [0, p^K), so the wrapped
+    difference is exact.  Python-integer arrays keep %."""
     if p == 2:
         return x & ((1 << K) - 1)
     m = p**K

@@ -32,7 +32,7 @@ from .core import (
     space,
 )
 from .parallel import chunk_ranges, ordered_map
-from .poly import CanonicalForm, NCPoly, TorusValue, _exact_reduce
+from .poly import CanonicalForm, NCPoly, TorusValue, _narrow
 
 Multiset = tuple[int, ...]
 
@@ -477,7 +477,8 @@ def naive_bias(form: MultilinearForm, budget: int | None = None) -> Fraction:
     for t in range(k):
         cur = np.moveaxis(np.tensordot(dig, cur, axes=(1, t)), 0, t)
     counter = UnityCounter(p, 1)
-    counter.add_residues(_exact_reduce(cur, p, 1).reshape(-1))
+    # int64 residues: np.unique, which add_residues runs, is slow on int8
+    counter.add_residues(_narrow(cur, p, 1, np.dtype(np.int64)).reshape(-1))
     frac = counter.expectation().as_fraction()
     assert frac is not None, "bias of a multilinear form must be rational"
     return frac

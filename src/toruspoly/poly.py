@@ -19,7 +19,12 @@ layers share one matrix per (p, n) and those past float64 one exact matrix.
 Every reduction mod p^K goes through one helper, core._reduce, on floor
 division (a mask at p = 2).
 classical_coeffs refuses tables past SPACE_CAP entries; below it, its
-per-axis products run in float64 with one reduction per transform.
+per-axis products run in float32 or float64 with one reduction per transform.
+
+The batched kernels hold value tables over p^K in _table_dtype(p, K), the
+one owner of their dtype: the narrowest of int8, int16, int32 and int64
+with room for p^(K+1), beside _exact_dtype, which picks the dtype of
+products.  Coefficients, below p, are int8; NCPoly.nums stays int64.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class NotPolynomialError(ValueError):
 
 
 def _check_table_exponent(p: int, K: int) -> None:
-    """Value tables hold numerators over p^K in int64."""
+    """Value tables hold numerators over p^K in at most int64."""
     if K >= 63 or p**K >= 1 << 63:  # p >= 2, so K >= 63 never fits
         raise ValueError(f"table denominator {p}^{K} exceeds 2^63 - 1")
 
@@ -135,27 +140,53 @@ def _exact_dtype(terms: int, p: int, top: int):
     return np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else object
 
 
-def _exact_reduce(prod: np.ndarray, p: int, K: int) -> np.ndarray:
-    """An exact float or Python-integer product, mod p^K in int64."""
-    if prod.dtype.kind == "f":
-        prod = prod.astype(np.int64)
-    return np.asarray(_reduce(prod, p, K), dtype=np.int64)
+# the signed integer dtypes narrower than int64, with their largest values
+_NARROW = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.int8, np.int16, np.int32))
+_INT8 = _NARROW[0][0]  # classical coefficients, below p <= 13
+
+
+def _int_dtype(top: int) -> np.dtype:
+    """The narrowest signed integer dtype with room for top, int64 past int32."""
+    return next((t for t, most in _NARROW if top <= most), np.dtype(np.int64))
+
+
+@lru_cache(maxsize=None)
+def _table_dtype(p: int, K: int) -> np.dtype:
+    """The dtype of value tables over p^K: room for p^(K+1), so that a table,
+    a difference of two tables and a table times p all fit.  A narrow table
+    is only added, subtracted, reduced or compared: NumPy keeps int8 * int
+    in int8, so a product is formed in a type with room for it."""
+    return _int_dtype(p ** (K + 1))
+
+
+def _narrow(x: np.ndarray, p: int, K: int, dt: np.dtype) -> np.ndarray:
+    """x mod p^K, C-contiguous in dt, which holds p^K, for an integer,
+    Python-integer or exact float array.  The reduction runs in x's own
+    integer type when it is as wide as dt, exact since the residue fits; in
+    int32 for a float32 product, below 2^24 as _exact_dtype picks it; else
+    in int64."""
+    if x.dtype.char == "f" and dt.itemsize <= 4:
+        x = x.astype(np.int32)
+    elif x.dtype.kind not in "iuO" or x.dtype.itemsize < dt.itemsize:
+        x = x.astype(np.int64)
+    return _reduce(x, p, K).astype(dt, order="C", copy=False)
 
 
 def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
     """Monomial coefficients of F_p-valued tables, per-axis interpolation.
 
-    Tables have shape (N, ...), the table axis first.  Returns an array of
-    the same shape; entry at index e is the coefficient of
-    prod |x_t|^(digit_t(e)).  N = p^n is checked against SPACE_CAP before
-    anything is allocated.  At odd p the per-axis products run in float64
-    and reduce mod p once at the end: after t axes the entries stay below
+    Tables have shape (N, ...), the table axis first, of any integer type.
+    Returns an int8 array of the same shape; entry at index e is the
+    coefficient of prod |x_t|^(digit_t(e)).  N = p^n is checked against
+    SPACE_CAP before anything is allocated.  At odd p the per-axis products
+    run in float32 while (p-1)(p(p-1))^n < 2^24, else in float64, and reduce
+    mod p once at the end: after t axes the entries stay below
     (p-1)(p(p-1))^t, and inside the cap that is below 2^53 (1.7e14 at
     p = 13, n = 6).
     """
     N = p**n
     check_budget(N, SPACE_CAP, "classical_coeffs")
-    arr = np.ascontiguousarray(_reduce(np.asarray(table, dtype=np.int64), p, 1))
+    arr = _narrow(np.asarray(table), p, 1, _INT8)  # a fresh array
     shape = arr.shape
     arr = arr.reshape(N, -1)
     if p == 2:
@@ -163,11 +194,12 @@ def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
             view = arr.reshape(N >> (ax + 1), 2, -1)
             view[:, 1] ^= view[:, 0]
         return arr.reshape(shape)
-    Minv = _inverse_vandermonde(p).astype(np.float64)
-    arr = arr.astype(np.float64)
+    fdt = _exact_dtype(N, p, (p - 1) ** n)  # (p-1)(p(p-1))^n bounds the chain
+    Minv = _inverse_vandermonde(p).astype(fdt)
+    arr = arr.astype(fdt)
     for ax in range(n):
         arr = np.matmul(Minv, arr.reshape(N // p ** (ax + 1), p, -1))
-    return _reduce(arr.astype(np.int64), p, 1).reshape(shape)
+    return _narrow(arr, p, 1, _INT8).reshape(shape)
 
 
 def _matrix_dtypes(p: int, n: int, modulus: int) -> tuple:
@@ -212,7 +244,8 @@ def eval_layer_tables(
     p: int, n: int, coeffs: np.ndarray, depth: int, K: int
 ) -> np.ndarray:
     """Numerators over p^K of sum_e coeffs[e, ...]/p^(depth+1) * monomial_e,
-    for coefficients in [0, p), with the table axis first."""
+    for coefficients in [0, p), with the table axis first, in
+    _table_dtype(p, K)."""
     m, exact = _shared_modulus(p, n)  # M mod p^D serves layers with p^(depth+1) | p^D
     if not exact and p ** (depth + 1) > m:
         m = p ** (depth + 1)
@@ -220,8 +253,11 @@ def eval_layer_tables(
             m = p ** (n * (p - 1))  # matrix, as no monomial value reaches this
     M = _monomial_matrix(p, n, m)
     coeffs = np.asarray(coeffs)
-    vals = _exact_reduce(M @ coeffs.reshape(len(M), -1).astype(M.dtype), p, depth + 1)
-    return vals.reshape(coeffs.shape) * p ** (K - 1 - depth)
+    vals = _narrow(M @ coeffs.reshape(len(M), -1).astype(M.dtype), p, depth + 1,
+                   _table_dtype(p, K))
+    if K - 1 - depth:
+        vals *= p ** (K - 1 - depth)  # below p^K
+    return vals.reshape(coeffs.shape)
 
 
 def slot_degrees(p: int, n: int, K: int) -> np.ndarray:
@@ -239,38 +275,38 @@ def interpolate_tables(
     isolates the depth-j terms as a classical layer, which is solved by
     digit-wise finite-difference interpolation and subtracted.
 
-    Returns (alpha numerators over p^K, coefficient array of shape
-    (..., K, N)).  Raises NotPolynomialError when a table has no canonical
-    form.
+    Returns (alpha numerators over p^K in _table_dtype(p, K), int8
+    coefficient array of shape (..., K, N)).  Raises NotPolynomialError
+    when a table has no canonical form.
     """
     N = space(p, n).size
-    nums = np.asarray(nums, dtype=np.int64)
+    nums = np.asarray(nums)
     lead = nums.shape[:-1]
-    nums = np.ascontiguousarray(nums.reshape(-1, N).T)  # table axis first
-    alpha = _reduce(nums[0], p, K)
+    # table axis first, reduced mod p^K in _table_dtype(p, K)
+    nums = _narrow(nums, p, K, _table_dtype(p, K))
+    nums = np.ascontiguousarray(nums.reshape(-1, N).T)
+    alpha = nums[0]
     resid = _reduce(nums - alpha, p, K)
-    C = np.zeros((K, N, nums.shape[1]), dtype=np.int64)
+    C = np.zeros((K, N, nums.shape[1]), dtype=np.int8)
     for j in range(K - 1, -1, -1):
         C[j] = classical_coeffs(p, n, resid // p ** (K - 1 - j))
-        resid = _reduce(resid - eval_layer_tables(p, n, C[j], j, K), p, K)
+        resid -= eval_layer_tables(p, n, C[j], j, K)  # inside (-p^K, p^K)
+        resid = _reduce(resid, p, K)
     if resid.any():
         raise NotPolynomialError("table does not reduce to a canonical form")
     return alpha.reshape(lead), C.transpose(2, 0, 1).reshape(*lead, K, N)
 
 
 def degrees_from_coeffs(p: int, n: int, alpha: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Batched degree read-off: max slot degree, 0 for constants, -inf for 0."""
+    """Batched degree read-off: max slot degree, 0 for constants, -inf for 0.
+    Slots weigh degree + 1 in the narrowest type that holds the largest."""
     K = C.shape[-2]
-    degs = slot_degrees(p, n, K).reshape(-1)
-    flatC = C.reshape(*C.shape[:-2], -1)
-    present = flatC != 0
-    out = np.where(
-        present.any(axis=-1),
-        np.max(np.where(present, degs, -1), axis=-1, initial=-1),
-        np.where(np.asarray(alpha) != 0, 0, -1),
-    ).astype(float)
-    out[out < 0] = NEG_INF
-    return out
+    # degree + 1 of each slot, at most (n + K - 1)(p - 1) + 1
+    weights = slot_degrees(p, n, K).reshape(-1) + 1
+    weights = weights.astype(_int_dtype((n + K - 1) * (p - 1) + 1))
+    # degree + 1 of the top slot present, 0 where none is
+    top = np.max((C.reshape(*C.shape[:-2], -1) != 0) * weights, axis=-1, initial=0)
+    return np.where(top > 0, top - 1, np.where(np.asarray(alpha) != 0, 0, NEG_INF))
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +366,14 @@ class CanonicalForm:
         K = self.table_exponent()
         _check_table_exponent(p, K)
         nums = np.full(sp.size, self.alpha.num * p ** (K - self.alpha.exp),
-                       dtype=np.int64)
+                       dtype=_table_dtype(p, K))
         C = np.zeros((K, sp.size), dtype=np.int64)
         exps = np.array([e for e, _ in self.terms], dtype=np.int64).reshape(
             len(self.terms), self.n)
         C[[j for _, j in self.terms],
           exps @ p ** np.arange(self.n, dtype=np.int64)] = list(self.terms.values())
-        for j in np.flatnonzero(C.any(axis=1)):
-            layer = eval_layer_tables(p, self.n, C[j], int(j), K)
+        for j in sorted({j for _, j in self.terms}):  # every stored digit is nonzero
+            layer = eval_layer_tables(p, self.n, C[j], j, K)
             # nums - (p^K - layer) stays inside (-p^K, p^K) where a sum could wrap
             nums = _reduce(nums - (p**K - layer), p, K)
         return nums, K
@@ -715,6 +751,8 @@ def _slot_basis(p: int, n: int, slots: tuple[tuple[tuple[int, ...], int], ...],
 def eval_slot_batches(
     p: int, n: int, slots: Sequence[tuple[tuple[int, ...], int]], coeffs: np.ndarray, K: int
 ) -> np.ndarray:
-    """Value tables (numerators over p^K) for a batch of coefficient rows."""
+    """Value tables (numerators over p^K, in _table_dtype(p, K)) for a batch
+    of coefficient rows."""
     basis = _slot_basis(p, n, tuple(slots), K)
-    return _exact_reduce(coeffs.astype(basis.dtype) @ basis, p, K)
+    return _narrow(coeffs.astype(basis.dtype) @ basis, p, K,
+                   _table_dtype(p, K))

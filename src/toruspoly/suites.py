@@ -179,8 +179,10 @@ class SuiteReport:
 def _suite_lucas(report: SuiteReport, rng, budget=None, *, n=10, k=10):
     # one table of S_0..S_min(k, dim) for each dim <= n, built in dim passes;
     # its columns, made contiguous, and the zero table as each S_j, j > dim,
-    # stand for S_0..S_k.  Past POWER_BITS a lower bound stands in for the cost
-    check_budget(k * n * 2 ** (min(n, POWER_BITS) + 1), budget, "_suite_lucas")
+    # stand for S_0..S_k: min(k, n) n 2^(n+1) to build, k 2^(n+1) to compare.
+    # Past POWER_BITS a lower bound stands in for the cost
+    check_budget((min(k, n) * n + k) * 2 ** (min(n, POWER_BITS) + 1), budget,
+                 "_suite_lucas")
     for dim in range(1, n + 1):
         S = catalog.S_table(dim, min(k, dim))
         S = [*S.T.copy(), *[np.zeros(len(S), S.dtype)] * (k - dim)]
@@ -502,7 +504,9 @@ def _exhaustive_poly_scan(p: int, n: int, d: int,
         root_degs = degrees_from_coeffs(p, n, r_alpha, r_C)
         ok_bound = (root_degs <= degs + (p - 1)) | (degs < 0)
         # value-count bound: p^(floor((d-1)/(p-1)) + 1) distinct values
-        sorted_tables = np.sort(tables, axis=1)
+        # numpy sorts short int8 and int16 rows several times slower than int32
+        sorted_tables = np.sort(tables.astype(np.promote_types(tables.dtype, np.int32)),
+                                axis=1)
         distinct = 1 + (np.diff(sorted_tables, axis=1) != 0).sum(axis=1)
         cap = np.where(degs >= 1, p ** _depth_count(p, degs), 1)
         ok_values = distinct <= np.maximum(cap, 1)
@@ -518,9 +522,27 @@ _ROOT_GRIDS = tuple([(2, n, d) for n in range(1, 4) for d in range(0, 5)]
                     + [(3, n, d) for n in range(1, 3) for d in range(0, 4)])
 
 
+def _grid_cells(grids) -> list[list[int]]:
+    """The roots suite's (p, n, d) cells, each three integers by json_int's
+    rule (no bool, no float), all read before the first scan; the first that
+    is not raises ValueError naming it."""
+    cells = []
+    for cell in grids if isinstance(grids, (list, tuple)) else [grids]:
+        try:
+            value = json_int({"cell": list(cell)}, "cell")
+        except (TypeError, ValueError):  # not a list, or a bool or float in it
+            value = None
+        if not (isinstance(value, list) and len(value) == 3
+                and all(type(v) is int for v in value)):
+            raise ValueError(f"suite 'roots': grid cell {cell!r} is not three "
+                             "integers [p, n, d]")
+        cells.append(value)
+    return cells
+
+
 def _suite_roots(report: SuiteReport, rng, budget=None, *,
                  grids=_ROOT_GRIDS, random_trials=500, weighted_trials=300):
-    for p, n, d in grids:
+    for p, n, d in _grid_cells(grids):
         res = _exhaustive_poly_scan(p, n, d, budget)
         report.add("root-roundtrip-exhaustive", {"p": p, "n": n, "d": d},
                    res["root_fail"] == 0 and res["bound_fail"] == 0,

@@ -494,6 +494,37 @@ class TestCli:
             f"budget exceeded: _exhaustive_poly_scan: estimated cost {2**47} "
             "exceeds budget 1000\n")
 
+    # a grid cell is three integers by json_int's rule; every cell is read
+    # before the first scan, so a bad second cell leaves no record
+    @pytest.mark.parametrize("grids,cell", [
+        ("[[2,2,true]]", "[2, 2, True]"), ("[[2,2,2.0]]", "[2, 2, 2.0]"),
+        ("[[2,3]]", "[2, 3]"), ("[[2,1,1],[2,3]]", "[2, 3]")])
+    def test_verify_roots_bad_grid_cell_exit_2(self, grids, cell, monkeypatch,
+                                               capsys):
+        added = []
+        monkeypatch.setattr(suites.SuiteReport, "add",
+                            lambda self, *args, **kw: added.append(args))
+        code, out = run_cli("verify", "roots", "--param", f"grids={grids}",
+                            "--param", "random_trials=0",
+                            "--param", "weighted_trials=0")
+        assert (code, out, added) == (2, "", [])
+        assert capsys.readouterr().err == (
+            f"error: suite 'roots': grid cell {cell} is not three integers "
+            "[p, n, d]\n")
+
+    # lucas builds min(k, n) columns per dimension and compares k tables:
+    # (16 * 16 + 2000) * 2^17 = 295,698,432, where k * n * 2^17 was 4.2e9
+    def test_verify_lucas_budget_counts_built_columns(self, capsys):
+        code, out = run_cli("verify", "lucas", "--param", "n=16", "--param",
+                            "k=2000", "--budget", "1000000000")
+        assert code == 0 and json.loads(out)["passed"]
+        code, out = run_cli("verify", "lucas", "--param", "n=16", "--param",
+                            "k=2000", "--budget", "100000000")
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.endswith(
+            "budget exceeded: _suite_lucas: estimated cost 295698432 exceeds "
+            "budget 100000000\n")
+
     def test_verify_params_are_json_literals(self):
         code, out = run_cli("verify", "gowers-props", "--json",
                             "--param", "count=2", "--param", "tol=1e-6")

@@ -18,7 +18,7 @@ from toruspoly.core import (
     TorusValue,
     space,
 )
-from toruspoly import poly
+from toruspoly import poly, suites
 from toruspoly.poly import (
     CanonicalForm,
     NCPoly,
@@ -419,7 +419,7 @@ class TestExactProducts:
         (modulus, got), = matrix_requests
         top = min(modulus - 1, (p - 1) ** (n * (p - 1)))
         assert _ladder(N * (p - 1) * top) is dtype and got == dtype
-        assert tables.dtype == np.int64 and tables.shape == (N, 4)
+        assert tables.dtype == poly._table_dtype(p, K) and tables.shape == (N, 4)
         _assert_tables_match_forms(p, n, tables, K, forms)
 
     # S(p-1)(p^K - 1) is 2^24 - 8 at (2, 21, 8), 1.3e7 at (13, 5, 3),
@@ -441,7 +441,7 @@ class TestExactProducts:
         coeffs = np.array([[rng.below(p) for _ in slots] for _ in range(5)])
         coeffs[0] = p - 1
         tables = eval_slot_batches(p, n, slots, coeffs, K)
-        assert tables.dtype == np.int64
+        assert tables.dtype == poly._table_dtype(p, K)
         forms = [CanonicalForm(p, n, TorusValue.zero(p),
                                {s: int(c) for s, c in zip(slots, row)})
                  for row in coeffs]
@@ -574,7 +574,7 @@ class TestClassicalCoeffs:
         table = np.array([[rng.below(3 * p) - p for _ in range(5)]
                           for _ in range(p**n)], dtype=np.int64)
         coeffs = poly.classical_coeffs(p, n, table)
-        assert coeffs.dtype == np.int64 and coeffs.shape == table.shape
+        assert coeffs.dtype == np.int8 and coeffs.shape == table.shape
         assert ((0 <= coeffs) & (coeffs < p)).all()
         assert np.array_equal(_coefficient_oracle(p, n, table)(coeffs), table % p)
 
@@ -584,6 +584,91 @@ class TestClassicalCoeffs:
         # table inside SPACE_CAP has n axes
         n = max(n for n in range(1, 25) if p**n <= SPACE_CAP)
         assert (p - 1) * (p * (p - 1)) ** n < 1 << 53
+
+
+# The last K of each rung of _table_dtype and the first K of the next, which
+# holds p^(K+1) where the rung below does not: 2^6, 3^4 and 13 are at most
+# 2^7 - 1; 2^14, 3^9 and 13^4 at most 2^15 - 1; 2^30, 3^19 and 13^8 at most
+# 2^31 - 1.  F_p^2 at p = 2, 3 and F_13^1 keep the oracles short.
+_RUNGS = (np.int8, np.int16, np.int16, np.int32, np.int32, np.int64)
+_SWITCHES = {2: (5, 6, 13, 14, 29, 30), 3: (3, 4, 8, 9, 18, 19),
+             13: (0, 1, 3, 4, 7, 8)}
+_LADDER = [(p, K, dt) for p, Ks in _SWITCHES.items()
+           for K, dt in zip(Ks, _RUNGS)]
+_SOURCES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _full_range(rng, dtype, shape):
+    """Entries across dtype's whole range, its two extremes first."""
+    info = np.iinfo(dtype)
+    span = info.max - info.min + 1
+    vals = [info.min, info.max] + [info.min + int(v) % span
+                                   for v in rng.draws(int(np.prod(shape)) - 2)]
+    return np.array(vals, dtype=dtype).reshape(shape)
+
+
+class TestTableDtypeLadder:
+    """Each narrowed kernel at every switch point of _table_dtype, against
+    CanonicalForm's point evaluator: int8 and int16 wrap silently, so only
+    these comparisons would see a table that left its rung."""
+
+    @pytest.mark.parametrize("p,K,dt", _LADDER)
+    def test_rungs(self, p, K, dt):
+        assert poly._table_dtype(p, K) == dt
+        assert p ** (K + 1) <= np.iinfo(dt).max
+        if dt is not np.int8:
+            assert p ** (K + 1) > np.iinfo(_RUNGS[_RUNGS.index(dt) - 1]).max
+
+    @pytest.mark.parametrize("p,K,dt", [c for c in _LADDER if c[1]])
+    def test_layer_and_slot_tables(self, p, K, dt):
+        n = 1 if p == 13 else 2
+        # depth 0 is scaled by p^(K-1) into the table's rung
+        for depth in sorted({0, K - 1}):
+            coeffs, forms = _layer_case(p, n, depth, K)
+            tables = poly.eval_layer_tables(p, n, coeffs, depth, K)
+            assert tables.dtype == dt
+            _assert_tables_match_forms(p, n, tables, K, forms)
+        exps = [space(p, n).digits_of(e) for e in range(1, p**n)]
+        slots = [(e, j) for j in sorted({0, K - 1}) for e in exps]
+        rng = SplitMix64(K)
+        coeffs = np.array([[rng.below(p) for _ in slots] for _ in range(4)])
+        coeffs[0] = p - 1
+        tables = eval_slot_batches(p, n, slots, coeffs, K)
+        assert tables.dtype == dt
+        forms = [CanonicalForm(p, n, TorusValue.zero(p),
+                               {s: int(c) for s, c in zip(slots, row)})
+                 for row in coeffs]
+        _assert_tables_match_forms(p, n, tables.T, K, forms)
+
+    # at (13, 12) the top slot's degree + 1, 12 + 11 * 12 + 1 = 145, takes
+    # degrees_from_coeffs past int8
+    @pytest.mark.parametrize("source", _SOURCES)
+    @pytest.mark.parametrize("p,K,dt", _LADDER + [(13, 12, np.int64)])
+    def test_interpolation_of_any_integer_table(self, p, K, dt, source):
+        # every table over p^K is a polynomial, so entries negative or past
+        # p^K, in any integer type, interpolate to the table mod p^K
+        n = 1 if p == 13 else 2
+        sp = space(p, n)
+        tables = _full_range(SplitMix64(K), source, (3, sp.size))
+        alpha, C = poly.interpolate_tables(p, n, tables, K)
+        assert alpha.dtype == dt and C.dtype == np.int8
+        degrees = poly.degrees_from_coeffs(p, n, alpha, C)
+        for b in range(3):
+            cf = CanonicalForm(p, n, TorusValue(p, int(alpha[b]), K),
+                               {(sp.digits_of(int(e)), int(j)): int(C[b, j, e])
+                                for j, e in zip(*np.nonzero(C[b]))})
+            assert degrees[b] == cf.degree()
+            for x in points(p, n):
+                assert cf.eval(x) == TorusValue(p, int(tables[b, x]) % p**K, K)
+
+    @pytest.mark.parametrize("source", _SOURCES)
+    @pytest.mark.parametrize("p", [2, 3, 13])
+    def test_classical_coeffs_of_any_integer_table(self, p, source):
+        n = 1 if p == 13 else 2
+        table = _full_range(SplitMix64(p), source, (p**n, 3))
+        coeffs = poly.classical_coeffs(p, n, table)
+        assert coeffs.dtype == np.int8
+        assert np.array_equal(_coefficient_oracle(p, n, table)(coeffs), table % p)
 
 
 class TestKernelLayout:
@@ -836,6 +921,48 @@ class TestScanBlocks:
         res = _exhaustive_poly_scan(p, n, d)
         assert res == {"count": count_polys(p, n, d), "root_fail": 0,
                        "canon_fail": 0, "bound_fail": 0}
+
+    # one entry flipped by a kernel: a root entry moved by 1/p^(K+1), a
+    # table coefficient of the first slot, or the deepest, top coefficient of
+    # row 1's root (a form of degree 1, so the root's degree passes 1 + p - 1);
+    # each shows in its own counter, once
+    @pytest.mark.parametrize("counter", ["root_fail", "canon_fail",
+                                         "bound_fail"])
+    @pytest.mark.parametrize("p,n,d", [(2, 3, 3), (3, 2, 3), (5, 2, 2)])
+    def test_scan_counter_fires_on_one_flipped_entry(self, monkeypatch, p, n,
+                                                     d, counter):
+        K = poly._depth_count(p, d)
+        flips = []
+        if counter == "root_fail":
+            real_eval = suites.eval_slot_batches
+
+            def planted(p_, n_, slots, coeffs, K_):
+                tables = real_eval(p_, n_, slots, coeffs, K_)
+                if K_ == K + 1 and not flips:
+                    tables = tables.copy()
+                    tables[0, 0] = (int(tables[0, 0]) + 1) % p**K_
+                    flips.append(K_)
+                return tables
+            monkeypatch.setattr(suites, "eval_slot_batches", planted)
+        else:
+            real_interp = suites.interpolate_tables
+            target = K if counter == "canon_fail" else K + 1
+            exps, depth = canonical_slots(p, n, d)[0]
+            at = ((depth, space(p, n).index_of(exps)) if counter == "canon_fail"
+                  else (-1, -1))
+
+            def planted(p_, n_, nums, K_):
+                alpha, C = real_interp(p_, n_, nums, K_)
+                if K_ == target and not flips:
+                    C = C.copy()
+                    C[(1, *at)] = (int(C[(1, *at)]) + 1) % p
+                    flips.append(K_)
+                return alpha, C
+            monkeypatch.setattr(suites, "interpolate_tables", planted)
+        res = _exhaustive_poly_scan(p, n, d)
+        assert len(flips) == 1
+        assert res == {"count": count_polys(p, n, d), "root_fail": 0,
+                       "canon_fail": 0, "bound_fail": 0, counter: 1}
 
     def test_roots_suite_on_f_p_0(self):
         # one form (the zero one) at any degree; K = 0 keeps p^K in int64
