@@ -26,7 +26,14 @@ from .core import (
     space,
 )
 from .forms import bias, dk_extract
-from .poly import NCPoly, _enum_count, _form_poly, _form_tables
+from .poly import (
+    CanonicalForm,
+    NCPoly,
+    _enum_count,
+    _form_poly,
+    _form_tables,
+    canonical_slots,
+)
 from .rng import SplitMix64
 
 
@@ -359,15 +366,30 @@ def _random_bounded(p: int, n: int, rng: SplitMix64) -> BoundedFunction:
     return BoundedFunction(p, n, _random_disc(rng, space(p, n).size))
 
 
+def _random_coeffs(p: int, n: int, d: int, rng: SplitMix64,
+                   depth: int | None = None) -> tuple[tuple, np.ndarray, int]:
+    """The draws of _random_poly at d >= 0: the canonical slots of depth below
+    depth, one coefficient below p per slot (int8), and alpha's numerator over
+    p^2, drawn only when depth is None (else 0)."""
+    slots = canonical_slots(p, n, d)
+    if depth is not None:
+        slots = tuple(s for s in slots if s[1] < depth)
+    coeffs = (rng.draws(len(slots)) % np.uint64(p)).astype(np.int8)
+    return slots, coeffs, rng.below(p**2) if depth is None else 0
+
+
+def _coeff_poly(p: int, n: int, slots: Sequence, coeffs: np.ndarray,
+                alpha: int) -> NCPoly:
+    """alpha/p^2 plus coeffs[s]/p^(j+1) |x|^e for each slot s = (e, j),
+    evaluated from its canonical form."""
+    terms = dict(zip(slots, coeffs.tolist()))
+    return NCPoly.from_canonical(CanonicalForm(p, n, TorusValue(p, alpha, 2), terms))
+
+
 def _random_poly(p: int, n: int, d: int, rng: SplitMix64,
                  depth: int | None = None) -> NCPoly:
     """Degree <= d, one coefficient below p per canonical slot of depth below
     depth; alpha over p^2 is drawn only when depth is None, keeping them all."""
-    from .poly import CanonicalForm, canonical_slots
     if d < 0:
         return NCPoly.zero(p, n)
-    slots = [s for s in canonical_slots(p, n, d) if depth is None or s[1] < depth]
-    terms = dict(zip(slots, (rng.draws(len(slots)) % np.uint64(p)).tolist()))
-    alpha = (TorusValue(p, rng.below(p**2), 2) if depth is None
-             else TorusValue.zero(p))
-    return NCPoly.from_canonical(CanonicalForm(p, n, alpha, terms))
+    return _coeff_poly(p, n, *_random_coeffs(p, n, d, rng, depth))

@@ -7,7 +7,6 @@ bit-identical for every thread count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -24,5 +23,7 @@ def chunk_ranges(rng: range, workers: int) -> list[range]:
 def ordered_map(fn: Callable[[range], T], chunks: Sequence[range], threads: int) -> list[T]:
     if threads <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    # imported here: only a threaded map needs it, and it slows every import
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, chunks))

@@ -56,9 +56,11 @@ from .forms import (
 )
 from .norms import (
     BoundedFunction,
+    _coeff_poly,
     _cube_product,
     _gowers_power_direct,
     _random_bounded,
+    _random_coeffs,
     _random_disc,
     _random_poly,
     conditional_expectation,
@@ -67,6 +69,7 @@ from .norms import (
     gowers_power_exact,
 )
 from .poly import (
+    NCPoly,
     _depth_count,
     _reduce,
     canonical_slots,
@@ -74,7 +77,6 @@ from .poly import (
     degrees_from_coeffs,
     eval_slot_batches,
     interpolate_tables,
-    normalize_tables,
     slot_degrees,
 )
 from .rng import ALGORITHM, SplitMix64
@@ -82,6 +84,7 @@ from .weighted import (
     Factor,
     WeightedPoly,
     binomial_expand,
+    eval_stacked,
     periodicity_check,
     weighted_degree,
 )
@@ -471,49 +474,88 @@ def _suite_dkp(report: SuiteReport, rng, *, n=3):
 # exhaustive root / canonical-form suite
 
 
+@lru_cache(maxsize=64)
+def _slot_layout(p: int, n: int, d: int) -> tuple:
+    """(K, slots, root slots, depth and index of each slot, slot degrees) of
+    the degree <= d canonical forms on F_p^n, shared by every block."""
+    K = _depth_count(p, d) if n else 0  # F_p^0 has no slots at any degree
+    slots = canonical_slots(p, n, d)
+    depths = np.array([j for _, j in slots], dtype=np.intp)
+    indices = np.array([space(p, n).index_of(e) for e, _ in slots], dtype=np.intp)
+    return (K, slots, tuple((e, j + 1) for e, j in slots), depths, indices,
+            slot_degrees(p, n, K)[depths, indices])
+
+
+def _root_block_check(p: int, n: int, d: int, coeffs: np.ndarray,
+                      alpha: np.ndarray | None = None) -> tuple:
+    """The roots checks on a block of degree <= d forms P on F_p^n, one row
+    of coefficients per form over canonical_slots(p, n, d), plus alpha/p^2
+    when alpha, a column of numerators below p^2, is given.
+
+    P's tables are over p^K, K = _depth_count(p, d) (at least 2 with alpha),
+    and those of its canonical root, from the depth-shifted slots, over
+    p^(K+1).  Returns (ok, K, tables, roots, root degrees), ok a (3, rows)
+    boolean array:
+      ok[0]  p * root reproduces P's table exactly;
+      ok[1]  interpolating P's table gives back its coefficients and alpha;
+      ok[2]  the root, re-interpolated, has degree <= deg P + p - 1 (P not
+             0), and P takes at most p^(floor((deg P - 1)/(p - 1)) + 1)
+             values.
+    """
+    K, slots, root_slots, depths, indices, slot_deg = _slot_layout(p, n, d)
+    degs = (np.max(np.where(coeffs != 0, slot_deg[None, :], -1), axis=1)
+            if slots else np.full(len(coeffs), -1, dtype=np.int64))
+    want_alpha = 0
+    if alpha is not None:
+        K = max(K, 2)
+        # alpha/p^2 over p^K and the root's alpha/p^3 over p^(K+1) share
+        # one numerator; a nonzero constant alone has degree 0
+        want_alpha = alpha * p ** (K - 2)
+        degs[(degs < 0) & (want_alpha != 0)] = 0
+    tables = eval_slot_batches(p, n, slots, coeffs, K)
+    roots = eval_slot_batches(p, n, root_slots, coeffs, K + 1)
+    if alpha is not None:
+        tables = _reduce(tables + want_alpha[:, None].astype(tables.dtype), p, K)
+        roots = _reduce(roots + want_alpha[:, None].astype(roots.dtype), p, K + 1)
+    ok_root = (_reduce(roots * p, p, K + 1) == tables * p).all(axis=1)
+    a, C = interpolate_tables(p, n, tables, K)
+    if slots:
+        ok_canon = (C[:, depths, indices] == coeffs).all(axis=1) & (a == want_alpha)
+    else:
+        ok_canon = (a == want_alpha) & ~C.reshape(len(coeffs), -1).any(axis=1)
+    r_alpha, r_C = interpolate_tables(p, n, roots, K + 1)
+    root_degs = degrees_from_coeffs(p, n, r_alpha, r_C)
+    ok_bound = (root_degs <= degs + (p - 1)) | (degs < 0)
+    # numpy sorts short int8 and int16 rows several times slower than int32
+    sorted_tables = np.sort(tables.astype(np.promote_types(tables.dtype, np.int32)),
+                            axis=1)
+    distinct = 1 + (np.diff(sorted_tables, axis=1) != 0).sum(axis=1)
+    cap = np.where(degs >= 1, p ** _depth_count(p, degs), 1)
+    ok_values = distinct <= np.maximum(cap, 1)
+    return (np.stack([ok_root, ok_canon, ok_bound & ok_values]), K, tables,
+            roots, root_degs)
+
+
+def _scan_cost(p: int, n: int, d: int) -> int:
+    """The exhaustive scan's work on a cell: p^(slots) forms times p^n points."""
+    return p ** len(canonical_slots(p, n, d)) * space(p, n).size
+
+
 def _exhaustive_poly_scan(p: int, n: int, d: int,
                           budget: int | None = None) -> dict:
     """Root round-trips, canonical round-trips, and the value-count bound
-    over every degree <= d canonical form (modulo constants), batched; the
-    cell's p^(slots) forms times p^n points are checked against budget."""
-    sp = space(p, n)
-    K = _depth_count(p, d) if n else 0  # F_p^0 has no slots at any degree
-    # once per cell: every block shares the slots
-    slots = canonical_slots(p, n, d)
-    check_budget(p ** len(slots) * sp.size, budget, "_exhaustive_poly_scan")
-    root_slots = [(e, j + 1) for (e, j) in slots]
-    depths = np.array([j for _, j in slots], dtype=np.intp)
-    indices = np.array([sp.index_of(e) for e, _ in slots], dtype=np.intp)
-    slot_deg = slot_degrees(p, n, K)[depths, indices]
+    over every degree <= d canonical form (modulo constants), one
+    _root_block_check per block.  The cell's cost is checked against budget,
+    or without one against the costliest cell of _ROOT_GRIDS."""
+    if budget is None:
+        budget = max(_scan_cost(*cell) for cell in _ROOT_GRIDS)
+    check_budget(_scan_cost(p, n, d), budget, "_exhaustive_poly_scan")
     out = {"count": 0, "root_fail": 0, "canon_fail": 0, "bound_fail": 0}
     for _, codes, coeffs in coefficient_batches(p, n, d):
-        tables = eval_slot_batches(p, n, slots, coeffs, K)
-        roots = eval_slot_batches(p, n, root_slots, coeffs, K + 1)
-        # p * root reproduces the table exactly
-        ok_root = (_reduce(roots * p, p, K + 1) == tables * p).all(axis=1)
-        # canonical round-trip: interpolation recovers the same coefficients
-        alpha, C = interpolate_tables(p, n, tables, K)
-        if slots:
-            ok_canon = (C[:, depths, indices] == coeffs).all(axis=1) & (alpha == 0)
-        else:
-            ok_canon = (alpha == 0) & ~C.reshape(len(codes), -1).any(axis=1)
-        # degree of the root stays within deg + p - 1 (via re-interpolation)
-        degs = (np.max(np.where(coeffs != 0, slot_deg[None, :], -1), axis=1)
-                if slots else np.full(len(codes), -1, dtype=np.int64))
-        r_alpha, r_C = interpolate_tables(p, n, roots, K + 1)
-        root_degs = degrees_from_coeffs(p, n, r_alpha, r_C)
-        ok_bound = (root_degs <= degs + (p - 1)) | (degs < 0)
-        # value-count bound: p^(floor((d-1)/(p-1)) + 1) distinct values
-        # numpy sorts short int8 and int16 rows several times slower than int32
-        sorted_tables = np.sort(tables.astype(np.promote_types(tables.dtype, np.int32)),
-                                axis=1)
-        distinct = 1 + (np.diff(sorted_tables, axis=1) != 0).sum(axis=1)
-        cap = np.where(degs >= 1, p ** _depth_count(p, degs), 1)
-        ok_values = distinct <= np.maximum(cap, 1)
+        fails = (~_root_block_check(p, n, d, coeffs)[0]).sum(axis=1).tolist()
         out["count"] += len(codes)
-        out["root_fail"] += int((~ok_root).sum())
-        out["canon_fail"] += int((~ok_canon).sum())
-        out["bound_fail"] += int((~(ok_bound & ok_values)).sum())
+        for key, count in zip(("root_fail", "canon_fail", "bound_fail"), fails):
+            out[key] += count
     return out
 
 
@@ -550,29 +592,43 @@ def _suite_roots(report: SuiteReport, rng, budget=None, *,
         report.add("canonical-roundtrip-exhaustive",
                    {"p": p, "n": n, "d": d}, res["canon_fail"] == 0,
                    polynomials=res["count"])
-    # random larger cases through the object-level path
-    fails = 0
-    for t in range(random_trials):
+    # random forms with alpha/p^2, drawn as _random_poly draws them and
+    # stacked per (p, n, d) through the block check; each group's first row
+    # also takes the object path, which must agree with its block row
+    groups: dict[tuple, list] = {}
+    for _ in range(random_trials):
         p = (2, 3, 5)[rng.below(3)]
         n = 1 + rng.below(4 if p == 2 else 2)
         d = 1 + rng.below(5 if p == 2 else 4)
-        P = _random_poly(p, n, d, rng)
-        R = P.pth_root()
-        if R.mul_by_p() != P or R.degree() > max(P.degree(), 0) + p - 1:
-            fails += 1
-    report.add("root-roundtrip-random", {"trials": random_trials}, fails == 0)
-    # weighted roots
+        groups.setdefault((p, n, d), []).append(_random_coeffs(p, n, d, rng)[1:])
     fails = 0
-    for t in range(weighted_trials):
+    for (p, n, d), rows in groups.items():
+        coeffs = np.stack([c for c, _ in rows])
+        alpha = np.array([a for _, a in rows], dtype=np.int64)
+        ok, K, tables, roots, root_degs = _root_block_check(p, n, d, coeffs, alpha)
+        P = _coeff_poly(p, n, canonical_slots(p, n, d), coeffs[0], rows[0][1])
+        R = P.pth_root()
+        fails += int((~ok).sum()) + (not (
+            P == NCPoly(p, n, tables[0], K) and R == NCPoly(p, n, roots[0], K + 1)
+            and R.mul_by_p() == P and R.degree() == root_degs[0]))
+    report.add("root-roundtrip-random", {"trials": random_trials}, fails == 0)
+    # weighted roots g of wp, stacked per (p, m, box) with box = min(period, 9)
+    # per axis of g: p * g - wp vanishes on the box, each row from its own
+    # terms, one evaluation per group
+    groups = {}
+    fails = 0
+    for _ in range(weighted_trials):
         wp = _weighted_case(rng, (4, 4))
         g = wp.pth_root()
-        pts = np.indices([min(s, 9) for s in g.periods()]).reshape(wp.m, -1).T
-        # p*g over p^(K-1) against wp, both normalised on the same box
-        pg, pg_K = normalize_tables(g.eval_nums(pts), max(g.exponent() - 1, 0), wp.p)
-        want, want_K = normalize_tables(wp.eval_nums(pts), wp.exponent(), wp.p)
-        ok = (weighted_degree(g) <= max(wp.degree(), 0) + wp.p - 1
-              and pg_K == want_K and np.array_equal(pg, want))
-        fails += not ok
+        fails += not weighted_degree(g) <= max(wp.degree(), 0) + wp.p - 1
+        box = tuple(min(s, 9) for s in g.periods())
+        groups.setdefault((wp.p, wp.m, box), []).append((g, wp))
+    for (p, m, box), pairs in groups.items():
+        K = max(g.exponent() for g, _ in pairs)
+        pts = np.indices(box).reshape(m, -1).T
+        vals = eval_stacked([g for g, _ in pairs] + [wp for _, wp in pairs], K, pts)
+        diff = (vals[:len(pairs)] * p - vals[len(pairs):]) % p**K
+        fails += int((diff != 0).any(axis=1).sum())
     report.add("weighted-root-roundtrip", {"trials": weighted_trials},
                fails == 0)
 

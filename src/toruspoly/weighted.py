@@ -8,9 +8,10 @@ alpha + sum c/p^(r+1) binom(x_1, i_1) ... binom(x_m, i_m) over terms with
 soon as D_i + j(p-1) > d, and they admit p-th roots by the denominator
 shift r -> r+1 at the cost of p-1 degrees.
 
-Every evaluation goes through one batched kernel, WeightedPoly.eval_nums:
-the numerators over p^K at an (M, m) array of points.  tabulate,
-periodicity_check and Factor.pullback are calls of it.
+Every evaluation goes through one batched kernel, eval_stacked: the
+numerators over p^K of stacked polynomials at an (M, m) array of points.
+WeightedPoly.eval_nums is its one-row call, and tabulate, periodicity_check
+and Factor.pullback are calls of that.
 
 The inverse direction is one Newton transform, binomial_expand.  On a
 table with values in (1/p^K)Z/Z and period box_t = p^e along axis t, the
@@ -92,37 +93,8 @@ class WeightedPoly:
 
     def eval_nums(self, points) -> np.ndarray:
         """Numerators over p^K (K = exponent()) at each row of an (M, m)
-        integer array of points, which may be negative or off the period.
-
-        binom(x_t, i) mod p^K is built once per distinct coordinate; every
-        product is reduced, so int64 holds it when p^(2K) < 2^63 and Python
-        integers (dtype object) carry the same code beyond that.
-        """
-        p, K = self.p, self.exponent()
-        mod = p**K
-        pts = np.asarray(points)  # dtype object past 64-bit coordinates
-        if pts.ndim != 2 or pts.shape[1] != self.m:
-            raise ValueError(f"need an (M, {self.m}) array of points")
-        terms = list(self.terms.items())
-        exps = np.array([i for (i, _), _ in terms],
-                        dtype=np.int64).reshape(len(terms), self.m)
-        dtype = np.int64 if mod * max(mod, len(terms) + 1) < 1 << 63 \
-            else object
-        mono = np.ones((len(pts), len(terms)), dtype=dtype)
-        for t in range(self.m):
-            top = int(exps[:, t].max(initial=0))
-            if top == 0:
-                continue
-            coords, inv = np.unique(pts[:, t], return_inverse=True)
-            cols = np.array([[(math.comb(u, i) if u >= 0 else gen_binom(u, i))
-                              % mod for i in range(top + 1)]
-                             for u in coords.tolist()],
-                            dtype=dtype).reshape(len(coords), top + 1)
-            mono = mono * cols[inv.reshape(-1)][:, exps[:, t]] % mod
-        coefs = np.array([c * p ** (K - 1 - r) % mod for (_, r), c in terms],
-                         dtype=dtype)
-        const = self.alpha.num * p ** (K - self.alpha.exp) % mod
-        return ((mono * coefs % mod).sum(axis=1, dtype=dtype) + const) % mod
+        integer array of points: the one row of eval_stacked([self], K)."""
+        return eval_stacked([self], self.exponent(), points)[0]
 
     def pth_root(self) -> "WeightedPoly":
         """p*root = self; per-term denominator shift, degree cost p-1."""
@@ -178,6 +150,57 @@ class WeightedPoly:
 
     def __repr__(self) -> str:
         return f"WeightedPoly(p={self.p}, D={self.D}, {len(self.terms)} terms)"
+
+
+def eval_stacked(polys: Sequence[WeightedPoly], K: int, points) -> np.ndarray:
+    """Numerators over p^K of each polynomial (a row) at each row of an
+    (M, m) integer array of points (a column), which may be negative or off
+    the period.  The polynomials share p and m, and K is at least each one's
+    exponent().
+
+    Each polynomial is one row of coefficients c p^(K-1-r) mod p^K on the
+    union of their exponent vectors.  binom(x_t, i) mod p^K is built once
+    per distinct coordinate.  The dtype is int64 when p^K * max(p^K, T + 1)
+    < 2^63 for the union's T terms, else Python integers (dtype object),
+    which run the same code.  Rows are summed by one matrix product when
+    that is exact (dtype object, or T (p^K - 1)^2 < 2^63), else with each
+    product reduced mod p^K first.
+    """
+    p, m = polys[0].p, polys[0].m
+    mod = p**K
+    pts = np.asarray(points)  # dtype object past 64-bit coordinates
+    if pts.ndim != 2 or pts.shape[1] != m:
+        raise ValueError(f"need an (M, {m}) array of points")
+    if any((w.p, w.m) != (p, m) or w.exponent() > K for w in polys):
+        raise ValueError(f"need polynomials on one (p, m) = ({p}, {m}), each "
+                         f"with values in (1/p^{K})Z/Z")
+    union = {i: t for t, i in enumerate(dict.fromkeys(
+        i for w in polys for i, _ in w.terms))}
+    exps = np.array(list(union), dtype=np.int64).reshape(len(union), m)
+    dtype = np.int64 if mod * max(mod, len(union) + 1) < 1 << 63 else object
+    rows = [[0] * len(union) for _ in polys]
+    for row, w in zip(rows, polys):
+        for (i, r), c in w.terms.items():
+            row[union[i]] = (row[union[i]] + c * p ** (K - 1 - r)) % mod
+    coefs = np.array(rows, dtype=dtype).reshape(len(polys), len(union))
+    consts = np.array([w.alpha.num * p ** (K - w.alpha.exp) % mod
+                       for w in polys], dtype=dtype)
+    mono = np.ones((len(pts), len(union)), dtype=dtype)
+    for t in range(m):
+        top = int(exps[:, t].max(initial=0))
+        if top == 0:
+            continue
+        coords, inv = np.unique(pts[:, t], return_inverse=True)
+        cols = np.array([[(math.comb(u, i) if u >= 0 else gen_binom(u, i))
+                          % mod for i in range(top + 1)]
+                         for u in coords.tolist()],
+                        dtype=dtype).reshape(len(coords), top + 1)
+        mono = mono * cols[inv.reshape(-1)][:, exps[:, t]] % mod
+    if dtype is object or len(union) * (mod - 1) ** 2 < 1 << 63:
+        vals = coefs @ mono.T  # exact: every sum of products fits
+    else:  # each product reduced first, so that T residues sum below 2^63
+        vals = (mono * coefs[:, None, :] % mod).sum(axis=2, dtype=dtype)
+    return (vals + consts[:, None]) % mod
 
 
 def _box_points(shape: Sequence[int]) -> np.ndarray:

@@ -494,6 +494,20 @@ class TestCli:
             f"budget exceeded: _exhaustive_poly_scan: estimated cost {2**47} "
             "exceeds budget 1000\n")
 
+    def test_verify_roots_without_budget_caps_the_scan(self, monkeypatch,
+                                                      capsys):
+        # (13, 1, 40) is 13^40 forms: without --budget the scan is held to
+        # its costliest default cell, (2, 3, 4) at 2^23 forms on 8 points,
+        # and refused before a block is formed
+        monkeypatch.setattr(suites, "coefficient_batches", None)
+        code, out = run_cli("verify", "roots", "--param", "grids=[[13,1,40]]",
+                            "--param", "random_trials=0",
+                            "--param", "weighted_trials=0")
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            "budget exceeded: _exhaustive_poly_scan: estimated cost >= 2^151 "
+            f"exceeds budget {2**26}\n")
+
     # a grid cell is three integers by json_int's rule; every cell is read
     # before the first scan, so a bad second cell leaves no record
     @pytest.mark.parametrize("grids,cell", [
@@ -1266,6 +1280,23 @@ class TestSuiteReports:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
             self.CUBES_SHA256[seed]
+
+    # The bytes of the roots suite at the benchmark's parameters, as the
+    # per-trial object loops wrote them; the stacked random and weighted
+    # trials must keep the stream and every verdict.
+    ROOTS_PARAMS = {"grids": [[2, 3, 3], [2, 4, 2], [3, 2, 3], [3, 3, 2],
+                              [5, 2, 2]],
+                    "random_trials": 500, "weighted_trials": 300}
+    ROOTS_SHA256 = {
+        1: "d588420f8f34109711878ab52ba7cc8e2925ad86499195464eaec09ff6a45402",
+        4242: "7a0500b6b414be588e0b984d93940a41f4bd1b09786e05ae69516aee85bc8c4d",
+    }
+
+    @pytest.mark.parametrize("seed", ROOTS_SHA256)
+    def test_roots_report_bytes_pinned(self, seed):
+        rep = run_suite("roots", self.ROOTS_PARAMS, seed=seed)
+        assert hashlib.sha256(rep.to_bytes()).hexdigest() == \
+            self.ROOTS_SHA256[seed]
 
     def test_gowers_props_report_bytes_pinned(self):
         # the exact-phase-path records run gowers_power_exact through the

@@ -28,9 +28,9 @@ from toruspoly.poly import (
     enumerate_polys,
     eval_slot_batches,
 )
-from toruspoly.norms import _random_poly
+from toruspoly.norms import _random_coeffs, _random_poly
 from toruspoly.rng import SplitMix64
-from toruspoly.suites import _exhaustive_poly_scan, run_suite
+from toruspoly.suites import _exhaustive_poly_scan, _root_block_check, run_suite
 
 NEG_INF = float("-inf")
 
@@ -963,6 +963,92 @@ class TestScanBlocks:
         assert len(flips) == 1
         assert res == {"count": count_polys(p, n, d), "root_fail": 0,
                        "canon_fail": 0, "bound_fail": 0, counter: 1}
+
+    def test_scan_without_budget_is_capped_by_the_default_cells(self,
+                                                                monkeypatch):
+        # the costliest default cell, (2, 3, 4), is 2^23 forms on 8 points;
+        # the check comes before the first block
+        assert max(suites._scan_cost(*c) for c in suites._ROOT_GRIDS) == 2**26
+        assert suites._scan_cost(2, 3, 4) == 2**26
+        monkeypatch.setattr(suites, "coefficient_batches", lambda *a: iter(()))
+        for cell in (*suites._ROOT_GRIDS, (3, 2, 4)):
+            assert _exhaustive_poly_scan(*cell)["count"] == 0
+        with pytest.raises(BudgetExceeded,
+                           match=r"^_exhaustive_poly_scan: .* exceeds budget "
+                                 f"{2**26}$"):
+            _exhaustive_poly_scan(2, 4, 3)  # 2^28 forms on 16 points
+        # an explicit budget is the only cap
+        assert _exhaustive_poly_scan(13, 1, 40, 1 << 200)["count"] == 0
+
+    # every (p, n, d) cell that the roots suite's random trials draw from
+    RANDOM_CELLS = ([(2, n, d) for n in range(1, 5) for d in range(1, 6)]
+                    + [(p, n, d) for p in (3, 5) for n in (1, 2)
+                       for d in range(1, 5)])
+
+    @pytest.mark.parametrize("p,n,d", RANDOM_CELLS)
+    def test_block_rows_equal_the_object_path(self, p, n, d):
+        # seeded forms with alpha/p^2, drawn as _random_poly draws them, one
+        # block; each row against NCPoly's tables, root, mul_by_p and degree
+        drawn, scalar = SplitMix64(10 * p + n + d), SplitMix64(10 * p + n + d)
+        rows = [_random_coeffs(p, n, d, drawn)[1:] for _ in range(6)]
+        coeffs = np.stack([c for c, _ in rows])
+        alpha = np.array([a for _, a in rows], dtype=np.int64)
+        ok, K, tables, roots, root_degs = _root_block_check(p, n, d, coeffs,
+                                                            alpha)
+        assert ok.all() and K == max(poly._depth_count(p, d), 2)
+        for row in range(len(rows)):
+            P = _random_poly(p, n, d, scalar)
+            R = P.pth_root()
+            assert P == NCPoly(p, n, tables[row], K)
+            assert R == NCPoly(p, n, roots[row], K + 1)
+            assert R.mul_by_p() == P
+            assert R.degree() == root_degs[row]
+            assert R.degree() <= max(P.degree(), 0) + p - 1
+        assert drawn.state == scalar.state
+
+    def _random_verdicts(self):
+        rep = run_suite("roots", {"grids": [], "random_trials": 60,
+                                  "weighted_trials": 0}, seed=7)
+        return {c.name: c.passed for c in rep.checks}
+
+    def test_random_record_fails_on_a_planted_root(self, monkeypatch):
+        # one object-path root off by 1/p^K at one point
+        assert self._random_verdicts() == {"root-roundtrip-random": True,
+                                           "weighted-root-roundtrip": True}
+        true_root, planted = NCPoly.pth_root, []
+
+        def corrupted_root(self):
+            R = true_root(self)
+            if not planted:
+                planted.append(R)
+                nums = R.nums.copy()
+                nums[-1] += 1
+                R = NCPoly(R.p, R.n, nums, R.K)
+            return R
+
+        monkeypatch.setattr(NCPoly, "pth_root", corrupted_root)
+        assert not self._random_verdicts()["root-roundtrip-random"]
+        assert len(planted) == 1
+
+    @pytest.mark.parametrize("which", ["table", "root"])
+    def test_random_record_fails_on_a_planted_block_entry(self, monkeypatch,
+                                                          which):
+        # one entry of the last row of a block, which only the block check
+        # reads: the object path takes each group's first row
+        real_eval, planted = suites.eval_slot_batches, []
+
+        def corrupted(p, n, slots, coeffs, K):
+            tables = real_eval(p, n, slots, coeffs, K)
+            is_root = slots[0][1] > 0  # the depth-shifted slots
+            if len(coeffs) > 1 and is_root == (which == "root") and not planted:
+                planted.append(K)
+                tables = tables.copy()
+                tables[-1, -1] = (int(tables[-1, -1]) + 1) % p**K
+            return tables
+
+        monkeypatch.setattr(suites, "eval_slot_batches", corrupted)
+        assert not self._random_verdicts()["root-roundtrip-random"]
+        assert len(planted) == 1
 
     def test_roots_suite_on_f_p_0(self):
         # one form (the zero one) at any degree; K = 0 keeps p^K in int64

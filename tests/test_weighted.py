@@ -19,6 +19,7 @@ from toruspoly.weighted import (
     PeriodicMap,
     WeightedPoly,
     binomial_expand,
+    eval_stacked,
     gen_binom,
     periodicity_check,
     weighted_degree,
@@ -172,6 +173,35 @@ class TestEvalKernel:
                 nums = w.eval_nums(np.array(points))
                 assert nums.dtype == (np.int64 if K == K_int64 else object)
                 assert_matches_oracle(w, points)
+
+    # stacked rows over one p^K against each polynomial's own eval_nums:
+    # small K (the matmul), p^K = 2^31 with terms on several exponent
+    # vectors (each product reduced before the sum) and K past int64
+    # (dtype object), at negative and off-period points
+    @pytest.mark.parametrize("p, r_max, dtype", [
+        (2, 4, np.int64), (3, 3, np.int64), (5, 2, np.int64),
+        (2, 30, np.int64), (3, 30, object)])
+    def test_stacked_rows_equal_eval_nums(self, p, r_max, dtype):
+        rng = SplitMix64(1000 * p + r_max)
+        polys = [random_wpoly(rng, p, 2, r_max) for _ in range(12)]
+        deep = {((1, 2), r_max): 1, ((2, 1), r_max - 1): 1}
+        polys.append(wpoly(p, (1, 1), deep))
+        K = max(w.exponent() for w in polys)
+        points = np.array([(rng.below(61) - 30, rng.below(61) - 30)
+                           for _ in range(40)] + [(-(3**40), 7)], dtype=object)
+        rows = eval_stacked(polys, K, points)
+        assert rows.shape == (len(polys), len(points))
+        assert rows.dtype == dtype
+        for w, row in zip(polys, rows):
+            own = w.eval_nums(points)
+            assert own.dtype == rows.dtype or w.exponent() < K
+            assert [int(v) * p ** (K - w.exponent()) for v in own] == \
+                [int(v) for v in row]
+
+    def test_stacked_rows_refuse_a_short_exponent(self):
+        w = wpoly(3, (1,), {((1,), 2): 1})  # values in (1/27)Z/Z
+        with pytest.raises(ValueError, match=r"\(1/p\^2\)Z/Z"):
+            eval_stacked([w], 2, [[0]])
 
     def test_big_python_int_coordinates(self):
         w = wpoly(3, (1,), {((2,), 1): 4, ((1,), 0): 1})
@@ -417,6 +447,31 @@ class TestWeightedRoot:
 
         monkeypatch.setattr(WeightedPoly, "pth_root", dropping_root)
         assert not verdict()
+
+    @pytest.mark.parametrize("fault", ["alpha", "term"])
+    def test_roots_suite_catches_one_corrupted_root(self, monkeypatch, fault):
+        # one root among 30, its alpha or one coefficient moved by 1/p^(r+2)
+        params = {"grids": [], "random_trials": 0, "weighted_trials": 30}
+        true_root, planted = WeightedPoly.pth_root, []
+
+        def corrupted_root(self):
+            g = true_root(self)
+            if planted or (fault == "term" and not g.terms):
+                return g
+            planted.append(g)
+            if fault == "alpha":
+                g.alpha = g.alpha + TorusValue(g.p, 1, g.alpha.exp + 1)
+            else:
+                (i, r), c = next(iter(g.terms.items()))
+                g.terms[(i, r)] = c + 1
+            return g
+
+        monkeypatch.setattr(WeightedPoly, "pth_root", corrupted_root)
+        rep = run_suite("roots", params, seed=1111)
+        verdicts = {c.name: c.passed for c in rep.checks}
+        assert len(planted) == 1
+        assert verdicts == {"root-roundtrip-random": True,
+                            "weighted-root-roundtrip": False}
 
     def test_zero(self):
         w = WeightedPoly(2, 1, (1,), ZERO2, {})
