@@ -68,6 +68,16 @@ def json_int(obj: dict, key: str):
     return read(value)
 
 
+# the signed integer dtypes narrower than int64, with their largest values
+_NARROW = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.int8, np.int16, np.int32))
+
+
+def _int_dtype(top: int) -> np.dtype:
+    """The narrowest signed integer dtype with room for top, int64 past int32:
+    the one ladder of poly's value tables and of cube codes."""
+    return next((t for t, most in _NARROW if top <= most), np.dtype(np.int64))
+
+
 def _reduce(x: np.ndarray, p: int, K: int) -> np.ndarray:
     """x mod p^K for integer arrays of any type that holds p^K, and for
     Python-integer or integral float64 arrays, negatives included.

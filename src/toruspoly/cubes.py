@@ -3,11 +3,13 @@ filtered groups, and exact equidistribution reports.
 
 Groups are finite products of cyclic groups; filtrations are nested chains
 of subgroups (the commutator condition is automatic in the abelian case).
-Elements are mixed-radix integer codes, and each level is stored once, as a
-row of the group's membership table; its generators are the rows of its
-echelon basis.  A k-cube is a row of 2^k codes indexed by omega in
-{0,1}^k; membership in HK^k is characterised either by Taylor coefficients
-g_J in G_|J| or by alternating sums over faces landing in the filtration.
+Elements are mixed-radix integer codes in the group's narrow code_dtype,
+so a code array is only indexed, compared, or added to or subtracted from
+codes of the same group.  Each level is stored once, as a row of the
+group's membership table; its generators are the rows of its echelon
+basis.  A k-cube is a row of 2^k codes indexed by omega in {0,1}^k;
+membership in HK^k is characterised either by Taylor coefficients g_J in
+G_|J| or by alternating sums over faces landing in the filtration.
 The one Yates kernel over the subset lattice of {0,1}^k (`_subset_codes`)
 lives here: `hk_taylor` is a one-row Moebius pass of it, and `cubescan`
 runs it over many cubes.
@@ -28,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SPACE_CAP, ExactExpectation, check_budget, json_int
+from .core import SPACE_CAP, ExactExpectation, _int_dtype, check_budget, json_int
 
 Element = tuple[int, ...]
 
@@ -41,7 +43,9 @@ class FilteredAbelianGroup:
     G_i.  Each level's echelon basis (_echelon_insert), kept as the tuple
     rows of bases[i], gives its generators, and its index |G| / prod(pivots)
     is the order of the subgroup that the level generates, so a level of any
-    other size is not a subgroup."""
+    other size is not a subgroup.  code_dtype, the narrowest signed integer
+    dtype with room for 2 |G|, holds every array of its codes that the cube
+    kernels return: a sum or a difference of two codes fits in it."""
 
     def __init__(self, orders: Sequence[int], levels: Sequence[Iterable[Element]]):
         self.orders = tuple(int(o) for o in orders)
@@ -49,6 +53,7 @@ class FilteredAbelianGroup:
             raise ValueError("cyclic orders must be positive")
         self.size = math.prod(self.orders)
         check_budget(self.size, SPACE_CAP, "FilteredAbelianGroup")
+        self.code_dtype = _int_dtype(2 * self.size)
         member = np.zeros((len(levels), self.size), dtype=bool)
         for i, lv in enumerate(levels):
             member[i, [element_code(self, g) for g in lv]] = True
@@ -220,13 +225,17 @@ def _member_tables(G: FilteredAbelianGroup, k: int) -> np.ndarray:
 
 
 def _sub_codes(G: FilteredAbelianGroup, a, b) -> np.ndarray:
-    """Codes of a - b for broadcast arrays of codes: the digit lookup of
-    _pass_tables(G, 0, ...) splits both, and its residue lookup reduces each
-    digit difference (a negative one indexes from the end)."""
+    """Codes of a - b for broadcast arrays of codes, in G.code_dtype: the
+    digit lookup of _pass_tables(G, 0, ...) splits both, and its residue
+    lookup reduces each digit difference (a negative one indexes from the
+    end)."""
     digit, residue, _ = _pass_tables(G, 0, "moebius")
-    codes = residue[0][digit[0][a] - digit[0][b]]
+    # take for the codes, since numpy indexes by a narrow index array
+    # several times slower; indexing for the differences, where take is
+    # slower on negative indices
+    codes = residue[0][digit[0].take(a) - digit[0].take(b)]
     for t in range(1, len(digit)):
-        codes += residue[t][digit[t][a] - digit[t][b]]
+        codes += residue[t][digit[t].take(a) - digit[t].take(b)]
     return codes
 
 
@@ -236,8 +245,10 @@ _PASS_BLOCK = 1 << 16  # face sums or vertices _subset_codes holds at once
 @lru_cache(maxsize=64)
 def _pass_tables(G: FilteredAbelianGroup, k: int, kind: str):
     """Read-only lookups for _subset_codes: digit[t, c] is digit t of code c,
-    residue[t, s] is (s mod o_t) * radix_t for -|G| 2^k <= s < |G| 2^k (s < 0
-    indexes from the end), level[f] is the free-axis count of output f;
+    in the narrowest dtype with room for max(orders) 2^k, the largest sum a
+    pass forms, so the planes it gathers stay narrow; residue[t, s] is
+    (s mod o_t) * radix_t for -|G| 2^k <= s < |G| 2^k (s < 0 indexes from
+    the end), in G.code_dtype; level[f] is the free-axis count of output f;
     cached per G by value, like _member_tables and cubescan._cube_codes.
     A pass whose one row has more than SPACE_CAP outputs, or whose residue
     table has more than SPACE_CAP entries, raises BudgetExceeded first."""
@@ -250,8 +261,10 @@ def _pass_tables(G: FilteredAbelianGroup, k: int, kind: str):
     level = np.zeros(1, dtype=np.int64)
     for _ in range(k):
         level = np.add.outer(np.arange(base) == base - 1, level).reshape(-1)
-    tables = (np.arange(G.size) // radix % orders,
-              np.arange(G.size << k) % orders * radix, level)
+    digit = np.arange(G.size) // radix % orders
+    residue = np.arange(G.size << k) % orders * radix
+    tables = (digit.astype(_int_dtype(max(factors) << k)),
+              residue.astype(G.code_dtype), level)
     for tab in tables:
         tab.flags.writeable = False
     return tables
@@ -282,7 +295,7 @@ def _subset_codes(tuples: np.ndarray, G: FilteredAbelianGroup, kind: str,
         planes = np.take(digit, block, axis=1).reshape(r, *(2,) * k, -1)
         if kind == "faces":
             vertices = planes
-            planes = np.empty((r, *(3,) * k, block.shape[1]), dtype=np.int64)
+            planes = np.empty((r, *(3,) * k, block.shape[1]), dtype=digit.dtype)
             planes[(slice(None),) + (slice(0, 2),) * k] = vertices
         for ax in range(1, k + 1):
             head, tail = (slice(None),) * ax, (slice(0, 2),) * (k - ax)
@@ -299,10 +312,12 @@ def _subset_codes(tuples: np.ndarray, G: FilteredAbelianGroup, kind: str,
 
 def _subset_table(tuples: np.ndarray, G: FilteredAbelianGroup,
                   kind: str) -> np.ndarray:
-    """Every output of _subset_codes as one (M, F) code array; for "zeta"
-    and "moebius" column J is vertex or coefficient J of row m's cube."""
+    """Every output of _subset_codes as one (M, F) array in G.code_dtype;
+    for "zeta" and "moebius" column J is vertex or coefficient J of row m's
+    cube."""
     k = tuples.shape[1].bit_length() - 1
-    out = np.empty((len(tuples), len(_pass_tables(G, k, kind)[2])), np.int64)
+    out = np.empty((len(tuples), len(_pass_tables(G, k, kind)[2])),
+                   G.code_dtype)
     for rows, codes in _subset_codes(tuples, G, kind):
         out[rows] = codes.T
     return out
@@ -311,15 +326,16 @@ def _subset_table(tuples: np.ndarray, G: FilteredAbelianGroup,
 def _check_codes(codes, G: FilteredAbelianGroup, shape: tuple,
                  message: str = "phi_codes must map every H code to a G code",
                  range_message: str | None = None) -> np.ndarray:
-    """codes as int64 codes of G in the given shape, else ValueError: float,
-    bool and Python-integer arrays are refused, not truncated, and one min
-    and one max check [0, |G|) before the cast, so no uint64 code wraps."""
+    """codes as codes of G in the given shape and G.code_dtype, else
+    ValueError: float, bool and Python-integer arrays are refused, not
+    truncated, and one min and one max check [0, |G|) before the cast, so
+    no code wraps."""
     codes = np.asarray(codes)
     if codes.shape != shape or codes.dtype.kind not in "iu":
         raise ValueError(message)
     if codes.size and (codes.min() < 0 or codes.max() >= G.size):
         raise ValueError(range_message or message)
-    return codes.astype(np.int64, copy=False)
+    return codes.astype(G.code_dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +348,13 @@ _FRONTIER_BLOCK = 1 << 20  # table entries is_polynomial_map holds at once
 def _directions(H: FilteredAbelianGroup, top: int, use_generators: bool):
     """Read-only (degrees, shift) of the nonzero directions h_t in H_i,
     i = 1..top, from the generators or every element: shift[t, x] is the
-    code of x + h_t = x - (-h_t); cached per H by value, like
-    _member_tables."""
+    code of x + h_t = x - (-h_t), in H.code_dtype; cached per H by value,
+    like _member_tables."""
     dirs = [(i, int(h)) for i in range(1, top + 1)
             for h in (H.level_generators(i) if use_generators else H.level(i))
             if h]
     degs = np.array([i for i, _ in dirs], dtype=np.int64)
-    neg = _sub_codes(H, 0, np.array([h for _, h in dirs], dtype=np.int64))
+    neg = _sub_codes(H, 0, np.array([h for _, h in dirs], dtype=H.code_dtype))
     shift = _sub_codes(H, np.arange(H.size), neg[:, None])
     for tab in (degs, shift):
         tab.flags.writeable = False
@@ -355,9 +371,10 @@ def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
 
     Derivatives commute, so a node is a derivative table, its first allowed
     direction and its total degree.  The frontier goes level by level in
-    blocks of at most _FRONTIER_BLOCK entries: one lookup tests a block, a
-    gather and a lookup subtraction derive its children.  Blocks are taken
-    last in, first out, so only the parents on one path are held at once.
+    blocks of at most _FRONTIER_BLOCK entries of G.code_dtype: one lookup
+    tests a block, a gather and a lookup subtraction derive its children.
+    Blocks are taken last in, first out, so only the parents on one path
+    are held at once.
     """
     phi_codes = _check_codes(phi_codes, G, (H.size,))
     max_total = G.degree + 1

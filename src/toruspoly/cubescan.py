@@ -117,7 +117,7 @@ def equivalence_scan(G: FilteredAbelianGroup, k: int) -> dict:
     m = 1
     while m < width and G.size ** (m + 1) <= _SCAN_CHUNK:
         m += 1
-    tuples = np.empty((G.size**m, width), dtype=np.int64)
+    tuples = np.empty((G.size**m, width), dtype=G.code_dtype)
     # row x holds digit j of x in base |G| at vertex j, least significant
     # first: the sparse index grids broadcast into a view of the low vertices
     low = tuples[:, :m].reshape((G.size,) * m + (m,))
@@ -189,9 +189,9 @@ def counted_equivalence(G: FilteredAbelianGroup, k: int) -> dict:
 
 
 def enumerate_cube_codes(G: FilteredAbelianGroup, k: int) -> np.ndarray:
-    """All k-cubes as a read-only (M, 2^k) array of element codes (Taylor
-    parameterised), cached per group and k when small; M 2^k is checked
-    against SPACE_CAP on every call."""
+    """All k-cubes as a read-only (M, 2^k) array of element codes in
+    G.code_dtype (Taylor parameterised), cached per group and k when small;
+    M 2^k is checked against SPACE_CAP on every call."""
     size = hk_size(G, k) << k
     check_budget(size, SPACE_CAP, "enumerate_cube_codes")
     return (_cube_codes if size <= _CACHED_CODES else _cube_codes.__wrapped__)(G, k)
@@ -204,7 +204,7 @@ def _cube_codes(G: FilteredAbelianGroup, k: int) -> np.ndarray:
     member = _member_tables(G, k)
     level_codes = [np.flatnonzero(member[i]) for i in _pass_tables(G, k, "zeta")[2]]
     q = np.arange(hk_size(G, k))
-    combos = np.empty((len(q), len(level_codes)), dtype=np.int64)
+    combos = np.empty((len(q), len(level_codes)), dtype=G.code_dtype)
     for J in reversed(range(len(level_codes))):
         q, digit = np.divmod(q, len(level_codes[J]))
         combos[:, J] = level_codes[J][digit]
@@ -228,4 +228,5 @@ def preserves_cubes_fast(phi_codes: np.ndarray, H: FilteredAbelianGroup,
     phi_codes = _check_codes(phi_codes, G, (H.size,))
     check_budget(hk_size(H, k_max) << k_max, budget, "preserves_cubes_fast")
     cubes = enumerate_cube_codes(H, k_max)
-    return bool(taylor_member_mask(phi_codes[cubes], G, k_max).all())
+    # take, since numpy indexes by a narrow index array several times slower
+    return bool(taylor_member_mask(phi_codes.take(cubes), G, k_max).all())

@@ -41,6 +41,7 @@ from .core import (
     POWER_BITS,
     SPACE_CAP,
     TorusValue,
+    _int_dtype,
     _reduce,
     check_budget,
     json_int,
@@ -140,14 +141,7 @@ def _exact_dtype(terms: int, p: int, top: int):
     return np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else object
 
 
-# the signed integer dtypes narrower than int64, with their largest values
-_NARROW = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.int8, np.int16, np.int32))
-_INT8 = _NARROW[0][0]  # classical coefficients, below p <= 13
-
-
-def _int_dtype(top: int) -> np.dtype:
-    """The narrowest signed integer dtype with room for top, int64 past int32."""
-    return next((t for t, most in _NARROW if top <= most), np.dtype(np.int64))
+_INT8 = np.dtype(np.int8)  # classical coefficients, below p <= 13
 
 
 @lru_cache(maxsize=None)

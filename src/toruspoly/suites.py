@@ -25,7 +25,8 @@ except ImportError:  # not on every platform; --timing then omits peak_rss_mb
     resource = None
 
 from . import catalog
-from .core import POWER_BITS, SPACE_CAP, TorusValue, check_budget, json_int, space
+from .core import (POWER_BITS, SPACE_CAP, TorusValue, _int_dtype, check_budget,
+                   json_int, space)
 from .cubes import (
     FilteredAbelianGroup,
     _subset_table,
@@ -754,6 +755,12 @@ _SCANNED_TUPLES = 1 << 20  # the cubes suite counts G^(2^k) past this size
 
 
 def _suite_cubes(report: SuiteReport, rng, budget=None, *, k=3, maps=1000):
+    # its map loops, maps + 60 maps of at most the largest preservation pass
+    # over _map_choices, checked before the first record against budget, or
+    # without one against their cost at the default 1000 maps
+    top = max(hk_size(H, 3) << 3 for o in (8, 9) for H in _map_choices(o)[0])
+    check_budget((maps + 60) * top, 1060 * top if budget is None else budget,
+                 "_suite_cubes")
     for G in _group_zoo():
         for dim in range(1, k + 1):
             total = G.size ** (1 << dim)
@@ -841,10 +848,13 @@ def _draws_below(rng, shape: tuple, bound) -> np.ndarray:
 
 def _value_counts(a_size: int) -> np.ndarray:
     """counts[code, v]: how many of the a_size base-4 digits of code equal
-    v.  A code's counts are those of its high digits plus its low digit."""
-    counts = np.zeros((1, 4), dtype=np.int64)
+    v, in the narrowest dtype with room for a_size, which holds the sum of
+    two counts of one code.  A code's counts are those of its high digits
+    plus its low digit."""
+    dt = _int_dtype(a_size)
+    counts = np.zeros((1, 4), dtype=dt)
     for _ in range(a_size):
-        counts = (counts[:, None] + np.eye(4, dtype=np.int64)).reshape(-1, 4)
+        counts = (counts[:, None] + np.eye(4, dtype=dt)).reshape(-1, 4)
     return counts
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -482,6 +483,23 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: suite 'cubes' takes no parameter 'scan_cap'; its "
             "parameters are k, maps\n")
+
+    # the map loops, (maps + 60) maps of at most hk_size(Z/9, 3) 2^3 = 52,488
+    # entries each, are checked before the first record: against --budget,
+    # or without one against their cost at the default 1000 maps
+    @pytest.mark.parametrize("budget,allowed", [
+        ([], 1060 * 52488), (["--budget", "1000000"], 1000000)])
+    def test_verify_cubes_caps_the_map_loops(self, budget, allowed,
+                                             monkeypatch, capsys):
+        monkeypatch.setattr(suites, "_group_zoo", None)
+        t0 = time.perf_counter()
+        code, out = run_cli("verify", "cubes", "--param", "maps=100000000",
+                            *budget)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            "budget exceeded: _suite_cubes: estimated cost "
+            f"{100000060 * 52488} exceeds budget {allowed}\n")
 
     def test_verify_roots_budget_exit_3(self, capsys):
         # the (2, 4, 4) cell is 2^43 forms on 2^4 points: refused before
@@ -1459,7 +1477,7 @@ class TestSuiteReports:
     BUDGET_KERNELS = {"lucas": "_suite_lucas", "lam": "_suite_lam",
                       "gowers-props": "gowers_power",
                       "roots": "_exhaustive_poly_scan",
-                      "cubes": "preserves_cubes_fast"}
+                      "cubes": "_suite_cubes"}
 
     @pytest.mark.parametrize("name", suites.SUITE_NAMES)
     def test_budget_is_checked_or_refused(self, name, monkeypatch, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -796,6 +797,132 @@ class TestDerivativeKernelOracle:
             _agrees_with_oracle_on_every_map(H, Z4_TARGETS[1:])
 
 
+def _chain(order, sub):
+    """Z/order of degree 1: G_1 the subgroup of order sub, G_2 = {0}."""
+    return FilteredAbelianGroup.cyclic_chain(order, [order, sub, 1])
+
+
+def _product(a, b, sub):
+    """Z/a x Z/b of degree 1: G_1 = {0} x (subgroup of order sub), G_2 = {0}."""
+    step = b // sub
+    return FilteredAbelianGroup((a, b), levels=[
+        list(itertools.product(range(a), range(b))),
+        [(0, y) for y in range(0, b, step)], [(0, 0)]])
+
+
+# Groups on both sides of each switch of the code dtype, which holds 2 |G|
+# (int8 up to |G| = 63, int16 up to 16383, then int32), and of the pass
+# digits, which hold max(orders) 2^k (int16 past 127 at 64 k = 1 and 63 k = 2,
+# int32 past 32767 at 4096 k = 3 and 16383 k = 2), cyclic and products.  An
+# order that is not a power of two makes a wrapped sum change its residue.
+LADDER = [
+    (_chain(63, 3), np.int8), (_chain(64, 2), np.int16),
+    (_product(7, 9, 3), np.int8), (_product(8, 8, 2), np.int16),
+    (_chain(4095, 3), np.int16), (_chain(4096, 2), np.int16),
+    (_chain(16383, 3), np.int16), (_chain(16384, 2), np.int32),
+    (_product(127, 129, 3), np.int16), (_product(128, 128, 2), np.int32),
+]
+LADDER_IDS = ["Z" + "x".join(map(str, G.orders)) for G, _ in LADDER]
+
+
+def _ladder_maps(H, G, rng):
+    """Code tables H -> G: one random, one constant, and c0 + sum_t x_t m_t
+    over H's digits x_t, with m_t drawn from G_1 (polynomial when o_t m_t
+    lies in G_2) and from G."""
+    level1 = G.level(1)
+    tables = [[rng.below(G.size) for _ in range(H.size)],
+              [rng.below(G.size)] * H.size]
+    for draw in (lambda: int(level1[rng.below(len(level1))]),
+                 lambda: rng.below(G.size)):
+        c0, ms = rng.below(G.size), [draw() for _ in H.orders]
+        tables.append([_code_sum(G, [(1, c0)] + list(zip(
+            code_element(H, x), ms))) for x in range(H.size)])
+    return np.array(tables, dtype=np.int64)
+
+
+class TestCodeDtypeLadder:
+    def test_ladder_switches(self):
+        assert [G.code_dtype for G, _ in LADDER] == [dt for _, dt in LADDER]
+        digits = {(G.orders, k): cubes._pass_tables(G, k, "zeta")[0].dtype
+                  for G, _ in LADDER for k in range(4)}
+        assert [digits[(o,), k] for o, k in [
+            (63, 1), (64, 1), (63, 2), (4095, 3), (4096, 3), (16383, 1),
+            (16383, 2)]] == [np.int8, np.int16, np.int16, np.int16, np.int32,
+                             np.int16, np.int32]
+
+    @pytest.mark.parametrize("G,dt", LADDER, ids=LADDER_IDS)
+    def test_passes_match_oracles(self, G, dt):
+        for k in range(4):
+            rows = _mask_rows(G, k, SplitMix64(G.size + k))
+            # every face sum and vertex of the 49 random rows, whose pass
+            # sums reach the top of the digit dtype
+            assert np.array_equal(_subset_table(rows[:49], G, "faces").T,
+                                  _face_pass_oracle(rows[:49], G))
+            zeta = _subset_table(rows[:49], G, "zeta")
+            assert zeta.dtype == dt and zeta.tolist() == [
+                _taylor_expand_oracle(row, G) for row in rows[:49].tolist()]
+            face = _face_mask_oracle(rows, G, k)
+            assert face.tolist() == _taylor_mask_oracle(rows, G, k).tolist()
+            assert face_member_mask(rows, G, k).tolist() == face.tolist()
+            assert taylor_member_mask(rows, G, k).tolist() == face.tolist()
+            taylor = [hk_taylor(row, G) for row in rows]
+            assert [_listed(t) for t in taylor] == \
+                [_hk_taylor_oracle(row, G) for row in rows]
+            assert {c.dtype for c, _ in taylor if c is not None} == {np.dtype(dt)}
+            if hk_size(G, k) <= 1 << 17:
+                codes = enumerate_cube_codes(G, k)
+                assert codes.dtype == dt
+                assert np.array_equal(codes, _cube_codes_oracle(G, k))
+            width = 1 << k
+            if G.size ** width <= 1 << 16:
+                every = np.indices((G.size,) * width).reshape(width, -1).T
+                members = int(_face_mask_oracle(every, G, k).sum())
+                assert members == hk_size(G, k)
+                assert equivalence_scan(G, k) == {
+                    "tuples": G.size ** width, "disagreements": 0,
+                    "members": members}
+
+    @pytest.mark.parametrize("G,dt", LADDER, ids=LADDER_IDS)
+    def test_maps_match_oracles(self, G, dt):
+        # maps into G from two small groups, and out of G when it is small
+        target = FilteredAbelianGroup.cyclic_chain(9, [9, 3, 1])
+        pairs = [(FilteredAbelianGroup.maximal([3], 1), G),
+                 (FilteredAbelianGroup.maximal([2, 2], 1), G)]
+        if G.size <= 64:
+            pairs.append((G, target))
+        rng = SplitMix64(G.size)
+        verdicts = set()
+        for H, T in pairs:
+            maps = _ladder_maps(H, T, rng)
+            k_max = 3 if T.size ** 8 < 1 << 63 else 2
+            TestOneAllocationPasses._check_verdicts(maps, H, T, k_max, set())
+            for phi in maps:
+                poly = is_polynomial_map(phi, H, T)
+                assert poly == _is_polynomial_map_oracle(phi, H, T)
+                assert is_polynomial_map(phi, H, T, use_generators=False) \
+                    == _is_polynomial_map_oracle(phi, H, T, False) == poly
+                assert preserves_cubes_fast(phi, H, T, T.degree + 1) == poly
+                verdicts.add(poly)
+            assert cubes._directions(H, T.degree + 1, True)[1].dtype == \
+                H.code_dtype
+        assert verdicts == {True, False}
+
+    def test_scan_tuples_stay_narrow(self):
+        # 4^8 = 65,536 tuples of 8 codes: 512 KB in int8, where the int64
+        # tuples alone took 4 MB
+        G = FilteredAbelianGroup.cyclic_chain(4, [4, 4, 2, 1])
+        equivalence_scan(G, 3)  # the cached tables, outside the peak
+        tracemalloc.start()
+        try:
+            result = equivalence_scan(G, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == {"tuples": 1 << 16, "disagreements": 0,
+                          "members": hk_size(G, 3)}
+        assert peak < 1.5 * 2**20
+
+
 class TestSingleCubeInput:
     # a cube given as element tuples becomes a code row through element_code
     G = FilteredAbelianGroup.cyclic_chain(8, [8, 4, 2, 1])
@@ -1134,6 +1261,7 @@ class TestEquidistribution:
         digs = np.stack([codes // 4**i % 4 for i in range(a_size)], axis=1)
         expected = np.stack([(digs == v).sum(axis=1) for v in range(4)], axis=1)
         assert np.array_equal(_value_counts(a_size), expected)
+        assert _value_counts(a_size).dtype == np.int8
 
     def test_weyl_zero_bias_iff_uniform(self):
         rng = SplitMix64(13)
