@@ -361,6 +361,19 @@ def _directions(H: FilteredAbelianGroup, top: int, use_generators: bool):
     return degs, shift
 
 
+def _walk_size(H: FilteredAbelianGroup, G: FilteredAbelianGroup,
+               use_generators: bool = True) -> int:
+    """The most table entries an is_polynomial_map walk on H -> G visits:
+    |H| per node, one node per multiset of its directions of total degree
+    at most deg(G) + 1, the root included."""
+    top = G.degree + 1
+    ways = [1] + [0] * top  # multisets of each total degree
+    for w in _directions(H, top, use_generators)[0].tolist():
+        for t in range(w, top + 1):
+            ways[t] += ways[t - w]
+    return sum(ways) * H.size
+
+
 def is_polynomial_map(phi_codes: np.ndarray, H: FilteredAbelianGroup,
                       G: FilteredAbelianGroup,
                       use_generators: bool = True) -> bool:

@@ -310,12 +310,13 @@ def inverse_explore(f: BoundedFunction, s: int, budget: int | None = None
     check_budget(_enum_count(p, n, s) * N, budget, "inverse_explore")
     best_val, best_poly = -1.0, None
     for slots, coeffs, T, K in _form_tables(p, n, s):
-        corr = np.abs(np.conj(np.exp(2j * np.pi * T / p**K)) @ f.values) / N
+        # T is (N, rows), the table axis first
+        corr = np.abs(f.values @ np.conj(np.exp(2j * np.pi * T / p**K))) / N
         # a later candidate replaces the best only by more than 1e-12
         for i in np.flatnonzero(corr > best_val + 1e-12):
             if corr[i] > best_val + 1e-12:
                 best_val = float(corr[i])
-                best_poly = _form_poly(p, n, slots, coeffs[i], T[i], K)
+                best_poly = _form_poly(p, n, slots, coeffs[i], T[:, i], K)
     assert best_poly is not None
     return best_poly, best_val
 

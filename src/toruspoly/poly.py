@@ -9,10 +9,11 @@ additive derivatives vanish.  Two representations are kept in sync:
   term equal to (i_1 + ... + i_n) + j(p-1).
 
 Tables are the fast path for norms and derivatives; canonical forms drive
-p-th roots, degree-by-inspection, and enumeration.  The per-axis kernels
-(classical_coeffs, eval_layer_tables) take tables with the table axis first
-and any batch axes after it, so each per-axis pass runs over contiguous runs
-of entries; interpolate_tables and eval_slot_batches keep the table axis last.
+p-th roots, degree-by-inspection, and enumeration.  Every batched kernel
+holds tables with the table axis first and any batch axes after it
+(classical_coeffs, eval_layer_tables, eval_slot_batches, interpolate_tables,
+degrees_from_coeffs), so each per-axis pass runs over contiguous runs of
+entries and a per-table verdict is a reduction over the leading axis.
 Products run in float32 while every partial sum is an integer below 2^24,
 in float64 below 2^53, exact in BLAS either way, else in Python integers;
 layers share one matrix per (p, n) and those past float64 one exact matrix.
@@ -25,6 +26,8 @@ The batched kernels hold value tables over p^K in _table_dtype(p, K), the
 one owner of their dtype: the narrowest of int8, int16, int32 and int64
 with room for p^(K+1), beside _exact_dtype, which picks the dtype of
 products.  Coefficients, below p, are int8; NCPoly.nums stays int64.
+coefficient_batches splits enumeration codes into slot digits in
+_int_dtype(p^slots), int32 while the codes fit it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -269,37 +272,39 @@ def interpolate_tables(
     isolates the depth-j terms as a classical layer, which is solved by
     digit-wise finite-difference interpolation and subtracted.
 
-    Returns (alpha numerators over p^K in _table_dtype(p, K), int8
-    coefficient array of shape (..., K, N)).  Raises NotPolynomialError
+    Tables have shape (N, ...), the table axis first.  Returns (alpha
+    numerators over p^K in _table_dtype(p, K), of shape (...), and an int8
+    coefficient array of shape (K, N, ...)).  Raises NotPolynomialError
     when a table has no canonical form.
     """
     N = space(p, n).size
-    nums = np.asarray(nums)
-    lead = nums.shape[:-1]
-    # table axis first, reduced mod p^K in _table_dtype(p, K)
-    nums = _narrow(nums, p, K, _table_dtype(p, K))
-    nums = np.ascontiguousarray(nums.reshape(-1, N).T)
+    # reduced mod p^K in _table_dtype(p, K), C-contiguous
+    nums = _narrow(np.asarray(nums), p, K, _table_dtype(p, K))
+    lead = nums.shape[1:]
+    nums = nums.reshape(N, -1)
     alpha = nums[0]
     resid = _reduce(nums - alpha, p, K)
-    C = np.zeros((K, N, nums.shape[1]), dtype=np.int8)
+    C = np.zeros((K, *nums.shape), dtype=np.int8)
     for j in range(K - 1, -1, -1):
         C[j] = classical_coeffs(p, n, resid // p ** (K - 1 - j))
         resid -= eval_layer_tables(p, n, C[j], j, K)  # inside (-p^K, p^K)
         resid = _reduce(resid, p, K)
     if resid.any():
         raise NotPolynomialError("table does not reduce to a canonical form")
-    return alpha.reshape(lead), C.transpose(2, 0, 1).reshape(*lead, K, N)
+    return alpha.reshape(lead), C.reshape(K, N, *lead)
 
 
 def degrees_from_coeffs(p: int, n: int, alpha: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Batched degree read-off: max slot degree, 0 for constants, -inf for 0.
-    Slots weigh degree + 1 in the narrowest type that holds the largest."""
-    K = C.shape[-2]
+    """Batched degree read-off from (K, N, ...) coefficients: max slot
+    degree, 0 for constants, -inf for 0, of shape (...).  Slots weigh
+    degree + 1 in the narrowest type that holds the largest."""
+    K, N = C.shape[:2]
     # degree + 1 of each slot, at most (n + K - 1)(p - 1) + 1
-    weights = slot_degrees(p, n, K).reshape(-1) + 1
+    weights = slot_degrees(p, n, K).reshape(-1, 1) + 1
     weights = weights.astype(_int_dtype((n + K - 1) * (p - 1) + 1))
     # degree + 1 of the top slot present, 0 where none is
-    top = np.max((C.reshape(*C.shape[:-2], -1) != 0) * weights, axis=-1, initial=0)
+    flat = C.reshape(K * N, prod(C.shape[2:]))
+    top = np.max((flat != 0) * weights, axis=0, initial=0).reshape(C.shape[2:])
     return np.where(top > 0, top - 1, np.where(np.asarray(alpha) != 0, 0, NEG_INF))
 
 
@@ -703,7 +708,7 @@ def enumerate_polys(p: int, n: int, d: int) -> Iterator[NCPoly]:
     """Stream every canonical form of degree <= d modulo constants exactly
     once (at most ENUM_CAP of them), in code order."""
     for slots, coeffs, tables, K in _form_tables(p, n, d):
-        for row, table in zip(coeffs, tables):
+        for row, table in zip(coeffs, tables.T):
             yield _form_poly(p, n, slots, row, table, K)
 
 
@@ -713,31 +718,38 @@ def coefficient_batches(
     """Yield (slots, codes, coefficient matrix) blocks covering every
     degree <= d canonical form modulo constants, in code order, each of
     about _BLOCK_ENTRIES table entries: the one enumeration of canonical
-    forms, which eval_slot_batches turns into value tables."""
+    forms, which eval_slot_batches turns into value tables.  Codes and
+    digits are in _int_dtype(p^slots); the (rows, slots) coefficient matrix
+    is the transpose of a C-contiguous (slots, rows) array."""
     slots = canonical_slots(p, n, d)
     total = p ** len(slots)
+    dt = _int_dtype(total)
     rows = max(1, _BLOCK_ENTRIES // p**n)
-    # a code is below 2^63 - 1, so that divisor leaves digit 0 wherever
-    # p^s passes it; one divisor per row keeps numpy's scalar-divisor loop
-    powers = np.array([min(p**s, (1 << 63) - 1) for s in range(len(slots))],
-                      dtype=np.int64)
+    # q[s] = code // p^s for s = 0..slots, one divisor per row (numpy's
+    # scalar-divisor loop), and digit s is q[s] - p q[s+1].  A code is below
+    # dt's largest value, so that divisor leaves q = 0 wherever p^s passes it
+    # (only past int64)
+    top = int(np.iinfo(dt).max)
+    powers = np.array([min(p**s, top) for s in range(len(slots) + 1)], dtype=dt)
     for start in range(0, total, rows):
-        codes = np.arange(start, min(start + rows, total), dtype=np.int64)
-        yield slots, codes, _reduce(codes // powers[:, None], p, 1).T
+        codes = np.arange(start, min(start + rows, total), dtype=dt)
+        q = codes // powers[:, None]
+        yield slots, codes, (q[:-1] - p * q[1:]).T
 
 
 @lru_cache(maxsize=64)
 def _slot_basis(p: int, n: int, slots: tuple[tuple[tuple[int, ...], int], ...],
                 K: int) -> np.ndarray:
-    """Read-only (slots, N) value tables over p^K of each slot's monomial,
-    stored as _exact_dtype says."""
+    """Read-only (N, slots) value tables over p^K of each slot's monomial,
+    stored as _exact_dtype says: one eval_layer_tables call per depth."""
     sp = space(p, n)
-    basis = np.zeros((len(slots), sp.size), dtype=np.int64)
-    for s, (exps, j) in enumerate(slots):
-        row = np.zeros(sp.size, dtype=np.int64)
-        row[sp.index_of(exps)] = 1
-        basis[s] = eval_layer_tables(p, n, row, j, K)
-    basis = basis.astype(_exact_dtype(len(slots), p, p**K - 1))
+    basis = np.zeros((sp.size, len(slots)),
+                     dtype=_exact_dtype(len(slots), p, p**K - 1))
+    for j in sorted({j for _, j in slots}):
+        cols = [s for s, (_, depth) in enumerate(slots) if depth == j]
+        units = np.zeros((sp.size, len(cols)), dtype=np.int8)
+        units[[sp.index_of(slots[s][0]) for s in cols], range(len(cols))] = 1
+        basis[:, cols] = eval_layer_tables(p, n, units, j, K)
     basis.flags.writeable = False
     return basis
 
@@ -745,8 +757,11 @@ def _slot_basis(p: int, n: int, slots: tuple[tuple[tuple[int, ...], int], ...],
 def eval_slot_batches(
     p: int, n: int, slots: Sequence[tuple[tuple[int, ...], int]], coeffs: np.ndarray, K: int
 ) -> np.ndarray:
-    """Value tables (numerators over p^K, in _table_dtype(p, K)) for a batch
-    of coefficient rows."""
+    """Value tables (numerators over p^K, in _table_dtype(p, K)) of shape
+    (N, ...) for coefficient rows of shape (..., slots), the table axis
+    first."""
     basis = _slot_basis(p, n, tuple(slots), K)
-    return _narrow(coeffs.astype(basis.dtype) @ basis, p, K,
-                   _table_dtype(p, K))
+    coeffs = np.asarray(coeffs)
+    flat = coeffs.reshape(prod(coeffs.shape[:-1]), len(slots)).T.astype(basis.dtype)
+    return _narrow(basis @ flat, p, K, _table_dtype(p, K)).reshape(
+        len(basis), *coeffs.shape[:-1])

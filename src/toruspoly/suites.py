@@ -30,6 +30,7 @@ from .core import (POWER_BITS, SPACE_CAP, TorusValue, _int_dtype, check_budget,
 from .cubes import (
     FilteredAbelianGroup,
     _subset_table,
+    _walk_size,
     code_element,
     element_code,
     equidistribution_report,
@@ -290,7 +291,7 @@ def _classical_tables(n: int, d: int) -> np.ndarray:
     codes = np.arange(1 << (len(slots) + 1), dtype=np.int64)
     coeffs = np.stack([codes >> s & 1 for s in range(len(slots) + 1)], axis=1)
     # column 0 is the constant iota(1)
-    return (coeffs[:, :1] + eval_slot_batches(2, n, slots, coeffs[:, 1:], 1)) % 2
+    return (coeffs[:, :1] + eval_slot_batches(2, n, slots, coeffs[:, 1:], 1).T) % 2
 
 
 def _product_rule_exhaustive(n: int, k: int, l: int) -> tuple[int, int]:
@@ -477,14 +478,16 @@ def _suite_dkp(report: SuiteReport, rng, *, n=3):
 
 @lru_cache(maxsize=64)
 def _slot_layout(p: int, n: int, d: int) -> tuple:
-    """(K, slots, root slots, depth and index of each slot, slot degrees) of
-    the degree <= d canonical forms on F_p^n, shared by every block."""
+    """(K, slots, root slots, depth and index of each slot, a (slots, 1)
+    column of slot degree + 1 in the narrowest type that holds it) of the
+    degree <= d canonical forms on F_p^n, shared by every block."""
     K = _depth_count(p, d) if n else 0  # F_p^0 has no slots at any degree
     slots = canonical_slots(p, n, d)
     depths = np.array([j for _, j in slots], dtype=np.intp)
     indices = np.array([space(p, n).index_of(e) for e, _ in slots], dtype=np.intp)
+    weights = slot_degrees(p, n, K)[depths, indices, None] + 1
     return (K, slots, tuple((e, j + 1) for e, j in slots), depths, indices,
-            slot_degrees(p, n, K)[depths, indices])
+            weights.astype(_int_dtype(max(d, 0) + 1)))
 
 
 def _root_block_check(p: int, n: int, d: int, coeffs: np.ndarray,
@@ -495,17 +498,21 @@ def _root_block_check(p: int, n: int, d: int, coeffs: np.ndarray,
 
     P's tables are over p^K, K = _depth_count(p, d) (at least 2 with alpha),
     and those of its canonical root, from the depth-shifted slots, over
-    p^(K+1).  Returns (ok, K, tables, roots, root degrees), ok a (3, rows)
-    boolean array:
-      ok[0]  p * root reproduces P's table exactly;
+    p^(K+1), each of shape (N, rows), the table axis first.  Returns (ok,
+    K, tables, roots, root degrees), ok a (3, rows) boolean array, each
+    verdict a reduction over the table axis:
+      ok[0]  p * root reproduces P's table exactly: the root mod p^K is
+             P's table;
       ok[1]  interpolating P's table gives back its coefficients and alpha;
       ok[2]  the root, re-interpolated, has degree <= deg P + p - 1 (P not
-             0), and P takes at most p^(floor((deg P - 1)/(p - 1)) + 1)
-             values.
+             0), and P - P(0) takes values in (1/p^K')Z/Z, K' =
+             _depth_count(p, deg P) (0 for a constant): its numerators over
+             p^K are 0 mod p^(K - K').
     """
-    K, slots, root_slots, depths, indices, slot_deg = _slot_layout(p, n, d)
-    degs = (np.max(np.where(coeffs != 0, slot_deg[None, :], -1), axis=1)
-            if slots else np.full(len(coeffs), -1, dtype=np.int64))
+    K, slots, root_slots, depths, indices, weights = _slot_layout(p, n, d)
+    coeffs_t = coeffs.T  # (slots, rows)
+    # deg P, -1 for the zero form
+    degs = np.max((coeffs_t != 0) * weights, axis=0, initial=0).astype(np.int64) - 1
     want_alpha = 0
     if alpha is not None:
         K = max(K, 2)
@@ -516,25 +523,35 @@ def _root_block_check(p: int, n: int, d: int, coeffs: np.ndarray,
     tables = eval_slot_batches(p, n, slots, coeffs, K)
     roots = eval_slot_batches(p, n, root_slots, coeffs, K + 1)
     if alpha is not None:
-        tables = _reduce(tables + want_alpha[:, None].astype(tables.dtype), p, K)
-        roots = _reduce(roots + want_alpha[:, None].astype(roots.dtype), p, K + 1)
-    ok_root = (_reduce(roots * p, p, K + 1) == tables * p).all(axis=1)
+        tables = _reduce(tables + want_alpha.astype(tables.dtype), p, K)
+        roots = _reduce(roots + want_alpha.astype(roots.dtype), p, K + 1)
+    ok_root = (_reduce(roots, p, K) == tables).all(axis=0)
     a, C = interpolate_tables(p, n, tables, K)
     if slots:
-        ok_canon = (C[:, depths, indices] == coeffs).all(axis=1) & (a == want_alpha)
+        ok_canon = (C[depths, indices] == coeffs_t).all(axis=0) & (a == want_alpha)
     else:
-        ok_canon = (a == want_alpha) & ~C.reshape(len(coeffs), -1).any(axis=1)
+        ok_canon = (a == want_alpha) & ~C.reshape(-1, len(coeffs)).any(axis=0)
     r_alpha, r_C = interpolate_tables(p, n, roots, K + 1)
     root_degs = degrees_from_coeffs(p, n, r_alpha, r_C)
     ok_bound = (root_degs <= degs + (p - 1)) | (degs < 0)
-    # numpy sorts short int8 and int16 rows several times slower than int32
-    sorted_tables = np.sort(tables.astype(np.promote_types(tables.dtype, np.int32)),
-                            axis=1)
-    distinct = 1 + (np.diff(sorted_tables, axis=1) != 0).sum(axis=1)
-    cap = np.where(degs >= 1, p ** _depth_count(p, degs), 1)
-    ok_values = distinct <= np.maximum(cap, 1)
+    ok_values = _coset_check(p, K, tables,
+                             K - np.where(degs >= 1, _depth_count(p, degs), 0))
     return (np.stack([ok_root, ok_canon, ok_bound & ok_values]), K, tables,
             roots, root_degs)
+
+
+def _coset_check(p: int, K: int, tables: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Per column of (N, rows) numerators over p^K, whether P - P(0) is
+    0 mod p^e[row], 0 <= e <= K: at p = 2 one OR over the table axis and a
+    mask, else one scalar-divisor reduction per depth 1..K."""
+    diff = tables - tables[0]  # inside (-p^K, p^K), which the dtype holds
+    if p == 2:
+        spread = np.bitwise_or.reduce(diff, axis=0).astype(np.int64)
+        return (spread & ((1 << e) - 1)) == 0
+    bad = np.zeros((K + 1, tables.shape[1]), dtype=bool)
+    for t in range(1, K + 1):
+        bad[t] = _reduce(diff, p, t).any(axis=0)
+    return ~bad[e, np.arange(tables.shape[1])]
 
 
 def _scan_cost(p: int, n: int, d: int) -> int:
@@ -583,6 +600,41 @@ def _grid_cells(grids) -> list[list[int]]:
     return cells
 
 
+def _random_root_fails(rng, trials: int) -> int:
+    """The roots suite's random trials: forms with alpha/p^2, drawn as
+    _random_poly draws them, stacked per (p, n) in the slots of the largest
+    d drawn there and checked by one _root_block_check.  The first row of
+    each (p, n, d) also takes the object path, which must agree with its
+    block row.  Returns the number of failed verdicts."""
+    draws: dict[tuple, list] = {}
+    for _ in range(trials):
+        p = (2, 3, 5)[rng.below(3)]
+        n = 1 + rng.below(4 if p == 2 else 2)
+        d = 1 + rng.below(5 if p == 2 else 4)
+        draws.setdefault((p, n), []).append((d, *_random_coeffs(p, n, d, rng)[1:]))
+    fails = 0
+    for (p, n), rows in draws.items():
+        top = max(d for d, _, _ in rows)
+        # each degree <= d slot's column among the degree <= top slots
+        column = {s: i for i, s in enumerate(canonical_slots(p, n, top))}
+        coeffs = np.zeros((len(rows), len(column)), dtype=np.int8)
+        firsts: dict[int, int] = {}
+        for i, (d, c, _) in enumerate(rows):
+            coeffs[i, [column[s] for s in canonical_slots(p, n, d)]] = c
+            firsts.setdefault(d, i)
+        alpha = np.array([a for _, _, a in rows], dtype=np.int64)
+        ok, K, tables, roots, root_degs = _root_block_check(p, n, top, coeffs, alpha)
+        fails += int((~ok).sum())
+        for d, i in firsts.items():
+            _, c, a = rows[i]
+            P = _coeff_poly(p, n, canonical_slots(p, n, d), c, a)
+            R = P.pth_root()
+            fails += not (P == NCPoly(p, n, tables[:, i], K)
+                          and R == NCPoly(p, n, roots[:, i], K + 1)
+                          and R.mul_by_p() == P and R.degree() == root_degs[i])
+    return fails
+
+
 def _suite_roots(report: SuiteReport, rng, budget=None, *,
                  grids=_ROOT_GRIDS, random_trials=500, weighted_trials=300):
     for p, n, d in _grid_cells(grids):
@@ -593,26 +645,8 @@ def _suite_roots(report: SuiteReport, rng, budget=None, *,
         report.add("canonical-roundtrip-exhaustive",
                    {"p": p, "n": n, "d": d}, res["canon_fail"] == 0,
                    polynomials=res["count"])
-    # random forms with alpha/p^2, drawn as _random_poly draws them and
-    # stacked per (p, n, d) through the block check; each group's first row
-    # also takes the object path, which must agree with its block row
-    groups: dict[tuple, list] = {}
-    for _ in range(random_trials):
-        p = (2, 3, 5)[rng.below(3)]
-        n = 1 + rng.below(4 if p == 2 else 2)
-        d = 1 + rng.below(5 if p == 2 else 4)
-        groups.setdefault((p, n, d), []).append(_random_coeffs(p, n, d, rng)[1:])
-    fails = 0
-    for (p, n, d), rows in groups.items():
-        coeffs = np.stack([c for c, _ in rows])
-        alpha = np.array([a for _, a in rows], dtype=np.int64)
-        ok, K, tables, roots, root_degs = _root_block_check(p, n, d, coeffs, alpha)
-        P = _coeff_poly(p, n, canonical_slots(p, n, d), coeffs[0], rows[0][1])
-        R = P.pth_root()
-        fails += int((~ok).sum()) + (not (
-            P == NCPoly(p, n, tables[0], K) and R == NCPoly(p, n, roots[0], K + 1)
-            and R.mul_by_p() == P and R.degree() == root_degs[0]))
-    report.add("root-roundtrip-random", {"trials": random_trials}, fails == 0)
+    report.add("root-roundtrip-random", {"trials": random_trials},
+               _random_root_fails(rng, random_trials) == 0)
     # weighted roots g of wp, stacked per (p, m, box) with box = min(period, 9)
     # per axis of g: p * g - wp vanishes on the box, each row from its own
     # terms, one evaluation per group
@@ -755,11 +789,17 @@ _SCANNED_TUPLES = 1 << 20  # the cubes suite counts G^(2^k) past this size
 
 
 def _suite_cubes(report: SuiteReport, rng, budget=None, *, k=3, maps=1000):
-    # its map loops, maps + 60 maps of at most the largest preservation pass
-    # over _map_choices, checked before the first record against budget, or
-    # without one against their cost at the default 1000 maps
-    top = max(hk_size(H, 3) << 3 for o in (8, 9) for H in _map_choices(o)[0])
-    check_budget((maps + 60) * top, 1060 * top if budget is None else budget,
+    # its map loops, each map priced at the most its loop runs: a k = 3
+    # preservation pass and a generator walk for the maps maps (H from
+    # _map_choices(8)), both walks for the 60 generator maps (H up to Z/9);
+    # checked before the first record against budget, or without one
+    # against their cost at the default 1000 maps
+    pairs = {o: [(H, G) for H in _map_choices(o)[0] for G in _map_choices(o)[1]]
+             for o in (8, 9)}
+    per_map = max((hk_size(H, 3) << 3) + _walk_size(H, G) for H, G in pairs[8])
+    per_gen = max(_walk_size(H, G) + _walk_size(H, G, False) for H, G in pairs[9])
+    check_budget(maps * per_map + 60 * per_gen,
+                 1000 * per_map + 60 * per_gen if budget is None else budget,
                  "_suite_cubes")
     for G in _group_zoo():
         for dim in range(1, k + 1):

@@ -305,10 +305,10 @@ def periodicity_check(f: WeightedPoly, d: int) -> dict:
     for i, Di in enumerate(f.D):
         if (d - Di) % (p - 1) != 0 or d < Di:
             continue
-        # p^(j_i) with D_i + j_i(p-1) = d lies below the forced period
-        vals = np.unique((shifted(i, p ** ((d - Di) // (p - 1))) - base)
-                         % p**K)
-        if len(vals) != 1:
+        # p^(j_i) with D_i + j_i(p-1) = d lies below the forced period;
+        # the difference must take one value on the box
+        vals = (shifted(i, p ** ((d - Di) // (p - 1))) - base) % p**K
+        if (vals != vals[0]).any():
             report["pass"] = False
             report["top_coefficients"][i + 1] = None
             continue

@@ -484,11 +484,15 @@ class TestCli:
             "error: suite 'cubes' takes no parameter 'scan_cap'; its "
             "parameters are k, maps\n")
 
-    # the map loops, (maps + 60) maps of at most hk_size(Z/9, 3) 2^3 = 52,488
-    # entries each, are checked before the first record: against --budget,
-    # or without one against their cost at the default 1000 maps
+    # the map loops are checked before the first record: against --budget,
+    # or without one against their cost at the default 1000 maps.  A maps
+    # map costs at most a k = 3 preservation pass of Z/2^3 or Z/8, 8^4 2^3 =
+    # 32,768 entries, plus its generator walk into Z/4, 160 entries; a
+    # generator map at most Z/9's two walks, 36 + 1,485 entries
+    MAP_COST, GEN_COST = 32768 + 160, 36 + 1485
+
     @pytest.mark.parametrize("budget,allowed", [
-        ([], 1060 * 52488), (["--budget", "1000000"], 1000000)])
+        ([], 1000 * MAP_COST + 60 * GEN_COST), (["--budget", "1000000"], 1000000)])
     def test_verify_cubes_caps_the_map_loops(self, budget, allowed,
                                              monkeypatch, capsys):
         monkeypatch.setattr(suites, "_group_zoo", None)
@@ -499,7 +503,20 @@ class TestCli:
         assert code == 3 and out == ""
         assert capsys.readouterr().err == (
             "budget exceeded: _suite_cubes: estimated cost "
-            f"{100000060 * 52488} exceeds budget {allowed}\n")
+            f"{100000000 * self.MAP_COST + 60 * self.GEN_COST} exceeds budget "
+            f"{allowed}\n")
+
+    def test_verify_cubes_runs_at_its_estimate(self, capsys):
+        # the default 1000 maps at k = 1 pass within the loops' estimate,
+        # and one unit below it they are refused before the first record
+        cost = 1000 * self.MAP_COST + 60 * self.GEN_COST
+        assert run_cli("verify", "cubes", "--param", "k=1",
+                       "--budget", str(cost))[0] == 0
+        code, out = run_cli("verify", "cubes", "--param", "k=1",
+                            "--budget", str(cost - 1))
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.endswith(
+            f"_suite_cubes: estimated cost {cost} exceeds budget {cost - 1}\n")
 
     def test_verify_roots_budget_exit_3(self, capsys):
         # the (2, 4, 4) cell is 2^43 forms on 2^4 points: refused before

@@ -16,6 +16,7 @@ from toruspoly.core import (
     SUPPORTED_PRIMES,
     BudgetExceeded,
     TorusValue,
+    _int_dtype,
     space,
 )
 from toruspoly import poly, suites
@@ -445,7 +446,7 @@ class TestExactProducts:
         forms = [CanonicalForm(p, n, TorusValue.zero(p),
                                {s: int(c) for s, c in zip(slots, row)})
                  for row in coeffs]
-        _assert_tables_match_forms(p, n, tables.T, K, forms)
+        _assert_tables_match_forms(p, n, tables, K, forms)
 
 
 _DEEP_FORM = f"1/{2**40}*x1*x2 + 1/2*x3"
@@ -638,7 +639,7 @@ class TestTableDtypeLadder:
         forms = [CanonicalForm(p, n, TorusValue.zero(p),
                                {s: int(c) for s, c in zip(slots, row)})
                  for row in coeffs]
-        _assert_tables_match_forms(p, n, tables.T, K, forms)
+        _assert_tables_match_forms(p, n, tables, K, forms)
 
     # at (13, 12) the top slot's degree + 1, 12 + 11 * 12 + 1 = 145, takes
     # degrees_from_coeffs past int8
@@ -649,17 +650,17 @@ class TestTableDtypeLadder:
         # p^K, in any integer type, interpolate to the table mod p^K
         n = 1 if p == 13 else 2
         sp = space(p, n)
-        tables = _full_range(SplitMix64(K), source, (3, sp.size))
+        tables = _full_range(SplitMix64(K), source, (3, sp.size)).T
         alpha, C = poly.interpolate_tables(p, n, tables, K)
         assert alpha.dtype == dt and C.dtype == np.int8
         degrees = poly.degrees_from_coeffs(p, n, alpha, C)
         for b in range(3):
             cf = CanonicalForm(p, n, TorusValue(p, int(alpha[b]), K),
-                               {(sp.digits_of(int(e)), int(j)): int(C[b, j, e])
-                                for j, e in zip(*np.nonzero(C[b]))})
+                               {(sp.digits_of(int(e)), int(j)): int(C[j, e, b])
+                                for j, e in zip(*np.nonzero(C[:, :, b]))})
             assert degrees[b] == cf.degree()
             for x in points(p, n):
-                assert cf.eval(x) == TorusValue(p, int(tables[b, x]) % p**K, K)
+                assert cf.eval(x) == TorusValue(p, int(tables[x, b]) % p**K, K)
 
     @pytest.mark.parametrize("source", _SOURCES)
     @pytest.mark.parametrize("p", [2, 3, 13])
@@ -693,18 +694,64 @@ class TestKernelLayout:
         rng = SplitMix64(len(lead))
         rows = np.array([[rng.below(p) for _ in slots]
                          for _ in range(int(np.prod(lead)))])
-        tables = eval_slot_batches(p, n, slots, rows, K).reshape(*lead, p**n)
+        tables = eval_slot_batches(p, n, slots, rows, K).reshape(p**n, *lead)
         alpha, C = poly.interpolate_tables(p, n, tables, K)
-        assert alpha.shape == lead and C.shape == (*lead, K, p**n)
+        assert alpha.shape == lead and C.shape == (K, p**n, *lead)
         for idx in np.ndindex(*lead):
-            row_alpha, row_C = poly.interpolate_tables(p, n, tables[idx], K)
+            row_alpha, row_C = poly.interpolate_tables(p, n, tables[(..., *idx)], K)
             assert row_alpha.shape == () and row_C.shape == (K, p**n)
             assert row_alpha == alpha[idx]
-            assert np.array_equal(row_C, C[idx])
+            assert np.array_equal(row_C, C[(..., *idx)])
         sp = space(p, n)
-        recovered = [C.reshape(-1, K, p**n)[:, j, sp.index_of(e)]
+        recovered = [C.reshape(K, p**n, -1)[j, sp.index_of(e)]
                      for e, j in slots]
         assert np.array_equal(np.stack(recovered, axis=1), rows)
+
+    # every batched kernel takes and returns the table axis first, then the
+    # batch axes; each table of a batch against CanonicalForm.eval
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("p,n,d", [(2, 3, 4), (3, 2, 3), (5, 1, 6)])
+    def test_table_first_kernels_against_the_point_evaluator(self, batch, p,
+                                                              n, d):
+        sp, N = space(p, n), p**n
+        slots = canonical_slots(p, n, d)
+        K = poly._depth_count(p, d)
+        rng = SplitMix64(N + d + len(batch))
+        coeffs = np.array([rng.below(p) for _ in range(int(np.prod(batch))
+                                                       * len(slots))],
+                          dtype=np.int8).reshape(*batch, len(slots))
+        tables = eval_slot_batches(p, n, slots, coeffs, K)
+        assert tables.shape == (N, *batch)
+        alpha, C = poly.interpolate_tables(p, n, tables, K)
+        assert alpha.shape == batch and C.shape == (K, N, *batch)
+        degrees = poly.degrees_from_coeffs(p, n, alpha, C)
+        assert degrees.shape == batch
+        layer = poly.eval_layer_tables(p, n, C[K - 1], K - 1, K)
+        classical = poly.classical_coeffs(p, n, tables % p)
+        assert layer.shape == classical.shape == (N, *batch)
+        for idx in np.ndindex(*batch):
+            at = (slice(None), *idx)
+            cf = CanonicalForm(p, n, TorusValue.zero(p),
+                               {s: int(c) for s, c in zip(slots, coeffs[idx])})
+            back = CanonicalForm(
+                p, n, TorusValue(p, int(alpha[idx]), K),
+                {(sp.digits_of(int(e)), int(j)): int(C[(j, e, *idx)])
+                 for j, e in zip(*np.nonzero(C[(slice(None), *at)]))})
+            deepest = CanonicalForm(
+                p, n, TorusValue(p, int(C[(K - 1, 0, *idx)]), K),
+                {(sp.digits_of(e), K - 1): int(c)
+                 for e, c in enumerate(C[(K - 1, *at)]) if e and c})
+            mod_p = CanonicalForm(
+                p, n, TorusValue(p, int(classical[(0, *idx)]), 1),
+                {(sp.digits_of(e), 0): int(c)
+                 for e, c in enumerate(classical[at]) if e and c})
+            assert back == cf and degrees[idx] == cf.degree()
+            for x in points(p, n):
+                want = cf.eval(x)
+                assert TorusValue(p, int(tables[(x, *idx)]), K) == want
+                assert back.eval(x) == want
+                assert TorusValue(p, int(layer[(x, *idx)]), K) == deepest.eval(x)
+                assert mod_p.eval(x) == TorusValue(p, int(tables[(x, *idx)]) % p, 1)
 
 
 class TestMultiplyClassical:
@@ -883,19 +930,51 @@ class TestScanBlocks:
         assert slots == tuple(_slots_oracle(3, 2, 3))
 
     # every block of the small cells; the first blocks of cells with so
-    # many slots that p^s passes 2^63 - 1, where the digits are all 0
+    # many slots that p^s passes 2^63 - 1, where the digits are all 0; codes
+    # and digits are in _int_dtype(p^s), which leaves int32 between 2^30
+    # (30 slots at (2, 1, 30)) and 2^31 (31 slots at (2, 1, 31))
     @pytest.mark.parametrize("p,n,d", [(2, 3, 3), (3, 3, 2), (5, 2, 2),
                                        (2, 0, 4), (3, 0, 0), (2, 1, 200),
-                                       (3, 1, 400), (13, 1, 400)])
+                                       (3, 1, 400), (13, 1, 400),
+                                       (2, 1, 30), (2, 1, 31)])
     def test_digit_split_equals_the_divmod_loop(self, p, n, d):
+        slots = canonical_slots(p, n, d)
+        dtype = {(2, 1, 30): np.int32, (2, 1, 31): np.int64}.get(
+            (p, n, d), _int_dtype(p ** len(slots)))
         for slots, codes, coeffs in itertools.islice(
                 coefficient_batches(p, n, d), 20):
+            assert codes.dtype == coeffs.dtype == dtype
             want = np.empty((len(codes), len(slots)), dtype=np.int64)
             rest = codes.copy()
             for s in range(len(slots)):
                 want[:, s] = rest % p
                 rest //= p
             assert np.array_equal(coeffs, want)
+
+    # P - P(0) = 0 mod p^e, per column, against Python integers: rows at
+    # every p-adic spread f, checked at every e, in each table dtype
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    @pytest.mark.parametrize("dt", _SOURCES)
+    def test_coset_check_against_the_oracle(self, p, dt):
+        K = max(k for k in range(63) if p**k < 1 << 63
+                and poly._table_dtype(p, k) == dt)
+        rng = SplitMix64(p + K)
+        cols = []
+        for f in range(K + 1):
+            base = rng.below(p**K)
+            cols += [[(base + p**f * rng.below(p ** (K - f) or 1)) % p**K
+                      for _ in range(9)],
+                     [base] * 8 + [(base + p**f) % p**K]]
+        tables = np.array(cols, dtype=np.int64).T.astype(dt)
+        assert tables.dtype == poly._table_dtype(p, K)
+        want = [[all((v - col[0]) % p**e == 0 for v in col)
+                 for col in cols] for e in range(K + 1)]
+        for e in range(K + 1):
+            got = suites._coset_check(p, K, tables, np.full(len(cols), e))
+            assert got.tolist() == want[e]
+        mixed = np.array([rng.below(K + 1) for _ in cols])
+        assert suites._coset_check(p, K, tables, mixed).tolist() == \
+            [want[e][c] for c, e in enumerate(mixed.tolist())]
 
     def test_slot_basis_is_cached_and_read_only(self):
         slots = canonical_slots(3, 2, 3)
@@ -906,7 +985,7 @@ class TestScanBlocks:
         assert not basis.flags.writeable
         with pytest.raises(ValueError):
             basis[0, 0] = 1
-        for row, slot in zip(tables, slots):
+        for row, slot in zip(tables.T, slots):
             cf = CanonicalForm(3, 2, TorusValue.zero(3), {slot: 1})
             nums, K = cf.eval_table()
             assert np.array_equal(row, nums * 3 ** (2 - K))
@@ -955,7 +1034,7 @@ class TestScanBlocks:
                 alpha, C = real_interp(p_, n_, nums, K_)
                 if K_ == target and not flips:
                     C = C.copy()
-                    C[(1, *at)] = (int(C[(1, *at)]) + 1) % p
+                    C[(*at, 1)] = (int(C[(*at, 1)]) + 1) % p
                     flips.append(K_)
                 return alpha, C
             monkeypatch.setattr(suites, "interpolate_tables", planted)
@@ -999,8 +1078,8 @@ class TestScanBlocks:
         for row in range(len(rows)):
             P = _random_poly(p, n, d, scalar)
             R = P.pth_root()
-            assert P == NCPoly(p, n, tables[row], K)
-            assert R == NCPoly(p, n, roots[row], K + 1)
+            assert P == NCPoly(p, n, tables[:, row], K)
+            assert R == NCPoly(p, n, roots[:, row], K + 1)
             assert R.mul_by_p() == P
             assert R.degree() == root_degs[row]
             assert R.degree() <= max(P.degree(), 0) + p - 1

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from math import comb
@@ -558,6 +560,31 @@ class TestPeriodicity:
         rep = periodicity_check(w, 3)
         assert rep == {"periods": {"p^2e_1": True, "p^1e_2": True},
                        "top_coefficients": {1: 2}, "pass": True}
+
+    def test_non_constant_top_difference_fails(self):
+        # binom(a, 2)/2 read at d = 1: its difference along e_1 is a/2,
+        # which takes two values, so no top coefficient is extracted
+        w = wpoly(2, (1,), {((2,), 0): 1})
+        rep = periodicity_check(w, 1)
+        assert not rep["pass"] and rep["top_coefficients"] == {1: None}
+
+
+def test_suites_leave_numpy_ma_unimported():
+    # np.unique without return_* arguments imports numpy.ma on its first
+    # call, 9-19 ms per process; the weighted suite and the roots suite
+    # make no such call
+    script = ("import sys\n"
+              "from toruspoly.suites import run_suite\n"
+              "assert run_suite('weighted', seed=1).passed\n"
+              "assert run_suite('roots', {'grids': [[2, 2, 3], [3, 1, 3]],\n"
+              "                           'random_trials': 30,\n"
+              "                           'weighted_trials': 30}, seed=1).passed\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 class TestBinomialValuation:
