@@ -16,7 +16,8 @@ degrees_from_coeffs), so each per-axis pass runs over contiguous runs of
 entries and a per-table verdict is a reduction over the leading axis.
 Products run in float32 while every partial sum is an integer below 2^24,
 in float64 below 2^53, exact in BLAS either way, else in Python integers;
-layers share one matrix per (p, n) and those past float64 one exact matrix.
+a layer is one product with an exact monomial matrix of at most SPACE_CAP
+floats where (p, n) has one, else one pass per axis.
 Every reduction mod p^K goes through one helper, core._reduce, on floor
 division (a mask at p = 2).
 classical_coeffs refuses tables past SPACE_CAP entries; below it, its
@@ -199,42 +200,22 @@ def classical_coeffs(p: int, n: int, table: np.ndarray) -> np.ndarray:
     return _narrow(arr, p, 1, _INT8).reshape(shape)
 
 
-def _matrix_dtypes(p: int, n: int, modulus: int) -> tuple:
-    """Build dtype (int64 while modulus * top < 2^63) and storage dtype of M."""
-    top = max(pow(d, e, modulus) for d in range(p) for e in range(p))
-    return (object if modulus * top >= 1 << 63 else np.int64,
-            _exact_dtype(p**n, p, min(modulus - 1, (p - 1) ** (n * (p - 1)))))
-
-
-@lru_cache(maxsize=256)
-def _monomial_matrix(p: int, n: int, modulus: int) -> np.ndarray:
-    """M[x, e] = prod_t |x_t|^(digit_t(e)) mod modulus, shape (N, N); N^2 is
-    checked against SPACE_CAP before it is allocated.  Built in place, one
-    N x N gather at a time: in its float storage dtype when no monomial value
-    reaches modulus (no reduction, no final copy), else in the build dtype."""
-    check_budget(p ** (2 * n), SPACE_CAP, "_monomial_matrix")
-    dig = space(p, n).digits.astype(np.int64)
-    build, store = _matrix_dtypes(p, n, modulus)
-    unreduced = store is not object and (p - 1) ** (n * (p - 1)) < modulus
-    dtype = store if unreduced else build
-    powtab = np.array([[pow(d, e, modulus) for e in range(p)] for d in range(p)], dtype)
-    M = np.ones((p**n, p**n), dtype=dtype)
+@lru_cache(maxsize=64)
+def _monomial_matrix(p: int, n: int) -> np.ndarray | None:
+    """M[x, e] = prod_t |x_t|^(digit_t(e)), shape (N, N), exact: in the float
+    dtype _exact_dtype picks for N products of a coefficient with values up
+    to (p-1)^(n(p-1)), built in place one N x N gather at a time, with no
+    reduction or copy; None past float64 or where N^2 passes SPACE_CAP."""
+    N = p**n
+    dtype = _exact_dtype(N, p, (p - 1) ** (n * (p - 1)))
+    if N * N > SPACE_CAP or dtype is object:
+        return None
+    dig = space(p, n).digits
+    powtab = np.array([[d**e for e in range(p)] for d in range(p)], dtype)
+    M = np.ones((N, N), dtype=dtype)
     for t in range(n):
         M *= powtab[np.ix_(dig[:, t], dig[:, t])]
-        if not unreduced:
-            M %= modulus
-    return M.astype(store, copy=False)
-
-
-@lru_cache(maxsize=64)
-def _shared_modulus(p: int, n: int) -> tuple[int, bool]:
-    """(p^D, exact): M mod p^D for the largest D that builds in int64 and is
-    stored as a float (float32 or float64, as _exact_dtype says); exact when
-    no monomial value reaches p^D."""
-    m = max(p**D for D in range(64) if p**D < 1 << 63)  # the largest below 2^63
-    while object in _matrix_dtypes(p, n, m):  # monotone in D
-        m //= p
-    return m, (p - 1) ** (n * (p - 1)) < m
+    return M
 
 
 def eval_layer_tables(
@@ -242,16 +223,32 @@ def eval_layer_tables(
 ) -> np.ndarray:
     """Numerators over p^K of sum_e coeffs[e, ...]/p^(depth+1) * monomial_e,
     for coefficients in [0, p), with the table axis first, in
-    _table_dtype(p, K)."""
-    m, exact = _shared_modulus(p, n)  # M mod p^D serves layers with p^(depth+1) | p^D
-    if not exact and p ** (depth + 1) > m:
-        m = p ** (depth + 1)
-        if _matrix_dtypes(p, n, m)[1] is object:  # past float64: one exact
-            m = p ** (n * (p - 1))  # matrix, as no monomial value reaches this
-    M = _monomial_matrix(p, n, m)
+    _table_dtype(p, K).  N is checked against SPACE_CAP first.  Where
+    _monomial_matrix holds the exact monomial values, one product with it;
+    else one pass per axis by V[a, e] = a^e mod m = p^(depth+1): at p = 2 a
+    subset sum, at most N, masked once at the end; at odd p reduced mod m
+    after each axis, so that its sums stay below p m^2, in int64 while that
+    is below 2^63, else in Python integers."""
+    N, m = p**n, p ** (depth + 1)
+    check_budget(N, SPACE_CAP, "eval_layer_tables")
     coeffs = np.asarray(coeffs)
-    vals = _narrow(M @ coeffs.reshape(len(M), -1).astype(M.dtype), p, depth + 1,
-                   _table_dtype(p, K))
+    arr = coeffs.reshape(N, -1)
+    M = _monomial_matrix(p, n)
+    if M is not None:
+        arr = M @ arr.astype(M.dtype)
+    elif p == 2:
+        arr = arr.astype(_int_dtype(N), order="C")  # fresh, viewed in place
+        for ax in range(n):
+            view = arr.reshape(N >> (ax + 1), 2, -1)
+            view[:, 1] += view[:, 0]
+    else:
+        dtype = np.int64 if p * m * m < 1 << 63 else object
+        V = np.array([[pow(a, e, m) for e in range(p)] for a in range(p)], dtype)
+        arr = arr.astype(dtype)
+        for ax in range(n):
+            arr = _reduce(np.matmul(V, arr.reshape(N // p ** (ax + 1), p, -1)),
+                          p, depth + 1)
+    vals = _narrow(arr, p, depth + 1, _table_dtype(p, K))
     if K - 1 - depth:
         vals *= p ** (K - 1 - depth)  # below p^K
     return vals.reshape(coeffs.shape)
@@ -366,7 +363,7 @@ class CanonicalForm:
         _check_table_exponent(p, K)
         nums = np.full(sp.size, self.alpha.num * p ** (K - self.alpha.exp),
                        dtype=_table_dtype(p, K))
-        C = np.zeros((K, sp.size), dtype=np.int64)
+        C = np.zeros((K, sp.size), dtype=_INT8)  # digits below p
         exps = np.array([e for e, _ in self.terms], dtype=np.int64).reshape(
             len(self.terms), self.n)
         C[[j for _, j in self.terms],

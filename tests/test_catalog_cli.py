@@ -258,14 +258,14 @@ class TestCli:
             f"budget exceeded: CanonicalForm.eval_table: estimated cost "
             f"{2**n} exceeds budget {1 << 24}\n")
 
-    def test_layer_matrix_past_cap_exit_3(self, capsys):
-        # the 2^16-entry table fits; the dense N x N layer matrix does not
+    def test_layer_matrix_past_cap_exit_0(self):
+        # the 2^16-entry table fits, and its layers take the per-axis pass
+        # where a dense N x N layer matrix would pass SPACE_CAP
         text = json.dumps({"p": 2, "n": 16, "text": "1/4*x1 + 1/2*x2*x3"})
         code, out = run_cli("--input", "-", "degree", stdin_text=text)
-        assert code == 3 and out == ""
-        assert capsys.readouterr().err == (
-            f"budget exceeded: _monomial_matrix: estimated cost {1 << 32} "
-            f"exceeds budget {1 << 24}\n")
+        assert code == 0
+        assert json.loads(out) == {"degree": 2, "by_derivatives": 2,
+                                   "agree": True}
 
     def test_wrong_json_shape_exit_2(self):
         text = json.dumps({"p": 2, "n": 2, "values": 5})

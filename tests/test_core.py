@@ -32,7 +32,7 @@ from toruspoly.norms import (
 )
 from toruspoly.parallel import chunk_ranges
 from toruspoly.poly import (CanonicalForm, NCPoly, classical_coeffs, count_polys,
-                            enumerate_polys)
+                            enumerate_polys, eval_layer_tables)
 from toruspoly.rng import SplitMix64
 from toruspoly.suites import _csg2_lhs, _draws_below
 from toruspoly.weighted import PeriodicMap, binomial_expand
@@ -236,9 +236,6 @@ class TestSpace:
             lambda: enumerate_cube_codes(FilteredAbelianGroup.maximal([2], 1),
                                          12),
             1 << 25, 1 << 24),
-        # the dense layer matrix has N^2 entries
-        "_monomial_matrix": (lambda: NCPoly.from_text(2, 13, "1/4*x1"),
-                             1 << 26, 1 << 24),
         # p^n is bounded before a value table is allocated
         "NCPoly.zero": (lambda: NCPoly.zero(2, 30), 1 << 30, 1 << 24),
         "CanonicalForm.eval_table": (
@@ -262,6 +259,11 @@ class TestSpace:
         "classical_coeffs": (
             lambda: classical_coeffs(13, 7, np.broadcast_to(np.int64(0), (13**7,))),
             13**7, 1 << 24),
+        # past the dense cells a layer runs one pass per axis over N entries
+        "eval_layer_tables": (
+            lambda: eval_layer_tables(
+                2, 25, np.broadcast_to(np.int8(0), (1 << 25,)), 0, 1),
+            1 << 25, 1 << 24),
         # the dense norm blocks are bounded before they are built: N^(d-1)
         # entries for gowers_power, N^(d-1) or N^d for the exact path,
         # N^(d+1) for the cube product and N^d for the Cauchy-Schwarz sum

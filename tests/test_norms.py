@@ -285,6 +285,11 @@ class TestRankWitness:
     def test_s4_function_of_l_over_eight(self):
         assert rank_witness_check(S_k(5, 4), 3, [L_over_power(5, 3)])
 
+    def test_witness_past_the_dense_cells(self):
+        # F_2^14 has no monomial matrix: the witness's degree is read off a
+        # canonical form interpolated on the per-axis pass
+        assert rank_witness_check(S_k(14, 4), 3, [L_over_power(14, 3)])
+
     def test_constant_empty_witness(self):
         C = NCPoly(2, 3, np.full(8, 1), 1)  # the constant 1/2
         assert rank_witness_check(C, 1, [])

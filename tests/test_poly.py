@@ -165,6 +165,11 @@ class TestDegree:
             assert P.degree() == k + 1
             assert P.degree_by_derivatives() == k + 1
 
+    def test_l_over_power_past_the_dense_cells(self):
+        # F_2^13 has no monomial matrix (N^2 = 2^26 passes SPACE_CAP), so
+        # its interpolation runs on the per-axis pass
+        assert L_over_power(13, 3).degree() == 3
+
     def test_constant_degree_zero(self):
         C = constant(3, 1, TorusValue(3, 1, 2))
         assert C.degree() == 0
@@ -278,6 +283,9 @@ class TestPthRoot:
         assert diff.is_classical()
 
 
+_F_2_20_FORM = "1/8*x1*x2 + 1/4*x3 + 1/2*x4*x5*x20"
+
+
 class TestInterpolate:
     def test_constant(self):
         C = constant(2, 2, TorusValue(2, 3, 2))
@@ -312,7 +320,10 @@ class TestInterpolate:
 
     @pytest.mark.parametrize("K", [8, 9, 14, 15])
     def test_monomial_products_past_int64(self, K):
-        # from K = 9 on, 13^(2K) passes 2^63: the monomial matrix must not wrap
+        # F_13^2 has no monomial matrix, so its layers take the per-axis
+        # pass; from K = 9 on, 13 * 13^(2K) passes 2^63 and the pass must
+        # not wrap
+        assert poly._monomial_matrix(13, 2) is None
         text = f"1/{13**K}*x1^12*x2^12"
         cf = CanonicalForm.from_text(13, 2, text)
         P = NCPoly.from_canonical(cf)
@@ -327,6 +338,28 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="exceeds 2\\^63"):
             NCPoly.from_text(2, 2, f"1/{2**62}*x1 + 1/2*x2").pth_root()
         assert NCPoly(3, 1, [1, 2, 0], 39).K == 39
+
+    def test_round_trip_on_f_2_20(self):
+        # past the dense cells: both directions run on the per-axis pass
+        cf = CanonicalForm.from_text(2, 20, _F_2_20_FORM)
+        P = NCPoly.from_canonical(cf)
+        assert P.K == 3
+        assert NCPoly(2, 20, P.nums, P.K).canonical() == cf
+
+    def test_eval_table_layers_in_int8(self):
+        # at (2, 20), K = 3 the coefficient layers take 3 MiB in int8, where
+        # K x N int64 took 24 MiB; the int8 table and one int32 subset-sum
+        # pass with its reduction make up most of the rest
+        cf = CanonicalForm.from_text(2, 20, _F_2_20_FORM)
+        space(2, 20).size  # cached before the measurement
+        tracemalloc.start()
+        try:
+            nums, K = cf.eval_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K == 3 and nums.dtype == np.int8
+        assert peak < 16 * 2**20
 
     def test_eval_table_sums_past_2_to_the_62(self):
         # 5^27 lies between 2^62 and 2^63: the sum of two layers' numerators
@@ -380,17 +413,24 @@ def fresh_matrix_cache():
 
 @pytest.fixture
 def matrix_requests(monkeypatch, fresh_matrix_cache):
-    """(modulus, dtype) of each monomial matrix that the poly kernels fetch."""
+    """The dtype of each monomial matrix that the poly kernels fetch, None
+    where (p, n) has none."""
     requests = []
     fetch = poly._monomial_matrix
 
-    def spy(p, n, modulus):
-        M = fetch(p, n, modulus)
-        requests.append((modulus, M.dtype))
+    def spy(p, n):
+        M = fetch(p, n)
+        requests.append(None if M is None else M.dtype)
         return M
 
     monkeypatch.setattr(poly, "_monomial_matrix", spy)
     return requests
+
+
+@pytest.fixture
+def per_axis_only(monkeypatch):
+    """Every layer takes the per-axis pass, as past the dense cells."""
+    monkeypatch.setattr(poly, "_monomial_matrix", lambda p, n: None)
 
 
 def _ladder(bound):
@@ -401,25 +441,26 @@ def _ladder(bound):
 
 
 class TestExactProducts:
-    # the layer matrix M mod m is float32 while N(p-1) times its largest
-    # entry, min(m - 1, (p-1)^(n(p-1))), stays below 2^24, float64 below
-    # 2^53, and Python integers past it: at p = 2 every entry is 0 or 1, so
-    # every depth runs on float32; the unreduced matrix at (5, 2) has sums
-    # up to 6.6e6 and at (5, 3) up to 8.4e9, so float32 would round there;
-    # at p = 13, n = 2, depth 13 the sums pass 2^53, so float64 would round
+    # the layer matrix holds exact monomial values, at most (p-1)^(n(p-1)):
+    # float32 while N(p-1) times that stays below 2^24, float64 below 2^53,
+    # and past it no matrix, so the layer takes the per-axis pass: at p = 2
+    # every entry is 0 or 1, so every depth runs on float32; the sums reach
+    # 6.6e6 at (5, 2), 8.4e9 at (5, 3) and 1.4e15 at (13, 1), so float32
+    # would round at the last two; at (3, 6) they stay at 6.0e6, and at
+    # (5, 5), (7, 3) and (13, 2) they pass 2^53
     @pytest.mark.parametrize("p,n,depth,dtype", [
         (2, 3, 49, np.float32), (2, 3, 50, np.float32),
         (2, 10, 44, np.float32), (2, 10, 49, np.float32),
-        (5, 2, 2, np.float32), (5, 3, 2, np.float64),
-        (13, 2, 10, np.float64), (13, 2, 11, object), (13, 2, 13, object)])
+        (3, 6, 3, np.float32), (5, 2, 2, np.float32), (5, 3, 2, np.float64),
+        (13, 1, 10, np.float64), (5, 5, 2, object), (7, 3, 2, object),
+        (13, 2, 11, object), (13, 2, 13, object)])
     def test_layer_products_switch_at_2_to_the_53(self, p, n, depth, dtype,
                                                   matrix_requests):
         N, K = p**n, depth + 1
         coeffs, forms = _layer_case(p, n, depth, depth, 16 if N > 169 else None)
         tables = poly.eval_layer_tables(p, n, coeffs, depth, K)
-        (modulus, got), = matrix_requests
-        top = min(modulus - 1, (p - 1) ** (n * (p - 1)))
-        assert _ladder(N * (p - 1) * top) is dtype and got == dtype
+        assert _ladder(N * (p - 1) * (p - 1) ** (n * (p - 1))) is dtype
+        assert matrix_requests == [None if dtype is object else dtype]
         assert tables.dtype == poly._table_dtype(p, K) and tables.shape == (N, 4)
         _assert_tables_match_forms(p, n, tables, K, forms)
 
@@ -453,9 +494,9 @@ _DEEP_FORM = f"1/{2**40}*x1*x2 + 1/2*x3"
 
 
 class TestSharedMatrix:
-    # eval_layer_tables reads every layer with p^(depth+1) | p^D off one
-    # matrix M mod p^D, for the largest D with an int64 build and float
-    # storage, and every layer when no monomial value reaches p^D
+    # eval_layer_tables reads every depth off one exact matrix per (p, n),
+    # where _exact_dtype picks a float for it and N^2 is inside SPACE_CAP;
+    # everywhere else every depth takes the per-axis pass
 
     def test_one_float32_matrix_for_every_depth_at_p_2(self, matrix_requests,
                                                         fresh_matrix_cache):
@@ -463,7 +504,7 @@ class TestSharedMatrix:
             coeffs, forms = _layer_case(2, 3, depth, depth)
             tables = poly.eval_layer_tables(2, 3, coeffs, depth, depth + 1)
             _assert_tables_match_forms(2, 3, tables, depth + 1, forms)
-        assert matrix_requests == [(2**62, np.float32)] * 62
+        assert matrix_requests == [np.float32] * 62
         assert fresh_matrix_cache.cache_info().currsize == 1
 
     def test_deep_bare_table_builds_one_matrix(self, fresh_matrix_cache):
@@ -499,58 +540,49 @@ class TestSharedMatrix:
             tables = poly.eval_layer_tables(3, 6, coeffs, depth, depth + 1)
             _assert_tables_match_forms(3, 6, tables, depth + 1, forms)
         # N(p-1) 2^12 = 6.0e6 < 2^24: every entry and sum is exact in float32
-        (modulus, dtype), = set(matrix_requests)
-        assert dtype == np.float32 and modulus > 2**12
+        assert matrix_requests == [np.float32] * 4
         dig = space(3, 6).digits.astype(np.int64)
         exact = np.ones((3**6, 3**6), dtype=np.int64)
         for t in range(6):
             exact *= dig[:, t, None] ** dig[None, :, t]
         assert exact.max() == 2**12
-        assert np.array_equal(fresh_matrix_cache(3, 6, modulus), exact)
+        assert np.array_equal(fresh_matrix_cache(3, 6), exact)
 
     def test_unreduced_matrix_builds_in_place(self, fresh_matrix_cache):
         # the float32 matrix at (2, 10) is built in its storage dtype: the
         # matrix and one N x N gather at a time, 2 N^2 4 bytes (8.4 MB),
         # where int64 products, their reductions and a final copy took 25 MB
         N = 2**10
-        modulus, exact = poly._shared_modulus(2, 10)
         space(2, 10).digits  # cached before the measurement
         tracemalloc.start()
         try:
-            M = fresh_matrix_cache(2, 10, modulus)
+            M = fresh_matrix_cache(2, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert exact and M.dtype == np.float32 and M.shape == (N, N)
+        assert M.dtype == np.float32 and M.shape == (N, N)
         assert peak <= 1.05 * 2 * N * N * 4
         dig = space(2, 10).digits
         assert np.array_equal(M, (dig[None, :, :] <= dig[:, None, :]).all(axis=2))
 
-    def test_layers_past_float64_share_one_exact_matrix(self, matrix_requests,
-                                                         fresh_matrix_cache):
-        # at p = 13, n = 2: M mod 13^8 serves depths 0-7, depths 8-10 take a
-        # float64 matrix each, and depths 11-15 one exact matrix, mod 13^24,
-        # which reduces no entry: every monomial value is at most 12^24
+    # the dense cells stop at F_2^12, F_3^7, F_5^4, F_7^2, F_11^1 and F_13^1:
+    # one more axis takes N^2 past SPACE_CAP or the sums past float64
+    @pytest.mark.parametrize("p,n", [(2, 12), (3, 7), (5, 4), (7, 2),
+                                     (11, 1), (13, 1)])
+    def test_dense_cells_stop_at(self, p, n):
+        N = p**n
+        assert N * N <= SPACE_CAP
+        assert _ladder(N * (p - 1) * (p - 1) ** (n * (p - 1))) is not object
+        assert poly._monomial_matrix.__wrapped__(p, n + 1) is None
+
+    def test_layers_past_float64_take_the_per_axis_pass(self, matrix_requests):
+        # at p = 13, n = 2 the exact monomial values reach 12^24, past
+        # float64: no matrix, and every depth runs one pass per axis
         for depth in range(16):
             coeffs, forms = _layer_case(13, 2, depth, depth, terms=3)
             tables = poly.eval_layer_tables(13, 2, coeffs, depth, depth + 1)
             _assert_tables_match_forms(13, 2, tables, depth + 1, forms)
-        assert matrix_requests == (
-            [(13**8, np.float64)] * 8
-            + [(13**D, np.float64) for D in (9, 10, 11)] + [(13**24, object)] * 5)
-        assert fresh_matrix_cache.cache_info().currsize == 5
-
-    # 13^8 times its largest power mod 13^8 is 0.07 * 2^63, at 13^9 it is
-    # 11.7 * 2^63; at 11^9 and 11^10 it is 0.29 and 28 * 2^63
-    @pytest.mark.parametrize("p,D", [(13, 8), (11, 9)])
-    def test_deeper_layers_build_their_own_matrix(self, p, D, matrix_requests):
-        assert poly._matrix_dtypes(p, 2, p**D) == (np.int64, np.float64)
-        assert poly._matrix_dtypes(p, 2, p ** (D + 1))[0] is object
-        for depth in (0, D - 1, D):
-            coeffs, forms = _layer_case(p, 2, depth, depth)
-            tables = poly.eval_layer_tables(p, 2, coeffs, depth, depth + 1)
-            _assert_tables_match_forms(p, 2, tables, depth + 1, forms)
-        assert [m for m, _ in matrix_requests] == [p**D, p**D, p ** (D + 1)]
+        assert matrix_requests == [None] * 16
 
 
 def _coefficient_oracle(p, n, table):
@@ -670,6 +702,55 @@ class TestTableDtypeLadder:
         coeffs = poly.classical_coeffs(p, n, table)
         assert coeffs.dtype == np.int8
         assert np.array_equal(_coefficient_oracle(p, n, table)(coeffs), table % p)
+
+
+class TestPerAxisPass:
+    """eval_layer_tables without a monomial matrix: one pass per axis by
+    a^e mod p^(depth+1), against CanonicalForm's point evaluator."""
+
+    # the pass reduces mod m = p^(depth+1) after each axis, so its sums stay
+    # below p m^2: 13^17 < 2^63 at depth 7, 13^19 and 11^19 past it at 8
+    @pytest.mark.parametrize("p,depth", [(13, 7), (13, 8), (11, 7), (11, 8)])
+    def test_switch_to_python_integers(self, p, depth, monkeypatch):
+        m = p ** (depth + 1)
+        assert (p * m * m < 1 << 63) == (depth == 7)
+        kinds = []
+        reduce = poly._reduce
+
+        def spy(x, q, K):
+            kinds.append(x.dtype.kind)
+            return reduce(x, q, K)
+
+        monkeypatch.setattr(poly, "_reduce", spy)
+        coeffs, forms = _layer_case(p, 2, depth, depth)
+        tables = poly.eval_layer_tables(p, 2, coeffs, depth, depth + 1)
+        assert ("O" in kinds) == (depth == 8)
+        _assert_tables_match_forms(p, 2, tables, depth + 1, forms)
+
+    @pytest.mark.parametrize("p,K,dt", [c for c in _LADDER if c[1]])
+    def test_table_dtype_switches(self, p, K, dt, per_axis_only):
+        n = 1 if p == 13 else 2
+        for depth in sorted({0, K - 1}):
+            coeffs, forms = _layer_case(p, n, depth, K)
+            tables = poly.eval_layer_tables(p, n, coeffs, depth, K)
+            assert tables.dtype == dt
+            _assert_tables_match_forms(p, n, tables, K, forms)
+
+    # at (2, 10) the subset sums reach 2^10, past int8 and mod 2^10 at depth 9
+    @pytest.mark.parametrize("p,n", [(2, 6), (2, 10), (3, 4), (5, 3), (7, 2)])
+    def test_equals_the_dense_path_on_exact_cells(self, p, n, monkeypatch):
+        assert poly._monomial_matrix(p, n) is not None
+        N = p**n
+        rng = SplitMix64(N)
+        for depth, K in [(0, 1), (0, 3), (2, 3), (5, 6), (9, 10)]:
+            # column-major, as a transposed batch arrives
+            coeffs = np.asfortranarray(rng.draws(N * 5).reshape(N, 5) % p)
+            dense = poly.eval_layer_tables(p, n, coeffs, depth, K)
+            with monkeypatch.context() as patch:
+                patch.setattr(poly, "_monomial_matrix", lambda p, n: None)
+                by_axis = poly.eval_layer_tables(p, n, coeffs, depth, K)
+            assert by_axis.dtype == dense.dtype
+            assert np.array_equal(by_axis, dense)
 
 
 class TestKernelLayout:
